@@ -7,27 +7,27 @@
 //
 // Regenerate the committed ledger with:
 //
-//	go run ./cmd/bench -o BENCH_PR10.json
+//	go run ./cmd/bench -o BENCH_PR12.json
 //
 // CI runs the fast regression gate on every PR:
 //
 //	go run ./cmd/bench -short -o -
 //
 // which trims the matrix to the headline and one scheduler-heavy case,
-// still runs the heap-vs-wheel A/B on the latter plus the first two
-// shard cross-check cells, the observer-overhead A/B, the 262,144-PE
-// footprint gate (construction + a short run of an implicit torus512,
-// with a bytes-per-PE budget assertion), and the PR 10 fault-tolerance
-// gates (the checkpoint-interval sweep and the sequential-vs-sharded
-// scenario agreement check), and — like the full run — exits non-zero
-// if the two schedulers or the sequential and sharded machines ever
-// disagree on results, if disabled observability stops being free (the
-// off side's allocs/op exceeding the headline measurement), if machine
-// construction outgrows its per-PE memory budget, if no checkpoint
-// interval beats both no-checkpointing and over-frequent checkpointing,
-// or if the bounded-retry ledger stops balancing, so an event-ordering,
-// observer-cost, memory-layout or fault-accounting regression fails the
-// build, not just a perf number.
+// still runs the first two shard cross-check cells, the
+// observer-overhead A/B, the 262,144-PE footprint gate (construction + a
+// short run of an implicit torus512, with a bytes-per-PE budget
+// assertion), and the fault-tolerance gates (the
+// checkpoint-interval sweep and the multi-shard scenario agreement
+// check), and — like the full run — exits non-zero if a parallel
+// multi-shard run ever disagrees with its serial replay or breaks
+// conservation against one shard, if disabled observability stops being
+// free (the off side's allocs/op exceeding the headline measurement), if
+// machine construction outgrows its per-PE memory budget, if no
+// checkpoint interval beats both no-checkpointing and over-frequent
+// checkpointing, or if the bounded-retry ledger stops balancing, so an
+// event-ordering, observer-cost, memory-layout or fault-accounting
+// regression fails the build, not just a perf number.
 //
 // Profile a case instead of guessing:
 //
@@ -94,26 +94,14 @@ type ledger struct {
 	// side is not in the tree anymore (e.g. the PR 3 heap-arity trial),
 	// so the decision stays auditable from the ledger alone.
 	Experiments []experimentRecord `json:"experiments,omitempty"`
-	// Sched is the PR 5 two-tier-scheduler A/B: each scheduler-heavy
-	// case run under both the standing binary heap and the bucket
-	// wheel, interleaved. Both sides are in the tree (sim.SchedulerKind),
-	// so the section re-measures live on every regeneration, and each
-	// entry asserts the two schedulers produced identical results.
-	Sched []schedResult `json:"sched_two_tier,omitempty"`
-	// SchedDecision pins what the A/B decided and why.
-	SchedDecision string `json:"sched_decision,omitempty"`
-	// Pooling is the PR 4 replication-pooling A/B: the same spec run
-	// repeatedly with and without a shared machine.Pool (the
-	// cross-run free-list reuse RunAll workers use). Re-measured live
-	// on every regeneration — both sides are in the tree.
-	Pooling *poolingResult `json:"pooling,omitempty"`
 	// Shard is the PR 6 conservative-lookahead sharding sweep: the
-	// largest matrix case run at 1/2/4/8 shards against the sequential
-	// reference, re-measured live on every regeneration.
+	// largest matrix case run at 2/4/8 shards against the one-shard
+	// run, re-measured live on every regeneration.
 	Shard *shardScaling `json:"shard_scaling,omitempty"`
 	// ShardCross records the shard cross-check gate: every pinned cell
-	// certified sequential-vs-sharded (experiments.ShardCrossCheck).
-	// cmd/bench exits non-zero on the first disagreement.
+	// certified parallel-vs-serial and against one shard
+	// (experiments.ShardCrossCheck). cmd/bench exits non-zero on the
+	// first disagreement.
 	ShardCross []shardCrossResult `json:"shard_crosscheck,omitempty"`
 	// Memory is the PR 9 footprint table: machine construction cost
 	// (bytes and allocations per PE) and the run's peak OS-backed heap
@@ -124,8 +112,8 @@ type ledger struct {
 	// regenerations).
 	Memory *memFootprint `json:"memory_footprint,omitempty"`
 	// Fault is the PR 10 fault-tolerance section: the checkpoint-interval
-	// sweep (overhead paid vs work re-lost), the sequential-vs-sharded
-	// scenario agreement gate, the bounded-retry ledger, and — on full
+	// sweep (overhead paid vs work re-lost), the multi-shard scenario
+	// agreement gate, the bounded-retry ledger, and — on full
 	// regenerations — the sharded million-PE chaos soak with its peak-heap
 	// gate. The sweep and agreement gates run in -short (the CI smoke).
 	Fault *faultSection `json:"fault_tolerance,omitempty"`
@@ -289,13 +277,13 @@ type scenarioCrossItem struct {
 }
 
 // retryLedger records the bounded-retry accounting on the agreement
-// spec, sequential and sharded, with the machine-wide invariant
+// spec, on one shard and sharded, with the machine-wide invariant
 // (retried + abandoned == aborted) re-checked at both.
 type retryLedger struct {
-	Case       string      `json:"case"`
-	Sequential retryCounts `json:"sequential"`
-	Sharded    retryCounts `json:"sharded"`
-	Invariant  string      `json:"invariant"`
+	Case      string      `json:"case"`
+	OneShard  retryCounts `json:"one_shard"`
+	Sharded   retryCounts `json:"sharded"`
+	Invariant string      `json:"invariant"`
 }
 
 // retryCounts is one mode's job-fate accounting.
@@ -311,7 +299,7 @@ type retryCounts struct {
 // shardedSoak is the million-PE sharded chaos soak's footprint row:
 // the full fault stack (domain crashes, checkpoints, bounded retry)
 // under Shards=4 on the implicit torus1000, gated by the same 2 GiB
-// peak-heap ceiling as the sequential million-PE case.
+// peak-heap ceiling as the one-shard million-PE case.
 type shardedSoak struct {
 	Case          string  `json:"case"`
 	Shards        int     `json:"shards"`
@@ -417,9 +405,9 @@ func agreementSpec() experiments.RunSpec {
 	}
 }
 
-// measureRetryLedger runs the agreement spec sequentially and sharded
-// and records both modes' job-fate accounting, re-checking the
-// machine-wide invariant the acceptance criteria pin.
+// measureRetryLedger runs the agreement spec on one shard and on k and
+// records both runs' job-fate accounting, re-checking the machine-wide
+// invariant the acceptance criteria pin.
 func measureRetryLedger(spec experiments.RunSpec, name string, k int) (*retryLedger, error) {
 	counts := func(shards int) (retryCounts, error) {
 		s := spec
@@ -445,7 +433,7 @@ func measureRetryLedger(spec experiments.RunSpec, name string, k int) (*retryLed
 			Goodput:   st.Goodput(),
 		}, nil
 	}
-	seq, err := counts(0)
+	one, err := counts(1)
 	if err != nil {
 		return nil, err
 	}
@@ -454,10 +442,10 @@ func measureRetryLedger(spec experiments.RunSpec, name string, k int) (*retryLed
 		return nil, err
 	}
 	return &retryLedger{
-		Case:       name,
-		Sequential: seq,
-		Sharded:    shd,
-		Invariant:  "JobsRetried + JobsAbandoned == JobsAborted and JobsAbandoned > 0, machine-wide, sequential and sharded",
+		Case:      name,
+		OneShard:  one,
+		Sharded:   shd,
+		Invariant: "JobsRetried + JobsAbandoned == JobsAborted and JobsAbandoned > 0, machine-wide, on one shard and sharded",
 	}, nil
 }
 
@@ -503,11 +491,11 @@ type observerOverhead struct {
 }
 
 // shardScaling is the PR 6 scaling table: one point per shard count on
-// one pinned case, plus the sequential reference the speedups divide by.
+// one pinned case, plus the one-shard reference the speedups divide by.
 type shardScaling struct {
 	Case       string            `json:"case"`
 	Iterations int               `json:"iterations_per_point"`
-	Sequential metricSet         `json:"sequential"`
+	OneShard   metricSet         `json:"one_shard"`
 	Points     []shardScalePoint `json:"points"`
 	Decision   string            `json:"decision,omitempty"`
 }
@@ -516,9 +504,9 @@ type shardScaling struct {
 type shardScalePoint struct {
 	Shards  int       `json:"shards"`
 	Metrics metricSet `json:"metrics"`
-	// SpeedupX is sequential ns/op over this point's ns/op — wall-clock
+	// SpeedupX is one-shard ns/op over this point's ns/op — wall-clock
 	// speedup for the same virtual-time horizon.
-	SpeedupX float64 `json:"speedup_vs_sequential_x"`
+	SpeedupX float64 `json:"speedup_vs_one_shard_x"`
 }
 
 // shardCrossResult is one certified cross-check cell.
@@ -526,33 +514,6 @@ type shardCrossResult struct {
 	Case   string `json:"case"`
 	Shards int    `json:"shards"`
 	OK     bool   `json:"ok"`
-}
-
-// poolingResult is the before/after of machine-object reuse across
-// replications (ROADMAP: "machine-object reuse across runs in sweeps").
-type poolingResult struct {
-	Case               string    `json:"case"`
-	RunsPerSide        int       `json:"runs_per_side"`
-	Without            metricSet `json:"without_pool"`
-	With               metricSet `json:"with_pool"`
-	AllocsReductionPct float64   `json:"allocs_reduction_pct"`
-	SpeedupX           float64   `json:"speedup_x"`
-	// Decision records why pooling is (or is not) the sweeps default.
-	Decision string `json:"decision,omitempty"`
-}
-
-// schedResult is one case of the heap-vs-wheel A/B.
-type schedResult struct {
-	Case          string    `json:"case"`
-	Iterations    int       `json:"iterations_per_side"`
-	Heap          metricSet `json:"heap"`
-	Wheel         metricSet `json:"wheel"`
-	WheelSpeedupX float64   `json:"wheel_speedup_x"`
-	// Identical asserts both schedulers produced the same events,
-	// makespan, result and job count — the bit-for-bit guarantee the
-	// wheel's per-bucket seq-FIFO exists for. cmd/bench exits non-zero
-	// if it is ever false.
-	Identical bool `json:"results_identical"`
 }
 
 // experimentRecord pins an A/B decision: what was tried, on which
@@ -575,8 +536,7 @@ type experimentRecord struct {
 
 // heapExperiment is the PR 3 heap-arity trial. The 4-ary heap lost and
 // was removed; the binary heap stays, parameterized (sim/heap.go
-// heapArity) — since PR 5 as the selectable non-default scheduler and
-// the wheel's overflow tier.
+// heapArity), as the wheel's overflow tier.
 var heapExperiment = experimentRecord{
 	Name:       "engine-heap-arity",
 	Case:       "open/ctrl-grid32-gm",
@@ -587,6 +547,37 @@ var heapExperiment = experimentRecord{
 	Kept:       "binary",
 	Decision:   "4-ary measured ~5% fewer events/sec: the standing heap is shallow (thousands of events) so halved depth does not repay 3 extra sibling comparisons per down-level; Timer re-arm/removeAt traffic leans on up(), which arity does not help",
 	MeasuredOn: "PR 3 reference container, go1.24.0 linux/amd64, 6 interleaved iterations per side (mean events/sec); frozen, not re-measured on regeneration",
+}
+
+// schedExperiment is the two-tier-scheduler A/B, re-measured on every
+// ledger regeneration until the heap scheduler option was retired: the
+// numbers are the BENCH_PR10.json case with the largest margin, and
+// the wheel won every case.
+var schedExperiment = experimentRecord{
+	Name:       "engine-scheduler",
+	Case:       "open/ctrl-grid32-gm",
+	AName:      "two-tier wheel + overflow heap (kept)",
+	AEvtSec:    14142321,
+	BName:      "standing binary heap (retired)",
+	BEvtSec:    3807259,
+	Kept:       "wheel",
+	Decision:   "the wheel won every sched-heavy case with identical results: 3.71x on open/ctrl-grid32-gm, 2.90x on open/ctrl-grid64-gm, 2.67x on open/chaos-grid16-cwn-fa; the heap survives only as the wheel's overflow tier",
+	MeasuredOn: "BENCH_PR10.json (1 CPU), go1.24.0 linux/amd64, 5 interleaved iterations per side; frozen, not re-measured on regeneration",
+}
+
+// poolExperiment is the cross-run free-list pooling A/B (a pool each
+// RunAll worker lent its machines), retired once arenas made its
+// allocation win moot.
+var poolExperiment = experimentRecord{
+	Name:       "machine-pool",
+	Case:       "open/poisson-grid8",
+	AName:      "fresh free lists per run (kept)",
+	AEvtSec:    11239487,
+	BName:      "cross-run free-list pool (retired)",
+	BEvtSec:    10942459,
+	Kept:       "fresh",
+	Decision:   "BENCH_PR10.json measured pooling at 0.97x time for 46% fewer allocs/op; on the 240-run paper sweep a worker's pool retained a whole run's working set between runs, and dropping it cut peak RSS from 129.7-131.3 MiB to 29.1-29.6 MiB over three alternating rounds with wall time within noise and every pinned digest unchanged",
+	MeasuredOn: "BENCH_PR10.json (1 CPU), go1.24.0 linux/amd64, 10 interleaved runs per side; RSS from three alternating paper-sweep rounds on a 2-CPU host; frozen, not re-measured on regeneration",
 }
 
 // seekBitmapExperiment is the PR 6 wheel-occupancy-bitmap trial,
@@ -638,9 +629,9 @@ var baseline = map[string]metricSet{
 
 func main() {
 	var (
-		out        = flag.String("o", "BENCH_PR10.json", "ledger output path (- for stdout)")
+		out        = flag.String("o", "BENCH_PR12.json", "ledger output path (- for stdout)")
 		iters      = flag.Int("iters", 5, "iterations per case (fixed, for comparable allocs/op)")
-		short      = flag.Bool("short", false, "regression smoke: headline + one sched-heavy case, 1 iteration, sched A/B equality still enforced")
+		short      = flag.Bool("short", false, "regression smoke: headline + one sched-heavy case, 1 iteration, correctness gates still enforced")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the measurement runs to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile (after the runs) to this file")
 	)
@@ -660,25 +651,21 @@ func main() {
 	}
 
 	matrix := experiments.BenchMatrix()
-	schedCases := experiments.SchedCases()
 	if *short {
 		matrix = trimMatrix(matrix, "open/poisson-grid8", "open/ctrl-grid32-gm")
-		schedCases = []string{"open/ctrl-grid32-gm"}
 	}
 
 	led := ledger{
 		Schema:      "cwnsim-bench/v1",
-		PR:          10,
+		PR:          12,
 		Go:          runtime.Version(),
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,
 		CPUs:        runtime.NumCPU(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Note:        "one op = one full simulation run of the named spec under the default (wheel) scheduler; baseline frozen at the pre-PR2 tree (cases added later carry none)",
+		Note:        "one op = one full simulation run of the named spec; baseline frozen before the hot-path optimizations (cases added later carry none)",
 		Headline:    "open/poisson-grid8",
-		Experiments: []experimentRecord{heapExperiment, seekBitmapExperiment, millionPEProfileExperiment},
-		SchedDecision: "two-tier wheel promoted to default scheduler: it won every matrix case (1.8-3.4x events/sec at PR 5 measurement) with results identical to the heap on all of them; " +
-			"the binary heap stays selectable (RunSpec.Scheduler=\"heap\", sim.SchedHeap) as the overflow tier and for re-measurement",
+		Experiments: []experimentRecord{heapExperiment, schedExperiment, poolExperiment, seekBitmapExperiment, millionPEProfileExperiment},
 	}
 	// The footprint table runs first, smallest machine to largest, so
 	// the process's heap high-water when the torus1000 row reads it is
@@ -749,18 +736,18 @@ func main() {
 
 		const agreeCase = "fault/agree-grid4-chaos-rack"
 		if err := experiments.ScenarioCrossCheck(agreementSpec(), 4); err != nil {
-			fail(fmt.Errorf("scenario agreement gate %s: sequential and sharded machines DISAGREE:\n%v", agreeCase, err))
+			fail(fmt.Errorf("scenario agreement gate %s: one-shard and sharded runs DISAGREE:\n%v", agreeCase, err))
 		}
 		fault.Agreement = append(fault.Agreement, scenarioCrossItem{Case: agreeCase, Shards: 4, OK: true})
-		fmt.Fprintf(os.Stderr, "%-28s certified (seq == shards=1 incl. recovery metrics, parallel == serial, retry ledger balanced at k=4)\n", "scenck:"+agreeCase)
+		fmt.Fprintf(os.Stderr, "%-28s certified (parallel == serial, retry ledger balanced at k=1 and k=4)\n", "scenck:"+agreeCase)
 
 		rl, err := measureRetryLedger(agreementSpec(), agreeCase, 4)
 		if err != nil {
 			fail(fmt.Errorf("retry ledger gate: %v", err))
 		}
 		fault.Retry = rl
-		fmt.Fprintf(os.Stderr, "%-28s seq %d/%d done, %d abandoned (goodput %.3f) | shards=4 %d/%d done, %d abandoned (goodput %.3f)\n",
-			"retry:"+agreeCase, rl.Sequential.Done, rl.Sequential.Injected, rl.Sequential.Abandoned, rl.Sequential.Goodput,
+		fmt.Fprintf(os.Stderr, "%-28s shards=1 %d/%d done, %d abandoned (goodput %.3f) | shards=4 %d/%d done, %d abandoned (goodput %.3f)\n",
+			"retry:"+agreeCase, rl.OneShard.Done, rl.OneShard.Injected, rl.OneShard.Abandoned, rl.OneShard.Goodput,
 			rl.Sharded.Done, rl.Sharded.Injected, rl.Sharded.Abandoned, rl.Sharded.Goodput)
 		led.Fault = fault
 	}
@@ -808,44 +795,23 @@ func main() {
 		fmt.Fprintln(os.Stderr)
 	}
 
-	// The scheduler A/B: each sched-heavy case under heap and wheel,
-	// sides interleaved within every iteration so clock drift cannot
-	// favor one. A results divergence is a correctness failure, not a
-	// perf datum: exit non-zero.
-	for _, name := range schedCases {
-		spec, ok := findCase(experiments.BenchMatrix(), name)
-		if !ok {
-			fail(fmt.Errorf("sched case %s not in BenchMatrix", name))
-		}
-		sr, err := measureSched(spec, name, *iters)
-		if err != nil {
-			fail(fmt.Errorf("sched A/B %s: %v", name, err))
-		}
-		led.Sched = append(led.Sched, sr)
-		fmt.Fprintf(os.Stderr, "%-28s heap %11.0f -> wheel %11.0f events/sec (%.2fx), identical=%v\n",
-			"sched:"+name, sr.Heap.EventsPerSec, sr.Wheel.EventsPerSec, sr.WheelSpeedupX, sr.Identical)
-		if !sr.Identical {
-			fail(fmt.Errorf("sched A/B %s: heap and wheel produced DIFFERENT results — event ordering regression", name))
-		}
-	}
-
-	// The shard cross-check gate: certify the sequential/sharded
-	// agreement contract on the pinned matrix. A disagreement is a
-	// correctness failure — exit non-zero.
+	// The shard cross-check gate: certify the multi-shard agreement
+	// contract on the pinned matrix. A disagreement is a correctness
+	// failure — exit non-zero.
 	crossCases := experiments.ShardCrossMatrix()
 	if *short {
 		crossCases = crossCases[:2]
 	}
 	for _, c := range crossCases {
 		if err := experiments.ShardCrossCheck(c.Spec, 4); err != nil {
-			fail(fmt.Errorf("shard cross-check %s: sequential and sharded machines DISAGREE:\n%v", c.Name, err))
+			fail(fmt.Errorf("shard cross-check %s: one-shard and sharded runs DISAGREE:\n%v", c.Name, err))
 		}
 		led.ShardCross = append(led.ShardCross, shardCrossResult{Case: c.Name, Shards: 4, OK: true})
-		fmt.Fprintf(os.Stderr, "%-28s certified (seq == shards=1, parallel == serial, conservation at k=4)\n", "shardck:"+c.Name)
+		fmt.Fprintf(os.Stderr, "%-28s certified (parallel == serial, conservation vs one shard at k=4)\n", "shardck:"+c.Name)
 	}
 
 	// The shard scaling sweep: the 4096-PE control-heavy case at each
-	// shard count against the sequential reference.
+	// shard count against the one-shard run.
 	if !*short {
 		const scaleCase = "open/ctrl-grid64-gm"
 		spec, ok := findCase(experiments.BenchMatrix(), scaleCase)
@@ -864,31 +830,9 @@ func main() {
 			runtime.NumCPU())
 		led.Shard = &sc
 		for _, p := range sc.Points {
-			fmt.Fprintf(os.Stderr, "%-28s %d shards %12.0f events/sec  %.2fx vs sequential\n",
+			fmt.Fprintf(os.Stderr, "%-28s %d shards %12.0f events/sec  %.2fx vs one shard\n",
 				"shard:"+scaleCase, p.Shards, p.Metrics.EventsPerSec, p.SpeedupX)
 		}
-	}
-
-	// The pooling A/B: replicate the headline case's spec with and
-	// without a shared pool. More side-by-side runs than -iters so the
-	// pool's steady state (second run onward) dominates the mean.
-	if !*short {
-		spec, ok := findCase(matrix, led.Headline)
-		if !ok {
-			fail(fmt.Errorf("headline case %s not in BenchMatrix", led.Headline))
-		}
-		poolRuns := 2 * *iters
-		pr, err := measurePooling(spec, led.Headline, poolRuns)
-		if err != nil {
-			fail(fmt.Errorf("pooling A/B: %v", err))
-		}
-		pr.Decision = "slice-stack free lists (PR 5) fixed the PR 4 0.97x regression: the GC re-marked the pool's retained working set by chasing per-object nextFree chains every cycle; " +
-			"with contiguous pointer arrays pooling measures at parity or better on time (>=1.0x interleaved; run-to-run noise is a few percent either way) and keeps the ~45% allocs/op win, " +
-			"so RunAll workers keep pooling by default"
-		led.Pooling = &pr
-		fmt.Fprintf(os.Stderr, "%-28s %12d -> %d allocs/op with pool (%.1f%% fewer), %.0f -> %.0f events/sec\n",
-			"pooling:"+pr.Case, pr.Without.AllocsPerOp, pr.With.AllocsPerOp,
-			pr.AllocsReductionPct, pr.Without.EventsPerSec, pr.With.EventsPerSec)
 	}
 
 	// The observer A/B and its gate: the headline case with observability
@@ -1007,136 +951,14 @@ func measure(spec experiments.RunSpec, iters int) (caseResult, error) {
 	}, nil
 }
 
-// schedSideFP is the per-side results digest the A/B compares.
-type schedSideFP struct {
-	events   uint64
-	makespan int64
-	result   int64
-	jobs     int64
-	busy     int64
-}
-
-// measureSched runs the spec iters times per scheduler, interleaved,
-// and reports both metric sets plus whether results were identical.
-func measureSched(spec experiments.RunSpec, name string, iters int) (schedResult, error) {
-	spec.Topo.Build()
-	spec.Workload.Build()
-	sides := [2]string{"heap", "wheel"}
-	var elapsed [2]time.Duration
-	var allocs, bytes [2]uint64
-	var events [2]uint64
-	var fp [2]schedSideFP
-	for i := 0; i < iters; i++ {
-		for side, sched := range sides {
-			s := spec
-			s.Scheduler = sched
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			start := time.Now()
-			r, err := s.ExecuteErr()
-			if err != nil {
-				return schedResult{}, err
-			}
-			elapsed[side] += time.Since(start)
-			runtime.ReadMemStats(&after)
-			allocs[side] += after.Mallocs - before.Mallocs
-			bytes[side] += after.TotalAlloc - before.TotalAlloc
-			events[side] = r.Stats.Events
-			fp[side] = schedSideFP{
-				events:   r.Stats.Events,
-				makespan: int64(r.Stats.Makespan),
-				result:   r.Stats.Result,
-				jobs:     r.Stats.JobsDone,
-				busy:     int64(r.Stats.TotalBusy),
-			}
-		}
-	}
-	n := uint64(iters)
-	mk := func(side int) metricSet {
-		return metricSet{
-			NsPerOp:      elapsed[side].Nanoseconds() / int64(iters),
-			AllocsPerOp:  int64(allocs[side] / n),
-			BytesPerOp:   int64(bytes[side] / n),
-			EventsPerSec: float64(events[side]) * float64(iters) / elapsed[side].Seconds(),
-		}
-	}
-	sr := schedResult{
-		Case:       name,
-		Iterations: iters,
-		Heap:       mk(0),
-		Wheel:      mk(1),
-		Identical:  fp[0] == fp[1],
-	}
-	if sr.Wheel.NsPerOp > 0 {
-		sr.WheelSpeedupX = float64(sr.Heap.NsPerOp) / float64(sr.Wheel.NsPerOp)
-	}
-	return sr, nil
-}
-
-// measurePooling runs the spec `runs` times per side — fresh execution
-// versus a shared machine.Pool carried across the runs (what each
-// RunAll worker does in a sweep) — and reports both per-op metric sets.
-// Sides are interleaved run by run so clock drift and GC-state carry-
-// over from earlier ledger sections cannot bias one side, and each side
-// gets one untimed warm-up (the pooled side's first run fills an empty
-// pool — pure cost, which a RunAll worker amortizes over a whole sweep).
-func measurePooling(spec experiments.RunSpec, name string, runs int) (poolingResult, error) {
-	pool := &machine.Pool{}
-	sides := []*machine.Pool{nil, pool}
-	var elapsed [2]time.Duration
-	var allocs, bytes [2]uint64
-	var events [2]uint64
-	for _, p := range sides {
-		if _, err := spec.ExecuteWithPool(p); err != nil {
-			return poolingResult{}, err
-		}
-	}
-	for i := 0; i < runs; i++ {
-		for side, p := range sides {
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			start := time.Now()
-			r, err := spec.ExecuteWithPool(p)
-			if err != nil {
-				return poolingResult{}, err
-			}
-			elapsed[side] += time.Since(start)
-			runtime.ReadMemStats(&after)
-			allocs[side] += after.Mallocs - before.Mallocs
-			bytes[side] += after.TotalAlloc - before.TotalAlloc
-			events[side] = r.Stats.Events
-		}
-	}
-	var sets [2]metricSet
-	n := uint64(runs)
-	for side := range sides {
-		sets[side] = metricSet{
-			NsPerOp:      elapsed[side].Nanoseconds() / int64(runs),
-			AllocsPerOp:  int64(allocs[side] / n),
-			BytesPerOp:   int64(bytes[side] / n),
-			EventsPerSec: float64(events[side]) * float64(runs) / elapsed[side].Seconds(),
-		}
-	}
-	pr := poolingResult{Case: name, RunsPerSide: runs, Without: sets[0], With: sets[1]}
-	if pr.Without.AllocsPerOp > 0 {
-		pr.AllocsReductionPct = 100 * (1 - float64(pr.With.AllocsPerOp)/float64(pr.Without.AllocsPerOp))
-	}
-	if pr.With.NsPerOp > 0 {
-		pr.SpeedupX = float64(pr.Without.NsPerOp) / float64(pr.With.NsPerOp)
-	}
-	return pr, nil
-}
-
-// measureShardScaling times the spec sequentially and at 1/2/4/8
-// shards (clamped points beyond the machine size would be redundant;
-// the case is 4096 PEs so all counts are real). Iterations interleave
-// the shard counts so clock drift cannot favor one.
+// measureShardScaling times the spec at 1/2/4/8 shards (clamped points
+// beyond the machine size would be redundant; the case is 4096 PEs so
+// all counts are real). Iterations interleave the shard counts so clock
+// drift cannot favor one.
 func measureShardScaling(spec experiments.RunSpec, name string, iters int) (shardScaling, error) {
 	spec.Topo.Build()
 	spec.Workload.Build()
-	counts := []int{0, 1, 2, 4, 8}
+	counts := []int{1, 2, 4, 8}
 	elapsed := make([]time.Duration, len(counts))
 	allocs := make([]uint64, len(counts))
 	bytes := make([]uint64, len(counts))
@@ -1169,11 +991,11 @@ func measureShardScaling(spec experiments.RunSpec, name string, iters int) (shar
 			EventsPerSec: float64(events[ci]) * float64(iters) / elapsed[ci].Seconds(),
 		}
 	}
-	sc := shardScaling{Case: name, Iterations: iters, Sequential: mk(0)}
+	sc := shardScaling{Case: name, Iterations: iters, OneShard: mk(0)}
 	for ci, shards := range counts[1:] {
 		p := shardScalePoint{Shards: shards, Metrics: mk(ci + 1)}
 		if p.Metrics.NsPerOp > 0 {
-			p.SpeedupX = float64(sc.Sequential.NsPerOp) / float64(p.Metrics.NsPerOp)
+			p.SpeedupX = float64(sc.OneShard.NsPerOp) / float64(p.Metrics.NsPerOp)
 		}
 		sc.Points = append(sc.Points, p)
 	}

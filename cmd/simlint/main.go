@@ -1,8 +1,7 @@
 // Command simlint runs the repo's custom static-analysis suite
-// (internal/analysis: detrand, statsmerge, poolsafe, seqonly) over the
+// (internal/analysis: detrand, statsmerge, poolsafe) over the
 // simulator's own contracts: seed-determinism, exact shard-stats
-// merging, free-list pool safety, and the sequential-only feature
-// boundary.
+// merging and free-list pool safety.
 //
 // Two modes:
 //

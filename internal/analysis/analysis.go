@@ -57,7 +57,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All is the full simlint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Detrand, Statsmerge, Poolsafe, Seqonly}
+	return []*Analyzer{Detrand, Statsmerge, Poolsafe}
 }
 
 // Lookup returns the named analyzer from the suite, or nil.

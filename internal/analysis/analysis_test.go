@@ -28,10 +28,6 @@ func TestPoolsafe(t *testing.T) {
 	analysistest.Run(t, "testdata/src/poolsafe", analysis.Poolsafe)
 }
 
-func TestSeqonly(t *testing.T) {
-	analysistest.Run(t, "testdata/src/seqonly", analysis.Seqonly)
-}
-
 // TestSuiteCleanOnRepo runs the whole suite over the whole module —
 // the same check CI runs through `go vet -vettool` — and requires
 // zero findings: the shipped code either satisfies every contract or
@@ -59,7 +55,7 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 // TestLookup pins the suite roster: cmd/simlint flags and CI reference
 // analyzers by these names.
 func TestLookup(t *testing.T) {
-	for _, name := range []string{"detrand", "statsmerge", "poolsafe", "seqonly"} {
+	for _, name := range []string{"detrand", "statsmerge", "poolsafe"} {
 		a := analysis.Lookup(name)
 		if a == nil {
 			t.Fatalf("Lookup(%q) = nil", name)
@@ -71,8 +67,8 @@ func TestLookup(t *testing.T) {
 	if analysis.Lookup("nosuch") != nil {
 		t.Error("Lookup of unknown name should be nil")
 	}
-	if n := len(analysis.All()); n != 4 {
-		t.Errorf("All() has %d analyzers, want 4", n)
+	if n := len(analysis.All()); n != 3 {
+		t.Errorf("All() has %d analyzers, want 3", n)
 	}
 }
 

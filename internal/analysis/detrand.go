@@ -9,9 +9,9 @@ import (
 // Detrand flags nondeterminism sources in simulation-path packages:
 // wall-clock reads, draws from the process-global math/rand stream,
 // and map iteration whose observed order can leak into results. The
-// simulator's contract is that a run is a pure function of its seed —
-// Shards=1 must reproduce the sequential machine bit-for-bit and K>=2
-// must equal its serial replay — so any unordered or ambient input in
+// simulator's contract is that a run is a pure function of its seed and
+// shard count — a K>=2 run must equal its serial replay — so any
+// unordered or ambient input in
 // internal/sim, internal/machine, internal/scenario or
 // internal/topology is a silent determinism killer.
 //

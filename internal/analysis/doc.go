@@ -1,5 +1,5 @@
 // Package analysis is the repo's custom static-analysis suite: a
-// small stdlib-only go/analysis-style framework plus the four simlint
+// small stdlib-only go/analysis-style framework plus the three simlint
 // analyzers that enforce the simulator's core contracts at vet time.
 // The framework mirrors the shape of golang.org/x/tools/go/analysis —
 // an Analyzer owns a Run function over a per-package Pass — but
@@ -10,9 +10,9 @@
 //
 // # The analyzers
 //
-// detrand — determinism. A run must be a pure function of its seed:
-// Shards=1 reproduces the sequential machine bit-for-bit and K>=2
-// equals its serial replay. In simulation-path packages (internal/sim,
+// detrand — determinism. A run must be a pure function of its seed and
+// shard count: a K>=2 run equals its serial replay. In simulation-path
+// packages (internal/sim,
 // internal/machine, internal/scenario, internal/topology) the analyzer
 // flags wall-clock reads (time.Now), draws from the process-global
 // math/rand stream, and map iteration whose effects depend on the
@@ -42,17 +42,6 @@
 // flagged until the variable is rebound. Fields deliberately retained
 // across recycles carry //simlint:keep <reason>.
 //
-// seqonly — the sequential-only boundary. Functions reachable from a
-// file tagged //simlint:seqonly (machine/shard.go) must not reach
-// Config fields tagged //simlint:globalstate (Scenario, Trace, Pool,
-// SampleInterval, MonitorPE) unguarded: Config.validate rejects those
-// features for sharded runs, so shard-path code touching them either
-// races or silently diverges from the serial replay. A reference is
-// allowed in a conditional position or inside an if body whose
-// condition tests the same field; functions safe for subtler reasons
-// are tagged //simlint:seqsafe <reason> and the package-local call
-// graph traversal stops there.
-//
 // # Directive vocabulary
 //
 // All annotations are directive comments (hidden from godoc, like
@@ -64,9 +53,6 @@
 //	//simlint:mergeable            on a struct: shard copies merge field-exactly
 //	//simlint:nomerge <reason>     on a field: deliberately outside the merge
 //	//simlint:keep <reason>        on a field: deliberately not zeroed on free
-//	//simlint:globalstate <reason> on a field: sequential-only feature
-//	//simlint:seqsafe <reason>     on a func: trusted seqonly boundary
-//	//simlint:seqonly              anywhere in a file: roots the shard path
 //	//simlint:observer             on a func: measurement code
 //	//simlint:obsstream            on a field: the dedicated observer RNG
 //

@@ -15,10 +15,6 @@ import (
 //	mergeable            on a struct type: shard copies must merge field-exactly
 //	nomerge <reason>     on a field: deliberately not folded by the merge
 //	keep <reason>        on a field: deliberately not zeroed by the free func
-//	globalstate <reason> on a field: a sequential-only feature Config.validate
-//	                     rejects for sharded runs
-//	seqsafe <reason>     on a func: trusted boundary; seqonly stops here
-//	seqonly              anywhere in a file: its functions root the shard path
 //	observer             on a func: measurement code; must not touch the
 //	                     simulation RNG stream
 //	obsstream            on a field/var: the dedicated observer RNG stream
@@ -27,8 +23,6 @@ type Tags struct {
 	Types  map[types.Object][]Directive
 	Funcs  map[types.Object][]Directive
 	Fields map[types.Object][]Directive
-	// SeqonlyFiles holds the *ast.File roots tagged //simlint:seqonly.
-	SeqonlyFiles map[*ast.File]bool
 }
 
 // Directive is one parsed //simlint:<verb> args comment.
@@ -74,20 +68,12 @@ func (p *Pass) CollectTags() *Tags {
 		return p.tags
 	}
 	t := &Tags{
-		Types:        make(map[types.Object][]Directive),
-		Funcs:        make(map[types.Object][]Directive),
-		Fields:       make(map[types.Object][]Directive),
-		SeqonlyFiles: make(map[*ast.File]bool),
+		Types:  make(map[types.Object][]Directive),
+		Funcs:  make(map[types.Object][]Directive),
+		Fields: make(map[types.Object][]Directive),
 	}
 	p.tags = t
 	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, d := range parseDirectives(cg) {
-				if d.Verb == "seqonly" {
-					t.SeqonlyFiles[f] = true
-				}
-			}
-		}
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:

@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/types"
 
 // pointerBearing reports whether values of t can hold references the
 // garbage collector must trace (or that could alias a recycled
@@ -26,23 +23,4 @@ func pointerBearing(t types.Type) bool {
 		return pointerBearing(u.Elem())
 	}
 	return false
-}
-
-// parentMap maps every node in the file to its parent, for walking
-// upward from a reference to its enclosing statements.
-func parentMap(file *ast.File) map[ast.Node]ast.Node {
-	parents := make(map[ast.Node]ast.Node)
-	var stack []ast.Node
-	ast.Inspect(file, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return false
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
 }

@@ -183,11 +183,3 @@ func BenchMatrix() []BenchCase {
 		},
 	}
 }
-
-// SchedCases names the BenchMatrix entries the scheduler A/B (perf
-// ledger sched-two-tier section, cmd/bench) measures under both the
-// heap and the wheel: the standing-timer-heavy control cases plus the
-// chaos timeline.
-func SchedCases() []string {
-	return []string{"open/ctrl-grid32-gm", "open/ctrl-grid64-gm", "open/chaos-grid16-cwn-fa"}
-}

@@ -176,29 +176,3 @@ func TestCrashSweepDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestPooledSweepMatchesUnpooled pins RunAll's per-worker pooling: a
-// replicated sweep's results equal fresh per-spec execution exactly.
-func TestPooledSweepMatchesUnpooled(t *testing.T) {
-	spec := RunSpec{
-		Topo:     Grid(4),
-		Workload: Fib(8),
-		Strategy: CWN(9, 2),
-		Arrival:  PoissonArrivals(50, 80),
-	}
-	specs := spec.Replicate(4)
-	pooled, err := RunAll(specs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range specs {
-		fresh, err := s.ExecuteErr()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pooled[i].Makespan != fresh.Makespan || pooled[i].Stats.Events != fresh.Stats.Events ||
-			pooled[i].Stats.TotalBusy != fresh.Stats.TotalBusy {
-			t.Fatalf("seed %d diverged under pooling: makespan %d vs %d", s.Seed, pooled[i].Makespan, fresh.Makespan)
-		}
-	}
-}

@@ -20,10 +20,9 @@ func faultGateSpec() RunSpec {
 
 // TestShardScenarioCrossCheck is the tree's own copy of the cmd/bench
 // scenario agreement gate: on a scripted spec whose crashes make
-// outcomes placement-dependent, Shards=1 must still reproduce the
-// sequential run bit for bit (recovery metrics included), parallel must
-// reproduce serial replay, and the bounded-retry ledger must balance
-// machine-wide in every mode.
+// outcomes placement-dependent, parallel must reproduce serial replay,
+// and the bounded-retry ledger must balance machine-wide at every shard
+// count.
 func TestShardScenarioCrossCheck(t *testing.T) {
 	if err := ScenarioCrossCheck(faultGateSpec(), 4); err != nil {
 		t.Fatal(err)

@@ -31,20 +31,12 @@ type RunSpec struct {
 	SojournBound   int64        `json:"sojournBound,omitempty"` // cap on retained sojourn observations; 0 = exact
 	SeriesBound    int64        `json:"seriesBound,omitempty"`  // cap on retained time-series points/frames; 0 = exact
 
-	// Scheduler selects the engine's pending-event structure: "" or
-	// "wheel" for the two-tier bucket wheel (the default), "heap" for
-	// the standing binary heap. Results are identical either way
-	// (pinned by the sched cross-check test); only events/sec differs —
-	// see the perf ledger's sched-two-tier section.
-	Scheduler string `json:"scheduler,omitempty"`
-
-	// Shards > 0 runs the machine on that many conservative-lookahead
-	// spatial shards (machine.Config.Shards): 0 = sequential reference,
-	// 1 = the windowed protocol bit-for-bit equal to sequential, >= 2 =
-	// parallel execution with deterministic results per (seed, shards).
-	// ShardSerial replays a sharded run's window protocol on one
-	// goroutine — the determinism reference the shard cross-check pins
-	// parallel runs against.
+	// Shards runs the machine on that many conservative-lookahead
+	// spatial shards (machine.Config.Shards): 0 and 1 are the same
+	// one-shard run, >= 2 = parallel execution with deterministic
+	// results per (seed, shards). ShardSerial replays a multi-shard
+	// run's window protocol on one goroutine — the determinism reference
+	// the shard cross-check pins parallel runs against.
 	Shards      int  `json:"shards,omitempty"`
 	ShardSerial bool `json:"shardSerial,omitempty"`
 
@@ -110,14 +102,6 @@ func (rs RunSpec) Config() machine.Config {
 	cfg.SojournBound = int(rs.SojournBound)
 	cfg.SeriesBound = int(rs.SeriesBound)
 	cfg.TrackGoalDetail = !rs.NoGoalDetail
-	switch rs.Scheduler {
-	case "", "wheel":
-		cfg.Scheduler = sim.SchedWheel
-	case "heap":
-		cfg.Scheduler = sim.SchedHeap
-	default:
-		panic(fmt.Sprintf("experiments: unknown scheduler %q (want heap or wheel)", rs.Scheduler))
-	}
 	if rs.Scenario != "" {
 		sc, err := scenario.Parse(rs.Scenario)
 		if err != nil {
@@ -199,15 +183,7 @@ func (r *Result) Saturated() bool { return !r.Stats.Completed }
 // configuration panics (unknown registry kinds, bad arrival parameters,
 // invalid warm-up) are converted to errors, so a bad spec fails its own
 // run rather than crashing a whole sweep.
-func (rs RunSpec) ExecuteErr() (*Result, error) { return rs.ExecuteWithPool(nil) }
-
-// ExecuteWithPool is ExecuteErr lending the machine a shared object
-// pool (machine.Config.Pool), so sequential runs on one goroutine reuse
-// each other's wire messages, goals, pending tasks and job states
-// instead of re-allocating the working set per run. Results are
-// bit-for-bit identical to unpooled execution (pinned by regression
-// test); pass nil for no pooling.
-func (rs RunSpec) ExecuteWithPool(pool *machine.Pool) (res *Result, err error) {
+func (rs RunSpec) ExecuteErr() (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			// Name() rebuilds the strategy and would re-panic on an
@@ -220,11 +196,6 @@ func (rs RunSpec) ExecuteWithPool(pool *machine.Pool) (res *Result, err error) {
 	tree := rs.Workload.Build()
 	strat := rs.Strategy.Build()
 	cfg := rs.Config()
-	if cfg.Shards == 0 {
-		// Sharded machines keep per-shard free lists; a shared pool is
-		// sequential-only (Config.Pool doc) and validate rejects the mix.
-		cfg.Pool = pool
-	}
 	start := time.Now()
 	m := machine.NewStream(topo, rs.Arrival.Build(tree), strat, cfg)
 	st := m.Run()
@@ -296,12 +267,10 @@ func (rs RunSpec) Execute() *Result {
 
 // RunAll executes specs concurrently on up to workers goroutines
 // (workers <= 0 selects GOMAXPROCS) and returns results in spec order.
-// Each simulation is single-threaded and independent; parallelism across
-// runs is free determinism-wise, and each worker reuses one
-// machine.Pool across the runs it executes, so replicated sweeps pay
-// the object-allocation warm-up once per worker instead of once per
-// run. A failing run leaves a nil slot in the results and contributes
-// to the joined error, so one bad spec no longer crashes a whole sweep.
+// Each simulation is independent, so parallelism across runs is free
+// determinism-wise. A failing run leaves a nil slot in the results and
+// contributes to the joined error, so one bad spec no longer crashes a
+// whole sweep.
 func RunAll(specs []RunSpec, workers int) ([]*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -317,9 +286,8 @@ func RunAll(specs []RunSpec, workers int) ([]*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pool := &machine.Pool{}
 			for i := range next {
-				results[i], errs[i] = specs[i].ExecuteWithPool(pool)
+				results[i], errs[i] = specs[i].ExecuteErr()
 			}
 		}()
 	}

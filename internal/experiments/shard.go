@@ -11,8 +11,8 @@ import (
 // certifies: completing closed and open runs across the paper's
 // topologies and both headline strategies. Every case must finish
 // (drain its jobs) so conservation totals are well-defined; saturated
-// horizons are excluded on purpose — at MaxTime the sequential and
-// sharded machines legitimately hold different in-flight sets.
+// horizons are excluded on purpose — at MaxTime the one-shard and
+// multi-shard machines legitimately hold different in-flight sets.
 func ShardCrossMatrix() []BenchCase {
 	return []BenchCase{
 		{Name: "closed/cwn-grid10-fib12",
@@ -70,15 +70,13 @@ func shardDigestOf(st *machine.Stats) shardDigest {
 	}
 }
 
-// ShardCrossCheck certifies the sharded runtime on one spec, in three
+// ShardCrossCheck certifies the multi-shard runtime on one spec, in two
 // layers, and returns the first disagreement as an error:
 //
-//  1. Shards=1 (the full window protocol on one shard) must equal the
-//     sequential machine bit for bit.
-//  2. Shards=k in parallel must equal its single-goroutine serial
+//  1. Shards=k in parallel must equal its single-goroutine serial
 //     replay (ShardSerial) bit for bit — results cannot depend on the
 //     thread schedule.
-//  3. Shards=k must agree with the sequential machine on everything
+//  2. Shards=k must agree with the one-shard run on everything
 //     same-timestamp event order cannot change: completion, the
 //     computed result, goal/response/job conservation, and the
 //     internal consistency of the merged per-PE accounting.
@@ -96,16 +94,9 @@ func ShardCrossCheck(spec RunSpec, k int) error {
 		}
 		return r.Stats, nil
 	}
-	seq, err := run(0, false)
-	if err != nil {
-		return fmt.Errorf("sequential: %w", err)
-	}
 	one, err := run(1, false)
 	if err != nil {
 		return fmt.Errorf("shards=1: %w", err)
-	}
-	if a, b := shardDigestOf(seq), shardDigestOf(one); !reflect.DeepEqual(a, b) {
-		return fmt.Errorf("shards=1 diverged from sequential:\n  seq: %+v\n  one: %+v", a, b)
 	}
 	par, err := run(k, false)
 	if err != nil {
@@ -118,24 +109,24 @@ func ShardCrossCheck(spec RunSpec, k int) error {
 	if a, b := shardDigestOf(par), shardDigestOf(ser); !reflect.DeepEqual(a, b) {
 		return fmt.Errorf("shards=%d parallel diverged from serial replay (thread schedule leaked into results):\n  par: %+v\n  ser: %+v", k, a, b)
 	}
-	if !par.Completed || !seq.Completed {
-		return fmt.Errorf("shards=%d completed=%v, sequential completed=%v (cross-check cases must drain)", k, par.Completed, seq.Completed)
+	if !par.Completed || !one.Completed {
+		return fmt.Errorf("shards=%d completed=%v, one shard completed=%v (cross-check cases must drain)", k, par.Completed, one.Completed)
 	}
 	conserved := []struct {
 		name string
 		a, b int64
 	}{
-		{"result", par.Result, seq.Result},
-		{"goals", int64(par.Goals), int64(seq.Goals)},
-		{"goalsExecuted", par.GoalsExecuted, seq.GoalsExecuted},
-		{"respIntegrated", par.RespIntegrated, seq.RespIntegrated},
-		{"jobsInjected", par.JobsInjected, seq.JobsInjected},
-		{"jobsDone", par.JobsDone, seq.JobsDone},
-		{"sojournN", int64(par.Sojourn.N()), int64(seq.Sojourn.N())},
+		{"result", par.Result, one.Result},
+		{"goals", int64(par.Goals), int64(one.Goals)},
+		{"goalsExecuted", par.GoalsExecuted, one.GoalsExecuted},
+		{"respIntegrated", par.RespIntegrated, one.RespIntegrated},
+		{"jobsInjected", par.JobsInjected, one.JobsInjected},
+		{"jobsDone", par.JobsDone, one.JobsDone},
+		{"sojournN", int64(par.Sojourn.N()), int64(one.Sojourn.N())},
 	}
 	for _, c := range conserved {
 		if c.a != c.b {
-			return fmt.Errorf("shards=%d %s = %d, sequential %d", k, c.name, c.a, c.b)
+			return fmt.Errorf("shards=%d %s = %d, one shard %d", k, c.name, c.a, c.b)
 		}
 	}
 	var perPE, busy int64
@@ -154,26 +145,23 @@ func ShardCrossCheck(spec RunSpec, k int) error {
 	return nil
 }
 
-// ScenarioCrossCheck certifies the sharded runtime on a *scripted* spec
-// — scenarios whose ops (crashes in particular) make outcomes
+// ScenarioCrossCheck certifies the multi-shard runtime on a *scripted*
+// spec — scenarios whose ops (crashes in particular) make outcomes
 // placement-dependent, so the crash-free ShardCrossCheck conservation
 // laws do not all apply: at K >= 2 a crash kills whatever goals the
 // shard-order message interleaving happened to place on the struck PEs,
-// and re-execution legitimately differs from the sequential walk. What
+// and re-execution legitimately differs from the one-shard walk. What
 // the fault-tolerance contract pins instead:
 //
-//  1. Shards=1 must reproduce the sequential run bit for bit —
-//     including the recovery metrics (windowed p99 and time-to-steady),
-//     which fold through the shard merge path.
-//  2. Shards=k parallel must reproduce its serial replay bit for bit
+//  1. Shards=k parallel must reproduce its serial replay bit for bit
 //     (the thread schedule must not leak into results).
-//  3. The bounded-retry ledger must balance machine-wide in every
-//     mode: JobsRetried + JobsAbandoned == JobsAborted, and — when the
-//     spec sets a RetryLimit and the script crashes hard enough —
+//  2. The bounded-retry ledger must balance machine-wide at one shard
+//     and at k: JobsRetried + JobsAbandoned == JobsAborted, and — when
+//     the spec sets a RetryLimit and the script crashes hard enough —
 //     JobsAbandoned > 0, so the gate exercises the abandonment path
 //     rather than vacuously passing on a crash-free run.
-//  4. The injection stream is placement-independent: JobsInjected must
-//     agree across every mode, and each completed mode must account
+//  3. The injection stream is placement-independent: JobsInjected must
+//     agree across shard counts, and each completed run must account
 //     for every job (done + abandoned == injected).
 func ScenarioCrossCheck(spec RunSpec, k int) error {
 	run := func(shards int, serial bool) (*Result, error) {
@@ -182,22 +170,9 @@ func ScenarioCrossCheck(spec RunSpec, k int) error {
 		s.ShardSerial = serial
 		return s.ExecuteErr()
 	}
-	seq, err := run(0, false)
-	if err != nil {
-		return fmt.Errorf("sequential: %w", err)
-	}
 	one, err := run(1, false)
 	if err != nil {
 		return fmt.Errorf("shards=1: %w", err)
-	}
-	if a, b := shardDigestOf(seq.Stats), shardDigestOf(one.Stats); !reflect.DeepEqual(a, b) {
-		return fmt.Errorf("shards=1 diverged from sequential under the scenario:\n  seq: %+v\n  one: %+v", a, b)
-	}
-	if a, b := seq.Recovery, one.Recovery; a != nil && b != nil {
-		if a.PeakP99 != b.PeakP99 || a.TimeToSteady != b.TimeToSteady || a.BaselineP99 != b.BaselineP99 {
-			return fmt.Errorf("shards=1 recovery metrics diverged from sequential: seq peak %.2f t2s %d, one peak %.2f t2s %d",
-				a.PeakP99, a.TimeToSteady, b.PeakP99, b.TimeToSteady)
-		}
 	}
 	par, err := run(k, false)
 	if err != nil {
@@ -213,7 +188,7 @@ func ScenarioCrossCheck(spec RunSpec, k int) error {
 	for _, m := range []struct {
 		mode string
 		st   *machine.Stats
-	}{{"sequential", seq.Stats}, {fmt.Sprintf("shards=%d", k), par.Stats}} {
+	}{{"shards=1", one.Stats}, {fmt.Sprintf("shards=%d", k), par.Stats}} {
 		if m.st.JobsRetried+m.st.JobsAbandoned != m.st.JobsAborted {
 			return fmt.Errorf("%s retry ledger unbalanced: retried %d + abandoned %d != aborted %d",
 				m.mode, m.st.JobsRetried, m.st.JobsAbandoned, m.st.JobsAborted)
@@ -226,9 +201,9 @@ func ScenarioCrossCheck(spec RunSpec, k int) error {
 				m.mode, m.st.JobsDone, m.st.JobsAbandoned, m.st.JobsInjected)
 		}
 	}
-	if par.Stats.JobsInjected != seq.Stats.JobsInjected {
-		return fmt.Errorf("shards=%d injected %d jobs, sequential %d — the arrival stream is placement-independent and must agree",
-			k, par.Stats.JobsInjected, seq.Stats.JobsInjected)
+	if par.Stats.JobsInjected != one.Stats.JobsInjected {
+		return fmt.Errorf("shards=%d injected %d jobs, one shard %d — the arrival stream is placement-independent and must agree",
+			k, par.Stats.JobsInjected, one.Stats.JobsInjected)
 	}
 	return nil
 }

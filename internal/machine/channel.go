@@ -32,10 +32,10 @@ type chanState struct {
 	down    bool
 	held    []heldMsg
 
-	// Sharding (zero on sequential machines). Each shard holds its own
+	// Sharding (zero on one-shard groups). Each shard holds its own
 	// copy of every chanState its PEs attach to — a directional
-	// half-channel: occupancy
-	// accrues on the sending side's copy, and finalize sums the sides.
+	// half-channel: occupancy accrues on the sending side's copy, and
+	// finalize sums the sides.
 	// crossTo lists the other shards owning members of this channel
 	// (ascending; nil for shard-internal channels), and localMembers
 	// counts the members the owning shard holds — a broadcast with
@@ -150,7 +150,7 @@ type envNote struct {
 //
 //simlint:pooled
 type wireMsg struct {
-	m        *Machine //simlint:keep rebound on every newMsg pop; pooled lists may cross runs (Pool), where the old machine is dead but unreachable state, not an aliasing hazard
+	m        *Machine //simlint:keep the owning shard: set on every newMsg pop and rebound on cross-shard handoff, so a free-listed message always points at the machine whose list holds it
 	kind     wireKind
 	ch       *chanState // broadcast kinds: deliver to all other members
 	goal     *Goal
@@ -171,13 +171,9 @@ func (m *Machine) newMsg(kind wireKind, from int, sentLoad int) *wireMsg {
 		m.msgFree[n-1] = nil
 		m.msgFree = m.msgFree[:n-1]
 	} else {
-		if len(m.msgChunk) == 0 {
-			m.msgChunk = make([]wireMsg, arenaChunk)
-		}
-		w = &m.msgChunk[0]
-		m.msgChunk = m.msgChunk[1:]
+		w = m.msgArena.alloc()
 	}
-	w.m = m // free lists may be shared across runs (Pool)
+	w.m = m // arena-carved messages start zero
 	w.kind = kind
 	w.from = from
 	w.sentLoad = int32(sentLoad)
@@ -315,7 +311,7 @@ func (m *Machine) transmit(ch *chanState, dur sim.Time, w *wireMsg) {
 		return
 	}
 	end := ch.occupy(m.eng.Now(), dur)
-	if m.grp != nil && m.crossShard(ch, end, w) {
+	if m.grp.k > 1 && m.crossShard(ch, end, w) {
 		return
 	}
 	m.eng.AtAction(end, w)

@@ -41,15 +41,6 @@ type Config struct {
 	// phases). Equal seeds give identical runs.
 	Seed int64
 
-	// Scheduler selects the engine's pending-event structure: the
-	// two-tier bucket wheel + overflow heap (sim.SchedWheel, the zero
-	// value and default) or the standing binary heap (sim.SchedHeap).
-	// Both fire events in the same (time, sequence) order, so results
-	// are bit-for-bit identical either way (pinned by cross-check
-	// tests); only the events/sec differ — the wheel measured 1.8-3.4x
-	// across the ledger matrix (sched-two-tier section).
-	Scheduler sim.SchedulerKind
-
 	// GrainTime is the PE service time to execute one goal body
 	// (multiplied by the task's Work factor).
 	GrainTime sim.Time
@@ -78,26 +69,23 @@ type Config struct {
 	LoadMetric LoadMetric
 
 	// SampleInterval is the utilization time-series sampling period
-	// (plots 11-16); <= 0 disables sampling. Shard-safe: on a sharded
-	// run every shard samples its own PE block at the same globally
-	// synchronized instants (the observer ticker's phase derives from
-	// the plain run seed, identical on every shard), and the
-	// coordinator folds the per-shard partial sums into one
-	// machine-wide series at finalize. One shard reproduces the
-	// sequential series bit for bit.
+	// (plots 11-16); <= 0 disables sampling. Every shard samples its
+	// own PE block at the same globally synchronized instants (the
+	// observer ticker's phase derives from the plain run seed, identical
+	// on every shard), and the coordinator folds the per-shard partial
+	// sums into one machine-wide series.
 	SampleInterval sim.Time
 	// MonitorPE additionally records every PE's utilization at each
 	// sample — ORACLE's load-distribution monitor (requires
-	// SampleInterval > 0). Frames land in Stats.Monitor; a sharded run
-	// concatenates each shard's PE block into full-machine frames at
-	// finalize.
+	// SampleInterval > 0). Frames land in Stats.Monitor, each the
+	// concatenation of every shard's PE block.
 	MonitorPE bool
 	// Trace receives lifecycle events (goal created/sent/accepted/
-	// executed, responses). nil disables tracing. Shard-safe: shards
-	// buffer their events privately in engine order and the coordinator
-	// replays the merged (At, shard, seq)-ordered stream into the sink
-	// at finalize, so Record always runs on one goroutine (trace
-	// package doc, "Sharded runs").
+	// executed, responses). nil disables tracing. Shards buffer their
+	// events privately in engine order and the coordinator replays the
+	// merged (At, shard, seq)-ordered stream into the sink at finalize
+	// (one shard replays its buffer a chunk at a time), so Record always
+	// runs on one goroutine (trace package doc, "Sharded runs").
 	Trace trace.Sink
 
 	// RootPE is where the root goal is injected.
@@ -170,25 +158,16 @@ type Config struct {
 	// as with every other field, start from DefaultConfig.
 	TrackGoalDetail bool
 
-	// Pool, when non-nil, shares the machine's object free lists across
-	// sequential runs: construction borrows the pooled wire messages,
-	// goals, pending tasks and job states, and finalize returns them.
-	// Results are unaffected (recycled objects are fully reinitialized);
-	// only allocation volume changes. Not safe for concurrent machines —
-	// one Pool per worker goroutine.
-	Pool *Pool //simlint:globalstate free lists are single-threaded; validate rejects it under Shards
-
 	// Scenario optionally scripts a dynamic environment into the run:
 	// PE slowdowns and failures, link degradation and outages,
 	// checkpoint ticks and arrival-rate shocks, replayed
 	// deterministically at their scripted virtual times. nil (or an
 	// empty script) leaves the run bit-for-bit identical to an
-	// unscripted one. Shard-safe: a sharded run expands the script once
-	// at construction and the coordinator lands a window barrier on
-	// each op's exact scripted instant, applying it there — before that
-	// instant's machine events, like the sequential engine — and
-	// routing it to the shards owning the affected PEs and channels
-	// (see machine doc.go, "Sharded execution").
+	// unscripted one. The script expands once at construction and the
+	// coordinator lands a window barrier on each op's exact scripted
+	// instant, applying it there — before that instant's machine events
+	// — and routing it to the shards owning the affected PEs and
+	// channels (see machine doc.go, "Sharded execution").
 	Scenario *scenario.Script
 
 	// RetryLimit bounds how many times a crash-aborted job is retried
@@ -204,31 +183,31 @@ type Config struct {
 	// immediately at the abort instant, as before.
 	RetryBackoff sim.Time
 
-	// Shards > 0 partitions the PE index space into that many contiguous
+	// Shards partitions the PE index space into that many contiguous
 	// spatial shards, each owning its own event engine and (for Shards
 	// >= 2) its own goroutine, synchronized by conservative lookahead
-	// windows — the parallel runtime for large machines (see
-	// internal/machine doc.go, "Sharded execution"). 0 (the default) is
-	// the sequential reference engine. Shards == 1 runs the full
-	// windowed shard protocol on a single shard and is bit-for-bit
-	// identical to sequential (pinned by cross-check tests); Shards >= 2
-	// runs deterministically (a pure function of seed and shard count,
-	// independent of thread schedule) but orders same-timestamp events
-	// differently than the sequential machine, so only conservation
-	// totals — per-PE goal counts, job counts, sojourn distributions —
-	// are comparable bit-for-bit against it. The count is clamped to the
-	// machine size. Sharded runs reject Pool (see validate) and refuse
-	// SequentialOnly strategies; sampling, monitoring, tracing and
-	// scripted Scenarios are shard-safe (per-shard capture / barrier
-	// application, merged deterministically at finalize).
+	// windows (see internal/machine doc.go, "Sharded execution"). 0
+	// (the default) and 1 are the same run: one shard owning every PE,
+	// whose window spans the whole run, cut only at scripted op
+	// instants. Shards >= 2 runs deterministically (a pure function of
+	// seed and shard count, independent of thread schedule) but orders
+	// same-timestamp events differently than one shard, so only
+	// conservation totals — per-PE goal counts, job counts, sojourn
+	// distributions — are comparable bit-for-bit across shard counts.
+	// The count is clamped to the machine size. SequentialOnly
+	// strategies run on one shard and are refused on several;
+	// sampling, monitoring, tracing and scripted Scenarios work at any
+	// count (per-shard capture / barrier application, merged
+	// deterministically).
 	Shards int
 
-	// ShardSerial executes a sharded run's window protocol on a single
-	// goroutine, shard by shard, instead of in parallel — same code
-	// path, same event order, no concurrency. A parallel run must match
-	// its serial replay bit for bit (pinned by cross-check tests): that
-	// is the proof the parallel result does not depend on the thread
-	// schedule. Meaningful only with Shards >= 2.
+	// ShardSerial executes a multi-shard run's window protocol on a
+	// single goroutine, shard by shard, instead of in parallel — same
+	// code path, same event order, no concurrency. A parallel run must
+	// match its serial replay bit for bit (pinned by cross-check tests):
+	// that is the proof the parallel result does not depend on the
+	// thread schedule. Meaningful only with Shards >= 2 (one shard
+	// always runs on the calling goroutine).
 	ShardSerial bool
 }
 
@@ -313,17 +292,5 @@ func (c *Config) validate(numPEs int) {
 	}
 	if c.Shards < 0 {
 		panic("machine: Shards must be non-negative")
-	}
-	if c.Shards > 0 {
-		// The sharded runtime covers the steady-state measurement
-		// configuration (big machines, arrival streams, final statistics),
-		// the observability features (sampling, monitoring, tracing —
-		// captured per shard, merged deterministically at finalize) and
-		// scripted Scenarios (ops applied at window barriers by the
-		// coordinator). The one remaining global-state feature stays
-		// sequential: Pool free lists are single-threaded by design.
-		if c.Pool != nil {
-			panic("machine: Shards is incompatible with Pool (free lists are per-shard)")
-		}
 	}
 }

@@ -103,22 +103,15 @@
 // into concrete deterministic failure timelines at machine
 // construction (ScenarioScript exposes the expanded script).
 //
-// Sweeps replicating one configuration across seeds can hand sequential
-// machines a shared Pool (Config.Pool): the per-run free lists — wire
-// messages, goals, pending tasks, job states, pending-slab slot arrays
-// — carry over, cutting steady-state allocation without touching
-// results.
-//
 // # Hot path
 //
 // The per-goal path is hash-free end to end: a PE indexes its pending
 // tasks in an open-addressed slab keyed by goal ID (pendingslab.go —
 // sequential IDs make the low bits a perfect hash), ready queues are
 // ring buffers, and every transient object (wire messages, goals,
-// pending tasks, job states) recycles through slice-stack free lists.
-// The engine underneath runs the two-tier wheel scheduler by default
-// (Config.Scheduler, internal/sim); both knobs are A/B-measurable
-// through the perf ledger (cmd/bench). The free-list discipline —
+// pending tasks, job states) recycles through slice-stack free lists
+// that live and die with the run's machine. The engine underneath runs
+// the two-tier wheel scheduler (internal/sim). The free-list discipline —
 // pointer fields zeroed on free, no touching an object after its
 // free-list put — is machine-checked: pooled types carry
 // //simlint:pooled and free functions //simlint:free, and the poolsafe
@@ -152,10 +145,13 @@
 //
 // Arena chunks. Free-list misses for goals, wire messages, pending
 // tasks, job states (machine.go) and events (internal/sim) carve from
-// chunked arenas (arenaChunk objects at a time) instead of allocating
+// chunked arenas (chunks doubling up to arenaChunk objects) instead of allocating
 // singletons: the retained working set is a few contiguous blocks the
 // garbage collector marks cheaply, and a carved object is a zero value
 // exactly like the allocation it replaces, so results are unaffected.
+// Nothing survives a run: free lists and arenas are the machine's own,
+// so a sweep worker's heap returns to the garbage collector between
+// runs instead of retaining the previous run's working set.
 // Timers and the per-PE load tickers embed by value (sim.Timer.Init,
 // sim.Ticker.Init) in machine-owned blocks for the same reason.
 //
@@ -167,20 +163,30 @@
 //
 // # Sharded execution
 //
-// Config.Shards > 0 runs the machine as K spatial shards — contiguous
-// PE blocks from topology.Partition, each a full sub-machine with its
-// own event engine, free lists and statistics, each (for K >= 2) on
-// its own goroutine. Per-shard channel state is sparse (chanIdx/
-// chanAt): a shard stores chanState only for channels its own PEs
-// attach to — every transmit, broadcast and link op resolves at the
-// sending side — so a K-shard million-PE machine stays near the
-// sequential footprint instead of paying K full channel arrays. Synchronization is conservative lookahead in the
-// Chandy-Misra-Bryant tradition, run as a barrier-per-window loop: the
-// window width is the minimum wire latency on any channel crossing a
-// shard boundary, so no message sent inside a window can be due before
-// the next one begins. Every shard therefore always holds its complete
-// event set for the window it executes — no rollbacks, no null
-// messages. Between windows the single-threaded coordinator drains the
+// Every run is a shard group: Config.Shards splits the machine into K
+// spatial shards — contiguous PE blocks from topology.Partition, each a
+// full sub-machine with its own event engine, free lists and
+// statistics, each (for K >= 2) on its own goroutine. Shards 0 and 1
+// both build one shard owning every PE; there is no separate sequential
+// engine, so sampling, tracing, checkpoint snapshots, scenario ops, job
+// purges and nearest-live lookups each have one implementation, the one
+// K shards use. Per-shard channel state on a multi-shard machine is
+// sparse (chanIdx/chanAt): a shard stores chanState only for channels
+// its own PEs attach to — every transmit, broadcast and link op
+// resolves at the sending side — so a K-shard million-PE machine stays
+// near the one-shard footprint instead of paying K full channel arrays.
+//
+// Synchronization is conservative lookahead in the Chandy-Misra-Bryant
+// tradition, run as a barrier-per-window loop: the window width is the
+// minimum wire latency on any channel crossing a shard boundary, so no
+// message sent inside a window can be due before the next one begins.
+// Every shard therefore always holds its complete event set for the
+// window it executes — no rollbacks, no null messages. A group with no
+// boundary-crossing channel (always so for one shard) has unbounded
+// lookahead: its run is a single window to MaxTime, cut only at
+// scripted op instants, and only a single shard stops mid-window on
+// completion — it alone observes the last response exactly in virtual
+// time. Between windows the single-threaded coordinator drains the
 // per-shard-pair outboxes into the receiving engines in a fixed total
 // order (delivery time, then sending shard, then FIFO), fast-forwards
 // over windows no shard has events in, and checks completion; at
@@ -188,63 +194,56 @@
 // arrays concatenate, distributions merge exactly).
 //
 // The determinism contract, pinned by cross-check tests and the
-// cmd/bench gate: Shards == 1 reproduces the sequential machine bit
-// for bit; Shards >= 2 is a pure function of (seed, shard count) —
-// a parallel run equals its single-goroutine serial replay
-// (Config.ShardSerial) bit for bit, so the thread schedule cannot
-// leak into results — but orders same-timestamp cross-shard events
-// differently than the sequential machine and draws per-shard RNG
-// streams, so against sequential only conservation holds: completion,
-// the computed result, goal/response/job totals and the sojourn count.
+// cmd/bench gate: a run is a pure function of (seed, shard count). A
+// parallel K >= 2 run equals its single-goroutine serial replay
+// (Config.ShardSerial) bit for bit, so the thread schedule cannot leak
+// into results; it orders same-timestamp cross-shard events
+// differently than one shard and draws per-shard RNG streams, so
+// against the one-shard run only conservation holds: completion, the
+// computed result, goal/response/job totals and the sojourn count.
 // Crash scripts narrow that last clause further: which goals a crash
-// destroys depends on placement, so at K >= 2 even the execution
-// totals legitimately differ from sequential and the cross-check
+// destroys depends on placement, so at K >= 2 even the execution totals
+// legitimately differ from one shard and the cross-check
 // (experiments.ScenarioCrossCheck) instead pins the retry-ledger
-// invariants and the placement-independent injection stream.
+// invariants and the placement-independent injection stream. The
+// one-shard engine's own outputs are pinned by golden digests
+// (TestGoldenDigests) across sampling, tracing, blackouts, crashes
+// with checkpoints and bounded retry, link outages, load shocks,
+// heterogeneous speeds, bounded series and the ideal strategy.
 //
-// Observability is shard-safe: sampling (SampleInterval, MonitorPE)
-// and tracing (Trace) run under any shard count with a per-shard
-// capture / deterministic merge discipline. Every shard's observer
-// ticker draws its phase from the plain run seed, so sample instants
-// are globally synchronized; each shard records raw partials for its
-// own PE block (busy-time deltas, queue-length sums and sums of
-// squares, monitor frames) and finalize folds them into the merged
-// Stats with the sequential machine's exact arithmetic — Jain's
-// imbalance index is recomputed from the pooled raw sums because it
-// does not merge from per-shard indices. Trace events buffer per shard
-// and replay into the configured sink on the coordinator after the
-// workers join, sorted by (time, shard, emission order), preserving
-// the Sink single-goroutine contract. Shards == 1 reproduces the
-// sequential series and event stream bit for bit; K >= 2 keeps the
-// parallel == serial-replay guarantee and conserves per-kind event
-// counts for placement-independent kinds against sequential.
+// Observability uses per-shard capture and a deterministic merge.
+// Every shard's observer ticker draws its phase from the plain run
+// seed, so sample instants are globally synchronized; each shard
+// records raw partials for its own PE block (busy-time deltas,
+// queue-length sums and sums of squares, monitor frames, the window's
+// sojourns) and mergeSamples folds each instant into the merged Stats
+// as soon as every shard has reached it — at once on one shard, at the
+// next barrier on several — recomputing Jain's imbalance index from the
+// pooled raw sums because it does not merge from per-shard indices.
+// Trace events buffer per shard and replay into the configured sink on
+// the coordinator after the workers join, merged by (time, shard,
+// emission order), preserving the Sink single-goroutine contract.
 //
-// Scenario replay is shard-safe under an ops-first barrier discipline.
-// The script expands once at construction (chaos draws included, from
-// the plain run seed, so the timeline is identical under any shard
-// count), and the coordinator owns it: each window barrier is clamped
-// one tick short of the next scripted op's instant, so no shard ever
-// executes past an op before it applies. At the barrier the
-// coordinator steps every quiescent shard engine onto the instant
-// (sim.Engine.AdvanceTo) and applies the op to the owning shards in
-// shard order — before that instant's machine events fire, exactly the
-// ordering the sequential machine's scenario timer produces. Ops whose
-// scope is global (load shocks, checkpoint ticks, crash aborts purging
-// a job machine-wide) walk all shards in shard order from the
-// coordinator, which is single-threaded between windows, so no locks
-// are involved. Recovery accounting (windowed p99 series, abort/retry/
-// abandon counters, down-PE time) records per shard and folds through
-// the same merge discipline as the observer state above.
+// Scenario replay follows an ops-first barrier discipline. The script
+// expands once at construction (chaos draws included, from the plain
+// run seed, so the timeline is identical under any shard count), and
+// the coordinator owns it: each window barrier is clamped one tick
+// short of the next scripted op's instant, so no shard ever executes
+// past an op before it applies. At the barrier the coordinator steps
+// every quiescent shard engine onto the instant (sim.Engine.AdvanceTo)
+// and applies the op to the owning shards in shard order — before that
+// instant's machine events fire. Ops whose scope is global (load
+// shocks, checkpoint ticks with their snapshot of every live job, crash
+// aborts purging a job machine-wide) walk all shards in shard order
+// from the coordinator, which is single-threaded between windows, so no
+// locks are involved. Recovery accounting (windowed p99 series,
+// abort/retry/abandon counters, down-PE time) records per shard and
+// folds through the same merge discipline as the observer state above.
 //
-// One global-state feature remains sequential-only (Config.validate
-// rejects the combination): Pool, whose cross-run free lists are
-// single-threaded by design. Strategies whose correctness needs a
-// single global timeline declare it via SequentialOnly (core's
-// ORACLE/ideal baseline does), which sharded construction refuses
-// with the strategy's stated reason. The boundary is machine-checked
+// Strategies whose correctness needs a single global timeline declare
+// it via SequentialOnly (core's ORACLE/ideal baseline does): they run on
+// one shard, which owns every PE, and multi-shard construction refuses
+// them with the strategy's stated reason. The merge is machine-checked
 // by internal/analysis: statsmerge proves every Stats field is either
-// folded by the shard merge or tagged //simlint:nomerge with a reason,
-// and seqonly walks the call graph rooted at shard.go
-// (//simlint:seqonly) flagging unguarded reaches into the
-// //simlint:globalstate Config fields.
+// folded by the shard merge or tagged //simlint:nomerge with a reason.
 package machine

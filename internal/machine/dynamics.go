@@ -3,74 +3,21 @@ package machine
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
-	"cwnsim/internal/scenario"
 	"cwnsim/internal/sim"
 )
 
 // This file applies scripted environment events (internal/scenario) to
 // a running machine: PE speed changes with in-flight rescaling, compute
 // blackouts with drain/requeue semantics, link degradation and outages,
-// and arrival-rate shocks. Nothing here runs unless Config.Scenario is
-// non-empty.
+// and arrival-rate shocks. The shard coordinator dispatches each op at
+// its window barrier (shardGroup.applyOp); nothing here runs unless
+// Config.Scenario is non-empty.
 
-// applyScenarioEvent dispatches one scripted event at its firing time.
-func (m *Machine) applyScenarioEvent(ev scenario.Event) {
-	switch ev.Kind {
-	case scenario.SlowPE:
-		for _, id := range ev.Targets(len(m.pes)) {
-			pe := m.pes[id]
-			m.setSpeed(pe, pe.nominalSpeed()*ev.Factor)
-		}
-	case scenario.RestorePE:
-		targets := ev.Targets(len(m.pes))
-		if targets == nil {
-			for _, pe := range m.pes {
-				if pe.Speed() != pe.nominalSpeed() {
-					m.setSpeed(pe, pe.nominalSpeed())
-				}
-			}
-			return
-		}
-		for _, id := range targets {
-			m.setSpeed(m.pes[id], m.pes[id].nominalSpeed())
-		}
-	case scenario.FailPE:
-		for _, id := range ev.Targets(len(m.pes)) {
-			m.failPE(m.pes[id])
-		}
-	case scenario.CrashPE:
-		for _, id := range ev.Targets(len(m.pes)) {
-			m.crashPE(m.pes[id])
-		}
-	case scenario.RecoverPE:
-		targets := ev.Targets(len(m.pes))
-		if targets == nil {
-			for _, pe := range m.pes {
-				if m.peFailed[pe.lx] {
-					m.recoverPE(pe)
-				}
-			}
-			return
-		}
-		for _, id := range targets {
-			m.recoverPE(m.pes[id])
-		}
-	case scenario.DegradeLink:
-		m.setLink(ev.A, ev.B, ev.Factor, ev.Factor == 0)
-	case scenario.RestoreLink:
-		m.restoreLink(ev.A, ev.B)
-	case scenario.LoadShock:
-		m.rateMul = ev.Factor
-	case scenario.CheckpointTick:
-		m.checkpointTick(ev.Cost)
-	}
-}
-
-// checkpointTick applies one periodic snapshot: the jobs' execution
-// positions as of now become durable (recorded lazily — see jobState),
-// and every live owned PE pays the scripted cost. A busy PE's in-flight
+// checkpointTick applies one periodic snapshot tick to the shard: the
+// tick instant becomes the durable one (the coordinator records the
+// jobs' positions at the same barrier — see shardGroup.applyOp), and
+// every live owned PE pays the scripted cost. A busy PE's in-flight
 // service extends by the cost; an idle one accrues debt paid at its
 // next service start. Failed PEs pay nothing — they hold no state worth
 // snapshotting.
@@ -96,47 +43,24 @@ func (m *Machine) checkpointTick(cost sim.Time) {
 	}
 }
 
-// liveCount returns the machine-wide live-PE count: the group's
-// barrier-maintained tally on a multi-shard run (a shard sees only its
-// own block), the local scan otherwise.
-func (m *Machine) liveCount() int {
-	if g := m.grp; g != nil && g.failed != nil {
-		return g.live
-	}
-	live := 0
-	for _, failed := range m.peFailed {
-		if !failed {
-			live++
-		}
-	}
-	return live
-}
-
 // peDown reports whether PE id (anywhere on the machine) is currently
-// failed. The group's failure map is written only at window barriers,
-// so mid-window reads are race-free.
+// failed, from the group's failure map (nil on unscripted runs, where no
+// PE ever fails). The map is written only at window barriers, so
+// mid-window reads are race-free.
 func (m *Machine) peDown(id int) bool {
-	if g := m.grp; g != nil && g.failed != nil {
-		return g.failed[id]
-	}
-	return m.peFailed[m.pes[id].lx]
+	return m.grp.failed != nil && m.grp.failed[id]
 }
 
 // noteFailed/noteRecovered keep the group's global failure map and live
-// count in step with this shard's transitions (no-ops outside a
-// multi-shard run).
+// count in step with this shard's transitions.
 func (m *Machine) noteFailed(id int) {
-	if g := m.grp; g != nil && g.failed != nil {
-		g.failed[id] = true
-		g.live--
-	}
+	m.grp.failed[id] = true
+	m.grp.live--
 }
 
 func (m *Machine) noteRecovered(id int) {
-	if g := m.grp; g != nil && g.failed != nil {
-		g.failed[id] = false
-		g.live++
-	}
+	m.grp.failed[id] = false
+	m.grp.live++
 }
 
 // nominalSpeed is the PE's configured base speed: PESpeeds[i] on a
@@ -197,7 +121,7 @@ func (m *Machine) failPE(pe *PE) {
 	if m.peFailed[pe.lx] {
 		return
 	}
-	if m.liveCount() <= 1 {
+	if m.grp.live <= 1 {
 		panic("machine: scenario would fail every PE")
 	}
 	now := m.eng.Now()
@@ -258,7 +182,7 @@ func (m *Machine) crashPE(pe *PE) {
 	if m.peFailed[pe.lx] {
 		return
 	}
-	if m.liveCount() <= 1 {
+	if m.grp.live <= 1 {
 		panic("machine: scenario would crash every PE")
 	}
 	now := m.eng.Now()
@@ -346,14 +270,10 @@ func (m *Machine) crashPE(pe *PE) {
 func (m *Machine) abortJob(j *jobState) {
 	j.epoch++
 	m.stats.JobsAborted++
-	if g := m.grp; g != nil && g.k > 1 {
-		// Crashes apply at window barriers, when every shard is
-		// quiescent: purge each shard's block in shard order.
-		for _, sm := range g.machines {
-			sm.purgeJob(j)
-		}
-	} else {
-		m.purgeJob(j)
+	// Crashes apply at window barriers, when every shard is quiescent:
+	// purge each shard's block in shard order.
+	for _, sm := range m.grp.machines {
+		sm.purgeJob(j)
 	}
 	if lim := m.cfg.RetryLimit; lim > 0 && j.retries >= lim {
 		m.abandonJob(j)
@@ -369,33 +289,19 @@ func (m *Machine) abortJob(j *jobState) {
 		delay = sim.Time(j.retries) * d
 	}
 	// Resume from the durable frontier: what the last checkpoint tick
-	// snapshotted of this job's position. On a multi-shard run every
-	// live job was snapshotted eagerly at the tick's barrier, so only
-	// the snapshot counts (a job injected after the tick has none). On
-	// the sequential machine the snapshot is lazy: ckptProgress if the
-	// job has executed since the tick (and so recorded what the tick
-	// saw), otherwise its current position, which is exactly what the
-	// tick snapshotted. Before any tick there is no durable state: the
-	// retry recomputes from the root. The frontier becomes the replay
-	// horizon — goals of the new attempt starting service before
-	// replayUntil run at one unit each (startNext) — and progress
+	// snapshotted of this job's position at its barrier (a job injected
+	// after the tick has no snapshot; before any tick there is no durable
+	// state and the retry recomputes from the root). The frontier becomes
+	// the replay horizon — goals of the new attempt starting service
+	// before replayUntil run at one unit each (startNext) — and progress
 	// restarts for the new attempt.
 	if m.ckpt {
 		var frontier int64
-		if g := m.grp; g != nil && g.k > 1 {
-			if j.ckptSeen == m.lastCkptAt {
-				frontier = j.ckptProgress
-			}
-		} else {
-			frontier = j.progress
-			if m.lastCkptAt < 0 {
-				frontier = 0
-			} else if j.ckptSeen == m.lastCkptAt {
-				frontier = j.ckptProgress
-			}
+		if j.ckptSeen == m.lastCkptAt {
+			frontier = j.ckptProgress
 		}
 		j.replayUntil = m.eng.Now() + delay + sim.Time(frontier)
-		j.progress = 0
+		j.progress.Store(0)
 	}
 	// The retry re-enters at the usual ingress (redirected if the root
 	// PE is down) on the home shard. Not counted as a new injection —
@@ -454,32 +360,22 @@ func (m *Machine) purgeJob(j *jobState) {
 // delivery.
 func (m *Machine) abandonJob(j *jobState) {
 	m.stats.JobsAbandoned++
-	var left int64
-	if g := m.grp; g != nil {
-		left = atomic.AddInt64(&g.inFlight, -1)
-	} else {
-		m.inFlight--
-		left = m.inFlight
-	}
+	left := m.grp.inFlight.Add(-1)
 	m.freeJob(j)
 	// Abandoning the last in-flight job ends the run exactly as the
 	// last completion would (multi-shard groups detect it at the next
 	// window barrier instead).
-	if m.srcDone && left == 0 && (m.grp == nil || m.grp.k == 1) {
+	if m.srcDone && left == 0 && m.grp.k == 1 {
 		m.completed = true
 		m.finishedAt = m.eng.Now()
 		m.eng.Stop()
 	}
 }
 
-// homeMachine returns the shard owning RootPE (the machine itself
-// outside a sharded run) — where the source, arrivals and crash-retry
-// re-injections live.
+// homeMachine returns the shard owning RootPE — where the source,
+// arrivals and crash-retry re-injections live.
 func (m *Machine) homeMachine() *Machine {
-	if g := m.grp; g != nil {
-		return g.machines[g.home]
-	}
-	return m
+	return m.grp.machines[m.grp.home]
 }
 
 // recoverPE ends a blackout or crash: frozen responses (blackout only —
@@ -524,29 +420,14 @@ func (m *Machine) evacuateGoal(from, refuge int, g *Goal) {
 }
 
 // nearestLive returns the live PE topologically closest to `from`
-// (lowest id on ties), machine-wide: a multi-shard run consults the
-// group's failure map (a shard's own block is only part of the
-// picture). Panics when every PE is failed — scripts cannot reach that
-// state (failPE refuses to kill the last live PE).
+// (lowest id on ties), machine-wide from the group's failure map (a
+// shard's own block is only part of the picture). Panics when every PE
+// is failed — scripts cannot reach that state (failPE refuses to kill
+// the last live PE).
 func (m *Machine) nearestLive(from int) int {
-	if g := m.grp; g != nil && g.failed != nil {
-		best, bestDist := -1, int(^uint(0)>>1)
-		for i, failed := range g.failed {
-			if failed || i == from {
-				continue
-			}
-			if d := m.topo.Dist(from, i); d < bestDist {
-				best, bestDist = i, d
-			}
-		}
-		if best < 0 {
-			panic("machine: no live PE to requeue onto")
-		}
-		return best
-	}
 	best, bestDist := -1, int(^uint(0)>>1)
-	for i := range m.pes {
-		if m.peFailed[m.pes[i].lx] || i == from {
+	for i, failed := range m.grp.failed {
+		if failed || i == from {
 			continue
 		}
 		if d := m.topo.Dist(from, i); d < bestDist {
@@ -559,26 +440,14 @@ func (m *Machine) nearestLive(from int) int {
 	return best
 }
 
-// setLink applies a degradation factor (or outage) to every channel
-// between a and b. A positive factor on a downed channel brings it
+// setLinkState applies a degradation factor (or outage) to this
+// machine's copies of the channels between a and b, reporting whether
+// any was down before. A positive factor on a downed channel brings it
 // back up degraded — the scripted state is absolute, not sticky — so
 // messages held during the outage flush at the new (stretched) pace.
-// Endpoints sense outage transitions locally (carrier loss/return) and
-// FailureAware endpoint nodes get LinkDown/LinkRestored.
-func (m *Machine) setLink(a, b int, factor float64, down bool) {
-	wasDown := m.setLinkState(a, b, factor, down)
-	if down && !wasDown {
-		m.notifyLink(a, b, LinkDown)
-	} else if !down && wasDown {
-		m.notifyLink(a, b, LinkRestored)
-	}
-}
-
-// setLinkState mutates this machine's copies of the channels between a
-// and b, reporting whether any was down before — the state half of
-// setLink, shared with the sharded path where every shard holds its own
-// channel copies and each applies the mutation itself (a bus channel's
-// members can span shards beyond the named endpoints).
+// Every shard holds its own channel copies and applies the mutation
+// itself (a bus channel's members can span shards beyond the named
+// endpoints); shardGroup.applyLink notifies the endpoints.
 func (m *Machine) setLinkState(a, b int, factor float64, down bool) (wasDown bool) {
 	for _, ci := range m.linkChannels(a, b) {
 		ch := m.chanAt(ci)
@@ -598,15 +467,10 @@ func (m *Machine) setLinkState(a, b int, factor float64, down bool) (wasDown boo
 	return wasDown
 }
 
-// restoreLink returns every channel between a and b to nominal,
-// flushing messages held during an outage in arrival order.
-func (m *Machine) restoreLink(a, b int) {
-	if m.restoreLinkState(a, b) {
-		m.notifyLink(a, b, LinkRestored)
-	}
-}
-
-// restoreLinkState is the state half of restoreLink (see setLinkState).
+// restoreLinkState returns this machine's copies of every channel
+// between a and b to nominal, flushing messages held during an outage
+// in arrival order, and reports whether any was down (see
+// setLinkState).
 func (m *Machine) restoreLinkState(a, b int) (wasDown bool) {
 	for _, ci := range m.linkChannels(a, b) {
 		ch := m.chanAt(ci)
@@ -620,13 +484,6 @@ func (m *Machine) restoreLinkState(a, b int) (wasDown bool) {
 		m.bringUp(ch)
 	}
 	return wasDown
-}
-
-// notifyLink delivers a link-availability event to both endpoints'
-// FailureAware nodes; From names the far end as each endpoint sees it.
-func (m *Machine) notifyLink(a, b int, kind EventKind) {
-	m.notifyEndpoint(a, b, kind)
-	m.notifyEndpoint(b, a, kind)
 }
 
 // notifyEndpoint delivers a link-availability event to one endpoint's

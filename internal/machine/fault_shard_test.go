@@ -42,18 +42,17 @@ func (c faultCase) run(t *testing.T, topo *topology.Topology, shards int, serial
 	return NewStream(topo, src, spread{}, cfg).Run()
 }
 
-// TestShardScenarioOneBitForBitSequential extends the Shards=1
-// reference cross-check to scripted-failure runs: the one-shard group
-// schedules the expanded script in its own engine and must reproduce
-// the sequential machine bit for bit — blackouts, correlated crashes,
-// checkpoints, bounded retries and all.
+// TestShardScenarioOneBitForBitSequential extends the Shards 0 ≡ 1
+// contract to scripted-failure runs: blackouts, correlated crashes,
+// checkpoints and bounded retries run identically whether the one shard
+// was requested explicitly or by default.
 func TestShardScenarioOneBitForBitSequential(t *testing.T) {
 	for _, c := range faultCases() {
 		t.Run(c.name, func(t *testing.T) {
-			seq := shardFPOf(c.run(t, topology.NewTorus(6, 6), 0, false))
+			zero := shardFPOf(c.run(t, topology.NewTorus(6, 6), 0, false))
 			one := shardFPOf(c.run(t, topology.NewTorus(6, 6), 1, false))
-			if !reflect.DeepEqual(seq, one) {
-				t.Fatalf("Shards=1 diverged from sequential:\nseq: %+v\nshd: %+v", seq.fingerprint, one.fingerprint)
+			if !reflect.DeepEqual(zero, one) {
+				t.Fatalf("Shards=1 diverged from Shards=0:\nzero: %+v\none:  %+v", zero.fingerprint, one.fingerprint)
 			}
 		})
 	}
@@ -114,7 +113,7 @@ func TestDomainChaosAcrossTopologies(t *testing.T) {
 }
 
 // TestRetryLimitInvariants pins the bounded-retry accounting contract
-// on a crash-heavy spec, sequential and sharded: with RetryLimit set
+// on a crash-heavy spec, on one shard and on four: with RetryLimit set
 // some jobs run out of retries (JobsAbandoned > 0), every abort is
 // either retried or abandoned, abandoned jobs never complete, and
 // goodput reads completed over injected.
@@ -200,8 +199,8 @@ func TestCheckpointResumeSpeedsRecovery(t *testing.T) {
 // TestShardRecoveryMetricsMatchSequential is the acceptance pin for the
 // sharded recovery observables: on a placement-localized spec (keepLocal
 // keeps every goal on the home shard, whose engine carries the plain
-// seed) a K=4 run must reproduce the sequential recovery metrics
-// exactly — the windowed sojourn p99 series behind time-to-steady, the
+// seed) a K=4 run must reproduce the one-shard recovery metrics exactly
+// — the windowed sojourn p99 series behind time-to-steady, the
 // injection-keyed series, and the crash accounting.
 func TestShardRecoveryMetricsMatchSequential(t *testing.T) {
 	scripts := map[string]string{

@@ -1,10 +1,7 @@
 package machine
 
 import (
-	"math"
 	"math/rand"
-	"sort"
-	"sync/atomic"
 
 	"cwnsim/internal/scenario"
 	"cwnsim/internal/sim"
@@ -17,6 +14,11 @@ import (
 // runnable simulation. Build with New (the paper's one-tree closed
 // system) or NewStream (an open system under arrival traffic), run once
 // with Run.
+//
+// Every Machine is one shard of a shard group (see doc.go, "Sharded
+// execution"): it owns the PE index block [peLo, peHi) — the whole
+// machine on a one-shard group — with its own event engine, free lists
+// and statistics.
 type Machine struct {
 	eng    *sim.Engine
 	topo   *topology.Topology
@@ -53,8 +55,8 @@ type Machine struct {
 	// chanIdx/chanIDs are the sparse channel map of a multi-shard
 	// machine: chanIdx[global] is the index into chans (-1 when no
 	// owned PE attaches to the channel), chanIDs[local] maps back.
-	// Both nil on sequential and one-shard machines, where chans is
-	// dense and globally indexed.
+	// Both nil on a one-shard group, where chans is dense and globally
+	// indexed.
 	chanIdx []int32
 	chanIDs []int32
 
@@ -77,7 +79,6 @@ type Machine struct {
 	srcRng     *rand.Rand
 	obsRng     *rand.Rand //simlint:obsstream observer (sampling) phases; nil unless sampling
 	srcDone    bool       // the source has been exhausted
-	inFlight   int64      // jobs injected but not yet responded
 	started    bool
 	completed  bool
 	finishedAt sim.Time
@@ -101,16 +102,13 @@ type Machine struct {
 	// runs pay nothing.
 	ckpt bool
 	// lastCkptAt stamps the most recent checkpoint tick (-1 before the
-	// first): jobs compare their ckptSeen against it to snapshot
-	// lazily.
+	// first): a job whose ckptSeen equals it holds that tick's snapshot.
 	lastCkptAt sim.Time
 	// liveJobs is the home shard's registry of injected-but-unfinished
-	// jobs, kept only on multi-shard checkpoint runs: the coordinator
-	// walks it at each tick's barrier to snapshot every live job's
-	// position eagerly (the sequential lazy snapshot would race across
-	// shards). Entries are appended at injection and compacted — dead
-	// jobs have a nil tree — during the same barrier walk, the only
-	// reader.
+	// jobs, kept on checkpoint runs: the coordinator walks it at each
+	// tick's barrier to snapshot every live job's position. Entries are
+	// appended at injection and compacted — dead jobs have a nil tree —
+	// during the same barrier walk, the only reader.
 	liveJobs []*jobState
 	// retryPending counts crash retries armed on a backoff timer but
 	// not yet re-injected, so stall detection doesn't mistake the quiet
@@ -123,8 +121,8 @@ type Machine struct {
 	// series recovery analysis reads.
 	winSoj []float64
 	// injSoj buckets sojourns by the window their job was INJECTED in
-	// (index = injectedAt/SampleInterval); finalize turns each bucket
-	// into one Stats.InjSojournWindows p99 point. The injection keying
+	// (index = injectedAt/SampleInterval); shardGroup.mergeInjSoj turns
+	// each pooled bucket into one Stats.InjSojournWindows p99 point. The injection keying
 	// isolates what newly arriving jobs experienced, where winSoj lets
 	// blackout stragglers echo into post-restore windows. Same gate as
 	// winSoj.
@@ -134,27 +132,22 @@ type Machine struct {
 	// tasks and job states instead of allocating per message/goal. The
 	// lists are slice stacks, not linked lists: the garbage collector
 	// scans one contiguous pointer array per list instead of chasing a
-	// nextFree chain through the whole retained working set — the
-	// pointer-chasing that made cross-run pooling (machine.Pool) slower
-	// than allocating despite the saved allocations (PR 5; numbers in
-	// the ledger's pooling section). slabFree recycles pending-slab
-	// slot arrays the same way.
+	// nextFree chain through the retained working set.
 	msgFree     []*wireMsg
 	goalFree    []*Goal
 	pendingFree []*pendingTask
 	jobFree     []*jobState
-	slabFree    [][]pendingSlot
 
-	// Arena tails: free-list misses carve objects out of these chunks
-	// (arenaChunk objects at a time) instead of allocating singletons, so
-	// the run's working set of goals, messages, pending tasks and job
-	// states occupies a few contiguous blocks. A carved object is a zero
-	// value, exactly like the singleton allocation it replaces — results
-	// are unaffected, only the layout and allocation count change.
-	goalChunk []Goal
-	msgChunk  []wireMsg
-	pendChunk []pendingTask
-	jobChunk  []jobState
+	// Arenas: free-list misses carve objects out of chunks instead of
+	// allocating singletons, so the run's working set of goals,
+	// messages, pending tasks and job states occupies a few contiguous
+	// blocks. A carved object is a zero value, exactly like the
+	// singleton allocation it replaces — results are unaffected, only
+	// the layout and allocation count change.
+	goalArena arena[Goal]
+	msgArena  arena[wireMsg]
+	pendArena arena[pendingTask]
+	jobArena  arena[jobState]
 
 	prevBusySample sim.Time
 	prevSampleAt   sim.Time
@@ -175,14 +168,14 @@ type Machine struct {
 	// analogue of Series.thin.
 	injStride int
 
-	// Sharding (nil/zero on the sequential machine). A sharded group's
-	// shard s is a Machine owning only the PE index block
+	// Sharding. Shard shardID of grp owns the PE index block
 	// [peLo, peHi): pes and stats keep full-length arrays with remote
 	// entries nil/zero, chans holds this shard's own copy of every
-	// channel (occupancy accrues per side), and xout[d] queues wire
-	// messages addressed to shard d until the coordinator drains them at
-	// the next window barrier. lastDone tracks this shard's latest job
-	// completion for the group's deterministic finish rule.
+	// channel it touches (occupancy accrues per side), and xout[d]
+	// queues wire messages addressed to shard d until the coordinator
+	// drains them at the next window barrier. lastDone tracks this
+	// shard's latest job completion for the group's deterministic finish
+	// rule.
 	grp      *shardGroup
 	shardID  int
 	peLo     int
@@ -190,38 +183,34 @@ type Machine struct {
 	xout     [][]xmsg
 	lastDone sim.Time
 
-	// Shard-local observability capture (k >= 2 groups only). The Sink
-	// contract is single-goroutine, so a multi-shard run never calls
-	// Record live: each shard appends its events to traceBuf in its own
-	// engine order and the coordinator replays the union, sorted by
-	// (At, shard, buffer index), at finalize. shardSamples holds the
-	// shard's deferred sampling partials the same way — one entry per
-	// globally synchronized sample instant, folded into full-machine
-	// series points by shardGroup.finalize.
+	// Shard-local observability capture. The Sink contract is
+	// single-goroutine, so no shard calls Record live: each appends its
+	// events to traceBuf in its own engine order and the coordinator
+	// replays the union, merged by (At, shard, buffer index), at
+	// finalize. shardSamples holds the shard's sampling partials the
+	// same way — one entry per globally synchronized sample instant,
+	// folded into full-machine series points by shardGroup.mergeSamples
+	// once every shard has reached the instant.
 	traceBuf     []trace.Event
 	shardSamples []shardSample
-
-	// traceCollector is cfg.Trace downcast once at construction, so the
-	// injection path can pre-size the event slice with a goal-count hint
-	// instead of re-doubling it as a long traced run appends.
-	traceCollector *trace.Collector
 }
 
-// emit records a trace event if tracing is enabled. Multi-shard runs
-// buffer instead of recording live: the Sink sees nothing until the
-// coordinator replays the merged stream at finalize (a one-shard group
-// reproduces the sequential Record call sequence bit for bit, so it
-// records directly).
+// traceChunk is how many buffered trace events a one-shard run holds
+// before replaying them into the Sink.
+const traceChunk = 4096
+
+// emit buffers a trace event if tracing is enabled; the Sink sees the
+// coordinator's merged replay (shardGroup.replayTrace) at finalize — or,
+// on one shard, whose buffer already is the merged order, a chunk at a
+// time, so a streaming sink's run stays in bounded memory.
 func (m *Machine) emit(kind trace.Kind, pe, other int, goal int64) {
 	if m.cfg.Trace == nil {
 		return
 	}
-	ev := trace.Event{At: m.eng.Now(), Kind: kind, PE: pe, Other: other, Goal: goal}
-	if m.grp != nil && m.grp.k > 1 {
-		m.traceBuf = append(m.traceBuf, ev)
-		return
+	m.traceBuf = append(m.traceBuf, trace.Event{At: m.eng.Now(), Kind: kind, PE: pe, Other: other, Goal: goal})
+	if len(m.traceBuf) == traceChunk && m.grp.k == 1 {
+		m.grp.replayTrace()
 	}
-	m.cfg.Trace.Record(ev)
 }
 
 // New constructs a closed-system machine executing one tree to
@@ -240,30 +229,26 @@ func New(topo *topology.Topology, tree *workload.Tree, strat Strategy, cfg Confi
 // exhausted and every injected job has delivered its root response.
 // The source must be a fresh value per run (sources are iterators).
 //
-// With Config.Shards > 0 the returned Machine is the root shard of a
-// sharded group; Run executes the conservative-lookahead window
-// protocol across all shards (see doc.go, "Sharded execution") and
-// returns the merged statistics.
+// The returned Machine is shard 0 of a shard group: Config.Shards 0 and
+// 1 both build one shard owning every PE, larger counts partition the
+// PE space. Run executes the conservative-lookahead window protocol
+// across all shards (see doc.go, "Sharded execution") and returns the
+// merged statistics.
 func NewStream(topo *topology.Topology, source JobSource, strat Strategy, cfg Config) *Machine {
 	cfg.validate(topo.Size())
-	if cfg.Shards > 0 {
-		return newShardGroup(topo, source, strat, cfg).machines[0]
-	}
-	return newMachine(topo, source, strat, cfg, nil, 0)
+	return newShardGroup(topo, source, strat, cfg).machines[0]
 }
 
-// newMachine builds one runnable machine: the sequential machine when
-// grp is nil, otherwise shard number shard of grp — which owns only its
-// partition block of PEs and draws its event engine's stream from a
-// per-shard salted seed (shard 0 keeps the plain seed, so a one-shard
-// group replays the sequential event sequence bit for bit).
+// newMachine builds shard number shard of grp: a machine owning only its
+// partition block of PEs, drawing its event engine's stream from a
+// per-shard salted seed (shard 0 keeps the plain seed).
 func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg Config, grp *shardGroup, shard int) *Machine {
 	seed := cfg.Seed
 	if shard > 0 {
 		seed = cfg.Seed ^ int64(shard)*shardSeedSalt
 	}
 	m := &Machine{
-		eng:        sim.NewEngineSched(seed, cfg.Scheduler),
+		eng:        sim.NewEngine(seed),
 		topo:       topo,
 		cfg:        cfg,
 		strat:      strat,
@@ -272,18 +257,14 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 		lastCkptAt: -1,
 		grp:        grp,
 		shardID:    shard,
-		peLo:       0,
-		peHi:       topo.Size(),
-	}
-	if grp != nil {
-		m.peLo, m.peHi = grp.part.Starts[shard], grp.part.Starts[shard+1]
-		m.xout = make([][]xmsg, grp.k)
+		peLo:       grp.part.Starts[shard],
+		peHi:       grp.part.Starts[shard+1],
+		xout:       make([][]xmsg, grp.k),
 		// Goal IDs are banded per shard so concurrently minted goals stay
-		// globally unique without synchronization. Shard 0's band starts
-		// at 0, matching the sequential numbering.
-		m.nextGoalID = int64(shard) << 40
+		// globally unique without synchronization.
+		nextGoalID: int64(shard) << 40,
 	}
-	if grp == nil || shard == grp.home {
+	if shard == grp.home {
 		// Only the shard owning RootPE pulls from the source.
 		m.srcRng = newSourceRng(cfg.Seed)
 	}
@@ -300,12 +281,6 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 		m.stats.SojournWindows.Bound(cfg.SeriesBound)
 		m.stats.InjSojournWindows.Bound(cfg.SeriesBound)
 		m.stats.Monitor.Bound(cfg.SeriesBound)
-	}
-
-	// Borrow the pooled free lists before PE construction so the
-	// pending-slab slot arrays recycle across runs too.
-	if p := cfg.Pool; p != nil {
-		p.lend(m)
 	}
 
 	block := m.peHi - m.peLo
@@ -354,10 +329,10 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 	// back, and chanAt resolves both layouts. Dense storage for a
 	// million-PE torus is 2M channels x 120 B per shard; sparse keeps
 	// the per-shard cost proportional to the owned block, which is what
-	// lets a Shards=K million-PE run fit the same heap budget as the
-	// sequential machine.
+	// lets a Shards=K million-PE run fit the same heap budget as a
+	// one-shard run.
 	nc := topo.NumChannels()
-	if grp != nil && grp.k > 1 {
+	if grp.k > 1 {
 		m.chanIdx = make([]int32, nc)
 		for i := range m.chanIdx {
 			m.chanIdx[i] = -1
@@ -411,7 +386,6 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 			nbrDown: nbrDownFlat[lo:hi:hi],
 			chansOf: chansFlat[chOff[lx]:chOff[lx+1]:chOff[lx+1]],
 		}
-		pe.pending.init(m.takeSlab())
 		pe.svc.Init(m.eng, pe.serviceDone)
 		m.pes[i] = pe
 	}
@@ -457,9 +431,9 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 
 	if cfg.SampleInterval > 0 {
 		if cfg.MonitorPE {
-			// Sized to the owned PE block (the whole machine when
-			// unsharded): a shard monitors only its own PEs, and the
-			// coordinator concatenates the blocks into full frames.
+			// Sized to the owned PE block: a shard monitors only its own
+			// PEs, and the coordinator concatenates the blocks into full
+			// frames.
 			m.prevBusyPerPE = make([]sim.Time, m.peHi-m.peLo)
 			m.frameBuf = make([]float64, m.peHi-m.peLo)
 		}
@@ -468,7 +442,6 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 		// are globally synchronized across the group.
 		m.newObserverTicker(cfg.SampleInterval, m.sample)
 	}
-	m.traceCollector, _ = cfg.Trace.(*trace.Collector)
 
 	// Snapshot the busy-time accrued during warm-up so steady-state
 	// utilization can exclude the ramp. Only scheduled when a warm-up is
@@ -484,42 +457,19 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 		})
 	}
 
-	// Replay the scripted environment, if any. Generators (chaos,
-	// checkpoint) expand into their concrete timelines here (a pure
-	// function of their parameters, machine size and horizon); a
-	// sharded group expands once and every shard shares the result. An
-	// empty scenario schedules nothing — the run stays bit-for-bit
-	// identical to an unscripted one (pinned by regression test).
-	//
-	// The sequential machine (and a one-shard group, which replays it
-	// bit for bit) schedules the ops in its own engine at construction.
-	// Construction-time scheduling pins the instant-level ordering rule
-	// every mode honors: ops carry the lowest sequence numbers at their
-	// timestamp, so an op fires BEFORE the machine events at its
-	// instant (ties among same-instant ops break in script order). A
-	// multi-shard coordinator reproduces exactly that: it parks every
-	// window barrier one tick short of the next op's scripted time,
-	// advances the quiescent shards' clocks onto the instant, and
-	// applies the op there, before that instant's machine events run
-	// (shardGroup.run, applyOps).
+	// The scripted environment, if any, was expanded once for the group
+	// (generators resolved into concrete timelines); the coordinator
+	// applies its ops at window barriers (shardGroup.run, applyOps). An
+	// empty scenario arms nothing — the run stays bit-for-bit identical
+	// to an unscripted one (pinned by regression test).
 	if !cfg.Scenario.Empty() {
-		if grp != nil {
-			m.scn = grp.scn
-		} else {
-			m.scn = cfg.Scenario.Expand(topo.Size(), cfg.MaxTime)
-		}
+		m.scn = grp.scn
 		for _, ev := range m.scn.Events {
 			switch ev.Kind {
 			case scenario.CrashPE:
 				m.lossy = true
 			case scenario.CheckpointTick:
 				m.ckpt = true
-			}
-		}
-		if grp == nil || grp.k == 1 {
-			for _, ev := range m.scn.Events {
-				ev := ev
-				m.eng.At(ev.At, func() { m.applyScenarioEvent(ev) })
 			}
 		}
 		if cfg.SampleInterval > 0 {
@@ -557,28 +507,25 @@ func (m *Machine) Source() JobSource { return m.source }
 // NumPEs returns the machine size.
 func (m *Machine) NumPEs() int { return len(m.pes) }
 
-// PE returns processing element i. On a sharded machine a remote PE is
-// resolved through its owning shard — safe for post-run inspection, but
-// remote PEs advance on other goroutines while a parallel run is live
-// (which is why SequentialOnly strategies cannot shard).
+// PE returns processing element i. A remote PE is resolved through its
+// owning shard — safe for post-run inspection, but remote PEs advance
+// on other goroutines while a parallel run is live (which is why
+// SequentialOnly strategies cannot run on several shards).
 func (m *Machine) PE(i int) *PE {
-	if pe := m.pes[i]; pe != nil || m.grp == nil {
+	if pe := m.pes[i]; pe != nil {
 		return pe
 	}
-	return m.grp.machines[m.grp.part.Assign[i]].pes[i]
+	return m.grp.owner(i).pes[i]
 }
 
-// jobsInFlight returns the injected-but-uncompleted job count: the
-// machine's own counter, or the group's shared atomic on sharded runs.
+// jobsInFlight returns the group's injected-but-uncompleted job count.
 func (m *Machine) jobsInFlight() int64 {
-	if m.grp != nil {
-		return atomic.LoadInt64(&m.grp.inFlight)
-	}
-	return m.inFlight
+	return m.grp.inFlight.Load()
 }
 
-// Completed reports whether the root response has been delivered.
-func (m *Machine) Completed() bool { return m.completed }
+// Completed reports whether the run completed: every injected job
+// delivered its root response and the source was exhausted.
+func (m *Machine) Completed() bool { return m.grp.completed }
 
 // NewTicker registers a periodic process belonging to the simulated
 // system (load broadcasts, strategy control processes). When
@@ -619,11 +566,34 @@ func (m *Machine) newObserverTicker(period sim.Time, fn func()) *sim.Ticker {
 	return sim.NewTicker(m.eng, period, phase, fn)
 }
 
-// arenaChunk is the machine arenas' granularity: how many goals, wire
-// messages, pending tasks or job states one free-list miss carves room
-// for. Sized so a small run stays within a chunk or two per kind while
-// a saturated large machine fills contiguous blocks back to back.
-const arenaChunk = 1024
+// arenaMinChunk and arenaChunk bound an arena's chunk size: the first
+// chunk holds arenaMinChunk objects and each next one twice the last, up
+// to arenaChunk. A short run — one job of the paper's sweep needs a few
+// hundred goals and a single job state — allocates about what it uses,
+// while a saturated large machine fills arenaChunk-sized contiguous
+// blocks back to back.
+const (
+	arenaMinChunk = 16
+	arenaChunk    = 1024
+)
+
+// arena carves zero-valued T objects out of chunks; see arenaChunk.
+type arena[T any] struct {
+	tail []T // the current chunk's uncarved objects
+	size int // the current chunk's length
+}
+
+// alloc returns the next zero-valued object, starting a new chunk when
+// the current one is used up.
+func (a *arena[T]) alloc() *T {
+	if len(a.tail) == 0 {
+		a.size = min(max(2*a.size, arenaMinChunk), arenaChunk)
+		a.tail = make([]T, a.size)
+	}
+	p := &a.tail[0]
+	a.tail = a.tail[1:]
+	return p
+}
 
 // newGoal mints a goal for task belonging to job j, created on PE
 // origin for parent goal parentID living on parentPE. Goal objects come
@@ -635,11 +605,7 @@ func (m *Machine) newGoal(task *workload.Task, j *jobState, parentPE int, parent
 		m.goalFree[n-1] = nil
 		m.goalFree = m.goalFree[:n-1]
 	} else {
-		if len(m.goalChunk) == 0 {
-			m.goalChunk = make([]Goal, arenaChunk)
-		}
-		g = &m.goalChunk[0]
-		m.goalChunk = m.goalChunk[1:]
+		g = m.goalArena.alloc()
 	}
 	*g = Goal{
 		ID:        m.nextGoalID,
@@ -677,11 +643,7 @@ func (m *Machine) newPending(g *Goal, kids int) *pendingTask {
 		m.pendingFree[n-1] = nil
 		m.pendingFree = m.pendingFree[:n-1]
 	} else {
-		if len(m.pendChunk) == 0 {
-			m.pendChunk = make([]pendingTask, arenaChunk)
-		}
-		p = &m.pendChunk[0]
-		m.pendChunk = m.pendChunk[1:]
+		p = m.pendArena.alloc()
 	}
 	p.goal = g
 	p.remaining = kids
@@ -700,19 +662,6 @@ func (m *Machine) freePending(p *pendingTask) {
 	p.goal = nil
 	p.vals = p.vals[:0]
 	m.pendingFree = append(m.pendingFree, p)
-}
-
-// takeSlab hands a PE a recycled pending-slab slot array (nil when none
-// are pooled; the slab then allocates a fresh one).
-func (m *Machine) takeSlab() []pendingSlot {
-	n := len(m.slabFree)
-	if n == 0 {
-		return nil
-	}
-	slots := m.slabFree[n-1]
-	m.slabFree[n-1] = nil
-	m.slabFree = m.slabFree[:n-1]
-	return slots
 }
 
 // broadcastLoad sends this PE's current load to all neighbors: one
@@ -758,17 +707,11 @@ func (m *Machine) completeJob(j *jobState, value int64) {
 	now := m.eng.Now()
 	m.result = value
 	m.lastDone = now
-	var left int64
-	if g := m.grp; g != nil {
-		// The root response may be combined on any shard; only the sum
-		// matters mid-window (atomic adds commute), and the value is only
-		// branched on where it is deterministic — here under one shard,
-		// or at a window barrier.
-		left = atomic.AddInt64(&g.inFlight, -1)
-	} else {
-		m.inFlight--
-		left = m.inFlight
-	}
+	// The root response may be combined on any shard; only the sum
+	// matters mid-window (atomic adds commute), and the value is only
+	// branched on where it is deterministic — here under one shard, or at
+	// a window barrier.
+	left := m.grp.inFlight.Add(-1)
 	m.stats.JobsDone++
 	// Latency statistics accrue here, streamingly — not from JobRecords
 	// at finalize — so a bounded run's memory really is bounded.
@@ -779,8 +722,8 @@ func (m *Machine) completeJob(j *jobState, value int64) {
 	}
 	if m.injSoj != nil {
 		// Scenario runs with sampling only. Each shard buckets its own
-		// completions; shardGroup.finalize re-buckets the shards to a
-		// common stride and pools them (mergeInjSoj).
+		// completions; shardGroup.mergeInjSoj re-buckets the shards to a
+		// common stride and pools them at finalize.
 		w := int(j.injectedAt / (m.cfg.SampleInterval * sim.Time(m.injStride)))
 		for len(m.injSoj) <= w {
 			m.injSoj = append(m.injSoj, nil)
@@ -807,11 +750,12 @@ func (m *Machine) completeJob(j *jobState, value int64) {
 		})
 	}
 	m.freeJob(j)
-	// A multi-shard group must not stop mid-window: which shard would
-	// observe the zero depends on execution order, not virtual time. Its
-	// coordinator detects completion at the next window barrier instead,
-	// where the count is stable (shardGroup.run).
-	if m.srcDone && left == 0 && (m.grp == nil || m.grp.k == 1) {
+	// Only a single shard observes completion exactly in virtual time, so
+	// only it stops mid-window. On several shards, which one would observe
+	// the zero depends on execution order; the coordinator detects
+	// completion at the next window barrier instead, where the count is
+	// stable (shardGroup.run).
+	if m.srcDone && left == 0 && m.grp.k == 1 {
 		m.completed = true
 		m.finishedAt = now
 		m.eng.Stop()
@@ -886,20 +830,17 @@ func (m *Machine) routeGoal(cur, dst int, g *Goal) {
 	m.transmit(ch, m.cfg.GoalHopTime, w)
 }
 
-// sample appends one utilization time-series point: the fraction of
-// PE-time spent busy during the window just ended, as a percentage
-// (matching the paper's plots 11-16). The divisor is the actual elapsed
-// window since the previous sample — the staggered first window is
-// shorter than SampleInterval, and dividing by the full period there
-// distorted the first timeline point.
-//
-// Each shard of a multi-shard group runs its own copy of this ticker
-// over its own PE block at the same synchronized instants; instead of
-// emitting series points (which need the whole machine), it defers the
-// window's raw partials — busy delta, queue-length sum and sum of
-// squares, and the per-PE frame block — for shardGroup.finalize to fold.
-// Jain's fairness index is not mergeable from per-shard indices, which
-// is why the partials are deferred rather than the folded values.
+// sample records one sampling instant's raw partials over the shard's
+// own PE block: the busy time accrued in the window just ended, the
+// queue-length sum and sum of squares, the per-PE utilization frame and
+// the window's completed sojourns. Every shard samples at the same
+// globally synchronized instants, and shardGroup.mergeSamples folds the
+// instant's partials into full-machine series points — utilization as a
+// percentage (the paper's plots 11-16), mean queue length, Jain's
+// fairness index (not mergeable from per-shard indices, which is why the
+// raw sums are kept) and the windowed sojourn p99. The window divisor is
+// the actual elapsed time since the previous sample — the staggered
+// first window is shorter than SampleInterval.
 func (m *Machine) sample() {
 	now := m.eng.Now()
 	window := now - m.prevSampleAt
@@ -921,10 +862,8 @@ func (m *Machine) sample() {
 		}
 	}
 
-	// Queue balance at the sample instant: mean ready-queue length and
-	// Jain's fairness index over per-PE queue lengths — the imbalance
-	// curve a scenario run's recovery is read from. Pure observation:
-	// no events, no random draws.
+	// Queue balance at the sample instant. Pure observation: no events,
+	// no random draws.
 	var qsum, qsq float64
 	for _, pe := range m.pes[m.peLo:m.peHi] {
 		q := float64(pe.queueLen())
@@ -932,48 +871,24 @@ func (m *Machine) sample() {
 		qsq += q * q
 	}
 
-	if m.grp != nil && m.grp.k > 1 {
-		samp := shardSample{at: now, window: window, busyDelta: busyDelta, qsum: qsum, qsq: qsq}
-		if m.frameBuf != nil {
-			samp.frame = append([]float64(nil), m.frameBuf...)
-		}
-		if len(m.winSoj) > 0 {
-			samp.soj = append([]float64(nil), m.winSoj...)
-			m.winSoj = m.winSoj[:0]
-		}
-		m.shardSamples = append(m.shardSamples, samp)
-		m.prevSampleAt = now
-		return
+	// Entries are reused once folded: the frame and sojourn slices keep
+	// their backing arrays, so steady-state sampling allocates nothing.
+	n := len(m.shardSamples)
+	if n < cap(m.shardSamples) {
+		m.shardSamples = m.shardSamples[:n+1]
+	} else {
+		m.shardSamples = append(m.shardSamples, shardSample{})
 	}
-
-	util := 100 * float64(busyDelta) / (float64(window) * float64(len(m.pes)))
-	m.stats.Timeline.Add(float64(now), util)
-	if m.prevBusyPerPE != nil {
-		m.stats.Monitor.Append(now, m.frameBuf)
-	}
-	m.stats.QueueLen.Add(float64(now), qsum/float64(len(m.pes)))
-	imb := 1.0
-	if qsq > 0 {
-		imb = qsum * qsum / (float64(len(m.pes)) * qsq)
-	}
-	m.stats.QueueImbalance.Add(float64(now), imb)
-
-	// Windowed sojourn p99 (scenario runs): one point per window that
-	// completed at least one job. Windows ending inside the warm-up are
-	// dropped — the empty-machine ramp's short sojourns would bias the
-	// recovery baseline low, exactly as they would bias SteadySojourn.
-	if len(m.winSoj) > 0 {
-		if now >= m.cfg.Warmup {
-			sort.Float64s(m.winSoj)
-			rank := int(math.Ceil(0.99*float64(len(m.winSoj)))) - 1
-			if rank < 0 {
-				rank = 0
-			}
-			m.stats.SojournWindows.Add(float64(now), m.winSoj[rank])
-		}
-		m.winSoj = m.winSoj[:0]
-	}
+	sp := &m.shardSamples[n]
+	sp.at, sp.window, sp.busyDelta, sp.qsum, sp.qsq = now, window, busyDelta, qsum, qsq
+	sp.frame = append(sp.frame[:0], m.frameBuf...)
+	sp.soj = append(sp.soj[:0], m.winSoj...)
+	m.winSoj = m.winSoj[:0]
 	m.prevSampleAt = now
+	if m.grp.k == 1 {
+		// A single shard has every partial of the instant already.
+		m.grp.mergeSamples()
+	}
 }
 
 // committedBusy returns busy time accrued up to now (excluding the not
@@ -987,32 +902,6 @@ func (pe *PE) committedBusy() sim.Time {
 	return b
 }
 
-// stalled reports whether an incomplete run is a lost-goal deadlock
-// rather than genuine saturation: jobs remain in flight but no goal or
-// response exists anywhere the machine can see — every PE idle with an
-// empty queue, nothing on a channel, and no arrivals pending. It is
-// conservative: a stall is only declared when detection is certain.
-// (Caveat: a strategy that buffers goals in private node state outside
-// the PE queues defeats the "certain" part; the shipped strategies keep
-// goals queued or in transit.)
-func (m *Machine) stalled() bool {
-	if m.completed || m.jobsInFlight() == 0 || !m.srcDone {
-		return false
-	}
-	if m.goalsInTransit != 0 || m.respsInTransit != 0 {
-		return false
-	}
-	if m.retryPending > 0 {
-		return false // a crash retry is armed on its backoff timer
-	}
-	for i := range m.peBusy {
-		if m.peBusy[i] || m.peBlock[i].queueLen() > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Run executes the simulation until every job the source emits has
 // delivered its root response (or MaxTime elapses — for heavy arrival
 // streams that is the saturation regime, reported rather than hidden)
@@ -1022,16 +911,10 @@ func (m *Machine) Run() *Stats {
 		panic("machine: Run called twice")
 	}
 	m.started = true
-	if m.grp != nil {
-		if m.shardID != 0 {
-			panic("machine: Run must be called on shard 0 (the NewStream return value)")
-		}
-		return m.grp.run()
+	if m.shardID != 0 {
+		panic("machine: Run must be called on shard 0 (the NewStream return value)")
 	}
-	m.pump()
-	m.eng.RunUntil(m.cfg.MaxTime)
-	m.finalize()
-	return m.stats
+	return m.grp.run()
 }
 
 // pump pulls arrivals from the source: jobs due now are injected
@@ -1047,7 +930,7 @@ func (m *Machine) pump() {
 			// Multi-shard groups defer the exhausted-and-idle stop to the
 			// window barrier (a mid-window read of the shared in-flight
 			// count would depend on thread schedule, not virtual time).
-			if (m.grp == nil || m.grp.k == 1) && m.jobsInFlight() == 0 && !m.completed {
+			if m.grp.k == 1 && m.jobsInFlight() == 0 && !m.completed {
 				m.completed = true
 				m.finishedAt = m.eng.Now()
 				m.eng.Stop()
@@ -1092,11 +975,7 @@ func (m *Machine) inject(tree *workload.Tree) {
 		m.jobFree[n-1] = nil
 		m.jobFree = m.jobFree[:n-1]
 	} else {
-		if len(m.jobChunk) == 0 {
-			m.jobChunk = make([]jobState, arenaChunk)
-		}
-		j = &m.jobChunk[0]
-		m.jobChunk = m.jobChunk[1:]
+		j = m.jobArena.alloc()
 	}
 	// The epoch survives the wipe, bumped: goals of the struct's
 	// previous occupant (possible only on lossy runs) stay stale.
@@ -1110,18 +989,8 @@ func (m *Machine) inject(tree *workload.Tree) {
 	}
 	m.stats.JobsInjected++
 	m.stats.Goals += tree.Count()
-	if m.traceCollector != nil && (m.grp == nil || m.grp.k == 1) {
-		// Each goal contributes a bounded handful of lifecycle events
-		// plus a topology-dependent number of hops; 8 covers the shipped
-		// strategies' typical walks so the collector rarely re-doubles.
-		m.traceCollector.Grow(tree.Count() * 8)
-	}
-	if g := m.grp; g != nil {
-		atomic.AddInt64(&g.inFlight, 1)
-	} else {
-		m.inFlight++
-	}
-	if m.ckpt && m.grp != nil && m.grp.k > 1 {
+	m.grp.inFlight.Add(1)
+	if m.ckpt {
 		m.liveJobs = append(m.liveJobs, j)
 	}
 	m.injectRoot(j)
@@ -1158,20 +1027,15 @@ func (m *Machine) freeJob(j *jobState) {
 	m.jobFree = append(m.jobFree, j)
 }
 
+// finalize commits the shard's own per-PE and per-channel accounting
+// into its Stats; shardGroup.finalize merges the shards and sets the
+// group-level outcome.
 func (m *Machine) finalize() {
 	s := m.stats
 	now := m.eng.Now()
-	s.Completed = m.completed
-	s.Result = m.result
-	if m.completed {
-		s.Makespan = m.finishedAt
-	} else {
-		s.Makespan = now
-	}
 	s.Events = m.eng.Processed()
 	s.Warmup = m.cfg.Warmup
 	s.WarmupBusy = m.warmupBusy
-	s.Stalled = m.stalled()
 	for lx := range m.peBlock {
 		pe := &m.peBlock[lx]
 		i := pe.id
@@ -1198,39 +1062,5 @@ func (m *Machine) finalize() {
 		}
 		s.ChannelBusy[gi] = ch.committedBusy(now)
 		s.ChannelMsgs[gi] = ch.messages
-	}
-	// Injection-keyed windowed p99 (scenario runs with sampling): one
-	// point per injection window that produced a completion, at the
-	// window's end time. Computable only at finalize — a window's jobs
-	// finish arbitrarily later. Warm-up windows are dropped, mirroring
-	// the completion-keyed series. Multi-shard groups skip this: the
-	// coordinator pools the shards' raw buckets instead (mergeInjSoj).
-	if m.injSoj != nil && (m.grp == nil || m.grp.k == 1) {
-		for w, sojs := range m.injSoj {
-			if len(sojs) == 0 {
-				continue
-			}
-			end := sim.Time(w+1) * m.cfg.SampleInterval * sim.Time(m.injStride)
-			if end <= m.cfg.Warmup {
-				continue // the window holds only pre-warm-up injections
-			}
-			sort.Float64s(sojs)
-			rank := int(math.Ceil(0.99*float64(len(sojs)))) - 1
-			if rank < 0 {
-				rank = 0
-			}
-			s.InjSojournWindows.Add(float64(end), sojs[rank])
-		}
-	}
-	if p := m.cfg.Pool; p != nil {
-		// Release every PE's pending-slab slot array for the next run
-		// before the pool takes the lists back. Slabs are lazy: a PE
-		// that never held a pending task has no array to release.
-		for _, pe := range m.pes {
-			if slots := pe.pending.release(); slots != nil {
-				m.slabFree = append(m.slabFree, slots)
-			}
-		}
-		p.reclaim(m)
 	}
 }

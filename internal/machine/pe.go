@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"cwnsim/internal/sim"
 	"cwnsim/internal/trace"
@@ -484,25 +483,11 @@ func (pe *PE) finish(it item) {
 		pe.goalsExecuted++
 		pe.m.stats.GoalsExecuted++
 		if pe.m.ckpt {
-			j := g.job
-			if grp := pe.m.grp; grp != nil && grp.k > 1 {
-				// Several shards can execute this job's goals inside one
-				// window: the position is a commutative sum, advanced
-				// atomically and read only at barriers. The snapshot is
-				// taken eagerly by the coordinator at the tick's barrier
-				// (shardGroup.applyOp), not here.
-				atomic.AddInt64(&j.progress, 1)
-			} else {
-				// Lazy snapshot: the first goal a job executes after a
-				// checkpoint tick records the position the tick saw
-				// (nothing records before the first tick — lastCkptAt
-				// starts at -1, matching a fresh job's ckptSeen).
-				if j.ckptSeen != pe.m.lastCkptAt {
-					j.ckptProgress = j.progress
-					j.ckptSeen = pe.m.lastCkptAt
-				}
-				j.progress++
-			}
+			// Several shards can execute this job's goals inside one
+			// window: the position is a commutative sum, advanced
+			// atomically and read only at barriers, where the coordinator
+			// snapshots it for each checkpoint tick (shardGroup.applyOp).
+			g.job.progress.Add(1)
 		}
 		// The goal's journey is definitively over: record the travel
 		// distance (paper Table 3) and the net displacement.

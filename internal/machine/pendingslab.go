@@ -8,15 +8,12 @@ package machine
 // resolves a lookup with one mask and, in the common case, one slot
 // touched — goal completion does no hashing. Deletion back-shifts the
 // probe cluster over the hole (no tombstones), so probe lengths stay
-// bounded by the load factor, which growth keeps under 3/4.
-//
-// Slot arrays are reusable across runs: machine.Pool carries released
-// arrays between sequential machines (see Pool), so a replicated sweep
-// allocates each PE's table once per worker, not once per run.
+// bounded by the load factor, which growth keeps under 3/4. The zero
+// value is an empty slab: the table materializes on the first put, so
+// PEs that never hold a pending task — most of a million-PE machine —
+// cost nothing here.
 
 // pendingSlot is one table entry; id is slabEmpty when vacant.
-//
-//simlint:pooled
 type pendingSlot struct {
 	id   int64
 	task *pendingTask
@@ -38,32 +35,6 @@ func newSlabSlots(size int) []pendingSlot {
 	slots := make([]pendingSlot, size)
 	for i := range slots {
 		slots[i].id = slabEmpty
-	}
-	return slots
-}
-
-// init readies the slab on the given recycled slot array (already
-// cleared; see release). A nil array is fine: the table materializes
-// on the first put, so PEs that never hold a pending task — most of a
-// million-PE machine — cost nothing here.
-func (s *pendingSlab) init(slots []pendingSlot) {
-	s.slots = slots
-	s.n = 0
-}
-
-// release detaches and returns the slot array, cleared for reuse. Only
-// entries still live (a run cut off at MaxTime) need wiping — deletion
-// already clears vacated slots — so a drained machine pays nothing.
-//
-//simlint:free
-func (s *pendingSlab) release() []pendingSlot {
-	slots := s.slots
-	s.slots = nil
-	if s.n > 0 {
-		for i := range slots {
-			slots[i] = pendingSlot{id: slabEmpty}
-		}
-		s.n = 0
 	}
 	return slots
 }

@@ -13,7 +13,6 @@ import (
 // back-shift deletion has real clusters to repair.
 func TestPendingSlabModel(t *testing.T) {
 	var s pendingSlab
-	s.init(nil)
 	model := map[int64]*pendingTask{}
 	rng := rand.New(rand.NewSource(42))
 	nextID := int64(0)
@@ -73,22 +72,5 @@ func TestPendingSlabModel(t *testing.T) {
 	})
 	if len(seen) != len(model) {
 		t.Fatalf("forEach visited %d entries, want %d", len(seen), len(model))
-	}
-
-	// release returns a fully cleared array ready for the next run.
-	slots := s.release()
-	for i, sl := range slots {
-		if sl.id != slabEmpty || sl.task != nil {
-			t.Fatalf("released slot %d not cleared: %+v", i, sl)
-		}
-	}
-	var s2 pendingSlab
-	s2.init(slots)
-	if s2.len() != 0 {
-		t.Fatalf("recycled slab reports %d entries", s2.len())
-	}
-	s2.put(7, &pendingTask{})
-	if s2.get(7) == nil {
-		t.Fatal("recycled slab lost an insert")
 	}
 }

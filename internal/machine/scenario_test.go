@@ -164,10 +164,17 @@ func TestFailEvacuatesQueueAndRecovers(t *testing.T) {
 // a failed PE reports FailedLoad and broadcasts it immediately, so
 // load-comparing neighbors avoid it without waiting for a tick.
 func TestFailedPEAdvertisesSentinelLoad(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Scenario = scenario.MustParse("fail:pes=1@t=5,recover@t=100")
-	m := New(topology.NewGrid(1, 2), workload.NewChain(30), keepLocal{}, cfg)
-	m.eng.RunUntil(20) // past the failure and its broadcast delivery
+	// Scenario ops apply at the coordinator's window barriers, so each
+	// probe is a run cut off at its horizon.
+	runUntil := func(horizon sim.Time) *Machine {
+		cfg := DefaultConfig()
+		cfg.MaxTime = horizon
+		cfg.Scenario = scenario.MustParse("fail:pes=1@t=5,recover@t=100")
+		m := New(topology.NewGrid(1, 2), workload.NewChain(30), keepLocal{}, cfg)
+		m.Run()
+		return m
+	}
+	m := runUntil(20) // past the failure and its broadcast delivery
 	if got := m.pes[1].Load(); got != FailedLoad {
 		t.Fatalf("failed PE advertises load %d, want %d", got, FailedLoad)
 	}
@@ -177,7 +184,7 @@ func TestFailedPEAdvertisesSentinelLoad(t *testing.T) {
 	if load, seen := m.pes[0].KnownLoad(1); load != FailedLoad || seen < 5 {
 		t.Fatalf("neighbor heard load %d (seen %d), want the fail broadcast", load, seen)
 	}
-	m.eng.RunUntil(200)
+	m = runUntil(200)
 	if m.pes[1].Failed() {
 		t.Fatal("PE 1 did not recover")
 	}

@@ -1,15 +1,9 @@
-// This file is shard-path code: everything here runs inside a sharded
-// run, where Config.validate has already rejected the one remaining
-// global-state feature (Pool — free lists are single-threaded by
-// design). The seqonly analyzer (internal/analysis) walks the call
-// graph rooted at this file's functions and flags any unguarded reach
-// into it. Sampling, monitoring, tracing and scripted Scenarios are
-// shard-safe: each shard captures its own PE block's partials and
-// buffers its own trace events, the coordinator applies scenario ops at
-// window barriers (applyOps) and folds everything into the merged
-// result at finalize (mergeSamples, mergeInjSoj, replayTrace below).
-//
-//simlint:seqonly
+// This file is the execution engine every run goes through: a group of
+// K >= 1 shards advancing in conservative-lookahead windows. Each shard
+// captures its own PE block's sampling partials and buffers its own
+// trace events; the coordinator applies scenario ops at window barriers
+// (applyOps) and folds everything into the merged result (mergeSamples,
+// mergeInjSoj, replayTrace below).
 package machine
 
 import (
@@ -26,8 +20,7 @@ import (
 // shardSeedSalt derives shard s's engine seed as
 // Seed ^ s*shardSeedSalt (the PCG multiplier as an odd mixing
 // constant), giving each shard its own tie-break stream. Shard 0 keeps
-// the plain seed so a one-shard group replays the sequential machine's
-// draws exactly.
+// the plain seed.
 const shardSeedSalt = 0x5851F42D4C957F2D
 
 // xmsg is one cross-shard wire message with its delivery time: what a
@@ -38,23 +31,23 @@ type xmsg struct {
 	w  *wireMsg
 }
 
-// shardSample is one shard's deferred contribution to one globally
-// synchronized sampling instant: the raw partials over its own PE
-// block, folded into full-machine series points by mergeSamples. The
-// raw queue-length sums are carried (not a per-shard fairness index)
-// because Jain's index is a ratio of sums — it cannot be merged from
-// per-shard indices, only recomputed from the pooled partials.
+// shardSample is one shard's contribution to one globally synchronized
+// sampling instant: the raw partials over its own PE block, folded into
+// full-machine series points by mergeSamples. The raw queue-length sums
+// are carried (not a per-shard fairness index) because Jain's index is
+// a ratio of sums — it cannot be merged from per-shard indices, only
+// recomputed from the pooled partials.
 type shardSample struct {
 	at, window sim.Time
 	busyDelta  sim.Time  // block busy time accrued inside the window
 	qsum, qsq  float64   // block queue-length sum and sum of squares
-	frame      []float64 // block per-PE utilization; nil unless MonitorPE
+	frame      []float64 // block per-PE utilization; empty unless MonitorPE
 	soj        []float64 // window's raw sojourns; scenario runs only
 }
 
-// shardGroup coordinates the machines of one sharded run: K contiguous
-// PE blocks, each a full Machine with its own event engine, free lists
-// and statistics, advancing in lockstep windows of one conservative
+// shardGroup coordinates the machines of one run: K >= 1 contiguous PE
+// blocks, each a full Machine with its own event engine, free lists and
+// statistics, advancing in lockstep windows of one conservative
 // lookahead each. The protocol is the classic Chandy-Misra-Bryant
 // window discipline run as a barrier loop:
 //
@@ -67,16 +60,18 @@ type shardSample struct {
 // shard boundary, so no message sent inside a window can be due before
 // the window after it — every shard always holds its complete event
 // set for the window it is executing, with no rollbacks and no null
-// messages. Determinism: shards interact only through the outboxes
-// (drained in a fixed order by the single-threaded coordinator) and
-// one shared in-flight job counter (atomic adds commute; branched on
-// only at barriers), so a run is a pure function of seed and shard
-// count — the parallel schedule cannot change the result, pinned by
-// the ShardSerial cross-checks.
+// messages. A group with no boundary-crossing channel (always so for
+// one shard) has unbounded lookahead: its run is one window to MaxTime,
+// cut only at scripted op instants. Determinism: shards interact only
+// through the outboxes (drained in a fixed order by the single-threaded
+// coordinator) and one shared in-flight job counter (atomic adds
+// commute; branched on only at barriers), so a run is a pure function
+// of seed and shard count — the parallel schedule cannot change the
+// result, pinned by the ShardSerial cross-checks.
 type shardGroup struct {
 	// inFlight is the group-wide injected-but-uncompleted job count,
-	// updated atomically from any shard. First field: 64-bit aligned.
-	inFlight int64
+	// updated atomically from any shard.
+	inFlight atomic.Int64
 
 	topo *topology.Topology
 	cfg  Config
@@ -84,37 +79,45 @@ type shardGroup struct {
 	k    int // shard count after clamping to the machine size
 	home int // the shard owning RootPE: source, arrivals, injection
 
-	// lookahead is the conservative window width; winEnd the current
-	// window's end, read by handOff's safety assertion.
+	// lookahead is the conservative window width (0: unbounded, no
+	// channel crosses a shard boundary); winEnd the current window's
+	// end, read by handOff's safety assertion.
 	lookahead sim.Time
 	winEnd    sim.Time
 
 	machines []*Machine
 
-	// Group outcome, decided at window barriers (multi-shard groups
-	// never stop mid-window — which shard would observe the in-flight
-	// count hit zero depends on thread schedule, not virtual time).
+	// Group outcome. Several shards never stop mid-window — which one
+	// would observe the in-flight count hit zero depends on thread
+	// schedule, not virtual time — so the coordinator decides at window
+	// barriers; a single shard stops itself at the exact instant and
+	// finalize adopts its outcome.
 	completed  bool
 	finishedAt sim.Time
 	result     int64
 
 	workers []shardWorker
 	done    chan shardDone
-	inbox   []xmsg // coordinator scratch for sorting one drain
+	inbox   []xmsg    // reused buffer for sorting one drain
+	frame   []float64 // reused by mergeSamples: one full-machine monitor frame
+	sojs    []float64 // reused by mergeSamples: one instant's pooled sojourns
 
-	// Shard-local scenario replay. scn is the script expanded once at
-	// construction and shared by every shard; ops is its firing-order
-	// timeline, applied by the coordinator at window barriers landed
-	// exactly on each op's scripted time (run clamps window ends to the
-	// op cursor) — opIx cursors it. failed/live mirror the
-	// shards' per-block failure state machine-wide; written only at
-	// barriers, so mid-window reads (refuge selection, root redirects)
-	// are race-free.
+	// Scenario replay. scn is the script expanded once at construction
+	// and shared by every shard; ops is its firing-order timeline,
+	// applied by the coordinator at window barriers landed exactly on
+	// each op's scripted time (run clamps window ends to the op cursor)
+	// — opIx cursors it. failed/live mirror the shards' per-block
+	// failure state machine-wide (nil/0 on unscripted runs); written only
+	// at barriers, so mid-window reads (refuge selection, root
+	// redirects) are race-free.
 	scn    *scenario.Script
 	ops    []scenario.Event
 	opIx   int
 	failed []bool
 	live   int
+	// opsApplied counts the ops applyOps has applied; a one-shard run
+	// reports each as one event in Stats.Events (see finalize).
+	opsApplied uint64
 }
 
 // shardWorker is one shard's persistent goroutine: it runs its machine
@@ -132,14 +135,12 @@ type shardDone struct {
 }
 
 // newShardGroup partitions the topology and builds the K shard
-// machines. cfg must already be validated.
+// machines: Shards 0 and 1 both mean one shard, and the count is
+// clamped to the machine size. cfg must already be validated.
 func newShardGroup(topo *topology.Topology, source JobSource, strat Strategy, cfg Config) *shardGroup {
-	if so, ok := strat.(SequentialOnly); ok {
+	k := min(max(cfg.Shards, 1), topo.Size())
+	if so, ok := strat.(SequentialOnly); ok && k > 1 {
 		panic("machine: strategy " + strat.Name() + " cannot run sharded: " + so.SequentialOnly())
-	}
-	k := cfg.Shards
-	if k > topo.Size() {
-		k = topo.Size()
 	}
 	part := topo.Partition(k)
 	minHop := cfg.GoalHopTime
@@ -158,26 +159,22 @@ func newShardGroup(topo *topology.Topology, source JobSource, strat Strategy, cf
 	}
 	// Every channel can carry every message kind, so each channel's
 	// guaranteed latency is the minimum hop time; the partition reduces
-	// that over the boundary-crossing channels.
+	// that over the boundary-crossing channels. With none (always so for
+	// one shard) the lookahead stays 0: unbounded.
 	if la, ok := part.MinCrossLatency(func(topology.Channel) int64 { return int64(minHop) }); ok {
 		g.lookahead = sim.Time(la)
-	} else {
-		// No channel crosses a shard boundary (single-shard groups): any
-		// window width is safe. Use the same width anyway so the
-		// one-shard protocol run exercises the window machinery the
-		// cross-checks certify.
-		g.lookahead = minHop
 	}
 	// Expand the scenario once for the whole group; every shard shares
-	// the result. Multi-shard groups also pre-sort the op timeline and
-	// allocate the global failure map the shards consult mid-window.
+	// the result. Pre-sort the op timeline and allocate the global
+	// failure map the shards consult mid-window.
 	if !cfg.Scenario.Empty() {
 		g.scn = cfg.Scenario.Expand(topo.Size(), cfg.MaxTime)
-		if k > 1 {
-			g.ops = g.scn.Sorted()
-			g.failed = make([]bool, topo.Size())
-			g.live = topo.Size()
-		}
+		g.ops = g.scn.Sorted()
+		g.failed = make([]bool, topo.Size())
+		g.live = topo.Size()
+	}
+	if cfg.MonitorPE {
+		g.frame = make([]float64, topo.Size())
 	}
 	g.machines = make([]*Machine, k)
 	for s := 0; s < k; s++ {
@@ -242,18 +239,16 @@ func (g *shardGroup) run() *Stats {
 	start := sim.Time(-1)
 	for {
 		end := maxT
-		if w := start + g.lookahead; w < maxT {
-			end = w
+		if g.lookahead > 0 && start+g.lookahead < maxT {
+			end = start + g.lookahead
 		}
 		// Park the barrier one tick short of the next scenario op's
 		// scripted time: shrinking a window is always conservative, and
 		// it lets the coordinator apply the op at its exact instant
-		// BEFORE that instant's machine events fire — the ordering the
-		// sequential engine produces, where ops are scheduled at
-		// construction and so carry the lowest sequence numbers at
-		// their timestamp. opAt marks an op-landing barrier (an empty
-		// window when the op falls on start+1 — that just advances the
-		// cursor).
+		// BEFORE that instant's machine events fire (ties among
+		// same-instant ops break in script order). opAt marks an
+		// op-landing barrier (an empty window when the op falls on
+		// start+1 — that just advances the cursor).
 		opAt := sim.Time(-1)
 		if g.opIx < len(g.ops) {
 			if at := g.ops[g.opIx].At; at > start && at <= end {
@@ -274,8 +269,8 @@ func (g *shardGroup) run() *Stats {
 			g.runWindow(end)
 		}
 		if g.k == 1 && home.eng.Stopped() {
-			// A single shard completes exactly like the sequential
-			// machine: completeJob/pump stop the engine mid-window.
+			// A single shard observes completion exactly in virtual time:
+			// completeJob/pump/abandonJob stop its engine mid-window.
 			break
 		}
 		if opAt >= 0 {
@@ -288,11 +283,12 @@ func (g *shardGroup) run() *Stats {
 			g.applyOps(opAt)
 		}
 		g.drain()
-		if g.k > 1 && home.srcDone && atomic.LoadInt64(&g.inFlight) == 0 {
+		g.mergeSamples()
+		if g.k > 1 && home.srcDone && g.inFlight.Load() == 0 {
 			// At a barrier every shard is quiescent, so the shared count
 			// is exact: all injected jobs responded and no arrivals
 			// remain. (In-flight control traffic may outlive completion,
-			// exactly as on the sequential machine.)
+			// exactly as on one shard.)
 			g.completed = true
 			break
 		}
@@ -430,6 +426,7 @@ func (g *shardGroup) applyOps(end sim.Time) {
 	for g.opIx < len(g.ops) && g.ops[g.opIx].At <= end {
 		g.applyOp(g.ops[g.opIx])
 		g.opIx++
+		g.opsApplied++
 	}
 }
 
@@ -503,14 +500,12 @@ func (g *shardGroup) applyOp(ev scenario.Event) {
 		for _, m := range g.machines {
 			m.checkpointTick(ev.Cost)
 		}
-		// Eager snapshot: record every live job's position as of this
-		// barrier. The sequential machine snapshots lazily on the next
-		// goal finish, but here several shards advance one job's
-		// progress inside a window — only the barrier gives one
-		// consistent, schedule-independent instant. The home machine's
-		// registry is compacted in the same walk: completed or abandoned
-		// jobs were freed (nil tree) and recycled structs were
-		// re-appended, so dead entries just drop.
+		// Snapshot every live job's position as of this barrier: several
+		// shards advance one job's progress inside a window, and only the
+		// barrier gives one consistent, schedule-independent instant. The
+		// home machine's registry is compacted in the same walk:
+		// completed or abandoned jobs were freed (nil tree) and recycled
+		// structs were re-appended, so dead entries just drop.
 		home := g.machines[g.home]
 		now := home.eng.Now()
 		live := home.liveJobs[:0]
@@ -518,7 +513,7 @@ func (g *shardGroup) applyOp(ev scenario.Event) {
 			if j.tree == nil {
 				continue
 			}
-			j.ckptProgress = atomic.LoadInt64(&j.progress)
+			j.ckptProgress = j.progress.Load()
 			j.ckptSeen = now
 			live = append(live, j)
 		}
@@ -532,8 +527,9 @@ func (g *shardGroup) applyOp(ev scenario.Event) {
 // applyLink applies a link event group-wide: every shard mutates its
 // own copies of the affected channels (a bus channel's members can span
 // shards beyond the named endpoints), and the endpoint owners notify
-// their FailureAware nodes on the same down/up transition the
-// sequential machine notifies on.
+// their FailureAware nodes on an outage transition — LinkDown when a
+// live link drops, LinkRestored when a downed one comes back up
+// (restored or re-degraded).
 func (g *shardGroup) applyLink(a, b int, factor float64, down, restore bool) {
 	wasDown := false
 	for _, m := range g.machines {
@@ -560,12 +556,18 @@ func (g *shardGroup) applyLink(a, b int, factor float64, down, restore bool) {
 	g.owner(b).notifyEndpoint(b, a, kind)
 }
 
-// stalled is the group form of Machine.stalled: jobs in flight with no
-// goal or response anywhere — queued, executing, or in transit on any
-// shard. Transit counters increment on the sending shard and decrement
-// on the receiving one, so only their sum is meaningful.
+// stalled reports whether an incomplete run is a lost-goal deadlock
+// rather than genuine saturation: jobs remain in flight but no goal or
+// response exists anywhere — every PE idle with an empty queue, nothing
+// on a channel, no arrivals or crash retries pending. It is
+// conservative: a stall is only declared when detection is certain.
+// (Caveat: a strategy that buffers goals in private node state outside
+// the PE queues defeats the "certain" part; the shipped strategies keep
+// goals queued or in transit.) Transit counters increment on the
+// sending shard and decrement on the receiving one, so only their sum
+// is meaningful.
 func (g *shardGroup) stalled() bool {
-	if g.completed || atomic.LoadInt64(&g.inFlight) == 0 || !g.machines[g.home].srcDone {
+	if g.completed || g.inFlight.Load() == 0 || !g.machines[g.home].srcDone {
 		return false
 	}
 	var transit int64
@@ -590,11 +592,9 @@ func (g *shardGroup) stalled() bool {
 func (g *shardGroup) finalize() *Stats {
 	root := g.machines[0]
 	if g.k == 1 {
-		// The single shard carried the whole outcome itself.
-		root.finalize()
-		return root.stats
-	}
-	if g.completed {
+		// The single shard decided its own outcome mid-window.
+		g.completed, g.finishedAt, g.result = root.completed, root.finishedAt, root.result
+	} else if g.completed {
 		// Deterministic finish rule: the last completion, ties resolved
 		// toward the higher shard (within one shard, engine order already
 		// picked the later completion's result).
@@ -608,82 +608,85 @@ func (g *shardGroup) finalize() *Stats {
 		g.finishedAt = fin
 	}
 	for _, m := range g.machines {
-		m.completed = g.completed
-		m.finishedAt = g.finishedAt
 		m.finalize()
 	}
 	s := root.stats
 	for _, m := range g.machines[1:] {
 		s.merge(m.stats)
 	}
-	g.mergeSamples(s)
+	if g.k == 1 {
+		// One-shard Events count each applied scenario op as an event,
+		// as when ops were engine events; multi-shard counts never did.
+		// Both figures are pinned (the machine golden digests and the
+		// benchmark's fault-shard digests), so they stay as they are.
+		s.Events += g.opsApplied
+	}
+	g.mergeSamples()
 	g.mergeInjSoj(s)
 	g.replayTrace()
 	s.Completed = g.completed
 	s.Result = g.result
+	s.Makespan = root.eng.Now()
 	if g.completed {
 		s.Makespan = g.finishedAt
 	}
 	s.Stalled = g.stalled()
-	// Per-shard completion order interleaves; restore global completion
-	// order, then re-apply the record cap the per-shard streams enforced
-	// individually.
-	sort.Slice(s.JobRecords, func(i, j int) bool {
-		a, b := s.JobRecords[i], s.JobRecords[j]
-		if a.DoneAt != b.DoneAt {
-			return a.DoneAt < b.DoneAt
+	if g.k > 1 {
+		// Per-shard completion order interleaves; restore global
+		// completion order, then re-apply the record cap the per-shard
+		// streams enforced individually.
+		sort.Slice(s.JobRecords, func(i, j int) bool {
+			a, b := s.JobRecords[i], s.JobRecords[j]
+			if a.DoneAt != b.DoneAt {
+				return a.DoneAt < b.DoneAt
+			}
+			return a.ID < b.ID
+		})
+		if b := g.cfg.SojournBound; b > 0 && len(s.JobRecords) > b {
+			s.JobRecords = s.JobRecords[:b]
 		}
-		return a.ID < b.ID
-	})
-	if b := g.cfg.SojournBound; b > 0 && len(s.JobRecords) > b {
-		s.JobRecords = s.JobRecords[:b]
 	}
 	return s
 }
 
-// mergeSamples folds the shards' deferred sampling partials into the
-// merged statistics' full-machine series. Every shard sampled its own
-// PE block at the same instants (the observer stagger phase draws from
-// the plain seed on every shard), so the streams align index by index;
-// divergence would mean the synchronization contract broke, which is a
-// bug worth crashing on, not papering over. The folded formulas are
-// exactly the sequential machine's, applied to the pooled partials.
-func (g *shardGroup) mergeSamples(s *Stats) {
-	if g.cfg.SampleInterval <= 0 {
-		return
-	}
+// mergeSamples folds the shards' pending sampling partials into the
+// root statistics' full-machine series and empties them: immediately on
+// a one-shard group (sample calls it), at each window barrier on
+// several shards. Every shard samples its own PE block at the same
+// instants (the observer stagger phase draws from the plain seed on
+// every shard) and has fired every tick up to the barrier, so the
+// streams align index by index; divergence would mean the
+// synchronization contract broke, which is a bug worth crashing on, not
+// papering over.
+func (g *shardGroup) mergeSamples() {
 	ref := g.machines[0].shardSamples
 	for _, m := range g.machines[1:] {
 		if len(m.shardSamples) != len(ref) {
 			panic("machine: shard sample streams diverged in length — sample instants must be globally synchronized")
 		}
 	}
+	s := g.machines[0].stats
 	p := float64(g.topo.Size())
-	var frame []float64
-	if g.cfg.MonitorPE {
-		frame = make([]float64, g.topo.Size())
-	}
-	var sojs []float64
 	for i, r := range ref {
 		var busyDelta sim.Time
 		var qsum, qsq float64
-		sojs = sojs[:0]
+		g.sojs = g.sojs[:0]
 		for _, m := range g.machines {
-			sp := m.shardSamples[i]
+			sp := &m.shardSamples[i]
 			if sp.at != r.at || sp.window != r.window {
 				panic("machine: shard sample instants diverged — sample instants must be globally synchronized")
 			}
 			busyDelta += sp.busyDelta
 			qsum += sp.qsum
 			qsq += sp.qsq
-			if frame != nil {
-				copy(frame[m.peLo:m.peHi], sp.frame)
+			if g.frame != nil {
+				copy(g.frame[m.peLo:m.peHi], sp.frame)
 			}
-			sojs = append(sojs, sp.soj...)
+			g.sojs = append(g.sojs, sp.soj...)
 		}
 		s.Timeline.Add(float64(r.at), 100*float64(busyDelta)/(float64(r.window)*p))
-		if frame != nil {
-			s.Monitor.Append(r.at, frame)
+		if g.frame != nil {
+			s.Monitor.Append(r.at, g.frame)
 		}
 		s.QueueLen.Add(float64(r.at), qsum/p)
 		imb := 1.0
@@ -691,18 +694,24 @@ func (g *shardGroup) mergeSamples(s *Stats) {
 			imb = qsum * qsum / (p * qsq)
 		}
 		s.QueueImbalance.Add(float64(r.at), imb)
-		// Windowed sojourn p99 (scenario runs): the pooled sojourns of
-		// all shards' completions inside the window, the same formula
-		// and warm-up drop as the sequential machine's sample().
-		if len(sojs) > 0 && r.at >= g.cfg.Warmup {
-			sort.Float64s(sojs)
-			rank := int(math.Ceil(0.99*float64(len(sojs)))) - 1
-			if rank < 0 {
-				rank = 0
-			}
-			s.SojournWindows.Add(float64(r.at), sojs[rank])
+		// Windowed sojourn p99 (scenario runs): one point per window that
+		// completed at least one job. Windows ending inside the warm-up
+		// are dropped — the empty-machine ramp's short sojourns would bias
+		// the recovery baseline low, exactly as they would bias
+		// SteadySojourn.
+		if len(g.sojs) > 0 && r.at >= g.cfg.Warmup {
+			s.SojournWindows.Add(float64(r.at), p99(g.sojs))
 		}
 	}
+	for _, m := range g.machines {
+		m.shardSamples = m.shardSamples[:0]
+	}
+}
+
+// p99 sorts xs in place and returns its 99th percentile (nearest rank).
+func p99(xs []float64) float64 {
+	sort.Float64s(xs)
+	return xs[max(int(math.Ceil(0.99*float64(len(xs))))-1, 0)]
 }
 
 // mergeInjSoj folds the shards' injection-keyed raw sojourn buckets
@@ -755,55 +764,43 @@ func (g *shardGroup) mergeInjSoj(s *Stats) {
 		}
 		end := sim.Time(w+1) * g.cfg.SampleInterval * sim.Time(stride)
 		if end <= g.cfg.Warmup {
-			continue
+			continue // the window holds only pre-warm-up injections
 		}
-		sort.Float64s(sojs)
-		rank := int(math.Ceil(0.99*float64(len(sojs)))) - 1
-		if rank < 0 {
-			rank = 0
-		}
-		s.InjSojournWindows.Add(float64(end), sojs[rank])
+		s.InjSojournWindows.Add(float64(end), p99(sojs))
 	}
 }
 
 // replayTrace replays the shards' buffered trace events into the Sink
 // in a thread-schedule-independent total order: by event time, ties by
-// shard, FIFO within one shard's buffer. Runs on the coordinator after
-// the workers have torn down, so the Sink keeps its single-goroutine
-// contract.
+// shard, FIFO within one shard's buffer. Each buffer is already in time
+// order (a shard emits in engine order, and barrier-applied ops emit at
+// the barrier's instant), so the order is a k-way merge. Runs on the
+// coordinator's goroutine — at finalize after the workers have torn
+// down, or mid-run from a one-shard group's emit — so the Sink keeps its
+// single-goroutine contract.
 func (g *shardGroup) replayTrace() {
 	if g.cfg.Trace == nil {
 		return
-	}
-	type tagged struct {
-		ev    trace.Event
-		shard int
-		seq   int
 	}
 	total := 0
 	for _, m := range g.machines {
 		total += len(m.traceBuf)
 	}
-	all := make([]tagged, 0, total)
-	for sh, m := range g.machines {
-		for i, ev := range m.traceBuf {
-			all = append(all, tagged{ev: ev, shard: sh, seq: i})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.ev.At != b.ev.At {
-			return a.ev.At < b.ev.At
-		}
-		if a.shard != b.shard {
-			return a.shard < b.shard
-		}
-		return a.seq < b.seq
-	})
-	if c := g.machines[0].traceCollector; c != nil {
+	if c, ok := g.cfg.Trace.(*trace.Collector); ok {
 		c.Grow(total)
 	}
-	for _, t := range all {
-		g.cfg.Trace.Record(t.ev)
+	next := make([]int, g.k)
+	for ; total > 0; total-- {
+		best := -1
+		for sh, m := range g.machines {
+			if i := next[sh]; i < len(m.traceBuf) && (best < 0 || m.traceBuf[i].At < g.machines[best].traceBuf[next[best]].At) {
+				best = sh
+			}
+		}
+		g.cfg.Trace.Record(g.machines[best].traceBuf[next[best]])
+		next[best]++
+	}
+	for _, m := range g.machines {
+		m.traceBuf = m.traceBuf[:0]
 	}
 }

@@ -88,17 +88,17 @@ func shardFPOf(st *Stats) shardFP {
 	}
 }
 
-// TestShardOneBitForBitSequential pins the protocol's reference case:
-// Shards=1 runs the full windowed shard machinery — windows, barriers,
-// idle fast-forward — and must reproduce the sequential machine bit
-// for bit, across every matrix cell.
+// TestShardOneBitForBitSequential pins the Config.Shards contract that
+// 0 (the default) and 1 are the same one-shard run: no code path may
+// branch on the requested count instead of the effective one, across
+// every matrix cell.
 func TestShardOneBitForBitSequential(t *testing.T) {
 	for _, c := range shardCases() {
 		t.Run(c.name, func(t *testing.T) {
-			seq := shardFPOf(c.run(t, 0, false))
+			zero := shardFPOf(c.run(t, 0, false))
 			one := shardFPOf(c.run(t, 1, false))
-			if !reflect.DeepEqual(seq, one) {
-				t.Fatalf("Shards=1 diverged from sequential:\nseq: %+v\nshd: %+v", seq.fingerprint, one.fingerprint)
+			if !reflect.DeepEqual(zero, one) {
+				t.Fatalf("Shards=1 diverged from Shards=0:\nzero: %+v\none:  %+v", zero.fingerprint, one.fingerprint)
 			}
 		})
 	}
@@ -134,10 +134,10 @@ func TestShardParallelRepeatable(t *testing.T) {
 	}
 }
 
-// TestShardConservationVsSequential checks what K>=2 and sequential
-// runs must still agree on even though same-timestamp event order
-// differs: the workload's size and answer, the job stream, and the
-// internal consistency of the merged per-PE accounting.
+// TestShardConservationVsSequential checks what K>=2 and one-shard runs
+// must still agree on even though same-timestamp event order differs:
+// the workload's size and answer, the job stream, and the internal
+// consistency of the merged per-PE accounting.
 func TestShardConservationVsSequential(t *testing.T) {
 	for _, c := range shardCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -202,21 +202,34 @@ func TestShardClampAndOvershard(t *testing.T) {
 }
 
 // TestShardRejectsSequentialOnly pins the SequentialOnly gate: a
-// strategy declaring global state must refuse to shard, with its
-// reason in the panic.
+// strategy declaring global state runs on one shard (Shards 0 and 1,
+// where that shard owns every PE) and refuses several, with its reason
+// in the panic.
 func TestShardRejectsSequentialOnly(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("sharding a SequentialOnly strategy did not panic")
+	run := func(shards int) *Stats {
+		cfg := DefaultConfig()
+		cfg.Shards = shards
+		return NewStream(topology.NewGrid(3, 3), NewSingleJob(workload.NewFib(5)), globalStrat{}, cfg).Run()
+	}
+	for _, shards := range []int{0, 1} {
+		if st := run(shards); !st.Completed || st.Result != workload.FibValue(5) {
+			t.Fatalf("Shards=%d: SequentialOnly run did not complete correctly: %+v", shards, st)
 		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "global-test reads everything") {
-			t.Fatalf("panic %v does not carry the strategy's reason", r)
-		}
-	}()
-	cfg := DefaultConfig()
-	cfg.Shards = 2
-	NewStream(topology.NewGrid(3, 3), NewSingleJob(workload.NewFib(5)), globalStrat{}, cfg)
+	}
+	for _, shards := range []int{2, 4} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("Shards=%d: sharding a SequentialOnly strategy did not panic", shards)
+				}
+				if msg, ok := r.(string); !ok || !strings.Contains(msg, "global-test reads everything") {
+					t.Fatalf("Shards=%d: panic %v does not carry the strategy's reason", shards, r)
+				}
+			}()
+			run(shards)
+		}()
+	}
 }
 
 type globalStrat struct{ spread }
@@ -224,18 +237,10 @@ type globalStrat struct{ spread }
 func (globalStrat) Name() string           { return "global-test" }
 func (globalStrat) SequentialOnly() string { return "global-test reads everything" }
 
-// TestShardConfigRejections pins validate's incompatibility panics.
+// TestShardConfigRejections pins validate's shard-count panics.
 func TestShardConfigRejections(t *testing.T) {
-	base := func() Config {
-		cfg := DefaultConfig()
-		cfg.Shards = 2
-		return cfg
-	}
 	cases := map[string]Config{}
-	cfg := base()
-	cfg.Pool = &Pool{}
-	cases["pool"] = cfg
-	cfg = base()
+	cfg := DefaultConfig()
 	cfg.Shards = -1
 	cases["negative"] = cfg
 	for name, cfg := range cases {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"cwnsim/internal/sim"
 	"cwnsim/internal/workload"
@@ -213,18 +214,14 @@ type jobState struct {
 
 	// Checkpoint/restart state. progress counts the goals the *current
 	// attempt* has executed — the job's position in its deterministic
-	// tree walk. On a sequential (or one-shard) machine a checkpoint
-	// tick snapshots that position lazily: the first goal executed
-	// after a tick copies progress into ckptProgress and stamps
-	// ckptSeen with the tick's time, so idle jobs record the position
-	// the tick actually saw. On a multi-shard run the coordinator
-	// snapshots every live job eagerly at the tick's window barrier
-	// (see shardGroup.applyOp) — same values, but no cross-shard write
-	// on the execution hot path; progress itself is then bumped with an
-	// atomic add, since several shards can execute one job's goals
-	// inside a window. On a crash retry the durable frontier (the last
-	// snapshot, or the current position when nothing has executed since
-	// the tick) becomes a replay horizon: goals of the retried attempt
+	// tree walk. At each checkpoint tick's window barrier the
+	// coordinator copies every live job's progress into ckptProgress
+	// and stamps ckptSeen with the tick's time (see shardGroup.applyOp)
+	// — no cross-shard write on the execution hot path; progress itself
+	// is bumped with an atomic add, since several shards can execute
+	// one job's goals inside a window. On a crash retry the durable
+	// frontier (the last tick's snapshot; zero for a job injected after
+	// it) becomes a replay horizon: goals of the retried attempt
 	// that start service before replayUntil execute in one time unit
 	// each instead of their full service demand — work before the
 	// frontier is restored, not recomputed. The horizon is virtual
@@ -232,7 +229,7 @@ type jobState struct {
 	// and identical under any shard schedule. progress resets per
 	// attempt; ckptProgress/ckptSeen persist — the snapshot is durable
 	// across the crash.
-	progress     int64
+	progress     atomic.Int64
 	ckptProgress int64
 	ckptSeen     sim.Time
 	replayUntil  sim.Time

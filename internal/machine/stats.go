@@ -40,7 +40,9 @@ type Stats struct {
 	Stalled   bool     //simlint:nomerge outcome: group-level, decided at window barriers
 	Result    int64    //simlint:nomerge outcome: the last completed job's value, chosen by the coordinator
 	Makespan  sim.Time //simlint:nomerge outcome: group virtual time, not a per-shard sum
-	Events    uint64
+	// Events counts the engine events fired across all shards; a
+	// one-shard run also counts each applied scenario op as one.
+	Events uint64
 
 	// Job stream accounting. JobsInjected counts arrivals; JobsDone
 	// counts delivered root responses (fewer than injected when an
@@ -145,7 +147,7 @@ type Stats struct {
 	// lets blackout stragglers echo into post-restore windows; this
 	// keying does not. Computed at finalize; same scenario+sampling
 	// gate as SojournWindows.
-	InjSojournWindows metrics.Series //simlint:nomerge scenario series: shardGroup.finalize re-buckets the shards' raw injection-window buckets to a common stride and computes the pooled percentiles directly, bypassing merge
+	InjSojournWindows metrics.Series //simlint:nomerge scenario series: shardGroup.mergeInjSoj re-buckets the shards' raw injection-window buckets to a common stride and computes the pooled percentiles directly, bypassing merge
 }
 
 func newStats(topo *topology.Topology, workloadName, stratName string) *Stats {
@@ -203,10 +205,10 @@ func (s *Stats) merge(o *Stats) {
 	}
 	s.QueueDelay.Merge(&o.QueueDelay)
 	// The sampling series/monitor — and, on scenario runs, the windowed
-	// sojourn series — are folded from deferred per-shard partials by
-	// shardGroup.mergeSamples / shardGroup.finalize after this merge (the
-	// per-shard Stats copies hold no series points on multi-shard runs);
-	// the crash/scenario counters merge here.
+	// sojourn series — are folded from per-shard partials straight into
+	// shard 0's Stats by shardGroup.mergeSamples / mergeInjSoj (the other
+	// shards' Stats hold no series points); the crash/scenario counters
+	// merge here.
 	s.GoalsRequeued += o.GoalsRequeued
 	s.ServiceAborts += o.ServiceAborts
 	s.RootRedirects += o.RootRedirects

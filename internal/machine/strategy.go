@@ -95,9 +95,10 @@ type NodeStrategy interface {
 
 // SequentialOnly marks strategies whose nodes read global machine state
 // — the Ideal oracle inspects every PE's true queue length on each
-// placement. Such reads are fine on the sequential machine but are
-// cross-shard data races on a sharded one, where remote PEs advance on
-// other goroutines; NewStream refuses to shard them.
+// placement. Such reads are fine on a one-shard run, whose single shard
+// owns every PE, but are cross-shard data races on several shards,
+// where remote PEs advance on other goroutines; NewStream refuses to
+// run them on more than one shard.
 type SequentialOnly interface {
 	Strategy
 	// SequentialOnly documents why sharding is impossible.

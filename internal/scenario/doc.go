@@ -121,7 +121,7 @@
 // echo into post-restore windows as they straggle home) and
 // injection-time windows (Stats.InjSojournWindows, isolating what
 // newly arriving jobs experienced); runs report both. Both keyings,
-// and the rest of the scenario accounting, fold through the sharded
-// merge path: a scripted run under Config.Shards reports the same
-// recovery metrics surface as a sequential one.
+// and the rest of the scenario accounting, fold through the shard
+// merge path: a scripted run reports the same recovery metrics surface
+// at any Config.Shards count.
 package scenario

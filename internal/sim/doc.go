@@ -18,39 +18,27 @@
 // generators derived from the same seed, so turning a workload stream or
 // a monitor on or off never perturbs the system's tie-break draws.
 //
-// # Schedulers
+// # Scheduler
 //
-// The pending-event set is selectable (NewEngineSched, SchedulerKind);
-// both implementations fire events in identical (time, sequence) order
-// — a run's results are bit-for-bit the same under either — so the
-// choice is purely a cost profile:
-//
-//   - SchedWheel (the default): a two-tier scheduler. Tier one is a
-//     rotating bucket wheel — 2048 slots, one per unit of virtual time,
-//     covering the window [now, now+2048). Integral time plus a window
-//     equal to the slot count means each slot holds exactly one
-//     timestamp, so ordering within a slot is a doubly-linked FIFO
-//     appended in seq order: push and pop are O(1) pointer moves with no
-//     comparisons. Tier two is an overflow min-heap for events beyond
-//     the window; it drains into the wheel as the window advances, in
-//     (time, seq) order, into slots that are necessarily still empty —
-//     which is what preserves exact heap-equivalent ordering across the
-//     tier boundary. The wheel wins wherever events are dense in time
-//     relative to the window — Timer re-arm traffic (service
-//     completions, tickers, arrival pumps) and control-heavy machines
-//     with thousands of resident timers: 1.8-3.4x the heap's events/sec
-//     across the whole perf-ledger matrix (sched-two-tier section). Its
-//     costs are 32KB of standing slot memory per engine and one nil
-//     check per empty slot stepped over.
-//   - SchedHeap: a hand-rolled indexed binary heap ([]*Event with each
-//     Event carrying its heap position), avoiding container/heap's
-//     interface boxing and enabling O(log n) removal. No window to
-//     maintain and no standing memory; wins only when events are
-//     extremely sparse per unit of virtual time. It remains the wheel's
-//     overflow tier and stays selectable (heap-arity precedent) for
-//     re-measurement — the A/B re-runs live on every cmd/bench
-//     regeneration, and CI's bench smoke cross-checks that both
-//     schedulers still agree on every result.
+// The pending-event set is a two-tier scheduler. Tier one is a rotating
+// bucket wheel — 2048 slots, one per unit of virtual time, covering the
+// window [now, now+2048). Integral time plus a window equal to the slot
+// count means each slot holds exactly one timestamp, so ordering within
+// a slot is a doubly-linked FIFO appended in seq order: push and pop are
+// O(1) pointer moves with no comparisons. Tier two is an overflow
+// min-heap for events beyond the window; it drains into the wheel as the
+// window advances, in (time, seq) order, into slots that are necessarily
+// still empty — which is what preserves exact heap-equivalent ordering
+// across the tier boundary (TestSchedulerEquivalence fires one random
+// cascade through the wheel and through a plain binary heap and demands
+// identical logs). The wheel wins wherever events are dense in time
+// relative to the window — Timer re-arm traffic (service completions,
+// tickers, arrival pumps) and control-heavy machines with thousands of
+// resident timers: it measured 1.8-3.7x a standing binary heap's
+// events/sec on every perf-ledger case, so the heap was retired as a
+// selectable scheduler and survives only as the overflow tier. Its
+// costs are 32KB of standing slot memory per engine and one nil check
+// per empty slot stepped over.
 //
 // # Performance model
 //
@@ -73,12 +61,13 @@
 // sequential computation over virtual time, with no locks on the hot
 // path. Parallelism lives one level up, in two forms. The experiment
 // harness runs many independent simulations on separate goroutines.
-// And one large simulation can be sharded (machine.Config.Shards): K
-// engines each own a slice of the machine and advance in lockstep
-// through bounded windows via RunUntil(deadline) — fire everything due
-// by the deadline, report whether live events remain — with
-// NextEventAt letting the coordinator fast-forward over windows no
-// engine has events in. Windowed stepping is exact: any partition of a
+// And every machine is a group of K >= 1 engines
+// (machine.Config.Shards), each owning a slice of the machine and
+// advancing in lockstep through bounded windows via RunUntil(deadline)
+// — fire everything due by the deadline, report whether live events
+// remain — with NextEventAt letting the coordinator fast-forward over
+// windows no engine has events in, and AdvanceTo parking every engine
+// on a scripted scenario op's instant. Windowed stepping is exact: any partition of a
 // run into RunUntil calls fires the same events in the same order as
 // one call, so the window protocol adds synchronization points, never
 // reordering. Cross-engine sends are injected between windows via

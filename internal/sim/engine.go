@@ -26,12 +26,12 @@ type Event struct {
 	act      Action
 	canceled bool
 	pooled   bool // owned by the engine free list; recycled after firing
-	// index locates the event inside its scheduler: a position >= 0 in
-	// the overflow/standing heap, idxWheel while chained in a wheel
-	// slot, idxIdle when not scheduled.
+	// index locates the event inside the scheduler: a position >= 0 in
+	// the overflow heap, idxWheel while chained in a wheel slot, idxIdle
+	// when not scheduled.
 	index int
-	// next/prev chain the event into a wheel slot's FIFO (two-tier
-	// scheduler only; nil under the heap scheduler).
+	// next/prev chain the event into a wheel slot's FIFO (nil while in
+	// the overflow heap).
 	next, prev *Event
 }
 
@@ -70,59 +70,13 @@ func (ev *Event) Cancel() {
 // Canceled reports whether Cancel was called.
 func (ev *Event) Canceled() bool { return ev.canceled }
 
-// SchedulerKind selects the engine's pending-event structure. Both
-// implementations order events identically — by (time, insertion
-// sequence) — so the choice affects only performance: equal seeds yield
-// bit-for-bit identical simulations under either scheduler (pinned by
-// cross-check tests). The A/B lives in the perf ledger's sched-two-tier
-// section; re-measure with cmd/bench before changing the default.
-type SchedulerKind uint8
-
-const (
-	// SchedWheel is the two-tier scheduler: a rotating near-future
-	// bucket wheel (O(1) amortized push/pop for events within wheelSpan
-	// of the clock) backed by an overflow heap for far-future events
-	// that drains into the wheel as time advances. The default (and the
-	// zero value): it measured 1.8-3.4x the heap's events/sec across
-	// the whole ledger matrix — see the sched-two-tier section.
-	SchedWheel SchedulerKind = iota
-	// SchedHeap is the indexed binary min-heap: O(log n) per operation,
-	// no window assumptions, no standing slot memory. Kept selectable
-	// for re-measurement and for workloads sparse enough in time that
-	// stepping empty wheel slots could dominate.
-	SchedHeap
-)
-
-func (k SchedulerKind) String() string {
-	switch k {
-	case SchedHeap:
-		return "heap"
-	case SchedWheel:
-		return "wheel"
-	default:
-		return fmt.Sprintf("SchedulerKind(%d)", uint8(k))
-	}
-}
-
-// scheduler is the pending-event set. Implementations must return
-// events in (at, seq) order from pop/peek; pop may surface cancelled
-// events (the engine skips them), peek must not.
-type scheduler interface {
-	push(ev *Event)
-	pop() *Event
-	peek() *Event
-	remove(ev *Event)
-	size() int
-}
-
 // Engine is a discrete-event simulator instance.
 //
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
 	now       Time
 	seq       uint64
-	sched     scheduler
-	kind      SchedulerKind
+	sched     *wheelSched
 	free      []*Event // recycled pooled events (ScheduleAction/AtAction)
 	chunk     []Event  // arena tail: pooled events are carved from here on free-list miss
 	rng       *rand.Rand
@@ -132,35 +86,14 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the clock at zero whose random stream
-// is derived from seed, using the default (two-tier wheel) scheduler.
-// Equal seeds yield byte-identical simulations.
+// is derived from seed. Equal seeds yield byte-identical simulations.
 func NewEngine(seed int64) *Engine {
-	return NewEngineSched(seed, SchedWheel)
-}
-
-// NewEngineSched is NewEngine with an explicit scheduler selection.
-// Event ordering — and therefore every simulation result — is identical
-// across kinds; only the cost profile differs.
-func NewEngineSched(seed int64, kind SchedulerKind) *Engine {
-	var sched scheduler
-	switch kind {
-	case SchedHeap:
-		sched = &eventHeap{}
-	case SchedWheel:
-		sched = newWheelSched()
-	default:
-		panic(fmt.Sprintf("sim: unknown scheduler kind %d", kind))
-	}
 	return &Engine{
-		sched: sched,
-		kind:  kind,
+		sched: newWheelSched(),
 		rng:   rand.New(rand.NewSource(seed)),
 		seed:  seed,
 	}
 }
-
-// Scheduler returns the engine's scheduler kind.
-func (e *Engine) Scheduler() SchedulerKind { return e.kind }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -246,8 +179,7 @@ func (e *Engine) AtAction(t Time, a Action) {
 
 // recycle returns a pooled event to the free list. The scheduler has
 // already unlinked the event (next/prev are nil after a wheel pop), but
-// they are re-zeroed here so the free list never pins a dead chain
-// regardless of scheduler.
+// they are re-zeroed here so the free list never pins a dead chain.
 //
 //simlint:free
 func (e *Engine) recycle(ev *Event) {
@@ -329,12 +261,10 @@ func (e *Engine) RunUntil(deadline Time) bool {
 
 // AdvanceTo moves the clock forward to t without firing anything. It
 // panics on a rewind or when an event strictly earlier than t is still
-// pending — advancing past it would fire it in the past. The sharded
-// machine's coordinator uses this at window barriers to park every
-// quiescent shard exactly on a scenario op's scripted instant before
-// applying the op, reproducing the sequential engine's ordering (ops
-// are scheduled at construction, so they fire before the machine
-// events sharing their timestamp).
+// pending — advancing past it would fire it in the past. The machine's
+// shard coordinator uses this at window barriers to park every
+// quiescent shard exactly on a scenario op's scripted instant, then
+// applies the op before the machine events sharing its timestamp.
 func (e *Engine) AdvanceTo(t Time) {
 	if t < e.now {
 		panic("sim: AdvanceTo would rewind the clock")
@@ -347,7 +277,7 @@ func (e *Engine) AdvanceTo(t Time) {
 
 // NextEventAt returns the timestamp of the earliest pending live
 // (uncancelled) event; ok is false when nothing is pending or the
-// engine is stopped. Windowed drivers (the sharded machine's
+// engine is stopped. Windowed drivers (the machine's
 // conservative-lookahead loop) use it to fast-forward across windows
 // no shard has work in.
 func (e *Engine) NextEventAt() (t Time, ok bool) {

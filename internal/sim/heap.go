@@ -3,9 +3,9 @@ package sim
 // eventHeap is a min-heap of events ordered by (at, seq). It is
 // hand-rolled rather than built on container/heap to avoid interface
 // boxing on the hot path: a full comparison run of the paper's suite pops
-// a few hundred million events. Since PR 5 it serves two roles: the
-// selectable standing scheduler (SchedHeap) and the far-future overflow
-// tier of the default two-tier wheel (wheel.go).
+// a few hundred million events. It is the far-future overflow tier of
+// the engine's two-tier wheel (wheel.go), and the ordering reference
+// the wheel is tested against (TestSchedulerEquivalence).
 //
 // The branching factor is a parameter because the obvious d-ary-heap
 // optimization was tried and rejected: arity 4 halves the tree depth
@@ -41,19 +41,6 @@ func (h *eventHeap) push(ev *Event) {
 	h.up(ev.index)
 }
 
-// peek returns the next live event without removing it, discarding any
-// cancelled events encountered at the top.
-func (h *eventHeap) peek() *Event {
-	for len(*h) > 0 {
-		top := (*h)[0]
-		if !top.canceled {
-			return top
-		}
-		h.popTop()
-	}
-	return nil
-}
-
 // pop removes and returns the earliest event, or nil if empty. Cancelled
 // events may be returned; the engine skips them.
 func (h *eventHeap) pop() *Event {
@@ -77,19 +64,9 @@ func (h *eventHeap) popTop() *Event {
 	return top
 }
 
-// remove deletes a scheduled event in O(log n) using the index field
-// events carry. Timer.Stop uses it (via the scheduler interface) so a
-// stopped timer leaves no cancelled tombstone behind and can re-arm its
-// one Event at once.
-func (h *eventHeap) remove(ev *Event) {
-	h.removeAt(ev.index)
-}
-
-// size reports the number of scheduled events (cancelled included).
-func (h *eventHeap) size() int { return len(*h) }
-
 // removeAt deletes the event at heap position i in O(log n) using the
-// index field events carry.
+// index field events carry — how Timer.Stop unlinks an overflow event,
+// so a stopped timer leaves no cancelled tombstone behind.
 func (h *eventHeap) removeAt(i int) {
 	old := *h
 	n := len(old)

@@ -7,14 +7,22 @@ import (
 	"testing"
 )
 
-// driveRandom runs a self-expanding random event cascade on the given
-// scheduler and returns the firing log. All randomness flows from one
-// seeded source whose draws happen in firing order, so two schedulers
-// produce identical logs if and only if they fire events in the same
-// order — any ordering divergence derails the cascade immediately.
-func driveRandom(kind SchedulerKind, seed int64) []string {
-	e := NewEngineSched(1, kind)
+// pendingSet is the push/pop surface shared by the wheel and the
+// overflow heap, so one driver can fire the same cascade through either.
+type pendingSet interface {
+	push(ev *Event)
+	pop() *Event
+}
+
+// driveRandom runs a self-expanding random event cascade through the
+// given pending set and returns the firing log. All randomness flows
+// from one seeded source whose draws happen in firing order, so two
+// sets produce identical logs if and only if they fire events in the
+// same order — any ordering divergence derails the cascade immediately.
+func driveRandom(q pendingSet, seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
+	var now Time
+	var seq uint64
 	var log []string
 	var id int
 	var spawn func(depth int)
@@ -39,10 +47,12 @@ func driveRandom(kind SchedulerKind, seed int64) []string {
 			case 5:
 				delay = 3*wheelSpan + Time(rng.Intn(2000)) // deep overflow
 			}
-			ev := e.Schedule(delay, func() {
-				log = append(log, fmt.Sprintf("%d@%d", myID, e.Now()))
+			ev := &Event{at: now + delay, seq: seq, index: idxIdle, fn: func() {
+				log = append(log, fmt.Sprintf("%d@%d", myID, now))
 				spawn(depth + 1)
-			})
+			}}
+			seq++
+			q.push(ev)
 			// The root burst is never cancelled so every cascade fires.
 			if rng.Intn(10) == 0 && depth > 0 {
 				ev.Cancel()
@@ -50,17 +60,24 @@ func driveRandom(kind SchedulerKind, seed int64) []string {
 		}
 	}
 	spawn(0)
-	e.Run()
+	for ev := q.pop(); ev != nil; ev = q.pop() {
+		if ev.canceled {
+			continue
+		}
+		now = ev.at
+		ev.fn()
+	}
 	return log
 }
 
-// TestSchedulerEquivalence pins the tentpole guarantee: the two-tier
-// wheel fires events in exactly the heap's (at, seq) order, across
-// same-timestamp ties, wheel wraps, overflow drains and cancellations.
+// TestSchedulerEquivalence pins the wheel's ordering guarantee against
+// its reference: the two-tier wheel fires events in exactly a binary
+// heap's (at, seq) order, across same-timestamp ties, wheel wraps,
+// overflow drains and cancellations.
 func TestSchedulerEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		heapLog := driveRandom(SchedHeap, seed)
-		wheelLog := driveRandom(SchedWheel, seed)
+		heapLog := driveRandom(&eventHeap{}, seed)
+		wheelLog := driveRandom(newWheelSched(), seed)
 		if len(heapLog) == 0 {
 			t.Fatalf("seed %d: empty cascade", seed)
 		}
@@ -81,7 +98,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 // firing order must be scheduling order (seq FIFO), including for the
 // timestamps that reuse slots already wrapped past.
 func TestWheelSameTimestampFIFOAcrossWrap(t *testing.T) {
-	e := NewEngineSched(1, SchedWheel)
+	e := NewEngine(1)
 	var fired []int
 	id := 0
 	for rev := 0; rev < 3; rev++ {
@@ -107,7 +124,7 @@ func TestWheelSameTimestampFIFOAcrossWrap(t *testing.T) {
 // event pushed directly into the wheel later (larger seq), because the
 // drain lands it in the slot first.
 func TestWheelHeapToWheelDrainOrder(t *testing.T) {
-	e := NewEngineSched(1, SchedWheel)
+	e := NewEngine(1)
 	target := 2*wheelSpan + 13
 	var fired []string
 	// Scheduled at t=0: beyond the window, so it parks in the overflow.
@@ -129,7 +146,7 @@ func TestWheelHeapToWheelDrainOrder(t *testing.T) {
 // parked in the overflow heap must disarm cleanly and re-arm its one
 // embedded Event without disturbing other events.
 func TestWheelTimerStopRecycle(t *testing.T) {
-	e := NewEngineSched(1, SchedWheel)
+	e := NewEngine(1)
 	var fired []string
 	tm := NewTimer(e, func() { fired = append(fired, fmt.Sprintf("timer@%d", e.Now())) })
 
@@ -165,7 +182,7 @@ func TestWheelTimerStopRecycle(t *testing.T) {
 // wheel: RunUntil reports whether live events remain pending, and the
 // clock lands on the deadline when it stops short of them.
 func TestWheelRunUntilTruthful(t *testing.T) {
-	e := NewEngineSched(1, SchedWheel)
+	e := NewEngine(1)
 	var fired int
 	e.At(10, func() { fired++ })
 	e.At(3*wheelSpan, func() { fired++ })
@@ -195,7 +212,7 @@ func TestWheelRunUntilTruthful(t *testing.T) {
 // (evicting chained events the narrower horizon cannot cover) and
 // preserve global ordering.
 func TestWheelRewindAfterRunUntil(t *testing.T) {
-	e := NewEngineSched(1, SchedWheel)
+	e := NewEngine(1)
 	var fired []string
 	// A lands beyond the initial window (overflow), B even further.
 	e.At(3000, func() { fired = append(fired, "A") })
@@ -219,7 +236,7 @@ func TestWheelRewindAfterRunUntil(t *testing.T) {
 // TestWheelPendingCount checks size accounting across both tiers and
 // through drains.
 func TestWheelPendingCount(t *testing.T) {
-	e := NewEngineSched(1, SchedWheel)
+	e := NewEngine(1)
 	for i := 0; i < 5; i++ {
 		e.At(Time(i), func() {})
 	}

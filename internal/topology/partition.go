@@ -46,6 +46,9 @@ func (t *Topology) Partition(shards int) Partition {
 	for i := t.n - 1; i >= 0; i-- {
 		p.Starts[p.Assign[i]] = i
 	}
+	if shards == 1 {
+		return p // one shard: no channel can cross a boundary
+	}
 	// Scan channels in ascending ID order on either form — the Cross
 	// list comes out identical for a materialized and an implicit build
 	// of the same network (pinned by TestImplicitMatchesMaterialized).

@@ -71,9 +71,8 @@ func (s *Span) end() sim.Time {
 // Spans folds the flat event stream into per-goal spans — the causal
 // view of a run. It implements Sink; attach it as Config.Trace (or one
 // arm of a Multi), then query the spans or export them with
-// WritePerfetto. Like every sink it sees events on one goroutine only:
-// live on sequential runs, replayed in merged order at finalize on
-// sharded ones.
+// WritePerfetto. Like every sink it sees events on one goroutine only,
+// replayed in merged order at the run's finalize.
 type Spans struct {
 	byGoal map[int64]*Span
 	maxPE  int
@@ -121,9 +120,8 @@ func (sp *Spans) Len() int { return len(sp.byGoal) }
 // Span returns goal id's span, or nil.
 func (sp *Spans) Span(id int64) *Span { return sp.byGoal[id] }
 
-// All returns every span ordered by goal ID — a deterministic order for
-// both the sequential machine (IDs mint sequentially) and sharded runs
-// (IDs band per shard).
+// All returns every span ordered by goal ID — a deterministic order at
+// any shard count (IDs mint sequentially within per-shard bands).
 func (sp *Spans) All() []*Span {
 	out := make([]*Span, 0, len(sp.byGoal))
 	for _, s := range sp.byGoal {

@@ -8,23 +8,23 @@
 //
 // # Sharded runs
 //
-// Tracing and monitoring are shard-safe. A sharded machine
-// (machine.Config.Shards) does not stream events to the Sink live —
-// shards run on their own goroutines, and a live interleaving would
-// depend on the thread schedule. Instead each shard appends its events
-// to a private buffer in its own deterministic engine order, and the
-// coordinator replays the union into the Sink at finalize, totally
-// ordered by (At, shard, within-shard sequence). Record therefore runs
-// on one goroutine always: on the simulation hot path sequentially, or
-// on the coordinator after the shards have torn down. One shard
-// reproduces the sequential machine's Record call sequence bit for
-// bit; K >= 2 shards conserve per-kind event counts against the
-// sequential run but order same-timestamp cross-shard events
-// differently and route goals along different walks (GoalSent counts
-// are placement-dependent, so only the placement-independent kinds are
-// conserved). Monitor frames merge the same way: every shard samples
-// its own PE block at globally synchronized instants and the
-// coordinator concatenates the blocks into full-machine frames.
+// Tracing and monitoring are shard-safe. The machine (every run is a
+// group of machine.Config.Shards shards) does not stream events to the
+// Sink live — several shards run on their own goroutines, and a live
+// interleaving would depend on the thread schedule. Instead each shard
+// appends its events to a private buffer in its own deterministic
+// engine order, and the coordinator replays the union into the Sink at
+// finalize, totally ordered by (At, shard, within-shard sequence).
+// Record therefore always runs on one goroutine: the coordinator's,
+// after the shards have torn down (a one-shard run, whose buffer is
+// already in order, replays it a chunk at a time). K >= 2 shards
+// conserve per-kind event counts against the one-shard run but order
+// same-timestamp cross-shard events differently and route goals along
+// different walks (GoalSent counts are placement-dependent, so only the
+// placement-independent kinds are conserved). Monitor frames merge the
+// same way: every shard samples its own PE block at globally
+// synchronized instants and the coordinator concatenates the blocks
+// into full-machine frames.
 //
 // # Span export
 //
@@ -118,13 +118,14 @@ func (c *Collector) Record(ev Event) { c.Events = append(c.Events, ev) }
 
 // Grow pre-sizes the collector for at least n more events, so a long
 // traced run appends into reserved capacity instead of re-doubling the
-// event slice as it grows. The machine calls it per injected job with a
-// goal-count-derived hint; n <= 0 is a no-op.
+// event slice as it grows. The machine calls it before each replay of
+// buffered events with the replay's size; capacity at least doubles, so
+// repeated calls stay amortized O(1) per event. n <= 0 is a no-op.
 func (c *Collector) Grow(n int) {
 	if n <= 0 || cap(c.Events)-len(c.Events) >= n {
 		return
 	}
-	grown := make([]Event, len(c.Events), len(c.Events)+n)
+	grown := make([]Event, len(c.Events), max(len(c.Events)+n, 2*cap(c.Events)))
 	copy(grown, c.Events)
 	c.Events = grown
 }
