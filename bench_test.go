@@ -9,6 +9,7 @@ package cwnsim_test
 // straight from benchmark output.
 
 import (
+	"runtime"
 	"testing"
 
 	"cwnsim/internal/experiments"
@@ -36,24 +37,96 @@ func benchSpecs(b *testing.B, specs []experiments.RunSpec) {
 	b.ReportMetric(util, "util%")
 }
 
-// BenchmarkLedger runs the pinned closed+open benchmark matrix behind
-// the perf ledger (BENCH_PR2.json; regenerate with `go run ./cmd/bench`).
-// Allocations are reported because the ledger tracks allocs/op across
-// PRs; events/sec is the simulator's headline throughput figure.
-func BenchmarkLedger(b *testing.B) {
-	for _, c := range experiments.BenchMatrix() {
-		c := c
-		b.Run(c.Name, func(b *testing.B) {
+// BenchmarkScale runs the memory-scale specs and reports each run's
+// OS-backed heap (HeapSys - HeapReleased) as peak-heap-MiB. The two
+// million-PE cases fail at 2 GiB: the arena + struct-of-arrays layout
+// and implicit topologies exist to keep a 10^6-PE machine, with or
+// without the sharded fault stack, inside that budget. The reading is
+// the process's heap high-water, not a per-case delta, so select one
+// case (-bench Scale/NAME) to read it alone, and add -memprofile to see
+// where its bytes go.
+func BenchmarkScale(b *testing.B) {
+	const peakBudget = 2 << 30
+	for _, c := range []struct {
+		name  string
+		gated bool
+		spec  experiments.RunSpec
+	}{
+		{
+			// One million PEs on an implicit torus (auto-promoted past
+			// the 65536-PE threshold) under a sustained Poisson stream
+			// over a short horizon; the per-PE load tickers sweeping the
+			// struct-of-arrays hot state dominate.
+			name: "poisson-torus1000", gated: true,
+			spec: experiments.RunSpec{
+				Topo:     experiments.Torus(1000),
+				Workload: experiments.Fib(9),
+				Strategy: experiments.CWN(9, 2),
+				Arrival:  experiments.PoissonArrivals(20, 15),
+				Warmup:   100,
+				MaxTime:  300,
+			},
+		},
+		{
+			// The same machine with the full fault stack live under
+			// Shards=4: block-domain crash strikes (250x250 blocks, sized
+			// to land on the active region around the root PE), periodic
+			// checkpoint ticks and a bounded retry budget, with the seed
+			// pinned to a timeline that completes, aborts, retries from
+			// checkpoints and abandons jobs. Fault bookkeeping and the
+			// sentinel-broadcast storm a 62,500-PE crash sets off must
+			// not break the memory budget.
+			name: "chaos-torus1000-sharded-soak", gated: true,
+			spec: experiments.RunSpec{
+				Topo:         experiments.Torus(1000),
+				Workload:     experiments.Fib(9),
+				Strategy:     experiments.StrategySpec{Kind: "cwn", Radius: 9, Horizon: 2, FailureAware: true},
+				Arrival:      experiments.PoissonArrivals(20, 25),
+				Warmup:       100,
+				MaxTime:      600,
+				Scenario:     "chaos:mtbf=60:mttr=40:crash:domain=block:250x250@seed=7,checkpoint:every=50:cost=1@t=0",
+				RetryLimit:   2,
+				RetryBackoff: 20,
+				Shards:       4,
+			},
+		},
+		{
+			// The long-horizon soak: 10k PEs under chaos fail/recover
+			// cycles for 60k virtual units — enough recycle generations
+			// that an arena slot handed out twice, a stale SoA index or
+			// a leaked free-list entry surfaces as a failed or drifting
+			// run rather than hiding inside a short one.
+			name: "chaos-torus100-soak",
+			spec: experiments.RunSpec{
+				Topo:     experiments.Torus(100),
+				Workload: experiments.Fib(9),
+				Strategy: experiments.StrategySpec{Kind: "cwn", Radius: 5, Horizon: 2, FailureAware: true},
+				Arrival:  experiments.PoissonArrivals(40, 1_200),
+				Warmup:   2_000,
+				MaxTime:  60_000,
+				Scenario: "chaos:mtbf=6000:mttr=1500@seed=7",
+			},
+		},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			c.spec.Topo.Build()
+			c.spec.Workload.Build()
 			b.ReportAllocs()
-			var events uint64
+			b.ResetTimer()
+			var peak uint64
+			var ms runtime.MemStats
 			for i := 0; i < b.N; i++ {
-				r, err := c.Spec.ExecuteErr()
-				if err != nil {
+				if _, err := c.spec.ExecuteErr(); err != nil {
 					b.Fatal(err)
 				}
-				events = r.Stats.Events
+				runtime.ReadMemStats(&ms)
+				peak = max(peak, ms.HeapSys-ms.HeapReleased)
 			}
-			b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+			mib := float64(peak) / (1 << 20)
+			b.ReportMetric(mib, "peak-heap-MiB")
+			if c.gated && peak >= peakBudget {
+				b.Fatalf("peak heap %.1f MiB — a million-PE machine must fit in 2 GiB", mib)
+			}
 		})
 	}
 }

@@ -65,18 +65,18 @@
 // collapses latency samples into a fixed-memory streaming histogram,
 // and Config.TrackGoalDetail gates the per-goal hop/queue-delay
 // bookkeeping off for sweeps that only read latency and throughput.
-// The committed perf ledger BENCH_PR3.json (regenerate with `go run
-// ./cmd/bench`) pins ns/op, allocs/op and events/sec for a fixed
-// closed+open matrix against the frozen pre-optimization baseline,
-// and records one-off A/B decisions such as the rejected 4-ary engine
-// heap.
+// The repository benchmark is perfbench (`bash perfbench/run.sh`): four
+// named workloads measured in cold passes, with wall time, events/sec,
+// setup time and peak RSS end to end, per-layer attribution, and every
+// run's results checked against pinned digests. The BENCH_PR*.json
+// files are the earlier per-PR ledgers, kept as history.
 //
 // Executables: cmd/lbsim (single runs), cmd/paper (regenerate every
 // table and figure), cmd/optimize (the Table 1 parameter sweeps),
 // cmd/sweep (ad-hoc batches), cmd/validate (the paper's claims as
-// checks), cmd/serve (arrival-rate versus tail-latency sweeps for the
-// open system), and cmd/bench (the performance ledger). The benchmarks
-// in bench_test.go regenerate each table/figure at reduced scale and
-// report achieved speedup/utilization as custom benchmark metrics;
-// BenchmarkLedger tracks the allocation and event-throughput figures.
+// checks), and cmd/serve (arrival-rate versus tail-latency sweeps for
+// the open system). The benchmarks in bench_test.go regenerate each
+// table/figure at reduced scale and report achieved speedup/utilization
+// as custom benchmark metrics; BenchmarkScale runs the memory-scale
+// specs and fails if a million-PE machine outgrows its 2 GiB heap.
 package cwnsim

@@ -47,9 +47,7 @@ type thresholdNode struct {
 // below the threshold and pushes the goal there (or to the last probe).
 // Transferred goals are accepted unconditionally (one-hop transfers
 // only, like the Gradient Model's); everything else — control payloads,
-// environment notifications — is ignored. (A strategy written against
-// the pre-event three-method shape still runs via machine.AdaptNode /
-// machine.Adapt.)
+// environment notifications — is ignored.
 func (n *thresholdNode) HandleEvent(ev machine.Event) {
 	switch ev.Kind {
 	case machine.GoalCreated:

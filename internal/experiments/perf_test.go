@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"math"
+	"runtime"
 	"testing"
+
+	"cwnsim/internal/machine"
 )
 
 // TestHotPathAllocationBudget guards the PR 2 pooled paths end to end:
@@ -111,5 +114,44 @@ func TestLargeGridPoissonSmoke(t *testing.T) {
 	}
 	if st.Events < 1_000_000 {
 		t.Fatalf("only %d events — the large grid did not actually run at scale", st.Events)
+	}
+}
+
+// TestConstructionBudget holds machine construction to its per-PE
+// memory budget on a 262,144-PE torus (auto-promoted to the implicit
+// topology). The struct-of-arrays layout measures ~1090 B/PE and 4
+// allocations/PE (the load-broadcast closure, the ticker-fire and
+// serviceDone method values, and the strategy's per-PE node); the
+// budgets carry ~50% headroom so noise cannot trip them but one
+// accidental per-PE allocation — a map, a slice that escaped the flat
+// backings — does. Guarded by -short like TestLargeGridPoissonSmoke.
+func TestConstructionBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping 262,144-PE construction in -short mode")
+	}
+	const (
+		budgetBytesPerPE  = 1600
+		budgetAllocsPerPE = 6.0
+	)
+	ts := Torus(512)
+	topo, tree, strat := ts.Build(), Fib(9).Build(), CWN(9, 2).Build()
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	mach := machine.New(topo, tree, strat, machine.DefaultConfig())
+	// A GC fence before the second read: bytes/PE is the machine the run
+	// retains, not construction garbage (append-growth copies of the
+	// flat adjacency backings). The machine must stay live past the
+	// read, or the fence frees it and the delta reads zero.
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	runtime.KeepAlive(mach)
+	pes := float64(ts.PEs())
+	bytesPerPE := float64(m1.HeapAlloc-m0.HeapAlloc) / pes
+	allocsPerPE := float64(m1.Mallocs-m0.Mallocs) / pes
+	t.Logf("%d PEs: %.0f B/PE, %.3f allocs/PE", ts.PEs(), bytesPerPE, allocsPerPE)
+	if bytesPerPE > budgetBytesPerPE || allocsPerPE > budgetAllocsPerPE {
+		t.Fatalf("construction regressed: %.0f B/PE, %.3f allocs/PE (budget %d B/PE, %.1f allocs/PE)",
+			bytesPerPE, allocsPerPE, budgetBytesPerPE, budgetAllocsPerPE)
 	}
 }

@@ -132,14 +132,12 @@ type droppingStrategy struct{}
 func (droppingStrategy) Name() string           { return "dropper" }
 func (droppingStrategy) Setup(*machine.Machine) {}
 func (droppingStrategy) NewNode(*machine.PE) machine.NodeStrategy {
-	return machine.AdaptNode(dropperNode{})
+	return dropperNode{}
 }
 
 type dropperNode struct{}
 
-func (dropperNode) PlaceNewGoal(*machine.Goal)     {}
-func (dropperNode) GoalArrived(*machine.Goal, int) {}
-func (dropperNode) Control(int, any)               {}
+func (dropperNode) HandleEvent(machine.Event) {}
 
 func TestStalledStreamIsAnError(t *testing.T) {
 	RegisterStrategy("stub-dropper", func(StrategySpec) machine.Strategy { return droppingStrategy{} })
@@ -214,14 +212,17 @@ func (s stubStrategy) Setup(*machine.Machine) {
 	}
 }
 func (s stubStrategy) NewNode(pe *machine.PE) machine.NodeStrategy {
-	return machine.AdaptNode(stubNode{pe})
+	return stubNode{pe}
 }
 
 type stubNode struct{ pe *machine.PE }
 
-func (n stubNode) PlaceNewGoal(g *machine.Goal)       { n.pe.Accept(g) }
-func (n stubNode) GoalArrived(g *machine.Goal, _ int) { n.pe.Accept(g) }
-func (n stubNode) Control(int, any)                   {}
+func (n stubNode) HandleEvent(ev machine.Event) {
+	switch ev.Kind {
+	case machine.GoalCreated, machine.GoalArrived:
+		n.pe.Accept(ev.Goal)
+	}
+}
 
 func TestRegistriesArePluggable(t *testing.T) {
 	RegisterStrategy("stub-test", func(ss StrategySpec) machine.Strategy {

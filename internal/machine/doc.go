@@ -52,10 +52,7 @@
 // Environment delivery is strictly opt-in through the FailureAware/
 // SpeedAware/LoadAware capability interfaces, resolved once per node at
 // construction: strategies that ignore the environment behave — and
-// cost — exactly as a sentinel-only implementation. Code written
-// against the pre-event three-method shape (ClassicNodeStrategy) keeps
-// working through AdaptNode/Adapt, bit-for-bit (pinned by regression
-// test).
+// cost — exactly as a sentinel-only implementation.
 //
 // A PE's "load" is the number of messages waiting in its ready queue —
 // the paper's measure — optionally augmented with the count of tasks
@@ -120,10 +117,10 @@
 //
 // # Memory layout
 //
-// The layout is built for million-PE machines (the ledger's
-// open/poisson-torus1000 case runs 1,000,000 PEs in well under 2 GB of
-// heap); the bench footprint gate holds construction to its per-PE
-// budget. Four decisions carry it:
+// The layout is built for million-PE machines (BenchmarkScale's
+// poisson-torus1000 case runs 1,000,000 PEs in under 2 GiB of heap, and
+// fails above it); TestConstructionBudget holds construction to its
+// per-PE budget. Four decisions carry it:
 //
 // Struct-of-arrays hot state. The per-event PE fields — busy, failed,
 // remaining-service end, accrued busy time, speed — live in parallel
@@ -193,18 +190,18 @@
 // finalize the per-shard Stats merge into one (counters sum, per-PE
 // arrays concatenate, distributions merge exactly).
 //
-// The determinism contract, pinned by cross-check tests and the
-// cmd/bench gate: a run is a pure function of (seed, shard count). A
-// parallel K >= 2 run equals its single-goroutine serial replay
-// (Config.ShardSerial) bit for bit, so the thread schedule cannot leak
-// into results; it orders same-timestamp cross-shard events
+// The determinism contract, pinned by cross-check tests
+// (TestShardCrossMatrix): a run is a pure function of (seed, shard
+// count). A parallel K >= 2 run equals its single-goroutine serial
+// replay (Config.ShardSerial) bit for bit, so the thread schedule
+// cannot leak into results; it orders same-timestamp cross-shard events
 // differently than one shard and draws per-shard RNG streams, so
 // against the one-shard run only conservation holds: completion, the
 // computed result, goal/response/job totals and the sojourn count.
 // Crash scripts narrow that last clause further: which goals a crash
 // destroys depends on placement, so at K >= 2 even the execution totals
-// legitimately differ from one shard and the cross-check
-// (experiments.ScenarioCrossCheck) instead pins the retry-ledger
+// legitimately differ from one shard and the scenario cross-check
+// (TestShardScenarioCrossCheck) instead pins the retry-ledger
 // invariants and the placement-independent injection stream. The
 // one-shard engine's own outputs are pinned by golden digests
 // (TestGoldenDigests) across sampling, tracing, blackouts, crashes

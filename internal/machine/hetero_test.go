@@ -23,7 +23,7 @@ func (exportBalance) NewNode(pe *PE) NodeStrategy {
 	if pe.ID() == 0 {
 		pe.Machine().NewTicker(pe, 2, n.balance)
 	}
-	return AdaptNode(n)
+	return n
 }
 
 type balanceNode struct{ pe *PE }
@@ -39,9 +39,12 @@ func (n balanceNode) balance() {
 	}
 }
 
-func (n balanceNode) PlaceNewGoal(g *Goal)          { n.pe.Accept(g) }
-func (n balanceNode) GoalArrived(g *Goal, from int) { n.pe.Accept(g) }
-func (n balanceNode) Control(int, any)              {}
+func (n balanceNode) HandleEvent(ev Event) {
+	switch ev.Kind {
+	case GoalCreated, GoalArrived:
+		n.pe.Accept(ev.Goal)
+	}
+}
 
 // TestHeterogeneousSpeedsSequential pins the service-time arithmetic
 // exactly: a 2x PE serves each grain in 10/2=5 units and each combine

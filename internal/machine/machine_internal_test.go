@@ -13,13 +13,16 @@ type keepLocal struct{}
 
 func (keepLocal) Name() string                { return "keep-local" }
 func (keepLocal) Setup(m *Machine)            {}
-func (keepLocal) NewNode(pe *PE) NodeStrategy { return AdaptNode(keepLocalNode{pe}) }
+func (keepLocal) NewNode(pe *PE) NodeStrategy { return keepLocalNode{pe} }
 
 type keepLocalNode struct{ pe *PE }
 
-func (n keepLocalNode) PlaceNewGoal(g *Goal)          { n.pe.Accept(g) }
-func (n keepLocalNode) GoalArrived(g *Goal, from int) { n.pe.Accept(g) }
-func (n keepLocalNode) Control(from int, payload any) {}
+func (n keepLocalNode) HandleEvent(ev Event) {
+	switch ev.Kind {
+	case GoalCreated, GoalArrived:
+		n.pe.Accept(ev.Goal)
+	}
+}
 
 func TestSinglePESequentialRun(t *testing.T) {
 	tree := workload.NewFib(8)

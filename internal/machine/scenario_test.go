@@ -16,20 +16,23 @@ type pushRight struct{}
 
 func (pushRight) Name() string                { return "push-right" }
 func (pushRight) Setup(*Machine)              {}
-func (pushRight) NewNode(pe *PE) NodeStrategy { return AdaptNode(pushRightNode{pe}) }
+func (pushRight) NewNode(pe *PE) NodeStrategy { return pushRightNode{pe} }
 
 type pushRightNode struct{ pe *PE }
 
-func (n pushRightNode) PlaceNewGoal(g *Goal) {
-	nbrs := n.pe.Neighbors()
-	if n.pe.ID() == 0 && len(nbrs) > 0 {
-		n.pe.SendGoal(nbrs[len(nbrs)-1], g)
-		return
+func (n pushRightNode) HandleEvent(ev Event) {
+	switch ev.Kind {
+	case GoalCreated:
+		nbrs := n.pe.Neighbors()
+		if n.pe.ID() == 0 && len(nbrs) > 0 {
+			n.pe.SendGoal(nbrs[len(nbrs)-1], ev.Goal)
+			return
+		}
+		n.pe.Accept(ev.Goal)
+	case GoalArrived:
+		n.pe.Accept(ev.Goal)
 	}
-	n.pe.Accept(g)
 }
-func (n pushRightNode) GoalArrived(g *Goal, from int) { n.pe.Accept(g) }
-func (n pushRightNode) Control(int, any)              {}
 
 // fingerprint captures everything a bit-for-bit comparison of two runs
 // needs: the event sequence (makespan+events), the computed result, and

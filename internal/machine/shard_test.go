@@ -21,19 +21,22 @@ type spread struct{}
 
 func (spread) Name() string                { return "spread" }
 func (spread) Setup(*Machine)              {}
-func (spread) NewNode(pe *PE) NodeStrategy { return AdaptNode(spreadNode{pe}) }
+func (spread) NewNode(pe *PE) NodeStrategy { return spreadNode{pe} }
 
 type spreadNode struct{ pe *PE }
 
-func (n spreadNode) PlaceNewGoal(g *Goal) {
-	if nbr, load := n.pe.LeastLoadedNeighbor(); nbr >= 0 && load < n.pe.Load() {
-		n.pe.SendGoal(nbr, g)
-		return
+func (n spreadNode) HandleEvent(ev Event) {
+	switch ev.Kind {
+	case GoalCreated:
+		if nbr, load := n.pe.LeastLoadedNeighbor(); nbr >= 0 && load < n.pe.Load() {
+			n.pe.SendGoal(nbr, ev.Goal)
+			return
+		}
+		n.pe.Accept(ev.Goal)
+	case GoalArrived:
+		n.pe.Accept(ev.Goal)
 	}
-	n.pe.Accept(g)
 }
-func (n spreadNode) GoalArrived(g *Goal, from int) { n.pe.Accept(g) }
-func (n spreadNode) Control(int, any)              {}
 
 // shardCase is one (topology, strategy, source) cell of the shard
 // cross-check matrix.

@@ -130,71 +130,3 @@ type LoadAware interface {
 	NodeStrategy
 	WantsLoadEvents() bool
 }
-
-// ClassicNodeStrategy is the pre-event three-method per-PE interface.
-// It still compiles and runs unchanged through AdaptNode; environment
-// events do not exist in this shape (a classic node is by construction
-// sentinel-only).
-type ClassicNodeStrategy interface {
-	// PlaceNewGoal decides where a goal created on this PE goes.
-	PlaceNewGoal(g *Goal)
-	// GoalArrived handles a goal message delivered from neighbor from.
-	GoalArrived(g *Goal, from int)
-	// Control handles a strategy control payload from neighbor from.
-	Control(from int, payload any)
-}
-
-// AdaptNode wraps a classic three-method node in the event API: the
-// goal and control events map onto the old entry points and environment
-// events are dropped. The adapter is allocation-free per event and adds
-// one method call of indirection.
-func AdaptNode(n ClassicNodeStrategy) NodeStrategy { return classicNode{n} }
-
-type classicNode struct{ n ClassicNodeStrategy }
-
-func (a classicNode) HandleEvent(ev Event) {
-	switch ev.Kind {
-	case GoalCreated:
-		a.n.PlaceNewGoal(ev.Goal)
-	case GoalArrived:
-		a.n.GoalArrived(ev.Goal, ev.From)
-	case Control:
-		a.n.Control(ev.From, ev.Payload)
-	}
-}
-
-// ClassicStrategy is the pre-event whole-strategy shape: NewNode
-// returns a ClassicNodeStrategy. Adapt turns one into a Strategy.
-type ClassicStrategy interface {
-	Name() string
-	Setup(m *Machine)
-	NewNode(pe *PE) ClassicNodeStrategy
-}
-
-// Adapt wraps a classic strategy in the event API, adapting every node
-// it creates via AdaptNode.
-func Adapt(s ClassicStrategy) Strategy { return classicStrategy{s} }
-
-type classicStrategy struct{ s ClassicStrategy }
-
-func (a classicStrategy) Name() string                { return a.s.Name() }
-func (a classicStrategy) Setup(m *Machine)            { a.s.Setup(m) }
-func (a classicStrategy) NewNode(pe *PE) NodeStrategy { return AdaptNode(a.s.NewNode(pe)) }
-
-// ClassicView is the inverse adapter: it exposes an event-driven node
-// through the classic three-method shape, for code (and the compat
-// regression tests) that still drives nodes via the old entry points.
-// The round trip AdaptNode(ClassicView(n)) is behaviour-preserving for
-// goal and control traffic; environment events and the capability
-// interfaces do not survive it.
-func ClassicView(n NodeStrategy) ClassicNodeStrategy { return classicView{n} }
-
-type classicView struct{ n NodeStrategy }
-
-func (v classicView) PlaceNewGoal(g *Goal) { v.n.HandleEvent(Event{Kind: GoalCreated, Goal: g}) }
-func (v classicView) GoalArrived(g *Goal, from int) {
-	v.n.HandleEvent(Event{Kind: GoalArrived, Goal: g, From: from})
-}
-func (v classicView) Control(from int, payload any) {
-	v.n.HandleEvent(Event{Kind: Control, From: from, Payload: payload})
-}

@@ -197,13 +197,11 @@ type dropGoals struct{}
 
 func (dropGoals) Name() string                { return "drop" }
 func (dropGoals) Setup(*Machine)              {}
-func (dropGoals) NewNode(pe *PE) NodeStrategy { return AdaptNode(dropNode{}) }
+func (dropGoals) NewNode(pe *PE) NodeStrategy { return dropNode{} }
 
 type dropNode struct{}
 
-func (dropNode) PlaceNewGoal(*Goal)     {} // dropped on the floor
-func (dropNode) GoalArrived(*Goal, int) {}
-func (dropNode) Control(int, any)       {}
+func (dropNode) HandleEvent(Event) {} // every goal dropped on the floor
 
 func TestLostGoalReportsStalledNotSaturated(t *testing.T) {
 	tree := workload.NewFib(5)

@@ -97,15 +97,19 @@ func TestChaosExpandLeavesConcreteScriptsAlone(t *testing.T) {
 	}
 }
 
+// canonicalScripts are crash and chaos scripts already in the form
+// String renders.
+var canonicalScripts = []string{
+	"crash:pes=25%@t=5000,recover@t=10000",
+	"crash:pes=3+7@t=100",
+	"chaos:mtbf=3000:mttr=800@seed=7",
+	"chaos:mtbf=3000:mttr=800:until=20000:crash@seed=7",
+}
+
 // TestCrashAndChaosParseRoundTrip extends the text-form round trip to
 // the two new ops.
 func TestCrashAndChaosParseRoundTrip(t *testing.T) {
-	for _, text := range []string{
-		"crash:pes=25%@t=5000,recover@t=10000",
-		"crash:pes=3+7@t=100",
-		"chaos:mtbf=3000:mttr=800@seed=7",
-		"chaos:mtbf=3000:mttr=800:until=20000:crash@seed=7",
-	} {
+	for _, text := range canonicalScripts {
 		sc, err := Parse(text)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", text, err)

@@ -86,10 +86,10 @@
 // resumes from the durable frontier rather than the root: goals of the
 // new attempt that start service before the replay horizon run at one
 // unit each (re-deriving state is cheaper than computing it), and full
-// cost resumes past the frontier. The checkpoint-interval sweep in
-// cmd/bench pins the resulting U-curve: too-rare snapshots re-lose
-// work to every crash, too-frequent ones tax every service; some
-// middle interval strictly beats both.
+// cost resumes past the frontier. TestCheckpointIntervalTradeoff
+// (internal/experiments) pins the resulting U-curve: too-rare snapshots
+// re-lose work to every crash, too-frequent ones tax every service;
+// some middle interval strictly beats both.
 //
 // # Retry and abandonment policy
 //
@@ -103,7 +103,8 @@
 // (JobsAbandoned): the job leaves the system uncompleted, exactly what
 // Stats.Goodput (JobsDone / JobsInjected) prices. The ledger balances
 // machine-wide in every run mode: JobsRetried + JobsAbandoned ==
-// JobsAborted, pinned by test and by the cmd/bench retry-ledger gate.
+// JobsAborted, pinned by test at one shard and at four
+// (TestShardScenarioCrossCheck).
 //
 // Availability transitions also feed the machine's event-driven
 // strategy API: failing/recovering PEs announce PEFailed/PERecovered

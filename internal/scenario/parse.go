@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -35,8 +36,10 @@ import (
 // construction. checkpoint is the periodic-snapshot generator: it
 // takes every= (snapshot period), cost= (service time each live PE
 // pays per tick, default 0) and optional until=; ckpt:cost=C is the
-// concrete single snapshot it expands into. An empty string parses to
-// nil — the empty scenario.
+// concrete single snapshot it expands into. Each kind takes only the
+// keys its String form renders, so every script Parse accepts renders
+// back to text that parses to the same script. An empty string parses
+// to nil — the empty scenario.
 func Parse(s string) (*Script, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -67,7 +70,7 @@ func parseEvent(s string) (Event, error) {
 	if !ok {
 		return Event{}, fmt.Errorf("scenario: event %q has no @t=TIME", s)
 	}
-	if strings.HasPrefix(body, "chaos") {
+	if kind, _, _ := strings.Cut(body, ":"); kind == "chaos" {
 		return parseChaos(s, body, at)
 	}
 	tStr, ok := strings.CutPrefix(at, "t=")
@@ -118,8 +121,8 @@ func parseEvent(s string) (Event, error) {
 				return Event{}, fmt.Errorf("scenario: event %q: %v", s, err)
 			}
 		case "x":
-			x, err := strconv.ParseFloat(val, 64)
-			if err != nil {
+			x, ok := parseFinite(val)
+			if !ok {
 				return Event{}, fmt.Errorf("scenario: event %q: bad factor %q", s, val)
 			}
 			ev.Factor = x
@@ -135,9 +138,6 @@ func parseEvent(s string) (Event, error) {
 				ev.B = n
 			}
 		case "every", "cost", "until":
-			if ev.Kind != Checkpoint && ev.Kind != CheckpointTick {
-				return Event{}, fmt.Errorf("scenario: event %q: key %q only applies to checkpoint events", s, key)
-			}
 			n, err := strconv.ParseInt(val, 10, 64)
 			if err != nil || n < 0 {
 				return Event{}, fmt.Errorf("scenario: event %q: bad %s %q", s, key, val)
@@ -152,6 +152,9 @@ func parseEvent(s string) (Event, error) {
 			}
 		default:
 			return Event{}, fmt.Errorf("scenario: event %q: unknown key %q", s, key)
+		}
+		if !takesKey(ev.Kind, key) {
+			return Event{}, fmt.Errorf("scenario: event %q: %s takes no %s= key", s, fields[0], key)
 		}
 	}
 
@@ -177,6 +180,30 @@ func parseEvent(s string) (Event, error) {
 		ev.A, ev.B = 0, 0 // only link events carry endpoints
 	}
 	return ev, nil
+}
+
+// takesKey reports whether events of kind k carry key: exactly the keys
+// Event.String renders for k.
+func takesKey(k Kind, key string) bool {
+	switch key {
+	case "pes":
+		return k == SlowPE || k == RestorePE || k == FailPE || k == RecoverPE || k == CrashPE
+	case "x":
+		return k == SlowPE || k == DegradeLink || k == LoadShock
+	case "a", "b":
+		return k == DegradeLink || k == RestoreLink
+	case "cost":
+		return k == Checkpoint || k == CheckpointTick
+	default: // every, until
+		return k == Checkpoint
+	}
+}
+
+// parseFinite parses a finite float: no factor, mtbf or mttr may be
+// NaN or infinite.
+func parseFinite(val string) (float64, bool) {
+	x, err := strconv.ParseFloat(val, 64)
+	return x, err == nil && !math.IsNaN(x) && !math.IsInf(x, 0)
 }
 
 // parseChaos reads a chaos generator event: `chaos:mtbf=M:mttr=R
@@ -209,6 +236,9 @@ func parseChaos(s, body, at string) (Event, error) {
 		}
 		switch key {
 		case "domain":
+			if ev.Domain != "" {
+				return Event{}, fmt.Errorf("scenario: chaos event %q: domain given twice", s)
+			}
 			i++
 			if i >= len(fields) {
 				return Event{}, fmt.Errorf("scenario: chaos event %q: domain=%s needs a size (rack:N or block:AxB)", s, val)
@@ -236,8 +266,8 @@ func parseChaos(s, body, at string) (Event, error) {
 		}
 		switch key {
 		case "mtbf", "mttr":
-			x, err := strconv.ParseFloat(val, 64)
-			if err != nil {
+			x, ok := parseFinite(val)
+			if !ok {
 				return Event{}, fmt.Errorf("scenario: chaos event %q: bad %s %q", s, key, val)
 			}
 			if key == "mtbf" {
@@ -263,9 +293,12 @@ func parseChaos(s, body, at string) (Event, error) {
 
 // parseTargets fills PEs or Frac from a pes= value: "25%" or "3+7+9".
 func parseTargets(ev *Event, val string) error {
+	if ev.PEs != nil || ev.Frac != 0 {
+		return fmt.Errorf("pes= given twice")
+	}
 	if pct, ok := strings.CutSuffix(val, "%"); ok {
 		f, err := strconv.ParseFloat(pct, 64)
-		if err != nil || f <= 0 || f > 100 {
+		if err != nil || !(f > 0 && f <= 100) {
 			return fmt.Errorf("bad percentage %q", val)
 		}
 		ev.Frac = f / 100

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,15 +9,17 @@ import (
 	"cwnsim/internal/sim"
 )
 
+// roundTripScripts are the text forms TestParseRoundTrip re-parses.
+var roundTripScripts = []string{
+	"fail:pes=25%@t=5000,recover@t=10000",
+	"slow:pes=0+1:x=0.5@t=2000,restore:pes=0+1@t=4000",
+	"degradelink:a=0:b=1:x=2@t=100,restorelink:a=0:b=1@t=300",
+	"shock:x=3@t=1000,shock:x=1@t=2000",
+	"fail:pes=3+7+9@t=50,recover:pes=3+7+9@t=90",
+}
+
 func TestParseRoundTrip(t *testing.T) {
-	cases := []string{
-		"fail:pes=25%@t=5000,recover@t=10000",
-		"slow:pes=0+1:x=0.5@t=2000,restore:pes=0+1@t=4000",
-		"degradelink:a=0:b=1:x=2@t=100,restorelink:a=0:b=1@t=300",
-		"shock:x=3@t=1000,shock:x=1@t=2000",
-		"fail:pes=3+7+9@t=50,recover:pes=3+7+9@t=90",
-	}
-	for _, in := range cases {
+	for _, in := range roundTripScripts {
 		sc, err := Parse(in)
 		if err != nil {
 			t.Errorf("Parse(%q): %v", in, err)
@@ -32,6 +35,34 @@ func TestParseRoundTrip(t *testing.T) {
 			t.Errorf("Parse(%q) round-trips to %q then %q", in, out, sc2.String())
 		}
 	}
+}
+
+// FuzzParse feeds Parse arbitrary text: it must return an error, never
+// panic, and every script it accepts must render (String) to text that
+// parses back to an identical script. The seeds are the round-trip
+// tests' scripts plus the fault-shard benchmark workload's form.
+func FuzzParse(f *testing.F) {
+	for _, s := range roundTripScripts {
+		f.Add(s)
+	}
+	for _, s := range canonicalScripts {
+		f.Add(s)
+	}
+	f.Add("chaos:mtbf=1500:mttr=400:crash:domain=block:32x32@seed=1,checkpoint:every=300:cost=1@t=0")
+	f.Fuzz(func(t *testing.T, in string) {
+		sc, err := Parse(in)
+		if err != nil {
+			return
+		}
+		out := sc.String()
+		again, err := Parse(out)
+		if err != nil {
+			t.Fatalf("Parse(%q) renders %q, which does not parse: %v", in, out, err)
+		}
+		if !reflect.DeepEqual(sc, again) {
+			t.Fatalf("Parse(%q) = %+v renders %q, which parses to %+v", in, sc, out, again)
+		}
+	})
 }
 
 func TestParseKnownScript(t *testing.T) {
@@ -89,6 +120,22 @@ func TestParseRejectsMalformed(t *testing.T) {
 		"slow:pes=0:x=half@t=10",    // non-numeric factor
 		"fail:pes=0:weird=yes@t=10", // unknown key
 		"fail:pes@t=10",             // key without value
+		// Keys the kind's text form does not carry: FuzzParse found
+		// "crash:pes=0:pes=1%@t=0" silently dropping its 1%.
+		"crash:pes=0:pes=1%@t=0",
+		"fail:pes=25%:pes=3@t=10",
+		"fail:pes=0:x=2@t=10",
+		"shock:pes=0:x=2@t=10",
+		"restorelink:a=0:b=1:x=2@t=10",
+		"ckpt:every=5:cost=1@t=10",
+		"fail:pes=0:a=1@t=10",
+		"chaos:mtbf=9:mttr=9:domain=block:2x2:domain=rack:4@seed=1",
+		// Non-finite numbers.
+		"shock:x=NaN@t=10",
+		"slow:pes=0:x=+Inf@t=10",
+		"fail:pes=NaN%@t=10",
+		"chaos:mtbf=NaN:mttr=9@seed=1",
+		"chaosx:mtbf=9:mttr=9@seed=1", // misspelled kind
 	}
 	for _, in := range bad {
 		if _, err := Parse(in); err == nil {

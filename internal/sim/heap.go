@@ -10,14 +10,15 @@ package sim
 // The branching factor is a parameter because the obvious d-ary-heap
 // optimization was tried and rejected: arity 4 halves the tree depth
 // but pays ≤3 sibling comparisons per level on the way down, and on
-// the heap-heaviest case in the ledger (open/ctrl-grid32-gm — 1024
-// PEs' tickers and timers resident in the heap) it measured ~5% FEWER
-// events/sec than the binary heap (see the heap_experiment record in
-// BENCH_PR3.json). The standing heap here is thousands of events, so
+// the heap-heaviest case of the PR 3 perf ledger (open/ctrl-grid32-gm —
+// 1024 PEs' tickers and timers resident in the heap) it measured ~5%
+// FEWER events/sec than the binary heap (see the heap_experiment record
+// in BENCH_PR3.json). The standing heap here is thousands of events, so
 // depth is cheap, while Timer.Stop's removeAt and every re-arm push
 // lean on up(), which arity only makes shallower at the cost of wider
 // down() — the trade does not pay at this heap shape. Re-measure with
-// cmd/bench before changing heapArity.
+// perfbench (sim.overflow_push_pop_ns and the ctrl-gm workload) before
+// changing heapArity.
 type eventHeap []*Event
 
 const heapArity = 2
