@@ -53,9 +53,9 @@ func BenchmarkScale(b *testing.B) {
 		spec  experiments.RunSpec
 	}{
 		{
-			// One million PEs on an implicit torus (auto-promoted past
-			// the 65536-PE threshold) under a sustained Poisson stream
-			// over a short horizon; the per-PE load tickers sweeping the
+			// One million PEs on an implicit torus (the form every spec
+			// torus builds in) under a sustained Poisson stream over a
+			// short horizon; the per-PE load tickers sweeping the
 			// struct-of-arrays hot state dominate.
 			name: "poisson-torus1000", gated: true,
 			spec: experiments.RunSpec{

@@ -70,17 +70,46 @@ func TestQuickParseStructuredInputs(t *testing.T) {
 		case 2:
 			s += ":" + itoa(int(b))
 		}
-		if spec, err := ParseTopo(s); err == nil {
-			// Parsed specs may still describe invalid machines (e.g.
-			// negative sizes); Build is allowed to panic for those, so
-			// only check the label is stable.
-			_ = spec.Label()
-			_ = spec.PEs()
-		}
+		checkTopoArg(t, s)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// FuzzParseTopo holds ParseTopo to its contract: it never panics, and a
+// spec it accepts describes a machine the topology constructors build.
+func FuzzParseTopo(f *testing.F) {
+	for _, s := range []string{
+		"grid:10x10", "torus:4x8", "dlm:10x10:5", "dlm:8x8:4", "hypercube:7", "torus3d:4x4x4",
+		"chordal:16:4", "ring:9", "complete:6", "star:5", "bus:8", "single",
+		"grid:0x3", "hypercube:40", "dlm:4x4:9", "chordal:8:0",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(checkTopoArg)
+}
+
+// checkTopoArg parses s and, when ParseTopo accepts a machine of at
+// most 1024 PEs, builds it. It builds through the registry rather than
+// TopoSpec.Build, whose process-wide cache would keep every fuzzed
+// topology alive.
+func checkTopoArg(t *testing.T, s string) {
+	ts, err := ParseTopo(s)
+	if err != nil {
+		return
+	}
+	n := ts.PEs()
+	if n < 1 || n > maxPEs {
+		t.Fatalf("ParseTopo(%q) accepted %d PEs", s, n)
+	}
+	if n > 1024 {
+		return
+	}
+	topo := topoRegistry.build(ts.Kind, ts)
+	if topo.Size() != ts.PEs() {
+		t.Fatalf("ParseTopo(%q) describes %d PEs but builds %d", s, ts.PEs(), topo.Size())
 	}
 }
 

@@ -7,62 +7,61 @@ import (
 	"strings"
 )
 
+// maxPEs is the largest machine a topology argument may describe: the
+// implicit hypercube's ceiling (dimension 30), which also keeps every
+// PE and channel count inside the machine's int32 indexes.
+const maxPEs = 1 << 30
+
 // ParseTopo parses a topology argument of the form:
 //
-//	grid:RxC | torus:RxC | dlm:RxC:SPAN | hypercube:D |
-//	ring:N | complete:N | star:N | bus:N | single
+//	grid:RxC | torus:RxC | dlm:RxC:SPAN | torus3d:XxYxZ | hypercube:D |
+//	chordal:N:CHORD | ring:N | complete:N | star:N | bus:N | single
 //
-// An "implicit:" prefix (implicit:torus:1000x1000) forces the
-// computed-neighbor form for the regular families — grid, torus and
-// hypercube; machines of 65536 PEs or more use it automatically.
+// Sizes the topology constructors refuse are errors here: every
+// dimension must be positive, a machine holds at most 2^30 PEs, a DLM
+// span is at least 2 and divides both sides, a hypercube dimension lies
+// in [0,30], a ring or chordal ring has at least 3 PEs with a chord in
+// [2,N/2], a star or bus at least 2, and a complete graph at least 1.
 func ParseTopo(s string) (TopoSpec, error) {
-	var implicit bool
-	if rest, ok := strings.CutPrefix(s, "implicit:"); ok {
-		implicit = true
-		s = rest
-	}
 	parts := strings.Split(s, ":")
 	kind := parts[0]
-	if implicit {
-		switch kind {
-		case "grid", "torus", "hypercube":
-		default:
-			return TopoSpec{}, fmt.Errorf("topology %q has no implicit form (grid, torus and hypercube do)", kind)
+	// dims parses an XxY[xZ] size with want positive factors whose
+	// product is at most maxPEs.
+	dims := func(str string, want int) ([]int, error) {
+		fs := strings.Split(str, "x")
+		if len(fs) != want {
+			return nil, fmt.Errorf("want %d dimensions joined by x, got %q", want, str)
 		}
-		spec, err := ParseTopo(s)
-		if err != nil {
-			return TopoSpec{}, err
+		out := make([]int, want)
+		pes := 1
+		for i, f := range fs {
+			v, err := strconv.Atoi(f)
+			if err != nil {
+				return nil, fmt.Errorf("bad dimensions %q", str)
+			}
+			if v < 1 || v > maxPEs/pes {
+				return nil, fmt.Errorf("dimensions %q must be positive with at most %d PEs in all", str, maxPEs)
+			}
+			out[i] = v
+			pes *= v
 		}
-		spec.Implicit = true
-		return spec, nil
-	}
-	dims := func(str string) (int, int, error) {
-		rc := strings.Split(str, "x")
-		if len(rc) != 2 {
-			return 0, 0, fmt.Errorf("want RxC, got %q", str)
-		}
-		r, err1 := strconv.Atoi(rc[0])
-		c, err2 := strconv.Atoi(rc[1])
-		if err1 != nil || err2 != nil {
-			return 0, 0, fmt.Errorf("bad dimensions %q", str)
-		}
-		return r, c, nil
+		return out, nil
 	}
 	switch kind {
 	case "grid", "torus":
 		if len(parts) != 2 {
 			return TopoSpec{}, fmt.Errorf("usage: %s:RxC", kind)
 		}
-		r, c, err := dims(parts[1])
+		rc, err := dims(parts[1], 2)
 		if err != nil {
 			return TopoSpec{}, err
 		}
-		return TopoSpec{Kind: kind, Rows: r, Cols: c}, nil
+		return TopoSpec{Kind: kind, Rows: rc[0], Cols: rc[1]}, nil
 	case "dlm":
 		if len(parts) != 3 {
 			return TopoSpec{}, fmt.Errorf("usage: dlm:RxC:SPAN")
 		}
-		r, c, err := dims(parts[1])
+		rc, err := dims(parts[1], 2)
 		if err != nil {
 			return TopoSpec{}, err
 		}
@@ -70,22 +69,19 @@ func ParseTopo(s string) (TopoSpec, error) {
 		if err != nil {
 			return TopoSpec{}, fmt.Errorf("bad span %q", parts[2])
 		}
-		return TopoSpec{Kind: "dlm", Rows: r, Cols: c, Span: span}, nil
+		if span < 2 || rc[0]%span != 0 || rc[1]%span != 0 {
+			return TopoSpec{}, fmt.Errorf("dlm span %d must be at least 2 and divide both sides of %s", span, parts[1])
+		}
+		return TopoSpec{Kind: "dlm", Rows: rc[0], Cols: rc[1], Span: span}, nil
 	case "torus3d":
 		if len(parts) != 2 {
 			return TopoSpec{}, fmt.Errorf("usage: torus3d:XxYxZ")
 		}
-		xyz := strings.Split(parts[1], "x")
-		if len(xyz) != 3 {
-			return TopoSpec{}, fmt.Errorf("usage: torus3d:XxYxZ")
+		xyz, err := dims(parts[1], 3)
+		if err != nil {
+			return TopoSpec{}, err
 		}
-		x, err1 := strconv.Atoi(xyz[0])
-		y, err2 := strconv.Atoi(xyz[1])
-		z, err3 := strconv.Atoi(xyz[2])
-		if err1 != nil || err2 != nil || err3 != nil {
-			return TopoSpec{}, fmt.Errorf("bad dimensions %q", parts[1])
-		}
-		return TopoSpec{Kind: "torus3d", Rows: x, Cols: y, Z: z}, nil
+		return TopoSpec{Kind: "torus3d", Rows: xyz[0], Cols: xyz[1], Z: xyz[2]}, nil
 	case "chordal":
 		if len(parts) != 3 {
 			return TopoSpec{}, fmt.Errorf("usage: chordal:N:CHORD")
@@ -94,6 +90,9 @@ func ParseTopo(s string) (TopoSpec, error) {
 		c, err2 := strconv.Atoi(parts[2])
 		if err1 != nil || err2 != nil {
 			return TopoSpec{}, fmt.Errorf("bad chordal args %q", s)
+		}
+		if n < 3 || n > maxPEs || c < 2 || c > n/2 {
+			return TopoSpec{}, fmt.Errorf("chordal needs 3 <= N <= %d and 2 <= CHORD <= N/2, got %q", maxPEs, s)
 		}
 		return TopoSpec{Kind: "chordal", N: n, Chord: c}, nil
 	case "hypercube":
@@ -104,6 +103,9 @@ func ParseTopo(s string) (TopoSpec, error) {
 		if err != nil {
 			return TopoSpec{}, fmt.Errorf("bad dimension %q", parts[1])
 		}
+		if d < 0 || d > 30 {
+			return TopoSpec{}, fmt.Errorf("hypercube dimension %d out of range [0,30]", d)
+		}
 		return TopoSpec{Kind: "hypercube", Dim: d}, nil
 	case "ring", "complete", "star", "bus":
 		if len(parts) != 2 {
@@ -112,6 +114,16 @@ func ParseTopo(s string) (TopoSpec, error) {
 		n, err := strconv.Atoi(parts[1])
 		if err != nil {
 			return TopoSpec{}, fmt.Errorf("bad size %q", parts[1])
+		}
+		least := 2 // star, bus
+		switch kind {
+		case "ring":
+			least = 3
+		case "complete":
+			least = 1
+		}
+		if n < least || n > maxPEs {
+			return TopoSpec{}, fmt.Errorf("%s needs %d <= N <= %d, got %d", kind, least, maxPEs, n)
 		}
 		return TopoSpec{Kind: kind, N: n}, nil
 	case "single":
@@ -124,6 +136,11 @@ func ParseTopo(s string) (TopoSpec, error) {
 // ParseWorkload parses a workload argument:
 //
 //	fib:M | dc:X | dc:M:N | binary:DEPTH | skew:N | chain:N | random:N:SEED
+//
+// Arguments the tree constructors refuse are errors here: fib's M lies
+// in [0,40], dc's range M..N is non-empty and spans at most 2^22, a
+// binary depth lies in [0,24], skew and chain sizes in [1,2^20], and a
+// random tree has at least one goal.
 func ParseWorkload(s string) (WorkloadSpec, error) {
 	parts := strings.Split(s, ":")
 	atoi := func(i int) (int, error) {
@@ -132,34 +149,57 @@ func ParseWorkload(s string) (WorkloadSpec, error) {
 		}
 		return strconv.Atoi(parts[i])
 	}
+	// inRange checks one argument against its constructor's range.
+	inRange := func(v, lo, hi int) error {
+		if v < lo || v > hi {
+			return fmt.Errorf("%s argument %d out of range [%d,%d]", parts[0], v, lo, hi)
+		}
+		return nil
+	}
 	switch parts[0] {
 	case "fib":
 		m, err := atoi(1)
 		if err != nil {
 			return WorkloadSpec{}, err
 		}
+		if err := inRange(m, 0, 40); err != nil {
+			return WorkloadSpec{}, err
+		}
 		return Fib(m), nil
 	case "dc":
+		var ws WorkloadSpec
 		switch len(parts) {
 		case 2:
 			x, err := atoi(1)
 			if err != nil {
 				return WorkloadSpec{}, err
 			}
-			return DC(x), nil
+			ws = DC(x)
 		case 3:
 			m, err1 := atoi(1)
 			n, err2 := atoi(2)
 			if err1 != nil || err2 != nil {
 				return WorkloadSpec{}, fmt.Errorf("bad dc range %q", s)
 			}
-			return WorkloadSpec{Kind: "dc", M: m, N: n}, nil
+			ws = WorkloadSpec{Kind: "dc", M: m, N: n}
 		default:
 			return WorkloadSpec{}, fmt.Errorf("usage: dc:X or dc:M:N")
 		}
+		// The unsigned difference is exact once M <= N.
+		if ws.M > ws.N || uint(ws.N)-uint(ws.M) > 1<<22 {
+			return WorkloadSpec{}, fmt.Errorf("dc range %d..%d must be non-empty and span at most %d", ws.M, ws.N, 1<<22)
+		}
+		return ws, nil
 	case "binary", "skew", "chain":
 		n, err := atoi(1)
 		if err != nil {
+			return WorkloadSpec{}, err
+		}
+		lo, hi := 1, 1<<20
+		if parts[0] == "binary" {
+			lo, hi = 0, 24
+		}
+		if err := inRange(n, lo, hi); err != nil {
 			return WorkloadSpec{}, err
 		}
 		return WorkloadSpec{Kind: parts[0], N: n}, nil
@@ -167,6 +207,9 @@ func ParseWorkload(s string) (WorkloadSpec, error) {
 		n, err := atoi(1)
 		if err != nil {
 			return WorkloadSpec{}, err
+		}
+		if n < 1 {
+			return WorkloadSpec{}, fmt.Errorf("random needs at least 1 goal, got %d", n)
 		}
 		seed := 1
 		if len(parts) > 2 {

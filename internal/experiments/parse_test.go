@@ -30,7 +30,12 @@ func TestParseTopo(t *testing.T) {
 		}
 		ts.Build() // must construct
 	}
-	bad := []string{"", "grid", "grid:10", "grid:ax b", "dlm:10x10", "dlm:10x10:x", "hypercube", "hypercube:x", "ring:x", "mobius:4", "torus3d:4x4", "torus3d:axbxc", "chordal:16", "chordal:x:4"}
+	bad := []string{"", "grid", "grid:10", "grid:ax b", "dlm:10x10", "dlm:10x10:x", "hypercube", "hypercube:x", "ring:x", "mobius:4", "torus3d:4x4", "torus3d:axbxc", "chordal:16", "chordal:x:4",
+		// Sizes the constructors refuse.
+		"grid:0x3", "grid:-1x5", "torus:5x0", "hypercube:-1", "hypercube:40", "ring:0", "star:1", "bus:1",
+		"dlm:4x4:0", "dlm:4x4:9", "chordal:8:0", "chordal:8:5", "torus3d:2x0x2", "complete:0",
+		// Machines past 2^30 PEs, including products that overflow int.
+		"grid:32769x32768", "torus:4294967296x4294967296", "ring:1073741825", "implicit:torus:8x8"}
 	for _, in := range bad {
 		if _, err := ParseTopo(in); err == nil {
 			t.Errorf("ParseTopo(%q) succeeded, want error", in)
@@ -62,7 +67,10 @@ func TestParseWorkload(t *testing.T) {
 		}
 		ws.Build()
 	}
-	bad := []string{"", "fib", "fib:x", "dc", "dc:1:2:3", "random", "ackermann:3"}
+	bad := []string{"", "fib", "fib:x", "dc", "dc:1:2:3", "random", "ackermann:3",
+		// Arguments the constructors refuse.
+		"fib:-3", "fib:41", "dc:0", "dc:9:2", "dc:-9223372036854775808:9223372036854775807", "binary:-1", "binary:25",
+		"skew:0", "chain:0", "chain:1048577", "random:0"}
 	for _, in := range bad {
 		if _, err := ParseWorkload(in); err == nil {
 			t.Errorf("ParseWorkload(%q) succeeded, want error", in)

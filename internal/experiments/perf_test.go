@@ -118,13 +118,13 @@ func TestLargeGridPoissonSmoke(t *testing.T) {
 }
 
 // TestConstructionBudget holds machine construction to its per-PE
-// memory budget on a 262,144-PE torus (auto-promoted to the implicit
-// topology). The struct-of-arrays layout measures ~1090 B/PE and 4
-// allocations/PE (the load-broadcast closure, the ticker-fire and
-// serviceDone method values, and the strategy's per-PE node); the
-// budgets carry ~50% headroom so noise cannot trip them but one
-// accidental per-PE allocation — a map, a slice that escaped the flat
-// backings — does. Guarded by -short like TestLargeGridPoissonSmoke.
+// memory budget on a 262,144-PE torus (built, like every spec torus, in
+// implicit form). The struct-of-arrays layout with its receiver-slot
+// table measures ~1080 B/PE and 4 allocations/PE (the load-broadcast
+// closure, the ticker-fire and serviceDone method values, and the
+// strategy's per-PE node); the budgets carry ~50% headroom so noise
+// cannot trip them but one accidental per-PE allocation — a map, a
+// slice that escaped the flat backings — does. Guarded by -short like TestLargeGridPoissonSmoke.
 func TestConstructionBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping 262,144-PE construction in -short mode")

@@ -26,6 +26,12 @@ import (
 
 // TopoSpec names an interconnection network. Specs are plain data so
 // experiment definitions can be serialized and reported.
+//
+// Build gives grid, torus and hypercube their computed-neighbor
+// (implicit) form: adjacency, distances and next hops are index
+// arithmetic in O(1) memory, bit-for-bit the numbering and routing of
+// the materialized constructors. The other kinds materialize their
+// channel lists and route from an all-pairs table built on first use.
 type TopoSpec struct {
 	Kind  string `json:"kind"` // grid|torus|torus3d|dlm|hypercube|ring|chordal|complete|star|bus|single
 	Rows  int    `json:"rows,omitempty"`
@@ -35,29 +41,6 @@ type TopoSpec struct {
 	N     int    `json:"n,omitempty"`     // ring/chordal/complete/star/bus size
 	Z     int    `json:"z,omitempty"`     // torus3d third dimension
 	Chord int    `json:"chord,omitempty"` // chordal ring stride
-
-	// Implicit forces the computed-neighbor (implicit) topology form for
-	// the regular families (grid, torus, hypercube): O(1) memory, no
-	// stored edge lists, results bit-for-bit identical to the
-	// materialized build. Machines of implicitThreshold PEs or more
-	// promote to the implicit form automatically; irregular kinds ignore
-	// the flag and always materialize.
-	Implicit bool `json:"implicit,omitempty"`
-}
-
-// implicitThreshold is the machine size at or above which the regular
-// families build in implicit form without being asked: past it the
-// materialized adjacency (and its lazily built O(n²) routing tables)
-// dominates memory, and the forms are bit-for-bit interchangeable.
-const implicitThreshold = 65536
-
-// implicitForm reports whether Build selects the computed-neighbor form.
-func (ts TopoSpec) implicitForm() bool {
-	switch ts.Kind {
-	case "grid", "torus", "hypercube":
-		return ts.Implicit || ts.PEs() >= implicitThreshold
-	}
-	return false
 }
 
 // Grid returns a non-wraparound side×side grid spec.
@@ -79,12 +62,6 @@ func (ts TopoSpec) Build() *topology.Topology {
 	topoCacheMu.Lock()
 	defer topoCacheMu.Unlock()
 	key := ts.Label()
-	if ts.implicitForm() {
-		// Same Label (run names and ledgers are form-agnostic), distinct
-		// cache entry: an explicit Implicit flag must not alias a
-		// materialized build of the same dimensions.
-		key += "+implicit"
-	}
 	if t, ok := topoCache[key]; ok {
 		return t
 	}
@@ -94,26 +71,11 @@ func (ts TopoSpec) Build() *topology.Topology {
 }
 
 func init() {
-	RegisterTopology("grid", func(ts TopoSpec) *topology.Topology {
-		if ts.implicitForm() {
-			return topology.NewGridImplicit(ts.Rows, ts.Cols)
-		}
-		return topology.NewGrid(ts.Rows, ts.Cols)
-	})
-	RegisterTopology("torus", func(ts TopoSpec) *topology.Topology {
-		if ts.implicitForm() {
-			return topology.NewTorusImplicit(ts.Rows, ts.Cols)
-		}
-		return topology.NewTorus(ts.Rows, ts.Cols)
-	})
+	RegisterTopology("grid", func(ts TopoSpec) *topology.Topology { return topology.NewGridImplicit(ts.Rows, ts.Cols) })
+	RegisterTopology("torus", func(ts TopoSpec) *topology.Topology { return topology.NewTorusImplicit(ts.Rows, ts.Cols) })
 	RegisterTopology("torus3d", func(ts TopoSpec) *topology.Topology { return topology.NewTorus3D(ts.Rows, ts.Cols, ts.Z) })
 	RegisterTopology("dlm", func(ts TopoSpec) *topology.Topology { return topology.NewDLM(ts.Rows, ts.Cols, ts.Span) })
-	RegisterTopology("hypercube", func(ts TopoSpec) *topology.Topology {
-		if ts.implicitForm() {
-			return topology.NewHypercubeImplicit(ts.Dim)
-		}
-		return topology.NewHypercube(ts.Dim)
-	})
+	RegisterTopology("hypercube", func(ts TopoSpec) *topology.Topology { return topology.NewHypercubeImplicit(ts.Dim) })
 	RegisterTopology("ring", func(ts TopoSpec) *topology.Topology { return topology.NewRing(ts.N) })
 	RegisterTopology("chordal", func(ts TopoSpec) *topology.Topology { return topology.NewChordalRing(ts.N, ts.Chord) })
 	RegisterTopology("complete", func(ts TopoSpec) *topology.Topology { return topology.NewComplete(ts.N) })

@@ -30,7 +30,10 @@ type chanState struct {
 	// link is restored.
 	degrade float64
 	down    bool
-	held    []heldMsg
+	// slot is the offset of this channel's block in Machine.slots (see
+	// there); it fills the padding after down.
+	slot int32
+	held []heldMsg
 
 	// Sharding (zero on one-shard groups). Each shard holds its own
 	// copy of every chanState its PEs attach to — a directional
@@ -128,20 +131,14 @@ const (
 	// wireCtrlBcast is a control broadcast transaction on one channel.
 	wireCtrlBcast
 	// wireEnvBcast is a failed/recovered PE's immediate load broadcast
-	// carrying the availability notification: receivers record the load
-	// word as usual and FailureAware nodes additionally get the
+	// carrying the availability notification (its payload is the
+	// EventKind; the subject is always the sender): receivers record the
+	// load word as usual and FailureAware nodes additionally get the
 	// PEFailed/PERecovered event. Counted and charged exactly like the
 	// load word it replaces, so sentinel-only strategies see bit-for-bit
 	// the PR 3 behaviour.
 	wireEnvBcast
 )
-
-// envNote is the payload of a wireEnvBcast: which availability event,
-// about which PE.
-type envNote struct {
-	kind EventKind
-	pe   int
-}
 
 // wireMsg is one message occupying a channel: the typed, pooled
 // replacement for the per-hop closures the hot path used to allocate.
@@ -150,9 +147,13 @@ type envNote struct {
 //
 //simlint:pooled
 type wireMsg struct {
-	m        *Machine //simlint:keep the owning shard: set on every newMsg pop and rebound on cross-shard handoff, so a free-listed message always points at the machine whose list holds it
-	kind     wireKind
-	ch       *chanState // broadcast kinds: deliver to all other members
+	m    *Machine //simlint:keep the owning shard: set on every newMsg pop and rebound on cross-shard handoff, so a free-listed message always points at the machine whose list holds it
+	kind wireKind
+	// ci is the global ID of the channel carrying the hop. Every shard
+	// resolves it to its own copy (chanAt), so a message handed across
+	// shards delivers against the receiving shard's channel state and
+	// receiver slots.
+	ci       int32
 	goal     *Goal
 	resp     response
 	payload  any
@@ -163,8 +164,9 @@ type wireMsg struct {
 }
 
 // newMsg pops a message from the free list (or allocates the pool's
-// next entry) with the common fields set.
-func (m *Machine) newMsg(kind wireKind, from int, sentLoad int) *wireMsg {
+// next entry) with the common fields set: the hop goes out on channel
+// ci.
+func (m *Machine) newMsg(kind wireKind, ci, from int, sentLoad int) *wireMsg {
 	var w *wireMsg
 	if n := len(m.msgFree); n > 0 {
 		w = m.msgFree[n-1]
@@ -175,6 +177,7 @@ func (m *Machine) newMsg(kind wireKind, from int, sentLoad int) *wireMsg {
 	}
 	w.m = m // arena-carved messages start zero
 	w.kind = kind
+	w.ci = int32(ci)
 	w.from = from
 	w.sentLoad = int32(sentLoad)
 	return w
@@ -184,7 +187,6 @@ func (m *Machine) newMsg(kind wireKind, from int, sentLoad int) *wireMsg {
 //
 //simlint:free
 func (m *Machine) freeMsg(w *wireMsg) {
-	w.ch = nil
 	w.goal = nil
 	w.payload = nil
 	w.resp = response{}
@@ -195,7 +197,7 @@ func (m *Machine) freeMsg(w *wireMsg) {
 // then dispatches — so nested transmissions triggered by the delivery
 // (forwarded goals, next response hops) reuse this very message.
 func (w *wireMsg) Act() {
-	m, kind, ch := w.m, w.kind, w.ch
+	m, kind, ci := w.m, w.kind, int(w.ci)
 	g, resp, payload := w.goal, w.resp, w.payload
 	from, to, dst, sentLoad := w.from, w.to, w.dst, int(w.sentLoad)
 	m.freeMsg(w)
@@ -205,7 +207,7 @@ func (w *wireMsg) Act() {
 		m.goalsInTransit--
 		rcv := m.pes[to]
 		if m.cfg.PiggybackLoad {
-			rcv.noteLoad(from, sentLoad)
+			m.recordLoad(m.hopSlot(ci, from, to), to, from, sentLoad)
 		}
 		if m.lossy && g.epoch != g.job.epoch {
 			m.stats.GoalsLost++ // its attempt died in a crash mid-flight
@@ -220,7 +222,7 @@ func (w *wireMsg) Act() {
 	case wireGoalRoute:
 		m.goalsInTransit--
 		if m.cfg.PiggybackLoad {
-			m.pes[to].noteLoad(from, sentLoad)
+			m.recordLoad(m.hopSlot(ci, from, to), to, from, sentLoad)
 		}
 		if m.lossy && g.epoch != g.job.epoch {
 			m.stats.GoalsLost++
@@ -239,30 +241,34 @@ func (w *wireMsg) Act() {
 	case wireResp:
 		m.respsInTransit--
 		if m.cfg.PiggybackLoad {
-			m.pes[to].noteLoad(from, sentLoad)
+			m.recordLoad(m.hopSlot(ci, from, to), to, from, sentLoad)
 		}
 		m.routeResponse(to, resp)
 	case wireCtrl:
 		rcv := m.pes[to]
 		if m.cfg.PiggybackLoad {
-			rcv.noteLoad(from, sentLoad)
+			m.recordLoad(m.hopSlot(ci, from, to), to, from, sentLoad)
 		}
 		rcv.node.HandleEvent(Event{Kind: Control, From: from, Payload: payload})
 	// Broadcast deliveries walk the channel's full member list; on a
-	// sharded machine only this shard's members exist in m.pes (the
-	// cross-shard clone delivers to each remote shard's members there),
-	// so the nil check doubles as the ownership filter.
+	// sharded machine only this shard's members exist in m.pes and own
+	// a slot (the cross-shard clone delivers to each remote shard's
+	// members there), so the nil or -1 check doubles as the ownership
+	// filter.
 	case wireLoadBcast:
+		ch := m.chanAt(ci)
+		row, r := m.senderRow(ch, from), 0
 		for _, member := range ch.members {
 			if member == from {
 				continue
 			}
-			if rcv := m.pes[member]; rcv != nil {
-				rcv.noteLoad(from, sentLoad)
+			if x := row[r]; x >= 0 {
+				m.recordLoad(x, member, from, sentLoad)
 			}
+			r++
 		}
 	case wireCtrlBcast:
-		for _, member := range ch.members {
+		for _, member := range m.chanAt(ci).members {
 			if member == from {
 				continue
 			}
@@ -271,41 +277,86 @@ func (w *wireMsg) Act() {
 			}
 		}
 	case wireEnvBcast:
-		note := payload.(envNote)
+		ev := payload.(EventKind)
+		downNow := ev == PEFailed
+		ch := m.chanAt(ci)
+		row, r := m.senderRow(ch, from), 0
 		for _, member := range ch.members {
 			if member == from {
 				continue
 			}
-			rcv := m.pes[member]
-			if rcv == nil {
+			x := row[r]
+			r++
+			if x < 0 {
 				continue
 			}
-			rcv.noteLoad(from, sentLoad)
+			m.recordLoad(x, member, from, sentLoad)
 			// Broadcast deliveries must be idempotent (a double-lattice
 			// pair hears each transaction twice, once per shared bus):
 			// only availability TRANSITIONS raise the event, so a
 			// failure-aware node reacts exactly once per failure.
-			i := rcv.nbrIdx(note.pe)
-			if i < 0 {
-				continue
-			}
-			downNow := note.kind == PEFailed
-			if rcv.nbrDown[i] == downNow {
+			if m.nbrDown[x] == downNow {
 				continue // the second bus's copy of the same transition
 			}
-			rcv.nbrDown[i] = downNow
-			if rcv.wantsFailure {
-				rcv.node.HandleEvent(Event{Kind: note.kind, From: note.pe})
+			m.nbrDown[x] = downNow
+			if rcv := m.pes[member]; rcv.wantsFailure {
+				rcv.node.HandleEvent(Event{Kind: ev, From: from})
 			}
 		}
 	}
 }
 
-// transmit occupies the channel for dur units starting when it next
-// frees up, then delivers the message. On a downed channel the message
-// holds at the sender instead, transmitting (in arrival order) when the
-// link is restored.
-func (m *Machine) transmit(ch *chanState, dur sim.Time, w *wireMsg) {
+// senderRow returns sender from's block of ch's receiver slots: entry r
+// belongs to the r-th member of ch other than from, in member order.
+func (m *Machine) senderRow(ch *chanState, from int) []int32 {
+	s := len(ch.members) - 1
+	i := 0
+	for ch.members[i] != from {
+		i++
+	}
+	off := int(ch.slot) + i*s
+	return m.slots[off : off+s]
+}
+
+// hopSlot returns the receiver slot of a point-to-point hop from -> to
+// on channel ci: the index of to's view of from in the neighbor-state
+// backings.
+func (m *Machine) hopSlot(ci, from, to int) int32 {
+	ch := m.chanAt(ci)
+	i, k := 0, 0
+	for p, member := range ch.members {
+		switch member {
+		case from:
+			i = p
+		case to:
+			k = p
+		}
+	}
+	if k > i {
+		k--
+	}
+	s := len(ch.members) - 1
+	return m.slots[int(ch.slot)+i*s+k]
+}
+
+// recordLoad stores load as the latest word PE to heard from neighbor
+// from, in to's receiver slot x.
+func (m *Machine) recordLoad(x int32, to, from, load int) {
+	m.nbrLoad[x] = int32(load)
+	m.nbrSeen[x] = m.eng.Now()
+	if m.loadEvents {
+		if rcv := m.pes[to]; rcv.wantsLoad {
+			rcv.node.HandleEvent(Event{Kind: NeighborLoadChanged, From: from, Load: load})
+		}
+	}
+}
+
+// transmit occupies the message's channel for dur units starting when
+// it next frees up, then delivers the message. On a downed channel the
+// message holds at the sender instead, transmitting (in arrival order)
+// when the link is restored.
+func (m *Machine) transmit(dur sim.Time, w *wireMsg) {
+	ch := m.chanAt(int(w.ci))
 	if ch.down {
 		ch.held = append(ch.held, heldMsg{w: w, dur: dur})
 		return
@@ -320,10 +371,11 @@ func (m *Machine) transmit(ch *chanState, dur sim.Time, w *wireMsg) {
 // crossShard hands w off to the shard(s) owning its receiver(s),
 // reporting whether the message was fully handed off (nothing left to
 // deliver locally). Point-to-point kinds route by the receiving PE's
-// owner; broadcast kinds clone one message per remote member shard (the
-// clone re-delivers on the receiver's copy of the channel, where the
-// nil-guarded member walk acts as the ownership filter) and keep the
-// original only if this shard holds another member to hear it.
+// owner; broadcast kinds clone one message per remote member shard and
+// keep the original only if this shard holds another member to hear it.
+// Every copy carries only the global channel ID, so it delivers against
+// the receiving shard's copy of the channel, whose receiver slots
+// filter for that shard's members.
 func (m *Machine) crossShard(ch *chanState, end sim.Time, w *wireMsg) bool {
 	switch w.kind {
 	case wireGoal, wireGoalRoute, wireResp, wireCtrl:
@@ -338,8 +390,7 @@ func (m *Machine) crossShard(ch *chanState, end sim.Time, w *wireMsg) bool {
 			return false
 		}
 		for _, d := range ch.crossTo {
-			c := m.newMsg(w.kind, w.from, int(w.sentLoad))
-			c.ch = ch
+			c := m.newMsg(w.kind, int(w.ci), w.from, int(w.sentLoad))
 			c.payload = w.payload
 			m.handOff(d, end, c)
 		}
@@ -392,23 +443,23 @@ func (ch *chanState) occupy(now, dur sim.Time) sim.Time {
 	return end
 }
 
-// pickChannel returns the least-backlogged channel among the candidates
-// (channel IDs), breaking ties toward the lower ID. Bus topologies give
-// a PE pair up to two parallel buses; links give exactly one. A downed
-// channel is chosen only when every candidate is down (the message then
-// holds at it until restore).
-func (m *Machine) pickChannel(candidates []int) *chanState {
-	best := m.chanAt(candidates[0])
+// pickChannel returns the ID of the least-backlogged channel among the
+// candidates (channel IDs), breaking ties toward the lower ID. Bus
+// topologies give a PE pair up to two parallel buses; links give
+// exactly one. A downed channel is chosen only when every candidate is
+// down (the message then holds at it until restore).
+func (m *Machine) pickChannel(candidates []int) int {
+	best, bestCh := candidates[0], m.chanAt(candidates[0])
 	for _, ci := range candidates[1:] {
 		ch := m.chanAt(ci)
-		if best.down != ch.down {
-			if best.down {
-				best = ch
+		if bestCh.down != ch.down {
+			if bestCh.down {
+				best, bestCh = ci, ch
 			}
 			continue
 		}
-		if ch.busyUntil < best.busyUntil {
-			best = ch
+		if ch.busyUntil < bestCh.busyUntil {
+			best, bestCh = ci, ch
 		}
 	}
 	return best

@@ -115,6 +115,20 @@
 // analyzer (internal/analysis, run by CI as cmd/simlint) enforces both
 // rules at vet time.
 //
+// Load words are most of the traffic (every PE broadcasts one per
+// LoadInterval), so delivering one is an index lookup, not a search of
+// the receiver's neighbor list. At construction each shard builds one
+// flat int32 receiver-slot table: for every channel it holds and every
+// ordered (sender, receiver) pair of the channel's members, the index
+// of the receiver's view of the sender in the flat per-neighbor
+// backings, or -1 where the shard does not own the receiver — s·(s-1)
+// entries for a channel of span s, 8 bytes per link, addressed from
+// the chanState's slot offset. Broadcast, environment and piggybacked
+// load words all write by slot. A wire message carries its channel's
+// global ID, which each shard resolves to its own channel copy
+// (chanAt), so a message handed across shards reads the receiving
+// shard's slots.
+//
 // # Memory layout
 //
 // The layout is built for million-PE machines (BenchmarkScale's
@@ -137,8 +151,7 @@
 // (CSR form), so per-PE adjacency costs array bytes, not slice-header
 // garbage and pointer-chased little arrays. Channel states are a value
 // slice (chans []chanState) that never grows, so interior *chanState
-// pointers stay valid for the life of the run. Neighbor lookups binary
-// search the sorted neighbor list — no per-PE map.
+// pointers stay valid for the life of the run.
 //
 // Arena chunks. Free-list misses for goals, wire messages, pending
 // tasks, job states (machine.go) and events (internal/sim) carve from
@@ -152,11 +165,13 @@
 // Timers and the per-PE load tickers embed by value (sim.Timer.Init,
 // sim.Ticker.Init) in machine-owned blocks for the same reason.
 //
-// Implicit topologies. Machines past 65536 PEs promote to the
-// computed-neighbor topology form (internal/topology, experiments
-// TopoSpec.Implicit) — adjacency is index arithmetic, no stored edge
-// lists — which the machine consumes through the same append-style
-// accessors it uses to build its flat backings.
+// Implicit topologies. Spec-built grids, tori and hypercubes
+// (experiments TopoSpec.Build) use the computed-neighbor topology form
+// (internal/topology) at every size — adjacency and routing are index
+// arithmetic, with no stored edge lists and no all-pairs routing table
+// — which the machine consumes through the same append-style accessors
+// it uses to build its flat backings. DLM and irregular graphs keep
+// the materialized form and its lazily built routing table.
 //
 // # Sharded execution
 //

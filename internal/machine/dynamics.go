@@ -400,7 +400,7 @@ func (m *Machine) recoverPE(pe *PE) {
 // counted and charged exactly like the plain load broadcast it
 // replaces.
 func (m *Machine) broadcastEnv(pe *PE, kind EventKind) {
-	m.broadcast(pe, wireEnvBcast, MsgLoad, m.cfg.CtrlHopTime, envNote{kind: kind, pe: pe.id})
+	m.broadcast(pe, wireEnvBcast, MsgLoad, m.cfg.CtrlHopTime, kind)
 }
 
 // requeueGoal evacuates a goal arriving at failed PE `from` to the
@@ -505,7 +505,7 @@ func (m *Machine) bringUp(ch *chanState) {
 	held := ch.held
 	ch.held = nil
 	for _, h := range held {
-		m.transmit(ch, h.dur, h.w)
+		m.transmit(h.dur, h.w)
 	}
 }
 

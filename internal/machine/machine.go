@@ -60,6 +60,26 @@ type Machine struct {
 	chanIdx []int32
 	chanIDs []int32
 
+	// nbrLoad, nbrSeen and nbrDown are the flat backings of every owned
+	// PE's per-neighbor views: the load word last heard, when, and the
+	// availability last heard (environment broadcasts). PE.nbrLoad and
+	// PE.nbrSeen are subslices. slots is the receiver-slot table that
+	// addresses them: a channel of span s owns the s·(s-1) entries from
+	// its chanState's slot offset, one block of s-1 per sending member
+	// in member order, each entry the backing index of one receiving
+	// member's view of the sender (receivers in member order, the
+	// sender skipped), or -1 where this shard does not own the
+	// receiver. Every load word delivered on a channel writes its view
+	// by slot, without searching the receiver's neighbor list.
+	nbrLoad []int32
+	nbrSeen []sim.Time
+	nbrDown []bool
+	slots   []int32
+	// loadEvents is set when any owned node wants NeighborLoadChanged
+	// events; otherwise recording a load word never touches the
+	// receiving PE.
+	loadEvents bool
+
 	// chScratch is the reusable candidate buffer for per-hop channel
 	// selection (AppendChannelsBetween): implicit topologies compute the
 	// list into it, materialized ones copy their cached pair list — either
@@ -308,12 +328,12 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 		chansFlat = topo.AppendChannelsOf(chansFlat, i)
 		chOff[i-m.peLo+1] = len(chansFlat)
 	}
-	nbrLoadFlat := make([]int32, len(nbrsFlat))
-	nbrSeenFlat := make([]sim.Time, len(nbrsFlat))
-	for i := range nbrSeenFlat {
-		nbrSeenFlat[i] = -1
+	m.nbrLoad = make([]int32, len(nbrsFlat))
+	m.nbrSeen = make([]sim.Time, len(nbrsFlat))
+	for i := range m.nbrSeen {
+		m.nbrSeen[i] = -1
 	}
-	nbrDownFlat := make([]bool, len(nbrsFlat))
+	m.nbrDown = make([]bool, len(nbrsFlat))
 
 	// Channel states by value, member lists as subslices of one flat
 	// backing. Offsets are recorded first and subslices taken after,
@@ -381,14 +401,14 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 			id:      i,
 			lx:      lx,
 			nbrs:    nbrsFlat[lo:hi:hi],
-			nbrLoad: nbrLoadFlat[lo:hi:hi],
-			nbrSeen: nbrSeenFlat[lo:hi:hi],
-			nbrDown: nbrDownFlat[lo:hi:hi],
+			nbrLoad: m.nbrLoad[lo:hi:hi],
+			nbrSeen: m.nbrSeen[lo:hi:hi],
 			chansOf: chansFlat[chOff[lx]:chOff[lx+1]:chOff[lx+1]],
 		}
 		pe.svc.Init(m.eng, pe.serviceDone)
 		m.pes[i] = pe
 	}
+	m.buildSlots(nbrOff)
 
 	strat.Setup(m)
 	for _, pe := range m.pes {
@@ -407,6 +427,7 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 		}
 		if la, ok := pe.node.(LoadAware); ok {
 			pe.wantsLoad = la.WantsLoadEvents()
+			m.loadEvents = m.loadEvents || pe.wantsLoad
 		}
 	}
 
@@ -479,6 +500,36 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 		}
 	}
 	return m
+}
+
+// buildSlots fills the receiver-slot table (see Machine.slots) for every
+// channel this machine holds; nbrOff[lx] is where owned PE lx's views
+// start in the neighbor-state backings.
+func (m *Machine) buildSlots(nbrOff []int) {
+	n := 0
+	for i := range m.chans {
+		s := len(m.chans[i].members)
+		n += s * (s - 1)
+	}
+	m.slots = make([]int32, n)
+	off := 0
+	for i := range m.chans {
+		ch := &m.chans[i]
+		ch.slot = int32(off)
+		for _, from := range ch.members {
+			for _, to := range ch.members {
+				if to == from {
+					continue
+				}
+				x := -1
+				if to >= m.peLo && to < m.peHi {
+					x = nbrOff[to-m.peLo] + m.pes[to].nbrIdx(from)
+				}
+				m.slots[off] = int32(x)
+				off++
+			}
+		}
+	}
 }
 
 // ScenarioScript returns the expanded scenario timeline this machine
@@ -679,12 +730,10 @@ func (m *Machine) broadcast(pe *PE, kind wireKind, msgKind MsgKind, dur sim.Time
 	from := pe.id
 	load := pe.Load()
 	for _, ci := range pe.chansOf {
-		ch := m.chanAt(ci)
 		m.stats.MsgCounts[msgKind]++
-		w := m.newMsg(kind, from, load)
-		w.ch = ch
+		w := m.newMsg(kind, ci, from, load)
 		w.payload = payload
-		m.transmit(ch, dur, w)
+		m.transmit(dur, w)
 	}
 }
 
@@ -796,14 +845,14 @@ func (m *Machine) routeResponse(cur int, r response) {
 		return
 	}
 	next := m.topo.NextHop(cur, r.dstPE)
-	ch := m.pickChannel(m.chansBetween(cur, next))
+	ci := m.pickChannel(m.chansBetween(cur, next))
 	m.stats.MsgCounts[MsgResponse]++
 	r.hops++
 	m.respsInTransit++
-	w := m.newMsg(wireResp, cur, m.pes[cur].Load())
+	w := m.newMsg(wireResp, ci, cur, m.pes[cur].Load())
 	w.resp = r
 	w.to = next
-	m.transmit(ch, m.cfg.RespHopTime, w)
+	m.transmit(m.cfg.RespHopTime, w)
 }
 
 // chansBetween returns the channel IDs joining neighbors a and b, in
@@ -818,16 +867,16 @@ func (m *Machine) chansBetween(a, b int) []int {
 // routeGoal advances the goal one shortest-path hop toward dst.
 func (m *Machine) routeGoal(cur, dst int, g *Goal) {
 	next := m.topo.NextHop(cur, dst)
-	ch := m.pickChannel(m.chansBetween(cur, next))
+	ci := m.pickChannel(m.chansBetween(cur, next))
 	g.Hops++
 	m.stats.MsgCounts[MsgGoal]++
 	m.emit(trace.GoalSent, cur, next, g.ID)
 	m.goalsInTransit++
-	w := m.newMsg(wireGoalRoute, cur, m.pes[cur].Load())
+	w := m.newMsg(wireGoalRoute, ci, cur, m.pes[cur].Load())
 	w.goal = g
 	w.to = next
 	w.dst = dst
-	m.transmit(ch, m.cfg.GoalHopTime, w)
+	m.transmit(m.cfg.GoalHopTime, w)
 }
 
 // sample records one sampling instant's raw partials over the shard's

@@ -116,8 +116,7 @@ func TestPickChannelPrefersLeastBacklogged(t *testing.T) {
 		t.Fatalf("expected parallel buses between 0 and 1, got %v", chs)
 	}
 	m.chans[chs[0]].busyUntil = 100
-	got := m.pickChannel(chs)
-	if got == &m.chans[chs[0]] {
+	if got := m.pickChannel(chs); got == chs[0] {
 		t.Fatalf("pickChannel chose backlogged channel %d", chs[0])
 	}
 }

@@ -95,10 +95,12 @@ func (r *itemRing) grow() {
 // the per-event hot scalars — busy, serviceEnd, busyTime, failed, speed
 // — live in machine-level parallel slices indexed by lx (see the
 // struct-of-arrays fields on Machine), keeping the event loop's working
-// set dense. The adjacency slices (nbrs, nbrLoad, nbrSeen, nbrDown,
-// chansOf) are subslices of machine-wide flat backings; nbrs is
-// ascending, so neighbor lookup is a binary search (nbrIdx) rather than
-// a per-PE map.
+// set dense. The adjacency slices (nbrs, nbrLoad, nbrSeen, chansOf)
+// are subslices of machine-wide flat backings. Load words
+// delivered on a channel write the views through the machine's
+// receiver-slot table (Machine.slots), never searching nbrs; the
+// binary search nbrIdx over the ascending nbrs serves lookups by
+// neighbor ID (KnownLoad) and the table's construction.
 type PE struct {
 	m  *Machine
 	id int
@@ -112,7 +114,6 @@ type PE struct {
 	nbrs    []int      // cached topology neighbors, ascending
 	nbrLoad []int32    // last known load per neighbor (assumed 0 initially)
 	nbrSeen []sim.Time // when that load was learned (-1 = never)
-	nbrDown []bool     // last availability heard per neighbor (env broadcasts)
 	chansOf []int      // attached channel IDs, ascending (broadcast fan-out)
 
 	node NodeStrategy // strategy state for this PE (set after construction)
@@ -141,8 +142,8 @@ type PE struct {
 }
 
 // nbrIdx returns the index of nbrPE in pe.nbrs, or -1 when nbrPE is not
-// a neighbor. Neighbor lists are ascending (topology contract), so a
-// binary search replaces the per-PE map the old layout carried.
+// a neighbor. Neighbor lists are ascending (topology contract), so this
+// is a binary search.
 func (pe *PE) nbrIdx(nbrPE int) int {
 	lo, hi := 0, len(pe.nbrs)
 	for lo < hi {
@@ -241,17 +242,6 @@ func (pe *PE) KnownLoad(nbrPE int) (load int, seenAt sim.Time) {
 	return int(pe.nbrLoad[i]), pe.nbrSeen[i]
 }
 
-// noteLoad records a load observation for neighbor nbrPE.
-func (pe *PE) noteLoad(nbrPE int, load int) {
-	if i := pe.nbrIdx(nbrPE); i >= 0 {
-		pe.nbrLoad[i] = int32(load)
-		pe.nbrSeen[i] = pe.m.eng.Now()
-		if pe.wantsLoad {
-			pe.node.HandleEvent(Event{Kind: NeighborLoadChanged, From: nbrPE, Load: load})
-		}
-	}
-}
-
 // LeastLoadedNeighbor returns the neighbor with the smallest known load.
 // Ties are broken uniformly at random from the run's seeded stream (so
 // repeated forwarding does not systematically favor low PE numbers).
@@ -319,12 +309,11 @@ func (pe *PE) SendGoal(to int, g *Goal) {
 	g.Hops++
 	m.stats.MsgCounts[MsgGoal]++
 	m.emit(trace.GoalSent, pe.id, to, g.ID)
-	ch := m.pickChannel(chs)
 	m.goalsInTransit++
-	w := m.newMsg(wireGoal, pe.id, pe.Load())
+	w := m.newMsg(wireGoal, m.pickChannel(chs), pe.id, pe.Load())
 	w.goal = g
 	w.to = to
-	m.transmit(ch, m.cfg.GoalHopTime, w)
+	m.transmit(m.cfg.GoalHopTime, w)
 }
 
 // RouteGoal ships the goal to an arbitrary destination PE along a
@@ -349,11 +338,10 @@ func (pe *PE) SendControl(to int, payload any) {
 		panic(fmt.Sprintf("machine: SendControl %d->%d: not neighbors", pe.id, to))
 	}
 	m.stats.MsgCounts[MsgControl]++
-	ch := m.pickChannel(chs)
-	w := m.newMsg(wireCtrl, pe.id, pe.Load())
+	w := m.newMsg(wireCtrl, m.pickChannel(chs), pe.id, pe.Load())
 	w.to = to
 	w.payload = payload
-	m.transmit(ch, m.cfg.CtrlHopTime, w)
+	m.transmit(m.cfg.CtrlHopTime, w)
 }
 
 // BroadcastControl delivers a payload to every neighbor. On a bus each

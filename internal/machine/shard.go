@@ -223,8 +223,10 @@ func (g *shardGroup) run() *Stats {
 	home := g.machines[g.home]
 	serial := g.k == 1 || g.cfg.ShardSerial
 	if !serial {
-		// Warm the shared routing tables before goroutines race to the
-		// same sync.Once, and start one persistent worker per shard.
+		// Build a materialized topology's shared routing tables (DLM
+		// and irregular graphs; grid, torus and hypercube specs route in
+		// closed form) before goroutines race to the same sync.Once,
+		// and start one persistent worker per shard.
 		g.topo.Dist(0, 0)
 		g.startWorkers()
 		defer g.stopWorkers()

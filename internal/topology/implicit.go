@@ -425,15 +425,62 @@ func (t *Topology) implNextHop(from, to int) int {
 		}
 		return from | 1<<uint(bits.TrailingZeros(uint(diff)))
 	}
-	var buf [8]int
-	nbrs := t.appendImplNeighbors(buf[:0], from)
-	d := t.implDist(from, to)
-	for _, nb := range nbrs {
-		if t.implDist(nb, to) == d-1 {
-			return nb
+	// Grid and torus: each dimension offers at most two shortest-path
+	// moves (both only when a torus dimension's offset is exactly half
+	// its size), so the answer is the lowest of at most four candidates.
+	// A move off either end of a dimension wraps (only a torus makes
+	// one).
+	cols := t.cols
+	r, c := from/cols, from%cols
+	rowBack, rowFwd := t.dimMoves(r, to/cols, t.rows)
+	colBack, colFwd := t.dimMoves(c, to%cols, cols)
+	best := t.n
+	if rowBack {
+		nb := from - cols
+		if r == 0 {
+			nb += t.n
 		}
+		best = min(best, nb)
 	}
-	panic("topology: no next hop on shortest path")
+	if rowFwd {
+		nb := from + cols
+		if r == t.rows-1 {
+			nb -= t.n
+		}
+		best = min(best, nb)
+	}
+	if colBack {
+		nb := from - 1
+		if c == 0 {
+			nb += cols
+		}
+		best = min(best, nb)
+	}
+	if colFwd {
+		nb := from + 1
+		if c == cols-1 {
+			nb -= cols
+		}
+		best = min(best, nb)
+	}
+	return best
+}
+
+// dimMoves reports which moves along one dimension of the given size —
+// back (position-1) and forward (position+1), wrapping on a torus —
+// shorten the path from position a to position b.
+func (t *Topology) dimMoves(a, b, size int) (back, fwd bool) {
+	if t.impl == implGrid {
+		return b < a, b > a
+	}
+	d := b - a // forward distance, mod size
+	if d < 0 {
+		d += size
+	}
+	if d == 0 {
+		return false, false
+	}
+	return 2*d >= size, 2*d <= size
 }
 
 // implDiameter is the closed-form diameter.

@@ -34,13 +34,18 @@ type Channel struct {
 //
 // A topology comes in one of two forms. The materialized form (every
 // New* constructor except the *Implicit ones) stores the channel list
-// and adjacency and answers routing queries from a lazily built
-// all-pairs BFS table — it handles arbitrary irregular networks but
-// costs O(n²) memory once routing is touched. The implicit form
-// (NewGridImplicit, NewTorusImplicit, NewHypercubeImplicit) stores only
-// the dimensions and computes neighbors, channel IDs, distances and
-// next hops arithmetically, bit-for-bit identical to the materialized
-// numbering — O(1) memory at any machine size. The allocation-free
+// and adjacency and answers Dist, NextHop and Diameter from an
+// all-pairs BFS table built on the first of those calls — it handles
+// arbitrary irregular networks but costs O(n²) memory once routing is
+// touched. The implicit form (NewGridImplicit, NewTorusImplicit,
+// NewHypercubeImplicit) stores only the dimensions and computes
+// neighbors, channel IDs, distances, next hops and the diameter
+// arithmetically, bit-for-bit identical to the materialized numbering
+// and routing — O(1) memory at any machine size. Spec-built grids, tori
+// and hypercubes (package experiments) always take the implicit form,
+// so only DLM and irregular graphs build routing tables; NewGrid,
+// NewTorus and NewHypercube stay materialized as the reference the
+// implicit forms are pinned against. The allocation-free
 // Append*/Degree/NumChannels/ChannelAt accessors work on both forms;
 // the slice-returning accessors (Channels, Neighbors, ChannelsOf,
 // ChannelsBetween) also work on both but allocate per call on implicit
