@@ -26,6 +26,7 @@ func faultGateSpec() RunSpec {
 // parallel must reproduce serial replay, and the bounded-retry ledger
 // must balance machine-wide at every shard count.
 func TestShardScenarioCrossCheck(t *testing.T) {
+	atLeastTwoProcs(t)
 	if err := scenarioCrossCheck(faultGateSpec(), 4); err != nil {
 		t.Fatal(err)
 	}

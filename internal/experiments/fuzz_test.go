@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"testing/quick"
+
+	"cwnsim/internal/workload"
 )
 
 // The parsers must return errors, never panic, on arbitrary input.
@@ -111,6 +113,88 @@ func checkTopoArg(t *testing.T, s string) {
 	if topo.Size() != ts.PEs() {
 		t.Fatalf("ParseTopo(%q) describes %d PEs but builds %d", s, ts.PEs(), topo.Size())
 	}
+}
+
+// FuzzParseWorkload holds ParseWorkload to its contract: it never
+// panics, and a spec it accepts builds.
+func FuzzParseWorkload(f *testing.F) {
+	for _, s := range []string{
+		"fib:15", "dc:4181", "dc:5:17", "binary:6", "skew:10", "chain:50", "random:200:7", "random:9",
+		"fib:41", "dc:9:2", "binary:25", "chain:0", "random:0", "fib:8:junk", "dc:-1:0", "dc:-5:17",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(checkWorkloadArg)
+}
+
+// checkWorkloadArg parses s and, when ParseWorkload accepts a tree of
+// at most about 4096 goals, builds it. Like checkTopoArg it builds
+// through the registry, because WorkloadSpec.Build caches every tree
+// for the life of the process.
+func checkWorkloadArg(t *testing.T, s string) {
+	ws, err := ParseWorkload(s)
+	if err != nil {
+		return
+	}
+	small := false
+	switch ws.Kind {
+	case "fib":
+		small = ws.M <= 16
+	case "dc":
+		small = ws.N-ws.M <= 2048
+	case "binary":
+		small = ws.N <= 11
+	default: // skew, chain, random: N goals or about that
+		small = ws.N <= 4096
+	}
+	if !small {
+		return
+	}
+	if tree := workloadRegistry.build(ws.Kind, ws); tree.Root == nil {
+		t.Fatalf("ParseWorkload(%q) built a tree with no root", s)
+	}
+}
+
+// FuzzParseStrategy holds ParseStrategy to its contract: it never
+// panics, and a spec it accepts builds.
+func FuzzParseStrategy(f *testing.F) {
+	for _, s := range []string{
+		"cwn:9:2", "cwn+fa:9:2", "gm:1:2:20", "gm+fa:0:0:1", "acwn:9:2:3:40", "local", "randomwalk:3",
+		"roundrobin", "worksteal:20:1", "worksteal+fa:20:1", "diffusion:20", "ideal",
+		"gm:1:2:0", "cwn:0:0", "cwn:5:-2", "worksteal:5:0", "diffusion:0", "randomwalk:-1", "local:7",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		ss, err := ParseStrategy(s)
+		if err != nil {
+			return
+		}
+		if ss.Build() == nil {
+			t.Fatalf("ParseStrategy(%q) built a nil strategy", s)
+		}
+	})
+}
+
+// FuzzParseArrival holds ParseArrival to its contract: it never
+// panics, and a spec it accepts builds a job source.
+func FuzzParseArrival(f *testing.F) {
+	for _, s := range []string{
+		"single", "interval:100:50", "poisson:62.5:200", "burst:20:500:4",
+		"poisson:0:5", "poisson:NaN:10", "poisson:1e-300:1", "interval:0:10", "burst:5:0:2", "single:1",
+	} {
+		f.Add(s)
+	}
+	tree := workload.NewFib(3)
+	f.Fuzz(func(t *testing.T, s string) {
+		as, err := ParseArrival(s)
+		if err != nil {
+			return
+		}
+		if as.Build(tree) == nil {
+			t.Fatalf("ParseArrival(%q) built a nil job source", s)
+		}
+	})
 }
 
 func itoa(v int) string {

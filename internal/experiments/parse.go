@@ -135,19 +135,30 @@ func ParseTopo(s string) (TopoSpec, error) {
 
 // ParseWorkload parses a workload argument:
 //
-//	fib:M | dc:X | dc:M:N | binary:DEPTH | skew:N | chain:N | random:N:SEED
+//	fib:M | dc:X | dc:M:N | binary:DEPTH | skew:N | chain:N | random:N[:SEED]
 //
 // Arguments the tree constructors refuse are errors here: fib's M lies
 // in [0,40], dc's range M..N is non-empty and spans at most 2^22, a
 // binary depth lies in [0,24], skew and chain sizes in [1,2^20], and a
-// random tree has at least one goal.
+// random tree has at least one goal. So are arguments past a kind's
+// last one.
 func ParseWorkload(s string) (WorkloadSpec, error) {
 	parts := strings.Split(s, ":")
-	atoi := func(i int) (int, error) {
-		if i >= len(parts) {
-			return 0, fmt.Errorf("missing argument in %q", s)
+	// args parses the arguments after the kind, of which there must be
+	// between lo and hi.
+	args := func(lo, hi int, usage string) ([]int, error) {
+		if n := len(parts) - 1; n < lo || n > hi {
+			return nil, fmt.Errorf("usage: %s", usage)
 		}
-		return strconv.Atoi(parts[i])
+		out := make([]int, len(parts)-1)
+		for i, p := range parts[1:] {
+			v, err := strconv.Atoi(p)
+			if err != nil {
+				return nil, fmt.Errorf("bad number %q in %q", p, s)
+			}
+			out[i] = v
+		}
+		return out, nil
 	}
 	// inRange checks one argument against its constructor's range.
 	inRange := func(v, lo, hi int) error {
@@ -158,32 +169,22 @@ func ParseWorkload(s string) (WorkloadSpec, error) {
 	}
 	switch parts[0] {
 	case "fib":
-		m, err := atoi(1)
+		a, err := args(1, 1, "fib:M")
 		if err != nil {
 			return WorkloadSpec{}, err
 		}
-		if err := inRange(m, 0, 40); err != nil {
+		if err := inRange(a[0], 0, 40); err != nil {
 			return WorkloadSpec{}, err
 		}
-		return Fib(m), nil
+		return Fib(a[0]), nil
 	case "dc":
-		var ws WorkloadSpec
-		switch len(parts) {
-		case 2:
-			x, err := atoi(1)
-			if err != nil {
-				return WorkloadSpec{}, err
-			}
-			ws = DC(x)
-		case 3:
-			m, err1 := atoi(1)
-			n, err2 := atoi(2)
-			if err1 != nil || err2 != nil {
-				return WorkloadSpec{}, fmt.Errorf("bad dc range %q", s)
-			}
-			ws = WorkloadSpec{Kind: "dc", M: m, N: n}
-		default:
-			return WorkloadSpec{}, fmt.Errorf("usage: dc:X or dc:M:N")
+		a, err := args(1, 2, "dc:X or dc:M:N")
+		if err != nil {
+			return WorkloadSpec{}, err
+		}
+		ws := DC(a[0])
+		if len(a) == 2 {
+			ws = WorkloadSpec{Kind: "dc", M: a[0], N: a[1]}
 		}
 		// The unsigned difference is exact once M <= N.
 		if ws.M > ws.N || uint(ws.N)-uint(ws.M) > 1<<22 {
@@ -191,7 +192,7 @@ func ParseWorkload(s string) (WorkloadSpec, error) {
 		}
 		return ws, nil
 	case "binary", "skew", "chain":
-		n, err := atoi(1)
+		a, err := args(1, 1, parts[0]+":N")
 		if err != nil {
 			return WorkloadSpec{}, err
 		}
@@ -199,25 +200,23 @@ func ParseWorkload(s string) (WorkloadSpec, error) {
 		if parts[0] == "binary" {
 			lo, hi = 0, 24
 		}
-		if err := inRange(n, lo, hi); err != nil {
+		if err := inRange(a[0], lo, hi); err != nil {
 			return WorkloadSpec{}, err
 		}
-		return WorkloadSpec{Kind: parts[0], N: n}, nil
+		return WorkloadSpec{Kind: parts[0], N: a[0]}, nil
 	case "random":
-		n, err := atoi(1)
+		a, err := args(1, 2, "random:N[:SEED]")
 		if err != nil {
 			return WorkloadSpec{}, err
 		}
-		if n < 1 {
-			return WorkloadSpec{}, fmt.Errorf("random needs at least 1 goal, got %d", n)
+		if a[0] < 1 {
+			return WorkloadSpec{}, fmt.Errorf("random needs at least 1 goal, got %d", a[0])
 		}
 		seed := 1
-		if len(parts) > 2 {
-			if seed, err = atoi(2); err != nil {
-				return WorkloadSpec{}, err
-			}
+		if len(a) == 2 {
+			seed = a[1]
 		}
-		return WorkloadSpec{Kind: "random", N: n, Seed: int64(seed)}, nil
+		return WorkloadSpec{Kind: "random", N: a[0], Seed: int64(seed)}, nil
 	default:
 		return WorkloadSpec{}, fmt.Errorf("unknown workload %q", parts[0])
 	}
@@ -283,11 +282,19 @@ func ParseArrival(s string) (ArrivalSpec, error) {
 // ParseStrategy parses a strategy argument:
 //
 //	cwn:RADIUS:HORIZON | gm:LOW:HIGH:INTERVAL | acwn:RADIUS:HORIZON:SAT:INTERVAL |
-//	local | randomwalk:STEPS | roundrobin | worksteal:INTERVAL:THRESHOLD
+//	local | randomwalk:STEPS | roundrobin | worksteal:INTERVAL:THRESHOLD |
+//	diffusion:INTERVAL | ideal
 //
 // A "+fa" suffix on the kind (cwn+fa, gm+fa, worksteal+fa) selects the
 // failure-aware variant: the strategy's nodes subscribe to the
 // machine's PEFailed/PERecovered environment events.
+//
+// Arguments the strategy constructors refuse are errors here: a radius
+// is at least 1 and a horizon lies in [0,RADIUS], GM's watermarks
+// satisfy 0 <= LOW <= HIGH, every INTERVAL is positive, an ACWN
+// saturation threshold is at least 0, a random walk takes at least 1
+// step and a work-stealing threshold is at least 1. So is any argument
+// count but the kind's own.
 func ParseStrategy(s string) (StrategySpec, error) {
 	parts := strings.Split(s, ":")
 	kind, fa := strings.CutSuffix(parts[0], "+fa")
@@ -322,43 +329,64 @@ func parseStrategyBase(parts []string, s string) (StrategySpec, error) {
 		}
 		return nil
 	}
+	// refused reports arguments outside the constructor's rule.
+	refused := func(rule string) (StrategySpec, error) {
+		return StrategySpec{}, fmt.Errorf("%s needs %s, got %q", parts[0], rule, s)
+	}
 	switch parts[0] {
 	case "cwn":
 		if err := need(2, "cwn:RADIUS:HORIZON"); err != nil {
 			return StrategySpec{}, err
+		}
+		if r, h := nums[0], nums[1]; r < 1 || h < 0 || h > r {
+			return refused("RADIUS >= 1 and 0 <= HORIZON <= RADIUS")
 		}
 		return CWN(nums[0], nums[1]), nil
 	case "gm":
 		if err := need(3, "gm:LOW:HIGH:INTERVAL"); err != nil {
 			return StrategySpec{}, err
 		}
+		if lo, hi, iv := nums[0], nums[1], nums[2]; lo < 0 || hi < lo || iv <= 0 {
+			return refused("0 <= LOW <= HIGH and INTERVAL > 0")
+		}
 		return GM(nums[0], nums[1], int64(nums[2])), nil
 	case "acwn":
 		if err := need(4, "acwn:RADIUS:HORIZON:SAT:INTERVAL"); err != nil {
 			return StrategySpec{}, err
 		}
+		if r, h, sat, iv := nums[0], nums[1], nums[2], nums[3]; r < 1 || h < 0 || h > r || sat < 0 || iv <= 0 {
+			return refused("RADIUS >= 1, 0 <= HORIZON <= RADIUS, SAT >= 0 and INTERVAL > 0")
+		}
 		return ACWN(nums[0], nums[1], nums[2], int64(nums[3])), nil
-	case "local":
-		return StrategySpec{Kind: "local"}, nil
+	case "local", "roundrobin", "ideal":
+		if err := need(0, parts[0]); err != nil {
+			return StrategySpec{}, err
+		}
+		return StrategySpec{Kind: parts[0]}, nil
 	case "randomwalk":
 		if err := need(1, "randomwalk:STEPS"); err != nil {
 			return StrategySpec{}, err
 		}
+		if nums[0] < 1 {
+			return refused("STEPS >= 1")
+		}
 		return StrategySpec{Kind: "randomwalk", Steps: nums[0]}, nil
-	case "roundrobin":
-		return StrategySpec{Kind: "roundrobin"}, nil
 	case "worksteal":
 		if err := need(2, "worksteal:INTERVAL:THRESHOLD"); err != nil {
 			return StrategySpec{}, err
+		}
+		if nums[0] <= 0 || nums[1] < 1 {
+			return refused("INTERVAL > 0 and THRESHOLD >= 1")
 		}
 		return StrategySpec{Kind: "worksteal", Interval: int64(nums[0]), Threshold: nums[1]}, nil
 	case "diffusion":
 		if err := need(1, "diffusion:INTERVAL"); err != nil {
 			return StrategySpec{}, err
 		}
+		if nums[0] <= 0 {
+			return refused("INTERVAL > 0")
+		}
 		return StrategySpec{Kind: "diffusion", Interval: int64(nums[0])}, nil
-	case "ideal":
-		return StrategySpec{Kind: "ideal"}, nil
 	default:
 		return StrategySpec{}, fmt.Errorf("unknown strategy %q", parts[0])
 	}

@@ -116,3 +116,48 @@ func TestParseStrategy(t *testing.T) {
 		}
 	}
 }
+
+// TestParseRejectsConstructorRefusals lists arguments that the spec
+// constructors refuse, and argument counts past a kind's last argument.
+// Each parser must reject them up front, so none can reach
+// StrategySpec.Build or WorkloadSpec.Build and panic there or be
+// silently dropped.
+func TestParseRejectsConstructorRefusals(t *testing.T) {
+	parseWorkload := func(s string) error { _, err := ParseWorkload(s); return err }
+	parseStrategy := func(s string) error { _, err := ParseStrategy(s); return err }
+	cases := []struct {
+		parse func(string) error
+		in    string
+		why   string
+	}{
+		{parseStrategy, "gm:1:2:0", "GM interval must be positive"},
+		{parseStrategy, "gm:-1:2:20", "GM low watermark below 0"},
+		{parseStrategy, "gm:3:2:20", "GM high watermark below low"},
+		{parseStrategy, "cwn:0:0", "CWN radius below 1"},
+		{parseStrategy, "cwn:5:-2", "CWN horizon below 0"},
+		{parseStrategy, "cwn:2:3", "CWN horizon past the radius"},
+		{parseStrategy, "cwn+fa:0:0", "failure-aware CWN radius below 1"},
+		{parseStrategy, "acwn:9:2:-1:40", "ACWN saturation threshold below 0"},
+		{parseStrategy, "acwn:9:2:3:0", "ACWN interval must be positive"},
+		{parseStrategy, "acwn:9:10:3:40", "ACWN horizon past the radius"},
+		{parseStrategy, "worksteal:5:0", "work-stealing threshold below 1"},
+		{parseStrategy, "worksteal:0:1", "work-stealing interval must be positive"},
+		{parseStrategy, "diffusion:0", "diffusion interval must be positive"},
+		{parseStrategy, "randomwalk:-1", "random walk of no steps"},
+		{parseStrategy, "randomwalk:0", "random walk of no steps"},
+		{parseStrategy, "local:7", "local takes no arguments"},
+		{parseStrategy, "roundrobin:1:2", "roundrobin takes no arguments"},
+		{parseStrategy, "ideal:3", "ideal takes no arguments"},
+		{parseWorkload, "fib:8:junk", "fib takes one argument"},
+		{parseWorkload, "fib:8:9", "fib takes one argument"},
+		{parseWorkload, "binary:3:1", "binary takes one argument"},
+		{parseWorkload, "skew:10:x", "skew takes one argument"},
+		{parseWorkload, "chain:50:1", "chain takes one argument"},
+		{parseWorkload, "random:200:7:1", "random takes at most a size and a seed"},
+	}
+	for _, c := range cases {
+		if err := c.parse(c.in); err == nil {
+			t.Errorf("%q accepted (%s)", c.in, c.why)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -215,10 +216,22 @@ func scenarioCrossCheck(spec RunSpec, k int) error {
 	return nil
 }
 
+// atLeastTwoProcs raises GOMAXPROCS to at least 2 for the rest of the
+// test. A sharded run uses min(shards, GOMAXPROCS) runner goroutines,
+// so on a one-CPU host a parallel-vs-serial cross-check would otherwise
+// compare the serial replay with itself.
+func atLeastTwoProcs(t *testing.T) {
+	if n := runtime.GOMAXPROCS(0); n < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(n) })
+	}
+}
+
 // TestShardCrossMatrix certifies the multi-shard runtime on the pinned
 // matrix with the real strategies: parallel bit-for-bit against serial
 // replay, and conservation against the one-shard run at K=4.
 func TestShardCrossMatrix(t *testing.T) {
+	atLeastTwoProcs(t)
 	for i, c := range shardCrossMatrix() {
 		if testing.Short() && i >= 2 {
 			break // -short (and the race smoke) certifies the first two cells

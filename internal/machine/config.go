@@ -201,13 +201,14 @@ type Config struct {
 	// deterministically).
 	Shards int
 
-	// ShardSerial executes a multi-shard run's window protocol on a
-	// single goroutine, shard by shard, instead of in parallel — same
-	// code path, same event order, no concurrency. A parallel run must
-	// match its serial replay bit for bit (pinned by cross-check tests):
-	// that is the proof the parallel result does not depend on the
-	// thread schedule. Meaningful only with Shards >= 2 (one shard
-	// always runs on the calling goroutine).
+	// ShardSerial executes a multi-shard run's window protocol on one
+	// runner, the calling goroutine, shard by shard, instead of on
+	// min(Shards, GOMAXPROCS) runners in parallel — same code path,
+	// same event order, no concurrency. A parallel run must match its
+	// serial replay bit for bit (pinned by cross-check tests): that is
+	// the proof the parallel result does not depend on the thread
+	// schedule. Meaningful only with Shards >= 2 (one shard always runs
+	// on the calling goroutine).
 	ShardSerial bool
 }
 

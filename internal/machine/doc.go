@@ -178,13 +178,13 @@
 // Every run is a shard group: Config.Shards splits the machine into K
 // spatial shards — contiguous PE blocks from topology.Partition, each a
 // full sub-machine with its own event engine, free lists and
-// statistics, each (for K >= 2) on its own goroutine. Shards 0 and 1
-// both build one shard owning every PE; there is no separate sequential
-// engine, so sampling, tracing, checkpoint snapshots, scenario ops, job
-// purges and nearest-live lookups each have one implementation, the one
-// K shards use. Per-shard channel state on a multi-shard machine is
-// sparse (chanIdx/chanAt): a shard stores chanState only for channels
-// its own PEs attach to — every transmit, broadcast and link op
+// statistics. Shards 0 and 1 both build one shard owning every PE;
+// there is no separate sequential engine, so sampling, tracing,
+// checkpoint snapshots, scenario ops, job purges and nearest-live
+// lookups each have one implementation, the one K shards use.
+// Per-shard channel state on a multi-shard machine is sparse
+// (chanIdx/chanAt): a shard stores chanState only for channels its own
+// PEs attach to — every transmit, broadcast and link op
 // resolves at the sending side — so a K-shard million-PE machine stays
 // near the one-shard footprint instead of paying K full channel arrays.
 //
@@ -204,6 +204,26 @@
 // over windows no shard has events in, and checks completion; at
 // finalize the per-shard Stats merge into one (counters sum, per-PE
 // arrays concatenate, distributions merge exactly).
+//
+// R = min(K, GOMAXPROCS) runners execute the windows, and R = 1 under
+// Config.ShardSerial. Each runner owns a fixed set of shards for the
+// whole run (runner r runs shards r, r+R, ...). Runner 0 is the
+// coordinator's own goroutine; runners 1..R-1 are persistent goroutines
+// released each window by an atomic generation counter, and the last
+// runner to finish a window wakes the coordinator the same way.
+// Each waiting side polls its counter, yielding its processor now and
+// then, and parks on a one-token channel only after a bounded spin.
+// Windows are short — fault-shard's hold about 80 µs of work per
+// shard — so parking and re-waking a goroutine every window would cost
+// about as much as the work; the bound keeps a stalled peer from
+// holding a processor for long. The runners assume a processor each:
+// where other goroutines keep the processors busy, as in a RunAll
+// sweep of sharded runs, each window waits for a runner to be
+// scheduled, and the serial replay can finish first. A shard panic is
+// re-raised on the coordinator after the barrier, and the runners exit
+// before Run returns or panics. One runner runs every shard in shard
+// order on the caller's goroutine, with no recover, so its panics keep
+// their stack; that is the serial replay.
 //
 // The determinism contract, pinned by cross-check tests
 // (TestShardCrossMatrix): a run is a pure function of (seed, shard
@@ -233,7 +253,7 @@
 // next barrier on several — recomputing Jain's imbalance index from the
 // pooled raw sums because it does not merge from per-shard indices.
 // Trace events buffer per shard and replay into the configured sink on
-// the coordinator after the workers join, merged by (time, shard,
+// the coordinator after the runners exit, merged by (time, shard,
 // emission order), preserving the Sink single-goroutine contract.
 //
 // Scenario replay follows an ops-first barrier discipline. The script

@@ -59,11 +59,12 @@ func TestShardScenarioOneBitForBitSequential(t *testing.T) {
 }
 
 // TestShardScenarioParallelMatchesSerial pins the determinism claim for
-// scripted failures under real parallelism: a K-shard chaos run on K
-// goroutines must equal its single-goroutine window-by-window replay
-// bit for bit — barrier-applied scenario ops, eager checkpoint
-// snapshots, purges and retries included.
+// scripted failures under real parallelism: a K-shard chaos run on
+// several runner goroutines must equal its single-goroutine
+// window-by-window replay bit for bit — barrier-applied scenario ops,
+// eager checkpoint snapshots, purges and retries included.
 func TestShardScenarioParallelMatchesSerial(t *testing.T) {
+	atLeastTwoProcs(t)
 	for _, c := range faultCases() {
 		for _, k := range []int{2, 4} {
 			t.Run(c.name, func(t *testing.T) {

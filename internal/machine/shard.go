@@ -8,7 +8,9 @@ package machine
 
 import (
 	"math"
+	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"cwnsim/internal/scenario"
@@ -56,6 +58,14 @@ type shardSample struct {
 //	  the coordinator drains all cross-shard outboxes    (sequential)
 //	  completion check; advance W by the lookahead
 //
+// R = min(K, GOMAXPROCS) runners execute the shards, R = 1 under
+// ShardSerial: runner r owns shards r, r+R, r+2R, ... for the whole
+// run. Runner 0 is the coordinator's own goroutine; runners 1..R-1 are
+// persistent goroutines released each window by an atomic counter (see
+// runWindow and parker), so a window costs no channel hand-off while
+// the runners keep pace. One runner is the serial replay: the same
+// windows, shard by shard, on the caller's goroutine.
+//
 // The lookahead is the minimum wire latency on any channel crossing a
 // shard boundary, so no message sent inside a window can be due before
 // the window after it — every shard always holds its complete event
@@ -96,11 +106,24 @@ type shardGroup struct {
 	finishedAt sim.Time
 	result     int64
 
-	workers []shardWorker
-	done    chan shardDone
-	inbox   []xmsg    // reused buffer for sorting one drain
-	frame   []float64 // reused by mergeSamples: one full-machine monitor frame
-	sojs    []float64 // reused by mergeSamples: one instant's pooled sojourns
+	// Runners (runWindow). nrun is R, and runners[r-1] parks runner r
+	// (none for one runner). release counts the windows released, and
+	// finished the windows that runners 1..R-1 have each run; coord
+	// parks the coordinator waiting for finished. errs[s] is shard s's
+	// recovered panic. stop, set before the final release, tells the
+	// runners to exit, and exited waits for them.
+	nrun     int
+	runners  []parker
+	release  atomic.Uint64
+	finished atomic.Uint64
+	coord    parker
+	errs     []any
+	stop     bool
+	exited   sync.WaitGroup
+
+	inbox []xmsg    // reused buffer for sorting one drain
+	frame []float64 // reused by mergeSamples: one full-machine monitor frame
+	sojs  []float64 // reused by mergeSamples: one instant's pooled sojourns
 
 	// Scenario replay. scn is the script expanded once at construction
 	// and shared by every shard; ops is its firing-order timeline,
@@ -120,18 +143,61 @@ type shardGroup struct {
 	opsApplied uint64
 }
 
-// shardWorker is one shard's persistent goroutine: it runs its machine
-// to each window end the coordinator sends.
-type shardWorker struct {
-	m     *Machine
-	start chan sim.Time
+// spinPolls is how many times a waiting side of the window barrier
+// polls its counter before it parks. It counts polls, not time, because
+// simulation code reads no clock; 65,536 polls take about 0.1 ms on a
+// 2-CPU Xeon host, where a parked goroutine takes as long or longer to
+// wake. Measured there on fault-shard (2 shards, about 80 µs of work
+// per shard per window): 4,096 polls ran 2.0x as long as 65,536, and
+// 262,144 polls 0.92x. With another process keeping one CPU busy,
+// 262,144 polls ran 1.18x as long as 65,536, and 65,536 ran 1.13x as
+// long as the per-window channel hand-off this barrier replaced.
+const spinPolls = 1 << 16
+
+// yieldPolls is how often a polling side yields its processor, so a
+// runner that shares it with other goroutines still lets them run.
+const yieldPolls = 1 << 10
+
+// parker is one waiting side of the window barrier. It polls an atomic
+// counter, yielding every yieldPolls polls, and after spinPolls parks
+// on a one-token channel until the side that moved the counter hands
+// it the token (notify).
+type parker struct {
+	parked atomic.Bool
+	wake   chan struct{}
 }
 
-// shardDone reports one shard's window completion; err carries a
-// recovered panic for the coordinator to re-raise.
-type shardDone struct {
-	shard int
-	err   any
+func newParker() parker { return parker{wake: make(chan struct{}, 1)} }
+
+// await polls c until it reads at least want.
+func (p *parker) await(c *atomic.Uint64, want uint64) {
+	for i := 1; ; i++ {
+		if c.Load() >= want {
+			return
+		}
+		if i < spinPolls {
+			if i%yieldPolls == 0 {
+				runtime.Gosched()
+			}
+			continue
+		}
+		// Announce the park, then poll once more. The mover stores c
+		// before it loads parked, so at least one side sees the other.
+		// Whoever clears parked decides: the notifier sends one token,
+		// which must then be taken, even if c has reached want.
+		p.parked.Store(true)
+		if c.Load() >= want && p.parked.CompareAndSwap(true, false) {
+			continue
+		}
+		<-p.wake
+	}
+}
+
+// notify wakes p if it parked; call it after moving p's counter.
+func (p *parker) notify() {
+	if p.parked.Load() && p.parked.CompareAndSwap(true, false) {
+		p.wake <- struct{}{}
+	}
 }
 
 // newShardGroup partitions the topology and builds the K shard
@@ -220,16 +286,25 @@ func newShardGroup(topo *topology.Topology, source JobSource, strat Strategy, cf
 // run executes the window-barrier loop to completion (or MaxTime) and
 // returns the merged statistics.
 func (g *shardGroup) run() *Stats {
+	g.runWindows()
+	return g.finalize()
+}
+
+// runWindows is run's window-barrier loop. Any runner goroutines it
+// starts have exited by the time it returns or panics.
+func (g *shardGroup) runWindows() {
 	home := g.machines[g.home]
-	serial := g.k == 1 || g.cfg.ShardSerial
-	if !serial {
+	g.nrun = 1
+	if !g.cfg.ShardSerial {
+		g.nrun = min(g.k, runtime.GOMAXPROCS(0))
+	}
+	if g.nrun > 1 {
 		// Build a materialized topology's shared routing tables (DLM
 		// and irregular graphs; grid, torus and hypercube specs route in
-		// closed form) before goroutines race to the same sync.Once,
-		// and start one persistent worker per shard.
+		// closed form) before goroutines race to the same sync.Once.
 		g.topo.Dist(0, 0)
-		g.startWorkers()
-		defer g.stopWorkers()
+		g.startRunners()
+		defer g.stopRunners()
 	}
 	home.pump()
 	maxT := g.cfg.MaxTime
@@ -259,17 +334,7 @@ func (g *shardGroup) run() *Stats {
 			}
 		}
 		g.winEnd = end
-		if serial {
-			// The serial replay: same protocol, same per-window work,
-			// shard by shard on this goroutine. Shards only interact
-			// through the barriers, so this must be — and is, pinned by
-			// cross-check — bit-for-bit the parallel result.
-			for _, m := range g.machines {
-				m.eng.RunUntil(end)
-			}
-		} else {
-			g.runWindow(end)
-		}
+		g.runWindow()
 		if g.k == 1 && home.eng.Stopped() {
 			// A single shard observes completion exactly in virtual time:
 			// completeJob/pump/abandonJob stop its engine mid-window.
@@ -307,57 +372,92 @@ func (g *shardGroup) run() *Stats {
 			start = next - 1
 		}
 	}
-	return g.finalize()
 }
 
-func (g *shardGroup) startWorkers() {
-	g.done = make(chan shardDone, g.k)
-	g.workers = make([]shardWorker, g.k)
-	for s := range g.workers {
-		g.workers[s] = shardWorker{m: g.machines[s], start: make(chan sim.Time, 1)}
-		go g.workers[s].loop(g.done)
+// startRunners starts runners 1..nrun-1.
+func (g *shardGroup) startRunners() {
+	g.coord = newParker()
+	g.errs = make([]any, g.k)
+	g.runners = make([]parker, g.nrun-1)
+	g.exited.Add(len(g.runners))
+	for i := range g.runners {
+		g.runners[i] = newParker()
+		go g.runnerLoop(i + 1)
 	}
 }
 
-func (g *shardGroup) stopWorkers() {
-	for s := range g.workers {
-		close(g.workers[s].start)
+// stopRunners releases the runners one last time with stop set and
+// returns once every runner goroutine has exited. No shard is running
+// whenever it runs: after the last window, or after runWindow's barrier
+// re-raised a shard panic.
+func (g *shardGroup) stopRunners() {
+	g.stop = true
+	g.release.Add(1)
+	for i := range g.runners {
+		g.runners[i].notify()
 	}
+	g.exited.Wait()
 }
 
-func (w *shardWorker) loop(done chan<- shardDone) {
-	for end := range w.start {
-		err := w.runOne(end)
-		done <- shardDone{shard: w.m.shardID, err: err}
-		if err != nil {
+// runnerLoop is runner r >= 1: it runs its shards in each window
+// released, and whichever runner finishes a window last wakes the
+// coordinator.
+func (g *shardGroup) runnerLoop(r int) {
+	defer g.exited.Done()
+	done := uint64(len(g.runners))
+	for w := uint64(1); ; w++ {
+		g.runners[r-1].await(&g.release, w)
+		if g.stop {
 			return
+		}
+		g.runOwned(r)
+		if g.finished.Add(1) == w*done {
+			g.coord.notify()
 		}
 	}
 }
 
-// runOne advances the shard to the window end, converting a panic into
-// a value so the coordinator can finish the barrier before re-raising.
-func (w *shardWorker) runOne(end sim.Time) (err any) {
+// runOwned runs runner r's shards to the window end. A panic is kept
+// in errs[s] for the coordinator to re-raise after the barrier.
+func (g *shardGroup) runOwned(r int) {
+	for s := r; s < g.k; s += g.nrun {
+		g.errs[s] = g.runShardRecover(s)
+	}
+}
+
+// runShardRecover runs shard s to the window end and returns a panic
+// as a value.
+func (g *shardGroup) runShardRecover(s int) (err any) {
 	defer func() { err = recover() }()
-	w.m.eng.RunUntil(end)
+	g.machines[s].eng.RunUntil(g.winEnd)
 	return nil
 }
 
-// runWindow releases every worker for one window and waits for all of
-// them — the barrier. A shard panic is re-raised here, after the
-// barrier, so no worker is left mid-window.
-func (g *shardGroup) runWindow(end sim.Time) {
-	for s := range g.workers {
-		g.workers[s].start <- end
-	}
-	var first any
-	for i := 0; i < g.k; i++ {
-		if d := <-g.done; d.err != nil && first == nil {
-			first = d.err
+// runWindow runs every shard to the window end g.winEnd. With one
+// runner this goroutine runs them all in shard order, so a panic keeps
+// its stack. Otherwise it releases runners 1..R-1, runs runner 0's
+// shards and waits at the barrier until every runner has finished the
+// window. A shard panic is re-raised only then, so no shard is left
+// mid-window. Shards interact only through the barriers, so which
+// goroutine runs a shard does not change the result, pinned bit for
+// bit by the ShardSerial cross-checks.
+func (g *shardGroup) runWindow() {
+	if len(g.runners) == 0 {
+		for _, m := range g.machines {
+			m.eng.RunUntil(g.winEnd)
 		}
+		return
 	}
-	if first != nil {
-		panic(first)
+	w := g.release.Add(1)
+	for i := range g.runners {
+		g.runners[i].notify()
+	}
+	g.runOwned(0)
+	g.coord.await(&g.finished, w*uint64(len(g.runners)))
+	for _, err := range g.errs {
+		if err != nil {
+			panic(err)
+		}
 	}
 }
 
@@ -777,8 +877,8 @@ func (g *shardGroup) mergeInjSoj(s *Stats) {
 // shard, FIFO within one shard's buffer. Each buffer is already in time
 // order (a shard emits in engine order, and barrier-applied ops emit at
 // the barrier's instant), so the order is a k-way merge. Runs on the
-// coordinator's goroutine — at finalize after the workers have torn
-// down, or mid-run from a one-shard group's emit — so the Sink keeps its
+// coordinator's goroutine — at finalize after the runners have exited,
+// or mid-run from a one-shard group's emit — so the Sink keeps its
 // single-goroutine contract.
 func (g *shardGroup) replayTrace() {
 	if g.cfg.Trace == nil {

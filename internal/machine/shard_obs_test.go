@@ -107,6 +107,7 @@ func TestShardTraceConservation(t *testing.T) {
 // serial replay produce identical trace streams, monitor frames and
 // sampling series — byte for byte, not just conserved counts.
 func TestShardTraceParallelMatchesSerial(t *testing.T) {
+	atLeastTwoProcs(t)
 	for _, c := range shardCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {

@@ -2,9 +2,11 @@ package machine
 
 import (
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"cwnsim/internal/scenario"
 	"cwnsim/internal/sim"
@@ -107,13 +109,26 @@ func TestShardOneBitForBitSequential(t *testing.T) {
 	}
 }
 
+// atLeastTwoProcs raises GOMAXPROCS to at least 2 for the rest of the
+// test. A group runs on min(K, GOMAXPROCS) runners, so on a one-CPU
+// host a parallel-vs-serial cross-check would otherwise compare the
+// serial replay with itself.
+func atLeastTwoProcs(t *testing.T) {
+	if n := runtime.GOMAXPROCS(0); n < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(n) })
+	}
+}
+
 // TestShardParallelMatchesSerial pins the determinism claim for real
-// parallelism: a K-shard run on K goroutines must equal its
-// single-goroutine window-by-window replay (ShardSerial) bit for bit —
-// the proof that the thread schedule cannot leak into results.
+// parallelism: a K-shard run on several runner goroutines must equal
+// its single-goroutine window-by-window replay (ShardSerial) bit for
+// bit — the proof that the thread schedule cannot leak into results.
+// K = 3 leaves the runners uneven shard counts.
 func TestShardParallelMatchesSerial(t *testing.T) {
+	atLeastTwoProcs(t)
 	for _, c := range shardCases() {
-		for _, k := range []int{2, 4} {
+		for _, k := range []int{2, 3, 4} {
 			t.Run(c.name, func(t *testing.T) {
 				par := shardFPOf(c.run(t, k, false))
 				ser := shardFPOf(c.run(t, k, true))
@@ -190,6 +205,73 @@ func TestShardConservationVsSequential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// shardBoom is the panic value of boomStrategy.
+type shardBoom struct{ pe int }
+
+// boomStrategy is spread until time 200, then panics on the first goal
+// that arrives at a PE of shard 1 or later: a shard failing mid-run,
+// mid-window, and usually on a runner goroutine rather than the
+// coordinator's.
+type boomStrategy struct{}
+
+func (boomStrategy) Name() string                { return "boom" }
+func (boomStrategy) Setup(*Machine)              {}
+func (boomStrategy) NewNode(pe *PE) NodeStrategy { return boomNode{spreadNode{pe}} }
+
+type boomNode struct{ spreadNode }
+
+func (n boomNode) HandleEvent(ev Event) {
+	if ev.Kind == GoalArrived && n.pe.m.shardID >= 1 && n.pe.Now() >= 200 {
+		panic(shardBoom{n.pe.ID()})
+	}
+	n.spreadNode.HandleEvent(ev)
+}
+
+// TestShardRunnerPanicAndStop covers the window barrier's failure and
+// stop paths: Run re-raises a shard's panic value instead of hanging at
+// the barrier, and whether Run returns or panics, every runner
+// goroutine it started exits.
+func TestShardRunnerPanicAndStop(t *testing.T) {
+	atLeastTwoProcs(t)
+	// settled waits until the goroutine count falls back to base.
+	settled := func(t *testing.T, base int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines still running after Run, %d before it", runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	run := func(strat Strategy, shards int, serial bool) *Stats {
+		cfg := DefaultConfig()
+		cfg.Shards = shards
+		cfg.ShardSerial = serial
+		src := NewFixedInterval(workload.NewFib(10), 120, 8)
+		return NewStream(topology.NewGrid(5, 5), src, strat, cfg).Run()
+	}
+	for _, tc := range []struct {
+		shards int
+		serial bool
+	}{{2, false}, {3, false}, {4, false}, {2, true}} {
+		base := runtime.NumGoroutine()
+		if st := run(spread{}, tc.shards, tc.serial); !st.Completed {
+			t.Fatalf("K=%d serial=%v: run did not complete", tc.shards, tc.serial)
+		}
+		settled(t, base)
+		func() {
+			defer func() {
+				if _, ok := recover().(shardBoom); !ok {
+					t.Fatalf("K=%d serial=%v: Run did not re-raise the shard's panic", tc.shards, tc.serial)
+				}
+			}()
+			run(boomStrategy{}, tc.shards, tc.serial)
+		}()
+		settled(t, base)
 	}
 }
 

@@ -83,6 +83,13 @@ type Engine struct {
 	seed      int64
 	stopped   bool
 	processed uint64
+	// A sharded run allocates its shards' engines back to back and
+	// runs them on different CPUs. The padding makes the struct 128
+	// bytes, a size class the allocator aligns to 128, so every engine
+	// owns whole cache lines. Without it one engine's processed count
+	// and the next one's clock and free list would share a line that
+	// every event on either shard writes.
+	_ [24]byte
 }
 
 // NewEngine returns an engine with the clock at zero whose random stream

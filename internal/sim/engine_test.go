@@ -4,7 +4,18 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestEngineFillsWholeCacheLines pins the Engine padding: the engines
+// of one sharded run sit back to back on the heap and run on different
+// CPUs, so each must fill whole 64-byte cache lines. A new field that
+// breaks this needs the padding adjusted.
+func TestEngineFillsWholeCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(Engine{}); n%64 != 0 {
+		t.Fatalf("Engine is %d bytes, not a whole number of 64-byte cache lines", n)
+	}
+}
 
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEngine(1)

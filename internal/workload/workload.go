@@ -191,7 +191,8 @@ func NewDC(m, n int) *Tree {
 	if m > n {
 		panic("workload: dc requires M <= N")
 	}
-	if n-m > 1<<22 {
+	// The unsigned difference is exact once m <= n.
+	if uint(n)-uint(m) > 1<<22 {
 		panic("workload: dc range too large")
 	}
 	var gen func(lo, hi int) *Task
@@ -199,7 +200,11 @@ func NewDC(m, n int) *Tree {
 		if lo == hi {
 			return &Task{Value: int64(lo), Work: 1}
 		}
-		mid := (lo + hi) / 2
+		// (lo+hi)/2 for a non-negative range. Written this way it
+		// rounds toward lo on a negative range too, so mid < hi and the
+		// recursion ends; (lo+hi)/2 rounds -1..0 up to 0 and recurses on
+		// it forever.
+		mid := lo + (hi-lo)/2
 		return &Task{Kids: []*Task{gen(lo, mid), gen(mid+1, hi)}, Work: 1}
 	}
 	return finalize(&Tree{

@@ -39,10 +39,15 @@ func TestDCTreeMatchesClosedForms(t *testing.T) {
 			t.Errorf("dc(1,%d) eval = %d, want %d", x, got, want)
 		}
 	}
-	// Non-unit lower bound.
-	tr := NewDC(5, 17)
-	if got, want := tr.Eval(), DCSum(5, 17); got != want {
-		t.Errorf("dc(5,17) eval = %d, want %d", got, want)
+	// Non-unit and negative lower bounds.
+	for _, r := range [][2]int{{5, 17}, {-1, 0}, {-5, 17}, {-17, -5}, {-3, -3}} {
+		tr := NewDC(r[0], r[1])
+		if got, want := tr.Count(), DCGoalCount(r[0], r[1]); got != want {
+			t.Errorf("dc(%d,%d) count = %d, want %d", r[0], r[1], got, want)
+		}
+		if got, want := tr.Eval(), DCSum(r[0], r[1]); got != want {
+			t.Errorf("dc(%d,%d) eval = %d, want %d", r[0], r[1], got, want)
+		}
 	}
 }
 
