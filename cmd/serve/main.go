@@ -128,7 +128,7 @@ func main() {
 	// unset -sample defaults to a window that gives a few hundred points
 	// over the default horizon.
 	sampleIvl := *sample
-	if *scenArg != "" && sampleIvl <= 0 {
+	if *scenArg != "" && sampleIvl == 0 {
 		sampleIvl = 250
 	}
 
@@ -137,7 +137,7 @@ func main() {
 		for _, ts := range topos {
 			for _, ss := range strats {
 				as, span := makeArrival(gap)
-				specs = append(specs, experiments.RunSpec{
+				spec := experiments.RunSpec{
 					Topo:           ts,
 					Workload:       wl,
 					Strategy:       ss,
@@ -149,7 +149,9 @@ func main() {
 					SampleInterval: sampleIvl,
 					RetryLimit:     *retryLim,
 					RetryBackoff:   *retryBck,
-				})
+				}
+				fail(spec.Validate())
+				specs = append(specs, spec)
 			}
 		}
 	}

@@ -41,10 +41,12 @@ func main() {
 		traceOut = flag.String("trace-out", "", "write a Perfetto span export (Chrome trace-event JSON) of the first configuration's run")
 	)
 	flag.Parse()
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
 	// Recovery metrics need the sampling timeline; mirror cmd/serve's
 	// default so -scenario alone produces a populated recovery table.
-	if *scenArg != "" && *sample <= 0 {
-		*sample = 250
+	if *scenArg != "" && *sample == 0 {
+		*sample, given["sample"] = 250, true
 	}
 
 	var specs []experiments.RunSpec
@@ -67,21 +69,21 @@ func main() {
 			}
 		}
 	}
-	if *scenArg != "" || *sample > 0 || *retryLim > 0 || *retryBck > 0 {
-		for i := range specs {
-			if *scenArg != "" {
-				specs[i].Scenario = *scenArg
-			}
-			if *sample > 0 {
-				specs[i].SampleInterval = *sample
-			}
-			if *retryLim > 0 {
-				specs[i].RetryLimit = *retryLim
-			}
-			if *retryBck > 0 {
-				specs[i].RetryBackoff = *retryBck
-			}
+	// A given flag overrides every run, so a bad value reaches Validate.
+	for i := range specs {
+		if *scenArg != "" {
+			specs[i].Scenario = *scenArg
 		}
+		if given["sample"] {
+			specs[i].SampleInterval = *sample
+		}
+		if given["retry-limit"] {
+			specs[i].RetryLimit = *retryLim
+		}
+		if given["retry-backoff"] {
+			specs[i].RetryBackoff = *retryBck
+		}
+		fail(specs[i].Validate())
 	}
 	if *saveFile != "" {
 		fail(experiments.SaveSpecs(*saveFile, "generated by cmd/sweep", specs))

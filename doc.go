@@ -38,12 +38,13 @@
 //	internal/core        CWN, GM, ACWN, and baseline strategies
 //	internal/metrics     histograms, summaries, exact-percentile samples
 //	internal/report      text tables, ASCII charts, heat maps, CSV
-//	internal/experiments registry-driven specs and the paper's suites
+//	internal/experiments declarative run specs and the paper's suites
 //
-// The experiments layer dispatches topologies, workloads, strategies
-// and arrival processes through registries (experiments.RegisterTopology
-// and friends), so new kinds plug in by name and flow through JSON spec
-// files, the CLI parsers and every sweep without touching the dispatch.
+// The experiments layer names topologies, workloads, strategies and
+// arrival processes by kind in a RunSpec. One validator,
+// RunSpec.Validate, decides whether a spec can run; the CLI parsers,
+// JSON spec files and every sweep apply it before building anything, so
+// a bad spec fails with an error where it enters.
 //
 // # Determinism
 //

@@ -47,14 +47,27 @@ func BurstArrivals(burst int, gap int64, bursts int) ArrivalSpec {
 // (the zero value included).
 func (as ArrivalSpec) IsSingle() bool { return as.Kind == "" || as.Kind == "single" }
 
-// Build constructs a fresh JobSource emitting copies of tree, via the
-// arrival registry.
+// Build constructs a fresh JobSource emitting copies of tree. The spec
+// must be valid (RunSpec.Validate).
 func (as ArrivalSpec) Build(tree *workload.Tree) machine.JobSource {
 	kind := as.Kind
 	if kind == "" {
 		kind = "single"
 	}
-	return arrivalRegistry.build(kind, arrivalInput{Spec: as, Tree: tree})
+	return buildKind("arrival", arrivalBuilders, kind)(as, tree)
+}
+
+var arrivalBuilders = map[string]func(ArrivalSpec, *workload.Tree) machine.JobSource{
+	"single": func(_ ArrivalSpec, tree *workload.Tree) machine.JobSource { return machine.NewSingleJob(tree) },
+	"interval": func(as ArrivalSpec, tree *workload.Tree) machine.JobSource {
+		return machine.NewFixedInterval(tree, sim.Time(as.Gap), as.Jobs)
+	},
+	"poisson": func(as ArrivalSpec, tree *workload.Tree) machine.JobSource {
+		return machine.NewPoisson(tree, as.Mean, as.Jobs)
+	},
+	"burst": func(as ArrivalSpec, tree *workload.Tree) machine.JobSource {
+		return machine.NewBurst(tree, as.Burst, sim.Time(as.Gap), as.Bursts)
+	},
 }
 
 // Label is a short stable identifier, e.g. "poisson(g=50,n=200)";
@@ -73,19 +86,4 @@ func (as ArrivalSpec) Label() string {
 	default:
 		return as.Kind
 	}
-}
-
-func init() {
-	RegisterArrival("single", func(_ ArrivalSpec, tree *workload.Tree) machine.JobSource {
-		return machine.NewSingleJob(tree)
-	})
-	RegisterArrival("interval", func(as ArrivalSpec, tree *workload.Tree) machine.JobSource {
-		return machine.NewFixedInterval(tree, sim.Time(as.Gap), as.Jobs)
-	})
-	RegisterArrival("poisson", func(as ArrivalSpec, tree *workload.Tree) machine.JobSource {
-		return machine.NewPoisson(tree, as.Mean, as.Jobs)
-	})
-	RegisterArrival("burst", func(as ArrivalSpec, tree *workload.Tree) machine.JobSource {
-		return machine.NewBurst(tree, as.Burst, sim.Time(as.Gap), as.Bursts)
-	})
 }

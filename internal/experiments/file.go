@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 )
 
 // SpecFile is the on-disk experiment description consumed by cmd/sweep:
@@ -11,20 +13,24 @@ import (
 type SpecFile struct {
 	// Comment is free-form documentation carried in the file.
 	Comment string `json:"comment,omitempty"`
-	// Defaults, when present, fills in zero-valued fields of every run
-	// (topology, workload, strategy, seed, sampling).
+	// Defaults, when present, fills in every zero-valued field of every
+	// run except its label.
 	Defaults *RunSpec  `json:"defaults,omitempty"`
 	Runs     []RunSpec `json:"runs"`
 }
 
-// LoadSpecs reads a SpecFile from path and applies its defaults.
+// LoadSpecs reads a SpecFile from path, applies its defaults and
+// validates every run, so a bad spec fails at load, not mid-sweep. A
+// key the file format does not define is an error.
 func LoadSpecs(path string) ([]RunSpec, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.DisallowUnknownFields()
 	var sf SpecFile
-	if err := json.Unmarshal(blob, &sf); err != nil {
+	if err := dec.Decode(&sf); err != nil {
 		return nil, fmt.Errorf("experiments: parsing %s: %w", path, err)
 	}
 	if len(sf.Runs) == 0 {
@@ -32,8 +38,7 @@ func LoadSpecs(path string) ([]RunSpec, error) {
 	}
 	for i := range sf.Runs {
 		applyDefaults(&sf.Runs[i], sf.Defaults)
-		// Validate eagerly: a bad spec should fail at load, not mid-sweep.
-		if err := validateSpec(sf.Runs[i]); err != nil {
+		if err := sf.Runs[i].Validate(); err != nil {
 			return nil, fmt.Errorf("experiments: %s run %d: %w", path, i, err)
 		}
 	}
@@ -49,55 +54,17 @@ func SaveSpecs(path, comment string, runs []RunSpec) error {
 	return os.WriteFile(path, append(blob, '\n'), 0o644)
 }
 
+// applyDefaults gives every zero-valued field of rs but its label the
+// value d holds. It walks the struct, so a field added to RunSpec takes
+// its default without a change here.
 func applyDefaults(rs *RunSpec, d *RunSpec) {
 	if d == nil {
 		return
 	}
-	if rs.Topo.Kind == "" {
-		rs.Topo = d.Topo
-	}
-	if rs.Workload.Kind == "" {
-		rs.Workload = d.Workload
-	}
-	if rs.Strategy.Kind == "" {
-		rs.Strategy = d.Strategy
-	}
-	if rs.Arrival.Kind == "" {
-		rs.Arrival = d.Arrival
-	}
-	if rs.Seed == 0 {
-		rs.Seed = d.Seed
-	}
-	if rs.Warmup == 0 {
-		rs.Warmup = d.Warmup
-	}
-	if rs.MaxTime == 0 {
-		rs.MaxTime = d.MaxTime
-	}
-	if rs.SampleInterval == 0 {
-		rs.SampleInterval = d.SampleInterval
-	}
-	if rs.LoadMetric == "" {
-		rs.LoadMetric = d.LoadMetric
-	}
-	if rs.GoalHopTime == 0 {
-		rs.GoalHopTime = d.GoalHopTime
-	}
-	if rs.RespHopTime == 0 {
-		rs.RespHopTime = d.RespHopTime
-	}
-}
-
-// validateSpec builds the spec's components, converting panics from
-// unknown kinds or bad parameters into errors.
-func validateSpec(rs RunSpec) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%v", r)
+	run, def := reflect.ValueOf(rs).Elem(), reflect.ValueOf(d).Elem()
+	for i := range run.NumField() {
+		if f := run.Field(i); f.IsZero() && run.Type().Field(i).Name != "Label" {
+			f.Set(def.Field(i))
 		}
-	}()
-	rs.Topo.Build()
-	rs.Strategy.Build()
-	rs.Arrival.Build(rs.Workload.Build())
-	return nil
+	}
 }

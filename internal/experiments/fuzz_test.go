@@ -94,7 +94,7 @@ func FuzzParseTopo(f *testing.F) {
 }
 
 // checkTopoArg parses s and, when ParseTopo accepts a machine of at
-// most 1024 PEs, builds it. It builds through the registry rather than
+// most 1024 PEs, builds it. It builds uncached rather than through
 // TopoSpec.Build, whose process-wide cache would keep every fuzzed
 // topology alive.
 func checkTopoArg(t *testing.T, s string) {
@@ -109,7 +109,7 @@ func checkTopoArg(t *testing.T, s string) {
 	if n > 1024 {
 		return
 	}
-	topo := topoRegistry.build(ts.Kind, ts)
+	topo := ts.build()
 	if topo.Size() != ts.PEs() {
 		t.Fatalf("ParseTopo(%q) describes %d PEs but builds %d", s, ts.PEs(), topo.Size())
 	}
@@ -127,31 +127,31 @@ func FuzzParseWorkload(f *testing.F) {
 	f.Fuzz(checkWorkloadArg)
 }
 
-// checkWorkloadArg parses s and, when ParseWorkload accepts a tree of
-// at most about 4096 goals, builds it. Like checkTopoArg it builds
-// through the registry, because WorkloadSpec.Build caches every tree
-// for the life of the process.
+// checkWorkloadArg parses s and, when ParseWorkload accepts a small
+// tree, builds it. Like checkTopoArg it builds uncached, because
+// WorkloadSpec.Build caches every tree for the life of the process.
 func checkWorkloadArg(t *testing.T, s string) {
 	ws, err := ParseWorkload(s)
-	if err != nil {
+	if err != nil || !smallTree(ws) {
 		return
 	}
-	small := false
+	if tree := ws.build(); tree.Root == nil {
+		t.Fatalf("ParseWorkload(%q) built a tree with no root", s)
+	}
+}
+
+// smallTree reports whether a valid spec's tree has at most about 4096
+// goals.
+func smallTree(ws WorkloadSpec) bool {
 	switch ws.Kind {
 	case "fib":
-		small = ws.M <= 16
+		return ws.M <= 16
 	case "dc":
-		small = ws.N-ws.M <= 2048
+		return ws.N-ws.M <= 2048
 	case "binary":
-		small = ws.N <= 11
-	default: // skew, chain, random: N goals or about that
-		small = ws.N <= 4096
-	}
-	if !small {
-		return
-	}
-	if tree := workloadRegistry.build(ws.Kind, ws); tree.Root == nil {
-		t.Fatalf("ParseWorkload(%q) built a tree with no root", s)
+		return ws.N <= 11
+	default: // skew, chain, random, imbal: N goals or about that
+		return ws.N <= 4096
 	}
 }
 

@@ -60,18 +60,12 @@ func (a Aggregate) String() string {
 		a.Spec.Name(), a.Util.Mean(), a.Util.Stddev(), a.Speedup.Mean(), a.Speedup.Stddev(), a.Util.N())
 }
 
-// RunReplicated executes each spec n times with consecutive seeds and
-// returns one aggregate per input spec, preserving order.
-func RunReplicated(specs []RunSpec, n, workers int) ([]Aggregate, error) {
-	aggs, _, err := RunReplicatedResults(specs, n, workers)
-	return aggs, err
-}
-
-// RunReplicatedResults is RunReplicated for callers that also need the
-// individual runs: results holds n consecutive entries per input spec
-// (seeds base..base+n-1, spec order preserved), so spec i's first-seed
-// run is results[i*n]. The aggregate table and any per-run reporting
-// (e.g. cmd/sweep's scenario recovery table) share one simulation pass.
+// RunReplicatedResults executes each spec n times with consecutive
+// seeds and returns one aggregate per input spec, preserving order,
+// with the individual runs: results holds n consecutive entries per
+// input spec (seeds base..base+n-1), so spec i's first-seed run is
+// results[i*n]. The aggregate table and any per-run reporting (e.g.
+// cmd/sweep's scenario recovery table) share one simulation pass.
 func RunReplicatedResults(specs []RunSpec, n, workers int) ([]Aggregate, []*Result, error) {
 	var flat []RunSpec
 	for _, s := range specs {

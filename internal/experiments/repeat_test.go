@@ -42,7 +42,7 @@ func TestRunReplicatedAggregates(t *testing.T) {
 		{Topo: Grid(4), Workload: Fib(10), Strategy: CWN(4, 1)},
 		{Topo: Grid(4), Workload: Fib(10), Strategy: GM(1, 2, 20)},
 	}
-	aggs, err := RunReplicated(specs, 4, 0)
+	aggs, _, err := RunReplicatedResults(specs, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,10 +170,10 @@ func TestSpecFileErrors(t *testing.T) {
 	if _, err := LoadSpecs(badspec); err == nil {
 		t.Error("unknown topology kind should error at load")
 	}
-	if !strings.Contains(func() string {
-		_, err := LoadSpecs(badspec)
-		return err.Error()
-	}(), "run 0") {
-		t.Error("error should name the offending run")
+	_, err := LoadSpecs(badspec)
+	if err == nil || !strings.Contains(err.Error(), "run 0") {
+		t.Errorf("error %v should name the offending run", err)
+	} else if !strings.Contains(err.Error(), "known: bus, chordal, complete, dlm, grid") {
+		t.Errorf("error %v should list the known topology kinds", err)
 	}
 }

@@ -31,8 +31,3 @@ func Index(results []*Result) *ResultSet {
 func (rs *ResultSet) Get(w WorkloadSpec, t TopoSpec, stratKind string) *Result {
 	return rs.byKey[key(w, t, stratKind, SingleArrival().Label())]
 }
-
-// GetArrival returns the result for a stream configuration, or nil.
-func (rs *ResultSet) GetArrival(w WorkloadSpec, t TopoSpec, stratKind string, a ArrivalSpec) *Result {
-	return rs.byKey[key(w, t, stratKind, a.Label())]
-}

@@ -78,8 +78,17 @@ func (rs RunSpec) Name() string {
 	return name
 }
 
-// Config materializes the machine configuration for this run.
+// Config materializes the machine configuration for this run. It
+// panics on a scenario that does not parse, which Validate reports.
 func (rs RunSpec) Config() machine.Config {
+	cfg, err := rs.config()
+	if err != nil {
+		panic(err)
+	}
+	return cfg
+}
+
+func (rs RunSpec) config() (machine.Config, error) {
 	cfg := machine.DefaultConfig()
 	if rs.Seed != 0 {
 		cfg.Seed = rs.Seed
@@ -105,7 +114,7 @@ func (rs RunSpec) Config() machine.Config {
 	if rs.Scenario != "" {
 		sc, err := scenario.Parse(rs.Scenario)
 		if err != nil {
-			panic(err.Error()) // ExecuteErr converts spec panics to errors
+			return cfg, err
 		}
 		cfg.Scenario = sc
 	}
@@ -114,7 +123,7 @@ func (rs RunSpec) Config() machine.Config {
 	cfg.Shards = rs.Shards
 	cfg.ShardSerial = rs.ShardSerial
 	cfg.Trace = rs.Trace
-	return cfg
+	return cfg, nil
 }
 
 // Result is the outcome of one run.
@@ -175,26 +184,31 @@ func (r *Result) OfBound() float64 {
 // jobs still in flight — the stream outran the machine.
 func (r *Result) Saturated() bool { return !r.Stats.Completed }
 
-// ExecuteErr builds and runs the specified simulation synchronously. A
-// single-job run that hits MaxTime returns an error (a goal was lost or
-// the machine is misconfigured — the closed system must drain). An
-// arrival stream that hits MaxTime is the saturation regime: it is
-// reported as a Result with Saturated() true, not an error. Builder and
-// configuration panics (unknown registry kinds, bad arrival parameters,
-// invalid warm-up) are converted to errors, so a bad spec fails its own
-// run rather than crashing a whole sweep.
-func (rs RunSpec) ExecuteErr() (res *Result, err error) {
+// ExecuteErr validates the spec, then builds and runs the simulation
+// synchronously. An invalid spec returns Validate's error before
+// anything is built. A single-job run that hits MaxTime returns an
+// error (a goal was lost or the machine is misconfigured — the closed
+// system must drain). An arrival stream that hits MaxTime is the
+// saturation regime: it is reported as a Result with Saturated() true,
+// not an error.
+func (rs RunSpec) ExecuteErr() (*Result, error) {
+	if err := rs.Validate(); err != nil {
+		return nil, fmt.Errorf("experiments: run %w", err)
+	}
+	return rs.execute(rs.Strategy.Build())
+}
+
+// execute builds and runs rs's machine with strat. A panic raised while
+// the simulation runs fails this run with an error, so RunAll never
+// crashes a sweep.
+func (rs RunSpec) execute(strat machine.Strategy) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			// Name() rebuilds the strategy and would re-panic on an
-			// unknown kind; identify the run by its raw spec labels.
-			res, err = nil, fmt.Errorf("experiments: run %s|%s|%s: %v",
-				rs.Strategy.Kind, rs.Topo.Label(), rs.Workload.Label(), r)
+			res, err = nil, fmt.Errorf("experiments: run %s: %v", rs.ref(), r)
 		}
 	}()
 	topo := rs.Topo.Build()
 	tree := rs.Workload.Build()
-	strat := rs.Strategy.Build()
 	cfg := rs.Config()
 	start := time.Now()
 	m := machine.NewStream(topo, rs.Arrival.Build(tree), strat, cfg)

@@ -8,9 +8,11 @@
 // so the same declarative layer drives open-system runs: job streams
 // with latency and throughput results (cmd/serve).
 //
-// Specs name their components by kind and are dispatched through
-// registries — see RegisterTopology, RegisterWorkload, RegisterStrategy
-// and RegisterArrival in registry.go for how to plug in new kinds.
+// Specs name their components by kind. Each spec type dispatches its
+// kinds from one builder map beside its Label, and RunSpec.Validate
+// (validate.go) holds every rule a run must meet. The CLI parsers, the
+// spec-file loader and ExecuteErr all apply it, so a bad spec fails
+// where it enters, with an error, before anything is built.
 package experiments
 
 import (
@@ -57,7 +59,8 @@ func DLM(side, span int) TopoSpec {
 // Hypercube returns a hypercube spec of the given dimension.
 func Hypercube(dim int) TopoSpec { return TopoSpec{Kind: "hypercube", Dim: dim} }
 
-// Build constructs (and caches) the topology via the topology registry.
+// Build constructs (and caches) the topology. The spec must be valid
+// (RunSpec.Validate).
 func (ts TopoSpec) Build() *topology.Topology {
 	topoCacheMu.Lock()
 	defer topoCacheMu.Unlock()
@@ -65,23 +68,28 @@ func (ts TopoSpec) Build() *topology.Topology {
 	if t, ok := topoCache[key]; ok {
 		return t
 	}
-	t := topoRegistry.build(ts.Kind, ts)
+	t := ts.build()
 	topoCache[key] = t
 	return t
 }
 
-func init() {
-	RegisterTopology("grid", func(ts TopoSpec) *topology.Topology { return topology.NewGridImplicit(ts.Rows, ts.Cols) })
-	RegisterTopology("torus", func(ts TopoSpec) *topology.Topology { return topology.NewTorusImplicit(ts.Rows, ts.Cols) })
-	RegisterTopology("torus3d", func(ts TopoSpec) *topology.Topology { return topology.NewTorus3D(ts.Rows, ts.Cols, ts.Z) })
-	RegisterTopology("dlm", func(ts TopoSpec) *topology.Topology { return topology.NewDLM(ts.Rows, ts.Cols, ts.Span) })
-	RegisterTopology("hypercube", func(ts TopoSpec) *topology.Topology { return topology.NewHypercubeImplicit(ts.Dim) })
-	RegisterTopology("ring", func(ts TopoSpec) *topology.Topology { return topology.NewRing(ts.N) })
-	RegisterTopology("chordal", func(ts TopoSpec) *topology.Topology { return topology.NewChordalRing(ts.N, ts.Chord) })
-	RegisterTopology("complete", func(ts TopoSpec) *topology.Topology { return topology.NewComplete(ts.N) })
-	RegisterTopology("star", func(ts TopoSpec) *topology.Topology { return topology.NewStar(ts.N) })
-	RegisterTopology("bus", func(ts TopoSpec) *topology.Topology { return topology.NewBusGlobal(ts.N) })
-	RegisterTopology("single", func(TopoSpec) *topology.Topology { return topology.NewSingle() })
+// build constructs the topology uncached.
+func (ts TopoSpec) build() *topology.Topology {
+	return buildKind("topology", topoBuilders, ts.Kind)(ts)
+}
+
+var topoBuilders = map[string]func(TopoSpec) *topology.Topology{
+	"grid":      func(ts TopoSpec) *topology.Topology { return topology.NewGridImplicit(ts.Rows, ts.Cols) },
+	"torus":     func(ts TopoSpec) *topology.Topology { return topology.NewTorusImplicit(ts.Rows, ts.Cols) },
+	"torus3d":   func(ts TopoSpec) *topology.Topology { return topology.NewTorus3D(ts.Rows, ts.Cols, ts.Z) },
+	"dlm":       func(ts TopoSpec) *topology.Topology { return topology.NewDLM(ts.Rows, ts.Cols, ts.Span) },
+	"hypercube": func(ts TopoSpec) *topology.Topology { return topology.NewHypercubeImplicit(ts.Dim) },
+	"ring":      func(ts TopoSpec) *topology.Topology { return topology.NewRing(ts.N) },
+	"chordal":   func(ts TopoSpec) *topology.Topology { return topology.NewChordalRing(ts.N, ts.Chord) },
+	"complete":  func(ts TopoSpec) *topology.Topology { return topology.NewComplete(ts.N) },
+	"star":      func(ts TopoSpec) *topology.Topology { return topology.NewStar(ts.N) },
+	"bus":       func(ts TopoSpec) *topology.Topology { return topology.NewBusGlobal(ts.N) },
+	"single":    func(TopoSpec) *topology.Topology { return topology.NewSingle() },
 }
 
 // Label is a short stable identifier, e.g. "grid-20x20" or "dlm-10x10-s5".
@@ -140,7 +148,8 @@ func Fib(m int) WorkloadSpec { return WorkloadSpec{Kind: "fib", M: m} }
 // DC returns the dc(1,x) workload spec.
 func DC(x int) WorkloadSpec { return WorkloadSpec{Kind: "dc", M: 1, N: x} }
 
-// Build constructs (and caches) the tree via the workload registry.
+// Build constructs (and caches) the tree. The spec must be valid
+// (RunSpec.Validate).
 func (ws WorkloadSpec) Build() *workload.Tree {
 	treeCacheMu.Lock()
 	defer treeCacheMu.Unlock()
@@ -148,21 +157,26 @@ func (ws WorkloadSpec) Build() *workload.Tree {
 	if t, ok := treeCache[key]; ok {
 		return t
 	}
-	t := workloadRegistry.build(ws.Kind, ws)
+	t := ws.build()
 	treeCache[key] = t
 	return t
 }
 
-func init() {
-	RegisterWorkload("fib", func(ws WorkloadSpec) *workload.Tree { return workload.NewFib(ws.M) })
-	RegisterWorkload("dc", func(ws WorkloadSpec) *workload.Tree { return workload.NewDC(ws.M, ws.N) })
-	RegisterWorkload("binary", func(ws WorkloadSpec) *workload.Tree { return workload.NewFullBinary(ws.N) })
-	RegisterWorkload("skew", func(ws WorkloadSpec) *workload.Tree { return workload.NewSkewed(ws.N) })
-	RegisterWorkload("chain", func(ws WorkloadSpec) *workload.Tree { return workload.NewChain(ws.N) })
-	RegisterWorkload("random", func(ws WorkloadSpec) *workload.Tree {
+// build constructs the tree uncached.
+func (ws WorkloadSpec) build() *workload.Tree {
+	return buildKind("workload", workloadBuilders, ws.Kind)(ws)
+}
+
+var workloadBuilders = map[string]func(WorkloadSpec) *workload.Tree{
+	"fib":    func(ws WorkloadSpec) *workload.Tree { return workload.NewFib(ws.M) },
+	"dc":     func(ws WorkloadSpec) *workload.Tree { return workload.NewDC(ws.M, ws.N) },
+	"binary": func(ws WorkloadSpec) *workload.Tree { return workload.NewFullBinary(ws.N) },
+	"skew":   func(ws WorkloadSpec) *workload.Tree { return workload.NewSkewed(ws.N) },
+	"chain":  func(ws WorkloadSpec) *workload.Tree { return workload.NewChain(ws.N) },
+	"random": func(ws WorkloadSpec) *workload.Tree {
 		return workload.NewRandom(workload.RandomConfig{Seed: ws.Seed, Goals: ws.N, MaxKids: 4, MaxWork: 3, LeafValue: 1})
-	})
-	RegisterWorkload("imbal", func(ws WorkloadSpec) *workload.Tree { return workload.NewImbalanced(ws.N, ws.Frac) })
+	},
+	"imbal": func(ws WorkloadSpec) *workload.Tree { return workload.NewImbalanced(ws.N, ws.Frac) },
 }
 
 // Label is a short stable identifier, e.g. "fib(18)" or "dc(1,4181)".
@@ -204,7 +218,7 @@ type StrategySpec struct {
 	// FailureAware opts cwn/gm/worksteal nodes into the environment
 	// event stream (PEFailed/PERecovered): immediate re-steering and
 	// backfill on availability changes instead of sentinel-only
-	// reaction. Ignored by strategies without a failure-aware mode.
+	// reaction. Other kinds refuse it.
 	FailureAware bool `json:"failureAware,omitempty"`
 }
 
@@ -223,41 +237,42 @@ func ACWN(radius, horizon, sat int, interval int64) StrategySpec {
 	return StrategySpec{Kind: "acwn", Radius: radius, Horizon: horizon, Sat: sat, Interval: interval, Redistribute: true}
 }
 
-// Build constructs a fresh strategy via the strategy registry.
+// Build constructs a fresh strategy. The spec must be valid
+// (RunSpec.Validate).
 func (ss StrategySpec) Build() machine.Strategy {
-	return strategyRegistry.build(ss.Kind, ss)
+	return buildKind("strategy", strategyBuilders, ss.Kind)(ss)
 }
 
-func init() {
-	RegisterStrategy("cwn", func(ss StrategySpec) machine.Strategy {
+var strategyBuilders = map[string]func(StrategySpec) machine.Strategy{
+	"cwn": func(ss StrategySpec) machine.Strategy {
 		c := core.NewCWN(ss.Radius, ss.Horizon)
 		c.StrictMinimum = ss.Strict
 		c.FailureAware = ss.FailureAware
 		return c
-	})
-	RegisterStrategy("gm", func(ss StrategySpec) machine.Strategy {
+	},
+	"gm": func(ss StrategySpec) machine.Strategy {
 		g := core.NewGradient(ss.Low, ss.High, sim.Time(ss.Interval))
 		g.RequireTarget = ss.RequireTarget
 		g.ExportNewest = ss.ExportNewest
 		g.FailureAware = ss.FailureAware
 		return g
-	})
-	RegisterStrategy("acwn", func(ss StrategySpec) machine.Strategy {
+	},
+	"acwn": func(ss StrategySpec) machine.Strategy {
 		a := core.NewACWN(ss.Radius, ss.Horizon, ss.Sat, sim.Time(ss.Interval))
 		a.Redistribute = ss.Redistribute
 		a.StrictMinimum = ss.Strict
 		return a
-	})
-	RegisterStrategy("local", func(StrategySpec) machine.Strategy { return core.NewLocal() })
-	RegisterStrategy("randomwalk", func(ss StrategySpec) machine.Strategy { return core.NewRandomWalk(ss.Steps) })
-	RegisterStrategy("roundrobin", func(StrategySpec) machine.Strategy { return core.NewRoundRobin() })
-	RegisterStrategy("worksteal", func(ss StrategySpec) machine.Strategy {
+	},
+	"local":      func(StrategySpec) machine.Strategy { return core.NewLocal() },
+	"randomwalk": func(ss StrategySpec) machine.Strategy { return core.NewRandomWalk(ss.Steps) },
+	"roundrobin": func(StrategySpec) machine.Strategy { return core.NewRoundRobin() },
+	"worksteal": func(ss StrategySpec) machine.Strategy {
 		w := core.NewWorkSteal(sim.Time(ss.Interval), ss.Threshold)
 		w.FailureAware = ss.FailureAware
 		return w
-	})
-	RegisterStrategy("diffusion", func(ss StrategySpec) machine.Strategy { return core.NewDiffusion(sim.Time(ss.Interval)) })
-	RegisterStrategy("ideal", func(StrategySpec) machine.Strategy { return core.NewIdeal() })
+	},
+	"diffusion": func(ss StrategySpec) machine.Strategy { return core.NewDiffusion(sim.Time(ss.Interval)) },
+	"ideal":     func(StrategySpec) machine.Strategy { return core.NewIdeal() },
 }
 
 // Label returns the built strategy's display name.

@@ -6,7 +6,6 @@ import (
 
 	"cwnsim/internal/machine"
 	"cwnsim/internal/sim"
-	"cwnsim/internal/topology"
 	"cwnsim/internal/workload"
 )
 
@@ -73,8 +72,9 @@ func TestExecuteErrOnLostRun(t *testing.T) {
 }
 
 func TestExecuteErrRecoversBuilderPanics(t *testing.T) {
-	// Unknown kinds and invalid parameters panic in the builders; a
-	// sweep must get an error for that run, not a process crash.
+	// Unknown kinds and invalid parameters fail validation before
+	// anything is built; a sweep gets an error for that run, not a
+	// process crash.
 	bad := []RunSpec{
 		{Topo: Grid(4), Workload: Fib(8), Strategy: StrategySpec{Kind: "no-such"}},
 		{Topo: Grid(4), Workload: Fib(8), Strategy: CWN(3, 1), Arrival: ArrivalSpec{Kind: "interval", Gap: 0, Jobs: 5}},
@@ -140,14 +140,13 @@ type dropperNode struct{}
 func (dropperNode) HandleEvent(machine.Event) {}
 
 func TestStalledStreamIsAnError(t *testing.T) {
-	RegisterStrategy("stub-dropper", func(StrategySpec) machine.Strategy { return droppingStrategy{} })
 	_, err := RunSpec{
+		Label:    "dropper",
 		Topo:     TopoSpec{Kind: "single"},
 		Workload: Fib(8),
-		Strategy: StrategySpec{Kind: "stub-dropper"},
 		Arrival:  IntervalArrivals(100, 3),
 		MaxTime:  20_000,
-	}.ExecuteErr()
+	}.execute(droppingStrategy{})
 	if err == nil || !strings.Contains(err.Error(), "stalled") {
 		t.Fatalf("lost-goal stream returned %v, want a stalled error", err)
 	}
@@ -200,84 +199,4 @@ func TestParseArrival(t *testing.T) {
 			t.Errorf("ParseArrival(%q) succeeded, want error", bad)
 		}
 	}
-}
-
-// stubStrategy checks custom registration end to end.
-type stubStrategy struct{ interval sim.Time }
-
-func (s stubStrategy) Name() string { return "stub" }
-func (s stubStrategy) Setup(*machine.Machine) {
-	if s.interval <= 0 {
-		panic("stub: bad interval")
-	}
-}
-func (s stubStrategy) NewNode(pe *machine.PE) machine.NodeStrategy {
-	return stubNode{pe}
-}
-
-type stubNode struct{ pe *machine.PE }
-
-func (n stubNode) HandleEvent(ev machine.Event) {
-	switch ev.Kind {
-	case machine.GoalCreated, machine.GoalArrived:
-		n.pe.Accept(ev.Goal)
-	}
-}
-
-func TestRegistriesArePluggable(t *testing.T) {
-	RegisterStrategy("stub-test", func(ss StrategySpec) machine.Strategy {
-		return stubStrategy{interval: sim.Time(ss.Interval)}
-	})
-	RegisterTopology("stub-line", func(ts TopoSpec) *topology.Topology { return topology.NewRing(ts.N) })
-	RegisterWorkload("stub-pair", func(WorkloadSpec) *workload.Tree { return workload.NewFullBinary(1) })
-	RegisterArrival("stub-twice", func(_ ArrivalSpec, tree *workload.Tree) machine.JobSource {
-		return machine.NewFixedInterval(tree, 100, 2)
-	})
-
-	r, err := RunSpec{
-		Topo:     TopoSpec{Kind: "stub-line", N: 4},
-		Workload: WorkloadSpec{Kind: "stub-pair"},
-		Strategy: StrategySpec{Kind: "stub-test", Interval: 7},
-		Arrival:  ArrivalSpec{Kind: "stub-twice"},
-	}.ExecuteErr()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Jobs != 2 {
-		t.Fatalf("custom arrival ran %d jobs, want 2", r.Jobs)
-	}
-	if r.Stats.Strategy != "stub" {
-		t.Fatalf("custom strategy label %q", r.Stats.Strategy)
-	}
-
-	for _, kinds := range [][]string{TopologyKinds(), WorkloadKinds(), StrategyKinds(), ArrivalKinds()} {
-		if len(kinds) == 0 {
-			t.Fatal("a registry reports no kinds")
-		}
-	}
-}
-
-func TestRegistryRejectsDuplicatesAndUnknowns(t *testing.T) {
-	RegisterStrategy("stub-dup", func(StrategySpec) machine.Strategy { return stubStrategy{interval: 1} })
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("duplicate registration did not panic")
-			}
-		}()
-		RegisterStrategy("stub-dup", func(StrategySpec) machine.Strategy { return stubStrategy{interval: 1} })
-	}()
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Error("unknown kind did not panic")
-				return
-			}
-			if msg, ok := r.(string); !ok || !strings.Contains(msg, "cwn") {
-				t.Errorf("unknown-kind panic %v does not list registered kinds", r)
-			}
-		}()
-		StrategySpec{Kind: "no-such-kind"}.Build()
-	}()
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -235,63 +236,53 @@ func DefaultConfig() Config {
 	}
 }
 
-// validate panics on configurations that would make the simulation
-// meaningless.
-func (c *Config) validate(numPEs int) {
-	if c.GrainTime <= 0 {
-		panic("machine: GrainTime must be positive")
+// Validate reports a configuration that would make the simulation
+// meaningless on a machine of numPEs PEs. NewStream panics with its
+// error, so callers that take configurations from outside the program
+// check them here first.
+func (c Config) Validate(numPEs int) error {
+	switch {
+	case c.GrainTime <= 0:
+		return errors.New("machine: GrainTime must be positive")
+	case c.CombineTime <= 0:
+		return errors.New("machine: CombineTime must be positive")
+	case c.GoalHopTime <= 0 || c.RespHopTime <= 0 || c.CtrlHopTime <= 0:
+		return errors.New("machine: hop times must be positive")
+	case c.RootPE < 0 || c.RootPE >= numPEs:
+		return fmt.Errorf("machine: RootPE %d out of range [0,%d)", c.RootPE, numPEs)
+	case c.MaxTime <= 0:
+		return errors.New("machine: MaxTime must be positive")
+	case c.Warmup < 0:
+		return errors.New("machine: Warmup must be non-negative")
+	case c.Warmup >= c.MaxTime:
+		return fmt.Errorf("machine: Warmup %d must precede MaxTime %d", c.Warmup, c.MaxTime)
+	case c.PESpeeds != nil && len(c.PESpeeds) != numPEs:
+		return fmt.Errorf("machine: PESpeeds has %d entries for %d PEs", len(c.PESpeeds), numPEs)
 	}
-	if c.CombineTime <= 0 {
-		panic("machine: CombineTime must be positive")
-	}
-	if c.GoalHopTime <= 0 || c.RespHopTime <= 0 || c.CtrlHopTime <= 0 {
-		panic("machine: hop times must be positive")
-	}
-	if c.RootPE < 0 || c.RootPE >= numPEs {
-		panic(fmt.Sprintf("machine: RootPE %d out of range [0,%d)", c.RootPE, numPEs))
-	}
-	if c.MaxTime <= 0 {
-		panic("machine: MaxTime must be positive")
-	}
-	if c.Warmup < 0 {
-		panic("machine: Warmup must be non-negative")
-	}
-	if c.Warmup >= c.MaxTime {
-		panic("machine: Warmup must precede MaxTime")
-	}
-	if c.PESpeeds != nil {
-		if len(c.PESpeeds) != numPEs {
-			panic(fmt.Sprintf("machine: PESpeeds has %d entries for %d PEs", len(c.PESpeeds), numPEs))
-		}
-		for i, s := range c.PESpeeds {
-			// !(s > 0) also rejects NaN, which `s <= 0` lets through.
-			if !(s > 0) || math.IsInf(s, 0) {
-				panic(fmt.Sprintf("machine: PESpeeds[%d] = %v must be finite and positive", i, s))
-			}
+	for i, s := range c.PESpeeds {
+		// !(s > 0) also rejects NaN, which `s <= 0` lets through.
+		if !(s > 0) || math.IsInf(s, 0) {
+			return fmt.Errorf("machine: PESpeeds[%d] = %v must be finite and positive", i, s)
 		}
 	}
 	if err := c.Scenario.Validate(numPEs); err != nil {
-		panic(err.Error())
+		return err
 	}
-	if c.RetryLimit < 0 {
-		panic("machine: RetryLimit must be non-negative")
+	switch {
+	case c.RetryLimit < 0:
+		return errors.New("machine: RetryLimit must be non-negative")
+	case c.RetryBackoff < 0:
+		return errors.New("machine: RetryBackoff must be non-negative")
+	case c.MonitorPE && c.SampleInterval <= 0:
+		return errors.New("machine: MonitorPE requires SampleInterval > 0")
+	case c.SojournBound < 0:
+		return errors.New("machine: SojournBound must be non-negative")
+	case c.SeriesBound < 0:
+		return errors.New("machine: SeriesBound must be non-negative")
+	case c.SeriesBound == 1:
+		return errors.New("machine: SeriesBound must be 0 (exact) or >= 2")
+	case c.Shards < 0:
+		return errors.New("machine: Shards must be non-negative")
 	}
-	if c.RetryBackoff < 0 {
-		panic("machine: RetryBackoff must be non-negative")
-	}
-	if c.MonitorPE && c.SampleInterval <= 0 {
-		panic("machine: MonitorPE requires SampleInterval > 0")
-	}
-	if c.SojournBound < 0 {
-		panic("machine: SojournBound must be non-negative")
-	}
-	if c.SeriesBound < 0 {
-		panic("machine: SeriesBound must be non-negative")
-	}
-	if c.SeriesBound == 1 {
-		panic("machine: SeriesBound must be 0 (exact) or >= 2")
-	}
-	if c.Shards < 0 {
-		panic("machine: Shards must be non-negative")
-	}
+	return nil
 }

@@ -255,7 +255,9 @@ func New(topo *topology.Topology, tree *workload.Tree, strat Strategy, cfg Confi
 // across all shards (see doc.go, "Sharded execution") and returns the
 // merged statistics.
 func NewStream(topo *topology.Topology, source JobSource, strat Strategy, cfg Config) *Machine {
-	cfg.validate(topo.Size())
+	if err := cfg.Validate(topo.Size()); err != nil {
+		panic(err)
+	}
 	return newShardGroup(topo, source, strat, cfg).machines[0]
 }
 
@@ -552,9 +554,6 @@ func (m *Machine) Config() Config { return m.cfg }
 // stream machines return nil (each job carries its own tree).
 func (m *Machine) Tree() *workload.Tree { return m.tree }
 
-// Source returns the machine's job source.
-func (m *Machine) Source() JobSource { return m.source }
-
 // NumPEs returns the machine size.
 func (m *Machine) NumPEs() int { return len(m.pes) }
 
@@ -819,19 +818,23 @@ func (m *Machine) completeJob(j *jobState, value int64) {
 // jobs injected in its (now twice as wide) window, so the finalized
 // per-window percentiles stay exact on the coarser grid.
 func (m *Machine) thinInjSoj() {
-	half := (len(m.injSoj) + 1) / 2
-	for i := 0; i < half; i++ {
-		merged := m.injSoj[2*i]
-		if 2*i+1 < len(m.injSoj) {
-			merged = append(merged, m.injSoj[2*i+1]...)
-		}
-		m.injSoj[i] = merged
-	}
-	for i := half; i < len(m.injSoj); i++ {
-		m.injSoj[i] = nil
-	}
-	m.injSoj = m.injSoj[:half]
+	m.injSoj = halveBuckets(m.injSoj)
 	m.injStride *= 2
+}
+
+// halveBuckets merges adjacent sojourn buckets pairwise, in place, and
+// returns the (len+1)/2 merged buckets; the caller doubles its stride.
+func halveBuckets(b [][]float64) [][]float64 {
+	half := (len(b) + 1) / 2
+	for i := 0; i < half; i++ {
+		merged := b[2*i]
+		if 2*i+1 < len(b) {
+			merged = append(merged, b[2*i+1]...)
+		}
+		b[i] = merged
+	}
+	clear(b[half:])
+	return b[:half]
 }
 
 // routeResponse moves a response one shortest-path hop at a time toward

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
 	"cwnsim/internal/sim"
@@ -222,14 +223,19 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.MaxTime = 0 },
 	}
 	for i, mutate := range bad {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		err := cfg.Validate(topo.Size())
+		if err == nil {
+			t.Errorf("case %d: Validate accepted the config", i)
+			continue
+		}
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d did not panic", i)
+				if r := recover(); fmt.Sprint(r) != err.Error() {
+					t.Errorf("case %d: New panicked with %v, want Validate's error %v", i, r, err)
 				}
 			}()
-			cfg := DefaultConfig()
-			mutate(&cfg)
 			New(topo, tree, keepLocal{}, cfg)
 		}()
 	}

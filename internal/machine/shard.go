@@ -848,15 +848,7 @@ func (g *shardGroup) mergeInjSoj(s *Stats) {
 	}
 	if b := g.cfg.SeriesBound; b > 0 {
 		for len(pooled) > b {
-			half := (len(pooled) + 1) / 2
-			for i := 0; i < half; i++ {
-				merged := pooled[2*i]
-				if 2*i+1 < len(pooled) {
-					merged = append(merged, pooled[2*i+1]...)
-				}
-				pooled[i] = merged
-			}
-			pooled = pooled[:half]
+			pooled = halveBuckets(pooled)
 			stride *= 2
 		}
 	}

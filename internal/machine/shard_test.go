@@ -322,7 +322,7 @@ type globalStrat struct{ spread }
 func (globalStrat) Name() string           { return "global-test" }
 func (globalStrat) SequentialOnly() string { return "global-test reads everything" }
 
-// TestShardConfigRejections pins validate's shard-count panics.
+// TestShardConfigRejections pins Validate's shard-count rejection.
 func TestShardConfigRejections(t *testing.T) {
 	cases := map[string]Config{}
 	cfg := DefaultConfig()

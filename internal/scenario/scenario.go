@@ -218,18 +218,17 @@ func (e Event) Targets(numPEs int) []int {
 	if e.Frac <= 0 {
 		return nil
 	}
-	k := int(math.Round(e.Frac * float64(numPEs)))
-	if k < 1 {
-		k = 1
-	}
-	if k > numPEs {
-		k = numPEs
-	}
+	k := e.fracCount(numPEs)
 	out := make([]int, k)
 	for i := range out {
 		out[i] = numPEs - k + i
 	}
 	return out
+}
+
+// fracCount is how many PEs a fraction-targeted event strikes.
+func (e Event) fracCount(numPEs int) int {
+	return min(max(int(math.Round(e.Frac*float64(numPEs))), 1), numPEs)
 }
 
 // Script is a deterministic timeline of perturbation events. The zero
@@ -331,12 +330,18 @@ func (s *Script) Validate(numPEs int) error {
 				// PE live); reject it before any simulation time is
 				// spent. Cumulative whole-machine failure across several
 				// events stays a runtime panic — it depends on recovers
-				// in between.
-				distinct := make(map[int]struct{}, numPEs)
-				for _, pe := range e.Targets(numPEs) {
-					distinct[pe] = struct{}{}
+				// in between. A fraction's targets are distinct and a list
+				// may repeat PEs; neither count costs memory in the
+				// machine size.
+				n := e.fracCount(numPEs)
+				if e.PEs != nil {
+					distinct := make(map[int]struct{}, len(e.PEs))
+					for _, pe := range e.PEs {
+						distinct[pe] = struct{}{}
+					}
+					n = len(distinct)
 				}
-				if len(distinct) >= numPEs {
+				if n >= numPEs {
 					return fmt.Errorf("scenario: event %d (%s): targets every PE — the machine needs at least one live PE", i, e.Kind)
 				}
 			}
