@@ -27,8 +27,8 @@ func benchSpecs(b *testing.B, specs []experiments.RunSpec) {
 		}
 		speedup, util = 0, 0
 		for _, r := range results {
-			speedup += r.Speedup
-			util += r.Util
+			speedup += r.Speedup()
+			util += r.UtilizationPercent()
 		}
 		speedup /= float64(len(results))
 		util /= float64(len(results))

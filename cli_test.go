@@ -80,6 +80,12 @@ var cliContract = [][]string{
 	{"sweep", "-retry-limit", "-1"},
 	{"serve", "-retry-limit", "-1"},
 	{"serve", "-scenario", "garbage"},
+	{"sweep", "-repeats", "0"},
+	{"sweep", "-repeats", "-2"},
+	{"paper", "-exp", "bogus"},
+	{"paper", "-exp", "table1,bogus"},
+	{"optimize", "-scheme", "bogus"},
+	{"lbsim", "-chart"},
 }
 
 func TestCLI(t *testing.T) {

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -37,6 +38,9 @@ func main() {
 		monitor  = flag.Int("monitor", 0, "render every Nth per-PE utilization frame (ORACLE's load monitor; needs -sample)")
 	)
 	flag.Parse()
+	if *chart && *sample <= 0 {
+		fail(errors.New("-chart needs -sample > 0"))
+	}
 
 	topo, err := experiments.ParseTopo(*topoArg)
 	fail(err)
@@ -78,7 +82,7 @@ func main() {
 
 	if *chart {
 		if st.Timeline.Len() == 0 {
-			fmt.Fprintln(os.Stderr, "lbsim: -chart needs -sample > 0")
+			fmt.Fprintln(os.Stderr, "lbsim: -chart: the run ended before its first sample")
 		} else {
 			fmt.Println()
 			ch := report.NewChart(fmt.Sprintf("utilization over time: %s", spec.Name()), "time", "% PE utilization")
@@ -92,7 +96,7 @@ func main() {
 
 	if *monitor > 0 {
 		if st.Monitor.Len() == 0 {
-			fmt.Fprintln(os.Stderr, "lbsim: -monitor needs -sample > 0")
+			fmt.Fprintln(os.Stderr, "lbsim: -monitor: the run ended before its first sample")
 		} else {
 			rows, cols := topo.Rows, topo.Cols
 			if rows == 0 || cols == 0 {

@@ -34,6 +34,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "optimize: unknown family %q\n", *family)
 		os.Exit(2)
 	}
+	if *scheme != "cwn" && *scheme != "gm" && *scheme != "both" {
+		fmt.Fprintf(os.Stderr, "optimize: unknown scheme %q\n", *scheme)
+		os.Exit(2)
+	}
 	ts, wls := experiments.SamplePoints(topos, *quick)
 	fmt.Printf("sample points: %d topologies x %d workloads\n\n", len(ts), len(wls))
 

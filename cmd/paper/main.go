@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -37,66 +38,78 @@ var (
 	quick   = flag.Bool("quick", false, "smaller problems and machines (fast smoke run)")
 	workers = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 	csvDir  = flag.String("csv", "", "directory to write CSV copies of the tables")
-	exps    = flag.String("exp", "all", "comma-separated experiments (see doc comment)")
+	expArg  = flag.String("exp", "all", "comma-separated experiments (see doc comment)")
 )
 
 func main() {
 	flag.Parse()
+	exps := []struct {
+		name string
+		run  func()
+	}{
+		{"table1", table1},
+		{"table2", table2},
+		{"table3", table3},
+		{"plots-dlm-dc", func() { utilizationPlots(experiments.PaperDLMs(), "dc", 1) }},
+		{"plots-grid-dc", func() { utilizationPlots(experiments.PaperGrids(), "dc", 6) }},
+		{"plots-fib", func() {
+			utilizationPlots(experiments.PaperDLMs(), "fib", 0)
+			utilizationPlots(experiments.PaperGrids(), "fib", 0)
+		}},
+		{"plots-time-dlm", func() { timePlots(experiments.DLM(10, 5), []int{18, 15, 11}, 11) }},
+		{"plots-time-grid", func() { timePlots(experiments.Grid(10), []int{18, 15, 9}, 14) }},
+		{"hypercube", hypercube},
+		{"ablation", ablation},
+		{"commratio", commRatio},
+		{"diameter", diameter},
+		{"imbalance", imbalance},
+		{"monitor", monitor},
+	}
+	known := []string{"all"}
+	for _, e := range exps {
+		known = append(known, e.name)
+	}
 	selected := map[string]bool{}
-	for _, e := range strings.Split(*exps, ",") {
-		selected[strings.TrimSpace(e)] = true
-	}
-	all := selected["all"]
-	start := time.Now()
-
-	runIf := func(name string, fn func()) {
-		if !all && !selected[name] {
-			return
+	for _, e := range strings.Split(*expArg, ",") {
+		e = strings.TrimSpace(e)
+		if !slices.Contains(known, e) {
+			fmt.Fprintf(os.Stderr, "paper: unknown experiment %q (known: %s)\n", e, strings.Join(known, ", "))
+			os.Exit(2)
 		}
-		fmt.Printf("==================== %s ====================\n", name)
-		t0 := time.Now()
-		fn()
-		fmt.Printf("-------------------- %s done in %v\n\n", name, time.Since(t0).Round(time.Millisecond))
+		selected[e] = true
 	}
-
-	runIf("table1", table1)
-	runIf("table2", table2)
-	runIf("table3", table3)
-	runIf("plots-dlm-dc", func() { utilizationPlots(experiments.PaperDLMs(), "dc", 1) })
-	runIf("plots-grid-dc", func() { utilizationPlots(experiments.PaperGrids(), "dc", 6) })
-	runIf("plots-fib", func() {
-		utilizationPlots(experiments.PaperDLMs(), "fib", 0)
-		utilizationPlots(experiments.PaperGrids(), "fib", 0)
-	})
-	runIf("plots-time-dlm", func() { timePlots(experiments.DLM(10, 5), []int{18, 15, 11}, 11) })
-	runIf("plots-time-grid", func() { timePlots(experiments.Grid(10), []int{18, 15, 9}, 14) })
-	runIf("hypercube", hypercube)
-	runIf("ablation", ablation)
-	runIf("commratio", commRatio)
-	runIf("diameter", diameter)
-	runIf("imbalance", imbalance)
-	runIf("monitor", monitor)
-
+	start := time.Now()
+	for _, e := range exps {
+		if !selected["all"] && !selected[e.name] {
+			continue
+		}
+		fmt.Printf("==================== %s ====================\n", e.name)
+		t0 := time.Now()
+		e.run()
+		fmt.Printf("-------------------- %s done in %v\n\n", e.name, time.Since(t0).Round(time.Millisecond))
+	}
 	fmt.Printf("total wall time: %v\n", time.Since(start).Round(time.Millisecond))
 }
 
+// emit prints tb and, under -csv, also writes it there as file.
 func emit(tb *report.Table, file string) {
 	tb.Render(os.Stdout)
 	fmt.Println()
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "paper:", err)
-			return
-		}
-		f, err := os.Create(filepath.Join(*csvDir, file))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "paper:", err)
-			return
-		}
-		defer f.Close()
-		if err := tb.WriteCSV(f); err != nil {
-			fmt.Fprintln(os.Stderr, "paper:", err)
-		}
+	writeCSV(tb, file)
+}
+
+// writeCSV writes tb as CSV to file in the -csv directory; without -csv
+// it does nothing. A failed write is reported and the run goes on.
+func writeCSV(tb *report.Table, file string) {
+	if *csvDir == "" {
+		return
+	}
+	err := os.MkdirAll(*csvDir, 0o755)
+	if err == nil {
+		err = tb.WriteCSVFile(filepath.Join(*csvDir, file))
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "paper:", err)
 	}
 }
 
@@ -161,27 +174,7 @@ func utilizationPlots(topos []experiments.TopoSpec, prog string, firstPlot int) 
 		ch := experiments.UtilizationChart(title, results)
 		ch.Render(os.Stdout)
 		fmt.Println()
-		if *csvDir != "" {
-			tb := experiments.CurveTable(title, results)
-			emitCSVOnly(tb, fmt.Sprintf("curve_%s_%s.csv", prog, ts.Label()))
-		}
-	}
-}
-
-// emitCSVOnly writes a table as CSV without printing it.
-func emitCSVOnly(tb *report.Table, file string) {
-	if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "paper:", err)
-		return
-	}
-	f, err := os.Create(filepath.Join(*csvDir, file))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "paper:", err)
-		return
-	}
-	defer f.Close()
-	if err := tb.WriteCSV(f); err != nil {
-		fmt.Fprintln(os.Stderr, "paper:", err)
+		writeCSV(experiments.CurveTable(title, results), fmt.Sprintf("curve_%s_%s.csv", prog, ts.Label()))
 	}
 }
 
@@ -195,10 +188,7 @@ func timePlots(ts experiments.TopoSpec, fibSizes []int, firstPlot int) {
 		title := fmt.Sprintf("Plot %d: fib(%d) on %s, utilization over time", firstPlot+i, m, ts.Label())
 		experiments.TimeSeriesChart(title, results).Render(os.Stdout)
 		fmt.Println()
-		if *csvDir != "" {
-			emitCSVOnly(experiments.TimeSeriesTable(title, results),
-				fmt.Sprintf("plot%d_fib%d_%s.csv", firstPlot+i, m, ts.Label()))
-		}
+		writeCSV(experiments.TimeSeriesTable(title, results), fmt.Sprintf("plot%d_fib%d_%s.csv", firstPlot+i, m, ts.Label()))
 	}
 }
 

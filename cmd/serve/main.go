@@ -46,13 +46,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "simulation seed (fixed seed => identical tables)")
 		warmFrac = flag.Float64("warmup-frac", 0.1, "fraction of the expected stream duration excluded as warm-up")
 		maxTime  = flag.Int64("maxtime", 0, "measurement horizon override (0 = machine default)")
-		workers  = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-		csvPath  = flag.String("csv", "", "also write the flat result table as CSV")
-		scenArg  = flag.String("scenario", "", `scripted environment applied to every run, e.g. "fail:pes=25%@t=5000,recover@t=10000"`)
-		sample   = flag.Int64("sample", 0, "sampling interval for recovery metrics (0 = auto when -scenario is set)")
-		retryLim = flag.Int("retry-limit", 0, "crash retries per job before abandoning it (0 = unbounded; needs a crash -scenario)")
-		retryBck = flag.Int64("retry-backoff", 0, "virtual-time backoff per retry attempt (attempt x backoff)")
-		traceOut = flag.String("trace-out", "", "write a Perfetto span export (Chrome trace-event JSON) of the first configuration's run")
+		run      = experiments.RegisterRunFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -124,41 +118,28 @@ func main() {
 		return 1000 * perGap / float64(gap)
 	}
 
-	// Under a scenario, recovery metrics need the sampling timeline; an
-	// unset -sample defaults to a window that gives a few hundred points
-	// over the default horizon.
-	sampleIvl := *sample
-	if *scenArg != "" && sampleIvl == 0 {
-		sampleIvl = 250
-	}
-
 	var specs []experiments.RunSpec
 	for _, gap := range gaps {
 		for _, ts := range topos {
 			for _, ss := range strats {
 				as, span := makeArrival(gap)
-				spec := experiments.RunSpec{
-					Topo:           ts,
-					Workload:       wl,
-					Strategy:       ss,
-					Arrival:        as,
-					Seed:           *seed,
-					Warmup:         int64(*warmFrac * float64(span)),
-					MaxTime:        *maxTime,
-					Scenario:       *scenArg,
-					SampleInterval: sampleIvl,
-					RetryLimit:     *retryLim,
-					RetryBackoff:   *retryBck,
-				}
-				fail(spec.Validate())
-				specs = append(specs, spec)
+				specs = append(specs, experiments.RunSpec{
+					Topo:     ts,
+					Workload: wl,
+					Strategy: ss,
+					Arrival:  as,
+					Seed:     *seed,
+					Warmup:   int64(*warmFrac * float64(span)),
+					MaxTime:  *maxTime,
+				})
 			}
 		}
 	}
+	fail(run.Apply(specs))
 
 	fmt.Printf("running %d configurations (%s arrivals, %d jobs of %s each, seed %d)...\n\n",
 		len(specs), *arrival, jobsPerRun(*arrival, *jobs, *burstN, *bursts), wl.Label(), *seed)
-	results, err := experiments.RunAll(specs, *workers)
+	results, err := experiments.RunAll(specs, run.Workers)
 	fail(err)
 	// RunAll returns results in spec order, so the (gap, topo, strategy)
 	// cell is plain index arithmetic over the generation loops above.
@@ -182,8 +163,8 @@ func main() {
 				// NaN means no job survived the warm-up cutoff: there is
 				// no latency datum, which must not print as a number.
 				cell := "-"
-				if !math.IsNaN(r.P99Soj) {
-					cell = fmt.Sprintf("%.0f", r.P99Soj)
+				if !math.IsNaN(r.SojournP99()) {
+					cell = fmt.Sprintf("%.0f", r.SojournP99())
 				}
 				if r.Saturated() {
 					cell += "*"
@@ -204,14 +185,13 @@ func main() {
 	detail := report.NewTable("per-run serving metrics",
 		"topology", "strategy", "gap", "jobs done", "mean soj", "p50", "p99", "steady tput/ku", "steady util%")
 	for _, r := range results {
-		st := r.Stats
-		done := fmt.Sprintf("%d/%d", st.JobsDone, st.JobsInjected)
+		done := fmt.Sprintf("%d/%d", r.JobsDone, r.JobsInjected)
 		if r.Saturated() {
 			done += "*"
 		}
 		detail.AddRow(r.Spec.Topo.Label(), r.Spec.Strategy.ShortLabel(), r.Spec.Arrival.Label(),
-			done, fmtSoj(r.MeanSoj), fmtSoj(r.P50Soj), fmtSoj(r.P99Soj),
-			1000*r.SteadyTput, 100*st.SteadyUtilization())
+			done, fmtSoj(r.MeanSojourn()), fmtSoj(r.SojournP50()), fmtSoj(r.SojournP99()),
+			1000*r.SteadyThroughput(), 100*r.SteadyUtilization())
 	}
 	detail.Render(os.Stdout)
 
@@ -221,33 +201,30 @@ func main() {
 	// state-loss counters for crash scripts. "abnd" is jobs abandoned
 	// after exhausting -retry-limit; goodput is completed/injected, the
 	// availability a bounded-retry policy trades against latency.
-	if *scenArg != "" {
+	if run.Scenario != "" {
 		rec := report.NewTable("scenario recovery",
 			"topology", "strategy", "gap", "requeued", "lost", "abnd", "goodput", "baseline p99", "peak p99", "t2s done", "t2s inj", "eff util%")
 		for _, r := range results {
 			base, peak, settle := r.Recovery.TableCells()
 			_, _, settleInj := r.RecoveryInj.TableCells()
 			rec.AddRow(r.Spec.Topo.Label(), r.Spec.Strategy.ShortLabel(), r.Spec.Arrival.Label(),
-				r.Requeued, r.GoalsLost, r.JobsAbandoned, fmt.Sprintf("%.3f", r.Goodput),
-				base, peak, settle, settleInj, fmt.Sprintf("%.1f", r.EffUtil))
+				r.GoalsRequeued, r.GoalsLost, r.JobsAbandoned, fmt.Sprintf("%.3f", r.Goodput()),
+				base, peak, settle, settleInj, fmt.Sprintf("%.1f", 100*r.EffectiveUtilization()))
 		}
 		fmt.Println()
 		rec.Render(os.Stdout)
 	}
 
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		fail(err)
-		defer f.Close()
-		fail(detail.WriteCSV(f))
-		fmt.Printf("\nwrote %s\n", *csvPath)
+	if run.CSV != "" {
+		fail(detail.WriteCSVFile(run.CSV))
+		fmt.Printf("\nwrote %s\n", run.CSV)
 	}
 
 	// The span export traces one extra run of the first configuration:
 	// sinks cannot be shared across the batch's concurrent runs.
-	if *traceOut != "" {
-		fail(experiments.WriteTrace(specs[0], *traceOut))
-		fmt.Printf("\nwrote %s (load in https://ui.perfetto.dev or chrome://tracing)\n", *traceOut)
+	if run.TraceOut != "" {
+		fail(experiments.WriteTrace(specs[0], run.TraceOut))
+		fmt.Printf("\nwrote %s (load in https://ui.perfetto.dev or chrome://tracing)\n", run.TraceOut)
 	}
 }
 

@@ -32,21 +32,11 @@ func main() {
 		specFile = flag.String("spec", "", "JSON spec file (overrides the cross-product flags)")
 		saveFile = flag.String("save", "", "write the generated specs to a JSON file and exit")
 		repeats  = flag.Int("repeats", 1, "replications per configuration (seeds 1..n)")
-		workers  = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-		csvPath  = flag.String("csv", "", "also write the result table as CSV")
-		scenArg  = flag.String("scenario", "", `scripted environment applied to every run, e.g. "fail:pes=25%@t=5000,recover@t=10000"`)
-		sample   = flag.Int64("sample", 0, "utilization/imbalance sampling interval (0 = auto when -scenario is set, else off)")
-		retryLim = flag.Int("retry-limit", 0, "crash retries per job before abandoning it (0 = unbounded; needs a crash -scenario)")
-		retryBck = flag.Int64("retry-backoff", 0, "virtual-time backoff per retry attempt (attempt x backoff)")
-		traceOut = flag.String("trace-out", "", "write a Perfetto span export (Chrome trace-event JSON) of the first configuration's run")
+		run      = experiments.RegisterRunFlags(flag.CommandLine)
 	)
 	flag.Parse()
-	given := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
-	// Recovery metrics need the sampling timeline; mirror cmd/serve's
-	// default so -scenario alone produces a populated recovery table.
-	if *scenArg != "" && *sample == 0 {
-		*sample, given["sample"] = 250, true
+	if *repeats < 1 {
+		fail(fmt.Errorf("-repeats must be >= 1, got %d", *repeats))
 	}
 
 	var specs []experiments.RunSpec
@@ -69,22 +59,7 @@ func main() {
 			}
 		}
 	}
-	// A given flag overrides every run, so a bad value reaches Validate.
-	for i := range specs {
-		if *scenArg != "" {
-			specs[i].Scenario = *scenArg
-		}
-		if given["sample"] {
-			specs[i].SampleInterval = *sample
-		}
-		if given["retry-limit"] {
-			specs[i].RetryLimit = *retryLim
-		}
-		if given["retry-backoff"] {
-			specs[i].RetryBackoff = *retryBck
-		}
-		fail(specs[i].Validate())
-	}
+	fail(run.Apply(specs))
 	if *saveFile != "" {
 		fail(experiments.SaveSpecs(*saveFile, "generated by cmd/sweep", specs))
 		fmt.Printf("wrote %d specs to %s\n", len(specs), *saveFile)
@@ -94,7 +69,7 @@ func main() {
 	fmt.Printf("running %d configurations x %d repeats...\n", len(specs), *repeats)
 	// One simulation pass serves both tables: the per-seed results feed
 	// the scenario recovery rows without re-simulating anything.
-	aggs, results, err := experiments.RunReplicatedResults(specs, *repeats, *workers)
+	aggs, results, err := experiments.RunReplicatedResults(specs, *repeats, run.Workers)
 	fail(err)
 	tb := experiments.AggregateTable("sweep results", aggs)
 	tb.Render(os.Stdout)
@@ -106,36 +81,33 @@ func main() {
 	// what newly arriving jobs saw). Crash scripts add the state-loss
 	// accounting; with -retry-limit set, "abnd" counts jobs given up
 	// and goodput (completed/injected) reports the availability cost.
-	if *scenArg != "" {
+	if run.Scenario != "" {
 		rec := report.NewTable("scenario recovery (first seed)",
 			"run", "requeued", "aborts", "lost", "jobs abrt", "abnd", "goodput", "baseline p99", "peak p99", "t2s done", "t2s inj", "eff util%")
 		for i := range specs {
 			r := results[i**repeats] // the configuration's first seed
 			base, peak, settle := r.Recovery.TableCells()
 			_, _, settleInj := r.RecoveryInj.TableCells()
-			rec.AddRow(r.Spec.Name(), r.Requeued, r.Stats.ServiceAborts, r.GoalsLost, r.JobsAborted,
-				r.JobsAbandoned, fmt.Sprintf("%.3f", r.Goodput),
-				base, peak, settle, settleInj, fmt.Sprintf("%.1f", r.EffUtil))
+			rec.AddRow(r.Spec.Name(), r.GoalsRequeued, r.ServiceAborts, r.GoalsLost, r.JobsAborted,
+				r.JobsAbandoned, fmt.Sprintf("%.3f", r.Goodput()),
+				base, peak, settle, settleInj, fmt.Sprintf("%.1f", 100*r.EffectiveUtilization()))
 		}
 		fmt.Println()
 		rec.Render(os.Stdout)
 	}
 
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		fail(err)
-		defer f.Close()
-		fail(tb.WriteCSV(f))
-		fmt.Printf("wrote %s\n", *csvPath)
+	if run.CSV != "" {
+		fail(tb.WriteCSVFile(run.CSV))
+		fmt.Printf("wrote %s\n", run.CSV)
 	}
 
 	// The span export traces one extra run of the first configuration
 	// (first seed) rather than piggybacking on the batch: sinks cannot be
 	// shared across concurrent runs, and tracing every cell would
 	// dominate sweep memory.
-	if *traceOut != "" {
-		fail(experiments.WriteTrace(specs[0], *traceOut))
-		fmt.Printf("wrote %s (load in https://ui.perfetto.dev or chrome://tracing)\n", *traceOut)
+	if run.TraceOut != "" {
+		fail(experiments.WriteTrace(specs[0], run.TraceOut))
+		fmt.Printf("wrote %s (load in https://ui.perfetto.dev or chrome://tracing)\n", run.TraceOut)
 	}
 }
 

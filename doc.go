@@ -63,9 +63,7 @@
 // wire messages, goals, pending tasks and job states are recycled
 // through free lists, and each PE's ready queue is a ring buffer
 // (internal/machine). For unbounded job streams, Config.SojournBound
-// collapses latency samples into a fixed-memory streaming histogram,
-// and Config.TrackGoalDetail gates the per-goal hop/queue-delay
-// bookkeeping off for sweeps that only read latency and throughput.
+// collapses latency samples into a fixed-memory streaming histogram.
 // The repository benchmark is perfbench (`bash perfbench/run.sh`): four
 // named workloads measured in cold passes, with wall time, events/sec,
 // setup time and peak RSS end to end, per-layer attribution, and every
@@ -76,8 +74,16 @@
 // table and figure), cmd/optimize (the Table 1 parameter sweeps),
 // cmd/sweep (ad-hoc batches), cmd/validate (the paper's claims as
 // checks), and cmd/serve (arrival-rate versus tail-latency sweeps for
-// the open system). The benchmarks in bench_test.go regenerate each
-// table/figure at reduced scale and report achieved speedup/utilization
-// as custom benchmark metrics; BenchmarkScale runs the memory-scale
-// specs and fails if a million-PE machine outgrows its 2 GiB heap.
+// the open system). The two batch commands, sweep and serve, take their
+// shared run flags (-scenario, -sample, -retry-limit, -retry-backoff,
+// -trace-out, -workers, -csv) from one experiments.RunFlags, and every
+// table reads its metrics from the run's machine.Stats, which
+// experiments.Result embeds. A bad flag exits 2 with one line on
+// stderr before anything prints. cli_test.go builds the six commands
+// and pins their output against testdata/cli (rewrite the goldens with
+// go test -run TestCLI -update-cli-golden). The benchmarks in
+// bench_test.go regenerate each table/figure at reduced scale and
+// report achieved speedup/utilization as custom benchmark metrics;
+// BenchmarkScale runs the memory-scale specs and fails if a million-PE
+// machine outgrows its 2 GiB heap.
 package cwnsim

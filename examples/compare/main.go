@@ -40,16 +40,16 @@ func main() {
 		fmt.Sprintf("%s on %s (%d PEs)", wl.Label(), topo.Label(), topo.PEs()),
 		"strategy", "util%", "speedup", "avg hops", "goal msgs", "makespan")
 	for _, r := range results {
-		tb.AddRow(r.Spec.Label, r.Util, r.Speedup, r.AvgHops,
+		tb.AddRow(r.Spec.Label, r.UtilizationPercent(), r.Speedup(), r.AvgGoalHops(),
 			r.Stats.MsgCounts[machine.MsgGoal], int64(r.Makespan))
 	}
 	tb.Render(os.Stdout)
 
 	best := results[0]
 	for _, r := range results {
-		if r.Speedup > best.Speedup {
+		if r.Speedup() > best.Speedup() {
 			best = r
 		}
 	}
-	fmt.Printf("\nwinner: %s with speedup %.1f\n", best.Spec.Label, best.Speedup)
+	fmt.Printf("\nwinner: %s with speedup %.1f\n", best.Spec.Label, best.Speedup())
 }

@@ -89,9 +89,9 @@ func main() {
 		if r.Saturated() {
 			done += "*"
 		}
-		tb.AddRow(ss.Label(), done, r.Requeued,
+		tb.AddRow(ss.Label(), done, r.GoalsRequeued,
 			fmt.Sprintf("%.0f", r.Recovery.BaselineP99), fmt.Sprintf("%.0f", r.Recovery.PeakP99),
-			settleCell(r.Recovery), settleCell(r.RecoveryInj), fmt.Sprintf("%.1f", r.EffUtil))
+			settleCell(r.Recovery), settleCell(r.RecoveryInj), fmt.Sprintf("%.1f", 100*r.EffectiveUtilization()))
 
 		q := r.Stats.QueueLen
 		q.Label = ss.Label()
@@ -125,7 +125,7 @@ func main() {
 				done += "*"
 			}
 			ct.AddRow(ss.Label(), policy, done, r.GoalsLost, r.JobsAborted, r.JobsRetried,
-				r.JobsAbandoned, fmt.Sprintf("%.3f", r.Goodput),
+				r.JobsAbandoned, fmt.Sprintf("%.3f", r.Goodput()),
 				fmt.Sprintf("%.0f", r.Recovery.PeakP99),
 				settleCell(r.Recovery), settleCell(r.RecoveryInj))
 		}

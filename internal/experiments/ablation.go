@@ -137,9 +137,9 @@ func DiameterStudyTable(results []*Result) *report.Table {
 		tb.AddRow(
 			cwn.Spec.Topo.Label(),
 			cwn.Spec.Topo.Build().Diameter(),
-			cwn.Speedup,
-			gm.Speedup,
-			cwn.Speedup/gm.Speedup,
+			cwn.Speedup(),
+			gm.Speedup(),
+			cwn.Speedup()/gm.Speedup(),
 		)
 	}
 	return tb
@@ -156,11 +156,11 @@ func ResultTable(title string, results []*Result) *report.Table {
 			r.Spec.Name(),
 			r.Stats.P,
 			r.Goals,
-			r.Util,
-			r.Speedup,
+			r.UtilizationPercent(),
+			r.Speedup(),
 			100*r.OfBound(),
-			r.Balance,
-			r.AvgHops,
+			r.BalanceIndex(),
+			r.AvgGoalHops(),
 			r.Stats.MsgCounts[machine.MsgGoal],
 			int64(r.Makespan),
 			100*r.Stats.MaxChannelUtilization(),

@@ -38,9 +38,9 @@ func TestDiameterStudy(t *testing.T) {
 	}
 	// CWN wins at every diameter in this study.
 	for i := 0; i+1 < len(results); i += 2 {
-		if results[i].Speedup <= results[i+1].Speedup {
+		if results[i].Speedup() <= results[i+1].Speedup() {
 			t.Errorf("%s: CWN %.2f <= GM %.2f", results[i].Spec.Topo.Label(),
-				results[i].Speedup, results[i+1].Speedup)
+				results[i].Speedup(), results[i+1].Speedup())
 		}
 	}
 }

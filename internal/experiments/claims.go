@@ -106,9 +106,9 @@ func Claims() []Claim {
 				}
 				cwn, gm := rs[0], rs[1]
 				spike := cwn.Stats.GoalHops.Count(9) > 0
-				ok := cwn.AvgHops >= 2*gm.AvgHops && gm.AvgHops < 1 && spike
+				ok := cwn.AvgGoalHops() >= 2*gm.AvgGoalHops() && gm.AvgGoalHops() < 1 && spike
 				return ok, fmt.Sprintf("avg hops: CWN %.2f vs GM %.2f, radius spike %d goals",
-					cwn.AvgHops, gm.AvgHops, cwn.Stats.GoalHops.Count(9))
+					cwn.AvgGoalHops(), gm.AvgGoalHops(), cwn.Stats.GoalHops.Count(9))
 			},
 		},
 		{
@@ -127,9 +127,9 @@ func Claims() []Claim {
 				if err != nil {
 					return false, err.Error()
 				}
-				return rs[0].Util > 1.5*rs[1].Util && rs[0].Balance > rs[1].Balance,
+				return rs[0].UtilizationPercent() > 1.5*rs[1].UtilizationPercent() && rs[0].BalanceIndex() > rs[1].BalanceIndex(),
 					fmt.Sprintf("util%%: CWN %.1f vs GM %.1f; balance: %.2f vs %.2f",
-						rs[0].Util, rs[1].Util, rs[0].Balance, rs[1].Balance)
+						rs[0].UtilizationPercent(), rs[1].UtilizationPercent(), rs[0].BalanceIndex(), rs[1].BalanceIndex())
 			},
 		},
 		{
@@ -140,8 +140,8 @@ func Claims() []Claim {
 				if err != nil {
 					return false, err.Error()
 				}
-				cheap := rs[0].Speedup / rs[1].Speedup
-				costly := rs[len(rs)-2].Speedup / rs[len(rs)-1].Speedup
+				cheap := rs[0].Speedup() / rs[1].Speedup()
+				costly := rs[len(rs)-2].Speedup() / rs[len(rs)-1].Speedup()
 				return costly < cheap,
 					fmt.Sprintf("CWN/GM ratio: %.2f at hop=1 vs %.2f at hop=20", cheap, costly)
 			},
@@ -177,8 +177,8 @@ func Claims() []Claim {
 					return false, err.Error()
 				}
 				// At minimum, redistribution must not hurt materially.
-				return rs[1].Speedup >= rs[0].Speedup*0.95,
-					fmt.Sprintf("speedup: CWN %.2f vs ACWN-redist %.2f", rs[0].Speedup, rs[1].Speedup)
+				return rs[1].Speedup() >= rs[0].Speedup()*0.95,
+					fmt.Sprintf("speedup: CWN %.2f vs ACWN-redist %.2f", rs[0].Speedup(), rs[1].Speedup())
 			},
 		},
 		{

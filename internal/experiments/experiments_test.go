@@ -98,11 +98,11 @@ func TestUnknownKindsPanic(t *testing.T) {
 
 func TestExecuteSingleRun(t *testing.T) {
 	r := RunSpec{Topo: Grid(4), Workload: Fib(9), Strategy: CWN(4, 1)}.Execute()
-	if r.Util <= 0 || r.Util > 100 {
-		t.Errorf("Util = %f", r.Util)
+	if r.UtilizationPercent() <= 0 || r.UtilizationPercent() > 100 {
+		t.Errorf("Util = %f", r.UtilizationPercent())
 	}
-	if r.Speedup <= 0 {
-		t.Errorf("Speedup = %f", r.Speedup)
+	if r.Speedup() <= 0 {
+		t.Errorf("Speedup = %f", r.Speedup())
 	}
 	if r.Goals != 109 {
 		t.Errorf("Goals = %d, want 109", r.Goals)
@@ -146,7 +146,7 @@ func TestRunAllMatchesSequentialExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range par {
-		if r.Makespan != seq.Makespan || r.Util != seq.Util {
+		if r.Makespan != seq.Makespan || r.UtilizationPercent() != seq.UtilizationPercent() {
 			t.Fatalf("parallel run diverged: %v vs %v", r.Makespan, seq.Makespan)
 		}
 	}
@@ -246,8 +246,8 @@ func TestHopDistributionQuick(t *testing.T) {
 	cwn, gm := results[0], results[1]
 	// Paper shape: CWN travels much farther than GM on average; GM
 	// leaves a large share of goals at hop 0; CWN spikes at the radius.
-	if cwn.AvgHops <= gm.AvgHops {
-		t.Errorf("CWN avg hops %.2f <= GM %.2f", cwn.AvgHops, gm.AvgHops)
+	if cwn.AvgGoalHops() <= gm.AvgGoalHops() {
+		t.Errorf("CWN avg hops %.2f <= GM %.2f", cwn.AvgGoalHops(), gm.AvgGoalHops())
 	}
 	if gm.Stats.GoalHops.Count(0) == 0 {
 		t.Error("GM moved every goal; expected many to stay put")
@@ -306,10 +306,10 @@ func TestAblationSpecsRun(t *testing.T) {
 	for _, r := range results {
 		idx[r.Spec.Label] = r
 	}
-	if idx["Local (no balancing)"].Speedup != 1.0 {
-		t.Errorf("local speedup = %f, want 1", idx["Local (no balancing)"].Speedup)
+	if idx["Local (no balancing)"].Speedup() != 1.0 {
+		t.Errorf("local speedup = %f, want 1", idx["Local (no balancing)"].Speedup())
 	}
-	if idx["CWN (paper)"].Speedup <= idx["Local (no balancing)"].Speedup {
+	if idx["CWN (paper)"].Speedup() <= idx["Local (no balancing)"].Speedup() {
 		t.Error("CWN no better than no balancing at all")
 	}
 }
@@ -327,7 +327,7 @@ func TestCommRatioSpecsRun(t *testing.T) {
 		t.Fatalf("results = %d, want 10", len(results))
 	}
 	// The paper's caveat: CWN's advantage shrinks as hops get costlier.
-	ratioAt := func(i int) float64 { return results[i].Speedup / results[i+1].Speedup }
+	ratioAt := func(i int) float64 { return results[i].Speedup() / results[i+1].Speedup() }
 	cheap, costly := ratioAt(0), ratioAt(len(results)-2)
 	if costly >= cheap {
 		t.Logf("note: CWN/GM ratio did not shrink (cheap=%.2f costly=%.2f) — acceptable, shape varies at quick scale", cheap, costly)

@@ -129,9 +129,9 @@ func TestChaosSpecDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Makespan != b.Makespan || a.Stats.Events != b.Stats.Events || a.Requeued != b.Requeued {
+	if a.Makespan != b.Makespan || a.Stats.Events != b.Stats.Events || a.GoalsRequeued != b.GoalsRequeued {
 		t.Fatalf("chaos spec not deterministic: %d/%d/%d vs %d/%d/%d",
-			a.Makespan, a.Stats.Events, a.Requeued, b.Makespan, b.Stats.Events, b.Requeued)
+			a.Makespan, a.Stats.Events, a.GoalsRequeued, b.Makespan, b.Stats.Events, b.GoalsRequeued)
 	}
 	if a.Stats.DownPETime == 0 {
 		t.Fatal("chaos generated no downtime")

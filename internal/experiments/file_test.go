@@ -93,7 +93,7 @@ func TestSpecFileDefaultsEveryField(t *testing.T) {
 		Arrival: IntervalArrivals(50, 4), Seed: 7, Warmup: 10, SampleInterval: 20, MonitorPE: true,
 		LoadMetric: "queue+pending", GoalHopTime: 3, RespHopTime: 4, MaxTime: 90_000, SojournBound: 64,
 		SeriesBound: 128, Shards: 2, ShardSerial: true, Scenario: "crash:pes=1@t=100,recover@t=200",
-		RetryLimit: 3, RetryBackoff: 5, NoGoalDetail: true,
+		RetryLimit: 3, RetryBackoff: 5,
 	}
 	blob, err := json.Marshal(defaults)
 	if err != nil {
@@ -113,7 +113,7 @@ func TestSpecFileDefaultsEveryField(t *testing.T) {
 // TestSpecFileRejectsUnknownKeys: a misspelled key is an error, not a
 // silently ignored setting.
 func TestSpecFileRejectsUnknownKeys(t *testing.T) {
-	for _, fields := range []string{`"sampleIntrval": 100`, `"topo": {"kind": "grid", "rows": 4, "colz": 4}`} {
+	for _, fields := range []string{`"sampleIntrval": 100`, `"topo": {"kind": "grid", "rows": 4, "colz": 4}`, `"noGoalDetail": true`} {
 		_, err := LoadSpecs(writeSpecFile(t, probeFile(fields)))
 		if err == nil || !strings.Contains(err.Error(), "unknown field") {
 			t.Errorf("LoadSpecs with %s returned %v, want an unknown-field error", fields, err)

@@ -72,8 +72,8 @@ func TestMonitoringDoesNotChangeStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Makespan != mon.Makespan || plain.P99Soj != mon.P99Soj || plain.MeanSoj != mon.MeanSoj {
+	if plain.Makespan != mon.Makespan || plain.SojournP99() != mon.SojournP99() || plain.MeanSojourn() != mon.MeanSojourn() {
 		t.Fatalf("sampling changed the stream: makespan %d vs %d, p99 %f vs %f",
-			plain.Makespan, mon.Makespan, plain.P99Soj, mon.P99Soj)
+			plain.Makespan, mon.Makespan, plain.SojournP99(), mon.SojournP99())
 	}
 }

@@ -86,7 +86,7 @@ func scoreCandidates(cands []StrategySpec, topos []TopoSpec, wls []WorkloadSpec,
 	for i, c := range cands {
 		var sum float64
 		for j := 0; j < perCand; j++ {
-			sum += results[i*perCand+j].Speedup
+			sum += results[i*perCand+j].Speedup()
 		}
 		out[i] = OptOutcome{Strategy: c, MeanSpeedup: sum / float64(perCand), Runs: perCand}
 	}

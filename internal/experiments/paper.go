@@ -131,7 +131,7 @@ func SpeedupTable(results []*Result) *report.Table {
 				row = append(row, "-")
 				continue
 			}
-			row = append(row, metrics.Ratio(cwn.Speedup, gm.Speedup))
+			row = append(row, metrics.Ratio(cwn.Speedup(), gm.Speedup()))
 		}
 		tb.AddRow(row...)
 	}
@@ -165,7 +165,7 @@ func Summarize(results []*Result) SpeedupSummary {
 		if gm == nil {
 			continue
 		}
-		ratio := metrics.Ratio(r.Speedup, gm.Speedup)
+		ratio := metrics.Ratio(r.Speedup(), gm.Speedup())
 		s.Pairs++
 		if ratio > 1 {
 			s.CWNWins++
@@ -234,7 +234,7 @@ func UtilizationChart(title string, results []*Result) *report.Chart {
 			series[key] = s
 			order = append(order, key)
 		}
-		s.Add(float64(r.Goals), r.Util)
+		s.Add(float64(r.Goals), r.UtilizationPercent())
 	}
 	ch := report.NewChart(title, "no. of goals", "% PE utilization")
 	ch.YMax = 100
@@ -260,7 +260,7 @@ func TimeSeriesSpecs(ts TopoSpec, wl WorkloadSpec, sampleInterval int64) []RunSp
 func CurveTable(title string, results []*Result) *report.Table {
 	tb := report.NewTable(title, "strategy", "goals", "util%", "speedup", "of-bound%")
 	for _, r := range results {
-		tb.AddRow(r.Spec.Strategy.ShortLabel(), r.Goals, r.Util, r.Speedup, 100*r.OfBound())
+		tb.AddRow(r.Spec.Strategy.ShortLabel(), r.Goals, r.UtilizationPercent(), r.Speedup(), 100*r.OfBound())
 	}
 	return tb
 }

@@ -46,9 +46,9 @@ func AggregateResults(results []*Result) Aggregate {
 	}
 	agg := Aggregate{Spec: results[0].Spec}
 	for _, r := range results {
-		agg.Util.Add(r.Util)
-		agg.Speedup.Add(r.Speedup)
-		agg.AvgHops.Add(r.AvgHops)
+		agg.Util.Add(r.UtilizationPercent())
+		agg.Speedup.Add(r.Speedup())
+		agg.AvgHops.Add(r.AvgGoalHops())
 		agg.Makespan.Add(float64(r.Makespan))
 	}
 	return agg

@@ -98,7 +98,7 @@ func TestSpecFileRoundTrip(t *testing.T) {
 	}
 	// Loaded specs actually run.
 	r := back[0].Execute()
-	if r.Speedup <= 0 {
+	if r.Speedup() <= 0 {
 		t.Error("loaded spec did not run")
 	}
 }

@@ -50,10 +50,6 @@ type RunSpec struct {
 	// time units. Only meaningful with a crashing Scenario.
 	RetryLimit   int   `json:"retryLimit,omitempty"`
 	RetryBackoff int64 `json:"retryBackoff,omitempty"`
-	// NoGoalDetail switches off the per-goal QueueDelay/GoalHops/
-	// GoalDist bookkeeping (machine.Config.TrackGoalDetail) for sweeps
-	// that only read latency and throughput.
-	NoGoalDetail bool `json:"noGoalDetail,omitempty"`
 
 	// Trace attaches an event sink to the run (machine.Config.Trace);
 	// nil = no tracing. Not serializable — set programmatically, e.g.
@@ -110,7 +106,6 @@ func (rs RunSpec) config() (machine.Config, error) {
 	}
 	cfg.SojournBound = int(rs.SojournBound)
 	cfg.SeriesBound = int(rs.SeriesBound)
-	cfg.TrackGoalDetail = !rs.NoGoalDetail
 	if rs.Scenario != "" {
 		sc, err := scenario.Parse(rs.Scenario)
 		if err != nil {
@@ -126,49 +121,22 @@ func (rs RunSpec) config() (machine.Config, error) {
 	return cfg, nil
 }
 
-// Result is the outcome of one run.
+// Result is the outcome of one run. Every run metric comes from the
+// embedded Stats under the name Stats gives it (r.Makespan,
+// r.Speedup(), r.SojournP99()); Result adds only what the machine does
+// not know.
 type Result struct {
-	Spec     RunSpec
-	Stats    *machine.Stats
-	Goals    int
-	Util     float64 // percent, the paper's y-axis
-	Speedup  float64
-	Bound    float64 // min(P, T1/T∞): the workload's speedup ceiling
-	Balance  float64 // Jain index over per-PE busy time
-	AvgHops  float64
-	Makespan sim.Time
-	Wall     time.Duration
+	Spec RunSpec
+	*machine.Stats
+	Bound float64 // min(P, T1/T∞): the workload's speedup ceiling
+	Wall  time.Duration
 
-	// Stream metrics (single-job runs report their one job here too).
-	Jobs       int64   // completed jobs
-	MeanSoj    float64 // mean sojourn time, warm-up excluded
-	P50Soj     float64 // median sojourn
-	P99Soj     float64 // tail sojourn — the serving benchmark's headline
-	Throughput float64 // completed jobs per unit virtual time, whole run
-	SteadyTput float64 // completions per unit time, post-warm-up window only
-
-	// Scenario metrics (zero / nil on static runs). EffUtil is busy
-	// time over the capacity that actually existed (blackout time
-	// excluded). Recovery is the tail-latency recovery report keyed by
+	// Recovery is the scenario tail-latency recovery report keyed by
 	// job COMPLETION time and RecoveryInj its companion keyed by job
-	// INJECTION time (what newly arriving jobs saw); both present when
-	// the run sampled (SampleInterval > 0).
-	Requeued    int64
-	EffUtil     float64
+	// INJECTION time (what newly arriving jobs saw); both nil unless
+	// the run was scripted and sampled (SampleInterval > 0).
 	Recovery    *scenario.Recovery
 	RecoveryInj *scenario.Recovery
-
-	// Crash (state-loss) metrics, zero under blackout-only scripts:
-	// goals destroyed or discarded by crashes, job attempts aborted,
-	// root re-injections performed, and jobs given up after exhausting
-	// RetryLimit. Goodput is completed over injected jobs — the
-	// availability figure a bounded-retry policy trades against
-	// latency (1 on a healthy completed run).
-	GoalsLost     int64
-	JobsAborted   int64
-	JobsRetried   int64
-	JobsAbandoned int64
-	Goodput       float64
 }
 
 // OfBound returns the measured speedup as a fraction of the workload's
@@ -177,7 +145,7 @@ func (r *Result) OfBound() float64 {
 	if r.Bound == 0 {
 		return 0
 	}
-	return r.Speedup / r.Bound
+	return r.Speedup() / r.Bound
 }
 
 // Saturated reports whether the run hit its measurement horizon with
@@ -229,31 +197,7 @@ func (rs RunSpec) execute(strat machine.Strategy) (res *Result, err error) {
 			bound = p
 		}
 	}
-	res = &Result{
-		Spec:          rs,
-		Stats:         st,
-		Goals:         st.Goals,
-		Util:          st.UtilizationPercent(),
-		Speedup:       st.Speedup(),
-		Bound:         bound,
-		Balance:       st.BalanceIndex(),
-		AvgHops:       st.AvgGoalHops(),
-		Makespan:      st.Makespan,
-		Wall:          time.Since(start),
-		Jobs:          st.JobsDone,
-		MeanSoj:       st.MeanSojourn(),
-		P50Soj:        st.SojournP50(),
-		P99Soj:        st.SojournP99(),
-		Throughput:    st.Throughput(),
-		SteadyTput:    st.SteadyThroughput(),
-		Requeued:      st.GoalsRequeued,
-		EffUtil:       100 * st.EffectiveUtilization(),
-		GoalsLost:     st.GoalsLost,
-		JobsAborted:   st.JobsAborted,
-		JobsRetried:   st.JobsRetried,
-		JobsAbandoned: st.JobsAbandoned,
-		Goodput:       st.Goodput(),
-	}
+	res = &Result{Spec: rs, Stats: st, Bound: bound, Wall: time.Since(start)}
 	if !cfg.Scenario.Empty() && cfg.SampleInterval > 0 {
 		// Recovery reads disruption/restore times from the machine's
 		// EXPANDED script — chaos generators resolved — in both

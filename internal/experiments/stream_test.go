@@ -103,14 +103,14 @@ func TestStreamSpecExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Jobs != 30 {
-		t.Fatalf("Jobs = %d, want 30", r.Jobs)
+	if r.JobsDone != 30 {
+		t.Fatalf("Jobs = %d, want 30", r.JobsDone)
 	}
-	if r.P99Soj < r.P50Soj || r.P50Soj <= 0 {
-		t.Fatalf("implausible sojourn percentiles: p50=%f p99=%f", r.P50Soj, r.P99Soj)
+	if r.SojournP99() < r.SojournP50() || r.SojournP50() <= 0 {
+		t.Fatalf("implausible sojourn percentiles: p50=%f p99=%f", r.SojournP50(), r.SojournP99())
 	}
-	if r.Throughput <= 0 {
-		t.Fatalf("Throughput = %f, want > 0", r.Throughput)
+	if r.Throughput() <= 0 {
+		t.Fatalf("Throughput = %f, want > 0", r.Throughput())
 	}
 	if !strings.Contains(spec.Name(), "poisson") {
 		t.Fatalf("stream run name %q does not mention its arrival process", spec.Name())
@@ -121,8 +121,8 @@ func TestStreamSpecExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.P99Soj != r2.P99Soj || r.Makespan != r2.Makespan {
-		t.Fatalf("stream run not deterministic: p99 %f vs %f", r.P99Soj, r2.P99Soj)
+	if r.SojournP99() != r2.SojournP99() || r.Makespan != r2.Makespan {
+		t.Fatalf("stream run not deterministic: p99 %f vs %f", r.SojournP99(), r2.SojournP99())
 	}
 }
 

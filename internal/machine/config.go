@@ -150,15 +150,6 @@ type Config struct {
 	// extension knob: load balancing on heterogeneous machines.
 	PESpeeds []float64
 
-	// TrackGoalDetail enables the per-goal bookkeeping behind
-	// Stats.QueueDelay, GoalHops and GoalDist (paper Table 3).
-	// DefaultConfig sets it true; large open-system sweeps that only
-	// read latency and throughput can switch it off to trim per-goal
-	// work from the hot path. CAUTION: a Config built literally (not
-	// via DefaultConfig) leaves it false and records no goal detail —
-	// as with every other field, start from DefaultConfig.
-	TrackGoalDetail bool
-
 	// Scenario optionally scripts a dynamic environment into the run:
 	// PE slowdowns and failures, link degradation and outages,
 	// checkpoint ticks and arrival-rate shocks, replayed
@@ -219,20 +210,19 @@ type Config struct {
 // execution times of 1000-23000), piggybacking on.
 func DefaultConfig() Config {
 	return Config{
-		Seed:            1,
-		GrainTime:       10,
-		CombineTime:     5,
-		GoalHopTime:     2,
-		RespHopTime:     2,
-		CtrlHopTime:     1,
-		LoadInterval:    20,
-		PiggybackLoad:   true,
-		LoadMetric:      LoadQueue,
-		SampleInterval:  0,
-		RootPE:          0,
-		MaxTime:         2_000_000,
-		StaggerTicks:    true,
-		TrackGoalDetail: true,
+		Seed:           1,
+		GrainTime:      10,
+		CombineTime:    5,
+		GoalHopTime:    2,
+		RespHopTime:    2,
+		CtrlHopTime:    1,
+		LoadInterval:   20,
+		PiggybackLoad:  true,
+		LoadMetric:     LoadQueue,
+		SampleInterval: 0,
+		RootPE:         0,
+		MaxTime:        2_000_000,
+		StaggerTicks:   true,
 	}
 }
 

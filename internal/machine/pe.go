@@ -407,9 +407,7 @@ func (pe *PE) startNext() {
 	switch it.kind {
 	case itemGoal:
 		dur = m.cfg.GrainTime * sim.Time(it.goal.Task.Work)
-		if m.cfg.TrackGoalDetail {
-			m.stats.QueueDelay.Add(float64(m.eng.Now() - it.goal.AcceptedAt))
-		}
+		m.stats.QueueDelay.Add(float64(m.eng.Now() - it.goal.AcceptedAt))
 		m.emit(trace.GoalExecStarted, pe.id, -1, it.goal.ID)
 	case itemResponse:
 		dur = m.cfg.CombineTime
@@ -479,10 +477,8 @@ func (pe *PE) finish(it item) {
 		}
 		// The goal's journey is definitively over: record the travel
 		// distance (paper Table 3) and the net displacement.
-		if pe.m.cfg.TrackGoalDetail {
-			pe.m.stats.GoalHops.Add(g.Hops)
-			pe.m.stats.GoalDist.Add(pe.m.topo.Dist(g.Origin, pe.id))
-		}
+		pe.m.stats.GoalHops.Add(g.Hops)
+		pe.m.stats.GoalDist.Add(pe.m.topo.Dist(g.Origin, pe.id))
 		pe.m.emit(trace.GoalExecuted, pe.id, -1, g.ID)
 		task := g.Task
 		if task.IsLeaf() {

@@ -375,67 +375,96 @@ type Series struct {
 	Label  string
 	Points []Point
 
-	limit  int // 0 = retain everything
-	stride int // record every stride-th accepted sample (1 = all)
-	skip   int // samples dropped since the last recorded one
+	thin Thinning[Point]
 }
 
-// Bound caps the series at limit retained points (limit must be >= 2).
-// When an Add would exceed the cap the series thins itself — every
-// other retained point is dropped and the stride between future
-// recordings doubles — so arbitrarily long runs keep at most limit
-// roughly uniformly spaced points. A retained point keeps its original
-// windowed value: a bounded series is a subsample of the exact one, not
-// a re-aggregation, so per-window figures (utilization %, windowed p99)
-// stay individually exact while the time resolution halves per
-// doubling. Bounding an already over-full series thins it immediately.
-// Bound(0) restores the documented default — retain every point from
-// here on — and limit 1 (or negative) panics; the contract is shared
-// with trace.Monitor.Bound.
-func (s *Series) Bound(limit int) {
-	if limit == 0 {
-		s.limit, s.stride, s.skip = 0, 1, 0
-		return
-	}
-	if limit < 2 {
-		panic("metrics: Series.Bound needs limit 0 (exact) or >= 2")
-	}
-	s.limit = limit
-	if s.stride == 0 {
-		s.stride = 1
-	}
-	for len(s.Points) > s.limit {
-		s.thin()
-	}
-}
+// Bound caps the series at limit retained points; see Thinning.Bound.
+// A retained point keeps its original windowed value: a bounded series
+// is a subsample of the exact one, not a re-aggregation, so per-window
+// figures (utilization %, windowed p99) stay individually exact while
+// the time resolution halves per doubling.
+func (s *Series) Bound(limit int) { s.Points = s.thin.Bound(s.Points, limit) }
 
 // Bounded reports whether the series has dropped samples to stay under
 // its bound.
-func (s *Series) Bounded() bool { return s.stride > 1 }
-
-// thin halves the retained points and doubles the recording stride.
-func (s *Series) thin() {
-	kept := s.Points[:0]
-	for i := 0; i < len(s.Points); i += 2 {
-		kept = append(kept, s.Points[i])
-	}
-	s.Points = kept
-	s.stride *= 2
-	s.skip = 0
-}
+func (s *Series) Bounded() bool { return s.thin.Bounded() }
 
 // Add appends a sample (or, past a bound, every stride-th sample).
 func (s *Series) Add(t, v float64) {
-	if s.stride > 1 {
-		if s.skip++; s.skip < s.stride {
-			return
+	if s.thin.Keep() {
+		s.Points = s.thin.Push(s.Points, Point{t, v})
+	}
+}
+
+// Thinning bounds an append-only slice of T — Series points, the load
+// monitor's frames — by halving and stride doubling. It holds the bound
+// and the stride; the owner holds the slice and passes it through.
+type Thinning[T any] struct {
+	limit  int // 0 = retain everything
+	stride int // record every stride-th offered item (1 = all)
+	skip   int // items dropped since the last recorded one
+}
+
+// Bound caps items at limit retained entries (limit must be >= 2) and
+// returns them, thinned at once if already over the cap. Past the cap,
+// every other retained item is dropped and the stride between future
+// recordings doubles, so arbitrarily long runs keep at most limit
+// roughly uniformly spaced items. Bound(0) restores the default —
+// retain every item from here on — and limit 1 (or negative) panics.
+func (th *Thinning[T]) Bound(items []T, limit int) []T {
+	if limit == 0 {
+		th.limit, th.stride, th.skip = 0, 1, 0
+		return items
+	}
+	if limit < 2 {
+		panic("metrics: Bound needs limit 0 (exact) or >= 2")
+	}
+	th.limit = limit
+	if th.stride == 0 {
+		th.stride = 1
+	}
+	for len(items) > th.limit {
+		items = th.halve(items)
+	}
+	return items
+}
+
+// Bounded reports whether items have been dropped to stay under the
+// bound.
+func (th *Thinning[T]) Bounded() bool { return th.stride > 1 }
+
+// Keep reports whether the next offered item is recorded: past a bound,
+// only every stride-th one is.
+func (th *Thinning[T]) Keep() bool {
+	if th.stride > 1 {
+		if th.skip++; th.skip < th.stride {
+			return false
 		}
-		s.skip = 0
+		th.skip = 0
 	}
-	s.Points = append(s.Points, Point{t, v})
-	if s.limit > 0 && len(s.Points) > s.limit {
-		s.thin()
+	return true
+}
+
+// Push appends a kept item to items, thinning past the bound.
+func (th *Thinning[T]) Push(items []T, v T) []T {
+	items = append(items, v)
+	if th.limit > 0 && len(items) > th.limit {
+		items = th.halve(items)
 	}
+	return items
+}
+
+// halve keeps every other item and doubles the recording stride.
+func (th *Thinning[T]) halve(items []T) []T {
+	kept := items[:0]
+	for i := 0; i < len(items); i += 2 {
+		kept = append(kept, items[i])
+	}
+	// Zero the dropped tail so anything it references is collectable.
+	clear(items[len(kept):])
+	th.stride *= 2
+	th.skip = 0
+	return kept
 }
 
 // Len returns the number of samples.

@@ -2,6 +2,8 @@ package report
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -45,6 +47,20 @@ func TestTableCSV(t *testing.T) {
 	got := buf.String()
 	if !strings.Contains(got, "a,b") || !strings.Contains(got, `"x,y"`) {
 		t.Errorf("CSV = %q", got)
+	}
+	// WriteCSVFile writes the same bytes, replacing an existing file.
+	path := filepath.Join(t.TempDir(), "t.csv")
+	if err := os.WriteFile(path, []byte("stale contents, longer than the table\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.WriteCSVFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if file, err := os.ReadFile(path); err != nil || string(file) != got {
+		t.Errorf("WriteCSVFile wrote %q (err %v), want %q", file, err, got)
+	}
+	if err := tb.WriteCSVFile(filepath.Join(t.TempDir(), "missing", "t.csv")); err == nil {
+		t.Error("WriteCSVFile into a missing directory reported no error")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 )
 
@@ -113,4 +114,18 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// WriteCSVFile creates (or truncates) the file at path and writes the
+// table to it as CSV.
+func (t *Table) WriteCSVFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

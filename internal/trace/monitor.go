@@ -3,7 +3,9 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 
+	"cwnsim/internal/metrics"
 	"cwnsim/internal/report"
 	"cwnsim/internal/sim"
 )
@@ -23,68 +25,23 @@ type Frame struct {
 type Monitor struct {
 	Frames []Frame
 
-	limit  int // 0 = retain every frame
-	stride int // record every stride-th appended frame (1 = all)
-	skip   int
+	thin metrics.Thinning[Frame]
 }
 
-// Bound caps the monitor at limit retained frames: past the cap, every
-// other frame is dropped and the stride between future recordings
-// doubles, exactly like metrics.Series.Bound. A retained frame is
-// exact; only the flip-book's frame rate halves per doubling. Bound(0)
-// restores the documented default — retain every frame from here on —
-// and limit 1 (or negative) panics; the contract is shared with
-// metrics.Series.Bound.
-func (m *Monitor) Bound(limit int) {
-	if limit == 0 {
-		m.limit, m.stride, m.skip = 0, 1, 0
-		return
-	}
-	if limit < 2 {
-		panic("trace: Monitor.Bound needs limit 0 (exact) or >= 2")
-	}
-	m.limit = limit
-	if m.stride == 0 {
-		m.stride = 1
-	}
-	for len(m.Frames) > m.limit {
-		m.thin()
-	}
-}
+// Bound caps the monitor at limit retained frames; see
+// metrics.Thinning.Bound. A retained frame is exact; only the
+// flip-book's frame rate halves per doubling.
+func (m *Monitor) Bound(limit int) { m.Frames = m.thin.Bound(m.Frames, limit) }
 
 // Bounded reports whether frames have been dropped to stay under the
 // bound.
-func (m *Monitor) Bounded() bool { return m.stride > 1 }
-
-func (m *Monitor) thin() {
-	kept := m.Frames[:0]
-	for i := 0; i < len(m.Frames); i += 2 {
-		kept = append(kept, m.Frames[i])
-	}
-	// Drop the references so the dead frames' utilization slices are
-	// collectable.
-	for i := len(kept); i < len(m.Frames); i++ {
-		m.Frames[i] = Frame{}
-	}
-	m.Frames = kept
-	m.stride *= 2
-	m.skip = 0
-}
+func (m *Monitor) Bounded() bool { return m.thin.Bounded() }
 
 // Append adds a frame (the utilization slice is copied; past a bound,
 // only every stride-th frame is kept).
 func (m *Monitor) Append(at sim.Time, util []float64) {
-	if m.stride > 1 {
-		if m.skip++; m.skip < m.stride {
-			return
-		}
-		m.skip = 0
-	}
-	cp := make([]float64, len(util))
-	copy(cp, util)
-	m.Frames = append(m.Frames, Frame{At: at, Util: cp})
-	if m.limit > 0 && len(m.Frames) > m.limit {
-		m.thin()
+	if m.thin.Keep() {
+		m.Frames = m.thin.Push(m.Frames, Frame{At: at, Util: slices.Clone(util)})
 	}
 }
 
