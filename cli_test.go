@@ -1,8 +1,8 @@
 package cwnsim_test
 
 // The command-line surface, pinned on built binaries: every command's
-// stdout (and the CSV and Perfetto files a run writes) against goldens
-// in testdata/cli, and the error contract — a bad flag exits 2 with
+// and every library example's stdout (and the CSV and Perfetto files a
+// run writes) against goldens in testdata/cli, and the error contract — a bad flag exits 2 with
 // exactly one stderr line and nothing on stdout. Built binaries rather
 // than `go run`, which adds its own "exit status" line to stderr.
 //
@@ -29,6 +29,10 @@ var updateCLIGolden = flag.Bool("update-cli-golden", false, "rewrite testdata/cl
 // cliCommands are the six user-facing binaries.
 var cliCommands = []string{"lbsim", "optimize", "paper", "serve", "sweep", "validate"}
 
+// cliExamples are the library-API programs under examples/; each runs
+// without arguments, and its stdout is pinned as example-<name>.stdout.
+var cliExamples = []string{"compare", "customstrategy", "heterogeneous", "irregular", "openstream", "quickstart", "scenario"}
+
 // cliWallClock matches the host-timing text a command prints; it is
 // masked before comparing against a golden.
 var cliWallClock = regexp.MustCompile(`(wall time: |done in |claims hold \()[^\n]*`)
@@ -49,7 +53,7 @@ type cliGolden struct {
 }
 
 func cliGoldens(specDir string) []cliGolden {
-	return []cliGolden{
+	gs := []cliGolden{
 		{name: "lbsim", argv: []string{"lbsim", "-topo", "grid:10x10", "-workload", "fib:13", "-strategy", "cwn:9:2"}},
 		{name: "serve", argv: []string{"serve", "-jobs", "80", "-gaps", "300,80"}},
 		{name: "sweep-spec", argv: []string{"sweep", "-spec", filepath.Join(specDir, "comparison.json")}},
@@ -71,6 +75,10 @@ func cliGoldens(specDir string) []cliGolden {
 			digests: []string{"trace.json"},
 		},
 	}
+	for _, e := range cliExamples {
+		gs = append(gs, cliGolden{name: "example-" + e, argv: []string{e}})
+	}
+	return gs
 }
 
 // cliContract lists invocations that must fail as a usage error.
@@ -100,6 +108,9 @@ func TestCLI(t *testing.T) {
 	build := exec.Command(goTool, "build", "-o", bin+string(filepath.Separator))
 	for _, c := range cliCommands {
 		build.Args = append(build.Args, "./cmd/"+c)
+	}
+	for _, e := range cliExamples {
+		build.Args = append(build.Args, "./examples/"+e)
 	}
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
