@@ -218,8 +218,9 @@ func BenchmarkCommRatioSweep(b *testing.B) {
 }
 
 // BenchmarkCWNMinimumRule isolates the local-minimum acceptance rule
-// (DESIGN.md design choice): the paper's text reads strict-<, its data
-// implies <=. Compare achieved speedup via the custom metric.
+// (core.CWN.StrictMinimum): the paper's text reads strict-<, its data
+// implies <=. Compare achieved speedup via the custom metric;
+// TestCWNStrictVariantWalksFarther (internal/core) pins the hop gap.
 func BenchmarkCWNMinimumRule(b *testing.B) {
 	base := experiments.RunSpec{Topo: experiments.Grid(10), Workload: experiments.Fib(13)}
 	b.Run("nonstrict", func(b *testing.B) {
@@ -236,8 +237,9 @@ func BenchmarkCWNMinimumRule(b *testing.B) {
 }
 
 // BenchmarkGMExportPolicy isolates the Gradient Model's export-selection
-// policy (DESIGN.md design choice): exporting the queue front (oldest,
-// biggest subtree) versus the newest goal.
+// policy (core.Gradient.ExportNewest): exporting the queue front
+// (oldest, biggest subtree) versus the newest goal;
+// TestGMExportNewestVariant (internal/core) pins that the front wins.
 func BenchmarkGMExportPolicy(b *testing.B) {
 	b.Run("oldest", func(b *testing.B) {
 		benchSpecs(b, []experiments.RunSpec{{

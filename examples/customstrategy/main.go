@@ -1,10 +1,11 @@
 // Customstrategy: the machine model accepts any implementation of
-// machine.Strategy, so new load-distribution policies can be prototyped
-// in a few dozen lines. This example implements "Threshold" — a simple
-// sender-initiated policy from the classic load-sharing literature: keep
-// new goals local until the local load exceeds T, then push to a random
-// neighbor (probing up to K neighbors for one with load below T) — and
-// races it against the paper's two schemes.
+// machine.Strategy — a Name and a per-PE NewNode — so new
+// load-distribution policies can be prototyped in a few dozen lines.
+// This example implements "Threshold" — a simple sender-initiated policy
+// from the classic load-sharing literature: keep new goals local until
+// the local load exceeds T, then push to a random neighbor (probing up
+// to K neighbors for one with load below T) — and races it against the
+// paper's two schemes.
 //
 // Run with: go run ./examples/customstrategy
 package main
@@ -27,9 +28,6 @@ type Threshold struct {
 // Name implements machine.Strategy.
 func (s *Threshold) Name() string { return fmt.Sprintf("Threshold(T=%d,K=%d)", s.T, s.K) }
 
-// Setup implements machine.Strategy.
-func (s *Threshold) Setup(m *machine.Machine) {}
-
 // NewNode implements machine.Strategy.
 func (s *Threshold) NewNode(pe *machine.PE) machine.NodeStrategy {
 	return &thresholdNode{s: s, pe: pe}
@@ -46,8 +44,9 @@ type thresholdNode struct {
 // threshold; then it probes K random neighbors for one believed to be
 // below the threshold and pushes the goal there (or to the last probe).
 // Transferred goals are accepted unconditionally (one-hop transfers
-// only, like the Gradient Model's); everything else — control payloads,
-// environment notifications — is ignored.
+// only, like the Gradient Model's); control payloads are ignored, and
+// availability events never arrive because the node does not opt in
+// (machine.FailureAware).
 func (n *thresholdNode) HandleEvent(ev machine.Event) {
 	switch ev.Kind {
 	case machine.GoalCreated:

@@ -66,14 +66,11 @@ func (s *ACWN) Name() string {
 	return fmt.Sprintf("ACWN(r=%d,h=%d,sat=%d,redist=%v)", s.Radius, s.Horizon, s.SatThreshold, s.Redistribute)
 }
 
-// Setup implements machine.Strategy.
-func (s *ACWN) Setup(m *machine.Machine) {}
-
 // NewNode implements machine.Strategy.
 func (s *ACWN) NewNode(pe *machine.PE) machine.NodeStrategy {
 	n := &acwnNode{s: s, pe: pe}
 	if s.Redistribute {
-		pe.Machine().NewTicker(pe, s.Interval, n.tick)
+		pe.Machine().NewTicker(s.Interval, n.tick)
 	}
 	return n
 }
@@ -89,7 +86,7 @@ func (n *acwnNode) HandleEvent(ev machine.Event) {
 	case machine.GoalCreated:
 		n.place(ev.Goal)
 	case machine.GoalArrived:
-		n.arrived(ev.Goal)
+		walk(n.pe, ev.Goal, n.s.Radius, n.s.Horizon, n.s.StrictMinimum)
 	}
 }
 
@@ -102,24 +99,6 @@ func (n *acwnNode) place(g *machine.Goal) {
 		return
 	}
 	if t := n.s.SatThreshold; t > 0 && n.pe.Load() >= t && least >= t {
-		n.pe.Accept(g)
-		return
-	}
-	n.pe.SendGoal(nbr, g)
-}
-
-// arrived is CWN's contraction walk, unchanged.
-func (n *acwnNode) arrived(g *machine.Goal) {
-	if g.Hops >= n.s.Radius {
-		n.pe.Accept(g)
-		return
-	}
-	if g.Hops >= n.s.Horizon && isLocalMinimum(n.pe, n.s.StrictMinimum) {
-		n.pe.Accept(g)
-		return
-	}
-	nbr, _ := n.pe.LeastLoadedNeighbor()
-	if nbr < 0 {
 		n.pe.Accept(g)
 		return
 	}

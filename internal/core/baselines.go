@@ -18,9 +18,6 @@ func NewLocal() *Local { return &Local{} }
 // Name implements machine.Strategy.
 func (s *Local) Name() string { return "Local" }
 
-// Setup implements machine.Strategy.
-func (s *Local) Setup(m *machine.Machine) {}
-
 // NewNode implements machine.Strategy.
 func (s *Local) NewNode(pe *machine.PE) machine.NodeStrategy { return localNode{pe} }
 
@@ -52,9 +49,6 @@ func NewRandomWalk(steps int) *RandomWalk {
 
 // Name implements machine.Strategy.
 func (s *RandomWalk) Name() string { return fmt.Sprintf("RandomWalk(%d)", s.Steps) }
-
-// Setup implements machine.Strategy.
-func (s *RandomWalk) Setup(m *machine.Machine) {}
 
 // NewNode implements machine.Strategy.
 func (s *RandomWalk) NewNode(pe *machine.PE) machine.NodeStrategy {
@@ -99,9 +93,6 @@ func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
 
 // Name implements machine.Strategy.
 func (s *RoundRobin) Name() string { return "RoundRobin" }
-
-// Setup implements machine.Strategy.
-func (s *RoundRobin) Setup(m *machine.Machine) {}
 
 // NewNode implements machine.Strategy.
 func (s *RoundRobin) NewNode(pe *machine.PE) machine.NodeStrategy {

@@ -28,7 +28,8 @@ type CWN struct {
 	// radius. The paper's published hop histogram (Table 3: ~48% of
 	// goals stopping after one hop, mean 3.15) is only consistent with
 	// accepting on ties, so the default is the non-strict test; set
-	// StrictMinimum for the literal reading. See EXPERIMENTS.md.
+	// StrictMinimum for the literal reading. TestCWNStrictVariantWalksFarther
+	// and BenchmarkCWNMinimumRule compare the two readings.
 	StrictMinimum bool
 	// FailureAware opts the nodes into PEFailed/PERecovered events
 	// (machine.FailureAware): on a neighbor's failure a node sheds part
@@ -66,9 +67,6 @@ func (s *CWN) Name() string {
 	return fmt.Sprintf("CWN(r=%d,h=%d)", s.Radius, s.Horizon)
 }
 
-// Setup implements machine.Strategy.
-func (s *CWN) Setup(m *machine.Machine) {}
-
 // NewNode implements machine.Strategy.
 func (s *CWN) NewNode(pe *machine.PE) machine.NodeStrategy {
 	return &cwnNode{s: s, pe: pe}
@@ -90,7 +88,7 @@ func (n *cwnNode) HandleEvent(ev machine.Event) {
 	case machine.GoalCreated:
 		n.place(ev.Goal)
 	case machine.GoalArrived:
-		n.arrived(ev.Goal)
+		walk(n.pe, ev.Goal, n.s.Radius, n.s.Horizon, n.s.StrictMinimum)
 	case machine.PEFailed:
 		// A neighbor died: its evacuees are about to land here. Make
 		// room by spreading part of the standing queue one hop down the
@@ -116,26 +114,27 @@ func (n *cwnNode) place(g *machine.Goal) {
 	n.pe.SendGoal(nbr, g)
 }
 
-// arrived implements the contraction walk: keep when the radius is
-// exhausted; keep when this PE is a known local load minimum and the
-// goal has looked over the horizon; otherwise forward down the steepest
-// load gradient (possibly straight back where it came from — the walk
-// distance, not the displacement, is what Radius bounds).
-func (n *cwnNode) arrived(g *machine.Goal) {
-	if g.Hops >= n.s.Radius {
-		n.pe.Accept(g)
+// walk is the contraction walk, shared by CWN and ACWN: pe keeps the
+// arriving goal g when the radius is exhausted, or when pe is a known
+// local load minimum and g has looked over the horizon; otherwise g
+// moves on down the steepest load gradient (possibly straight back
+// where it came from — the walk distance, not the displacement, is what
+// the radius bounds).
+func walk(pe *machine.PE, g *machine.Goal, radius, horizon int, strict bool) {
+	if g.Hops >= radius {
+		pe.Accept(g)
 		return
 	}
-	if g.Hops >= n.s.Horizon && isLocalMinimum(n.pe, n.s.StrictMinimum) {
-		n.pe.Accept(g)
+	if g.Hops >= horizon && isLocalMinimum(pe, strict) {
+		pe.Accept(g)
 		return
 	}
-	nbr, _ := n.pe.LeastLoadedNeighbor()
+	nbr, _ := pe.LeastLoadedNeighbor()
 	if nbr < 0 {
-		n.pe.Accept(g)
+		pe.Accept(g)
 		return
 	}
-	n.pe.SendGoal(nbr, g)
+	pe.SendGoal(nbr, g)
 }
 
 // shed re-exports up to max (capped at shedBatch) queued goals to the

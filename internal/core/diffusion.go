@@ -10,50 +10,45 @@ import (
 // Diffusion is the classic nearest-neighbor diffusion balancer
 // (contemporary with the paper; analyzed by Cybenko 1989): a periodic
 // per-PE process compares its load with each neighbor's last known load
-// and, for every neighbor lighter by at least MinGap, transfers half
-// the difference in queued goals. Like GM it is receiver-agnostic and
-// periodic; unlike GM it uses no global demand signal (no proximity),
-// so it measures what GM's gradient information is actually worth.
+// and, for every neighbor lighter by at least diffusionMinGap, transfers
+// half the difference in queued goals. Like GM it is receiver-agnostic
+// and periodic; unlike GM it uses no global demand signal (no
+// proximity), so it measures what GM's gradient information is actually
+// worth.
 type Diffusion struct {
 	// Interval is the diffusion process period.
 	Interval sim.Time
-	// MinGap is the minimum load difference that triggers a transfer
-	// (>= 2; transferring on a difference of 1 just swaps the imbalance).
-	MinGap int
-	// MaxPerCycle caps how many goals move to one neighbor per wakeup.
-	MaxPerCycle int
 }
 
-// NewDiffusion returns a diffusion balancer with sensible caps.
+const (
+	// diffusionMinGap is the minimum load difference that triggers a
+	// transfer; transferring on a difference of 1 just swaps the
+	// imbalance.
+	diffusionMinGap = 2
+	// diffusionMaxPerCycle caps how many goals move to one neighbor per
+	// wakeup.
+	diffusionMaxPerCycle = 4
+)
+
+// NewDiffusion returns a diffusion balancer.
 func NewDiffusion(interval sim.Time) *Diffusion {
 	if interval <= 0 {
 		panic("core: Diffusion interval must be positive")
 	}
-	return &Diffusion{Interval: interval, MinGap: 2, MaxPerCycle: 4}
+	return &Diffusion{Interval: interval}
 }
 
 // Name implements machine.Strategy.
 func (s *Diffusion) Name() string { return fmt.Sprintf("Diffusion(i=%d)", s.Interval) }
 
-// Setup implements machine.Strategy.
-func (s *Diffusion) Setup(m *machine.Machine) {
-	if s.MinGap < 2 {
-		s.MinGap = 2
-	}
-	if s.MaxPerCycle < 1 {
-		s.MaxPerCycle = 1
-	}
-}
-
 // NewNode implements machine.Strategy.
 func (s *Diffusion) NewNode(pe *machine.PE) machine.NodeStrategy {
-	n := &diffusionNode{s: s, pe: pe}
-	pe.Machine().NewTicker(pe, s.Interval, n.tick)
+	n := &diffusionNode{pe: pe}
+	pe.Machine().NewTicker(s.Interval, n.tick)
 	return n
 }
 
 type diffusionNode struct {
-	s  *Diffusion
 	pe *machine.PE
 }
 
@@ -76,12 +71,12 @@ func (n *diffusionNode) tick() {
 			continue
 		}
 		diff := load - nbLoad
-		if diff < n.s.MinGap {
+		if diff < diffusionMinGap {
 			continue
 		}
 		move := diff / 2
-		if move > n.s.MaxPerCycle {
-			move = n.s.MaxPerCycle
+		if move > diffusionMaxPerCycle {
+			move = diffusionMaxPerCycle
 		}
 		for i := 0; i < move; i++ {
 			g := n.pe.TakeOldestQueuedGoal()

@@ -34,7 +34,8 @@ type Gradient struct {
 	// local queue"; taking the front (oldest, typically the largest
 	// waiting subtree) is both the natural queue discipline and the only
 	// reading under which GM approaches the near-full utilization the
-	// paper's plots show, so it is the default. See EXPERIMENTS.md.
+	// paper's plots show, so it is the default. TestGMExportNewestVariant
+	// and BenchmarkGMExportPolicy compare the two readings.
 	ExportNewest bool
 	// FailureAware opts the nodes into PEFailed/PERecovered events —
 	// the recovery path plain GM lacks entirely: a failed neighbor's
@@ -66,9 +67,6 @@ func (s *Gradient) Name() string {
 	return fmt.Sprintf("GM(l=%d,h=%d,i=%d)", s.LowWater, s.HighWater, s.Interval)
 }
 
-// Setup implements machine.Strategy.
-func (s *Gradient) Setup(m *machine.Machine) {}
-
 // proxUpdate is the control payload carrying a PE's new proximity.
 type proxUpdate int32
 
@@ -84,7 +82,7 @@ func (s *Gradient) NewNode(pe *machine.PE) machine.NodeStrategy {
 		// neighbors are 0", so nbrProx starts zeroed; own proximity
 		// starts at 0 too (nothing has been broadcast yet).
 	}
-	pe.Machine().NewTicker(pe, s.Interval, n.tick)
+	pe.Machine().NewTicker(s.Interval, n.tick)
 	return n
 }
 

@@ -25,9 +25,6 @@ func NewIdeal() *Ideal { return &Ideal{} }
 // Name implements machine.Strategy.
 func (s *Ideal) Name() string { return "Ideal" }
 
-// Setup implements machine.Strategy.
-func (s *Ideal) Setup(m *machine.Machine) {}
-
 // SequentialOnly implements machine.SequentialOnly: the oracle reads
 // every PE's true load at placement time, which on a sharded machine
 // would race with remote shards' goroutines.

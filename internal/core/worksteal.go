@@ -45,13 +45,10 @@ func (s *WorkSteal) Name() string {
 	return fmt.Sprintf("WorkSteal(i=%d,t=%d)", s.Interval, s.Threshold)
 }
 
-// Setup implements machine.Strategy.
-func (s *WorkSteal) Setup(m *machine.Machine) {}
-
 // NewNode implements machine.Strategy.
 func (s *WorkSteal) NewNode(pe *machine.PE) machine.NodeStrategy {
 	n := &stealNode{s: s, pe: pe}
-	pe.Machine().NewTicker(pe, s.Interval, n.tick)
+	pe.Machine().NewTicker(s.Interval, n.tick)
 	return n
 }
 

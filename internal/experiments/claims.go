@@ -4,7 +4,8 @@ import "fmt"
 
 // The paper's qualitative findings, as executable checks. cmd/validate
 // runs them all and reports pass/fail — the reproduction validating
-// itself against the claims EXPERIMENTS.md tracks.
+// itself against the paper (its quick-mode report is pinned in
+// testdata/cli/validate.stdout).
 
 // ClaimResult is the outcome of one claim check.
 type ClaimResult struct {

@@ -34,6 +34,7 @@ var specProbes = []struct {
 	{"negative sojourn bound", `"sojournBound": -1`, "SojournBound must be non-negative"},
 	{"negative retry limit", `"retryLimit": -1`, "RetryLimit must be non-negative"},
 	{"negative shards", `"shards": -2`, "Shards must be non-negative"},
+	{"link between non-neighbors", `"scenario": "droplink:a=0:b=5@t=50"`, "PEs 0 and 5 share no channel"},
 	{"sharded ideal", `"strategy": {"kind": "ideal"}, "shards": 2`, "cannot run sharded"},
 	{"4.9 billion PEs", `"topo": {"kind": "torus", "rows": 70000, "cols": 70000}`, "at most 1073741824 PEs"},
 }

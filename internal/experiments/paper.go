@@ -292,8 +292,8 @@ func TimeSeriesChart(title string, results []*Result) *report.Chart {
 
 // HopDistributionSpecs returns the two runs behind Table 3: fib(18) on
 // the 10×10 grid under both strategies. horizon selects the CWN horizon
-// (the paper's Table 1 says 2, but its published histogram matches 1 —
-// see EXPERIMENTS.md).
+// (the paper's Table 1 says 2, but its published histogram matches 1;
+// `paper -exp table3` prints both beside the paper's histogram).
 func HopDistributionSpecs(horizon int, quick bool) []RunSpec {
 	wl := Fib(18)
 	if quick {

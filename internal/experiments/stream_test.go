@@ -129,8 +129,7 @@ func TestStreamSpecExecutes(t *testing.T) {
 // droppingStrategy loses every spawned goal, stalling the machine.
 type droppingStrategy struct{}
 
-func (droppingStrategy) Name() string           { return "dropper" }
-func (droppingStrategy) Setup(*machine.Machine) {}
+func (droppingStrategy) Name() string { return "dropper" }
 func (droppingStrategy) NewNode(*machine.PE) machine.NodeStrategy {
 	return dropperNode{}
 }

@@ -18,15 +18,16 @@ const maxPEs = 1 << 30
 // Validate reports whether rs describes a run the simulator can
 // execute. It is the one rule set behind every entry point: the CLI
 // parsers apply its component rules, and LoadSpecs, ExecuteErr and the
-// commands call it whole. It builds no topology or tree and expands no
-// scenario, so a spec of any size is checked without building it.
+// commands call it whole. It builds no tree and expands no scenario,
+// and builds the (cached) topology only for a scenario that names a
+// link, so a spec of any size is checked without building it.
 //
 // The rules: each component's kind is known and its arguments lie in
 // its constructor's range; a machine holds at most 2^30 PEs; the load
 // metric is empty, "queue" or "queue+pending"; no field but the seed is
 // negative; the scenario parses and fits the machine; a SequentialOnly
 // strategy runs on one shard; and the machine configuration passes
-// machine.Config.Validate. The error names the run.
+// machine.Config.Validate and ValidateLinks. The error names the run.
 func (rs RunSpec) Validate() error {
 	if err := rs.check(); err != nil {
 		return fmt.Errorf("%s: %w", rs.ref(), err)
@@ -67,6 +68,9 @@ func (rs RunSpec) check() error {
 	}
 	pes := rs.Topo.PEs()
 	if err := cfg.Validate(pes); err != nil {
+		return err
+	}
+	if err := cfg.ValidateLinks(rs.Topo.Build); err != nil {
 		return err
 	}
 	if min(max(rs.Shards, 1), pes) > 1 {

@@ -207,7 +207,7 @@ func (w *wireMsg) Act() {
 		m.goalsInTransit--
 		rcv := m.pes[to]
 		if m.cfg.PiggybackLoad {
-			m.recordLoad(m.hopSlot(ci, from, to), to, from, sentLoad)
+			m.recordLoad(m.hopSlot(ci, from, to), sentLoad)
 		}
 		if m.lossy && g.epoch != g.job.epoch {
 			m.stats.GoalsLost++ // its attempt died in a crash mid-flight
@@ -222,7 +222,7 @@ func (w *wireMsg) Act() {
 	case wireGoalRoute:
 		m.goalsInTransit--
 		if m.cfg.PiggybackLoad {
-			m.recordLoad(m.hopSlot(ci, from, to), to, from, sentLoad)
+			m.recordLoad(m.hopSlot(ci, from, to), sentLoad)
 		}
 		if m.lossy && g.epoch != g.job.epoch {
 			m.stats.GoalsLost++
@@ -241,13 +241,13 @@ func (w *wireMsg) Act() {
 	case wireResp:
 		m.respsInTransit--
 		if m.cfg.PiggybackLoad {
-			m.recordLoad(m.hopSlot(ci, from, to), to, from, sentLoad)
+			m.recordLoad(m.hopSlot(ci, from, to), sentLoad)
 		}
 		m.routeResponse(to, resp)
 	case wireCtrl:
 		rcv := m.pes[to]
 		if m.cfg.PiggybackLoad {
-			m.recordLoad(m.hopSlot(ci, from, to), to, from, sentLoad)
+			m.recordLoad(m.hopSlot(ci, from, to), sentLoad)
 		}
 		rcv.node.HandleEvent(Event{Kind: Control, From: from, Payload: payload})
 	// Broadcast deliveries walk the channel's full member list; on a
@@ -263,7 +263,7 @@ func (w *wireMsg) Act() {
 				continue
 			}
 			if x := row[r]; x >= 0 {
-				m.recordLoad(x, member, from, sentLoad)
+				m.recordLoad(x, sentLoad)
 			}
 			r++
 		}
@@ -290,7 +290,7 @@ func (w *wireMsg) Act() {
 			if x < 0 {
 				continue
 			}
-			m.recordLoad(x, member, from, sentLoad)
+			m.recordLoad(x, sentLoad)
 			// Broadcast deliveries must be idempotent (a double-lattice
 			// pair hears each transaction twice, once per shared bus):
 			// only availability TRANSITIONS raise the event, so a
@@ -339,16 +339,10 @@ func (m *Machine) hopSlot(ci, from, to int) int32 {
 	return m.slots[int(ch.slot)+i*s+k]
 }
 
-// recordLoad stores load as the latest word PE to heard from neighbor
-// from, in to's receiver slot x.
-func (m *Machine) recordLoad(x int32, to, from, load int) {
+// recordLoad stores load as the latest word heard in receiver slot x.
+func (m *Machine) recordLoad(x int32, load int) {
 	m.nbrLoad[x] = int32(load)
 	m.nbrSeen[x] = m.eng.Now()
-	if m.loadEvents {
-		if rcv := m.pes[to]; rcv.wantsLoad {
-			rcv.node.HandleEvent(Event{Kind: NeighborLoadChanged, From: from, Load: load})
-		}
-	}
 }
 
 // transmit occupies the message's channel for dur units starting when
@@ -424,13 +418,10 @@ func (m *Machine) transmitFunc(ch *chanState, dur sim.Time, deliver func()) sim.
 
 // occupy reserves the channel's next dur free units and returns when the
 // reservation ends. A degraded channel stretches the occupancy by its
-// factor (floor one unit, so a message never becomes free).
+// factor.
 func (ch *chanState) occupy(now, dur sim.Time) sim.Time {
 	if ch.degrade != 0 {
-		dur = sim.Time(float64(dur) * ch.degrade)
-		if dur < 1 {
-			dur = 1
-		}
+		dur = scaledUnits(float64(dur) * ch.degrade)
 	}
 	start := now
 	if ch.busyUntil > start {

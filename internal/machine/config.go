@@ -7,6 +7,7 @@ import (
 
 	"cwnsim/internal/scenario"
 	"cwnsim/internal/sim"
+	"cwnsim/internal/topology"
 	"cwnsim/internal/trace"
 )
 
@@ -273,6 +274,23 @@ func (c Config) Validate(numPEs int) error {
 		return errors.New("machine: SeriesBound must be 0 (exact) or >= 2")
 	case c.Shards < 0:
 		return errors.New("machine: Shards must be non-negative")
+	}
+	return nil
+}
+
+// ValidateLinks reports a scripted link op (degradelink, droplink,
+// restorelink) whose endpoints share no channel; call it once Validate
+// has checked the endpoints' range. topo is called only when the script
+// names a link, so a caller that has not built the topology yet builds
+// it only then. NewStream panics with its error, like Validate's.
+func (c Config) ValidateLinks(topo func() *topology.Topology) error {
+	if c.Scenario.Empty() {
+		return nil
+	}
+	for i, e := range c.Scenario.Events {
+		if (e.Kind == scenario.DegradeLink || e.Kind == scenario.RestoreLink) && len(topo().ChannelsBetween(e.A, e.B)) == 0 {
+			return fmt.Errorf("machine: scenario event %d (%s): PEs %d and %d share no channel", i, e.Kind, e.A, e.B)
+		}
 	}
 	return nil
 }

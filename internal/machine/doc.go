@@ -40,19 +40,19 @@
 //
 // # Event-driven strategy API
 //
-// A Strategy supplies one NodeStrategy per PE, and the machine drives
-// each node through a typed event stream (NodeStrategy.HandleEvent):
-// GoalCreated asks for a placement decision, GoalArrived delivers a
-// goal message, Control delivers strategy control payloads. Scenario
-// runs add environment events — PEFailed/PERecovered ride the failing
-// PE's immediate sentinel-load broadcast to its neighbors (charged
-// channel time like any load word), LinkDown/LinkRestored are sensed
-// locally by the link's endpoints, PESlowed tells a node its own clock
-// changed, and NeighborLoadChanged mirrors every load-table update.
-// Environment delivery is strictly opt-in through the FailureAware/
-// SpeedAware/LoadAware capability interfaces, resolved once per node at
-// construction: strategies that ignore the environment behave — and
-// cost — exactly as a sentinel-only implementation.
+// A Strategy is a name and a per-PE node factory: it supplies one
+// NodeStrategy per PE, which may register periodic processes
+// (Machine.NewTicker), and the machine drives each node through a typed
+// event stream (NodeStrategy.HandleEvent): GoalCreated asks for a
+// placement decision, GoalArrived delivers a goal message, Control
+// delivers strategy control payloads. Scenario runs add
+// PEFailed/PERecovered, which ride the failing PE's immediate
+// sentinel-load broadcast to its neighbors (charged channel time like
+// any load word). Their delivery is strictly opt-in through the
+// FailureAware capability interface, resolved once per node at
+// construction: strategies that ignore it behave — and cost — exactly
+// as a sentinel-only implementation. Speed changes and link outages
+// reach strategies only through their effect on load words.
 //
 // A PE's "load" is the number of messages waiting in its ready queue —
 // the paper's measure — optionally augmented with the count of tasks

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"fmt"
 	"sort"
 
 	"cwnsim/internal/sim"
@@ -76,7 +75,6 @@ func (pe *PE) nominalSpeed() float64 {
 // service proportionally: the remaining duration stretches or shrinks
 // by oldSpeed/newSpeed, so work already performed is kept rather than
 // restarted. Busy-time accounting is adjusted to the new completion.
-// A SpeedAware node hears about its own clock change immediately.
 func (m *Machine) setSpeed(pe *PE, speed float64) {
 	old := pe.Speed()
 	if m.peSpeed == nil {
@@ -85,9 +83,6 @@ func (m *Machine) setSpeed(pe *PE, speed float64) {
 		m.peSpeed = make([]float64, m.peHi-m.peLo)
 	}
 	m.peSpeed[pe.lx] = speed
-	if old != speed && pe.wantsSpeed {
-		pe.node.HandleEvent(Event{Kind: PESlowed, From: pe.id, Factor: speed})
-	}
 	if !m.peBusy[pe.lx] || old == speed {
 		return
 	}
@@ -96,10 +91,7 @@ func (m *Machine) setSpeed(pe *PE, speed float64) {
 	if remaining <= 0 {
 		return // completion already due this instant
 	}
-	scaled := sim.Time(float64(remaining) * old / speed)
-	if scaled < 1 {
-		scaled = 1
-	}
+	scaled := scaledUnits(float64(remaining) * old / speed)
 	if scaled == remaining {
 		return
 	}
@@ -441,21 +433,18 @@ func (m *Machine) nearestLive(from int) int {
 }
 
 // setLinkState applies a degradation factor (or outage) to this
-// machine's copies of the channels between a and b, reporting whether
-// any was down before. A positive factor on a downed channel brings it
-// back up degraded — the scripted state is absolute, not sticky — so
-// messages held during the outage flush at the new (stretched) pace.
-// Every shard holds its own channel copies and applies the mutation
-// itself (a bus channel's members can span shards beyond the named
-// endpoints); shardGroup.applyLink notifies the endpoints.
-func (m *Machine) setLinkState(a, b int, factor float64, down bool) (wasDown bool) {
-	for _, ci := range m.linkChannels(a, b) {
+// machine's copies of the channels between a and b; factor 0 without
+// down restores them to nominal. A positive factor on a downed channel
+// brings it back up degraded — the scripted state is absolute, not
+// sticky — so messages held during the outage flush at the new
+// (stretched) pace. Every shard holds its own channel copies and
+// applies the mutation itself (a bus channel's members can span shards
+// beyond the named endpoints).
+func (m *Machine) setLinkState(a, b int, factor float64, down bool) {
+	for _, ci := range m.topo.ChannelsBetween(a, b) {
 		ch := m.chanAt(ci)
 		if ch == nil {
 			continue // no owned PE attaches to this channel
-		}
-		if ch.down {
-			wasDown = true
 		}
 		if down {
 			ch.down = true
@@ -463,35 +452,6 @@ func (m *Machine) setLinkState(a, b int, factor float64, down bool) (wasDown boo
 		}
 		ch.degrade = factor
 		m.bringUp(ch)
-	}
-	return wasDown
-}
-
-// restoreLinkState returns this machine's copies of every channel
-// between a and b to nominal, flushing messages held during an outage
-// in arrival order, and reports whether any was down (see
-// setLinkState).
-func (m *Machine) restoreLinkState(a, b int) (wasDown bool) {
-	for _, ci := range m.linkChannels(a, b) {
-		ch := m.chanAt(ci)
-		if ch == nil {
-			continue // no owned PE attaches to this channel
-		}
-		if ch.down {
-			wasDown = true
-		}
-		ch.degrade = 0
-		m.bringUp(ch)
-	}
-	return wasDown
-}
-
-// notifyEndpoint delivers a link-availability event to one endpoint's
-// FailureAware node when this machine owns it (a shard notifies only
-// its own endpoints).
-func (m *Machine) notifyEndpoint(id, far int, kind EventKind) {
-	if pe := m.pes[id]; pe != nil && pe.wantsFailure {
-		pe.node.HandleEvent(Event{Kind: kind, From: far})
 	}
 }
 
@@ -507,12 +467,4 @@ func (m *Machine) bringUp(ch *chanState) {
 	for _, h := range held {
 		m.transmit(h.dur, h.w)
 	}
-}
-
-func (m *Machine) linkChannels(a, b int) []int {
-	chs := m.topo.ChannelsBetween(a, b)
-	if len(chs) == 0 {
-		panic(fmt.Sprintf("machine: scenario link event: PEs %d and %d share no channel", a, b))
-	}
-	return chs
 }

@@ -9,28 +9,26 @@ import (
 	"cwnsim/internal/workload"
 )
 
-// recorded is one environment event as seen by a recorder node.
+// recorded is one availability event as seen by a recorder node.
 type recorded struct {
-	at     sim.Time
-	kind   EventKind
-	from   int
-	factor float64
+	at   sim.Time
+	kind EventKind
+	from int
 }
 
 // recorder is a keep-local strategy whose nodes subscribe to the
-// environment streams per the flags and log what they receive — the
+// availability stream per the flag and log what they receive — the
 // white-box probe for event delivery.
 type recorder struct {
-	failure, speed, load bool
-	log                  map[int][]recorded // PE id -> events
+	failure bool
+	log     map[int][]recorded // PE id -> events
 }
 
-func newRecorder(failure, speed, load bool) *recorder {
-	return &recorder{failure: failure, speed: speed, load: load, log: map[int][]recorded{}}
+func newRecorder(failure bool) *recorder {
+	return &recorder{failure: failure, log: map[int][]recorded{}}
 }
 
-func (r *recorder) Name() string   { return "recorder" }
-func (r *recorder) Setup(*Machine) {}
+func (r *recorder) Name() string { return "recorder" }
 func (r *recorder) NewNode(pe *PE) NodeStrategy {
 	return &recorderNode{s: r, pe: pe}
 }
@@ -41,8 +39,6 @@ type recorderNode struct {
 }
 
 func (n *recorderNode) WantsFailureEvents() bool { return n.s.failure }
-func (n *recorderNode) WantsSpeedEvents() bool   { return n.s.speed }
-func (n *recorderNode) WantsLoadEvents() bool    { return n.s.load }
 
 func (n *recorderNode) HandleEvent(ev Event) {
 	switch ev.Kind {
@@ -51,7 +47,7 @@ func (n *recorderNode) HandleEvent(ev Event) {
 	case Control:
 	default:
 		n.s.log[n.pe.ID()] = append(n.s.log[n.pe.ID()],
-			recorded{at: n.pe.Now(), kind: ev.Kind, from: ev.From, factor: ev.Factor})
+			recorded{at: n.pe.Now(), kind: ev.Kind, from: ev.From})
 	}
 }
 
@@ -60,7 +56,7 @@ func (n *recorderNode) HandleEvent(ev Event) {
 // so neighbors hear it one control-hop later, and non-subscribing nodes
 // hear nothing.
 func TestFailureEventsReachNeighbors(t *testing.T) {
-	rec := newRecorder(true, false, false)
+	rec := newRecorder(true)
 	cfg := DefaultConfig()
 	cfg.LoadInterval = 0 // isolate the env broadcasts
 	cfg.Scenario = scenario.MustParse("fail:pes=1@t=10,recover@t=50")
@@ -83,77 +79,13 @@ func TestFailureEventsReachNeighbors(t *testing.T) {
 	}
 
 	// Without the subscription, the same run delivers nothing.
-	silent := newRecorder(false, false, false)
+	silent := newRecorder(false)
 	cfg2 := DefaultConfig()
 	cfg2.LoadInterval = 0
 	cfg2.Scenario = scenario.MustParse("fail:pes=1@t=10,recover@t=50")
 	New(topology.NewGrid(1, 3), workload.NewChain(40), silent, cfg2).Run()
 	if len(silent.log) != 0 {
 		t.Fatalf("non-subscribing nodes received env events: %+v", silent.log)
-	}
-}
-
-// TestLinkEventsReachEndpoints pins LinkDown/LinkRestored: both
-// endpoints sense the transition locally at the scripted instant, and a
-// degrade without outage notifies nobody.
-func TestLinkEventsReachEndpoints(t *testing.T) {
-	rec := newRecorder(true, false, false)
-	cfg := DefaultConfig()
-	cfg.LoadInterval = 0
-	cfg.Scenario = scenario.MustParse("degradelink:a=0:b=1:x=2@t=5,droplink:a=0:b=1@t=20,restorelink:a=0:b=1@t=60")
-	New(topology.NewGrid(1, 2), workload.NewChain(30), rec, cfg).Run()
-
-	for _, pe := range []int{0, 1} {
-		other := 1 - pe
-		evs := rec.log[pe]
-		if len(evs) != 2 {
-			t.Fatalf("PE %d saw %d link events, want 2 (degrade is not an outage): %+v", pe, len(evs), evs)
-		}
-		if evs[0] != (recorded{at: 20, kind: LinkDown, from: other}) {
-			t.Fatalf("PE %d first = %+v, want LinkDown from %d at t=20", pe, evs[0], other)
-		}
-		if evs[1] != (recorded{at: 60, kind: LinkRestored, from: other}) {
-			t.Fatalf("PE %d second = %+v, want LinkRestored from %d at t=60", pe, evs[1], other)
-		}
-	}
-}
-
-// TestSpeedEventsReachOwnNode pins PESlowed: the affected PE's own node
-// hears each speed change with the new factor, immediately.
-func TestSpeedEventsReachOwnNode(t *testing.T) {
-	rec := newRecorder(false, true, false)
-	cfg := DefaultConfig()
-	cfg.LoadInterval = 0
-	cfg.Scenario = scenario.MustParse("slow:pes=0:x=0.5@t=25,restore@t=55")
-	New(topology.NewSingle(), workload.NewChain(20), rec, cfg).Run()
-
-	evs := rec.log[0]
-	if len(evs) != 2 {
-		t.Fatalf("node saw %d speed events, want 2: %+v", len(evs), evs)
-	}
-	if evs[0] != (recorded{at: 25, kind: PESlowed, from: 0, factor: 0.5}) {
-		t.Fatalf("first = %+v, want PESlowed x=0.5 at t=25", evs[0])
-	}
-	if evs[1] != (recorded{at: 55, kind: PESlowed, from: 0, factor: 1}) {
-		t.Fatalf("second = %+v, want PESlowed x=1 at t=55", evs[1])
-	}
-}
-
-// TestNeighborLoadEventsDelivered pins the LoadAware hot-path stream:
-// one NeighborLoadChanged per load word learned, from broadcast or
-// piggyback.
-func TestNeighborLoadEventsDelivered(t *testing.T) {
-	rec := newRecorder(false, false, true)
-	cfg := DefaultConfig()
-	New(topology.NewGrid(1, 2), workload.NewFib(8), rec, cfg).Run()
-	if len(rec.log[0]) == 0 || len(rec.log[1]) == 0 {
-		t.Fatalf("LoadAware nodes heard no NeighborLoadChanged: %d/%d events",
-			len(rec.log[0]), len(rec.log[1]))
-	}
-	for _, ev := range rec.log[0] {
-		if ev.kind != NeighborLoadChanged || ev.from != 1 {
-			t.Fatalf("PE 0 heard %+v, want NeighborLoadChanged from 1", ev)
-		}
 	}
 }
 
@@ -168,7 +100,7 @@ func TestFailureEventsIdempotentOnDualChannels(t *testing.T) {
 	if n := len(topo.ChannelsBetween(0, 1)); n != 2 {
 		t.Fatalf("test premise broken: PEs 0-1 share %d channels, want 2", n)
 	}
-	rec := newRecorder(true, false, false)
+	rec := newRecorder(true)
 	cfg := DefaultConfig()
 	cfg.LoadInterval = 0
 	cfg.Scenario = scenario.MustParse("fail:pes=1@t=10,recover@t=100")
@@ -199,7 +131,7 @@ func TestEnvNotificationCostsNoExtraTraffic(t *testing.T) {
 	run := func(aware bool) fingerprint {
 		cfg := DefaultConfig()
 		cfg.Scenario = scenario.MustParse("fail:pes=1@t=200,recover@t=900")
-		return fp(New(topology.NewGrid(1, 3), workload.NewFib(8), newRecorder(aware, false, false), cfg).Run())
+		return fp(New(topology.NewGrid(1, 3), workload.NewFib(8), newRecorder(aware), cfg).Run())
 	}
 	if a, b := run(true), run(false); a != b {
 		t.Fatalf("passive subscription changed the run: %+v vs %+v", a, b)

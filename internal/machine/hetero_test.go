@@ -16,12 +16,11 @@ import (
 // needs.
 type exportBalance struct{}
 
-func (exportBalance) Name() string   { return "export-balance" }
-func (exportBalance) Setup(*Machine) {}
+func (exportBalance) Name() string { return "export-balance" }
 func (exportBalance) NewNode(pe *PE) NodeStrategy {
 	n := balanceNode{pe}
 	if pe.ID() == 0 {
-		pe.Machine().NewTicker(pe, 2, n.balance)
+		pe.Machine().NewTicker(2, n.balance)
 	}
 	return n
 }

@@ -75,10 +75,6 @@ type Machine struct {
 	nbrSeen []sim.Time
 	nbrDown []bool
 	slots   []int32
-	// loadEvents is set when any owned node wants NeighborLoadChanged
-	// events; otherwise recording a load word never touches the
-	// receiving PE.
-	loadEvents bool
 
 	// chScratch is the reusable candidate buffer for per-hop channel
 	// selection (AppendChannelsBetween): implicit topologies compute the
@@ -258,6 +254,9 @@ func NewStream(topo *topology.Topology, source JobSource, strat Strategy, cfg Co
 	if err := cfg.Validate(topo.Size()); err != nil {
 		panic(err)
 	}
+	if err := cfg.ValidateLinks(func() *topology.Topology { return topo }); err != nil {
+		panic(err)
+	}
 	return newShardGroup(topo, source, strat, cfg).machines[0]
 }
 
@@ -412,7 +411,6 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 	}
 	m.buildSlots(nbrOff)
 
-	strat.Setup(m)
 	for _, pe := range m.pes {
 		if pe == nil {
 			continue
@@ -423,13 +421,6 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 		}
 		if fa, ok := pe.node.(FailureAware); ok {
 			pe.wantsFailure = fa.WantsFailureEvents()
-		}
-		if sa, ok := pe.node.(SpeedAware); ok {
-			pe.wantsSpeed = sa.WantsSpeedEvents()
-		}
-		if la, ok := pe.node.(LoadAware); ok {
-			pe.wantsLoad = la.WantsLoadEvents()
-			m.loadEvents = m.loadEvents || pe.wantsLoad
 		}
 	}
 
@@ -581,11 +572,10 @@ func (m *Machine) Completed() bool { return m.grp.completed }
 // system (load broadcasts, strategy control processes). When
 // StaggerTicks is set the phase is drawn uniformly from the first period
 // — per registration, from the run's seeded engine stream, because these
-// processes ARE part of the simulation; pe only documents ownership and
-// may be nil for machine-level processes. Measurement processes must use
+// processes ARE part of the simulation. Measurement processes must use
 // the observer stream instead (see newObserverTicker) so that turning
 // monitoring on or off cannot change the simulated result.
-func (m *Machine) NewTicker(pe *PE, period sim.Time, fn func()) *sim.Ticker {
+func (m *Machine) NewTicker(period sim.Time, fn func()) *sim.Ticker {
 	return sim.NewTicker(m.eng, period, m.tickerPhase(period), fn)
 }
 
@@ -596,6 +586,28 @@ func (m *Machine) tickerPhase(period sim.Time) sim.Time {
 		return sim.Time(m.eng.Rng().Int63n(int64(period)))
 	}
 	return 0
+}
+
+// maxScaled caps a duration scaled by a float factor (a Poisson draw, a
+// scenario's speed, link or rate factor): 2^36 units, some 34,000
+// default horizons, so the scaled event still lies past the end of the
+// run, while the sums that follow — now plus the delay, and a channel's
+// busyUntil growing by one capped span per message — stay far inside
+// int64 at the default horizon.
+const maxScaled sim.Time = 1 << 36
+
+// scaledUnits converts a scaled duration x to whole time units as a
+// plain conversion does (truncating), floored at one unit so scaled work
+// never becomes free, and capped at maxScaled: an extreme factor behaves
+// like a large one instead of wrapping past 2^63 into the floor.
+func scaledUnits(x float64) sim.Time {
+	switch {
+	case x < 1:
+		return 1
+	case x < float64(maxScaled):
+		return sim.Time(x)
+	}
+	return maxScaled
 }
 
 // newObserverTicker registers a measurement process (the utilization
@@ -991,12 +1003,9 @@ func (m *Machine) pump() {
 		}
 		if delay > 0 && m.rateMul != 1 {
 			// A LoadShock multiplies the offered rate: divide the drawn
-			// gap, floor one unit. Applied to gaps drawn after the shock;
-			// an already-armed arrival fires as scheduled.
-			delay = sim.Time(float64(delay) / m.rateMul)
-			if delay < 1 {
-				delay = 1
-			}
+			// gap. Applied to gaps drawn after the shock; an already-armed
+			// arrival fires as scheduled.
+			delay = scaledUnits(float64(delay) / m.rateMul)
 		}
 		if delay <= 0 {
 			m.inject(tree)

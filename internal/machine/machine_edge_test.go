@@ -1,10 +1,12 @@
 package machine_test
 
 import (
+	"fmt"
 	"testing"
 
 	"cwnsim/internal/core"
 	"cwnsim/internal/machine"
+	"cwnsim/internal/scenario"
 	"cwnsim/internal/topology"
 	"cwnsim/internal/trace"
 	"cwnsim/internal/workload"
@@ -202,5 +204,45 @@ func TestRouteGoalAPI(t *testing.T) {
 	}
 	if st.Result != tree.Eval() {
 		t.Fatalf("result %d, want %d", st.Result, tree.Eval())
+	}
+}
+
+// TestExtremeFactorsSaturate: a Poisson mean or a scenario factor that
+// scales a duration past int64's range behaves like a merely large one
+// — its event lies past the horizon. A conversion that wrapped into the
+// one-unit floor would let each extreme run below finish early (or
+// flood the machine with arrivals) where the large one stalls. A short
+// horizon keeps the stalled runs cheap; every large duration below
+// still ends past it.
+func TestExtremeFactorsSaturate(t *testing.T) {
+	fib := workload.NewFib(9)
+	run := func(src machine.JobSource, script string) *machine.Stats {
+		cfg := machine.DefaultConfig()
+		cfg.MaxTime = 100_000
+		cfg.Scenario = scenario.MustParse(script)
+		return machine.NewStream(topology.NewGrid(4, 4), src, core.NewCWN(9, 2), cfg).Run()
+	}
+	for _, tc := range []struct {
+		name           string
+		extreme, large float64
+		probe          func(x float64) *machine.Stats
+	}{
+		{"poisson mean", 1e19, 1e18, func(x float64) *machine.Stats { return run(machine.NewPoisson(fib, x, 5), "") }},
+		{"load shock", 1e-300, 1e-6, func(x float64) *machine.Stats {
+			return run(machine.NewPoisson(fib, 200, 40), fmt.Sprintf("shock:x=%g@t=100", x))
+		}},
+		{"link degrade", 1e300, 1e6, func(x float64) *machine.Stats {
+			return run(machine.NewSingleJob(fib), fmt.Sprintf("degradelink:a=0:b=1:x=%g@t=0", x))
+		}},
+		{"PE slowdown", 1e-300, 1e-6, func(x float64) *machine.Stats {
+			return run(machine.NewSingleJob(fib), fmt.Sprintf("slow:pes=0:x=%g@t=0", x))
+		}},
+	} {
+		ext, big := tc.probe(tc.extreme), tc.probe(tc.large)
+		if ext.Completed != big.Completed || ext.JobsInjected != big.JobsInjected || ext.JobsDone != big.JobsDone || ext.Makespan != big.Makespan {
+			t.Errorf("%s: x=%g ran completed=%v jobs %d/%d makespan %d; x=%g ran completed=%v jobs %d/%d makespan %d",
+				tc.name, tc.extreme, ext.Completed, ext.JobsDone, ext.JobsInjected, ext.Makespan,
+				tc.large, big.Completed, big.JobsDone, big.JobsInjected, big.Makespan)
+		}
 	}
 }

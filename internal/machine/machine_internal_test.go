@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"cwnsim/internal/scenario"
 	"cwnsim/internal/sim"
 	"cwnsim/internal/topology"
 	"cwnsim/internal/workload"
@@ -13,7 +14,6 @@ import (
 type keepLocal struct{}
 
 func (keepLocal) Name() string                { return "keep-local" }
-func (keepLocal) Setup(m *Machine)            {}
 func (keepLocal) NewNode(pe *PE) NodeStrategy { return keepLocalNode{pe} }
 
 type keepLocalNode struct{ pe *PE }
@@ -238,6 +238,41 @@ func TestConfigValidation(t *testing.T) {
 			}()
 			New(topo, tree, keepLocal{}, cfg)
 		}()
+	}
+}
+
+// TestValidateLinks: a scripted link op must join PEs that share a
+// channel — a link or a bus — and NewStream refuses one that does not
+// with ValidateLinks' error, before the run starts.
+func TestValidateLinks(t *testing.T) {
+	for _, tc := range []struct {
+		topo   *topology.Topology
+		script string
+		ok     bool
+	}{
+		{topology.NewGrid(4, 4), "droplink:a=0:b=1@t=5,restorelink:a=1:b=0@t=9", true},
+		{topology.NewGrid(4, 4), "degradelink:a=0:b=1:x=2@t=5,restorelink:a=0:b=5@t=9", false},
+		{topology.NewGridImplicit(4, 4), "droplink:a=0:b=5@t=5", false},
+		{topology.NewDLM(4, 4, 4), "droplink:a=0:b=1@t=5", true}, // two shared buses
+		{topology.NewDLM(4, 4, 4), "droplink:a=0:b=5@t=5", false},
+	} {
+		cfg := DefaultConfig()
+		cfg.Scenario = scenario.MustParse(tc.script)
+		err := cfg.ValidateLinks(func() *topology.Topology { return tc.topo })
+		if (err == nil) != tc.ok {
+			t.Errorf("%s on %s: ValidateLinks = %v, want ok=%v", tc.script, tc.topo.Name(), err, tc.ok)
+			continue
+		}
+		if err != nil {
+			func() {
+				defer func() {
+					if r := recover(); fmt.Sprint(r) != err.Error() {
+						t.Errorf("%s on %s: NewStream panicked with %v, want %v", tc.script, tc.topo.Name(), r, err)
+					}
+				}()
+				New(tc.topo, workload.NewFib(2), keepLocal{}, cfg)
+			}()
+		}
 	}
 }
 

@@ -118,12 +118,10 @@ type PE struct {
 
 	node NodeStrategy // strategy state for this PE (set after construction)
 
-	// Capability flags, resolved once at construction from the node's
-	// optional interfaces (FailureAware/SpeedAware/LoadAware), so event
-	// delivery on the hot path costs one bool test, not a type assert.
+	// wantsFailure is resolved once at construction from the node's
+	// optional FailureAware interface, so event delivery costs one bool
+	// test, not a type assert.
 	wantsFailure bool
-	wantsSpeed   bool
-	wantsLoad    bool
 
 	// Blackout accounting (internal/scenario); the failed flag itself is
 	// hot state and lives in Machine.peFailed.
@@ -414,11 +412,7 @@ func (pe *PE) startNext() {
 	}
 	if sp := m.peSpeed; sp != nil {
 		if s := sp[pe.lx]; s != 0 {
-			scaled := sim.Time(float64(dur) / s)
-			if scaled < 1 {
-				scaled = 1
-			}
-			dur = scaled
+			dur = scaledUnits(float64(dur) / s)
 		}
 	}
 	if m.ckpt {

@@ -15,7 +15,6 @@ import (
 type pushRight struct{}
 
 func (pushRight) Name() string                { return "push-right" }
-func (pushRight) Setup(*Machine)              {}
 func (pushRight) NewNode(pe *PE) NodeStrategy { return pushRightNode{pe} }
 
 type pushRightNode struct{ pe *PE }

@@ -593,9 +593,13 @@ func (g *shardGroup) applyOp(ev scenario.Event) {
 			m.recoverPE(m.pes[id])
 		}
 	case scenario.DegradeLink:
-		g.applyLink(ev.A, ev.B, ev.Factor, ev.Factor == 0, false)
+		for _, m := range g.machines {
+			m.setLinkState(ev.A, ev.B, ev.Factor, ev.Factor == 0)
+		}
 	case scenario.RestoreLink:
-		g.applyLink(ev.A, ev.B, 0, false, true)
+		for _, m := range g.machines {
+			m.setLinkState(ev.A, ev.B, 0, false)
+		}
 	case scenario.LoadShock:
 		g.machines[g.home].rateMul = ev.Factor
 	case scenario.CheckpointTick:
@@ -624,38 +628,6 @@ func (g *shardGroup) applyOp(ev scenario.Event) {
 		}
 		home.liveJobs = live
 	}
-}
-
-// applyLink applies a link event group-wide: every shard mutates its
-// own copies of the affected channels (a bus channel's members can span
-// shards beyond the named endpoints), and the endpoint owners notify
-// their FailureAware nodes on an outage transition — LinkDown when a
-// live link drops, LinkRestored when a downed one comes back up
-// (restored or re-degraded).
-func (g *shardGroup) applyLink(a, b int, factor float64, down, restore bool) {
-	wasDown := false
-	for _, m := range g.machines {
-		var w bool
-		if restore {
-			w = m.restoreLinkState(a, b)
-		} else {
-			w = m.setLinkState(a, b, factor, down)
-		}
-		if w {
-			wasDown = true
-		}
-	}
-	var kind EventKind
-	switch {
-	case restore && wasDown, !restore && !down && wasDown:
-		kind = LinkRestored
-	case !restore && down && !wasDown:
-		kind = LinkDown
-	default:
-		return
-	}
-	g.owner(a).notifyEndpoint(a, b, kind)
-	g.owner(b).notifyEndpoint(b, a, kind)
 }
 
 // stalled reports whether an incomplete run is a lost-goal deadlock

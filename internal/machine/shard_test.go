@@ -22,7 +22,6 @@ import (
 type spread struct{}
 
 func (spread) Name() string                { return "spread" }
-func (spread) Setup(*Machine)              {}
 func (spread) NewNode(pe *PE) NodeStrategy { return spreadNode{pe} }
 
 type spreadNode struct{ pe *PE }
@@ -218,7 +217,6 @@ type shardBoom struct{ pe int }
 type boomStrategy struct{}
 
 func (boomStrategy) Name() string                { return "boom" }
-func (boomStrategy) Setup(*Machine)              {}
 func (boomStrategy) NewNode(pe *PE) NodeStrategy { return boomNode{spreadNode{pe}} }
 
 type boomNode struct{ spreadNode }

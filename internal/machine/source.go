@@ -141,11 +141,7 @@ func (s *poisson) Next(rng *rand.Rand) (sim.Time, *workload.Tree, bool) {
 		return 0, nil, false
 	}
 	s.emitted++
-	gap := sim.Time(rng.ExpFloat64() * s.meanGap)
-	if gap < 1 {
-		gap = 1
-	}
-	return gap, s.tree, true
+	return scaledUnits(rng.ExpFloat64() * s.meanGap), s.tree, true
 }
 
 // burst emits rounds of simultaneous jobs separated by a fixed gap —

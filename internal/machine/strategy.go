@@ -10,13 +10,9 @@ package machine
 type Strategy interface {
 	// Name identifies the strategy in reports, e.g. "CWN(r=9,h=2)".
 	Name() string
-	// Setup runs once before the simulation starts, after the machine
-	// is wired. Strategies typically capture the topology diameter or
-	// validate parameters here.
-	Setup(m *Machine)
 	// NewNode returns the per-PE strategy state. Called once per PE
-	// after Setup. Strategies register periodic processes here via
-	// Machine.NewTicker.
+	// after the machine is wired. Strategies register periodic
+	// processes here via Machine.NewTicker.
 	NewNode(pe *PE) NodeStrategy
 }
 
@@ -34,10 +30,9 @@ const (
 	// (e.g. a Gradient Model proximity update).
 	Control
 
-	// Environment events (scenario runs only). They are delivered only
-	// to nodes that opt in via the FailureAware / SpeedAware / LoadAware
-	// capability interfaces, so strategies that ignore the environment
-	// behave — and cost — exactly as before.
+	// Availability events (scenario runs only). They are delivered only
+	// to nodes that opt in via FailureAware, so a strategy that does not
+	// behaves — and costs — exactly as a sentinel-only one.
 
 	// PEFailed announces that PE From lost its compute (blackout or
 	// crash). It arrives with the failed PE's immediate sentinel-load
@@ -47,20 +42,6 @@ const (
 	// PERecovered announces that PE From is serving again; it arrives
 	// with the recovery load broadcast, neighbors only.
 	PERecovered
-	// PESlowed tells a node its own PE's service speed changed; Factor
-	// carries the new multiplier (nominal speed = the configured base).
-	// Local and instantaneous — a PE knows its own clock.
-	PESlowed
-	// LinkDown tells a link-endpoint node the link toward PE From went
-	// down (carrier loss is sensed locally, so no channel time).
-	LinkDown
-	// LinkRestored tells a link-endpoint node the link toward PE From
-	// is carrying traffic again.
-	LinkRestored
-	// NeighborLoadChanged fires whenever this PE learns a new load value
-	// for neighbor From (broadcast or piggyback); Load is the value.
-	// Hot-path: delivered only to LoadAware nodes.
-	NeighborLoadChanged
 )
 
 // Event is one typed occurrence delivered to a NodeStrategy. Which
@@ -73,22 +54,16 @@ type Event struct {
 	// the machine.
 	Goal *Goal
 	// From is the event's other party: the sending neighbor for
-	// GoalArrived/Control, the affected PE for PEFailed/PERecovered/
-	// PESlowed/NeighborLoadChanged, the far endpoint for LinkDown/
-	// LinkRestored.
+	// GoalArrived/Control, the affected PE for PEFailed/PERecovered.
 	From int
 	// Payload is the Control message body.
 	Payload any
-	// Factor is the new speed multiplier (PESlowed).
-	Factor float64
-	// Load is the newly learned neighbor load (NeighborLoadChanged).
-	Load int
 }
 
 // NodeStrategy is the per-PE half of a Strategy: a handler for the
 // typed event stream the machine delivers. Every node sees GoalCreated,
-// GoalArrived and Control; environment events additionally require the
-// matching capability interface below.
+// GoalArrived and Control; PEFailed/PERecovered additionally require
+// FailureAware.
 type NodeStrategy interface {
 	HandleEvent(ev Event)
 }
@@ -106,27 +81,12 @@ type SequentialOnly interface {
 }
 
 // FailureAware is the opt-in for availability events: a node whose
-// WantsFailureEvents returns true receives PEFailed/PERecovered (from
-// failing neighbors, with their sentinel-load broadcast) and LinkDown/
-// LinkRestored (for links this PE terminates). The bool lets one node
-// type gate the capability on a strategy flag, so "sentinel-only" and
-// "failure-aware" variants of a scheme can be compared head to head.
+// WantsFailureEvents returns true receives PEFailed/PERecovered from
+// failing neighbors, with their sentinel-load broadcast. The bool lets
+// one node type gate the capability on a strategy flag, so
+// "sentinel-only" and "failure-aware" variants of a scheme can be
+// compared head to head.
 type FailureAware interface {
 	NodeStrategy
 	WantsFailureEvents() bool
-}
-
-// SpeedAware is the opt-in for PESlowed events (own-PE service-speed
-// changes from SlowPE/RestorePE scenario events).
-type SpeedAware interface {
-	NodeStrategy
-	WantsSpeedEvents() bool
-}
-
-// LoadAware is the opt-in for NeighborLoadChanged events — one event
-// per load word learned, on the hot path, so only strategies that act
-// on individual observations should want it.
-type LoadAware interface {
-	NodeStrategy
-	WantsLoadEvents() bool
 }

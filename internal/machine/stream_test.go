@@ -196,7 +196,6 @@ func TestSaturatedStreamReportsIncomplete(t *testing.T) {
 type dropGoals struct{}
 
 func (dropGoals) Name() string                { return "drop" }
-func (dropGoals) Setup(*Machine)              {}
 func (dropGoals) NewNode(pe *PE) NodeStrategy { return dropNode{} }
 
 type dropNode struct{}

@@ -300,8 +300,8 @@ func (s *Script) RestoreAt() sim.Time {
 // returning a descriptive error for events that could not apply: PE
 // indices out of range, fractions outside (0,1], non-finite or negative
 // factors, zero/negative speed multipliers, link endpoints equal, or
-// negative times. Link adjacency is checked by the machine at apply
-// time (it owns the topology).
+// negative times. Link adjacency is checked by
+// machine.Config.ValidateLinks (the machine owns the topology).
 func (s *Script) Validate(numPEs int) error {
 	if s.Empty() {
 		return nil
