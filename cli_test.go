@@ -94,6 +94,9 @@ var cliContract = [][]string{
 	{"paper", "-exp", "table1,bogus"},
 	{"optimize", "-scheme", "bogus"},
 	{"lbsim", "-chart"},
+	{"lbsim", "-monitor", "-2"},
+	{"sweep", "-workers", "-1"},
+	{"serve", "-workers", "-1"},
 	{"sweep", "-topos", "grid:4x4", "-workloads", "fib:9", "-strategies", "cwn:9:2", "-scenario", "droplink:a=0:b=5@t=50"},
 	{"serve", "-topos", "grid:4x4", "-strategies", "cwn:9:2", "-jobs", "5", "-gaps", "100", "-scenario", "droplink:a=0:b=5@t=50"},
 }

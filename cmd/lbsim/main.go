@@ -41,6 +41,9 @@ func main() {
 	if *chart && *sample <= 0 {
 		fail(errors.New("-chart needs -sample > 0"))
 	}
+	if *monitor < 0 {
+		fail(fmt.Errorf("-monitor must be >= 0, got %d", *monitor))
+	}
 
 	topo, err := experiments.ParseTopo(*topoArg)
 	fail(err)

@@ -12,6 +12,7 @@ import (
 
 	"cwnsim/internal/machine"
 	"cwnsim/internal/scenario"
+	"cwnsim/internal/workload"
 )
 
 // specProbes are spec files that each break one rule of
@@ -142,9 +143,17 @@ func TestValidateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// fuzzHorizon caps a fuzzed run's MaxTime: a few thousand units carry a
+// small machine through its load broadcasts, goal traffic and most
+// scripted ops in milliseconds.
+const fuzzHorizon = 4000
+
 // FuzzLoadSpecs holds LoadSpecs to its contract on arbitrary files: it
 // never panics, and every run it accepts with at most 1024 PEs and a
-// small tree builds its machine.
+// small tree builds its machine. A run of at most 64 PEs and a bounded
+// stream also runs to fuzzHorizon, keeping the invariants of
+// checkFuzzRun, and a run of two or more shards must equal its serial
+// replay. Chaos and checkpoint scripts are skipped.
 func FuzzLoadSpecs(f *testing.F) {
 	for _, p := range specProbes {
 		f.Add([]byte(probeFile(p.fields)))
@@ -152,6 +161,9 @@ func FuzzLoadSpecs(f *testing.F) {
 	f.Add([]byte(`{"defaults": {"topo": {"kind": "dlm", "rows": 4, "cols": 4, "span": 2}, "workload": {"kind": "dc", "m": 1, "n": 40}},
 		"runs": [{"strategy": {"kind": "gm", "low": 1, "high": 2, "interval": 20}, "shards": 2, "sampleInterval": 50, "monitorPE": true,
 		"arrival": {"kind": "burst", "burst": 3, "gap": 100, "bursts": 2}, "scenario": "crash:pes=1@t=100,recover@t=300", "retryLimit": 2}]}`))
+	f.Add([]byte(`{"runs": [{"topo": {"kind": "torus", "rows": 6, "cols": 6}, "workload": {"kind": "fib", "m": 9},
+		"strategy": {"kind": "cwn", "radius": 4, "horizon": 1}, "shards": 4, "arrival": {"kind": "interval", "gap": 150, "jobs": 20},
+		"scenario": "droplink:a=14:b=20@t=300,restorelink:a=14:b=20@t=1500,fail:pes=3@t=400,recover@t=900"}]}`))
 	// One file per fuzzing process: its inputs run one at a time.
 	path := filepath.Join(f.TempDir(), "spec.json")
 	f.Fuzz(func(t *testing.T, blob []byte) {
@@ -170,10 +182,78 @@ func FuzzLoadSpecs(f *testing.F) {
 			if expands(cfg.Scenario) {
 				continue // its expansion grows with MaxTime
 			}
-			tree := rs.Workload.build()
-			machine.NewStream(rs.Topo.build(), rs.Arrival.Build(tree), rs.Strategy.Build(), cfg)
+			topo, tree := rs.Topo.build(), rs.Workload.build()
+			build := func(cfg machine.Config) *machine.Machine {
+				return machine.NewStream(topo, rs.Arrival.Build(tree), rs.Strategy.Build(), cfg)
+			}
+			if topo.Size() > 64 || !smallStream(rs.Arrival) {
+				build(cfg)
+				continue
+			}
+			cfg.MaxTime = min(cfg.MaxTime, fuzzHorizon)
+			cfg.Warmup = min(cfg.Warmup, cfg.MaxTime-1)
+			cfg.ShardSerial = false
+			st := build(cfg).Run()
+			checkFuzzRun(t, rs, tree, st)
+			if cfg.Shards >= 2 {
+				cfg.ShardSerial = true
+				checkSerialReplay(t, rs, st, build(cfg).Run())
+			}
 		}
 	})
+}
+
+// smallStream reports whether as injects few enough jobs by the fuzz
+// horizon: streams other than bursts inject at most one per time unit,
+// and bursts are held to 64 rounds of at most 64.
+func smallStream(as ArrivalSpec) bool {
+	return as.Kind != "burst" || as.Burst <= 64 && as.Bursts <= 64
+}
+
+// checkFuzzRun checks the invariants perfbench's checkRun holds every
+// benchmark run to, plus no lost goal: a closed run that completed
+// computed its tree's value over all its goals (a capped horizon may
+// stop one short of completion), every abort was retried or abandoned,
+// and no more jobs finished than were injected.
+func checkFuzzRun(t *testing.T, rs RunSpec, tree *workload.Tree, st *machine.Stats) {
+	t.Helper()
+	if rs.Arrival.IsSingle() {
+		if st.Completed && st.Result != tree.Eval() {
+			t.Fatalf("%s: result %d, tree evaluates to %d", rs.Name(), st.Result, tree.Eval())
+		}
+		if st.Goals != tree.Count() {
+			t.Fatalf("%s: %d goals, tree has %d", rs.Name(), st.Goals, tree.Count())
+		}
+	}
+	if st.JobsRetried+st.JobsAbandoned != st.JobsAborted {
+		t.Fatalf("%s: retried %d + abandoned %d != aborted %d", rs.Name(), st.JobsRetried, st.JobsAbandoned, st.JobsAborted)
+	}
+	if st.JobsDone+st.JobsAbandoned > st.JobsInjected {
+		t.Fatalf("%s: done %d + abandoned %d > injected %d", rs.Name(), st.JobsDone, st.JobsAbandoned, st.JobsInjected)
+	}
+	if st.Stalled {
+		t.Fatalf("%s: stalled with %d job(s) in flight and no work anywhere", rs.Name(), st.JobsInjected-st.JobsDone)
+	}
+}
+
+// checkSerialReplay checks that a sharded run on its parallel runners
+// and its single-goroutine replay did the same work to the same end:
+// events, makespan, result, message counts and the job counters.
+func checkSerialReplay(t *testing.T, rs RunSpec, par, ser *machine.Stats) {
+	t.Helper()
+	type outcome struct {
+		Events           uint64
+		Makespan, Result int64
+		MsgCounts        [4]int64
+		Jobs             [5]int64 // injected, done, aborted, retried, abandoned
+	}
+	of := func(st *machine.Stats) outcome {
+		return outcome{st.Events, int64(st.Makespan), st.Result, st.MsgCounts,
+			[5]int64{st.JobsInjected, st.JobsDone, st.JobsAborted, st.JobsRetried, st.JobsAbandoned}}
+	}
+	if p, s := of(par), of(ser); p != s {
+		t.Fatalf("%s: parallel run %+v, serial replay %+v", rs.Name(), p, s)
+	}
 }
 
 // expands reports whether sc holds a chaos or checkpoint generator.

@@ -1,6 +1,9 @@
 package experiments
 
-import "flag"
+import (
+	"flag"
+	"fmt"
+)
 
 // RunFlags is the run-option flag set the batch commands (cmd/sweep,
 // cmd/serve) share: the scripted environment, its sampling, the crash
@@ -38,10 +41,13 @@ func RegisterRunFlags(fs *flag.FlagSet) *RunFlags {
 
 // Apply writes the run flags given on the command line into every spec
 // — a flag left unset keeps the spec's own value — and validates each
-// spec, so a bad flag fails before a command prints anything. Recovery
-// metrics need the sampling timeline, so -scenario without a positive
-// -sample samples every 250 time units.
+// spec and the batch flags, so a bad flag fails before a command prints
+// anything. Recovery metrics need the sampling timeline, so -scenario
+// without a positive -sample samples every 250 time units.
 func (f *RunFlags) Apply(specs []RunSpec) error {
+	if f.Workers < 0 {
+		return fmt.Errorf("-workers must be >= 0, got %d", f.Workers)
+	}
 	given := map[string]bool{}
 	f.fs.Visit(func(fl *flag.Flag) { given[fl.Name] = true })
 	if f.Scenario != "" && f.Sample == 0 {

@@ -7,8 +7,8 @@ import (
 )
 
 // TestRunFlagsApply: only the flags given on the command line reach the
-// specs, -scenario implies sampling every 250 units, and every spec is
-// validated.
+// specs, -scenario implies sampling every 250 units, and every spec and
+// the worker count are validated.
 func TestRunFlagsApply(t *testing.T) {
 	apply := func(args ...string) ([]RunSpec, error) {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -38,7 +38,7 @@ func TestRunFlagsApply(t *testing.T) {
 	if specs, err = apply("-scenario", "fail:pes=1@t=100", "-sample", "60"); err != nil || specs[0].SampleInterval != 60 {
 		t.Errorf("-sample 60 under -scenario: spec %+v, err %v", specs[0], err)
 	}
-	for _, args := range [][]string{{"-retry-limit", "-1"}, {"-sample", "-5"}, {"-scenario", "garbage"}} {
+	for _, args := range [][]string{{"-retry-limit", "-1"}, {"-sample", "-5"}, {"-scenario", "garbage"}, {"-workers", "-1"}} {
 		if _, err := apply(args...); err == nil {
 			t.Errorf("%v: Apply accepted an invalid run", args)
 		}

@@ -62,10 +62,12 @@ func (m *Machine) chanAt(ci int) *chanState {
 	return nil
 }
 
-// heldMsg is one transmission parked at a downed channel.
+// heldMsg is one transmission parked at a downed channel: a wire
+// message, or (w nil) a load word, held by value.
 type heldMsg struct {
-	w   *wireMsg
-	dur sim.Time
+	w    *wireMsg
+	dur  sim.Time
+	word loadWord
 }
 
 // committedBusy returns the occupancy that has actually elapsed by now.
@@ -126,8 +128,6 @@ const (
 	wireResp
 	// wireCtrl is a point-to-point strategy control payload.
 	wireCtrl
-	// wireLoadBcast is a load broadcast transaction on one channel.
-	wireLoadBcast
 	// wireCtrlBcast is a control broadcast transaction on one channel.
 	wireCtrlBcast
 	// wireEnvBcast is a failed/recovered PE's immediate load broadcast
@@ -144,6 +144,7 @@ const (
 // replacement for the per-hop closures the hot path used to allocate.
 // It implements sim.Action; delivery dispatches on kind. Messages are
 // recycled through the machine's free list the moment they deliver.
+// Periodic load words are not wire messages (see loadWord).
 //
 //simlint:pooled
 type wireMsg struct {
@@ -255,18 +256,6 @@ func (w *wireMsg) Act() {
 	// a slot (the cross-shard clone delivers to each remote shard's
 	// members there), so the nil or -1 check doubles as the ownership
 	// filter.
-	case wireLoadBcast:
-		ch := m.chanAt(ci)
-		row, r := m.senderRow(ch, from), 0
-		for _, member := range ch.members {
-			if member == from {
-				continue
-			}
-			if x := row[r]; x >= 0 {
-				m.recordLoad(x, sentLoad)
-			}
-			r++
-		}
 	case wireCtrlBcast:
 		for _, member := range m.chanAt(ci).members {
 			if member == from {
@@ -280,7 +269,7 @@ func (w *wireMsg) Act() {
 		ev := payload.(EventKind)
 		downNow := ev == PEFailed
 		ch := m.chanAt(ci)
-		row, r := m.senderRow(ch, from), 0
+		row, r := m.slots[ch.rowOf(from):][:len(ch.members)-1], 0
 		for _, member := range ch.members {
 			if member == from {
 				continue
@@ -306,16 +295,85 @@ func (w *wireMsg) Act() {
 	}
 }
 
-// senderRow returns sender from's block of ch's receiver slots: entry r
-// belongs to the r-th member of ch other than from, in member order.
-func (m *Machine) senderRow(ch *chanState, from int) []int32 {
-	s := len(ch.members) - 1
+// rowOf returns the offset in Machine.slots of sender from's row of
+// ch's receiver slots: len(members)-1 entries, entry r belonging to the
+// r-th member of ch other than from, in member order. It scans the
+// member list; the load-word path reads rows from the PEs' fan tables.
+func (ch *chanState) rowOf(from int) int32 {
 	i := 0
 	for ch.members[i] != from {
 		i++
 	}
-	off := int(ch.slot) + i*s
-	return m.slots[off : off+s]
+	return ch.slot + int32(i*(len(ch.members)-1))
+}
+
+// fanEntry is one attached channel of a PE's broadcast fan-out table:
+// the channel's global ID and the PE's row of its receiver slots
+// (offset and length in Machine.slots). buildSlots fills the table.
+type fanEntry struct {
+	ci, row, n int32
+}
+
+// fanOf returns sender from's fan entry for channel ci on this shard.
+func (m *Machine) fanOf(ci, from int) fanEntry {
+	ch := m.chanAt(ci)
+	return fanEntry{ci: int32(ci), row: ch.rowOf(from), n: int32(len(ch.members) - 1)}
+}
+
+// loadWord is one periodic load word: the sender's fan entry for the
+// channel carrying it, the sender and the load it advertises. It is
+// never a wire message. Delivery needs only the receivers' row and the
+// load, so a word rides the engine as one payload event per channel
+// (wordAt), and waits by value wherever it waits: in a downed
+// channel's held list, or in the outbox to another shard, whose drain
+// replaces the row with the receiving shard's own.
+type loadWord struct {
+	fan        fanEntry
+	from, load int32
+}
+
+// sendWord is transmit for a load word: it occupies the word's channel
+// for dur units, hands a copy to every other shard owning a member, and
+// schedules the local delivery when this shard owns another member. On
+// a downed channel the word holds until the link is restored.
+func (m *Machine) sendWord(wd loadWord, dur sim.Time) {
+	ch := m.chanAt(int(wd.fan.ci))
+	if ch.down {
+		ch.held = append(ch.held, heldMsg{dur: dur, word: wd})
+		return
+	}
+	end := ch.occupy(m.eng.Now(), dur)
+	if ch.crossTo != nil {
+		for _, d := range ch.crossTo {
+			m.handOff(d, xmsg{at: end, word: wd})
+		}
+		if ch.localMembers < 2 {
+			return
+		}
+	}
+	m.wordAt(end, wd.fan, wd.load)
+}
+
+// wordAt schedules a load word's delivery at time at: one payload event
+// carrying the receivers' slot row f and the load.
+func (m *Machine) wordAt(at sim.Time, f fanEntry, load int32) {
+	m.eng.AtPayload(at, &m.words, uint64(f.row)<<32|uint64(f.n), uint64(uint32(load)))
+}
+
+// wordSink is the one Action behind every load-word delivery on its
+// machine; each event's payload says which row hears which load.
+type wordSink struct{ m *Machine }
+
+// Act writes the load into every view the row addresses, skipping the
+// -1 entries of receivers another shard owns.
+func (d *wordSink) Act() {
+	m := d.m
+	rowN, load := m.eng.Payload()
+	for _, x := range m.slots[rowN>>32:][:uint32(rowN)] {
+		if x >= 0 {
+			m.recordLoad(x, int(int32(load)))
+		}
+	}
 }
 
 // hopSlot returns the receiver slot of a point-to-point hop from -> to
@@ -377,16 +435,16 @@ func (m *Machine) crossShard(ch *chanState, end sim.Time, w *wireMsg) bool {
 		if d == m.shardID {
 			return false
 		}
-		m.handOff(d, end, w)
+		m.handOff(d, xmsg{at: end, w: w})
 		return true
-	default: // wireLoadBcast, wireCtrlBcast, wireEnvBcast
+	default: // wireCtrlBcast, wireEnvBcast
 		if ch.crossTo == nil {
 			return false
 		}
 		for _, d := range ch.crossTo {
 			c := m.newMsg(w.kind, int(w.ci), w.from, int(w.sentLoad))
 			c.payload = w.payload
-			m.handOff(d, end, c)
+			m.handOff(d, xmsg{at: end, w: c})
 		}
 		if ch.localMembers >= 2 {
 			return false
@@ -396,15 +454,15 @@ func (m *Machine) crossShard(ch *chanState, end sim.Time, w *wireMsg) bool {
 	}
 }
 
-// handOff queues w on the per-destination-shard outbox the coordinator
+// handOff queues x on the per-destination-shard outbox the coordinator
 // drains at the next window barrier. Conservative lookahead guarantees
 // the delivery time lies beyond the current window — asserted here,
 // because a violation would silently deliver into the receiver's past.
-func (m *Machine) handOff(dst int, at sim.Time, w *wireMsg) {
-	if at <= m.grp.winEnd {
-		panic(fmt.Sprintf("machine: cross-shard delivery at t=%d inside window ending %d violates lookahead", at, m.grp.winEnd))
+func (m *Machine) handOff(dst int, x xmsg) {
+	if x.at <= m.grp.winEnd {
+		panic(fmt.Sprintf("machine: cross-shard delivery at t=%d inside window ending %d violates lookahead", x.at, m.grp.winEnd))
 	}
-	m.xout[dst] = append(m.xout[dst], xmsg{at: at, w: w})
+	m.xout[dst] = append(m.xout[dst], x)
 }
 
 // transmitFunc is transmit for cold paths and tests that want a closure

@@ -115,19 +115,34 @@
 // analyzer (internal/analysis, run by CI as cmd/simlint) enforces both
 // rules at vet time.
 //
-// Load words are most of the traffic (every PE broadcasts one per
-// LoadInterval), so delivering one is an index lookup, not a search of
-// the receiver's neighbor list. At construction each shard builds one
-// flat int32 receiver-slot table: for every channel it holds and every
-// ordered (sender, receiver) pair of the channel's members, the index
-// of the receiver's view of the sender in the flat per-neighbor
-// backings, or -1 where the shard does not own the receiver — s·(s-1)
-// entries for a channel of span s, 8 bytes per link, addressed from
-// the chanState's slot offset. Broadcast, environment and piggybacked
-// load words all write by slot. A wire message carries its channel's
-// global ID, which each shard resolves to its own channel copy
-// (chanAt), so a message handed across shards reads the receiving
-// shard's slots.
+// Load words are most of the work (every PE broadcasts one per
+// LoadInterval: 79% of fault-shard's engine events, 65% of ctrl-gm's),
+// so delivering one is an index walk, not a search of the receiver's
+// neighbor list. At construction each shard builds one flat int32
+// receiver-slot table: for every channel it holds and every ordered
+// (sender, receiver) pair of the channel's members, the index of the
+// receiver's view of the sender in the flat per-neighbor backings, or
+// -1 where the shard does not own the receiver — s·(s-1) entries for a
+// channel of span s, 8 bytes per link, addressed from the chanState's
+// slot offset, one row of s-1 entries per sender. Next to it each PE
+// gets its fan-out table: one entry per attached channel holding the
+// channel ID and the PE's row (offset and length).
+//
+// A periodic load word is therefore not a wire message. broadcastLoad
+// occupies each attached channel and schedules one engine payload event
+// carrying (row, length, load) (sim.Engine.AtPayload); delivery writes
+// the row's views directly, with no pooled message, no channel lookup
+// and no member scan. That event takes exactly the (time, seq) position
+// a wire message on the channel would: Stats.Events and the pinned
+// digests count it. Where a word waits it waits by value: in a downed
+// channel's held list until the link comes back, or in the outbox to
+// another shard, whose drain looks the row up on the receiving shard's
+// own table. Environment and
+// control broadcasts and point-to-point hops stay wire messages: a
+// wire message carries its channel's global ID, which each shard
+// resolves to its own channel copy (chanAt), so a message handed across
+// shards reads the receiving shard's slots. Environment broadcasts and
+// piggybacked load words write by slot too, after a member scan.
 //
 // # Memory layout
 //
@@ -213,10 +228,11 @@
 // runner to finish a window wakes the coordinator the same way.
 // Each waiting side polls its counter, yielding its processor now and
 // then, and parks on a one-token channel only after a bounded spin.
-// Windows are short — fault-shard's hold about 80 µs of work per
-// shard — so parking and re-waking a goroutine every window would cost
-// about as much as the work; the bound keeps a stalled peer from
-// holding a processor for long. The runners assume a processor each:
+// Windows are short — fault-shard's hold about 60 µs of work per
+// shard (its serial replay on a 2-CPU Xeon host) — so parking and
+// re-waking a goroutine every window would cost about as much as the
+// work; the bound keeps a stalled peer from holding a processor for
+// long. The runners assume a processor each:
 // where other goroutines keep the processors busy, as in a RunAll
 // sweep of sharded runs, each window waits for a runner to be
 // scheduled, and the serial replay can finish first. A shard panic is

@@ -455,8 +455,8 @@ func (m *Machine) setLinkState(a, b int, factor float64, down bool) {
 	}
 }
 
-// bringUp ends a channel outage, transmitting the held messages in
-// arrival order; a channel that is not down is untouched.
+// bringUp ends a channel outage, transmitting the held messages and
+// load words in arrival order; a channel that is not down is untouched.
 func (m *Machine) bringUp(ch *chanState) {
 	if !ch.down {
 		return
@@ -465,6 +465,10 @@ func (m *Machine) bringUp(ch *chanState) {
 	held := ch.held
 	ch.held = nil
 	for _, h := range held {
+		if h.w == nil {
+			m.sendWord(h.word, h.dur)
+			continue
+		}
 		m.transmit(h.dur, h.w)
 	}
 }

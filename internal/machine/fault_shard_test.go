@@ -2,6 +2,7 @@ package machine
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"cwnsim/internal/scenario"
@@ -11,8 +12,9 @@ import (
 )
 
 // faultCase is one scripted-failure cell of the sharded-scenario
-// cross-check matrix: blackouts, correlated crash chaos, and
-// checkpointed crash chaos, with bounded retries where state is lost.
+// cross-check matrix: blackouts, correlated crash chaos, checkpointed
+// crash chaos, with bounded retries where state is lost, and link
+// outages on shard-boundary channels.
 type faultCase struct {
 	name   string
 	script string
@@ -20,11 +22,22 @@ type faultCase struct {
 	backof sim.Time
 }
 
+// linkOutageScript drops, degrades and restores three vertical links of
+// the 6×6 torus — 14-20 between rows 2 and 3, and the wraparound links
+// 1-31 and 2-32 — each of which crosses the shard boundaries at K=2
+// and K=4 (checked by TestShardScenarioParallelMatchesSerial). Load
+// words sent on a downed link wait in its held list and, when the link
+// comes back, flush into the other shard's outbox at the op barrier.
+// 2-32 also comes back through a degrade rather than a restore.
+const linkOutageScript = "droplink:a=14:b=20@t=300,degradelink:a=1:b=31:x=3@t=500,droplink:a=2:b=32@t=700," +
+	"restorelink:a=14:b=20@t=1500,degradelink:a=2:b=32:x=2@t=1900,restorelink:a=1:b=31@t=2600,restorelink:a=2:b=32@t=3200"
+
 func faultCases() []faultCase {
 	return []faultCase{
 		{"blackout", "fail:pes=25%@t=400,recover@t=1100", 0, 0},
 		{"crash-domains", "chaos:mtbf=700:mttr=350:until=6000:crash:domain=rack:4@seed=7", 3, 40},
 		{"crash-ckpt", "chaos:mtbf=800:mttr=400:until=6000:crash:domain=block:2x2@seed=11,checkpoint:every=1500:cost=2@t=0", 2, 60},
+		{"link-outage", linkOutageScript, 0, 0},
 	}
 }
 
@@ -44,8 +57,8 @@ func (c faultCase) run(t *testing.T, topo *topology.Topology, shards int, serial
 
 // TestShardScenarioOneBitForBitSequential extends the Shards 0 ≡ 1
 // contract to scripted-failure runs: blackouts, correlated crashes,
-// checkpoints and bounded retries run identically whether the one shard
-// was requested explicitly or by default.
+// checkpoints, bounded retries and link outages run identically whether
+// the one shard was requested explicitly or by default.
 func TestShardScenarioOneBitForBitSequential(t *testing.T) {
 	for _, c := range faultCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -62,12 +75,29 @@ func TestShardScenarioOneBitForBitSequential(t *testing.T) {
 // scripted failures under real parallelism: a K-shard chaos run on
 // several runner goroutines must equal its single-goroutine
 // window-by-window replay bit for bit — barrier-applied scenario ops,
-// eager checkpoint snapshots, purges and retries included.
+// eager checkpoint snapshots, purges, retries and held load words
+// flushing across shards included.
+//
+// Every channel a cell's link ops touch must cross a shard boundary at
+// its K, checked against the partition, so those cells hold load words
+// bound for another shard.
 func TestShardScenarioParallelMatchesSerial(t *testing.T) {
 	atLeastTwoProcs(t)
 	for _, c := range faultCases() {
 		for _, k := range []int{2, 4} {
 			t.Run(c.name, func(t *testing.T) {
+				topo := topology.NewTorus(6, 6)
+				cross := topo.Partition(k).Cross
+				for _, ev := range scenario.MustParse(c.script).Events {
+					if ev.Kind != scenario.DegradeLink && ev.Kind != scenario.RestoreLink {
+						continue
+					}
+					for _, ci := range topo.ChannelsBetween(ev.A, ev.B) {
+						if !slices.Contains(cross, ci) {
+							t.Fatalf("K=%d: %s on channel %d (%d-%d), which does not cross a shard boundary", k, ev.Kind, ci, ev.A, ev.B)
+						}
+					}
+				}
 				par := shardFPOf(c.run(t, topology.NewTorus(6, 6), k, false))
 				ser := shardFPOf(c.run(t, topology.NewTorus(6, 6), k, true))
 				if !reflect.DeepEqual(par, ser) {

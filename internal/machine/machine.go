@@ -76,6 +76,10 @@ type Machine struct {
 	nbrDown []bool
 	slots   []int32
 
+	// words is the Action of every load-word delivery on this machine
+	// (see loadWord): one value, each event's payload naming its row.
+	words wordSink
+
 	// chScratch is the reusable candidate buffer for per-hop channel
 	// selection (AppendChannelsBetween): implicit topologies compute the
 	// list into it, materialized ones copy their cached pair list — either
@@ -285,6 +289,7 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 		// globally unique without synchronization.
 		nextGoalID: int64(shard) << 40,
 	}
+	m.words.m = m
 	if shard == grp.home {
 		// Only the shard owning RootPE pulls from the source.
 		m.srcRng = newSourceRng(cfg.Seed)
@@ -316,10 +321,12 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 	}
 
 	// CSR-flattened adjacency for the owned block: neighbor lists, the
-	// per-neighbor load/seen/down views and the attached-channel lists are
+	// per-neighbor load/seen/down views and the fan-out tables are
 	// subslices of flat arrays — four allocations for the whole machine
-	// instead of five per PE, and the broadcast path reads its channel
-	// list straight from the PE instead of asking the topology per tick.
+	// instead of five per PE, and the broadcast path reads its channels
+	// straight from the PE instead of asking the topology per tick.
+	// chansFlat lists the attached channel IDs; the fan-out backing is
+	// then sized to it exactly, and buildSlots fills in the slot rows.
 	nbrOff := make([]int, block+1)
 	chOff := make([]int, block+1)
 	var nbrsFlat, chansFlat []int
@@ -328,6 +335,10 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 		nbrOff[i-m.peLo+1] = len(nbrsFlat)
 		chansFlat = topo.AppendChannelsOf(chansFlat, i)
 		chOff[i-m.peLo+1] = len(chansFlat)
+	}
+	fanFlat := make([]fanEntry, len(chansFlat))
+	for i, ci := range chansFlat {
+		fanFlat[i].ci = int32(ci)
 	}
 	m.nbrLoad = make([]int32, len(nbrsFlat))
 	m.nbrSeen = make([]sim.Time, len(nbrsFlat))
@@ -404,7 +415,7 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 			nbrs:    nbrsFlat[lo:hi:hi],
 			nbrLoad: m.nbrLoad[lo:hi:hi],
 			nbrSeen: m.nbrSeen[lo:hi:hi],
-			chansOf: chansFlat[chOff[lx]:chOff[lx+1]:chOff[lx+1]],
+			fan:     fanFlat[chOff[lx]:chOff[lx+1]:chOff[lx+1]],
 		}
 		pe.svc.Init(m.eng, pe.serviceDone)
 		m.pes[i] = pe
@@ -496,8 +507,9 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 }
 
 // buildSlots fills the receiver-slot table (see Machine.slots) for every
-// channel this machine holds; nbrOff[lx] is where owned PE lx's views
-// start in the neighbor-state backings.
+// channel this machine holds, then the slot rows of every owned PE's
+// fan-out table; nbrOff[lx] is where owned PE lx's views start in the
+// neighbor-state backings.
 func (m *Machine) buildSlots(nbrOff []int) {
 	n := 0
 	for i := range m.chans {
@@ -521,6 +533,12 @@ func (m *Machine) buildSlots(nbrOff []int) {
 				m.slots[off] = int32(x)
 				off++
 			}
+		}
+	}
+	for lx := range m.peBlock {
+		pe := &m.peBlock[lx]
+		for i, f := range pe.fan {
+			pe.fan[i] = m.fanOf(int(f.ci), pe.id)
 		}
 	}
 }
@@ -726,11 +744,15 @@ func (m *Machine) freePending(p *pendingTask) {
 	m.pendingFree = append(m.pendingFree, p)
 }
 
-// broadcastLoad sends this PE's current load to all neighbors: one
-// transaction per attached channel (a single bus transaction reaches all
-// bus-mates).
+// broadcastLoad sends this PE's current load to all neighbors: one load
+// word per attached channel (a single bus transaction reaches all
+// bus-mates). A neighbor sharing two buses hears it twice, harmlessly.
 func (m *Machine) broadcastLoad(pe *PE) {
-	m.broadcast(pe, wireLoadBcast, MsgLoad, m.cfg.CtrlHopTime, nil)
+	from, load := int32(pe.id), int32(pe.Load())
+	for _, f := range pe.fan {
+		m.stats.MsgCounts[MsgLoad]++
+		m.sendWord(loadWord{fan: f, from: from, load: load}, m.cfg.CtrlHopTime)
+	}
 }
 
 // broadcast performs one transmission per channel attached to pe,
@@ -740,9 +762,9 @@ func (m *Machine) broadcastLoad(pe *PE) {
 func (m *Machine) broadcast(pe *PE, kind wireKind, msgKind MsgKind, dur sim.Time, payload any) {
 	from := pe.id
 	load := pe.Load()
-	for _, ci := range pe.chansOf {
+	for _, f := range pe.fan {
 		m.stats.MsgCounts[msgKind]++
-		w := m.newMsg(kind, ci, from, load)
+		w := m.newMsg(kind, int(f.ci), from, load)
 		w.payload = payload
 		m.transmit(dur, w)
 	}

@@ -95,12 +95,15 @@ func (r *itemRing) grow() {
 // the per-event hot scalars — busy, serviceEnd, busyTime, failed, speed
 // — live in machine-level parallel slices indexed by lx (see the
 // struct-of-arrays fields on Machine), keeping the event loop's working
-// set dense. The adjacency slices (nbrs, nbrLoad, nbrSeen, chansOf)
-// are subslices of machine-wide flat backings. Load words
-// delivered on a channel write the views through the machine's
-// receiver-slot table (Machine.slots), never searching nbrs; the
-// binary search nbrIdx over the ascending nbrs serves lookups by
-// neighbor ID (KnownLoad) and the table's construction.
+// set dense. The adjacency slices (nbrs, nbrLoad, nbrSeen, fan) are
+// subslices of machine-wide flat backings. Load words delivered on a
+// channel write the views through the machine's receiver-slot table
+// (Machine.slots), never searching nbrs; fan is the PE's broadcast
+// fan-out table, one entry per attached channel holding the channel ID
+// and the PE's row of that channel's slots, so a load word carries its
+// receivers' row from the sender. The binary search nbrIdx over the
+// ascending nbrs serves lookups by neighbor ID (KnownLoad) and the
+// table's construction.
 type PE struct {
 	m  *Machine
 	id int
@@ -114,7 +117,7 @@ type PE struct {
 	nbrs    []int      // cached topology neighbors, ascending
 	nbrLoad []int32    // last known load per neighbor (assumed 0 initially)
 	nbrSeen []sim.Time // when that load was learned (-1 = never)
-	chansOf []int      // attached channel IDs, ascending (broadcast fan-out)
+	fan     []fanEntry // attached channels, ascending by ID, with this PE's slot rows
 
 	node NodeStrategy // strategy state for this PE (set after construction)
 

@@ -25,12 +25,15 @@ import (
 // the plain seed.
 const shardSeedSalt = 0x5851F42D4C957F2D
 
-// xmsg is one cross-shard wire message with its delivery time: what a
-// shard's outbox holds between a send and the window barrier that
-// drains it into the receiving shard's engine.
+// xmsg is one cross-shard send with its delivery time: what a shard's
+// outbox holds between a send and the window barrier that drains it
+// into the receiving shard's engine. It is a wire message, or (w nil) a
+// load word by value, whose fan entry is the sender's until drain looks
+// up the receiving shard's row.
 type xmsg struct {
-	at sim.Time
-	w  *wireMsg
+	at   sim.Time
+	w    *wireMsg
+	word loadWord
 }
 
 // shardSample is one shard's contribution to one globally synchronized
@@ -148,7 +151,8 @@ type shardGroup struct {
 // simulation code reads no clock; 65,536 polls take about 0.1 ms on a
 // 2-CPU Xeon host, where a parked goroutine takes as long or longer to
 // wake. Measured there on fault-shard (2 shards, about 80 µs of work
-// per shard per window): 4,096 polls ran 2.0x as long as 65,536, and
+// per shard per window at the time; payload load words have since cut
+// the work to about 0.6x): 4,096 polls ran 2.0x as long as 65,536, and
 // 262,144 polls 0.92x. With another process keeping one CPU busy,
 // 262,144 polls ran 1.18x as long as 65,536, and 65,536 ran 1.13x as
 // long as the per-window channel hand-off this barrier replaced.
@@ -487,6 +491,10 @@ func (g *shardGroup) drain() {
 			}
 		}
 		for _, x := range buf {
+			if x.w == nil {
+				dst.wordAt(x.at, dst.fanOf(int(x.word.fan.ci), int(x.word.from)), x.word.load)
+				continue
+			}
 			x.w.m = dst
 			dst.eng.AtAction(x.at, x.w)
 		}

@@ -27,7 +27,8 @@ func slotTopologies() []*topology.Topology {
 // contiguous entries, and the entry of each ordered (sender, receiver)
 // pair addresses the receiver's view of the sender — the entry its
 // neighbor-list index selects — or is -1 exactly where the shard does
-// not own the receiver.
+// not own the receiver. It pins each PE's fan-out table against the
+// same search.
 func TestShardReceiverSlots(t *testing.T) {
 	for _, topo := range slotTopologies() {
 		for _, k := range []int{1, 2, 4} {
@@ -88,15 +89,42 @@ func checkSlots(t *testing.T, m *Machine) {
 	if next != len(m.slots) {
 		t.Fatalf("shard %d: slot table holds %d entries, its channels need %d", m.shardID, len(m.slots), next)
 	}
+	// Each owned PE's fan table lists its channels in ascending ID
+	// order, each with the PE's own row: entry r of the row is the slot
+	// of the r-th other member, the one hopSlot finds by search.
+	for lx := range m.peBlock {
+		pe := &m.peBlock[lx]
+		chs := m.topo.AppendChannelsOf(nil, pe.id)
+		if len(pe.fan) != len(chs) {
+			t.Fatalf("shard %d PE %d: fan table has %d entries, %d channels attach", m.shardID, pe.id, len(pe.fan), len(chs))
+		}
+		for i, f := range pe.fan {
+			members := m.chanAt(chs[i]).members
+			if int(f.ci) != chs[i] || int(f.n) != len(members)-1 {
+				t.Fatalf("shard %d PE %d: fan entry %d is %+v, want channel %d with %d receivers", m.shardID, pe.id, i, f, chs[i], len(members)-1)
+			}
+			r := 0
+			for _, to := range members {
+				if to == pe.id {
+					continue
+				}
+				if got, want := m.slots[int(f.row)+r], m.hopSlot(chs[i], pe.id, to); got != want {
+					t.Fatalf("shard %d PE %d channel %d: row entry %d is slot %d, want %d (receiver %d)", m.shardID, pe.id, chs[i], r, got, want, to)
+				}
+				r++
+			}
+		}
+	}
 }
 
 // TestShardBusBroadcastUsesReceiverChannel sends one load word on a DLM
 // bus whose members span both shards of a 2-shard machine, through the
-// real handoff (transmit, outbox, barrier drain), and checks that every
-// other member — on either shard — learned exactly that word and that
-// no other neighbor view changed. A clone delivered against the
-// sending shard's channel copy would write through the sender's slot
-// table into the receiving shard's backings.
+// real path (the sender's fan entry, sendWord, outbox, barrier drain),
+// and checks that every other member — on either shard — learned
+// exactly that word and that no other neighbor view changed. A word
+// delivered with the sender's row instead of the receiving shard's
+// would write through the sender's slot table into the receiving
+// shard's backings.
 func TestShardBusBroadcastUsesReceiverChannel(t *testing.T) {
 	topo := topology.NewDLM(8, 8, 4)
 	cfg := DefaultConfig()
@@ -125,7 +153,16 @@ func TestShardBusBroadcastUsesReceiverChannel(t *testing.T) {
 	}
 	src := g.owner(from)
 	const load = 7
-	src.transmit(cfg.CtrlHopTime, src.newMsg(wireLoadBcast, ci, from, load))
+	wd := loadWord{from: int32(from), load: load}
+	for _, f := range src.pes[from].fan {
+		if int(f.ci) == ci {
+			wd.fan = f
+		}
+	}
+	if wd.fan.n == 0 {
+		t.Fatalf("PE %d's fan table has no entry for channel %d", from, ci)
+	}
+	src.sendWord(wd, cfg.CtrlHopTime)
 	g.drain()
 	for _, m := range g.machines {
 		m.eng.RunUntil(10 * cfg.CtrlHopTime)

@@ -52,10 +52,24 @@
 //   - ScheduleAction/AtAction take an Action value instead of a closure,
 //     return no handle, and recycle the backing Event through a free
 //     list: steady-state messaging costs zero allocations per event.
+//   - AtPayload is AtAction plus two words of payload carried in the
+//     Event itself, which the Action reads through Payload while it
+//     fires. One Action value then serves a whole class of events, each
+//     with its own arguments, with no per-event object behind it: the
+//     machine delivers every periodic load word this way, the payload
+//     naming the receivers' slot row and the load.
 //   - Timer owns one embedded Event it re-arms for every firing — the
 //     building block for tickers, PE service completions and arrival
 //     pumps. Ticker is built on Timer, so periodic processes allocate
 //     only at construction.
+//
+// An Event has one behavior field, an Action: a closure scheduled with
+// At or armed on a Timer is adapted to one (a func type with an Act
+// method, which costs no allocation), so firing is a single interface
+// call. That field and a 32-bit scheduler index make room for the
+// payload words within 72 bytes (TestEventFitsSeventyTwoBytes).
+// RunUntil takes the event its peek found straight off the cursor slot,
+// without seeking the wheel a second time.
 //
 // Each engine is intentionally single-goroutine: its event loop is a
 // sequential computation over virtual time, with no locks on the hot

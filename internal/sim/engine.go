@@ -15,21 +15,25 @@ type Time int64
 const Never Time = -1
 
 // Event is a handle to a scheduled closure. It can be cancelled up to the
-// moment it fires. Pooled events (ScheduleAction/AtAction) are recycled
-// through the engine free list after firing.
+// moment it fires. Pooled events (ScheduleAction/AtAction/AtPayload) are
+// recycled through the engine free list after firing.
 //
 //simlint:pooled
 type Event struct {
-	at       Time
-	seq      uint64
-	fn       func()
-	act      Action
-	canceled bool
-	pooled   bool // owned by the engine free list; recycled after firing
+	at  Time
+	seq uint64
+	// act is what firing runs: the Action a pooled event was scheduled
+	// with, or a closure adapted to one (funcAction) for At and Timer.
+	act Action
+	// arg is the two-word payload of an AtPayload event, which its
+	// Action reads through Engine.Payload while it fires; zero otherwise.
+	arg [2]uint64
 	// index locates the event inside the scheduler: a position >= 0 in
 	// the overflow heap, idxWheel while chained in a wheel slot, idxIdle
 	// when not scheduled.
-	index int
+	index    int32
+	canceled bool
+	pooled   bool // owned by the engine free list; recycled after firing
 	// next/prev chain the event into a wheel slot's FIFO (nil while in
 	// the overflow heap).
 	next, prev *Event
@@ -52,11 +56,19 @@ const (
 
 // Action is a schedulable behavior: the allocation-free alternative to a
 // closure. Hot-path callers embed their state in a value implementing
-// Action and hand it to ScheduleAction/AtAction; the engine recycles the
-// backing Event through an internal free list. No handle is returned, so
-// a recycled Event can never be reached through a stale *Event — pooled
-// events are therefore uncancellable by construction.
+// Action and hand it to ScheduleAction/AtAction (or AtPayload, which
+// adds two words the Action reads back through Payload); the engine
+// recycles the backing Event through an internal free list. No handle
+// is returned, so a recycled Event can never be reached through a stale
+// *Event — pooled events are therefore uncancellable by construction.
 type Action interface{ Act() }
+
+// funcAction adapts a closure to Action, so an Event holds one behavior
+// field whichever way it was scheduled. A func value is pointer-shaped:
+// the conversion allocates nothing.
+type funcAction func()
+
+func (f funcAction) Act() { f() }
 
 // At reports the virtual time the event is scheduled for.
 func (ev *Event) At() Time { return ev.at }
@@ -83,13 +95,15 @@ type Engine struct {
 	seed      int64
 	stopped   bool
 	processed uint64
+	// arg is the payload of the event firing now (see Payload).
+	arg [2]uint64
 	// A sharded run allocates its shards' engines back to back and
 	// runs them on different CPUs. The padding makes the struct 128
 	// bytes, a size class the allocator aligns to 128, so every engine
 	// owns whole cache lines. Without it one engine's processed count
 	// and the next one's clock and free list would share a line that
 	// every event on either shard writes.
-	_ [24]byte
+	_ [8]byte
 }
 
 // NewEngine returns an engine with the clock at zero whose random stream
@@ -137,7 +151,7 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	if fn == nil {
 		panic("sim: At with nil fn")
 	}
-	ev := &Event{at: t, seq: e.seq, fn: fn}
+	ev := &Event{at: t, seq: e.seq, act: funcAction(fn)}
 	e.seq++
 	e.sched.push(ev)
 	return ev
@@ -159,8 +173,29 @@ func (e *Engine) AtAction(t Time, a Action) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: AtAction(%d) before now=%d", t, e.now))
 	}
+	e.schedulePooled(t, a, [2]uint64{})
+}
+
+// AtPayload is AtAction for an event carrying two words of payload:
+// while a.Act() runs, Payload returns (p0, p1). One Action value can
+// then serve every event of its kind, each event carrying its own
+// arguments, where AtAction would need one Action value per event.
+func (e *Engine) AtPayload(t Time, a Action, p0, p1 uint64) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: AtPayload(%d) before now=%d", t, e.now))
+	}
+	e.schedulePooled(t, a, [2]uint64{p0, p1})
+}
+
+// Payload returns the payload of the event firing now: the two words
+// it was scheduled with by AtPayload, zero for any other event. It is
+// valid only while that event's Action runs.
+func (e *Engine) Payload() (uint64, uint64) { return e.arg[0], e.arg[1] }
+
+// schedulePooled pushes a pooled event running a at t with payload arg.
+func (e *Engine) schedulePooled(t Time, a Action, arg [2]uint64) {
 	if a == nil {
-		panic("sim: AtAction with nil Action")
+		panic("sim: pooled event with nil Action")
 	}
 	var ev *Event
 	if n := len(e.free); n > 0 {
@@ -179,7 +214,7 @@ func (e *Engine) AtAction(t Time, a Action) {
 		ev = &e.chunk[0]
 		e.chunk = e.chunk[1:]
 	}
-	ev.at, ev.seq, ev.act, ev.pooled = t, e.seq, a, true
+	ev.at, ev.seq, ev.act, ev.arg, ev.pooled = t, e.seq, a, arg, true
 	e.seq++
 	e.sched.push(ev)
 }
@@ -190,7 +225,7 @@ func (e *Engine) AtAction(t Time, a Action) {
 //
 //simlint:free
 func (e *Engine) recycle(ev *Event) {
-	ev.fn, ev.act, ev.canceled, ev.pooled = nil, nil, false, false
+	ev.act, ev.canceled, ev.pooled = nil, false, false
 	ev.next, ev.prev = nil, nil
 	e.free = append(e.free, ev)
 }
@@ -212,24 +247,26 @@ func (e *Engine) Step() bool {
 			}
 			continue
 		}
-		if ev.at < e.now {
-			panic("sim: event heap returned an event from the past")
-		}
-		e.now = ev.at
-		e.processed++
-		// Copy the behavior out and recycle before firing, so a handler
-		// that schedules new actions reuses this very Event.
-		fn, act := ev.fn, ev.act
-		if ev.pooled {
-			e.recycle(ev)
-		}
-		if act != nil {
-			act.Act()
-		} else {
-			fn()
-		}
+		e.fire(ev)
 		return true
 	}
+}
+
+// fire runs a live event the scheduler has just handed over.
+func (e *Engine) fire(ev *Event) {
+	if ev.at < e.now {
+		panic("sim: event heap returned an event from the past")
+	}
+	e.now = ev.at
+	e.processed++
+	// Copy the behavior and payload out and recycle before firing, so a
+	// handler that schedules new actions reuses this very Event.
+	act := ev.act
+	e.arg = ev.arg
+	if ev.pooled {
+		e.recycle(ev)
+	}
+	act.Act()
 }
 
 // Run fires events until none remain or Stop is called.
@@ -245,10 +282,7 @@ func (e *Engine) Run() {
 // Stopped to distinguish. When Stop fires mid-run the clock stays at the
 // stopping event's time rather than jumping to the deadline.
 func (e *Engine) RunUntil(deadline Time) bool {
-	for {
-		if e.stopped {
-			return e.sched.peek() != nil
-		}
+	for !e.stopped {
 		ev := e.sched.peek()
 		if ev == nil {
 			if e.now < deadline {
@@ -262,8 +296,12 @@ func (e *Engine) RunUntil(deadline Time) bool {
 			}
 			return true
 		}
-		e.Step()
+		// The peek left the cursor on ev's slot: take it from there
+		// rather than seeking again.
+		e.sched.popPeeked(ev)
+		e.fire(ev)
 	}
+	return e.sched.peek() != nil
 }
 
 // AdvanceTo moves the clock forward to t without firing anything. It

@@ -17,6 +17,16 @@ func TestEngineFillsWholeCacheLines(t *testing.T) {
 	}
 }
 
+// TestEventFitsSeventyTwoBytes pins the Event layout: the payload
+// words fit because closures ride the one Action field and the
+// scheduler index is 32 bits. Every pending event is one of these, and
+// the arena carves them 256 at a time.
+func TestEventFitsSeventyTwoBytes(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n > 72 {
+		t.Fatalf("Event is %d bytes, want at most 72", n)
+	}
+}
+
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEngine(1)
 	var got []int

@@ -32,14 +32,14 @@ func (h eventHeap) less(i, j int) bool {
 
 func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+	h[i].index = int32(i)
+	h[j].index = int32(j)
 }
 
 func (h *eventHeap) push(ev *Event) {
 	*h = append(*h, ev)
-	ev.index = len(*h) - 1
-	h.up(ev.index)
+	ev.index = int32(len(*h) - 1)
+	h.up(len(*h) - 1)
 }
 
 // pop removes and returns the earliest event, or nil if empty. Cancelled

@@ -12,7 +12,6 @@ import "fmt"
 type Timer struct {
 	eng *Engine
 	ev  Event
-	fn  func()
 }
 
 // NewTimer returns an idle timer firing fn when armed and elapsed.
@@ -32,8 +31,7 @@ func (t *Timer) Init(eng *Engine, fn func()) {
 		panic("sim: Timer.Init with nil fn")
 	}
 	t.eng = eng
-	t.fn = fn
-	t.ev.fn = fn
+	t.ev.act = funcAction(fn)
 	t.ev.index = idxIdle
 }
 

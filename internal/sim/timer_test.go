@@ -169,8 +169,14 @@ func (a *recordAction) Act() { *a.order = append(*a.order, a.v) }
 func TestAtActionValidation(t *testing.T) {
 	e := NewEngine(1)
 	for name, f := range map[string]func(){
-		"nil action":     func() { e.AtAction(0, nil) },
-		"negative delay": func() { e.ScheduleAction(-1, &countAction{e: e, N: 1}) },
+		"nil action":         func() { e.AtAction(0, nil) },
+		"negative delay":     func() { e.ScheduleAction(-1, &countAction{e: e, N: 1}) },
+		"nil payload action": func() { e.AtPayload(0, nil, 1, 2) },
+		"payload in the past": func() {
+			late := NewEngine(1)
+			late.RunUntil(5)
+			late.AtPayload(4, &countAction{e: late, N: 1}, 1, 2)
+		},
 	} {
 		func() {
 			defer func() {
@@ -183,16 +189,34 @@ func TestAtActionValidation(t *testing.T) {
 	}
 }
 
+// payloadCount re-schedules itself as a payload event carrying its
+// firing count, and counts the firings that read back anything else.
+type payloadCount struct {
+	e      *Engine
+	n, bad uint64
+}
+
+func (a *payloadCount) Act() {
+	if p0, p1 := a.e.Payload(); p0 != a.n || p1 != ^a.n {
+		a.bad++
+	}
+	a.n++
+	a.e.AtPayload(a.e.Now()+1, a, a.n, ^a.n)
+}
+
 // TestSteadyStateSchedulingAllocsNothing pins the PR 2 fast path: once
 // the free list and timers warm up, steady-state event turnover — a
-// ticker firing and a self-rescheduling pooled action — performs zero
-// allocations per event.
+// ticker firing, a self-rescheduling pooled action and a
+// self-rescheduling payload event — performs zero allocations per
+// event.
 func TestSteadyStateSchedulingAllocsNothing(t *testing.T) {
 	e := NewEngine(1)
 	ticks := 0
 	NewTicker(e, 10, 0, func() { ticks++ })
 	a := &countAction{e: e, N: 1 << 30}
 	e.ScheduleAction(1, a)
+	p := &payloadCount{e: e}
+	e.AtPayload(1, p, 0, ^uint64(0))
 	e.RunUntil(100) // warm up the pool
 
 	allocs := testing.AllocsPerRun(100, func() {
@@ -201,8 +225,11 @@ func TestSteadyStateSchedulingAllocsNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state scheduling allocates %.1f per 50-unit window, want 0", allocs)
 	}
-	if ticks == 0 || a.n == 0 {
+	if ticks == 0 || a.n == 0 || p.n == 0 {
 		t.Fatal("nothing fired")
+	}
+	if p.bad != 0 {
+		t.Fatalf("%d of %d payload events read back another payload", p.bad, p.n)
 	}
 }
 

@@ -173,6 +173,12 @@ func (w *wheelSched) pop() *Event {
 	return ev
 }
 
+// popPeeked removes ev, the event peek just returned, from the head of
+// the cursor slot, where peek left it — pop without a second seek.
+func (w *wheelSched) popPeeked(ev *Event) {
+	w.unlink(&w.slots[w.cur], ev)
+}
+
 // peek returns the next live event without removing it, discarding any
 // cancelled events encountered at the front.
 func (w *wheelSched) peek() *Event {
@@ -196,5 +202,5 @@ func (w *wheelSched) remove(ev *Event) {
 		w.unlink(&w.slots[int(ev.at)&wheelMask], ev)
 		return
 	}
-	w.over.removeAt(ev.index)
+	w.over.removeAt(int(ev.index))
 }

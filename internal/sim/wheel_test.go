@@ -14,18 +14,92 @@ type pendingSet interface {
 	pop() *Event
 }
 
-// driveRandom runs a self-expanding random event cascade through the
-// given pending set and returns the firing log. All randomness flows
-// from one seeded source whose draws happen in firing order, so two
-// sets produce identical logs if and only if they fire events in the
-// same order — any ordering divergence derails the cascade immediately.
-func driveRandom(q pendingSet, seed int64) []string {
+// cascadeSched is what driveRandom schedules its cascade on: a bare
+// pending set under a minimal firing loop, or a real Engine.
+type cascadeSched interface {
+	at(t Time, fn func()) *Event
+	atPayload(t Time, a Action, p0, p1 uint64)
+	now() Time
+	payload() (uint64, uint64)
+	run()
+}
+
+// bareSched fires a pending set the way Engine.fire does: clock to the
+// event's time, its payload exposed while its Action runs.
+type bareSched struct {
+	q   pendingSet
+	t   Time
+	seq uint64
+	arg [2]uint64
+}
+
+func (b *bareSched) at(t Time, fn func()) *Event {
+	ev := &Event{at: t, seq: b.seq, index: idxIdle, act: funcAction(fn)}
+	b.seq++
+	b.q.push(ev)
+	return ev
+}
+
+func (b *bareSched) atPayload(t Time, a Action, p0, p1 uint64) {
+	ev := &Event{at: t, seq: b.seq, index: idxIdle, act: a, arg: [2]uint64{p0, p1}}
+	b.seq++
+	b.q.push(ev)
+}
+
+func (b *bareSched) now() Time                 { return b.t }
+func (b *bareSched) payload() (uint64, uint64) { return b.arg[0], b.arg[1] }
+
+func (b *bareSched) run() {
+	for ev := b.q.pop(); ev != nil; ev = b.q.pop() {
+		if ev.canceled {
+			continue
+		}
+		b.t = ev.at
+		b.arg = ev.arg
+		ev.act.Act()
+	}
+}
+
+// engineSched runs the cascade on a real Engine, in RunUntil windows
+// narrower than the wheel, so most events are taken by RunUntil's
+// peek-then-pop path and the far ones wait out windows in the overflow.
+type engineSched struct{ e *Engine }
+
+func (s engineSched) at(t Time, fn func()) *Event { return s.e.At(t, fn) }
+func (s engineSched) atPayload(t Time, a Action, p0, p1 uint64) {
+	s.e.AtPayload(t, a, p0, p1)
+}
+func (s engineSched) now() Time                 { return s.e.Now() }
+func (s engineSched) payload() (uint64, uint64) { return s.e.Payload() }
+
+func (s engineSched) run() {
+	for s.e.RunUntil(s.e.Now() + 97) {
+	}
+}
+
+// driveRandom runs a self-expanding random event cascade on s and
+// returns the firing log. All randomness flows from one seeded source
+// whose draws happen in firing order, so two schedulers produce
+// identical logs if and only if they fire events in the same order —
+// any ordering divergence derails the cascade immediately. About a
+// third of the events are payload events: one shared Action, each
+// event carrying its own ID, depth and due time as payload, which the
+// Action checks against the clock when it fires. Only closure events
+// are cancelled (payload events return no handle).
+func driveRandom(t *testing.T, s cascadeSched, seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
-	var now Time
-	var seq uint64
 	var log []string
 	var id int
 	var spawn func(depth int)
+	probe := funcAction(func() {
+		p0, p1 := s.payload()
+		myID, depth := p0>>8, int(p0&0xff)
+		if Time(p1) != s.now() {
+			t.Errorf("payload event %d fired at %d carrying due time %d", myID, s.now(), p1)
+		}
+		log = append(log, fmt.Sprintf("p%d@%d", myID, s.now()))
+		spawn(depth + 1)
+	})
 	spawn = func(depth int) {
 		if depth > 3 {
 			return
@@ -47,12 +121,15 @@ func driveRandom(q pendingSet, seed int64) []string {
 			case 5:
 				delay = 3*wheelSpan + Time(rng.Intn(2000)) // deep overflow
 			}
-			ev := &Event{at: now + delay, seq: seq, index: idxIdle, fn: func() {
-				log = append(log, fmt.Sprintf("%d@%d", myID, now))
+			at := s.now() + delay
+			if rng.Intn(3) == 0 {
+				s.atPayload(at, probe, uint64(myID)<<8|uint64(depth), uint64(at))
+				continue
+			}
+			ev := s.at(at, func() {
+				log = append(log, fmt.Sprintf("%d@%d", myID, s.now()))
 				spawn(depth + 1)
-			}}
-			seq++
-			q.push(ev)
+			})
 			// The root burst is never cancelled so every cascade fires.
 			if rng.Intn(10) == 0 && depth > 0 {
 				ev.Cancel()
@@ -60,35 +137,45 @@ func driveRandom(q pendingSet, seed int64) []string {
 		}
 	}
 	spawn(0)
-	for ev := q.pop(); ev != nil; ev = q.pop() {
-		if ev.canceled {
-			continue
-		}
-		now = ev.at
-		ev.fn()
-	}
+	s.run()
 	return log
 }
 
 // TestSchedulerEquivalence pins the wheel's ordering guarantee against
-// its reference: the two-tier wheel fires events in exactly a binary
-// heap's (at, seq) order, across same-timestamp ties, wheel wraps,
-// overflow drains and cancellations.
+// its reference: the two-tier wheel, and the Engine driving it, fire
+// events in exactly a binary heap's (at, seq) order, across
+// same-timestamp ties, wheel wraps, overflow drains and cancellations,
+// with closure and payload events interleaved and every payload event
+// reading back its own payload.
 func TestSchedulerEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		heapLog := driveRandom(&eventHeap{}, seed)
-		wheelLog := driveRandom(newWheelSched(), seed)
+		heapLog := driveRandom(t, &bareSched{q: &eventHeap{}}, seed)
 		if len(heapLog) == 0 {
 			t.Fatalf("seed %d: empty cascade", seed)
 		}
-		if !reflect.DeepEqual(heapLog, wheelLog) {
-			for i := range heapLog {
-				if i >= len(wheelLog) || heapLog[i] != wheelLog[i] {
-					t.Fatalf("seed %d: firing order diverges at %d: heap %q vs wheel %q",
-						seed, i, heapLog[i], wheelLog[i])
+		payloads := 0
+		for _, e := range heapLog {
+			if e[0] == 'p' {
+				payloads++
+			}
+		}
+		if payloads == 0 {
+			t.Fatalf("seed %d: no payload event fired", seed)
+		}
+		for name, s := range map[string]cascadeSched{
+			"wheel":  &bareSched{q: newWheelSched()},
+			"engine": engineSched{NewEngine(seed)},
+		} {
+			got := driveRandom(t, s, seed)
+			if reflect.DeepEqual(heapLog, got) {
+				continue
+			}
+			for i := 0; i < min(len(heapLog), len(got)); i++ {
+				if heapLog[i] != got[i] {
+					t.Fatalf("seed %d: %s firing order diverges at %d: heap %q vs %q", seed, name, i, heapLog[i], got[i])
 				}
 			}
-			t.Fatalf("seed %d: wheel log longer than heap log (%d vs %d)", seed, len(wheelLog), len(heapLog))
+			t.Fatalf("seed %d: %s log has %d entries, heap log %d", seed, name, len(got), len(heapLog))
 		}
 	}
 }
