@@ -85,6 +85,7 @@ func cliGoldens(specDir string) []cliGolden {
 var cliContract = [][]string{
 	{"lbsim", "-load", "bogus"},
 	{"lbsim", "-hoptime", "-5"},
+	{"lbsim", "-hoptime", "9223372036854775000"},
 	{"sweep", "-retry-limit", "-1"},
 	{"serve", "-retry-limit", "-1"},
 	{"serve", "-scenario", "garbage"},

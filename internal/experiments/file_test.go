@@ -31,6 +31,7 @@ var specProbes = []struct {
 	{"misspelled load metric", `"loadMetric": "qeue"`, `loadMetric "qeue"`},
 	{"negative goal hop", `"goalHopTime": -3`, "goalHopTime must be non-negative"},
 	{"negative response hop", `"respHopTime": -3`, "respHopTime must be non-negative"},
+	{"hop time past the clock", `"goalHopTime": 9223372036854775000`, "GoalHopTime 9223372036854775000 exceeds"},
 	{"series bound of one", `"seriesBound": 1`, "SeriesBound must be 0"},
 	{"negative sojourn bound", `"sojournBound": -1`, "SojournBound must be non-negative"},
 	{"negative retry limit", `"retryLimit": -1`, "RetryLimit must be non-negative"},
@@ -152,8 +153,9 @@ const fuzzHorizon = 4000
 // never panics, and every run it accepts with at most 1024 PEs and a
 // small tree builds its machine. A run of at most 64 PEs and a bounded
 // stream also runs to fuzzHorizon, keeping the invariants of
-// checkFuzzRun, and a run of two or more shards must equal its serial
-// replay. Chaos and checkpoint scripts are skipped.
+// checkFuzzRun; it must equal a second run from a fresh build, and a
+// run of two or more shards must equal its serial replay. Chaos and
+// checkpoint scripts are skipped.
 func FuzzLoadSpecs(f *testing.F) {
 	for _, p := range specProbes {
 		f.Add([]byte(probeFile(p.fields)))
@@ -195,9 +197,10 @@ func FuzzLoadSpecs(f *testing.F) {
 			cfg.ShardSerial = false
 			st := build(cfg).Run()
 			checkFuzzRun(t, rs, tree, st)
+			checkSameRun(t, rs, "run", "rerun from a fresh build", st, build(cfg).Run())
 			if cfg.Shards >= 2 {
 				cfg.ShardSerial = true
-				checkSerialReplay(t, rs, st, build(cfg).Run())
+				checkSameRun(t, rs, "parallel run", "serial replay", st, build(cfg).Run())
 			}
 		}
 	})
@@ -236,10 +239,12 @@ func checkFuzzRun(t *testing.T, rs RunSpec, tree *workload.Tree, st *machine.Sta
 	}
 }
 
-// checkSerialReplay checks that a sharded run on its parallel runners
-// and its single-goroutine replay did the same work to the same end:
-// events, makespan, result, message counts and the job counters.
-func checkSerialReplay(t *testing.T, rs RunSpec, par, ser *machine.Stats) {
+// checkSameRun checks that two runs of rs did the same work to the same
+// end: events, makespan, result, message counts and the job counters.
+// FuzzLoadSpecs holds a run to its rerun from a fresh build (equal
+// seeds give equal runs) and a sharded run on its parallel runners to
+// its single-goroutine replay.
+func checkSameRun(t *testing.T, rs RunSpec, aName, bName string, a, b *machine.Stats) {
 	t.Helper()
 	type outcome struct {
 		Events           uint64
@@ -251,8 +256,8 @@ func checkSerialReplay(t *testing.T, rs RunSpec, par, ser *machine.Stats) {
 		return outcome{st.Events, int64(st.Makespan), st.Result, st.MsgCounts,
 			[5]int64{st.JobsInjected, st.JobsDone, st.JobsAborted, st.JobsRetried, st.JobsAbandoned}}
 	}
-	if p, s := of(par), of(ser); p != s {
-		t.Fatalf("%s: parallel run %+v, serial replay %+v", rs.Name(), p, s)
+	if x, y := of(a), of(b); x != y {
+		t.Fatalf("%s: %s %+v, %s %+v", rs.Name(), aName, x, bName, y)
 	}
 }
 

@@ -105,18 +105,19 @@ func TestLargeGridPoissonSmoke(t *testing.T) {
 // TestConstructionBudget holds machine construction to its per-PE
 // memory budget on a 262,144-PE torus (built, like every spec torus, in
 // implicit form). The struct-of-arrays layout with its receiver-slot
-// table measures ~1080 B/PE and 4 allocations/PE (the load-broadcast
-// closure, the ticker-fire and serviceDone method values, and the
-// strategy's per-PE node); the budgets carry ~50% headroom so noise
-// cannot trip them but one accidental per-PE allocation — a map, a
-// slice that escaped the flat backings — does. Guarded by -short like TestLargeGridPoissonSmoke.
+// table measures ~930 B/PE and 2.07 allocations/PE (the serviceDone
+// method value, the strategy's per-PE node, and one 512-byte scheduler
+// chunk per 15 PEs' first load ticks); the budgets carry ~50% headroom
+// so noise cannot trip them but one accidental per-PE allocation — a
+// map, a closure, a slice that escaped the flat backings — does.
+// Guarded by -short like TestLargeGridPoissonSmoke.
 func TestConstructionBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping 262,144-PE construction in -short mode")
 	}
 	const (
-		budgetBytesPerPE  = 1600
-		budgetAllocsPerPE = 6.0
+		budgetBytesPerPE  = 1400
+		budgetAllocsPerPE = 3.0
 	)
 	ts := Torus(512)
 	topo, tree, strat := ts.Build(), Fib(9).Build(), CWN(9, 2).Build()

@@ -250,6 +250,16 @@ func (c Config) Validate(numPEs int) error {
 	case c.PESpeeds != nil && len(c.PESpeeds) != numPEs:
 		return fmt.Errorf("machine: PESpeeds has %d entries for %d PEs", len(c.PESpeeds), numPEs)
 	}
+	// A hop time is added to the clock and to a channel's busy-until on
+	// every message, so it is capped where a scaled duration is.
+	for _, h := range [...]struct {
+		name string
+		t    sim.Time
+	}{{"GoalHopTime", c.GoalHopTime}, {"RespHopTime", c.RespHopTime}, {"CtrlHopTime", c.CtrlHopTime}} {
+		if h.t > maxScaled {
+			return fmt.Errorf("machine: %s %d exceeds the longest channel occupancy, %d units", h.name, h.t, maxScaled)
+		}
+	}
 	for i, s := range c.PESpeeds {
 		// !(s > 0) also rejects NaN, which `s <= 0` lets through.
 		if !(s > 0) || math.IsInf(s, 0) {

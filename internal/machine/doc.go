@@ -108,17 +108,19 @@
 // ring buffers, and every transient object (wire messages, goals,
 // pending tasks, job states) recycles through slice-stack free lists
 // that live and die with the run's machine. The engine underneath runs
-// the two-tier wheel scheduler (internal/sim). The free-list discipline —
+// the two-tier wheel scheduler (internal/sim), which holds every event
+// by value in reused chunks. The free-list discipline —
 // pointer fields zeroed on free, no touching an object after its
 // free-list put — is machine-checked: pooled types carry
 // //simlint:pooled and free functions //simlint:free, and the poolsafe
 // analyzer (internal/analysis, run by CI as cmd/simlint) enforces both
 // rules at vet time.
 //
-// Load words are most of the work (every PE broadcasts one per
-// LoadInterval: 79% of fault-shard's engine events, 65% of ctrl-gm's),
-// so delivering one is an index walk, not a search of the receiver's
-// neighbor list. At construction each shard builds one flat int32
+// Load traffic is most of the work (every PE broadcasts one load word
+// per attached channel every LoadInterval: load words and load ticks
+// are 98% of fault-shard's engine events, and with GM's gradient ticks
+// 98% of ctrl-gm's), so delivering a word is an index walk, not a
+// search of the receiver's neighbor list. At construction each shard builds one flat int32
 // receiver-slot table: for every channel it holds and every ordered
 // (sender, receiver) pair of the channel's members, the index of the
 // receiver's view of the sender in the flat per-neighbor backings, or
@@ -134,15 +136,20 @@
 // the row's views directly, with no pooled message, no channel lookup
 // and no member scan. That event takes exactly the (time, seq) position
 // a wire message on the channel would: Stats.Events and the pinned
-// digests count it. Where a word waits it waits by value: in a downed
-// channel's held list until the link comes back, or in the outbox to
-// another shard, whose drain looks the row up on the receiving shard's
-// own table. Environment and
-// control broadcasts and point-to-point hops stay wire messages: a
-// wire message carries its channel's global ID, which each shard
-// resolves to its own channel copy (chanAt), so a message handed across
-// shards reads the receiving shard's slots. Environment broadcasts and
-// piggybacked load words write by slot too, after a member scan.
+// digests count it. The broadcast itself is driven the same way: each
+// owned PE's load process is one payload event carrying the PE's block
+// index, whose one shared Action (loadTick) broadcasts and then re-arms
+// the event LoadInterval later, the order a sim.Ticker fires and
+// re-arms in, so each tick keeps a ticker's (time, seq) position with
+// no ticker, timer or closure per PE. Where a word waits it waits by
+// value: in a downed channel's held list until the link comes back, or
+// in the outbox to another shard, whose drain looks the row up on the
+// receiving shard's own table. Environment and control broadcasts and
+// point-to-point hops stay wire messages: a wire message carries its
+// channel's global ID, which each shard resolves to its own channel
+// copy (chanAt), so a message handed across shards reads the receiving
+// shard's slots. Environment broadcasts and piggybacked load words
+// write by slot too, after a member scan.
 //
 // # Memory layout
 //
@@ -169,16 +176,18 @@
 // pointers stay valid for the life of the run.
 //
 // Arena chunks. Free-list misses for goals, wire messages, pending
-// tasks, job states (machine.go) and events (internal/sim) carve from
-// chunked arenas (chunks doubling up to arenaChunk objects) instead of allocating
-// singletons: the retained working set is a few contiguous blocks the
+// tasks and job states (machine.go) carve from chunked arenas (chunks
+// doubling up to arenaChunk objects) instead of allocating singletons,
+// and the engine (internal/sim) stores events by value in reused
+// 512-byte chunks: the retained working set is a few contiguous blocks the
 // garbage collector marks cheaply, and a carved object is a zero value
 // exactly like the allocation it replaces, so results are unaffected.
 // Nothing survives a run: free lists and arenas are the machine's own,
 // so a sweep worker's heap returns to the garbage collector between
 // runs instead of retaining the previous run's working set.
-// Timers and the per-PE load tickers embed by value (sim.Timer.Init,
-// sim.Ticker.Init) in machine-owned blocks for the same reason.
+// Per-PE service timers embed by value (sim.Timer.Init) in the PE
+// block for the same reason, and the per-PE load processes are payload
+// events, with no per-PE object at all.
 //
 // Implicit topologies. Spec-built grids, tori and hypercubes
 // (experiments TopoSpec.Build) use the computed-neighbor topology form

@@ -79,6 +79,9 @@ type Machine struct {
 	// words is the Action of every load-word delivery on this machine
 	// (see loadWord): one value, each event's payload naming its row.
 	words wordSink
+	// ticks is the Action of every owned PE's periodic load broadcast:
+	// one value, each event's payload naming its PE (see loadTick).
+	ticks loadTick
 
 	// chScratch is the reusable candidate buffer for per-hop channel
 	// selection (AppendChannelsBetween): implicit topologies compute the
@@ -86,12 +89,6 @@ type Machine struct {
 	// way the routing hot path allocates nothing. Valid until the next
 	// routing call.
 	chScratch []int
-
-	// loadTickers is the contiguous block holding the per-PE load
-	// broadcast tickers, initialized in place (sim.Ticker.Init). Never
-	// resliced or copied after construction: each ticker's embedded
-	// timer event points back into the block.
-	loadTickers []sim.Ticker
 
 	stats *Stats
 
@@ -290,6 +287,7 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 		nextGoalID: int64(shard) << 40,
 	}
 	m.words.m = m
+	m.ticks.m = m
 	if shard == grp.home {
 		// Only the shard owning RootPE pulls from the source.
 		m.srcRng = newSourceRng(cfg.Seed)
@@ -437,20 +435,14 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 
 	// Periodic load-information broadcast (the machine-level mechanism
 	// CWN relies on; strategies may layer their own control traffic).
-	// The tickers live in one contiguous block initialized in place —
-	// one allocation plus one closure per PE, not a two-object ticker
-	// graph each — with the same per-PE stagger draws, in the same
-	// order, as individually constructed tickers.
+	// Each owned PE's load process is one payload event naming the PE,
+	// with nothing allocated per PE. It is armed here in PE order, with
+	// the same stagger draw per PE a Machine.NewTicker would make, and
+	// re-arms itself after each broadcast (loadTick.Act), so every tick
+	// keeps the (time, seq) position a ticker's firing would have.
 	if cfg.LoadInterval > 0 {
-		m.loadTickers = make([]sim.Ticker, m.peHi-m.peLo)
-		ti := 0
-		for _, pe := range m.pes {
-			if pe == nil {
-				continue
-			}
-			pe := pe
-			m.loadTickers[ti].Init(m.eng, cfg.LoadInterval, m.tickerPhase(cfg.LoadInterval), func() { m.broadcastLoad(pe) })
-			ti++
+		for lx := range m.peBlock {
+			m.eng.AtPayload(m.eng.Now()+m.tickerPhase(cfg.LoadInterval), &m.ticks, uint64(lx), 0)
 		}
 	}
 
@@ -742,6 +734,20 @@ func (m *Machine) freePending(p *pendingTask) {
 	p.goal = nil
 	p.vals = p.vals[:0]
 	m.pendingFree = append(m.pendingFree, p)
+}
+
+// loadTick is the one Action behind every owned PE's periodic load
+// broadcast; each event's payload is the PE's index in the owned block.
+type loadTick struct{ m *Machine }
+
+// Act broadcasts the PE's load, then arms the PE's next tick
+// LoadInterval later: the order sim.Ticker fires and re-arms in, so
+// the next tick's seq follows the load words this one sent.
+func (d *loadTick) Act() {
+	m := d.m
+	lx, _ := m.eng.Payload()
+	m.broadcastLoad(&m.peBlock[lx])
+	m.eng.AtPayload(m.eng.Now()+m.cfg.LoadInterval, d, lx, 0)
 }
 
 // broadcastLoad sends this PE's current load to all neighbors: one load

@@ -20,25 +20,42 @@
 //
 // # Scheduler
 //
-// The pending-event set is a two-tier scheduler. Tier one is a rotating
-// bucket wheel — 2048 slots, one per unit of virtual time, covering the
-// window [now, now+2048). Integral time plus a window equal to the slot
-// count means each slot holds exactly one timestamp, so ordering within
-// a slot is a doubly-linked FIFO appended in seq order: push and pop are
-// O(1) pointer moves with no comparisons. Tier two is an overflow
-// min-heap for events beyond the window; it drains into the wheel as the
-// window advances, in (time, seq) order, into slots that are necessarily
-// still empty — which is what preserves exact heap-equivalent ordering
-// across the tier boundary (TestSchedulerEquivalence fires one random
-// cascade through the wheel and through a plain binary heap and demands
-// identical logs). The wheel wins wherever events are dense in time
-// relative to the window — Timer re-arm traffic (service completions,
-// tickers, arrival pumps) and control-heavy machines with thousands of
-// resident timers: it measured 1.8-3.7x a standing binary heap's
-// events/sec on every perf-ledger case, so the heap was retired as a
-// selectable scheduler and survives only as the overflow tier. Its
-// costs are 32KB of standing slot memory per engine and one nil check
-// per empty slot stepped over.
+// The pending-event set is a two-tier scheduler that holds every event
+// by value, as a 32-byte entry: an Action and two payload words. Tier
+// one is a rotating bucket wheel — 2048 slots, one per unit of virtual
+// time, covering the window [now, now+2048). Integral time plus a
+// window equal to the slot count means each slot holds exactly one
+// timestamp, so ordering within a slot is a FIFO appended in seq
+// order: push stores an entry at the tail, firing reads it from the
+// head in place, with no comparisons. A slot's FIFO is a short list of
+// 512-byte chunks of 15 entries, which the engine takes from and
+// returns to a spare list. Tier two is an overflow min-heap of (time,
+// seq, entry) for events beyond the window; it drains into the wheel
+// as the window advances, in (time, seq) order, into slots that are
+// necessarily still empty — which is what preserves exact
+// heap-equivalent ordering across the tier boundary. All entries of
+// one instant sit in one tier, so when a push behind the cursor
+// rewinds the window, the instants it evicts return to the heap whole,
+// in FIFO order. TestSchedulerEquivalence and FuzzSchedulerEquivalence
+// fire random cascades through the engine and through the heap under a
+// bare loop and demand identical logs. The wheel wins wherever events
+// are dense in time relative to the window — load words, Timer re-arm
+// traffic (service completions, tickers, arrival pumps) and
+// control-heavy machines with thousands of resident timers: it
+// measured 1.8-3.7x a standing binary heap's events/sec on every
+// perf-ledger case, so the heap was retired as a selectable scheduler
+// and survives only as the overflow tier. Its costs are 32KB of
+// standing slot memory per engine, a chunk per occupied slot, and one
+// nil check per empty slot stepped over.
+//
+// An At handle or a Timer is an Event outside the scheduler; what the
+// scheduler holds is a guard entry naming the Event and the arming it
+// was pushed for. Cancelling, stopping or re-arming the Event makes
+// the guard stale, and the engine discards a stale guard when it
+// reaches the front, without firing or counting it. So Timer.Stop is
+// O(1) and removes nothing, and Pending, which leaves stale guards
+// out, stays exact. Guards take the same path through RunUntil and
+// Step as every other entry: one type check on the head entry.
 //
 // # Performance model
 //
@@ -46,30 +63,29 @@
 // events, so the hot path is engineered to allocate nothing in steady
 // state:
 //
-//   - Schedule/At allocate one Event per call and return it as a
-//     cancellable handle; those handles are never recycled, so a stale
-//     handle is always safe.
-//   - ScheduleAction/AtAction take an Action value instead of a closure,
-//     return no handle, and recycle the backing Event through a free
-//     list: steady-state messaging costs zero allocations per event.
+//   - ScheduleAction/AtAction take an Action value instead of a closure
+//     and return no handle; the entry is all there is of the event, so
+//     steady-state messaging costs no allocation and no object.
 //   - AtPayload is AtAction plus two words of payload carried in the
-//     Event itself, which the Action reads through Payload while it
-//     fires. One Action value then serves a whole class of events, each
-//     with its own arguments, with no per-event object behind it: the
-//     machine delivers every periodic load word this way, the payload
-//     naming the receivers' slot row and the load.
-//   - Timer owns one embedded Event it re-arms for every firing — the
+//     entry, which the Action reads through Payload while it fires.
+//     One Action value then serves a whole class of events, each with
+//     its own arguments: the machine delivers every periodic load word
+//     this way, the payload naming the receivers' slot row and the
+//     load, and runs every PE's periodic load broadcast as one payload
+//     event naming the PE that re-arms itself.
+//   - Timer embeds its one Event and re-arms it for every firing — the
 //     building block for tickers, PE service completions and arrival
-//     pumps. Ticker is built on Timer, so periodic processes allocate
-//     only at construction.
+//     pumps — so periodic processes allocate only at construction.
+//   - Schedule/At allocate one Event per call and return it as a
+//     cancellable handle, which stays safe to hold forever.
 //
-// An Event has one behavior field, an Action: a closure scheduled with
-// At or armed on a Timer is adapted to one (a func type with an Act
-// method, which costs no allocation), so firing is a single interface
-// call. That field and a 32-bit scheduler index make room for the
-// payload words within 72 bytes (TestEventFitsSeventyTwoBytes).
-// RunUntil takes the event its peek found straight off the cursor slot,
-// without seeking the wheel a second time.
+// Entries are passed down the push path field by field, not as one
+// struct value, which would stall on store forwarding. The chunk size
+// is a memory decision: a sparse wheel (a small machine with one or
+// two events per occupied instant) pays a chunk per occupied instant,
+// and 2 KB chunks raised the paper-sweep benchmark's peak RSS by about
+// 11% where 512-byte ones cost about 2% (TestEntryAndChunkLayout pins
+// the entry and the chunk).
 //
 // Each engine is intentionally single-goroutine: its event loop is a
 // sequential computation over virtual time, with no locks on the hot

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -15,60 +16,64 @@ type Time int64
 const Never Time = -1
 
 // Event is a handle to a scheduled closure. It can be cancelled up to the
-// moment it fires. Pooled events (ScheduleAction/AtAction/AtPayload) are
-// recycled through the engine free list after firing.
-//
-//simlint:pooled
+// moment it fires. The scheduler does not hold the Event itself but a
+// guard entry naming it and the arming it belongs to; a cancelled (or,
+// for a Timer's event, stopped or re-armed) Event's guard is discarded
+// without firing when its time comes.
 type Event struct {
+	eng *Engine
 	at  Time
-	seq uint64
-	// act is what firing runs: the Action a pooled event was scheduled
-	// with, or a closure adapted to one (funcAction) for At and Timer.
+	// act is what firing runs: the closure, adapted to an Action.
 	act Action
-	// arg is the two-word payload of an AtPayload event, which its
-	// Action reads through Engine.Payload while it fires; zero otherwise.
-	arg [2]uint64
-	// index locates the event inside the scheduler: a position >= 0 in
-	// the overflow heap, idxWheel while chained in a wheel slot, idxIdle
-	// when not scheduled.
-	index    int32
+	// gen counts the event's armings and disarmings, so it is odd while
+	// the event is armed. A guard carries the gen of its arming and is
+	// live only while gen still equals it.
+	gen      uint64
 	canceled bool
-	pooled   bool // owned by the engine free list; recycled after firing
-	// next/prev chain the event into a wheel slot's FIFO (nil while in
-	// the overflow heap).
-	next, prev *Event
 }
-
-const (
-	// idxIdle marks an event that is not scheduled anywhere.
-	idxIdle = -1
-	// idxWheel marks an event chained in a bucket-wheel slot.
-	idxWheel = -2
-
-	// eventChunkSize is the arena granularity for pooled events: the
-	// free-list miss path carves events out of chunks this large. The
-	// steady-state pooled population is roughly the peak number of
-	// simultaneously scheduled actions, so 256 keeps small runs to one
-	// or two chunks while a saturated million-PE run fills whole chunks
-	// back to back.
-	eventChunkSize = 256
-)
 
 // Action is a schedulable behavior: the allocation-free alternative to a
 // closure. Hot-path callers embed their state in a value implementing
 // Action and hand it to ScheduleAction/AtAction (or AtPayload, which
 // adds two words the Action reads back through Payload); the engine
-// recycles the backing Event through an internal free list. No handle
-// is returned, so a recycled Event can never be reached through a stale
-// *Event — pooled events are therefore uncancellable by construction.
+// stores it by value in the scheduler with no object behind it. No
+// handle is returned, so these events are uncancellable by
+// construction.
 type Action interface{ Act() }
 
 // funcAction adapts a closure to Action, so an Event holds one behavior
-// field whichever way it was scheduled. A func value is pointer-shaped:
-// the conversion allocates nothing.
+// field. A func value is pointer-shaped: the conversion allocates
+// nothing.
 type funcAction func()
 
 func (f funcAction) Act() { f() }
+
+// eventGuard is an Event seen as the Action of its guard entry, whose
+// first payload word is the gen the event was armed with. The scheduler
+// discards a guard whose gen no longer matches; firing a live one
+// disarms the event and runs its closure.
+type eventGuard Event
+
+func (g *eventGuard) Act() {
+	g.gen++
+	g.act.Act()
+}
+
+// arm schedules the event at at under a new arming.
+func (ev *Event) arm(at Time) {
+	ev.at = at
+	ev.gen++
+	ev.eng.push(at, (*eventGuard)(ev), ev.gen, 0)
+}
+
+// armed reports whether the event's current arming is pending.
+func (ev *Event) armed() bool { return ev.gen&1 != 0 }
+
+// disarm makes the pending arming's guard stale.
+func (ev *Event) disarm() {
+	ev.gen++
+	ev.eng.stale++
+}
 
 // At reports the virtual time the event is scheduled for.
 func (ev *Event) At() Time { return ev.at }
@@ -76,6 +81,9 @@ func (ev *Event) At() Time { return ev.at }
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled event is a no-op.
 func (ev *Event) Cancel() {
+	if ev.armed() {
+		ev.disarm()
+	}
 	ev.canceled = true
 }
 
@@ -85,34 +93,33 @@ func (ev *Event) Canceled() bool { return ev.canceled }
 // Engine is a discrete-event simulator instance.
 //
 // The zero value is not usable; construct with NewEngine.
+//
+// A sharded run allocates its shards' engines back to back and runs
+// them on different CPUs, so an Engine is exactly 128 bytes, a size
+// class the allocator aligns to 128, and every engine owns whole cache
+// lines. Were it not, one engine's processed count and the next one's
+// clock would share a line that every event on either shard writes.
 type Engine struct {
 	now       Time
-	seq       uint64
-	sched     *wheelSched
-	free      []*Event // recycled pooled events (ScheduleAction/AtAction)
-	chunk     []Event  // arena tail: pooled events are carved from here on free-list miss
-	rng       *rand.Rand
-	seed      int64
-	stopped   bool
 	processed uint64
 	// arg is the payload of the event firing now (see Payload).
-	arg [2]uint64
-	// A sharded run allocates its shards' engines back to back and
-	// runs them on different CPUs. The padding makes the struct 128
-	// bytes, a size class the allocator aligns to 128, so every engine
-	// owns whole cache lines. Without it one engine's processed count
-	// and the next one's clock and free list would share a line that
-	// every event on either shard writes.
-	_ [8]byte
+	arg     [2]uint64
+	stopped bool
+	// The scheduler is held by value, so the fire path reaches the
+	// wheel without a pointer hop; its hot fields share the clock's
+	// cache line.
+	wheelSched
+	rng  *rand.Rand
+	seed int64
 }
 
 // NewEngine returns an engine with the clock at zero whose random stream
 // is derived from seed. Equal seeds yield byte-identical simulations.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		sched: newWheelSched(),
-		rng:   rand.New(rand.NewSource(seed)),
-		seed:  seed,
+		wheelSched: wheelSched{slots: new([wheelSpan]wheelSlot)},
+		rng:        rand.New(rand.NewSource(seed)),
+		seed:       seed,
 	}
 }
 
@@ -130,9 +137,10 @@ func (e *Engine) Rng() *rand.Rand { return e.rng }
 // Processed returns the number of events fired so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of events currently scheduled (including
-// cancelled events not yet discarded).
-func (e *Engine) Pending() int { return e.sched.size() }
+// Pending returns the number of events currently scheduled. Cancelled
+// events and stopped timers are not counted, though the scheduler
+// discards their guards only when their time comes.
+func (e *Engine) Pending() int { return e.size() }
 
 // Schedule runs fn after delay units of virtual time. A negative delay
 // panics: the past is immutable in a discrete-event simulation.
@@ -151,15 +159,14 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	if fn == nil {
 		panic("sim: At with nil fn")
 	}
-	ev := &Event{at: t, seq: e.seq, act: funcAction(fn)}
-	e.seq++
-	e.sched.push(ev)
+	ev := &Event{eng: e, act: funcAction(fn)}
+	ev.arm(t)
 	return ev
 }
 
 // ScheduleAction runs a.Act() after delay units of virtual time. It is
-// the pooled, closure-free analogue of Schedule: no Event handle is
-// returned and the backing Event is recycled after firing.
+// the closure-free analogue of Schedule: the Action is stored by value
+// and no Event handle is returned.
 func (e *Engine) ScheduleAction(delay Time, a Action) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: ScheduleAction with negative delay %d at t=%d", delay, e.now))
@@ -173,7 +180,10 @@ func (e *Engine) AtAction(t Time, a Action) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: AtAction(%d) before now=%d", t, e.now))
 	}
-	e.schedulePooled(t, a, [2]uint64{})
+	if a == nil {
+		panic("sim: AtAction with nil Action")
+	}
+	e.push(t, a, 0, 0)
 }
 
 // AtPayload is AtAction for an event carrying two words of payload:
@@ -184,51 +194,18 @@ func (e *Engine) AtPayload(t Time, a Action, p0, p1 uint64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: AtPayload(%d) before now=%d", t, e.now))
 	}
-	e.schedulePooled(t, a, [2]uint64{p0, p1})
+	if a == nil {
+		panic("sim: AtPayload with nil Action")
+	}
+	e.push(t, a, p0, p1)
 }
 
 // Payload returns the payload of the event firing now: the two words
-// it was scheduled with by AtPayload, zero for any other event. It is
-// valid only while that event's Action runs.
+// it was scheduled with by AtPayload, zero for an AtAction or
+// ScheduleAction event. It is valid only while that event's Action
+// runs, and means nothing while a closure scheduled by At, Schedule or
+// a Timer runs: those ride guard entries whose payload is internal.
 func (e *Engine) Payload() (uint64, uint64) { return e.arg[0], e.arg[1] }
-
-// schedulePooled pushes a pooled event running a at t with payload arg.
-func (e *Engine) schedulePooled(t Time, a Action, arg [2]uint64) {
-	if a == nil {
-		panic("sim: pooled event with nil Action")
-	}
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
-		// Free-list miss: carve the next event from the arena chunk
-		// instead of allocating a singleton, so the steady-state event
-		// population sits in a handful of contiguous blocks rather than
-		// scattered across the heap. A carved event is a zero value,
-		// exactly like the &Event{} it replaces.
-		if len(e.chunk) == 0 {
-			e.chunk = make([]Event, eventChunkSize)
-		}
-		ev = &e.chunk[0]
-		e.chunk = e.chunk[1:]
-	}
-	ev.at, ev.seq, ev.act, ev.arg, ev.pooled = t, e.seq, a, arg, true
-	e.seq++
-	e.sched.push(ev)
-}
-
-// recycle returns a pooled event to the free list. The scheduler has
-// already unlinked the event (next/prev are nil after a wheel pop), but
-// they are re-zeroed here so the free list never pins a dead chain.
-//
-//simlint:free
-func (e *Engine) recycle(ev *Event) {
-	ev.act, ev.canceled, ev.pooled = nil, false, false
-	ev.next, ev.prev = nil, nil
-	e.free = append(e.free, ev)
-}
 
 // Step fires the single next event. It returns false when no events
 // remain or the engine has been stopped.
@@ -236,37 +213,51 @@ func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
 	}
-	for {
-		ev := e.sched.pop()
-		if ev == nil {
-			return false
-		}
-		if ev.canceled {
-			if ev.pooled {
-				e.recycle(ev)
-			}
-			continue
-		}
-		e.fire(ev)
-		return true
-	}
-}
-
-// fire runs a live event the scheduler has just handed over.
-func (e *Engine) fire(ev *Event) {
-	if ev.at < e.now {
-		panic("sim: event heap returned an event from the past")
-	}
-	e.now = ev.at
-	e.processed++
-	// Copy the behavior and payload out and recycle before firing, so a
-	// handler that schedules new actions reuses this very Event.
-	act := ev.act
-	e.arg = ev.arg
-	if ev.pooled {
-		e.recycle(ev)
+	act := e.next(Time(math.MaxInt64))
+	if act == nil {
+		return false
 	}
 	act.Act()
+	return true
+}
+
+// next takes the earliest live entry due by deadline off the wheel and
+// returns its Action, with the clock, the payload and Processed already
+// moved to it; nil when no live entry is due, with the cursor then on
+// the earliest live entry, if any. Stale guards met on the way are
+// discarded. The entry is read in place and dropped before its Action
+// runs, so a handler that schedules at the same instant appends behind
+// it, possibly into the very chunk it came from. It is the fast path
+// of both Step and RunUntil.
+func (e *Engine) next(deadline Time) Action {
+	w := &e.wheelSched
+	for {
+		s := &w.slots[int(w.base)&wheelMask]
+		if s.head == nil {
+			if s = w.seek(); s == nil {
+				return nil
+			}
+		}
+		c := s.head
+		en := &c.e[c.r]
+		act := en.act
+		if g, ok := act.(*eventGuard); ok && g.gen != en.p0 {
+			w.stale--
+			w.advance(s, c)
+			continue
+		}
+		if w.base > deadline {
+			return nil
+		}
+		if w.base < e.now {
+			panic("sim: scheduler returned an event from the past")
+		}
+		e.arg[0], e.arg[1] = en.p0, en.p1
+		w.advance(s, c)
+		e.now = w.base
+		e.processed++
+		return act
+	}
 }
 
 // Run fires events until none remain or Stop is called.
@@ -283,25 +274,24 @@ func (e *Engine) Run() {
 // stopping event's time rather than jumping to the deadline.
 func (e *Engine) RunUntil(deadline Time) bool {
 	for !e.stopped {
-		ev := e.sched.peek()
-		if ev == nil {
+		act := e.next(deadline)
+		if act == nil {
 			if e.now < deadline {
 				e.now = deadline
 			}
-			return false
+			return e.peek()
 		}
-		if ev.at > deadline {
-			if e.now < deadline {
-				e.now = deadline
-			}
-			return true
-		}
-		// The peek left the cursor on ev's slot: take it from there
-		// rather than seeking again.
-		e.sched.popPeeked(ev)
-		e.fire(ev)
+		act.Act()
 	}
-	return e.sched.peek() != nil
+	return e.peek()
+}
+
+// peek reports whether a live event is pending, discarding the stale
+// guards ahead of it; when one is, the cursor is on it, so base is its
+// time.
+func (e *Engine) peek() bool {
+	e.next(math.MinInt64) // due by no deadline: fires nothing
+	return e.slots[int(e.base)&wheelMask].head != nil
 }
 
 // AdvanceTo moves the clock forward to t without firing anything. It
@@ -314,7 +304,7 @@ func (e *Engine) AdvanceTo(t Time) {
 	if t < e.now {
 		panic("sim: AdvanceTo would rewind the clock")
 	}
-	if ev := e.sched.peek(); ev != nil && ev.at < t {
+	if e.peek() && e.base < t {
 		panic("sim: AdvanceTo would skip a pending event")
 	}
 	e.now = t
@@ -326,14 +316,10 @@ func (e *Engine) AdvanceTo(t Time) {
 // conservative-lookahead loop) use it to fast-forward across windows
 // no shard has work in.
 func (e *Engine) NextEventAt() (t Time, ok bool) {
-	if e.stopped {
+	if e.stopped || !e.peek() {
 		return 0, false
 	}
-	ev := e.sched.peek()
-	if ev == nil {
-		return 0, false
-	}
-	return ev.at, true
+	return e.base, true
 }
 
 // Stop halts Run/RunUntil after the current event. Further Step calls

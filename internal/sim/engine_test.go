@@ -2,28 +2,47 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
 )
 
-// TestEngineFillsWholeCacheLines pins the Engine padding: the engines
+// TestEngineFillsWholeCacheLines pins the Engine's size: the engines
 // of one sharded run sit back to back on the heap and run on different
-// CPUs, so each must fill whole 64-byte cache lines. A new field that
-// breaks this needs the padding adjusted.
+// CPUs, so each must fill whole 64-byte cache lines — exactly two, with
+// the clock and the wheel's hot fields in the first. A new field that
+// breaks this needs padding to a whole line, or a field moved out.
 func TestEngineFillsWholeCacheLines(t *testing.T) {
-	if n := unsafe.Sizeof(Engine{}); n%64 != 0 {
-		t.Fatalf("Engine is %d bytes, not a whole number of 64-byte cache lines", n)
+	if n := unsafe.Sizeof(Engine{}); n != 128 {
+		t.Fatalf("Engine is %d bytes, want 128: two whole 64-byte cache lines", n)
 	}
 }
 
-// TestEventFitsSeventyTwoBytes pins the Event layout: the payload
-// words fit because closures ride the one Action field and the
-// scheduler index is 32 bits. Every pending event is one of these, and
-// the arena carves them 256 at a time.
-func TestEventFitsSeventyTwoBytes(t *testing.T) {
-	if n := unsafe.Sizeof(Event{}); n > 72 {
-		t.Fatalf("Event is %d bytes, want at most 72", n)
+// TestEntryAndChunkLayout pins the scheduler's memory layout: every
+// pending event is a 32-byte entry (an Action and two payload words),
+// and a chunk of them fills its allocator size class exactly, so no
+// chunk pays for bytes it cannot use.
+func TestEntryAndChunkLayout(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 32 {
+		t.Fatalf("entry is %d bytes, want 32", n)
+	}
+	if n := unsafe.Sizeof(chunk{}); n != chunkBytes {
+		t.Fatalf("chunk is %d bytes, want %d", n, chunkBytes)
+	}
+	const n = 1000
+	chunks := make([]*chunk, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range chunks {
+		chunks[i] = new(chunk)
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(chunks)
+	// Anything else the runtime allocates meanwhile adds well under a
+	// byte per chunk; a chunk rounded up to the next class adds 64.
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / n; per < chunkBytes || per >= chunkBytes+8 {
+		t.Fatalf("a %d-byte chunk costs %.1f bytes: it does not fill its size class", chunkBytes, per)
 	}
 }
 

@@ -1,11 +1,26 @@
 package sim
 
-// eventHeap is a min-heap of events ordered by (at, seq). It is
+// heapEntry is an overflow entry: an entry by value under its key, its
+// time and an insertion key that orders entries of one instant FIFO.
+type heapEntry struct {
+	at     Time
+	seq    uint64
+	act    Action
+	p0, p1 uint64
+}
+
+// entryHeap is a min-heap of entries ordered by (at, seq). It is
 // hand-rolled rather than built on container/heap to avoid interface
-// boxing on the hot path: a full comparison run of the paper's suite pops
-// a few hundred million events. It is the far-future overflow tier of
-// the engine's two-tier wheel (wheel.go), and the ordering reference
-// the wheel is tested against (TestSchedulerEquivalence).
+// boxing on the hot path. It is the far-future overflow tier of the
+// engine's two-tier wheel (wheel.go), and, fired by a bare loop, the
+// ordering reference the engine is tested against
+// (TestSchedulerEquivalence).
+//
+// The heap holds its 48-byte entries by value, so nothing outside it
+// tracks a position and nothing is ever removed from the middle: a
+// stopped Timer's guard stays until its time and is discarded then.
+// Both sifts carry the moving entry in a hole and shift the others into
+// it, one 48-byte copy per level rather than a swap.
 //
 // The branching factor is a parameter because the obvious d-ary-heap
 // optimization was tried and rejected: arity 4 halves the tree depth
@@ -14,106 +29,64 @@ package sim
 // 1024 PEs' tickers and timers resident in the heap) it measured ~5%
 // FEWER events/sec than the binary heap (see the heap_experiment record
 // in BENCH_PR3.json). The standing heap here is thousands of events, so
-// depth is cheap, while Timer.Stop's removeAt and every re-arm push
-// lean on up(), which arity only makes shallower at the cost of wider
-// down() — the trade does not pay at this heap shape. Re-measure with
-// perfbench (sim.overflow_push_pop_ns and the ctrl-gm workload) before
-// changing heapArity.
-type eventHeap []*Event
+// depth is cheap. That heap held pointers; this one moves 48-byte
+// entries, one copy per level, which a shallower tree would save, so
+// re-measure with perfbench (sim.overflow_push_pop_ns and the ctrl-gm
+// workload) before changing heapArity.
+type entryHeap []heapEntry
 
 const heapArity = 2
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+func (x *heapEntry) before(y *heapEntry) bool {
+	return x.at < y.at || x.at == y.at && x.seq < y.seq
 }
 
-func (h eventHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = int32(i)
-	h[j].index = int32(j)
-}
-
-func (h *eventHeap) push(ev *Event) {
-	*h = append(*h, ev)
-	ev.index = int32(len(*h) - 1)
-	h.up(len(*h) - 1)
-}
-
-// pop removes and returns the earliest event, or nil if empty. Cancelled
-// events may be returned; the engine skips them.
-func (h *eventHeap) pop() *Event {
-	if len(*h) == 0 {
-		return nil
-	}
-	return h.popTop()
-}
-
-func (h *eventHeap) popTop() *Event {
-	old := *h
-	n := len(old)
-	top := old[0]
-	old.swap(0, n-1)
-	old[n-1] = nil
-	*h = old[:n-1]
-	if n > 1 {
-		h.down(0)
-	}
-	top.index = -1
-	return top
-}
-
-// removeAt deletes the event at heap position i in O(log n) using the
-// index field events carry — how Timer.Stop unlinks an overflow event,
-// so a stopped timer leaves no cancelled tombstone behind.
-func (h *eventHeap) removeAt(i int) {
-	old := *h
-	n := len(old)
-	ev := old[i]
-	old.swap(i, n-1)
-	old[n-1] = nil
-	*h = old[:n-1]
-	if i < n-1 {
-		h.down(i)
-		h.up(i)
-	}
-	ev.index = -1
-}
-
-func (h eventHeap) up(i int) {
+// push adds an entry, taking its fields one by one as wheelSched.push
+// does.
+func (h *entryHeap) push(at Time, seq uint64, act Action, p0, p1 uint64) {
+	*h = append(*h, heapEntry{})
+	s := *h
+	i := len(s) - 1
 	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !h.less(i, parent) {
+		p := (i - 1) / heapArity
+		if q := &s[p]; q.at < at || q.at == at && q.seq < seq {
 			break
 		}
-		h.swap(i, parent)
-		i = parent
+		s[i] = s[p]
+		i = p
 	}
+	s[i] = heapEntry{at: at, seq: seq, act: act, p0: p0, p1: p1}
 }
 
-func (h eventHeap) down(i int) {
-	n := len(h)
+// pop removes the earliest entry; the heap must not be empty. Callers
+// read the entry at h[0] first.
+func (h *entryHeap) pop() {
+	s := *h
+	n := len(s) - 1
+	last := s[n]
+	s[n] = heapEntry{}
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return
+	}
+	i := 0
 	for {
 		first := heapArity*i + 1
 		if first >= n {
-			return
+			break
 		}
-		smallest := first
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if h.less(c, smallest) {
-				smallest = c
+		least := first
+		for c := first + 1; c < min(first+heapArity, n); c++ {
+			if s[c].before(&s[least]) {
+				least = c
 			}
 		}
-		if !h.less(smallest, i) {
-			return
+		if !s[least].before(&last) {
+			break
 		}
-		h.swap(i, smallest)
-		i = smallest
+		s[i] = s[least]
+		i = least
 	}
+	s[i] = last
 }

@@ -10,9 +10,11 @@ package sim
 // run's seeded streams.
 //
 // Internally a Ticker re-arms one Timer, so steady-state ticking
-// allocates no events: construction costs two small objects (one when
+// allocates nothing: construction costs two small objects (one when
 // the Ticker lives in a caller-owned block; see Init), firings cost
-// zero.
+// zero. A process with many instances of one kind can go further and
+// be one self-re-arming payload event per instance, sharing one Action,
+// as the machine's per-PE load broadcast is.
 type Ticker struct {
 	timer   Timer
 	period  Time
@@ -30,11 +32,9 @@ func NewTicker(eng *Engine, period, phase Time, fn func()) *Ticker {
 }
 
 // Init readies a zero Ticker in place and schedules its first firing —
-// the allocation-free form of NewTicker for tickers embedded in a
-// caller-owned block (a million-PE machine holds one contiguous array
-// of load tickers, not a million two-object ticker graphs). The Ticker
-// must not be copied after Init: its embedded Timer's event points back
-// at it.
+// the form of NewTicker for tickers embedded in a caller-owned block,
+// which saves the Ticker's own allocation. The Ticker must not be
+// copied after Init: its embedded Timer's event points back at it.
 func (t *Ticker) Init(eng *Engine, period, phase Time, fn func()) {
 	if period <= 0 {
 		panic("sim: NewTicker with non-positive period")

@@ -51,13 +51,12 @@ func TestTickerStop(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("ticker fired %d times after Stop at 3, want 3", n)
 	}
-	if e.Pending() != 0 && peekLive(e) {
-		t.Fatal("stopped ticker left live events pending")
+	if e.Pending() != 0 {
+		t.Fatalf("stopped ticker left %d live events pending", e.Pending())
 	}
-}
-
-func peekLive(e *Engine) bool {
-	return e.sched.peek() != nil
+	if _, ok := e.NextEventAt(); ok {
+		t.Fatal("stopped ticker left a live event to fire")
+	}
 }
 
 func TestTickerStopExternally(t *testing.T) {

@@ -56,7 +56,8 @@ func TestTimerStopAndRearm(t *testing.T) {
 	if tm.Stop() {
 		t.Fatal("Stop() = true on an idle timer")
 	}
-	// A stopped timer re-arms cleanly: no tombstone remains in the heap.
+	// A stopped timer re-arms cleanly, and Pending leaves the stopped
+	// arming out although its guard waits in the wheel until t=10.
 	if e.Pending() != 0 {
 		t.Fatalf("Pending = %d after Stop, want 0", e.Pending())
 	}
@@ -114,7 +115,7 @@ func TestTimerOrderingMatchesSchedule(t *testing.T) {
 	}
 }
 
-// countAction exercises the pooled-event path.
+// countAction exercises the Action path.
 type countAction struct {
 	e *Engine
 	n int
@@ -205,10 +206,11 @@ func (a *payloadCount) Act() {
 }
 
 // TestSteadyStateSchedulingAllocsNothing pins the PR 2 fast path: once
-// the free list and timers warm up, steady-state event turnover — a
-// ticker firing, a self-rescheduling pooled action and a
-// self-rescheduling payload event — performs zero allocations per
-// event.
+// the scheduler's chunks warm up, steady-state event turnover — a
+// ticker firing, a self-rescheduling action, a self-rescheduling
+// payload event, and a timer stopped and re-armed every window, whose
+// stale guards pile up in the wheel until their time — performs zero
+// allocations per event.
 func TestSteadyStateSchedulingAllocsNothing(t *testing.T) {
 	e := NewEngine(1)
 	ticks := 0
@@ -217,16 +219,27 @@ func TestSteadyStateSchedulingAllocsNothing(t *testing.T) {
 	e.ScheduleAction(1, a)
 	p := &payloadCount{e: e}
 	e.AtPayload(1, p, 0, ^uint64(0))
-	e.RunUntil(100) // warm up the pool
-
-	allocs := testing.AllocsPerRun(100, func() {
+	stopped := 0
+	tm := NewTimer(e, func() { stopped++ })
+	tm.Schedule(70)
+	window := func() {
+		tm.Stop()
+		tm.Schedule(70)
 		e.RunUntil(e.Now() + 50)
-	})
+	}
+	for i := 0; i < 4; i++ {
+		window() // warm up the chunks
+	}
+
+	allocs := testing.AllocsPerRun(100, window)
 	if allocs != 0 {
 		t.Fatalf("steady-state scheduling allocates %.1f per 50-unit window, want 0", allocs)
 	}
 	if ticks == 0 || a.n == 0 || p.n == 0 {
 		t.Fatal("nothing fired")
+	}
+	if stopped != 0 {
+		t.Fatalf("a timer stopped before every firing fired %d times", stopped)
 	}
 	if p.bad != 0 {
 		t.Fatalf("%d of %d payload events read back another payload", p.bad, p.n)
@@ -234,9 +247,9 @@ func TestSteadyStateSchedulingAllocsNothing(t *testing.T) {
 }
 
 func TestPooledEventsDoNotCorruptCancelledHandles(t *testing.T) {
-	// A cancelled public event and pooled actions share the heap; the
-	// handle's Cancel must keep meaning that one logical event even as
-	// pooled events recycle around it.
+	// A cancelled public event and Action events share the scheduler;
+	// the handle's Cancel must keep meaning that one logical event even
+	// as chunks are reused around its guard.
 	e := NewEngine(1)
 	fired := false
 	ev := e.Schedule(50, func() { fired = true })
@@ -246,7 +259,7 @@ func TestPooledEventsDoNotCorruptCancelledHandles(t *testing.T) {
 	ev.Cancel()
 	e.Run()
 	if fired {
-		t.Fatal("cancelled event fired amid pooled-event recycling")
+		t.Fatal("cancelled event fired amid Action events")
 	}
 	if a.n != 40 {
 		t.Fatalf("action fired %d, want 40", a.n)

@@ -2,205 +2,231 @@ package sim
 
 // wheelSched is the two-tier scheduler: a calendar-queue-style bucket
 // wheel for the near future backed by an overflow min-heap for the far
-// future.
+// future. Both tiers hold events by value, as entries.
 //
 // The wheel covers the half-open window [base, base+wheelSpan) of
 // virtual time with one slot per time unit (wheelSpan slots, power of
 // two, indexed by at&wheelMask). Because time is integral and the
-// window equals the slot count, every slot holds events of exactly one
-// timestamp, chained in a doubly-linked FIFO — so (at, seq) ordering
-// degenerates to "append on push, pop from the head", O(1) with no
-// comparisons. Events beyond the window land in the overflow heap and
-// drain into the wheel as the window advances; a drain pops the heap in
-// (at, seq) order into slots that are empty by construction (their
-// previous occupants fired a full revolution ago), and any later push
-// for the same timestamp appends behind the drained events with a
-// larger seq — so the per-slot FIFO is globally seq-ordered and the
-// two-tier structure reproduces the heap's event order bit for bit
-// (pinned by TestSchedulerEquivalence).
+// window equals the slot count, every slot holds entries of exactly one
+// timestamp, in a FIFO of chunks — so (at, seq) ordering degenerates to
+// "append on push, read from the head", O(1) with no comparisons.
+// Entries beyond the window land in the overflow heap and drain into
+// the wheel as the window advances; a drain pops the heap in (at, seq)
+// order into slots that are empty by construction (their previous
+// occupants fired a full revolution ago), and any later push for the
+// same timestamp appends behind the drained entries — so each slot's
+// FIFO is in push order and the two-tier structure reproduces the
+// heap's event order bit for bit (pinned by TestSchedulerEquivalence).
+// All entries of one instant sit in one tier: an instant enters the
+// wheel whole when the horizon passes it, and a rewind evicts it whole.
 //
-// Where each tier wins: the wheel turns the O(log n) heap
-// percolation of every push/pop — dominated by Timer re-arm traffic
-// (service completions, tickers, arrival pumps) and by control-heavy
-// machines keeping thousands of events resident — into pointer
-// appends, at the cost of stepping the cursor over empty slots
-// (cheap: one nil check per unit of virtual time) and of 16 bytes per
-// slot of standing memory. The wheel measured 1.8-3.7x a standing
-// binary heap's events/sec on every perf-ledger case, which is why the
-// heap survives only as the overflow tier.
+// Where each tier wins: the wheel turns the O(log n) heap percolation
+// of every push/pop — dominated by load words, Timer re-arms (service
+// completions, tickers, arrival pumps) and control-heavy machines
+// keeping thousands of events resident — into a 32-byte store into a
+// chunk, at the cost of stepping the cursor over empty slots (cheap:
+// one nil check per unit of virtual time) and of 16 bytes per slot of
+// standing memory plus one chunk per occupied slot. The wheel measured
+// 1.8-3.7x a standing binary heap's events/sec on every perf-ledger
+// case, which is why the heap survives only as the overflow tier.
 const (
 	wheelBits = 11
 	wheelSpan = Time(1) << wheelBits // window width and slot count
 	wheelMask = int(wheelSpan - 1)
 )
 
-// wheelSlot is one bucket: a FIFO chain of events sharing a timestamp.
+// entry is one scheduled event, held by value: the Action firing runs
+// and the two payload words it reads through Engine.Payload. An At
+// handle's or a Timer's event rides as a guard entry (see eventGuard).
+type entry struct {
+	act    Action
+	p0, p1 uint64
+}
+
+// A chunk is chunkBytes: its header and chunkLen entries, padded to
+// the allocator size class it would be rounded up to anyway
+// (TestEntryAndChunkLayout). 512 bytes is the largest pointer-bearing
+// object the Go allocator serves without an 8-byte header (a 2 KB
+// chunk costs 2,304 bytes), and small chunks keep a sparse wheel — a
+// small machine with one or two events per occupied instant, which
+// pays a chunk per instant — within its memory budget.
+const (
+	chunkBytes = 512
+	chunkHead  = 16 // next, r, n
+	chunkLen   = (chunkBytes - chunkHead) / 32
+)
+
+// chunk is one link of a slot's FIFO: entries r..n-1 are pending.
+// Emptied chunks park on the scheduler's spare list, so steady-state
+// scheduling allocates nothing.
+//
+//simlint:pooled
+type chunk struct {
+	e    [chunkLen]entry //simlint:keep each entry's Action is cleared as it is read or evicted
+	next *chunk
+	r, n int32
+	_    [chunkBytes - chunkHead - chunkLen*32]byte
+}
+
+// wheelSlot is one bucket: the chunk FIFO of entries sharing a
+// timestamp.
 type wheelSlot struct {
-	head, tail *Event
+	head, tail *chunk
 }
 
+// wheelSched is the scheduler's state, held by value in the Engine.
+// The cursor is the slot of base, int(base)&wheelMask.
 type wheelSched struct {
-	slots []wheelSlot
-	base  Time // time of the cursor slot; wheel events lie in [base, base+wheelSpan)
-	cur   int  // slot index of base (== int(base)&wheelMask)
-	count int  // events chained in the wheel (cancelled included)
-	over  eventHeap
+	slots *[wheelSpan]wheelSlot
+	base  Time // time of the cursor slot; wheel entries lie in [base, base+wheelSpan)
+	count int  // entries in the wheel, stale guards included
+	// stale counts guards whose event was cancelled, stopped or
+	// re-armed and that are not discarded yet, in either tier; size
+	// leaves them out.
+	stale int
+	seq   uint64 // the next overflow key
+	over  entryHeap
+	spare *chunk // emptied chunks, linked through next
 }
 
-func newWheelSched() *wheelSched {
-	return &wheelSched{slots: make([]wheelSlot, wheelSpan)}
-}
+// size is the number of live entries pending.
+func (w *wheelSched) size() int { return w.count + len(w.over) - w.stale }
 
-func (w *wheelSched) size() int { return w.count + len(w.over) }
-
-func (w *wheelSched) push(ev *Event) {
-	if ev.at < w.base {
+// push schedules act with payload (p0, p1) at time at. It takes the
+// fields one by one: handing a whole entry down by value stalls the
+// store into the chunk on store forwarding.
+func (w *wheelSched) push(at Time, act Action, p0, p1 uint64) {
+	if uint64(at-w.base) >= uint64(wheelSpan) {
+		if at >= w.base {
+			w.over.push(at, w.seq, act, p0, p1)
+			w.seq++
+			return
+		}
 		// Cold path: the cursor settled on a later event's time and a
 		// fresh push targets the gap (possible after RunUntil stops the
 		// clock short of the next event). Rewind the window.
-		w.rewind(ev.at)
+		w.rewind(at)
 	}
-	if ev.at < w.base+wheelSpan {
-		w.chain(ev)
-	} else {
-		w.over.push(ev)
-	}
+	w.append(&w.slots[int(at)&wheelMask], act, p0, p1)
 }
 
-// chain appends the event to its slot's FIFO.
-func (w *wheelSched) chain(ev *Event) {
-	s := &w.slots[int(ev.at)&wheelMask]
-	ev.index = idxWheel
-	ev.next = nil
-	ev.prev = s.tail
-	if s.tail == nil {
-		s.head = ev
-	} else {
-		s.tail.next = ev
+// append adds an entry at the tail of slot s's FIFO.
+func (w *wheelSched) append(s *wheelSlot, act Action, p0, p1 uint64) {
+	c := s.tail
+	if c == nil || c.n == chunkLen {
+		c = w.grow(s)
 	}
-	s.tail = ev
+	en := &c.e[c.n]
+	en.act, en.p0, en.p1 = act, p0, p1
+	c.n++
 	w.count++
 }
 
-// unlink removes a chained event from its slot.
-func (w *wheelSched) unlink(s *wheelSlot, ev *Event) {
-	if ev.prev == nil {
-		s.head = ev.next
+// grow links a chunk from the spare list, or a new one, behind s's
+// tail.
+func (w *wheelSched) grow(s *wheelSlot) *chunk {
+	c := w.spare
+	if c != nil {
+		w.spare = c.next
+		c.next = nil
 	} else {
-		ev.prev.next = ev.next
+		c = new(chunk)
 	}
-	if ev.next == nil {
-		s.tail = ev.prev
+	if s.tail == nil {
+		s.head = c
 	} else {
-		ev.next.prev = ev.prev
+		s.tail.next = c
 	}
-	ev.next, ev.prev = nil, nil
-	ev.index = idxIdle
-	w.count--
+	s.tail = c
+	return c
 }
 
-// drain moves overflow events that now fall inside the window onto
+// advance drops the head entry of slot s, whose head chunk is c,
+// releasing c once it is used up.
+func (w *wheelSched) advance(s *wheelSlot, c *chunk) {
+	c.e[c.r].act = nil
+	c.r++
+	w.count--
+	if c.r == c.n {
+		// A chunk short of full is the tail, so this empties the slot.
+		s.head = c.next
+		if s.head == nil {
+			s.tail = nil
+		}
+		w.release(c)
+	}
+}
+
+// release parks an emptied chunk on the spare list.
+//
+//simlint:free
+func (w *wheelSched) release(c *chunk) {
+	c.r, c.n = 0, 0
+	c.next = w.spare
+	w.spare = c
+}
+
+// drain moves overflow entries that now fall inside the window onto
 // their slots. The heap yields them in (at, seq) order and their slots
-// are still empty of later pushes, so chain order stays seq order.
+// are still empty of later pushes, so FIFO order stays push order.
 func (w *wheelSched) drain() {
 	horizon := w.base + wheelSpan
 	for len(w.over) > 0 && w.over[0].at < horizon {
-		w.chain(w.over.pop())
+		top := &w.over[0]
+		w.append(&w.slots[int(top.at)&wheelMask], top.act, top.p0, top.p1)
+		w.over.pop()
 	}
 }
 
-// seek positions the cursor on the earliest non-empty slot, advancing
-// the window (and draining the overflow) across empty slots, and
-// returns that slot — nil when nothing is pending. When the wheel is
-// empty the window jumps straight to the overflow's earliest timestamp
-// instead of stepping.
+// seek moves the cursor from an empty slot to the earliest non-empty
+// one, advancing the window (and draining the overflow) across empty
+// slots, and returns that slot — nil when nothing is pending. When the
+// wheel is empty the window jumps straight to the overflow's earliest
+// timestamp instead of stepping.
 func (w *wheelSched) seek() *wheelSlot {
 	if w.count == 0 {
 		if len(w.over) == 0 {
 			return nil
 		}
 		w.base = w.over[0].at
-		w.cur = int(w.base) & wheelMask
 		w.drain()
 	}
 	for {
-		if s := &w.slots[w.cur]; s.head != nil {
+		if s := &w.slots[int(w.base)&wheelMask]; s.head != nil {
 			return s
 		}
-		w.cur = (w.cur + 1) & wheelMask
 		w.base++
 		w.drain()
 	}
 }
 
-// rewind moves the window start back to t (t < base), evicting any
-// chained event that the narrower horizon can no longer cover back to
-// the overflow heap. Only reachable when the cursor ran ahead of the
-// clock (seek stops on the next event's time) and a later push targets
-// the gap — never on the fire path, so the O(wheelSpan) sweep is
-// irrelevant to steady-state cost.
+// rewind moves the window start back to t (t < base), evicting the
+// instants the narrower horizon no longer covers, [t+wheelSpan,
+// base+wheelSpan), to the overflow heap. Each instant is evicted whole
+// and in FIFO order under fresh keys, and no overflow entry shares its
+// time, so the heap drains it back in the same order. Only reachable
+// when the cursor ran ahead of the clock (a look-ahead stops on the
+// next live event's time) and a later push targets the gap — never on
+// the fire path — and it visits only the evicted instants' slots.
 func (w *wheelSched) rewind(t Time) {
 	if w.count > 0 {
-		horizon := t + wheelSpan
-		for i := range w.slots {
-			s := &w.slots[i]
-			if s.head == nil || s.head.at < horizon {
-				continue
-			}
-			for ev := s.head; ev != nil; {
-				next := ev.next
-				ev.next, ev.prev = nil, nil
-				w.over.push(ev)
-				w.count--
-				ev = next
+		end := w.base + wheelSpan
+		for at := max(t+wheelSpan, w.base); at < end; at++ {
+			s := &w.slots[int(at)&wheelMask]
+			for c := s.head; c != nil; {
+				for i := c.r; i < c.n; i++ {
+					en := &c.e[i]
+					w.over.push(at, w.seq, en.act, en.p0, en.p1)
+					w.seq++
+					en.act = nil
+					w.count--
+				}
+				next := c.next
+				w.release(c)
+				c = next
 			}
 			s.head, s.tail = nil, nil
 		}
 	}
 	w.base = t
-	w.cur = int(t) & wheelMask
-}
-
-// pop removes and returns the earliest event, or nil if empty.
-// Cancelled events may be returned; the engine skips them.
-func (w *wheelSched) pop() *Event {
-	s := w.seek()
-	if s == nil {
-		return nil
-	}
-	ev := s.head
-	w.unlink(s, ev)
-	return ev
-}
-
-// popPeeked removes ev, the event peek just returned, from the head of
-// the cursor slot, where peek left it — pop without a second seek.
-func (w *wheelSched) popPeeked(ev *Event) {
-	w.unlink(&w.slots[w.cur], ev)
-}
-
-// peek returns the next live event without removing it, discarding any
-// cancelled events encountered at the front.
-func (w *wheelSched) peek() *Event {
-	for {
-		s := w.seek()
-		if s == nil {
-			return nil
-		}
-		ev := s.head
-		if !ev.canceled {
-			return ev
-		}
-		w.unlink(s, ev)
-	}
-}
-
-// remove deletes a scheduled event: an O(1) unlink for a chained event,
-// an O(log n) indexed removal for an overflow event.
-func (w *wheelSched) remove(ev *Event) {
-	if ev.index == idxWheel {
-		w.unlink(&w.slots[int(ev.at)&wheelMask], ev)
-		return
-	}
-	w.over.removeAt(int(ev.index))
 }
