@@ -10,6 +10,7 @@ package cwnsim_test
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"cwnsim/internal/experiments"
@@ -41,10 +42,10 @@ func benchSpecs(b *testing.B, specs []experiments.RunSpec) {
 // OS-backed heap (HeapSys - HeapReleased) as peak-heap-MiB. The two
 // million-PE cases fail at 2 GiB: the arena + struct-of-arrays layout
 // and implicit topologies exist to keep a 10^6-PE machine, with or
-// without the sharded fault stack, inside that budget. The reading is
-// the process's heap high-water, not a per-case delta, so select one
-// case (-bench Scale/NAME) to read it alone, and add -memprofile to see
-// where its bytes go.
+// without the sharded fault stack, inside that budget. Each case
+// starts by collecting the garbage and returning the freed heap to the
+// operating system, so its reading is its own heap, not one an earlier
+// case left behind; add -memprofile to see where its bytes go.
 func BenchmarkScale(b *testing.B) {
 	const peakBudget = 2 << 30
 	for _, c := range []struct {
@@ -109,6 +110,8 @@ func BenchmarkScale(b *testing.B) {
 		},
 	} {
 		b.Run(c.name, func(b *testing.B) {
+			runtime.GC()
+			debug.FreeOSMemory()
 			c.spec.Topo.Build()
 			c.spec.Workload.Build()
 			b.ReportAllocs()

@@ -37,6 +37,7 @@ var specProbes = []struct {
 	{"negative retry limit", `"retryLimit": -1`, "RetryLimit must be non-negative"},
 	{"negative shards", `"shards": -2`, "Shards must be non-negative"},
 	{"link between non-neighbors", `"scenario": "droplink:a=0:b=5@t=50"`, "PEs 0 and 5 share no channel"},
+	{"failures leaving no PE live", `"scenario": "fail:pes=50%@t=10,fail:pes=0+1+2+3+4+5+6+7@t=20"`, "fail:pes=0+1+2+3+4+5+6+7@t=20 fails the last live PE"},
 	{"sharded ideal", `"strategy": {"kind": "ideal"}, "shards": 2`, "cannot run sharded"},
 	{"4.9 billion PEs", `"topo": {"kind": "torus", "rows": 70000, "cols": 70000}`, "at most 1073741824 PEs"},
 }
@@ -166,6 +167,12 @@ func FuzzLoadSpecs(f *testing.F) {
 	f.Add([]byte(`{"runs": [{"topo": {"kind": "torus", "rows": 6, "cols": 6}, "workload": {"kind": "fib", "m": 9},
 		"strategy": {"kind": "cwn", "radius": 4, "horizon": 1}, "shards": 4, "arrival": {"kind": "interval", "gap": 150, "jobs": 20},
 		"scenario": "droplink:a=14:b=20@t=300,restorelink:a=14:b=20@t=1500,fail:pes=3@t=400,recover@t=900"}]}`))
+	// Two fails that together leave no PE live are refused; with a
+	// recover between them, the run goes ahead.
+	for _, script := range []string{"fail:pes=0@t=10,fail:pes=1@t=20", "fail:pes=0@t=10,recover@t=15,fail:pes=1@t=20"} {
+		f.Add([]byte(`{"runs": [{"topo": {"kind": "grid", "rows": 1, "cols": 2}, "workload": {"kind": "fib", "m": 5},
+		"strategy": {"kind": "cwn", "radius": 9, "horizon": 2}, "scenario": "` + script + `"}]}`))
+	}
 	// One file per fuzzing process: its inputs run one at a time.
 	path := filepath.Join(f.TempDir(), "spec.json")
 	f.Fuzz(func(t *testing.T, blob []byte) {

@@ -164,19 +164,11 @@ type wireMsg struct {
 	sentLoad int32
 }
 
-// newMsg pops a message from the free list (or allocates the pool's
-// next entry) with the common fields set: the hop goes out on channel
-// ci.
+// newMsg takes a message from the pool with the common fields set: the
+// hop goes out on channel ci.
 func (m *Machine) newMsg(kind wireKind, ci, from int, sentLoad int) *wireMsg {
-	var w *wireMsg
-	if n := len(m.msgFree); n > 0 {
-		w = m.msgFree[n-1]
-		m.msgFree[n-1] = nil
-		m.msgFree = m.msgFree[:n-1]
-	} else {
-		w = m.msgArena.alloc()
-	}
-	w.m = m // arena-carved messages start zero
+	w := m.msgs.get()
+	w.m = m // carved messages start zero
 	w.kind = kind
 	w.ci = int32(ci)
 	w.from = from
@@ -191,7 +183,7 @@ func (m *Machine) freeMsg(w *wireMsg) {
 	w.goal = nil
 	w.payload = nil
 	w.resp = response{}
-	m.msgFree = append(m.msgFree, w)
+	m.msgs.put(w)
 }
 
 // Act delivers the message. It copies what it needs, recycles itself,
@@ -207,9 +199,7 @@ func (w *wireMsg) Act() {
 	case wireGoal:
 		m.goalsInTransit--
 		rcv := m.pes[to]
-		if m.cfg.PiggybackLoad {
-			m.recordLoad(m.hopSlot(ci, from, to), sentLoad)
-		}
+		m.recordLoad(m.hopSlot(ci, from, to), sentLoad)
 		if m.lossy && g.epoch != g.job.epoch {
 			m.stats.GoalsLost++ // its attempt died in a crash mid-flight
 			m.freeGoal(g)
@@ -222,9 +212,7 @@ func (w *wireMsg) Act() {
 		rcv.node.HandleEvent(Event{Kind: GoalArrived, Goal: g, From: from})
 	case wireGoalRoute:
 		m.goalsInTransit--
-		if m.cfg.PiggybackLoad {
-			m.recordLoad(m.hopSlot(ci, from, to), sentLoad)
-		}
+		m.recordLoad(m.hopSlot(ci, from, to), sentLoad)
 		if m.lossy && g.epoch != g.job.epoch {
 			m.stats.GoalsLost++
 			m.freeGoal(g)
@@ -241,15 +229,11 @@ func (w *wireMsg) Act() {
 		m.routeGoal(to, dst, g)
 	case wireResp:
 		m.respsInTransit--
-		if m.cfg.PiggybackLoad {
-			m.recordLoad(m.hopSlot(ci, from, to), sentLoad)
-		}
+		m.recordLoad(m.hopSlot(ci, from, to), sentLoad)
 		m.routeResponse(to, resp)
 	case wireCtrl:
 		rcv := m.pes[to]
-		if m.cfg.PiggybackLoad {
-			m.recordLoad(m.hopSlot(ci, from, to), sentLoad)
-		}
+		m.recordLoad(m.hopSlot(ci, from, to), sentLoad)
 		rcv.node.HandleEvent(Event{Kind: Control, From: from, Payload: payload})
 	// Broadcast deliveries walk the channel's full member list; on a
 	// sharded machine only this shard's members exist in m.pes and own

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"cwnsim/internal/scenario"
 	"cwnsim/internal/sim"
@@ -39,8 +41,8 @@ func (m LoadMetric) String() string {
 // are in abstract simulation units, as in the paper. Use DefaultConfig
 // and override fields as needed.
 type Config struct {
-	// Seed drives every random choice in the run (tie-breaks, ticker
-	// phases). Equal seeds give identical runs.
+	// Seed drives every random choice in the run (tie-breaks, periodic
+	// process phases). Equal seeds give identical runs.
 	Seed int64
 
 	// GrainTime is the PE service time to execute one goal body
@@ -60,22 +62,24 @@ type Config struct {
 	CtrlHopTime sim.Time
 
 	// LoadInterval is the period of each PE's load-information broadcast
-	// to its neighbors; <= 0 disables periodic broadcasts (piggybacking
-	// may still propagate loads).
+	// to its neighbors; <= 0 disables periodic broadcasts. Every message
+	// also carries its sender's current load, updating the receiver's
+	// view on delivery (the paper's piggybacking), so loads still
+	// propagate with it off. Like every periodic process, each PE's
+	// broadcast starts at a phase drawn uniformly from its first period,
+	// so the PEs' asynchronous processes do not fire in lockstep.
 	LoadInterval sim.Time
-	// PiggybackLoad stamps the sender's current load on every message,
-	// updating the receiver's view on delivery — the paper's
-	// optimization.
-	PiggybackLoad bool
 	// LoadMetric selects the advertised load definition.
 	LoadMetric LoadMetric
 
 	// SampleInterval is the utilization time-series sampling period
 	// (plots 11-16); <= 0 disables sampling. Every shard samples its
 	// own PE block at the same globally synchronized instants (the
-	// observer ticker's phase derives from the plain run seed, identical
-	// on every shard), and the coordinator folds the per-shard partial
-	// sums into one machine-wide series.
+	// sampler's phase draws from a salted stream of the plain run seed,
+	// identical on every shard and apart from the engine stream, so
+	// monitoring cannot perturb the simulated result), and the
+	// coordinator folds the per-shard partial sums into one
+	// machine-wide series.
 	SampleInterval sim.Time
 	// MonitorPE additionally records every PE's utilization at each
 	// sample — ORACLE's load-distribution monitor (requires
@@ -106,14 +110,6 @@ type Config struct {
 	// this instant. 0 (the default) disables the exclusion and adds no
 	// events to the run.
 	Warmup sim.Time
-
-	// StaggerTicks randomizes each periodic process's phase within its
-	// first period, so the PEs' asynchronous processes do not fire in
-	// lockstep. Simulation processes draw phases from the run's seeded
-	// engine stream; observer processes (the utilization sampler) draw
-	// from a dedicated salted stream so monitoring cannot perturb the
-	// simulated result.
-	StaggerTicks bool
 
 	// SojournBound caps the run's per-job memory. Beyond the cap the
 	// sojourn samples collapse into a bounded-memory streaming
@@ -160,7 +156,9 @@ type Config struct {
 	// coordinator lands a window barrier on each op's exact scripted
 	// instant, applying it there — before that instant's machine events
 	// — and routing it to the shards owning the affected PEs and
-	// channels (see machine doc.go, "Sharded execution").
+	// channels (see machine doc.go, "Sharded execution"). Validate
+	// refuses a script whose failures, taken in firing order up to
+	// MaxTime, would leave no PE live.
 	Scenario *scenario.Script
 
 	// RetryLimit bounds how many times a crash-aborted job is retried
@@ -208,7 +206,7 @@ type Config struct {
 // DefaultConfig returns the parameters used for the paper reproduction:
 // grain 10, combine 5, goal/response hop 2, control hop 1, load and
 // gradient intervals 20 (the paper's "fairly low" 20 units against total
-// execution times of 1000-23000), piggybacking on.
+// execution times of 1000-23000).
 func DefaultConfig() Config {
 	return Config{
 		Seed:           1,
@@ -218,12 +216,10 @@ func DefaultConfig() Config {
 		RespHopTime:    2,
 		CtrlHopTime:    1,
 		LoadInterval:   20,
-		PiggybackLoad:  true,
 		LoadMetric:     LoadQueue,
 		SampleInterval: 0,
 		RootPE:         0,
 		MaxTime:        2_000_000,
-		StaggerTicks:   true,
 	}
 }
 
@@ -269,6 +265,9 @@ func (c Config) Validate(numPEs int) error {
 	if err := c.Scenario.Validate(numPEs); err != nil {
 		return err
 	}
+	if err := c.validateLive(numPEs); err != nil {
+		return err
+	}
 	switch {
 	case c.RetryLimit < 0:
 		return errors.New("machine: RetryLimit must be non-negative")
@@ -286,6 +285,76 @@ func (c Config) Validate(numPEs int) error {
 		return errors.New("machine: Shards must be non-negative")
 	}
 	return nil
+}
+
+// validateLive refuses a script whose failures, in firing order, leave
+// no PE live — the machine panics when a fail or crash strikes its last
+// live PE. It walks the failure events of the script expanded for the
+// run (numPEs PEs up to MaxTime) by the machine's rules: striking a
+// down PE does nothing, a recover with no targets revives every PE, and
+// an event past MaxTime never applies. A lone chaos generator is not
+// expanded, as it never strikes the last live PEs itself.
+func (c Config) validateLive(numPEs int) error {
+	if c.Scenario.Empty() {
+		return nil
+	}
+	var evs []scenario.Event
+	strikes, chaos := 0, 0
+	for _, e := range c.Scenario.Events {
+		switch e.Kind {
+		case scenario.FailPE, scenario.CrashPE:
+			strikes++
+		case scenario.Chaos:
+			chaos++
+		case scenario.RecoverPE:
+		default:
+			continue
+		}
+		evs = append(evs, e)
+	}
+	if strikes == 0 && chaos < 2 {
+		return nil
+	}
+	var down flips
+	for _, e := range (&scenario.Script{Events: evs}).Expand(numPEs, c.MaxTime).Sorted() {
+		if e.At > c.MaxTime {
+			break
+		}
+		fails := e.Kind != scenario.RecoverPE
+		switch {
+		case e.PEs != nil:
+			for _, pe := range e.PEs {
+				down.set(pe, pe+1, fails)
+			}
+		case e.Frac > 0:
+			down.set(numPEs-e.FracCount(numPEs), numPEs, fails)
+		default: // recover every PE
+			down = nil
+		}
+		if len(down) == 2 && down[1]-down[0] == numPEs {
+			return fmt.Errorf("machine: scenario event %s fails the last live PE — the machine needs at least one", e)
+		}
+	}
+	return nil
+}
+
+// flips is a set of PE indices held as the sorted points where
+// membership flips: PE x is in the set when an odd number of points
+// are <= x. A fraction's targets cost two points however many PEs they
+// are, so the set grows with the script, not the machine.
+type flips []int
+
+// set puts [lo, hi) in the set, or takes it out.
+func (f *flips) set(lo, hi int, in bool) {
+	i, j := sort.SearchInts(*f, lo), sort.SearchInts(*f, hi+1)
+	var edges []int
+	if (i%2 == 1) != in { // membership just below lo
+		edges = append(edges, lo)
+	}
+	if (j%2 == 1) != in { // membership from hi on
+		edges = append(edges, hi)
+	}
+	*f = slices.Replace(*f, i, j, edges...)
 }
 
 // ValidateLinks reports a scripted link op (degradelink, droplink,

@@ -105,30 +105,22 @@ func TestCrashVersusFail(t *testing.T) {
 	}
 }
 
-// TestCrashingEveryPERejected pins both guards: a single all-PE crash
-// is rejected at validation, and cumulative whole-machine crashes panic
-// at apply time.
+// TestCrashingEveryPERejected pins the same guard for crashes: a single
+// all-PE crash and crashes that together leave no PE live are both
+// refused at construction.
 func TestCrashingEveryPERejected(t *testing.T) {
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("constructing a machine with an all-PE crash did not panic")
-			}
+	for _, script := range []string{"crash:pes=100%@t=10", "crash:pes=0@t=10,crash:pes=1@t=20"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("constructing a machine with %q did not panic", script)
+				}
+			}()
+			cfg := DefaultConfig()
+			cfg.Scenario = scenario.MustParse(script)
+			New(topology.NewGrid(1, 2), workload.NewChain(50), keepLocal{}, cfg)
 		}()
-		cfg := DefaultConfig()
-		cfg.Scenario = scenario.MustParse("crash:pes=100%@t=10")
-		New(topology.NewGrid(1, 2), workload.NewChain(50), keepLocal{}, cfg)
-	}()
-
-	cfg := DefaultConfig()
-	cfg.Scenario = scenario.MustParse("crash:pes=0@t=10,crash:pes=1@t=20")
-	m := New(topology.NewGrid(1, 2), workload.NewChain(50), keepLocal{}, cfg)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("cumulatively crashing every PE did not panic")
-		}
-	}()
-	m.Run()
+	}
 }
 
 // TestCrashDeterministicPerSeed runs the same crash scenario twice and

@@ -42,8 +42,10 @@
 //
 // A Strategy is a name and a per-PE node factory: it supplies one
 // NodeStrategy per PE, which may register periodic processes
-// (Machine.NewTicker), and the machine drives each node through a typed
-// event stream (NodeStrategy.HandleEvent): GoalCreated asks for a
+// (Machine.NewTicker: a callback and a period, run as one
+// self-re-arming payload event, like every PE's load tick and the
+// utilization sampler), and the machine drives each node through a
+// typed event stream (NodeStrategy.HandleEvent): GoalCreated asks for a
 // placement decision, GoalArrived delivers a goal message, Control
 // delivers strategy control payloads. Scenario runs add
 // PEFailed/PERecovered, which ride the failing PE's immediate
@@ -58,8 +60,7 @@
 // the paper's measure — optionally augmented with the count of tasks
 // awaiting responses (the "future commitments" refinement from the
 // paper's conclusions). Load information travels to neighbors through
-// periodic short broadcasts and, optionally, piggybacked on every
-// regular message.
+// periodic short broadcasts and piggybacked on every regular message.
 //
 // # Dynamic environments
 //
@@ -139,12 +140,14 @@
 // digests count it. The broadcast itself is driven the same way: each
 // owned PE's load process is one payload event carrying the PE's block
 // index, whose one shared Action (loadTick) broadcasts and then re-arms
-// the event LoadInterval later, the order a sim.Ticker fires and
-// re-arms in, so each tick keeps a ticker's (time, seq) position with
-// no ticker, timer or closure per PE. Where a word waits it waits by
-// value: in a downed channel's held list until the link comes back, or
-// in the outbox to another shard, whose drain looks the row up on the
-// receiving shard's own table. Environment and control broadcasts and
+// the event LoadInterval later, with no timer or closure per PE. Every
+// other periodic process — a strategy's (Machine.NewTicker) or the
+// utilization sampler — is a payload event of a second shared Action
+// (procTick), carrying the callback's slot in a per-machine table and
+// the period; it runs the callback, then re-arms, loadTick's order.
+// Where a word waits it waits by value: in a downed channel's held list
+// until the link comes back, or in the outbox to another shard, whose
+// drain looks the row up on the receiving shard's own table. Environment and control broadcasts and
 // point-to-point hops stay wire messages: a wire message carries its
 // channel's global ID, which each shard resolves to its own channel
 // copy (chanAt), so a message handed across shards reads the receiving
@@ -175,19 +178,20 @@
 // slice (chans []chanState) that never grows, so interior *chanState
 // pointers stay valid for the life of the run.
 //
-// Arena chunks. Free-list misses for goals, wire messages, pending
-// tasks and job states (machine.go) carve from chunked arenas (chunks
-// doubling up to arenaChunk objects) instead of allocating singletons,
-// and the engine (internal/sim) stores events by value in reused
-// 512-byte chunks: the retained working set is a few contiguous blocks the
-// garbage collector marks cheaply, and a carved object is a zero value
-// exactly like the allocation it replaces, so results are unaffected.
-// Nothing survives a run: free lists and arenas are the machine's own,
-// so a sweep worker's heap returns to the garbage collector between
-// runs instead of retaining the previous run's working set.
-// Per-PE service timers embed by value (sim.Timer.Init) in the PE
-// block for the same reason, and the per-PE load processes are payload
-// events, with no per-PE object at all.
+// Pooled chunks. Goals, wire messages, pending tasks and job states
+// come from one generic pool per type (pool, machine.go): a freed
+// object is reused last-in first-out, and a miss carves the next
+// object from a chunk (chunks doubling up to poolChunk objects) instead
+// of allocating a singleton, and the engine (internal/sim) stores
+// events by value in reused 512-byte chunks: the retained working set
+// is a few contiguous blocks the garbage collector marks cheaply, and
+// a carved object is a zero value exactly like the allocation it
+// replaces, so results are unaffected. Nothing survives a run: the
+// pools are the machine's own, so a sweep worker's heap returns to the
+// garbage collector between runs instead of retaining the previous
+// run's working set. Per-PE service timers embed by value
+// (sim.Timer.Init) in the PE block for the same reason, and the
+// periodic processes are payload events, with no per-PE object at all.
 //
 // Implicit topologies. Spec-built grids, tori and hypercubes
 // (experiments TopoSpec.Build) use the computed-neighbor topology form
@@ -269,7 +273,7 @@
 // heterogeneous speeds, bounded series and the ideal strategy.
 //
 // Observability uses per-shard capture and a deterministic merge.
-// Every shard's observer ticker draws its phase from the plain run
+// Every shard's sampler draws its phase from the plain run
 // seed, so sample instants are globally synchronized; each shard
 // records raw partials for its own PE block (busy-time deltas,
 // queue-length sums and sums of squares, monitor frames, the window's

@@ -82,6 +82,13 @@ type Machine struct {
 	// ticks is the Action of every owned PE's periodic load broadcast:
 	// one value, each event's payload naming its PE (see loadTick).
 	ticks loadTick
+	// procs is the Action of every other periodic process — strategy
+	// processes (NewTicker) and the utilization sampler — and holds
+	// their callbacks; each event's payload names its callback and
+	// period (see procTick).
+	procs procTick
+	// arrivals is the Action of the armed next arrival (see pump).
+	arrivals arrival
 
 	// chScratch is the reusable candidate buffer for per-hop channel
 	// selection (AppendChannelsBetween): implicit topologies compute the
@@ -101,7 +108,6 @@ type Machine struct {
 	finishedAt sim.Time
 	result     int64
 
-	arrival  *sim.Timer     // reusable next-arrival event
 	nextTree *workload.Tree // the tree the armed arrival injects
 	rateMul  float64        // scenario LoadShock multiplier on the offered rate (1 = nominal)
 
@@ -145,26 +151,13 @@ type Machine struct {
 	// winSoj.
 	injSoj [][]float64
 
-	// Free lists: the hot path recycles wire messages, goals, pending
-	// tasks and job states instead of allocating per message/goal. The
-	// lists are slice stacks, not linked lists: the garbage collector
-	// scans one contiguous pointer array per list instead of chasing a
-	// nextFree chain through the retained working set.
-	msgFree     []*wireMsg
-	goalFree    []*Goal
-	pendingFree []*pendingTask
-	jobFree     []*jobState
-
-	// Arenas: free-list misses carve objects out of chunks instead of
-	// allocating singletons, so the run's working set of goals,
-	// messages, pending tasks and job states occupies a few contiguous
-	// blocks. A carved object is a zero value, exactly like the
-	// singleton allocation it replaces — results are unaffected, only
-	// the layout and allocation count change.
-	goalArena arena[Goal]
-	msgArena  arena[wireMsg]
-	pendArena arena[pendingTask]
-	jobArena  arena[jobState]
+	// The hot path recycles wire messages, goals, pending tasks and job
+	// states through these pools instead of allocating per message or
+	// goal (see pool).
+	msgs  pool[wireMsg]
+	goals pool[Goal]
+	pends pool[pendingTask]
+	jobs  pool[jobState]
 
 	prevBusySample sim.Time
 	prevSampleAt   sim.Time
@@ -288,11 +281,12 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 	}
 	m.words.m = m
 	m.ticks.m = m
+	m.procs.m = m
+	m.arrivals.m = m
 	if shard == grp.home {
 		// Only the shard owning RootPE pulls from the source.
 		m.srcRng = newSourceRng(cfg.Seed)
 	}
-	m.arrival = sim.NewTimer(m.eng, m.arrive)
 	m.stats = newStats(topo, source.Name(), strat.Name())
 	if cfg.SojournBound > 0 {
 		m.stats.Sojourn.Bound(cfg.SojournBound)
@@ -437,9 +431,9 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 	// CWN relies on; strategies may layer their own control traffic).
 	// Each owned PE's load process is one payload event naming the PE,
 	// with nothing allocated per PE. It is armed here in PE order, with
-	// the same stagger draw per PE a Machine.NewTicker would make, and
-	// re-arms itself after each broadcast (loadTick.Act), so every tick
-	// keeps the (time, seq) position a ticker's firing would have.
+	// the same stagger draw per PE a Machine.NewTicker makes, and
+	// re-arms itself after each broadcast (loadTick.Act), the order
+	// procTick fires and re-arms in.
 	if cfg.LoadInterval > 0 {
 		for lx := range m.peBlock {
 			m.eng.AtPayload(m.eng.Now()+m.tickerPhase(cfg.LoadInterval), &m.ticks, uint64(lx), 0)
@@ -578,24 +572,37 @@ func (m *Machine) jobsInFlight() int64 {
 // delivered its root response and the source was exhausted.
 func (m *Machine) Completed() bool { return m.grp.completed }
 
-// NewTicker registers a periodic process belonging to the simulated
-// system (load broadcasts, strategy control processes). When
-// StaggerTicks is set the phase is drawn uniformly from the first period
-// — per registration, from the run's seeded engine stream, because these
-// processes ARE part of the simulation. Measurement processes must use
-// the observer stream instead (see newObserverTicker) so that turning
-// monitoring on or off cannot change the simulated result.
-func (m *Machine) NewTicker(period sim.Time, fn func()) *sim.Ticker {
-	return sim.NewTicker(m.eng, period, m.tickerPhase(period), fn)
+// NewTicker registers fn as a periodic process belonging to the
+// simulated system (a strategy's control process), firing every period
+// units; a non-positive period panics. Its phase is drawn uniformly
+// from the first period, per registration, from the run's seeded
+// engine stream, because these processes ARE part of the simulation.
+// Measurement processes draw theirs from the observer stream instead
+// (see newObserverTicker), so that turning monitoring on or off cannot
+// change the simulated result.
+func (m *Machine) NewTicker(period sim.Time, fn func()) {
+	m.every(period, m.tickerPhase(period), fn)
 }
 
 // tickerPhase draws a simulated process's stagger phase from the run's
-// seeded engine stream (zero when staggering is off or moot).
+// seeded engine stream (zero when the period leaves no choice).
 func (m *Machine) tickerPhase(period sim.Time) sim.Time {
-	if m.cfg.StaggerTicks && period > 1 {
+	if period > 1 {
 		return sim.Time(m.eng.Rng().Int63n(int64(period)))
 	}
 	return 0
+}
+
+// every registers fn as a periodic process of the given period, first
+// firing phase units from now: one payload event naming fn's slot in
+// the process table and the period, which procTick re-arms after every
+// firing, so a process allocates nothing per firing.
+func (m *Machine) every(period, phase sim.Time, fn func()) {
+	if period <= 0 {
+		panic("machine: periodic process with non-positive period")
+	}
+	m.procs.fns = append(m.procs.fns, fn)
+	m.eng.AtPayload(m.eng.Now()+phase, &m.procs, uint64(len(m.procs.fns)-1), uint64(period))
 }
 
 // maxScaled caps a duration scaled by a float factor (a Poisson draw, a
@@ -627,58 +634,75 @@ func scaledUnits(x float64) sim.Time {
 // draws: the observer must not perturb the observed.
 //
 //simlint:observer
-func (m *Machine) newObserverTicker(period sim.Time, fn func()) *sim.Ticker {
+func (m *Machine) newObserverTicker(period sim.Time, fn func()) {
 	var phase sim.Time
-	if m.cfg.StaggerTicks && period > 1 {
-		if m.obsRng == nil {
-			m.obsRng = newObserverRng(m.cfg.Seed)
-		}
+	if period > 1 {
+		m.obsRng = newObserverRng(m.cfg.Seed)
 		phase = sim.Time(m.obsRng.Int63n(int64(period)))
 	}
-	return sim.NewTicker(m.eng, period, phase, fn)
+	m.every(period, phase, fn)
 }
 
-// arenaMinChunk and arenaChunk bound an arena's chunk size: the first
-// chunk holds arenaMinChunk objects and each next one twice the last, up
-// to arenaChunk. A short run — one job of the paper's sweep needs a few
+// poolMinChunk and poolChunk bound a pool's chunk size: the first
+// chunk holds poolMinChunk objects and each next one twice the last, up
+// to poolChunk. A short run — one job of the paper's sweep needs a few
 // hundred goals and a single job state — allocates about what it uses,
-// while a saturated large machine fills arenaChunk-sized contiguous
+// while a saturated large machine fills poolChunk-sized contiguous
 // blocks back to back.
 const (
-	arenaMinChunk = 16
-	arenaChunk    = 1024
+	poolMinChunk = 16
+	poolChunk    = 1024
 )
 
-// arena carves zero-valued T objects out of chunks; see arenaChunk.
-type arena[T any] struct {
+// pool recycles T objects. put parks a freed object on a slice stack,
+// and get pops the most recently freed one (LIFO) or, when none is
+// parked, carves the next zero-valued object out of the current chunk,
+// so the run's working set occupies a few contiguous blocks instead of
+// a scatter of singletons. The stack is a slice, not a linked list:
+// the garbage collector scans one contiguous pointer array instead of
+// chasing a chain through the retained working set. Clearing a freed
+// object's references is the caller's job (the //simlint:free
+// functions).
+type pool[T any] struct {
+	free []*T
 	tail []T // the current chunk's uncarved objects
 	size int // the current chunk's length
 }
 
-// alloc returns the next zero-valued object, starting a new chunk when
-// the current one is used up.
-func (a *arena[T]) alloc() *T {
-	if len(a.tail) == 0 {
-		a.size = min(max(2*a.size, arenaMinChunk), arenaChunk)
-		a.tail = make([]T, a.size)
+// get returns the most recently freed object, or a zero-valued one.
+// The popped stack slot is left as it is: the object it names is in
+// use, and the next put overwrites it. Clearing it would push get past
+// the inliner's budget, and every message and goal would pay a call.
+func (p *pool[T]) get() *T {
+	n := len(p.free) - 1
+	if n < 0 {
+		return p.carve()
 	}
-	p := &a.tail[0]
-	a.tail = a.tail[1:]
-	return p
+	x := p.free[n]
+	p.free = p.free[:n]
+	return x
 }
+
+// carve returns the next zero-valued object, starting a new chunk when
+// the current one is used up.
+func (p *pool[T]) carve() *T {
+	if len(p.tail) == 0 {
+		p.size = min(max(2*p.size, poolMinChunk), poolChunk)
+		p.tail = make([]T, p.size)
+	}
+	x := &p.tail[0]
+	p.tail = p.tail[1:]
+	return x
+}
+
+// put parks a freed object for reuse.
+func (p *pool[T]) put(x *T) { p.free = append(p.free, x) }
 
 // newGoal mints a goal for task belonging to job j, created on PE
 // origin for parent goal parentID living on parentPE. Goal objects come
 // from the machine's pool; see freeGoal.
 func (m *Machine) newGoal(task *workload.Task, j *jobState, parentPE int, parentID int64) *Goal {
-	var g *Goal
-	if n := len(m.goalFree); n > 0 {
-		g = m.goalFree[n-1]
-		m.goalFree[n-1] = nil
-		m.goalFree = m.goalFree[:n-1]
-	} else {
-		g = m.goalArena.alloc()
-	}
+	g := m.goals.get()
 	*g = Goal{
 		ID:        m.nextGoalID,
 		Task:      task,
@@ -703,20 +727,13 @@ func (m *Machine) newGoal(task *workload.Task, j *jobState, parentPE int, parent
 func (m *Machine) freeGoal(g *Goal) {
 	g.Task = nil
 	g.job = nil
-	m.goalFree = append(m.goalFree, g)
+	m.goals.put(g)
 }
 
 // newPending allocates (or recycles) the pending-task record for a goal
 // awaiting kids child responses.
 func (m *Machine) newPending(g *Goal, kids int) *pendingTask {
-	var p *pendingTask
-	if n := len(m.pendingFree); n > 0 {
-		p = m.pendingFree[n-1]
-		m.pendingFree[n-1] = nil
-		m.pendingFree = m.pendingFree[:n-1]
-	} else {
-		p = m.pendArena.alloc()
-	}
+	p := m.pends.get()
 	p.goal = g
 	p.remaining = kids
 	if cap(p.vals) < kids {
@@ -733,7 +750,7 @@ func (m *Machine) newPending(g *Goal, kids int) *pendingTask {
 func (m *Machine) freePending(p *pendingTask) {
 	p.goal = nil
 	p.vals = p.vals[:0]
-	m.pendingFree = append(m.pendingFree, p)
+	m.pends.put(p)
 }
 
 // loadTick is the one Action behind every owned PE's periodic load
@@ -741,13 +758,31 @@ func (m *Machine) freePending(p *pendingTask) {
 type loadTick struct{ m *Machine }
 
 // Act broadcasts the PE's load, then arms the PE's next tick
-// LoadInterval later: the order sim.Ticker fires and re-arms in, so
-// the next tick's seq follows the load words this one sent.
+// LoadInterval later, so the next tick's seq follows the load words
+// this one sent.
 func (d *loadTick) Act() {
 	m := d.m
 	lx, _ := m.eng.Payload()
 	m.broadcastLoad(&m.peBlock[lx])
 	m.eng.AtPayload(m.eng.Now()+m.cfg.LoadInterval, d, lx, 0)
+}
+
+// procTick is the one Action behind every periodic process registered
+// through every; each event's payload is the process's slot in fns and
+// its period.
+type procTick struct {
+	m   *Machine
+	fns []func()
+}
+
+// Act runs the process's callback, then arms its next firing one
+// period later, so the next firing's seq follows whatever the callback
+// scheduled — loadTick's order.
+func (d *procTick) Act() {
+	m := d.m
+	i, period := m.eng.Payload()
+	d.fns[i]()
+	m.eng.AtPayload(m.eng.Now()+sim.Time(period), d, i, period)
 }
 
 // broadcastLoad sends this PE's current load to all neighbors: one load
@@ -1012,8 +1047,8 @@ func (m *Machine) Run() *Stats {
 // pump pulls arrivals from the source: jobs due now are injected
 // immediately (so the first arrival and burst-mates cost no extra
 // engine events — single-job runs replay the paper's exact event
-// sequence), and the next future arrival is armed on the machine's
-// reusable arrival timer, re-entering pump when it fires.
+// sequence), and the next future arrival is armed as one event of the
+// machine's arrival Action, re-entering pump when it fires.
 func (m *Machine) pump() {
 	for {
 		delay, tree, ok := m.source.Next(m.srcRng)
@@ -1040,14 +1075,18 @@ func (m *Machine) pump() {
 			continue
 		}
 		m.nextTree = tree
-		m.arrival.Schedule(delay)
+		m.eng.ScheduleAction(delay, &m.arrivals)
 		return
 	}
 }
 
-// arrive fires when the armed arrival is due: inject it and pull the
-// next one.
-func (m *Machine) arrive() {
+// arrival is the Action of the machine's armed next arrival: one
+// value, pushed again for every future arrival the source draws.
+type arrival struct{ m *Machine }
+
+// Act injects the armed arrival and pulls the next one.
+func (a *arrival) Act() {
+	m := a.m
 	tree := m.nextTree
 	m.nextTree = nil
 	m.inject(tree)
@@ -1058,14 +1097,7 @@ func (m *Machine) arrive() {
 // outside world: it is accepted at RootPE directly rather than placed
 // by the strategy, so competing strategies start from identical state.
 func (m *Machine) inject(tree *workload.Tree) {
-	var j *jobState
-	if n := len(m.jobFree); n > 0 {
-		j = m.jobFree[n-1]
-		m.jobFree[n-1] = nil
-		m.jobFree = m.jobFree[:n-1]
-	} else {
-		j = m.jobArena.alloc()
-	}
+	j := m.jobs.get()
 	// The epoch survives the wipe, bumped: goals of the struct's
 	// previous occupant (possible only on lossy runs) stay stale.
 	ep := j.epoch
@@ -1113,7 +1145,7 @@ func (m *Machine) injectRoot(j *jobState) {
 //simlint:free
 func (m *Machine) freeJob(j *jobState) {
 	j.tree = nil
-	m.jobFree = append(m.jobFree, j)
+	m.jobs.put(j)
 }
 
 // finalize commits the shard's own per-PE and per-channel accounting

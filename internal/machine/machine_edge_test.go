@@ -82,7 +82,6 @@ func TestLoadInfoStaleness(t *testing.T) {
 	tree := workload.NewFib(10)
 	topo := topology.NewGrid(2, 2)
 	cfg := machine.DefaultConfig()
-	cfg.PiggybackLoad = false
 	cfg.LoadInterval = 20
 	m := machine.New(topo, tree, core.NewLocal(), cfg)
 	pe := m.PE(1)

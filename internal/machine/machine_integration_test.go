@@ -237,14 +237,13 @@ func TestChainHasNoParallelism(t *testing.T) {
 	}
 }
 
-func TestNoLoadInfoStillCompletes(t *testing.T) {
-	// With periodic broadcasts and piggybacking both off, CWN sees all
-	// neighbor loads as 0 and effectively random-walks to the horizon —
-	// it must still complete correctly.
+func TestNoLoadBroadcastsStillCompletes(t *testing.T) {
+	// With periodic broadcasts off, CWN hears neighbor loads only as
+	// the loads piggybacked on goal and response messages — it must
+	// still complete correctly, and no load word goes out.
 	tree := workload.NewFib(9)
 	st := run(t, topology.NewGrid(4, 4), tree, core.NewCWN(4, 2), func(c *machine.Config) {
 		c.LoadInterval = 0
-		c.PiggybackLoad = false
 	})
 	checkConservation(t, st, tree)
 	if st.MsgCounts[machine.MsgLoad] != 0 {

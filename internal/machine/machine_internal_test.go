@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"cwnsim/internal/scenario"
@@ -119,6 +120,51 @@ func TestPickChannelPrefersLeastBacklogged(t *testing.T) {
 	m.chans[chs[0]].busyUntil = 100
 	if got := m.pickChannel(chs); got == chs[0] {
 		t.Fatalf("pickChannel chose backlogged channel %d", chs[0])
+	}
+}
+
+// TestPeriodicProcess pins the machine's one periodic mechanism, the
+// self-re-arming payload event behind NewTicker and the sampler: a
+// process first fires inside its first period, then exactly one period
+// apart; an event its callback schedules one period ahead fires before
+// the process's next firing, because the re-arm follows the callback;
+// and a non-positive period panics.
+func TestPeriodicProcess(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.LoadInterval = 0
+	m := New(topology.NewGrid(2, 2), workload.NewFib(2), keepLocal{}, cfg)
+	const period = 20
+	var ticks []sim.Time
+	var order []string
+	m.NewTicker(period, func() {
+		now := m.eng.Now()
+		ticks = append(ticks, now)
+		order = append(order, "tick")
+		m.eng.At(now+period, func() { order = append(order, "echo") })
+	})
+	m.eng.RunUntil(10 * period)
+	if len(ticks) < 10 || ticks[0] < 0 || ticks[0] >= period {
+		t.Fatalf("ticks %v: want 10 or 11, the first in [0, %d)", ticks, period)
+	}
+	for i := 1; i < len(ticks); i++ {
+		if ticks[i]-ticks[i-1] != period {
+			t.Fatalf("ticks %v are not %d apart", ticks, period)
+		}
+	}
+	for i, o := range order {
+		if want := []string{"tick", "echo"}[i%2]; o != want {
+			t.Fatalf("firing order %v: entry %d is %s, want %s", order, i, o, want)
+		}
+	}
+	for _, p := range []sim.Time{0, -5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewTicker with period %d did not panic", p)
+				}
+			}()
+			m.NewTicker(p, func() {})
+		}()
 	}
 }
 
@@ -272,6 +318,45 @@ func TestValidateLinks(t *testing.T) {
 				}()
 				New(tc.topo, workload.NewFib(2), keepLocal{}, cfg)
 			}()
+		}
+	}
+}
+
+// TestValidateLiveness: Validate refuses a script whose failures, in
+// firing order up to MaxTime, leave no PE live — naming the event that
+// fails the last one — and accepts one where a recover in between, a
+// strike on a PE already down or a strike past the horizon leaves a PE
+// live. A lone chaos generator never strikes the last live PE; one
+// beside a scripted failure or another generator can.
+func TestValidateLiveness(t *testing.T) {
+	for _, tc := range []struct {
+		pes    int
+		script string
+		last   string // the event named as failing the last live PE; "" when accepted
+	}{
+		{2, "fail:pes=0@t=10,fail:pes=1@t=20", "fail:pes=1@t=20"},
+		{2, "crash:pes=1@t=10,fail:pes=0@t=20", "fail:pes=0@t=20"},
+		{2, "fail:pes=0@t=10,recover@t=15,fail:pes=1@t=20", ""},
+		{2, "fail:pes=0@t=10,recover:pes=0@t=15,crash:pes=1@t=20", ""},
+		{2, "fail:pes=0@t=10,recover:pes=1@t=15,fail:pes=1@t=20", "fail:pes=1@t=20"},
+		{2, "fail:pes=0@t=10,fail:pes=0@t=20", ""},
+		{2, "recover@t=15,fail:pes=0@t=10,fail:pes=1@t=20", ""}, // fires fail, recover, fail
+		{2, "fail:pes=0@t=10,fail:pes=1@t=2000001", ""},         // past MaxTime
+		{16, "fail:pes=50%@t=10,fail:pes=0+1+2+3+4+5+6+7@t=20", "fail:pes=0+1+2+3+4+5+6+7@t=20"},
+		{16, "fail:pes=50%@t=10,recover:pes=25%@t=15,fail:pes=0+1+2+3+4+5+6+7@t=20", ""},
+		{16, "fail:pes=0+1+2+3+4+5+6+7@t=10,fail:pes=8+9+10+11+12+13+14@t=20,crash:pes=15+3@t=30", "crash:pes=15+3@t=30"},
+		{2, "chaos:mtbf=10:mttr=5:until=1000@seed=1", ""},
+		{2, "fail:pes=0@t=0,chaos:mtbf=10:mttr=5:until=1000@seed=4", "fail:pes=1@t=13"},
+		{2, "chaos:mtbf=10:mttr=5:until=1000@seed=1,chaos:mtbf=10:mttr=5:until=1000@seed=99", "fail:pes=0@t=53"},
+	} {
+		cfg := DefaultConfig()
+		cfg.Scenario = scenario.MustParse(tc.script)
+		err := cfg.Validate(tc.pes)
+		if tc.last == "" && err != nil {
+			t.Errorf("%s on %d PEs: %v", tc.script, tc.pes, err)
+		}
+		if tc.last != "" && (err == nil || !strings.Contains(err.Error(), "event "+tc.last)) {
+			t.Errorf("%s on %d PEs: error %v, want one naming %s", tc.script, tc.pes, err, tc.last)
 		}
 	}
 }

@@ -140,7 +140,6 @@ func TestObserverStreamIsDisjoint(t *testing.T) {
 	tree := workload.NewFib(3)
 	build := func(sample sim.Time) *Machine {
 		cfg := DefaultConfig()
-		cfg.StaggerTicks = true
 		cfg.SampleInterval = sample
 		return New(topology.NewGrid(3, 3), tree, keepLocal{}, cfg)
 	}

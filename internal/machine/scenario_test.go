@@ -238,31 +238,23 @@ func TestInjectRedirectsOffFailedRoot(t *testing.T) {
 	}
 }
 
-// TestFailingEveryPEPanics pins both layers of the last-live-PE guard:
-// a single all-PE fail event is rejected statically at construction,
-// and cumulative whole-machine failure across events (which validation
-// cannot see — it depends on recovers in between) panics at apply time.
+// TestFailingEveryPEPanics pins the last-live-PE guard at
+// construction: a single all-PE fail event and fail events that
+// together leave no PE live are both refused before the run starts
+// (TestValidateLiveness covers the walk's rules).
 func TestFailingEveryPEPanics(t *testing.T) {
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("constructing a machine with an all-PE fail event did not panic")
-			}
+	for _, script := range []string{"fail:pes=100%@t=10", "fail:pes=0@t=10,fail:pes=1@t=20"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("constructing a machine with %q did not panic", script)
+				}
+			}()
+			cfg := DefaultConfig()
+			cfg.Scenario = scenario.MustParse(script)
+			New(topology.NewGrid(1, 2), workload.NewChain(50), keepLocal{}, cfg)
 		}()
-		cfg := DefaultConfig()
-		cfg.Scenario = scenario.MustParse("fail:pes=100%@t=10")
-		New(topology.NewGrid(1, 2), workload.NewChain(50), keepLocal{}, cfg)
-	}()
-
-	cfg := DefaultConfig()
-	cfg.Scenario = scenario.MustParse("fail:pes=0@t=10,fail:pes=1@t=20")
-	m := New(topology.NewGrid(1, 2), workload.NewChain(50), keepLocal{}, cfg)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("cumulatively failing every PE did not panic")
-		}
-	}()
-	m.Run()
+	}
 }
 
 // TestLinkOutageHoldsAndFlushes pins outage semantics: messages bound

@@ -12,7 +12,9 @@ type Strategy interface {
 	Name() string
 	// NewNode returns the per-PE strategy state. Called once per PE
 	// after the machine is wired. Strategies register periodic
-	// processes here via Machine.NewTicker.
+	// processes here via Machine.NewTicker, which draws each one's
+	// phase from the run's engine stream at registration; a process
+	// runs until the run ends.
 	NewNode(pe *PE) NodeStrategy
 }
 

@@ -67,7 +67,7 @@ func TestPoissonArrivalsDoNotPerturbEngineStream(t *testing.T) {
 	// already emitted jobs.
 	tree := workload.NewFib(3)
 	cfg := DefaultConfig()
-	cfg.StaggerTicks = false // no construction-time draws
+	cfg.LoadInterval = 0 // no construction-time draws
 	m := NewStream(topology.NewSingle(), NewPoisson(tree, 50, 5), keepLocal{}, cfg)
 	m.Run()
 	got := m.Engine().Rng().Int63()

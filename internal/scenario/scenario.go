@@ -218,7 +218,7 @@ func (e Event) Targets(numPEs int) []int {
 	if e.Frac <= 0 {
 		return nil
 	}
-	k := e.fracCount(numPEs)
+	k := e.FracCount(numPEs)
 	out := make([]int, k)
 	for i := range out {
 		out[i] = numPEs - k + i
@@ -226,8 +226,10 @@ func (e Event) Targets(numPEs int) []int {
 	return out
 }
 
-// fracCount is how many PEs a fraction-targeted event strikes.
-func (e Event) fracCount(numPEs int) int {
+// FracCount is how many PEs a fraction-targeted event strikes on a
+// machine of numPEs processors: round(Frac×P), at least one. They are
+// the FracCount highest-numbered PEs (see Targets).
+func (e Event) FracCount(numPEs int) int {
 	return min(max(int(math.Round(e.Frac*float64(numPEs))), 1), numPEs)
 }
 
@@ -329,11 +331,11 @@ func (s *Script) Validate(numPEs int) error {
 				// guaranteed to die at apply time (the machine keeps one
 				// PE live); reject it before any simulation time is
 				// spent. Cumulative whole-machine failure across several
-				// events stays a runtime panic — it depends on recovers
-				// in between. A fraction's targets are distinct and a list
-				// may repeat PEs; neither count costs memory in the
-				// machine size.
-				n := e.fracCount(numPEs)
+				// events depends on the recovers in between and on the
+				// run's horizon, so machine.Config.Validate refuses it.
+				// A fraction's targets are distinct and a list may repeat
+				// PEs; neither count costs memory in the machine size.
+				n := e.FracCount(numPEs)
 				if e.PEs != nil {
 					distinct := make(map[int]struct{}, len(e.PEs))
 					for _, pe := range e.PEs {

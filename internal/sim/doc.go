@@ -39,23 +39,22 @@
 // in FIFO order. TestSchedulerEquivalence and FuzzSchedulerEquivalence
 // fire random cascades through the engine and through the heap under a
 // bare loop and demand identical logs. The wheel wins wherever events
-// are dense in time relative to the window — load words, Timer re-arm
-// traffic (service completions, tickers, arrival pumps) and
-// control-heavy machines with thousands of resident timers: it
-// measured 1.8-3.7x a standing binary heap's events/sec on every
-// perf-ledger case, so the heap was retired as a selectable scheduler
-// and survives only as the overflow tier. Its costs are 32KB of
-// standing slot memory per engine, a chunk per occupied slot, and one
-// nil check per empty slot stepped over.
+// are dense in time relative to the window — load words, periodic
+// processes re-arming, service completions and control-heavy machines
+// with thousands of resident events: it measured 1.8-3.7x a standing
+// binary heap's events/sec on every perf-ledger case, so the heap was
+// retired as a selectable scheduler and survives only as the overflow
+// tier. Its costs are 32KB of standing slot memory per engine, a chunk
+// per occupied slot, and one nil check per empty slot stepped over.
 //
-// An At handle or a Timer is an Event outside the scheduler; what the
-// scheduler holds is a guard entry naming the Event and the arming it
-// was pushed for. Cancelling, stopping or re-arming the Event makes
-// the guard stale, and the engine discards a stale guard when it
-// reaches the front, without firing or counting it. So Timer.Stop is
-// O(1) and removes nothing, and Pending, which leaves stale guards
-// out, stays exact. Guards take the same path through RunUntil and
-// Step as every other entry: one type check on the head entry.
+// Every event but a Timer's is its entry and nothing more, and cannot
+// be taken back. A Timer's arming is pushed as a guard entry naming
+// the Timer and the arming it belongs to; stopping the Timer makes the
+// guard stale, and the engine discards a stale guard when it reaches
+// the front, without firing or counting it. So Timer.Stop is O(1) and
+// removes nothing, and Pending, which leaves stale guards out, stays
+// exact. Guards take the same path through RunUntil and Step as every
+// other entry: one type check on the head entry.
 //
 // # Performance model
 //
@@ -71,13 +70,16 @@
 //     One Action value then serves a whole class of events, each with
 //     its own arguments: the machine delivers every periodic load word
 //     this way, the payload naming the receivers' slot row and the
-//     load, and runs every PE's periodic load broadcast as one payload
-//     event naming the PE that re-arms itself.
-//   - Timer embeds its one Event and re-arms it for every firing — the
-//     building block for tickers, PE service completions and arrival
-//     pumps — so periodic processes allocate only at construction.
-//   - Schedule/At allocate one Event per call and return it as a
-//     cancellable handle, which stays safe to hold forever.
+//     load, and runs every periodic process — each PE's load
+//     broadcast, each strategy process, the utilization sampler — as
+//     one payload event that re-arms itself a period later, so
+//     periodic processes allocate nothing per firing.
+//   - Timer is the one event a caller can stop — it carries the PE
+//     service completions, which scenario ops cut short or stretch —
+//     and re-arming it allocates nothing.
+//   - Schedule/At push the closure as an entry and return nothing: a
+//     func value is pointer-shaped, so the entry costs no allocation
+//     beyond the closure itself.
 //
 // Entries are passed down the push path field by field, not as one
 // struct value, which would stall on store forwarding. The chunk size
@@ -97,10 +99,10 @@
 // — fire everything due by the deadline, report whether live events
 // remain — with NextEventAt letting the coordinator fast-forward over
 // windows no engine has events in, and AdvanceTo parking every engine
-// on a scripted scenario op's instant. Windowed stepping is exact: any partition of a
-// run into RunUntil calls fires the same events in the same order as
-// one call, so the window protocol adds synchronization points, never
-// reordering. Cross-engine sends are injected between windows via
-// AtAction by the coordinating goroutine while the engines are
-// quiescent; the engine itself stays lock-free.
+// on a scripted scenario op's instant. Windowed stepping is exact: any
+// partition of a run into RunUntil calls fires the same events in the
+// same order as one call, so the window protocol adds synchronization
+// points, never reordering. Cross-engine sends are injected between
+// windows via AtAction by the coordinating goroutine while the engines
+// are quiescent; the engine itself stays lock-free.
 package sim

@@ -15,80 +15,19 @@ type Time int64
 // Never is a sentinel meaning "no deadline".
 const Never Time = -1
 
-// Event is a handle to a scheduled closure. It can be cancelled up to the
-// moment it fires. The scheduler does not hold the Event itself but a
-// guard entry naming it and the arming it belongs to; a cancelled (or,
-// for a Timer's event, stopped or re-armed) Event's guard is discarded
-// without firing when its time comes.
-type Event struct {
-	eng *Engine
-	at  Time
-	// act is what firing runs: the closure, adapted to an Action.
-	act Action
-	// gen counts the event's armings and disarmings, so it is odd while
-	// the event is armed. A guard carries the gen of its arming and is
-	// live only while gen still equals it.
-	gen      uint64
-	canceled bool
-}
-
 // Action is a schedulable behavior: the allocation-free alternative to a
 // closure. Hot-path callers embed their state in a value implementing
 // Action and hand it to ScheduleAction/AtAction (or AtPayload, which
 // adds two words the Action reads back through Payload); the engine
-// stores it by value in the scheduler with no object behind it. No
-// handle is returned, so these events are uncancellable by
-// construction.
+// stores it by value in the scheduler with no object behind it.
 type Action interface{ Act() }
 
-// funcAction adapts a closure to Action, so an Event holds one behavior
-// field. A func value is pointer-shaped: the conversion allocates
-// nothing.
+// funcAction adapts a closure to Action, so a scheduled closure is an
+// entry like any other. A func value is pointer-shaped: the conversion
+// allocates nothing.
 type funcAction func()
 
 func (f funcAction) Act() { f() }
-
-// eventGuard is an Event seen as the Action of its guard entry, whose
-// first payload word is the gen the event was armed with. The scheduler
-// discards a guard whose gen no longer matches; firing a live one
-// disarms the event and runs its closure.
-type eventGuard Event
-
-func (g *eventGuard) Act() {
-	g.gen++
-	g.act.Act()
-}
-
-// arm schedules the event at at under a new arming.
-func (ev *Event) arm(at Time) {
-	ev.at = at
-	ev.gen++
-	ev.eng.push(at, (*eventGuard)(ev), ev.gen, 0)
-}
-
-// armed reports whether the event's current arming is pending.
-func (ev *Event) armed() bool { return ev.gen&1 != 0 }
-
-// disarm makes the pending arming's guard stale.
-func (ev *Event) disarm() {
-	ev.gen++
-	ev.eng.stale++
-}
-
-// At reports the virtual time the event is scheduled for.
-func (ev *Event) At() Time { return ev.at }
-
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (ev *Event) Cancel() {
-	if ev.armed() {
-		ev.disarm()
-	}
-	ev.canceled = true
-}
-
-// Canceled reports whether Cancel was called.
-func (ev *Event) Canceled() bool { return ev.canceled }
 
 // Engine is a discrete-event simulator instance.
 //
@@ -137,36 +76,33 @@ func (e *Engine) Rng() *rand.Rand { return e.rng }
 // Processed returns the number of events fired so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of events currently scheduled. Cancelled
-// events and stopped timers are not counted, though the scheduler
-// discards their guards only when their time comes.
+// Pending returns the number of events currently scheduled. Stopped
+// timers are not counted, though the scheduler discards their guards
+// only when their time comes.
 func (e *Engine) Pending() int { return e.size() }
 
 // Schedule runs fn after delay units of virtual time. A negative delay
 // panics: the past is immutable in a discrete-event simulation.
-func (e *Engine) Schedule(delay Time, fn func()) *Event {
+func (e *Engine) Schedule(delay Time, fn func()) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: Schedule with negative delay %d at t=%d", delay, e.now))
 	}
-	return e.At(e.now+delay, fn)
+	e.At(e.now+delay, fn)
 }
 
 // At runs fn at absolute virtual time t (t must not precede Now).
-func (e *Engine) At(t Time, fn func()) *Event {
+func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: At(%d) before now=%d", t, e.now))
 	}
 	if fn == nil {
 		panic("sim: At with nil fn")
 	}
-	ev := &Event{eng: e, act: funcAction(fn)}
-	ev.arm(t)
-	return ev
+	e.push(t, funcAction(fn), 0, 0)
 }
 
 // ScheduleAction runs a.Act() after delay units of virtual time. It is
-// the closure-free analogue of Schedule: the Action is stored by value
-// and no Event handle is returned.
+// the closure-free analogue of Schedule: the Action is stored by value.
 func (e *Engine) ScheduleAction(delay Time, a Action) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: ScheduleAction with negative delay %d at t=%d", delay, e.now))
@@ -201,10 +137,10 @@ func (e *Engine) AtPayload(t Time, a Action, p0, p1 uint64) {
 }
 
 // Payload returns the payload of the event firing now: the two words
-// it was scheduled with by AtPayload, zero for an AtAction or
-// ScheduleAction event. It is valid only while that event's Action
-// runs, and means nothing while a closure scheduled by At, Schedule or
-// a Timer runs: those ride guard entries whose payload is internal.
+// it was scheduled with by AtPayload, or zero for an At, Schedule,
+// AtAction or ScheduleAction event. It is valid only while that
+// event's Action runs, and means nothing while a Timer's callback
+// runs: a Timer rides a guard entry whose payload is internal.
 func (e *Engine) Payload() (uint64, uint64) { return e.arg[0], e.arg[1] }
 
 // Step fires the single next event. It returns false when no events
@@ -241,7 +177,7 @@ func (e *Engine) next(deadline Time) Action {
 		c := s.head
 		en := &c.e[c.r]
 		act := en.act
-		if g, ok := act.(*eventGuard); ok && g.gen != en.p0 {
+		if g, ok := act.(*timerGuard); ok && g.gen != en.p0 {
 			w.stale--
 			w.advance(s, c)
 			continue
@@ -268,9 +204,9 @@ func (e *Engine) Run() {
 
 // RunUntil fires events with timestamps <= deadline, then sets the clock
 // to deadline (if it has not passed it already). It returns true if live
-// (uncancelled) events remain pending afterwards — whether they lie
-// beyond the deadline or Stop froze the run with work outstanding; use
-// Stopped to distinguish. When Stop fires mid-run the clock stays at the
+// events remain pending afterwards — whether they lie beyond the
+// deadline or Stop froze the run with work outstanding; use Stopped to
+// distinguish. When Stop fires mid-run the clock stays at the
 // stopping event's time rather than jumping to the deadline.
 func (e *Engine) RunUntil(deadline Time) bool {
 	for !e.stopped {
@@ -310,9 +246,9 @@ func (e *Engine) AdvanceTo(t Time) {
 	e.now = t
 }
 
-// NextEventAt returns the timestamp of the earliest pending live
-// (uncancelled) event; ok is false when nothing is pending or the
-// engine is stopped. Windowed drivers (the machine's
+// NextEventAt returns the timestamp of the earliest pending live event
+// (a stopped timer's guard is not one); ok is false when nothing is
+// pending or the engine is stopped. Windowed drivers (the machine's
 // conservative-lookahead loop) use it to fast-forward across windows
 // no shard has work in.
 func (e *Engine) NextEventAt() (t Time, ok bool) {

@@ -5,51 +5,50 @@ import (
 	"testing"
 )
 
-// TestHeapStressInterleaved exercises the hand-rolled heap with a long
-// random interleaving of schedules and cancellations, validated against
-// a reference model.
+// TestHeapStressInterleaved exercises the scheduler with a long random
+// interleaving of closure events, timer armings and timer stops, whose
+// stale guards pile up among the live entries: Pending and the firing
+// count must both equal the closures plus the timers left armed.
 func TestHeapStressInterleaved(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	e := NewEngine(1)
-	type rec struct {
-		at  Time
-		seq int
+	timers := make([]*Timer, 64)
+	armed := make([]bool, len(timers))
+	for i := range timers {
+		timers[i] = NewTimer(e, func() { armed[i] = false })
 	}
-	var want []rec // live events only
-	var live []*Event
-	var liveRec []rec
-	seq := 0
+	want := 0
 	for round := 0; round < 2000; round++ {
+		i := rng.Intn(len(timers))
 		switch rng.Intn(3) {
-		case 0, 1: // schedule
-			at := Time(rng.Intn(500))
-			r := rec{at, seq}
-			seq++
-			idx := len(liveRec)
-			_ = idx
-			var self rec = r
-			ev := e.At(at, func() {})
-			live = append(live, ev)
-			liveRec = append(liveRec, self)
-		case 2: // cancel a random live event
-			if len(live) > 0 {
-				i := rng.Intn(len(live))
-				live[i].Cancel()
-				live[i] = live[len(live)-1]
-				live = live[:len(live)-1]
-				liveRec[i] = liveRec[len(liveRec)-1]
-				liveRec = liveRec[:len(liveRec)-1]
+		case 0: // a closure event
+			e.At(Time(rng.Intn(500)), func() {})
+			want++
+		case 1: // arm, or stop and re-arm elsewhere
+			timers[i].Stop()
+			timers[i].Schedule(Time(rng.Intn(500)))
+			armed[i] = true
+		case 2:
+			if timers[i].Stop() != armed[i] {
+				t.Fatalf("round %d: Stop on timer %d reported %v, want %v", round, i, !armed[i], armed[i])
 			}
+			armed[i] = false
 		}
 	}
-	want = append(want, liveRec...)
-	// Count survivors by draining.
+	for _, a := range armed {
+		if a {
+			want++
+		}
+	}
+	if got := e.Pending(); got != want {
+		t.Fatalf("Pending = %d, want %d live", got, want)
+	}
 	fired := 0
 	for e.Step() {
 		fired++
 	}
-	if fired != len(want) {
-		t.Fatalf("fired %d events, want %d live", fired, len(want))
+	if fired != want {
+		t.Fatalf("fired %d events, want %d live", fired, want)
 	}
 }
 
@@ -75,14 +74,6 @@ func TestRunUntilZero(t *testing.T) {
 	e.RunUntil(0)
 	if n != 1 {
 		t.Fatalf("fired %d events at t=0, want 1", n)
-	}
-}
-
-func TestEventAtAccessor(t *testing.T) {
-	e := NewEngine(1)
-	ev := e.Schedule(17, func() {})
-	if ev.At() != 17 {
-		t.Fatalf("At = %d", ev.At())
 	}
 }
 

@@ -101,30 +101,6 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	e := NewEngine(1)
-	fired := false
-	ev := e.Schedule(10, func() { fired = true })
-	e.Schedule(5, func() { ev.Cancel() })
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
-	}
-	// Double-cancel is a no-op.
-	ev.Cancel()
-}
-
-func TestCancelAlreadyPopped(t *testing.T) {
-	e := NewEngine(1)
-	var ev *Event
-	ev = e.Schedule(1, func() {})
-	e.Run()
-	ev.Cancel() // must not panic
-}
-
 func TestRunUntil(t *testing.T) {
 	e := NewEngine(1)
 	var fired []Time
@@ -271,36 +247,6 @@ func TestQuickHeapOrdering(t *testing.T) {
 				return false
 			}
 			if fired[i].at == fired[i-1].at && fired[i].seq < fired[i-1].seq {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: cancelling an arbitrary subset prevents exactly that subset
-// from firing.
-func TestQuickCancelSubset(t *testing.T) {
-	f := func(delays []uint8, mask []bool) bool {
-		e := NewEngine(3)
-		events := make([]*Event, len(delays))
-		fired := make([]bool, len(delays))
-		for i, d := range delays {
-			i := i
-			events[i] = e.At(Time(d), func() { fired[i] = true })
-		}
-		for i := range events {
-			if i < len(mask) && mask[i] {
-				events[i].Cancel()
-			}
-		}
-		e.Run()
-		for i := range events {
-			wantFired := !(i < len(mask) && mask[i])
-			if fired[i] != wantFired {
 				return false
 			}
 		}

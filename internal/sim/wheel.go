@@ -21,12 +21,12 @@ package sim
 // wheel whole when the horizon passes it, and a rewind evicts it whole.
 //
 // Where each tier wins: the wheel turns the O(log n) heap percolation
-// of every push/pop — dominated by load words, Timer re-arms (service
-// completions, tickers, arrival pumps) and control-heavy machines
-// keeping thousands of events resident — into a 32-byte store into a
-// chunk, at the cost of stepping the cursor over empty slots (cheap:
-// one nil check per unit of virtual time) and of 16 bytes per slot of
-// standing memory plus one chunk per occupied slot. The wheel measured
+// of every push/pop — dominated by load words, periodic processes,
+// service completions and control-heavy machines keeping thousands of
+// events resident — into a 32-byte store into a chunk, at the cost of
+// stepping the cursor over empty slots (cheap: one nil check per unit
+// of virtual time) and of 16 bytes per slot of standing memory plus
+// one chunk per occupied slot. The wheel measured
 // 1.8-3.7x a standing binary heap's events/sec on every perf-ledger
 // case, which is why the heap survives only as the overflow tier.
 const (
@@ -36,8 +36,8 @@ const (
 )
 
 // entry is one scheduled event, held by value: the Action firing runs
-// and the two payload words it reads through Engine.Payload. An At
-// handle's or a Timer's event rides as a guard entry (see eventGuard).
+// and the two payload words it reads through Engine.Payload. A Timer's
+// arming rides as a guard entry (see timerGuard).
 type entry struct {
 	act    Action
 	p0, p1 uint64
@@ -80,9 +80,8 @@ type wheelSched struct {
 	slots *[wheelSpan]wheelSlot
 	base  Time // time of the cursor slot; wheel entries lie in [base, base+wheelSpan)
 	count int  // entries in the wheel, stale guards included
-	// stale counts guards whose event was cancelled, stopped or
-	// re-armed and that are not discarded yet, in either tier; size
-	// leaves them out.
+	// stale counts guards whose timer was stopped and that are not
+	// discarded yet, in either tier; size leaves them out.
 	stale int
 	seq   uint64 // the next overflow key
 	over  entryHeap

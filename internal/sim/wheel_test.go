@@ -11,7 +11,7 @@ import (
 // overflow heap under a bare firing loop (the ordering reference), or
 // a real Engine.
 type cascadeSched interface {
-	at(t Time, fn func()) interface{ Cancel() }
+	at(t Time, fn func())
 	atPayload(t Time, a Action, p0, p1 uint64)
 	newTimer(fn func()) cascadeTimer
 	now() Time
@@ -33,9 +33,8 @@ type cascadeTimer interface {
 
 // bareSched fires the overflow heap by itself, the way the engine
 // fires its wheel: clock to the entry's time, its payload exposed while
-// its Action runs. Cancelled events and stopped timers stay in the
-// heap as dead entries and are skipped when they surface; live counts
-// the rest.
+// its Action runs. Stopped timers' armings stay in the heap as dead
+// entries and are skipped when they surface; live counts the rest.
 type bareSched struct {
 	h     entryHeap
 	seq   uint64
@@ -45,29 +44,10 @@ type bareSched struct {
 	live  int
 }
 
-// deadEntry is a reference entry that may have been cancelled.
-type deadEntry interface{ dead() bool }
-
 func (b *bareSched) push(t Time, a Action, p0, p1 uint64) {
 	b.h.push(t, b.seq, a, p0, p1)
 	b.seq++
 	b.live++
-}
-
-// bareEvent is a closure event on the reference.
-type bareEvent struct {
-	b    *bareSched
-	fn   func()
-	done bool // fired or cancelled
-}
-
-func (ev *bareEvent) dead() bool { return ev.done }
-func (ev *bareEvent) Act()       { ev.done = true; ev.fn() }
-func (ev *bareEvent) Cancel() {
-	if !ev.done {
-		ev.done = true
-		ev.b.live--
-	}
 }
 
 // bareTimer is a Timer on the reference: each arming is its own entry,
@@ -109,12 +89,7 @@ func (tm *bareTimer) Stop() bool {
 func (tm *bareTimer) Armed() bool { return tm.armed }
 func (tm *bareTimer) Next() Time  { return tm.next }
 
-func (b *bareSched) at(t Time, fn func()) interface{ Cancel() } {
-	ev := &bareEvent{b: b, fn: fn}
-	b.push(t, ev, 0, 0)
-	return ev
-}
-
+func (b *bareSched) at(t Time, fn func())                      { b.push(t, funcAction(fn), 0, 0) }
 func (b *bareSched) atPayload(t Time, a Action, p0, p1 uint64) { b.push(t, a, p0, p1) }
 func (b *bareSched) newTimer(fn func()) cascadeTimer           { return &bareTimer{b: b, fn: fn} }
 func (b *bareSched) now() Time                                 { return b.t }
@@ -126,7 +101,7 @@ func (b *bareSched) window(deadline Time) bool {
 	for len(b.h) > 0 && b.h[0].at <= deadline {
 		top := b.h[0]
 		b.h.pop()
-		if d, ok := top.act.(deadEntry); ok && d.dead() {
+		if a, ok := top.act.(*bareArming); ok && a.dead() {
 			continue
 		}
 		b.t = top.at
@@ -151,10 +126,8 @@ type engineSched struct {
 	rewinds, evicted int
 }
 
-func (s *engineSched) at(t Time, fn func()) interface{ Cancel() } {
-	var ev *Event
-	s.watch(t, func() { ev = s.e.At(t, fn) })
-	return ev
+func (s *engineSched) at(t Time, fn func()) {
+	s.watch(t, func() { s.e.At(t, fn) })
 }
 
 func (s *engineSched) atPayload(t Time, a Action, p0, p1 uint64) {
@@ -174,11 +147,13 @@ func (s *engineSched) watch(t Time, push func()) {
 	s.evicted += len(w.over) - before
 }
 
-func (s *engineSched) newTimer(fn func()) cascadeTimer { return &engineTimer{NewTimer(s.e, fn), s} }
-func (s *engineSched) now() Time                       { return s.e.Now() }
-func (s *engineSched) payload() (uint64, uint64)       { return s.e.Payload() }
-func (s *engineSched) processed() uint64               { return s.e.Processed() }
-func (s *engineSched) pending() int                    { return s.e.Pending() }
+func (s *engineSched) newTimer(fn func()) cascadeTimer {
+	return &engineTimer{Timer: NewTimer(s.e, fn), s: s}
+}
+func (s *engineSched) now() Time                 { return s.e.Now() }
+func (s *engineSched) payload() (uint64, uint64) { return s.e.Payload() }
+func (s *engineSched) processed() uint64         { return s.e.Processed() }
+func (s *engineSched) pending() int              { return s.e.Pending() }
 
 func (s *engineSched) window(deadline Time) bool {
 	if !s.step {
@@ -196,13 +171,21 @@ func (s *engineSched) window(deadline Time) bool {
 	return more
 }
 
-// engineTimer counts a timer armed behind the cursor like any push.
+// engineTimer is a Timer seen through cascadeTimer: it keeps its
+// arming's time, and counts an arming behind the cursor like any push.
 type engineTimer struct {
 	*Timer
-	s *engineSched
+	s    *engineSched
+	next Time
 }
 
-func (tm engineTimer) At(at Time) { tm.s.watch(at, func() { tm.Timer.At(at) }) }
+func (tm *engineTimer) At(at Time) {
+	tm.next = at
+	tm.s.watch(at, func() { tm.Schedule(at - tm.s.e.Now()) })
+}
+
+func (tm *engineTimer) Armed() bool { return tm.armed() }
+func (tm *engineTimer) Next() Time  { return tm.next }
 
 // opMix weighs driveRandom's choices, each chance out of 256.
 type opMix struct {
@@ -212,19 +195,19 @@ type opMix struct {
 	// different times onto one slot.
 	delay   [6]uint8
 	payload uint8 // an event is a payload event
-	cancel  uint8 // a closure event is cancelled, at once or later
+	stop    uint8 // a closure event rides a one-shot timer, stopped at once or later
 	timer   uint8 // a firing stops, re-arms or arms one of the timers
 	gap     uint8 // a window ends with a push into the gap behind the cursor
 }
 
-var defaultMix = opMix{delay: [6]uint8{2, 1, 1, 1, 1, 1}, payload: 85, cancel: 40, timer: 90, gap: 160}
+var defaultMix = opMix{delay: [6]uint8{2, 1, 1, 1, 1, 1}, payload: 85, stop: 40, timer: 90, gap: 160}
 
 // mixFrom decodes an opMix from fuzz bytes; missing bytes read as
 // zero, and all-zero delay weights as equal ones.
 func mixFrom(b []byte) opMix {
 	var raw [10]uint8
 	copy(raw[:], b)
-	m := opMix{payload: raw[6], cancel: raw[7], timer: raw[8], gap: raw[9]}
+	m := opMix{payload: raw[6], stop: raw[7], timer: raw[8], gap: raw[9]}
 	copy(m.delay[:], raw[:6])
 	if m.delay == [6]uint8{} {
 		m.delay = [6]uint8{1, 1, 1, 1, 1, 1}
@@ -239,11 +222,12 @@ func mixFrom(b []byte) opMix {
 // schedulers produce identical logs if and only if they fire the same
 // events in the same order and agree on the counts — any divergence
 // derails the cascade at once. The cascade mixes closure events (some
-// cancelled), payload events (one shared Action, each event carrying
-// its own ID, depth and due time, which the Action checks against the
-// clock), four timers that are stopped, re-armed, and stopped then
-// re-armed at the same instant, and pushes into the gap each window's
-// look-ahead leaves between the clock and the wheel's cursor.
+// riding one-shot timers that are stopped), payload events (one shared
+// Action, each event carrying its own ID, depth and due time, which the
+// Action checks against the clock), four timers that are stopped,
+// re-armed, and stopped then re-armed at the same instant, and pushes
+// into the gap each window's look-ahead leaves between the clock and
+// the wheel's cursor.
 func driveRandom(t *testing.T, s cascadeSched, seed int64, mix opMix) []string {
 	rng := rand.New(rand.NewSource(seed))
 	chance := func(c uint8) bool { return rng.Intn(256) < int(c) }
@@ -254,7 +238,7 @@ func driveRandom(t *testing.T, s cascadeSched, seed int64, mix opMix) []string {
 	var (
 		log     []string
 		id      int
-		handles []interface{ Cancel() }
+		handles []cascadeTimer
 		timers  []cascadeTimer
 		tfired  int
 		spawn   func(depth int)
@@ -297,17 +281,21 @@ func driveRandom(t *testing.T, s cascadeSched, seed int64, mix opMix) []string {
 			s.atPayload(at, probe, uint64(myID)<<8|uint64(depth), uint64(at))
 			return
 		}
-		ev := s.at(at, func() {
+		fn := func() {
 			log = append(log, fmt.Sprintf("%d@%d", myID, s.now()))
 			spawn(depth + 1)
-		})
-		// The root burst is never cancelled so every cascade fires.
-		if depth > 0 && chance(mix.cancel) {
-			if rng.Intn(2) == 0 {
-				ev.Cancel()
-			} else {
-				handles = append(handles, ev)
-			}
+		}
+		// The root burst is never stopped so every cascade fires.
+		if depth == 0 || !chance(mix.stop) {
+			s.at(at, fn)
+			return
+		}
+		tm := s.newTimer(fn)
+		tm.At(at)
+		if rng.Intn(2) == 0 {
+			tm.Stop()
+		} else {
+			handles = append(handles, tm)
 		}
 	}
 	// operate stops, re-arms or arms one timer.
@@ -338,8 +326,8 @@ func driveRandom(t *testing.T, s cascadeSched, seed int64, mix opMix) []string {
 		for n := rng.Intn(3) + 1; n > 0; n-- {
 			schedule(s.now()+delay(), depth)
 		}
-		if len(handles) > 0 && chance(mix.cancel) {
-			handles[rng.Intn(len(handles))].Cancel() // perhaps fired already
+		if len(handles) > 0 && chance(mix.stop) {
+			handles[rng.Intn(len(handles))].Stop() // perhaps fired already
 		}
 		if chance(mix.timer) && tfired < 200 {
 			operate()
@@ -375,10 +363,10 @@ func driveRandom(t *testing.T, s cascadeSched, seed int64, mix opMix) []string {
 // its reference: the engine, whether driven by RunUntil or by
 // NextEventAt and Step, fires events in exactly the overflow heap's
 // (at, seq) order, across same-timestamp ties, chunk boundaries, wheel
-// wraps, overflow drains, cancellations, stopped and re-armed timers,
-// and rewinds that evict whole instants back to the overflow; its
-// Processed and Pending match the reference's after every window; and
-// every payload event reads back its own payload.
+// wraps, overflow drains, stopped and re-armed timers, and rewinds that
+// evict whole instants back to the overflow; its Processed and Pending
+// match the reference's after every window; and every payload event
+// reads back its own payload.
 func TestSchedulerEquivalence(t *testing.T) {
 	var rewinds, evicted int
 	for seed := int64(1); seed <= 8; seed++ {
@@ -495,7 +483,7 @@ func TestWheelTimerStopRecycle(t *testing.T) {
 	if !tm.Stop() {
 		t.Fatal("Stop on a wheel-chained timer reported no pending firing")
 	}
-	if tm.Armed() {
+	if tm.armed() {
 		t.Fatal("timer still armed after Stop")
 	}
 	// Stop while in the overflow heap.
@@ -506,7 +494,7 @@ func TestWheelTimerStopRecycle(t *testing.T) {
 	// Re-arm between two neighbors at the same timestamp: FIFO by seq
 	// puts the re-armed timer after a, before b.
 	e.At(50, func() { fired = append(fired, "a") })
-	tm.At(50)
+	tm.Schedule(50)
 	e.At(50, func() { fired = append(fired, "b") })
 	e.Run()
 	want := []string{"a", "timer@50", "b"}
@@ -541,11 +529,12 @@ func TestWheelRunUntilTruthful(t *testing.T) {
 	if fired != 2 || e.Now() != 4*wheelSpan {
 		t.Fatalf("after final RunUntil: fired=%d now=%d", fired, e.Now())
 	}
-	// A cancelled far-future event is not "live pending".
-	ev := e.At(8*wheelSpan, func() { fired++ })
-	ev.Cancel()
+	// A stopped far-future timer is not "live pending".
+	tm := NewTimer(e, func() { fired++ })
+	tm.Schedule(4 * wheelSpan)
+	tm.Stop()
 	if e.RunUntil(5 * wheelSpan) {
-		t.Fatal("RunUntil = true with only a cancelled event pending")
+		t.Fatal("RunUntil = true with only a stopped timer pending")
 	}
 }
 
