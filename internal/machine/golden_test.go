@@ -100,6 +100,20 @@ func goldenCases() []goldenCase {
 		{name: "ideal-open-monitored", topo: func() *topology.Topology { return topology.NewGrid(4, 4) },
 			src: stream, strat: func() machine.Strategy { return core.NewIdeal() },
 			cfg: func(c *machine.Config) { c.SampleInterval = 100; c.MonitorPE = true }},
+		// Bus broadcasts: each DLM load word reaches three bus-mates, and
+		// PE pairs sharing two buses hear one broadcast twice.
+		{name: "dlm-buses", topo: func() *topology.Topology { return topology.NewDLM(8, 8, 4) },
+			src: stream, strat: func() machine.Strategy { return core.NewCWN(5, 1) },
+			cfg: func(c *machine.Config) { c.SampleInterval = 100 }},
+		// A hub with 39 channels: one broadcast's same-instant words span
+		// more fan entries than a 32-bit mask holds.
+		{name: "star-wide-fan", topo: func() *topology.Topology { return topology.NewStar(40) },
+			src: stream, strat: cwn, cfg: func(*machine.Config) {}},
+		// Buses crossing the boundary of a 2-shard machine: one broadcast
+		// delivers partly on its own shard and partly through the outbox.
+		{name: "dlm-2shard", topo: func() *topology.Topology { return topology.NewDLM(8, 8, 4) },
+			src: stream, strat: func() machine.Strategy { return core.NewCWN(5, 1) },
+			cfg: func(c *machine.Config) { c.Shards = 2 }},
 	}
 }
 
@@ -204,7 +218,7 @@ func goldenDigest(t *testing.T, c goldenCase) map[string]string {
 }
 
 // TestGoldenDigests pins every observable of a feature matrix run on the
-// default one-shard engine — statistics, sampled series, monitor frames,
+// one-shard engine, and of one 2-shard run — statistics, sampled series, monitor frames,
 // the trace stream and its Perfetto export — against digests recorded
 // in testdata/golden_digests.json. Regenerate with -update-golden only
 // for an intended change in simulated behavior.
