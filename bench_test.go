@@ -9,6 +9,7 @@ package cwnsim_test
 // straight from benchmark output.
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -130,6 +131,39 @@ func BenchmarkScale(b *testing.B) {
 			if c.gated && peak >= peakBudget {
 				b.Fatalf("peak heap %.1f MiB — a million-PE machine must fit in 2 GiB", mib)
 			}
+		})
+	}
+}
+
+// BenchmarkLoadPathScale times the simulator per event as the machine
+// grows: CWN(5,2) under a Poisson stream of fib(9) jobs on one-shard
+// implicit tori of 1,024 to 65,536 PEs. The arrival rate grows with the
+// machine (mean gap 40·4096/P) and the horizon shrinks with it
+// (15,000·4096/P), so every size fires about 16M events, most of them
+// load ticks and load-word deliveries: a rise in ns/event with P is
+// the cost of a larger working set, not of more work. Construction is
+// included; it is a few percent of a run.
+func BenchmarkLoadPathScale(b *testing.B) {
+	for _, side := range []int{32, 64, 128, 256} {
+		p := side * side
+		spec := experiments.RunSpec{
+			Topo:     experiments.Torus(side),
+			Workload: experiments.Fib(9),
+			Strategy: experiments.CWN(5, 2),
+			Arrival:  experiments.PoissonArrivals(40*4096/float64(p), 1<<30),
+			MaxTime:  int64(15_000 * 4096 / p),
+		}
+		b.Run(fmt.Sprintf("torus%d", p), func(b *testing.B) {
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				r, err := spec.ExecuteErr()
+				if err != nil {
+					b.Fatal(err)
+				}
+				events += r.Events
+			}
+			b.ReportMetric(float64(events)/float64(b.N), "events")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 		})
 	}
 }

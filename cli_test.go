@@ -101,6 +101,7 @@ var cliContract = [][]string{
 	{"sweep", "-topos", "grid:4x4", "-workloads", "fib:9", "-strategies", "cwn:9:2", "-scenario", "droplink:a=0:b=5@t=50"},
 	{"serve", "-topos", "grid:4x4", "-strategies", "cwn:9:2", "-jobs", "5", "-gaps", "100", "-scenario", "droplink:a=0:b=5@t=50"},
 	{"sweep", "-topos", "grid:1x2", "-workloads", "fib:5", "-strategies", "cwn:9:2", "-scenario", "fail:pes=0@t=10,fail:pes=1@t=20"},
+	{"sweep", "-topos", "grid:4x4", "-workloads", "fib:5", "-strategies", "cwn:9:2", "-scenario", "chaos:mtbf=0.001:mttr=1@seed=1,fail:pes=0@t=5"},
 }
 
 func TestCLI(t *testing.T) {

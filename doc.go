@@ -58,10 +58,13 @@
 //
 // # Performance
 //
-// The hot path allocates nothing in steady state: events are pooled and
-// dispatched through typed actions instead of closures (internal/sim),
-// wire messages, goals, pending tasks and job states are recycled
-// through free lists, and each PE's ready queue is a ring buffer
+// The hot path allocates nothing in steady state: the scheduler holds
+// every event by value in reused chunks and dispatches it through a
+// typed action instead of a closure (internal/sim); wire messages,
+// goals, pending tasks and job states are recycled through free lists,
+// each PE's ready queue is a ring buffer, and the load-word path —
+// most of a run's events — batches one broadcast's same-instant words
+// into one entry and reads dense per-PE and per-channel arrays
 // (internal/machine). For unbounded job streams, Config.SojournBound
 // collapses latency samples into a fixed-memory streaming histogram.
 // The repository benchmark is perfbench (`bash perfbench/run.sh`): four

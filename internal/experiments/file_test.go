@@ -38,6 +38,8 @@ var specProbes = []struct {
 	{"negative shards", `"shards": -2`, "Shards must be non-negative"},
 	{"link between non-neighbors", `"scenario": "droplink:a=0:b=5@t=50"`, "PEs 0 and 5 share no channel"},
 	{"failures leaving no PE live", `"scenario": "fail:pes=50%@t=10,fail:pes=0+1+2+3+4+5+6+7@t=20"`, "fail:pes=0+1+2+3+4+5+6+7@t=20 fails the last live PE"},
+	{"chaos strikes past the cap", `"scenario": "chaos:mtbf=1.5:mttr=1@seed=1"`, "mtbf 1.5 expects 1333333 strikes"},
+	{"checkpoint ticks past the cap", `"scenario": "checkpoint:every=1:cost=1@t=0"`, "every 1 makes 2000000 ticks"},
 	{"sharded ideal", `"strategy": {"kind": "ideal"}, "shards": 2`, "cannot run sharded"},
 	{"4.9 billion PEs", `"topo": {"kind": "torus", "rows": 70000, "cols": 70000}`, "at most 1073741824 PEs"},
 }

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cwnsim/internal/sim"
 )
@@ -13,50 +14,77 @@ import (
 // queue — because service is FIFO and non-preemptive, tracking the time
 // the channel frees up is sufficient.
 //
-// Channel states are stored by value in Machine.chans — one contiguous
-// slice whose addresses stay stable (it never grows after construction)
-// — with members a subslice of one flat backing array, so a million-PE
-// machine's two million channels cost three allocations, not two
-// million scattered ones.
+// A channel's state is split in two. Its hot record (chanHot) is what
+// every send reads and writes; chanState holds the rest, which only
+// routing, bus deliveries, link ops and construction read. Both are
+// stored by value in parallel slices on the Machine (hot and chans),
+// indexed by the channel's local index — its global ID on a one-shard
+// group — which never grow after construction, with members a subslice
+// of one flat backing array, so a million-PE machine's two million
+// channels cost a few allocations, not two million scattered ones.
 type chanState struct {
-	members   []int
-	busyUntil sim.Time
-	busyTotal sim.Time // scheduled occupancy, including not-yet-elapsed tail
-	messages  int64
+	members []int
 
-	// Scenario state. degrade multiplies occupancy durations (0 =
-	// nominal, the untouched fast path). down marks a full outage:
-	// messages hold at the channel in arrival order and flush when the
+	// Scenario state. degrade multiplies occupancy durations while the
+	// hot record's degraded flag is set. held parks the messages and
+	// load words sent during an outage, in arrival order, until the
 	// link is restored.
 	degrade float64
-	down    bool
 	// slot is the offset of this channel's block in Machine.slots (see
-	// there); it fills the padding after down.
+	// there).
 	slot int32
 	held []heldMsg
 
 	// Sharding (zero on one-shard groups). Each shard holds its own
-	// copy of every chanState its PEs attach to — a directional
+	// copy of every channel its PEs attach to — a directional
 	// half-channel: occupancy accrues on the sending side's copy, and
 	// finalize sums the sides.
 	// crossTo lists the other shards owning members of this channel
-	// (ascending; nil for shard-internal channels), and localMembers
-	// counts the members the owning shard holds — a broadcast with
-	// localMembers < 2 has no local receivers.
-	crossTo      []int
-	localMembers int
+	// (ascending; nil for shard-internal channels).
+	crossTo []int
 }
 
-// chanAt resolves a global channel ID against either layout: dense
-// machines index chans directly, multi-shard machines go through the
-// sparse map. Nil means no owned PE attaches to the channel — possible
-// only on the sparse layout, and only for callers (scenario link ops)
-// that walk scripted channel IDs rather than an owned PE's attachments.
-func (m *Machine) chanAt(ci int) *chanState {
+// chanHot is the part of a channel's state the send path touches: 32
+// bytes, two channels to a cache line, so a broadcast reads one dense
+// record per attached channel instead of a cold chanState.
+type chanHot struct {
+	busyUntil sim.Time
+	busyTotal sim.Time // scheduled occupancy, including not-yet-elapsed tail
+	messages  int64
+
+	// down marks a full outage (sends hold in chanState.held);
+	// degraded says chanState.degrade stretches occupancy. cross is set
+	// when another shard owns a member (chanState.crossTo), and local
+	// when this shard owns a receiver besides the sender: always on a
+	// shard-internal channel, on a crossing one only when this shard
+	// owns two members or more.
+	down, degraded, cross, local bool
+}
+
+// chanLocal resolves a global channel ID to its local index in chans
+// and hot: the ID itself on a one-shard group, the sparse map's entry
+// on a multi-shard one, where -1 means no owned PE attaches to the
+// channel — possible only for callers (scenario link ops) that walk
+// scripted channel IDs rather than an owned PE's attachments.
+func (m *Machine) chanLocal(ci int) int32 {
 	if m.chanIdx == nil {
-		return &m.chans[ci]
+		return int32(ci)
 	}
-	if li := m.chanIdx[ci]; li >= 0 {
+	return m.chanIdx[ci]
+}
+
+// chanID maps a local channel index back to its global ID.
+func (m *Machine) chanID(li int32) int {
+	if m.chanIDs == nil {
+		return int(li)
+	}
+	return int(m.chanIDs[li])
+}
+
+// chanAt returns the cold state of global channel ci, or nil when no
+// owned PE attaches to it (see chanLocal).
+func (m *Machine) chanAt(ci int) *chanState {
+	if li := m.chanLocal(ci); li >= 0 {
 		return &m.chans[li]
 	}
 	return nil
@@ -76,10 +104,10 @@ type heldMsg struct {
 // traffic in flight) must not report the unelapsed tail — which is
 // exactly busyUntil-now, because a backlogged channel is continuously
 // busy from now until it drains.
-func (ch *chanState) committedBusy(now sim.Time) sim.Time {
-	b := ch.busyTotal
-	if ch.busyUntil > now {
-		b -= ch.busyUntil - now
+func (h *chanHot) committedBusy(now sim.Time) sim.Time {
+	b := h.busyTotal
+	if h.busyUntil > now {
+		b -= h.busyUntil - now
 	}
 	return b
 }
@@ -151,7 +179,7 @@ type wireMsg struct {
 	m    *Machine //simlint:keep the owning shard: set on every newMsg pop and rebound on cross-shard handoff, so a free-listed message always points at the machine whose list holds it
 	kind wireKind
 	// ci is the global ID of the channel carrying the hop. Every shard
-	// resolves it to its own copy (chanAt), so a message handed across
+	// resolves it to its own copy (chanLocal), so a message handed across
 	// shards delivers against the receiving shard's channel state and
 	// receiver slots.
 	ci       int32
@@ -282,7 +310,7 @@ func (w *wireMsg) Act() {
 // rowOf returns the offset in Machine.slots of sender from's row of
 // ch's receiver slots: len(members)-1 entries, entry r belonging to the
 // r-th member of ch other than from, in member order. It scans the
-// member list; the load-word path reads rows from the PEs' fan tables.
+// member list; the load-word path reads rows from the fan table.
 func (ch *chanState) rowOf(from int) int32 {
 	i := 0
 	for ch.members[i] != from {
@@ -292,59 +320,148 @@ func (ch *chanState) rowOf(from int) int32 {
 }
 
 // fanEntry is one attached channel of a PE's broadcast fan-out table:
-// the channel's global ID and the PE's row of its receiver slots
-// (offset and length in Machine.slots). buildSlots fills the table.
+// the channel's local index (into chans and hot; its global ID on a
+// one-shard group) and the PE's row of its receiver slots (offset and
+// length in Machine.slots). The machine's flat fan table holds every
+// owned PE's entries, ascending by channel ID; buildSlots fills them.
 type fanEntry struct {
-	ci, row, n int32
+	lc, row, n int32
 }
 
-// fanOf returns sender from's fan entry for channel ci on this shard.
+// fanOf returns sender from's fan entry for global channel ci on this
+// shard.
 func (m *Machine) fanOf(ci, from int) fanEntry {
-	ch := m.chanAt(ci)
-	return fanEntry{ci: int32(ci), row: ch.rowOf(from), n: int32(len(ch.members) - 1)}
+	lc := m.chanLocal(ci)
+	ch := &m.chans[lc]
+	return fanEntry{lc: lc, row: ch.rowOf(from), n: int32(len(ch.members) - 1)}
 }
 
-// loadWord is one periodic load word: the sender's fan entry for the
-// channel carrying it, the sender and the load it advertises. It is
-// never a wire message. Delivery needs only the receivers' row and the
-// load, so a word rides the engine as one payload event per channel
-// (wordAt), and waits by value wherever it waits: in a downed
-// channel's held list, or in the outbox to another shard, whose drain
-// replaces the row with the receiving shard's own.
+// fanRow returns owned PE lx's fan entries.
+func (m *Machine) fanRow(lx int) []fanEntry {
+	return m.fan[m.fanOff[lx]:m.fanOff[lx+1]]
+}
+
+// loadWord is one periodic load word waiting in a downed channel's
+// held list: the sender's fan entry for the channel, the sender and the
+// load it advertises. It is never a wire message; a word handed to
+// another shard travels in its outbox entry (xmsg), whose drain looks
+// up the receiving shard's row.
 type loadWord struct {
 	fan        fanEntry
 	from, load int32
 }
 
-// sendWord is transmit for a load word: it occupies the word's channel
-// for dur units, hands a copy to every other shard owning a member, and
-// schedules the local delivery when this shard owns another member. On
-// a downed channel the word holds until the link is restored.
-func (m *Machine) sendWord(wd loadWord, dur sim.Time) {
-	ch := m.chanAt(int(wd.fan.ci))
-	if ch.down {
-		ch.held = append(ch.held, heldMsg{dur: dur, word: wd})
-		return
-	}
-	end := ch.occupy(m.eng.Now(), dur)
-	if ch.crossTo != nil {
-		for _, d := range ch.crossTo {
-			m.handOff(d, xmsg{at: end, word: wd})
+// batchBits is how many fan entries one batched delivery can name: the
+// width of its payload's mask (see wordBatch).
+const batchBits = 32
+
+// broadcastLoad sends owned PE lx's current load to all its neighbors:
+// one load word per attached channel, in fan order over the PE's fan
+// entries fan[lo:hi] (a single bus transaction reaches all bus-mates; a
+// neighbor sharing two buses hears it twice, harmlessly). The words
+// this shard delivers are batched: one payload event per distinct
+// delivery instant, in each batchBits-wide window of the fan, naming
+// the window's first fan entry, a mask of the entries delivering then
+// and the load. Nothing else is scheduled while a broadcast runs, so
+// one instant's words would sit back to back in its FIFO anyway, and
+// one event firing them in fan order (wordBatch) reproduces every
+// delivery.
+func (m *Machine) broadcastLoad(lx int, lo, hi int32) {
+	m.stats.MsgCounts[MsgLoad] += int64(hi - lo)
+	from, load, dur := int32(m.peLo+lx), m.loadOf(lx), m.cfg.CtrlHopTime
+	for base := lo; base < hi; base += batchBits {
+		var pend, mask uint32
+		var at sim.Time
+		for k, f := range m.fan[base:min(hi, base+batchBits)] {
+			// A word on a downed or crossing channel takes sendLoad's
+			// whole path; the rest only occupy their channel.
+			var end sim.Time
+			if h := &m.hot[f.lc]; !h.down && !h.cross {
+				end = m.occupy(h, f.lc, dur)
+			} else {
+				var ok bool
+				if end, ok = m.sendLoad(f, from, load, dur); !ok {
+					continue
+				}
+			}
+			if pend == 0 {
+				at = end
+			}
+			if end == at {
+				mask |= 1 << k
+			}
+			pend |= 1 << k
 		}
-		if ch.localMembers < 2 {
-			return
+		// Entries in mask are due at `at`. A word's delivery instant is
+		// its channel's busy-until: the broadcast sends one word per
+		// channel.
+		for pend != 0 {
+			m.eng.AtPayload(at, &m.batches, uint64(base)<<32|uint64(mask), uint64(uint32(load)))
+			if pend &^= mask; pend == 0 {
+				break
+			}
+			at, mask = m.hot[m.fan[base+int32(bits.TrailingZeros32(pend))].lc].busyUntil, 0
+			for rest := pend; rest != 0; rest &= rest - 1 {
+				if k := bits.TrailingZeros32(rest); m.hot[m.fan[base+int32(k)].lc].busyUntil == at {
+					mask |= 1 << k
+				}
+			}
 		}
 	}
-	m.wordAt(end, wd.fan, wd.load)
 }
 
-// wordAt schedules a load word's delivery at time at: one payload event
-// carrying the receivers' slot row f and the load.
+// sendLoad transmits one load word on fan entry f's channel: it
+// occupies the channel for dur units and hands a copy to every other
+// shard owning a member. It reports when the word is due at this
+// shard's receivers, ok false when none of them hears it: the channel
+// is down (the word holds until the link is restored), or this shard
+// owns no receiver.
+func (m *Machine) sendLoad(f fanEntry, from, load int32, dur sim.Time) (end sim.Time, ok bool) {
+	h := &m.hot[f.lc]
+	if h.down {
+		m.hold(f.lc, heldMsg{dur: dur, word: loadWord{fan: f, from: from, load: load}})
+		return 0, false
+	}
+	end = m.occupy(h, f.lc, dur)
+	if h.cross {
+		m.handOffWord(f.lc, end, from, load)
+		return end, h.local
+	}
+	return end, true
+}
+
+// sendWord sends a held load word once its channel is restored; unlike
+// a broadcast's words, its local delivery is an event of its own.
+func (m *Machine) sendWord(wd loadWord, dur sim.Time) {
+	if end, ok := m.sendLoad(wd.fan, wd.from, wd.load, dur); ok {
+		m.wordAt(end, wd.fan, wd.load)
+	}
+}
+
+// handOffWord queues a load word sent on local channel lc for every
+// other shard owning a member, due at `at`.
+func (m *Machine) handOffWord(lc int32, at sim.Time, from, load int32) {
+	ci := int32(m.chanID(lc))
+	for _, d := range m.chans[lc].crossTo {
+		m.handOff(d, xmsg{at: at, ci: ci, from: from, load: load})
+	}
+}
+
+// hold parks a transmission at downed local channel lc.
+func (m *Machine) hold(lc int32, h heldMsg) {
+	ch := &m.chans[lc]
+	ch.held = append(ch.held, h)
+}
+
+// wordAt schedules one load word's delivery at time at: one payload
+// event carrying the receivers' slot row f and the load. Words flushed
+// from a held list or drained from another shard's outbox arrive one at
+// a time, and take this path.
 func (m *Machine) wordAt(at sim.Time, f fanEntry, load int32) {
 	m.eng.AtPayload(at, &m.words, uint64(f.row)<<32|uint64(f.n), uint64(uint32(load)))
 }
 
-// wordSink is the one Action behind every load-word delivery on its
+// wordSink is the Action behind every single load-word delivery on its
 // machine; each event's payload says which row hears which load.
 type wordSink struct{ m *Machine }
 
@@ -353,9 +470,38 @@ type wordSink struct{ m *Machine }
 func (d *wordSink) Act() {
 	m := d.m
 	rowN, load := m.eng.Payload()
-	for _, x := range m.slots[rowN>>32:][:uint32(rowN)] {
+	m.recordRow(int32(rowN>>32), int32(uint32(rowN)), int32(load))
+}
+
+// wordBatch is the Action behind every batched load-word delivery on
+// its machine (see broadcastLoad): each event's payload is the offset
+// in the fan table of its window's first entry, the mask of the
+// window's entries delivering now, and the load.
+type wordBatch struct{ m *Machine }
+
+// Act delivers the masked entries' words in fan order. Each word
+// beyond the first counts as the event it would be on its own
+// (Machine.batchExtra), so Stats.Events counts every delivery.
+func (d *wordBatch) Act() {
+	m := d.m
+	p0, load := m.eng.Payload()
+	fan, mask := m.fan[p0>>32:], uint32(p0)
+	m.batchExtra += uint64(bits.OnesCount32(mask) - 1)
+	for ; mask != 0; mask &= mask - 1 {
+		f := fan[bits.TrailingZeros32(mask)]
+		m.recordRow(f.row, f.n, int32(load))
+	}
+}
+
+// recordRow stores load as the latest word heard in the n receiver
+// slots from offset row of the slot table, skipping the -1 entries of
+// receivers another shard owns.
+func (m *Machine) recordRow(row, n, load int32) {
+	now := m.eng.Now()
+	for _, x := range m.slots[row:][:n] {
 		if x >= 0 {
-			m.recordLoad(x, int(int32(load)))
+			m.nbrLoad[x] = load
+			m.nbrSeen[x] = now
 		}
 	}
 }
@@ -392,13 +538,14 @@ func (m *Machine) recordLoad(x int32, load int) {
 // message holds at the sender instead, transmitting (in arrival order)
 // when the link is restored.
 func (m *Machine) transmit(dur sim.Time, w *wireMsg) {
-	ch := m.chanAt(int(w.ci))
-	if ch.down {
-		ch.held = append(ch.held, heldMsg{w: w, dur: dur})
+	lc := m.chanLocal(int(w.ci))
+	h := &m.hot[lc]
+	if h.down {
+		m.hold(lc, heldMsg{w: w, dur: dur})
 		return
 	}
-	end := ch.occupy(m.eng.Now(), dur)
-	if m.grp.k > 1 && m.crossShard(ch, end, w) {
+	end := m.occupy(h, lc, dur)
+	if m.grp.k > 1 && m.crossShard(h, lc, end, w) {
 		return
 	}
 	m.eng.AtAction(end, w)
@@ -412,7 +559,7 @@ func (m *Machine) transmit(dur sim.Time, w *wireMsg) {
 // Every copy carries only the global channel ID, so it delivers against
 // the receiving shard's copy of the channel, whose receiver slots
 // filter for that shard's members.
-func (m *Machine) crossShard(ch *chanState, end sim.Time, w *wireMsg) bool {
+func (m *Machine) crossShard(h *chanHot, lc int32, end sim.Time, w *wireMsg) bool {
 	switch w.kind {
 	case wireGoal, wireGoalRoute, wireResp, wireCtrl:
 		d := m.grp.part.Assign[w.to]
@@ -422,15 +569,15 @@ func (m *Machine) crossShard(ch *chanState, end sim.Time, w *wireMsg) bool {
 		m.handOff(d, xmsg{at: end, w: w})
 		return true
 	default: // wireCtrlBcast, wireEnvBcast
-		if ch.crossTo == nil {
+		if !h.cross {
 			return false
 		}
-		for _, d := range ch.crossTo {
+		for _, d := range m.chans[lc].crossTo {
 			c := m.newMsg(w.kind, int(w.ci), w.from, int(w.sentLoad))
 			c.payload = w.payload
 			m.handOff(d, xmsg{at: end, w: c})
 		}
-		if ch.localMembers >= 2 {
+		if h.local {
 			return false
 		}
 		m.freeMsg(w)
@@ -449,30 +596,17 @@ func (m *Machine) handOff(dst int, x xmsg) {
 	m.xout[dst] = append(m.xout[dst], x)
 }
 
-// transmitFunc is transmit for cold paths and tests that want a closure
-// instead of a pooled message. It ignores link outages (no caller
-// transmits closures on a scripted channel).
-func (m *Machine) transmitFunc(ch *chanState, dur sim.Time, deliver func()) sim.Time {
-	end := ch.occupy(m.eng.Now(), dur)
-	m.eng.At(end, deliver)
-	return end
-}
-
-// occupy reserves the channel's next dur free units and returns when the
-// reservation ends. A degraded channel stretches the occupancy by its
-// factor.
-func (ch *chanState) occupy(now, dur sim.Time) sim.Time {
-	if ch.degrade != 0 {
-		dur = scaledUnits(float64(dur) * ch.degrade)
+// occupy reserves local channel lc's next dur free units, h its hot
+// record, and returns when the reservation ends. A degraded channel
+// stretches the occupancy by its factor.
+func (m *Machine) occupy(h *chanHot, lc int32, dur sim.Time) sim.Time {
+	if h.degraded {
+		dur = scaledUnits(float64(dur) * m.chans[lc].degrade)
 	}
-	start := now
-	if ch.busyUntil > start {
-		start = ch.busyUntil
-	}
-	end := start + dur
-	ch.busyUntil = end
-	ch.busyTotal += dur
-	ch.messages++
+	end := max(m.eng.Now(), h.busyUntil) + dur
+	h.busyUntil = end
+	h.busyTotal += dur
+	h.messages++
 	return end
 }
 
@@ -482,17 +616,17 @@ func (ch *chanState) occupy(now, dur sim.Time) sim.Time {
 // exactly one. A downed channel is chosen only when every candidate is
 // down (the message then holds at it until restore).
 func (m *Machine) pickChannel(candidates []int) int {
-	best, bestCh := candidates[0], m.chanAt(candidates[0])
+	best, bh := candidates[0], &m.hot[m.chanLocal(candidates[0])]
 	for _, ci := range candidates[1:] {
-		ch := m.chanAt(ci)
-		if bestCh.down != ch.down {
-			if bestCh.down {
-				best, bestCh = ci, ch
+		h := &m.hot[m.chanLocal(ci)]
+		if bh.down != h.down {
+			if bh.down {
+				best, bh = ci, h
 			}
 			continue
 		}
-		if ch.busyUntil < bestCh.busyUntil {
-			best, bestCh = ci, ch
+		if h.busyUntil < bh.busyUntil {
+			best, bh = ci, h
 		}
 	}
 	return best

@@ -265,6 +265,9 @@ func (c Config) Validate(numPEs int) error {
 	if err := c.Scenario.Validate(numPEs); err != nil {
 		return err
 	}
+	if err := c.Scenario.CheckExpansion(c.MaxTime); err != nil {
+		return err
+	}
 	if err := c.validateLive(numPEs); err != nil {
 		return err
 	}

@@ -117,42 +117,55 @@
 // analyzer (internal/analysis, run by CI as cmd/simlint) enforces both
 // rules at vet time.
 //
-// Load traffic is most of the work (every PE broadcasts one load word
-// per attached channel every LoadInterval: load words and load ticks
-// are 98% of fault-shard's engine events, and with GM's gradient ticks
-// 98% of ctrl-gm's), so delivering a word is an index walk, not a
-// search of the receiver's neighbor list. At construction each shard builds one flat int32
-// receiver-slot table: for every channel it holds and every ordered
-// (sender, receiver) pair of the channel's members, the index of the
-// receiver's view of the sender in the flat per-neighbor backings, or
-// -1 where the shard does not own the receiver — s·(s-1) entries for a
-// channel of span s, 8 bytes per link, addressed from the chanState's
-// slot offset, one row of s-1 entries per sender. Next to it each PE
-// gets its fan-out table: one entry per attached channel holding the
-// channel ID and the PE's row (offset and length).
+// Load traffic is most of the work: every PE broadcasts one load word
+// per attached channel every LoadInterval. On fault-shard (seed 1),
+// 12.3M of the 15.7M events Stats.Events counts are load-word
+// deliveries, and 7.9M of ctrl-gm's 12.2M. So delivering a word is an
+// index walk, not a search of the receiver's neighbor list. At
+// construction each shard builds one flat int32 receiver-slot table:
+// for every channel it holds and every ordered (sender, receiver) pair
+// of the channel's members, the index of the receiver's view of the
+// sender in the flat per-neighbor backings, or -1 where the shard does
+// not own the receiver — s·(s-1) entries for a channel of span s, 8
+// bytes per link, addressed from the chanState's slot offset, one row
+// of s-1 entries per sender. Next to it the machine keeps one flat
+// fan-out table: per owned PE, one entry per attached channel holding
+// the channel's local index and the PE's row (offset and length), the
+// PE's entries found by offset (fanOff).
 //
-// A periodic load word is therefore not a wire message. broadcastLoad
-// occupies each attached channel and schedules one engine payload event
-// carrying (row, length, load) (sim.Engine.AtPayload); delivery writes
-// the row's views directly, with no pooled message, no channel lookup
-// and no member scan. That event takes exactly the (time, seq) position
-// a wire message on the channel would: Stats.Events and the pinned
-// digests count it. The broadcast itself is driven the same way: each
-// owned PE's load process is one payload event carrying the PE's block
-// index, whose one shared Action (loadTick) broadcasts and then re-arms
-// the event LoadInterval later, with no timer or closure per PE. Every
-// other periodic process — a strategy's (Machine.NewTicker) or the
-// utilization sampler — is a payload event of a second shared Action
-// (procTick), carrying the callback's slot in a per-machine table and
-// the period; it runs the callback, then re-arms, loadTick's order.
-// Where a word waits it waits by value: in a downed channel's held list
-// until the link comes back, or in the outbox to another shard, whose
-// drain looks the row up on the receiving shard's own table. Environment and control broadcasts and
-// point-to-point hops stay wire messages: a wire message carries its
-// channel's global ID, which each shard resolves to its own channel
-// copy (chanAt), so a message handed across shards reads the receiving
-// shard's slots. Environment broadcasts and piggybacked load words
-// write by slot too, after a member scan.
+// A periodic load word is therefore not a wire message, and one
+// broadcast's words are not one event each. Each owned PE's load
+// process is one payload event (sim.Engine.AtPayload) carrying the PE's
+// block index and its range in the fan table, whose one shared Action
+// (loadTick) broadcasts and then re-arms the event LoadInterval later,
+// with no timer or closure per PE. broadcastLoad reads the PE's load
+// from the dense per-PE counts, occupies each attached channel in fan
+// order through the channel's hot record, and then pushes one payload
+// event per distinct delivery instant: the offset of the first fan
+// entry of its window, a mask of the window's entries due then (a fan
+// wider than 32 channels takes one event per 32-entry window) and the
+// load. Nothing else is scheduled while the broadcast runs, so the
+// words due at one instant would have sat back to back in that
+// instant's FIFO; the batch event (wordBatch) takes the first word's
+// (time, seq) position and writes the words' views in fan order, which
+// reproduces every delivery. It counts the words beyond its first
+// (batchExtra), and finalize adds them to Stats.Events, so Events still
+// counts every delivery and the pinned digests hold: fault-shard fires
+// 7.05M scheduler entries for its 15.7M events, ctrl-gm 6.55M for
+// 12.2M. Every other periodic process — a strategy's
+// (Machine.NewTicker) or the utilization sampler — is a payload event
+// of a second shared Action (procTick), carrying the callback's slot in
+// a per-machine table and the period; it runs the callback, then
+// re-arms, loadTick's order. Where a word waits it waits by value: in a
+// downed channel's held list until the link comes back, or in the
+// outbox to another shard, whose drain looks the row up on the
+// receiving shard's own table; those words deliver one event each
+// (wordSink). Environment and control broadcasts and point-to-point
+// hops stay wire messages: a wire message carries its channel's global
+// ID, which each shard resolves to its own channel copy (chanLocal), so
+// a message handed across shards reads the receiving shard's slots.
+// Environment broadcasts and piggybacked load words write by slot too,
+// after a member scan.
 //
 // # Memory layout
 //
@@ -162,21 +175,32 @@
 // per-PE budget. Four decisions carry it:
 //
 // Struct-of-arrays hot state. The per-event PE fields — busy, failed,
-// remaining-service end, accrued busy time, speed — live in parallel
-// slices on the Machine (peBusy, peFailed, peServiceEnd, peBusyTime,
-// peSpeed), indexed by the PE's local index (PE.lx). An event touching
-// a thousand PEs walks flat arrays instead of dereferencing a thousand
-// structs; the speed slice is nil for homogeneous machines. The PE
+// remaining-service end, accrued busy time, speed, the ready-queue
+// length and the pending-task count — live in parallel slices on the
+// Machine (peBusy, peFailed, peServiceEnd, peBusyTime, peSpeed,
+// peQueue, pePending), indexed by the PE's local index (PE.lx). An
+// event touching a thousand PEs walks flat arrays instead of
+// dereferencing a thousand structs; the speed slice is nil for
+// homogeneous machines. The two counts are owned there, not by the
+// ready ring and the pending slab, so a PE's advertised load (loadOf)
+// reads two dense arrays, and a load tick touches no PE struct. The PE
 // struct keeps the cold and per-PE-shaped state (ready ring, pending
 // slab, neighbor views), and the structs themselves sit in one
 // contiguous block (peBlock), not a million singleton allocations.
 //
-// Flat adjacency. Neighbor lists, per-neighbor load views and channel
-// membership are capacity-capped subslices of shared flat backings
-// (CSR form), so per-PE adjacency costs array bytes, not slice-header
-// garbage and pointer-chased little arrays. Channel states are a value
-// slice (chans []chanState) that never grows, so interior *chanState
-// pointers stay valid for the life of the run.
+// Flat adjacency. Neighbor lists, per-neighbor load views, the fan-out
+// table and channel membership are capacity-capped subslices or ranges
+// of shared flat backings (CSR form), so per-PE adjacency costs array
+// bytes, not slice-header garbage and pointer-chased little arrays.
+// Channel state is split hot from cold in two parallel value slices
+// that never grow, indexed by the channel's local index (its global ID
+// on one shard): hot holds a 32-byte chanHot per channel — busy-until,
+// busy total, message count and the down, degraded, cross-shard and
+// local-receiver flags, all a send reads or writes, two channels to a
+// cache line — and chans the chanState with the rest (members, degrade
+// factor, slot offset, held list, crossTo). A fan entry names its
+// channel's local index, so a broadcast indexes hot directly, with no
+// global-to-local hop on a sharded machine.
 //
 // Pooled chunks. Goals, wire messages, pending tasks and job states
 // come from one generic pool per type (pool, machine.go): a freed
@@ -211,8 +235,8 @@
 // checkpoint snapshots, scenario ops, job purges and nearest-live
 // lookups each have one implementation, the one K shards use.
 // Per-shard channel state on a multi-shard machine is sparse
-// (chanIdx/chanAt): a shard stores chanState only for channels its own
-// PEs attach to — every transmit, broadcast and link op
+// (chanIdx/chanLocal): a shard stores channel state only for channels
+// its own PEs attach to — every transmit, broadcast and link op
 // resolves at the sending side — so a K-shard million-PE machine stays
 // near the one-shard footprint instead of paying K full channel arrays.
 //

@@ -139,16 +139,16 @@ func (m *Machine) failPE(pe *PE) {
 			m.stats.ServiceAborts++
 			m.evacuateGoal(pe.id, refuge, it.goal)
 		case itemResponse:
-			pe.ready.pushFront(it)
+			pe.pushReadyFront(it)
 		}
 	}
 
 	// Evacuate queued goals in FIFO order, preserving their relative
 	// ages at the refuge PE.
-	for i := 0; i < pe.ready.len(); {
+	for i := 0; i < pe.queueLen(); {
 		if it := pe.ready.at(i); it.kind == itemGoal {
 			g := it.goal
-			pe.ready.removeAt(i)
+			pe.removeReady(i)
 			m.evacuateGoal(pe.id, refuge, g)
 		} else {
 			i++
@@ -218,8 +218,8 @@ func (m *Machine) crashPE(pe *PE) {
 		// An interrupted response integration is simply gone — its
 		// waiting task is about to be purged with the pending map.
 	}
-	for pe.ready.len() > 0 {
-		it := pe.ready.popFront()
+	for pe.queueLen() > 0 {
+		it := pe.popReady()
 		if it.kind == itemGoal {
 			m.stats.GoalsLost++
 			collect(it.goal)
@@ -233,14 +233,14 @@ func (m *Machine) crashPE(pe *PE) {
 	// which would make identically-seeded crash runs diverge. (IDs are
 	// collected first for a second reason: del back-shifts entries, so
 	// deleting while iterating slots would skip some.)
-	ids := make([]int64, 0, pe.pending.len())
+	ids := make([]int64, 0, pe.PendingTasks())
 	pe.pending.forEach(func(id int64, _ *pendingTask) { ids = append(ids, id) })
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		p := pe.pending.get(id)
 		m.stats.GoalsLost++ // the executed parent's spawn state is lost
 		collect(p.goal)
-		pe.pending.del(id)
+		pe.delPending(id)
 		m.freeGoal(p.goal)
 		m.freePending(p)
 	}
@@ -318,10 +318,10 @@ func (m *Machine) purgeJob(j *jobState) {
 	var stale []int64
 	for lx := range m.peBlock {
 		pe := &m.peBlock[lx]
-		for i := 0; i < pe.ready.len(); {
+		for i := 0; i < pe.queueLen(); {
 			if it := pe.ready.at(i); it.kind == itemGoal && it.goal.job == j && it.goal.epoch != j.epoch {
 				g := it.goal
-				pe.ready.removeAt(i)
+				pe.removeReady(i)
 				m.stats.GoalsLost++
 				m.freeGoal(g)
 			} else {
@@ -338,7 +338,7 @@ func (m *Machine) purgeJob(j *jobState) {
 		})
 		for _, id := range stale {
 			p := pe.pending.get(id)
-			pe.pending.del(id)
+			pe.delPending(id)
 			m.freeGoal(p.goal)
 			m.freePending(p)
 		}
@@ -380,7 +380,7 @@ func (m *Machine) recoverPE(pe *PE) {
 	m.peFailed[pe.lx] = false
 	m.noteRecovered(pe.id)
 	pe.downTime += m.eng.Now() - pe.failedAt
-	if !m.peBusy[pe.lx] && pe.ready.len() > 0 {
+	if !m.peBusy[pe.lx] && pe.queueLen() > 0 {
 		pe.startNext()
 	}
 	m.broadcastEnv(pe, PERecovered)
@@ -442,26 +442,29 @@ func (m *Machine) nearestLive(from int) int {
 // beyond the named endpoints).
 func (m *Machine) setLinkState(a, b int, factor float64, down bool) {
 	for _, ci := range m.topo.ChannelsBetween(a, b) {
-		ch := m.chanAt(ci)
-		if ch == nil {
+		lc := m.chanLocal(ci)
+		if lc < 0 {
 			continue // no owned PE attaches to this channel
 		}
 		if down {
-			ch.down = true
+			m.hot[lc].down = true
 			continue
 		}
-		ch.degrade = factor
-		m.bringUp(ch)
+		m.chans[lc].degrade = factor
+		m.hot[lc].degraded = factor != 0
+		m.bringUp(lc)
 	}
 }
 
-// bringUp ends a channel outage, transmitting the held messages and
-// load words in arrival order; a channel that is not down is untouched.
-func (m *Machine) bringUp(ch *chanState) {
-	if !ch.down {
+// bringUp ends local channel lc's outage, transmitting the held
+// messages and load words in arrival order; a channel that is not down
+// is untouched.
+func (m *Machine) bringUp(lc int32) {
+	if !m.hot[lc].down {
 		return
 	}
-	ch.down = false
+	m.hot[lc].down = false
+	ch := &m.chans[lc]
 	held := ch.held
 	ch.held = nil
 	for _, h := range held {

@@ -36,22 +36,28 @@ type Machine struct {
 	peBlock []PE
 
 	// Struct-of-arrays hot state: the per-event scalars every service
-	// start/completion touches live in machine-level parallel slices
-	// indexed by PE.lx, not in the (much colder) PE struct, so the event
-	// loop's working set is a few dense arrays. peSpeed stays nil while
-	// every PE runs at nominal speed — the unscripted homogeneous fast
-	// path allocates and reads nothing.
+	// start/completion and every load tick touches live in machine-level
+	// parallel slices indexed by PE.lx, not in the (much colder) PE
+	// struct, so the event loop's working set is a few dense arrays.
+	// peQueue and pePending are the ready-queue length and the count of
+	// tasks awaiting responses — the two inputs of the advertised load
+	// (loadOf) — owned here, not by the ring and the slab. peSpeed stays
+	// nil while every PE runs at nominal speed — the unscripted
+	// homogeneous fast path allocates and reads nothing.
 	peBusy       []bool
 	peFailed     []bool
+	peQueue      []int32
+	pePending    []int32
 	peServiceEnd []sim.Time
 	peBusyTime   []sim.Time
 	peSpeed      []float64
 
-	// chans holds the channel FIFO-server states by value in one
-	// contiguous slice. The slice never grows after construction, so
-	// interior *chanState pointers stay valid for the life of the run;
-	// member lists are subslices of one flat backing array.
+	// chans and hot hold each channel's cold and hot state by value in
+	// two parallel slices (see chanState and chanHot). Neither grows
+	// after construction, so interior pointers stay valid for the life
+	// of the run; member lists are subslices of one flat backing array.
 	chans []chanState
+	hot   []chanHot
 	// chanIdx/chanIDs are the sparse channel map of a multi-shard
 	// machine: chanIdx[global] is the index into chans (-1 when no
 	// owned PE attaches to the channel), chanIDs[local] maps back.
@@ -59,6 +65,13 @@ type Machine struct {
 	// indexed.
 	chanIdx []int32
 	chanIDs []int32
+
+	// fan is the flat broadcast fan-out table: owned PE lx's attached
+	// channels are fan[fanOff[lx]:fanOff[lx+1]], each entry the
+	// channel's local index and the PE's row of its receiver slots, so
+	// a load tick reaches its channels without touching the PE struct.
+	fan    []fanEntry
+	fanOff []int32
 
 	// nbrLoad, nbrSeen and nbrDown are the flat backings of every owned
 	// PE's per-neighbor views: the load word last heard, when, and the
@@ -76,9 +89,15 @@ type Machine struct {
 	nbrDown []bool
 	slots   []int32
 
-	// words is the Action of every load-word delivery on this machine
-	// (see loadWord): one value, each event's payload naming its row.
-	words wordSink
+	// words and batches are the Actions of every load-word delivery on
+	// this machine (see broadcastLoad): one value each, each event's
+	// payload naming its row (words, one word) or its fan entries
+	// (batches, one broadcast's words due at one instant). batchExtra
+	// counts the words batched events delivered beyond their first, so
+	// Stats.Events counts every delivery (finalize).
+	words      wordSink
+	batches    wordBatch
+	batchExtra uint64
 	// ticks is the Action of every owned PE's periodic load broadcast:
 	// one value, each event's payload naming its PE (see loadTick).
 	ticks loadTick
@@ -280,6 +299,7 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 		nextGoalID: int64(shard) << 40,
 	}
 	m.words.m = m
+	m.batches.m = m
 	m.ticks.m = m
 	m.procs.m = m
 	m.arrivals.m = m
@@ -305,6 +325,8 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 	m.peBlock = make([]PE, block)
 	m.peBusy = make([]bool, block)
 	m.peFailed = make([]bool, block)
+	m.peQueue = make([]int32, block)
+	m.pePending = make([]int32, block)
 	m.peServiceEnd = make([]sim.Time, block)
 	m.peBusyTime = make([]sim.Time, block)
 	if cfg.PESpeeds != nil {
@@ -313,24 +335,21 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 	}
 
 	// CSR-flattened adjacency for the owned block: neighbor lists, the
-	// per-neighbor load/seen/down views and the fan-out tables are
-	// subslices of flat arrays — four allocations for the whole machine
-	// instead of five per PE, and the broadcast path reads its channels
-	// straight from the PE instead of asking the topology per tick.
-	// chansFlat lists the attached channel IDs; the fan-out backing is
-	// then sized to it exactly, and buildSlots fills in the slot rows.
+	// per-neighbor load/seen/down views and the fan-out table are
+	// subslices or ranges of flat arrays — a few allocations for the
+	// whole machine instead of several per PE, and the broadcast path
+	// reads its channels from the fan table instead of asking the
+	// topology per tick. chansFlat lists the attached channel IDs; the
+	// fan table is then sized to it exactly, and buildSlots fills in the
+	// local channel indices and slot rows.
 	nbrOff := make([]int, block+1)
-	chOff := make([]int, block+1)
+	m.fanOff = make([]int32, block+1)
 	var nbrsFlat, chansFlat []int
 	for i := m.peLo; i < m.peHi; i++ {
 		nbrsFlat = topo.AppendNeighbors(nbrsFlat, i)
 		nbrOff[i-m.peLo+1] = len(nbrsFlat)
 		chansFlat = topo.AppendChannelsOf(chansFlat, i)
-		chOff[i-m.peLo+1] = len(chansFlat)
-	}
-	fanFlat := make([]fanEntry, len(chansFlat))
-	for i, ci := range chansFlat {
-		fanFlat[i].ci = int32(ci)
+		m.fanOff[i-m.peLo+1] = int32(len(chansFlat))
 	}
 	m.nbrLoad = make([]int32, len(nbrsFlat))
 	m.nbrSeen = make([]sim.Time, len(nbrsFlat))
@@ -348,9 +367,9 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 	//
 	// A multi-shard machine only ever touches channels attached to its
 	// owned PEs — every transmit, broadcast and link op resolves at the
-	// sending (owned) side — so it stores chanState sparsely: chanIdx
-	// maps global channel ID to the local slice (or -1), chanIDs maps
-	// back, and chanAt resolves both layouts. Dense storage for a
+	// sending (owned) side — so it stores channels sparsely: chanIdx
+	// maps global channel ID to the local slices (or -1), chanIDs maps
+	// back, and chanLocal resolves both layouts. Dense storage for a
 	// million-PE torus is 2M channels x 120 B per shard; sparse keeps
 	// the per-shard cost proportional to the owned block, which is what
 	// lets a Shards=K million-PE run fit the same heap budget as a
@@ -370,27 +389,19 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 				m.chanIDs = append(m.chanIDs, int32(ci))
 			}
 		}
-		m.chans = make([]chanState, len(m.chanIDs))
-		offs := make([]int, len(m.chanIDs)+1)
-		var flat []int
-		for li, ci := range m.chanIDs {
-			flat = topo.AppendChannelMembers(flat, int(ci))
-			offs[li+1] = len(flat)
-		}
-		for li := range m.chans {
-			m.chans[li].members = flat[offs[li]:offs[li+1]:offs[li+1]]
-		}
-	} else {
-		m.chans = make([]chanState, nc)
-		offs := make([]int, nc+1)
-		var flat []int
-		for ci := 0; ci < nc; ci++ {
-			flat = topo.AppendChannelMembers(flat, ci)
-			offs[ci+1] = len(flat)
-		}
-		for ci := 0; ci < nc; ci++ {
-			m.chans[ci].members = flat[offs[ci]:offs[ci+1]:offs[ci+1]]
-		}
+		nc = len(m.chanIDs)
+	}
+	m.chans = make([]chanState, nc)
+	m.hot = make([]chanHot, nc)
+	offs := make([]int, nc+1)
+	var flat []int
+	for li := 0; li < nc; li++ {
+		flat = topo.AppendChannelMembers(flat, m.chanID(int32(li)))
+		offs[li+1] = len(flat)
+	}
+	for li := range m.chans {
+		m.chans[li].members = flat[offs[li]:offs[li+1]:offs[li+1]]
+		m.hot[li].local = true // until a crossing channel is stamped (newShardGroup)
 	}
 
 	// Remote shards' entries stay nil; every local access happens through
@@ -407,12 +418,11 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 			nbrs:    nbrsFlat[lo:hi:hi],
 			nbrLoad: m.nbrLoad[lo:hi:hi],
 			nbrSeen: m.nbrSeen[lo:hi:hi],
-			fan:     fanFlat[chOff[lx]:chOff[lx+1]:chOff[lx+1]],
 		}
 		pe.svc.Init(m.eng, pe.serviceDone)
 		m.pes[i] = pe
 	}
-	m.buildSlots(nbrOff)
+	m.buildSlots(nbrOff, chansFlat)
 
 	for _, pe := range m.pes {
 		if pe == nil {
@@ -429,14 +439,15 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 
 	// Periodic load-information broadcast (the machine-level mechanism
 	// CWN relies on; strategies may layer their own control traffic).
-	// Each owned PE's load process is one payload event naming the PE,
-	// with nothing allocated per PE. It is armed here in PE order, with
-	// the same stagger draw per PE a Machine.NewTicker makes, and
-	// re-arms itself after each broadcast (loadTick.Act), the order
-	// procTick fires and re-arms in.
+	// Each owned PE's load process is one payload event naming the PE
+	// and its fan-table range, with nothing allocated per PE. It is
+	// armed here in PE order, with the same stagger draw per PE a
+	// Machine.NewTicker makes, and re-arms itself after each broadcast
+	// (loadTick.Act), the order procTick fires and re-arms in.
 	if cfg.LoadInterval > 0 {
 		for lx := range m.peBlock {
-			m.eng.AtPayload(m.eng.Now()+m.tickerPhase(cfg.LoadInterval), &m.ticks, uint64(lx), 0)
+			fan := uint64(m.fanOff[lx])<<32 | uint64(m.fanOff[lx+1])
+			m.eng.AtPayload(m.eng.Now()+m.tickerPhase(cfg.LoadInterval), &m.ticks, uint64(lx), fan)
 		}
 	}
 
@@ -493,10 +504,10 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 }
 
 // buildSlots fills the receiver-slot table (see Machine.slots) for every
-// channel this machine holds, then the slot rows of every owned PE's
-// fan-out table; nbrOff[lx] is where owned PE lx's views start in the
-// neighbor-state backings.
-func (m *Machine) buildSlots(nbrOff []int) {
+// channel this machine holds, then the fan table from chansFlat, the
+// owned PEs' attached channel IDs in fan order; nbrOff[lx] is where
+// owned PE lx's views start in the neighbor-state backings.
+func (m *Machine) buildSlots(nbrOff, chansFlat []int) {
 	n := 0
 	for i := range m.chans {
 		s := len(m.chans[i].members)
@@ -521,10 +532,10 @@ func (m *Machine) buildSlots(nbrOff []int) {
 			}
 		}
 	}
+	m.fan = make([]fanEntry, len(chansFlat))
 	for lx := range m.peBlock {
-		pe := &m.peBlock[lx]
-		for i, f := range pe.fan {
-			pe.fan[i] = m.fanOf(int(f.ci), pe.id)
+		for i := m.fanOff[lx]; i < m.fanOff[lx+1]; i++ {
+			m.fan[i] = m.fanOf(chansFlat[i], m.peLo+lx)
 		}
 	}
 }
@@ -754,7 +765,9 @@ func (m *Machine) freePending(p *pendingTask) {
 }
 
 // loadTick is the one Action behind every owned PE's periodic load
-// broadcast; each event's payload is the PE's index in the owned block.
+// broadcast; each event's payload is the PE's index in the owned block
+// and the range of its entries in the fan table (fanOff's two words),
+// so a tick reads neither the PE struct nor the offsets.
 type loadTick struct{ m *Machine }
 
 // Act broadcasts the PE's load, then arms the PE's next tick
@@ -762,9 +775,9 @@ type loadTick struct{ m *Machine }
 // this one sent.
 func (d *loadTick) Act() {
 	m := d.m
-	lx, _ := m.eng.Payload()
-	m.broadcastLoad(&m.peBlock[lx])
-	m.eng.AtPayload(m.eng.Now()+m.cfg.LoadInterval, d, lx, 0)
+	lx, fan := m.eng.Payload()
+	m.broadcastLoad(int(lx), int32(fan>>32), int32(uint32(fan)))
+	m.eng.AtPayload(m.eng.Now()+m.cfg.LoadInterval, d, lx, fan)
 }
 
 // procTick is the one Action behind every periodic process registered
@@ -785,17 +798,6 @@ func (d *procTick) Act() {
 	m.eng.AtPayload(m.eng.Now()+sim.Time(period), d, i, period)
 }
 
-// broadcastLoad sends this PE's current load to all neighbors: one load
-// word per attached channel (a single bus transaction reaches all
-// bus-mates). A neighbor sharing two buses hears it twice, harmlessly.
-func (m *Machine) broadcastLoad(pe *PE) {
-	from, load := int32(pe.id), int32(pe.Load())
-	for _, f := range pe.fan {
-		m.stats.MsgCounts[MsgLoad]++
-		m.sendWord(loadWord{fan: f, from: from, load: load}, m.cfg.CtrlHopTime)
-	}
-}
-
 // broadcast performs one transmission per channel attached to pe,
 // delivering to every other channel member. A neighbor reachable via two
 // channels (a double-lattice pair) hears the broadcast twice; deliveries
@@ -803,9 +805,9 @@ func (m *Machine) broadcastLoad(pe *PE) {
 func (m *Machine) broadcast(pe *PE, kind wireKind, msgKind MsgKind, dur sim.Time, payload any) {
 	from := pe.id
 	load := pe.Load()
-	for _, f := range pe.fan {
+	for _, f := range m.fanRow(pe.lx) {
 		m.stats.MsgCounts[msgKind]++
-		w := m.newMsg(kind, int(f.ci), from, load)
+		w := m.newMsg(kind, m.chanID(f.lc), from, load)
 		w.payload = payload
 		m.transmit(dur, w)
 	}
@@ -1154,7 +1156,7 @@ func (m *Machine) freeJob(j *jobState) {
 func (m *Machine) finalize() {
 	s := m.stats
 	now := m.eng.Now()
-	s.Events = m.eng.Processed()
+	s.Events = m.eng.Processed() + m.batchExtra
 	s.Warmup = m.cfg.Warmup
 	s.WarmupBusy = m.warmupBusy
 	for lx := range m.peBlock {
@@ -1175,13 +1177,10 @@ func (m *Machine) finalize() {
 	// Channels are charged their full occupancy at transmit time; commit
 	// only the elapsed part, or a run cut off with messages on the wire
 	// would report > 100% channel utilization.
-	for i := range m.chans {
-		ch := &m.chans[i]
-		gi := i
-		if m.chanIDs != nil {
-			gi = int(m.chanIDs[i])
-		}
-		s.ChannelBusy[gi] = ch.committedBusy(now)
-		s.ChannelMsgs[gi] = ch.messages
+	for li := range m.hot {
+		h := &m.hot[li]
+		gi := m.chanID(int32(li))
+		s.ChannelBusy[gi] = h.committedBusy(now)
+		s.ChannelMsgs[gi] = h.messages
 	}
 }

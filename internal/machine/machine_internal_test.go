@@ -66,19 +66,28 @@ func TestSinglePESequentialRun(t *testing.T) {
 	}
 }
 
+// transmitFunc transmits a closure on local channel lc: it occupies the
+// channel for dur units, as a message would, and runs deliver when the
+// occupancy ends. It ignores link outages.
+func (m *Machine) transmitFunc(lc int32, dur sim.Time, deliver func()) sim.Time {
+	end := m.occupy(&m.hot[lc], lc, dur)
+	m.eng.At(end, deliver)
+	return end
+}
+
 func TestTransmitSerializesFIFO(t *testing.T) {
 	topo := topology.NewGrid(1, 2)
 	cfg := DefaultConfig()
 	cfg.LoadInterval = 0 // quiesce periodic load broadcasts
 	m := New(topo, workload.NewFib(2), keepLocal{}, cfg)
-	ch := &m.chans[0]
+	h := &m.hot[0]
 	var deliveries []sim.Time
 	record := func() { deliveries = append(deliveries, m.eng.Now()) }
 	// Three simultaneous 5-unit transmissions must serialize: 5, 10, 15.
 	m.eng.Schedule(0, func() {
-		m.transmitFunc(ch, 5, record)
-		m.transmitFunc(ch, 5, record)
-		m.transmitFunc(ch, 5, record)
+		m.transmitFunc(0, 5, record)
+		m.transmitFunc(0, 5, record)
+		m.transmitFunc(0, 5, record)
 	})
 	m.eng.RunUntil(100)
 	want := []sim.Time{5, 10, 15}
@@ -90,8 +99,8 @@ func TestTransmitSerializesFIFO(t *testing.T) {
 			t.Fatalf("deliveries = %v, want %v", deliveries, want)
 		}
 	}
-	if ch.busyTotal != 15 || ch.messages != 3 {
-		t.Fatalf("busyTotal=%d messages=%d, want 15/3", ch.busyTotal, ch.messages)
+	if h.busyTotal != 15 || h.messages != 3 {
+		t.Fatalf("busyTotal=%d messages=%d, want 15/3", h.busyTotal, h.messages)
 	}
 }
 
@@ -100,10 +109,9 @@ func TestTransmitAfterIdleStartsImmediately(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LoadInterval = 0
 	m := New(topo, workload.NewFib(2), keepLocal{}, cfg)
-	ch := &m.chans[0]
 	var at sim.Time
-	m.eng.Schedule(0, func() { m.transmitFunc(ch, 5, func() {}) })
-	m.eng.Schedule(50, func() { m.transmitFunc(ch, 5, func() { at = m.eng.Now() }) })
+	m.eng.Schedule(0, func() { m.transmitFunc(0, 5, func() {}) })
+	m.eng.Schedule(50, func() { m.transmitFunc(0, 5, func() { at = m.eng.Now() }) })
 	m.eng.RunUntil(100)
 	if at != 55 {
 		t.Fatalf("second transmission delivered at %d, want 55", at)
@@ -117,7 +125,7 @@ func TestPickChannelPrefersLeastBacklogged(t *testing.T) {
 	if len(chs) < 2 {
 		t.Fatalf("expected parallel buses between 0 and 1, got %v", chs)
 	}
-	m.chans[chs[0]].busyUntil = 100
+	m.hot[chs[0]].busyUntil = 100
 	if got := m.pickChannel(chs); got == chs[0] {
 		t.Fatalf("pickChannel chose backlogged channel %d", chs[0])
 	}
@@ -202,7 +210,7 @@ func TestLoadMetrics(t *testing.T) {
 	cfg.LoadMetric = LoadQueuePlusPending
 	m := New(topo, tree, keepLocal{}, cfg)
 	pe := m.pes[0]
-	pe.pending.put(99, &pendingTask{})
+	pe.putPending(99, &pendingTask{})
 	g := m.newGoal(tree.Root, &jobState{tree: tree}, 0, -1)
 	m.eng.Schedule(0, func() {
 		pe.Accept(g) // goes straight into service: queue stays empty
@@ -382,7 +390,7 @@ func TestBroadcastReachesAllBusMembers(t *testing.T) {
 	m.eng.Schedule(0, func() {
 		pe.Accept(g1) // enters service
 		pe.Accept(g2) // queued: load 1
-		m.broadcastLoad(pe)
+		m.broadcastLoad(pe.lx, m.fanOff[pe.lx], m.fanOff[pe.lx+1])
 	})
 	m.eng.RunUntil(10)
 	for _, other := range m.pes {
@@ -395,8 +403,8 @@ func TestBroadcastReachesAllBusMembers(t *testing.T) {
 		}
 	}
 	// One bus transaction, not four.
-	if m.chans[0].messages != 1 {
-		t.Fatalf("bus carried %d messages, want 1", m.chans[0].messages)
+	if m.hot[0].messages != 1 {
+		t.Fatalf("bus carried %d messages, want 1", m.hot[0].messages)
 	}
 	if m.stats.MsgCounts[MsgLoad] != 1 {
 		t.Fatalf("load message count = %d, want 1", m.stats.MsgCounts[MsgLoad])

@@ -55,7 +55,7 @@ func TestChannelUtilizationNeverExceedsFull(t *testing.T) {
 	m := New(topo, workload.NewFib(2), keepLocal{}, cfg)
 	// A transmission far longer than the run keeps the channel busy past
 	// the makespan.
-	m.eng.Schedule(0, func() { m.transmitFunc(&m.chans[0], 100_000, func() {}) })
+	m.eng.Schedule(0, func() { m.transmitFunc(0, 100_000, func() {}) })
 	st := m.Run()
 	if !st.Completed {
 		t.Fatal("run did not complete")
@@ -79,7 +79,7 @@ func TestChannelBusyCommittedAtMaxTime(t *testing.T) {
 	m := New(topo, workload.NewChain(200), keepLocal{}, cfg)
 	m.eng.Schedule(0, func() {
 		for i := 0; i < 10; i++ {
-			m.transmitFunc(&m.chans[0], 200, func() {}) // 2000 units queued on a 500-unit run
+			m.transmitFunc(0, 200, func() {}) // 2000 units queued on a 500-unit run
 		}
 	})
 	st := m.Run()

@@ -11,80 +11,106 @@ import (
 // the old append-and-compact slice: pushes and pops are O(1) with no
 // copying, and the mid-queue removals TakeNewest/OldestQueuedGoal need
 // shift only the shorter side of the removal point. Capacity is always a
-// power of two (index arithmetic by mask).
+// power of two (index arithmetic by mask). The ring does not hold its
+// length: that is the PE's entry in Machine.peQueue, the dense count a
+// load read takes, so the methods that need it take it as n and the
+// PE's wrappers (pushReady and the rest) keep the count.
 type itemRing struct {
 	buf  []item
 	head int
-	n    int
 }
 
-func (r *itemRing) len() int { return r.n }
-
 // at returns the item at logical position i (0 = front). Callers must
-// keep i < len.
+// keep i below the length.
 func (r *itemRing) at(i int) *item {
 	return &r.buf[(r.head+i)&(len(r.buf)-1)]
 }
 
-func (r *itemRing) push(it item) {
-	if r.n == len(r.buf) {
-		r.grow()
+// push appends an item to a ring of length n.
+func (r *itemRing) push(n int, it item) {
+	if n == len(r.buf) {
+		r.grow(n)
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = it
-	r.n++
+	r.buf[(r.head+n)&(len(r.buf)-1)] = it
 }
 
-// pushFront prepends an item, making it the next to be served. The
-// failure path uses it to put an interrupted response back at the head
-// of the queue so it is combined first on recovery.
-func (r *itemRing) pushFront(it item) {
-	if r.n == len(r.buf) {
-		r.grow()
+// pushFront prepends an item to a ring of length n, making it the next
+// to be served. The failure path uses it to put an interrupted response
+// back at the head of the queue so it is combined first on recovery.
+func (r *itemRing) pushFront(n int, it item) {
+	if n == len(r.buf) {
+		r.grow(n)
 	}
 	r.head = (r.head - 1) & (len(r.buf) - 1)
 	r.buf[r.head] = it
-	r.n++
 }
 
 func (r *itemRing) popFront() item {
 	it := r.buf[r.head]
 	r.buf[r.head] = item{} // drop references so pooled objects are not pinned
 	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
 	return it
 }
 
-// removeAt deletes the item at logical position i, preserving FIFO order
-// of the rest by shifting the shorter side.
-func (r *itemRing) removeAt(i int) {
+// removeAt deletes the item at logical position i of a ring of length
+// n, preserving FIFO order of the rest by shifting the shorter side.
+func (r *itemRing) removeAt(n, i int) {
 	mask := len(r.buf) - 1
-	if i < r.n-1-i {
+	if i < n-1-i {
 		for j := i; j > 0; j-- {
 			r.buf[(r.head+j)&mask] = r.buf[(r.head+j-1)&mask]
 		}
 		r.buf[r.head] = item{}
 		r.head = (r.head + 1) & mask
 	} else {
-		for j := i; j < r.n-1; j++ {
+		for j := i; j < n-1; j++ {
 			r.buf[(r.head+j)&mask] = r.buf[(r.head+j+1)&mask]
 		}
-		r.buf[(r.head+r.n-1)&mask] = item{}
+		r.buf[(r.head+n-1)&mask] = item{}
 	}
-	r.n--
 }
 
-func (r *itemRing) grow() {
+// grow doubles the capacity of a full ring of length n.
+func (r *itemRing) grow(n int) {
 	oldCap := len(r.buf)
 	newCap := 16
 	if oldCap > 0 {
 		newCap = oldCap * 2
 	}
 	nb := make([]item, newCap)
-	for i := 0; i < r.n; i++ {
+	for i := 0; i < n; i++ {
 		nb[i] = r.buf[(r.head+i)&(oldCap-1)]
 	}
 	r.buf = nb
 	r.head = 0
+}
+
+// pushReady appends it to the PE's ready queue.
+func (pe *PE) pushReady(it item) {
+	q := &pe.m.peQueue[pe.lx]
+	pe.ready.push(int(*q), it)
+	*q++
+}
+
+// pushReadyFront prepends it to the PE's ready queue.
+func (pe *PE) pushReadyFront(it item) {
+	q := &pe.m.peQueue[pe.lx]
+	pe.ready.pushFront(int(*q), it)
+	*q++
+}
+
+// popReady removes and returns the head of the PE's non-empty ready
+// queue.
+func (pe *PE) popReady() item {
+	pe.m.peQueue[pe.lx]--
+	return pe.ready.popFront()
+}
+
+// removeReady deletes the item at position i of the PE's ready queue.
+func (pe *PE) removeReady(i int) {
+	q := &pe.m.peQueue[pe.lx]
+	pe.ready.removeAt(int(*q), i)
+	*q--
 }
 
 // PE is one processing element. It serves one ready-queue message at a
@@ -92,18 +118,17 @@ func (r *itemRing) grow() {
 // by the machine, and strategies interact through the exported methods.
 //
 // Memory layout: PE structs live contiguously in Machine.peBlock, and
-// the per-event hot scalars — busy, serviceEnd, busyTime, failed, speed
-// — live in machine-level parallel slices indexed by lx (see the
-// struct-of-arrays fields on Machine), keeping the event loop's working
-// set dense. The adjacency slices (nbrs, nbrLoad, nbrSeen, fan) are
-// subslices of machine-wide flat backings. Load words delivered on a
-// channel write the views through the machine's receiver-slot table
-// (Machine.slots), never searching nbrs; fan is the PE's broadcast
-// fan-out table, one entry per attached channel holding the channel ID
-// and the PE's row of that channel's slots, so a load word carries its
-// receivers' row from the sender. The binary search nbrIdx over the
-// ascending nbrs serves lookups by neighbor ID (KnownLoad) and the
-// table's construction.
+// the per-event hot scalars — busy, serviceEnd, busyTime, failed,
+// speed, the ready-queue length and the pending-task count — live in
+// machine-level parallel slices indexed by lx (see the struct-of-arrays
+// fields on Machine), keeping the event loop's working set dense; a
+// load tick reads only those and the machine's flat fan table. The
+// adjacency slices (nbrs, nbrLoad, nbrSeen) are subslices of
+// machine-wide flat backings. Load words delivered on a channel write
+// the views through the machine's receiver-slot table (Machine.slots),
+// never searching nbrs. The binary search nbrIdx over the ascending
+// nbrs serves lookups by neighbor ID (KnownLoad) and the table's
+// construction.
 type PE struct {
 	m  *Machine
 	id int
@@ -117,7 +142,6 @@ type PE struct {
 	nbrs    []int      // cached topology neighbors, ascending
 	nbrLoad []int32    // last known load per neighbor (assumed 0 initially)
 	nbrSeen []sim.Time // when that load was learned (-1 = never)
-	fan     []fanEntry // attached channels, ascending by ID, with this PE's slot rows
 
 	node NodeStrategy // strategy state for this PE (set after construction)
 
@@ -185,13 +209,17 @@ func (pe *PE) Now() sim.Time { return pe.m.eng.Now() }
 // Load returns this PE's advertised load under the configured metric.
 // A failed PE advertises FailedLoad, steering every load-comparing
 // strategy away from it until recovery.
-func (pe *PE) Load() int {
-	if pe.m.peFailed[pe.lx] {
+func (pe *PE) Load() int { return int(pe.m.loadOf(pe.lx)) }
+
+// loadOf returns owned PE lx's advertised load (see PE.Load), read from
+// the dense per-PE state alone.
+func (m *Machine) loadOf(lx int) int32 {
+	if m.peFailed[lx] {
 		return FailedLoad
 	}
-	load := pe.queueLen()
-	if pe.m.cfg.LoadMetric == LoadQueuePlusPending {
-		load += pe.pending.len()
+	load := m.peQueue[lx]
+	if m.cfg.LoadMetric == LoadQueuePlusPending {
+		load += m.pePending[lx]
 	}
 	return load
 }
@@ -209,14 +237,14 @@ func (pe *PE) Speed() float64 {
 
 // queueLen returns the number of messages waiting (not counting one in
 // service) — the paper's base load measure.
-func (pe *PE) queueLen() int { return pe.ready.len() }
+func (pe *PE) queueLen() int { return int(pe.m.peQueue[pe.lx]) }
 
 // QueuedGoals returns how many ready-queue entries are unstarted goals
 // (exportable work, as opposed to responses which must be handled
 // locally).
 func (pe *PE) QueuedGoals() int {
 	n := 0
-	for i := 0; i < pe.ready.len(); i++ {
+	for i := 0; i < pe.queueLen(); i++ {
 		if pe.ready.at(i).kind == itemGoal {
 			n++
 		}
@@ -226,7 +254,7 @@ func (pe *PE) QueuedGoals() int {
 
 // PendingTasks returns the number of local tasks awaiting responses —
 // the "future commitments" component of the refined load metric.
-func (pe *PE) PendingTasks() int { return pe.pending.len() }
+func (pe *PE) PendingTasks() int { return int(pe.m.pePending[pe.lx]) }
 
 // Neighbors returns the PE's neighbors in ascending order. Callers must
 // not modify the slice.
@@ -360,10 +388,10 @@ func (pe *PE) BroadcastControl(payload any) {
 // the newest goal tends to be the smallest remaining subtree, so this
 // policy keeps big work local and exports crumbs.
 func (pe *PE) TakeNewestQueuedGoal() *Goal {
-	for i := pe.ready.len() - 1; i >= 0; i-- {
+	for i := pe.queueLen() - 1; i >= 0; i-- {
 		if it := pe.ready.at(i); it.kind == itemGoal {
 			g := it.goal
-			pe.ready.removeAt(i)
+			pe.removeReady(i)
 			return g
 		}
 	}
@@ -375,10 +403,10 @@ func (pe *PE) TakeNewestQueuedGoal() *Goal {
 // is typically the largest waiting subtree. Exporting it lets the
 // receiver become a self-sustaining source of further work.
 func (pe *PE) TakeOldestQueuedGoal() *Goal {
-	for i := 0; i < pe.ready.len(); i++ {
+	for i := 0; i < pe.queueLen(); i++ {
 		if it := pe.ready.at(i); it.kind == itemGoal {
 			g := it.goal
-			pe.ready.removeAt(i)
+			pe.removeReady(i)
 			return g
 		}
 	}
@@ -389,7 +417,7 @@ func (pe *PE) TakeOldestQueuedGoal() *Goal {
 // idle. A failed PE only queues — responses freeze there until
 // recovery restarts service.
 func (pe *PE) enqueue(it item) {
-	pe.ready.push(it)
+	pe.pushReady(it)
 	if m := pe.m; !m.peBusy[pe.lx] && !m.peFailed[pe.lx] {
 		pe.startNext()
 	}
@@ -398,11 +426,11 @@ func (pe *PE) enqueue(it item) {
 // startNext begins service of the queue head.
 func (pe *PE) startNext() {
 	m := pe.m
-	if pe.ready.len() == 0 {
+	if m.peQueue[pe.lx] == 0 {
 		m.peBusy[pe.lx] = false
 		return
 	}
-	it := pe.ready.popFront()
+	it := pe.popReady()
 	m.peBusy[pe.lx] = true
 	var dur sim.Time
 	switch it.kind {
@@ -483,7 +511,7 @@ func (pe *PE) finish(it item) {
 			pe.m.freeGoal(g)
 			return
 		}
-		pe.pending.put(g.ID, pe.m.newPending(g, len(task.Kids)))
+		pe.putPending(g.ID, pe.m.newPending(g, len(task.Kids)))
 		for _, kid := range task.Kids {
 			child := pe.m.newGoal(kid, g.job, pe.id, g.ID)
 			pe.node.HandleEvent(Event{Kind: GoalCreated, Goal: child})
@@ -505,7 +533,7 @@ func (pe *PE) finish(it item) {
 		p.vals = append(p.vals, r.value)
 		p.remaining--
 		if p.remaining == 0 {
-			pe.pending.del(r.goalID)
+			pe.delPending(r.goalID)
 			val := p.goal.job.tree.Combine(p.vals)
 			pe.m.respond(pe.id, p.goal, val)
 			pe.m.freeGoal(p.goal)

@@ -11,7 +11,9 @@ package machine
 // bounded by the load factor, which growth keeps under 3/4. The zero
 // value is an empty slab: the table materializes on the first put, so
 // PEs that never hold a pending task — most of a million-PE machine —
-// cost nothing here.
+// cost nothing here. The slab does not hold its entry count: that is
+// the PE's entry in Machine.pePending, which the commitment-aware load
+// reads densely, so put and del take it as n and keep it.
 
 // pendingSlot is one table entry; id is slabEmpty when vacant.
 type pendingSlot struct {
@@ -26,7 +28,6 @@ const (
 
 type pendingSlab struct {
 	slots []pendingSlot
-	n     int
 }
 
 // newSlabSlots returns a cleared slot array of the given power-of-two
@@ -39,12 +40,9 @@ func newSlabSlots(size int) []pendingSlot {
 	return slots
 }
 
-// len returns the number of pending tasks.
-func (s *pendingSlab) len() int { return s.n }
-
 // get returns the pending task for goal id, or nil.
 func (s *pendingSlab) get(id int64) *pendingTask {
-	if s.n == 0 {
+	if s.slots == nil {
 		return nil
 	}
 	mask := len(s.slots) - 1
@@ -59,13 +57,13 @@ func (s *pendingSlab) get(id int64) *pendingTask {
 	}
 }
 
-// put inserts the pending task for goal id. Goal IDs are unique within
-// a run and a goal executes exactly once, so id is never already
-// present.
-func (s *pendingSlab) put(id int64, task *pendingTask) {
+// put inserts the pending task for goal id into a slab of *n entries,
+// counting it. Goal IDs are unique within a run and a goal executes
+// exactly once, so id is never already present.
+func (s *pendingSlab) put(n *int32, id int64, task *pendingTask) {
 	if s.slots == nil {
 		s.slots = newSlabSlots(slabMinSlots)
-	} else if 4*(s.n+1) > 3*len(s.slots) {
+	} else if 4*(int(*n)+1) > 3*len(s.slots) {
 		s.grow()
 	}
 	mask := len(s.slots) - 1
@@ -74,12 +72,13 @@ func (s *pendingSlab) put(id int64, task *pendingTask) {
 		i = (i + 1) & mask
 	}
 	s.slots[i] = pendingSlot{id: id, task: task}
-	s.n++
+	*n++
 }
 
-// del removes goal id (which must be present), back-shifting the probe
-// cluster so later lookups never walk a tombstone.
-func (s *pendingSlab) del(id int64) {
+// del removes goal id (which must be present) from a slab of *n
+// entries, back-shifting the probe cluster so later lookups never walk
+// a tombstone.
+func (s *pendingSlab) del(n *int32, id int64) {
 	mask := len(s.slots) - 1
 	i := int(id) & mask
 	for s.slots[i].id != id {
@@ -101,7 +100,7 @@ func (s *pendingSlab) del(id int64) {
 		}
 	}
 	s.slots[i] = pendingSlot{id: slabEmpty}
-	s.n--
+	*n--
 }
 
 // grow doubles the table and reinserts every entry.
@@ -126,12 +125,19 @@ func (s *pendingSlab) grow() {
 // paths collect IDs first and delete afterwards, in sorted order, for
 // determinism.
 func (s *pendingSlab) forEach(fn func(id int64, task *pendingTask)) {
-	if s.n == 0 {
-		return
-	}
 	for i := range s.slots {
 		if s.slots[i].id != slabEmpty {
 			fn(s.slots[i].id, s.slots[i].task)
 		}
 	}
+}
+
+// putPending indexes a pending task of the PE's by goal ID.
+func (pe *PE) putPending(id int64, p *pendingTask) {
+	pe.pending.put(&pe.m.pePending[pe.lx], id, p)
+}
+
+// delPending removes the PE's pending task for goal id.
+func (pe *PE) delPending(id int64) {
+	pe.pending.del(&pe.m.pePending[pe.lx], id)
 }

@@ -13,6 +13,7 @@ import (
 // back-shift deletion has real clusters to repair.
 func TestPendingSlabModel(t *testing.T) {
 	var s pendingSlab
+	var n int32 // the slab's entry count, which its owner keeps
 	model := map[int64]*pendingTask{}
 	rng := rand.New(rand.NewSource(42))
 	nextID := int64(0)
@@ -37,7 +38,7 @@ func TestPendingSlabModel(t *testing.T) {
 			}
 			nextID = id + 1
 			p := &pendingTask{remaining: int(id)}
-			s.put(id, p)
+			s.put(&n, id, p)
 			model[id] = p
 			live = append(live, id)
 		default:
@@ -45,12 +46,12 @@ func TestPendingSlabModel(t *testing.T) {
 			id := live[i]
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
-			s.del(id)
+			s.del(&n, id)
 			delete(model, id)
 			check(id) // must now miss
 		}
-		if s.len() != len(model) {
-			t.Fatalf("len = %d, model has %d", s.len(), len(model))
+		if int(n) != len(model) {
+			t.Fatalf("count = %d, model has %d", n, len(model))
 		}
 		// Spot-check a few live and dead IDs every step.
 		for i := 0; i < 3 && len(live) > 0; i++ {

@@ -366,30 +366,33 @@ func TestLoadShockAcceleratesArrivals(t *testing.T) {
 }
 
 // TestItemRingPushFront covers the ring primitive the failure path
-// relies on, including growth from empty and wraparound.
+// relies on, including growth from empty and wraparound. The ring's
+// length is its owner's to keep (Machine.peQueue); n plays that part.
 func TestItemRingPushFront(t *testing.T) {
 	var r itemRing
+	n := 0
 	mk := func(id int64) item { return item{kind: itemGoal, goal: &Goal{ID: id}} }
-	r.pushFront(mk(2)) // grows from empty
-	r.push(mk(3))
-	r.pushFront(mk(1))
-	if r.len() != 3 {
-		t.Fatalf("len = %d", r.len())
-	}
+	r.pushFront(n, mk(2)) // grows from empty
+	n++
+	r.push(n, mk(3))
+	n++
+	r.pushFront(n, mk(1))
 	for want := int64(1); want <= 3; want++ {
 		if got := r.popFront(); got.goal.ID != want {
 			t.Fatalf("popFront = %d, want %d", got.goal.ID, want)
 		}
 	}
 	// Wraparound: fill, drain some, push past the seam, then pushFront.
-	r = itemRing{}
+	r, n = itemRing{}, 0
 	for i := int64(0); i < 20; i++ {
-		r.push(mk(i))
+		r.push(n, mk(i))
+		n++
 	}
 	for i := 0; i < 15; i++ {
 		r.popFront()
+		n--
 	}
-	r.pushFront(mk(99))
+	r.pushFront(n, mk(99))
 	if got := r.popFront(); got.goal.ID != 99 {
 		t.Fatalf("wrapped pushFront popped %d", got.goal.ID)
 	}

@@ -28,12 +28,12 @@ const shardSeedSalt = 0x5851F42D4C957F2D
 // xmsg is one cross-shard send with its delivery time: what a shard's
 // outbox holds between a send and the window barrier that drains it
 // into the receiving shard's engine. It is a wire message, or (w nil) a
-// load word by value, whose fan entry is the sender's until drain looks
-// up the receiving shard's row.
+// load word by value: its channel's global ID, its sender and its load,
+// from which drain looks up the receiving shard's row.
 type xmsg struct {
-	at   sim.Time
-	w    *wireMsg
-	word loadWord
+	at             sim.Time
+	w              *wireMsg
+	ci, from, load int32
 }
 
 // shardSample is one shard's contribution to one globally synchronized
@@ -253,8 +253,9 @@ func newShardGroup(topo *topology.Topology, source JobSource, strat Strategy, cf
 	// Stamp each shard's channel copies with the cross-shard member map:
 	// which other shards hear a broadcast, and whether any local member
 	// remains to hear it locally. Only the partition's cross-channel set
-	// needs stamping — a shard-internal channel's zero state (nil
-	// crossTo) already means "deliver locally only" — which keeps this
+	// needs stamping — a shard-internal channel's construction state
+	// (cross unset, local set) already means "deliver locally only" —
+	// which keeps this
 	// loop off the full channel list entirely: an implicit topology's
 	// channels are enumerated per ID, never materialized.
 	counts := make([]int, k)
@@ -275,8 +276,10 @@ func newShardGroup(topo *topology.Topology, source JobSource, strat Strategy, cf
 		}
 		sort.Ints(owners)
 		for _, s := range owners {
-			cs := g.machines[s].chanAt(ci)
-			cs.localMembers = counts[s]
+			m := g.machines[s]
+			lc := m.chanLocal(ci)
+			h, cs := &m.hot[lc], &m.chans[lc]
+			h.cross, h.local = true, counts[s] >= 2
 			for _, o := range owners {
 				if o != s {
 					cs.crossTo = append(cs.crossTo, o)
@@ -492,7 +495,7 @@ func (g *shardGroup) drain() {
 		}
 		for _, x := range buf {
 			if x.w == nil {
-				dst.wordAt(x.at, dst.fanOf(int(x.word.fan.ci), int(x.word.from)), x.word.load)
+				dst.wordAt(x.at, dst.fanOf(int(x.ci), int(x.from)), x.load)
 				continue
 			}
 			x.w.m = dst
@@ -661,7 +664,7 @@ func (g *shardGroup) stalled() bool {
 	}
 	for _, m := range g.machines {
 		for i := range m.peBusy {
-			if m.peBusy[i] || m.peBlock[i].queueLen() > 0 {
+			if m.peBusy[i] || m.peQueue[i] > 0 {
 				return false
 			}
 		}

@@ -54,6 +54,10 @@ func shardCases() []shardCase {
 		{"closed/ring12/pushright", func() *topology.Topology { return topology.NewRing(12) }, pushRight{}, false},
 		{"open/grid4x4/spread", func() *topology.Topology { return topology.NewGrid(4, 4) }, spread{}, true},
 		{"open/torus4x4/spread", func() *topology.Topology { return topology.NewTorus(4, 4) }, spread{}, true},
+		// Bus broadcasts split across shards: a DLM's buses cross every
+		// partition boundary, so one load broadcast delivers partly on its
+		// own shard and partly through the outbox.
+		{"open/dlm8x8/spread", func() *topology.Topology { return topology.NewDLM(8, 8, 4) }, spread{}, true},
 	}
 }
 

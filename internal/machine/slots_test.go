@@ -89,18 +89,19 @@ func checkSlots(t *testing.T, m *Machine) {
 	if next != len(m.slots) {
 		t.Fatalf("shard %d: slot table holds %d entries, its channels need %d", m.shardID, len(m.slots), next)
 	}
-	// Each owned PE's fan table lists its channels in ascending ID
+	// Each owned PE's fan entries list its channels in ascending ID
 	// order, each with the PE's own row: entry r of the row is the slot
 	// of the r-th other member, the one hopSlot finds by search.
 	for lx := range m.peBlock {
 		pe := &m.peBlock[lx]
 		chs := m.topo.AppendChannelsOf(nil, pe.id)
-		if len(pe.fan) != len(chs) {
-			t.Fatalf("shard %d PE %d: fan table has %d entries, %d channels attach", m.shardID, pe.id, len(pe.fan), len(chs))
+		fan := m.fanRow(lx)
+		if len(fan) != len(chs) {
+			t.Fatalf("shard %d PE %d: fan table has %d entries, %d channels attach", m.shardID, pe.id, len(fan), len(chs))
 		}
-		for i, f := range pe.fan {
+		for i, f := range fan {
 			members := m.chanAt(chs[i]).members
-			if int(f.ci) != chs[i] || int(f.n) != len(members)-1 {
+			if m.chanID(f.lc) != chs[i] || int(f.n) != len(members)-1 {
 				t.Fatalf("shard %d PE %d: fan entry %d is %+v, want channel %d with %d receivers", m.shardID, pe.id, i, f, chs[i], len(members)-1)
 			}
 			r := 0
@@ -154,8 +155,8 @@ func TestShardBusBroadcastUsesReceiverChannel(t *testing.T) {
 	src := g.owner(from)
 	const load = 7
 	wd := loadWord{from: int32(from), load: load}
-	for _, f := range src.pes[from].fan {
-		if int(f.ci) == ci {
+	for _, f := range src.fanRow(from - src.peLo) {
+		if src.chanID(f.lc) == ci {
 			wd.fan = f
 		}
 	}

@@ -40,7 +40,10 @@ type Stats struct {
 	Stalled   bool     //simlint:nomerge outcome: group-level, decided at window barriers
 	Result    int64    //simlint:nomerge outcome: the last completed job's value, chosen by the coordinator
 	Makespan  sim.Time //simlint:nomerge outcome: group virtual time, not a per-shard sum
-	// Events counts the engine events fired across all shards; a
+	// Events counts the engine events fired across all shards: every
+	// scheduler entry fired, plus the words a batched load-word entry
+	// delivers beyond its first, so each load-word delivery counts as
+	// one event, as when every word was an entry of its own. A
 	// one-shard run also counts each applied scenario op as one.
 	Events uint64
 

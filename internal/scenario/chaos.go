@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 
@@ -49,19 +50,103 @@ func (s *Script) Expand(numPEs int, horizon sim.Time) *Script {
 	return out
 }
 
+// MaxGenerated caps how many draws one generator may expand to on a
+// run: a chaos generator's expected strike count, (end − at)/mtbf, and
+// a checkpoint generator's tick count, (end − at)/every, where end is
+// its until or the run's horizon, whichever comes first. Expansion
+// holds every generated event at once, so the cap bounds its memory: a
+// chaos strike is two events. At the default horizon of 2,000,000
+// units it admits an mtbf or a checkpoint period of 2 units or more.
+const MaxGenerated = 1 << 20
+
+// CheckExpansion refuses a generator of a validated script that would
+// expand past MaxGenerated draws on a run of the given horizon, naming
+// the field. machine.Config.Validate applies it after Validate and
+// before anything expands the script.
+func (s *Script) CheckExpansion(horizon sim.Time) error {
+	if s.Empty() {
+		return nil
+	}
+	for i, e := range s.Events {
+		span := float64(e.end(horizon) - e.At)
+		switch e.Kind {
+		case Chaos:
+			if n := span / e.MTBF; n > MaxGenerated {
+				return fmt.Errorf("scenario: event %d (chaos): mtbf %g expects %.0f strikes by t=%d, more than %d", i, e.MTBF, n, e.end(horizon), MaxGenerated)
+			}
+		case Checkpoint:
+			if n := span / float64(e.Every); n > MaxGenerated {
+				return fmt.Errorf("scenario: event %d (checkpoint): every %d makes %.0f ticks by t=%d, more than %d", i, e.Every, n, e.end(horizon), MaxGenerated)
+			}
+		}
+	}
+	return nil
+}
+
+// end is when a generator stops drawing: its Until, or the horizon
+// when Until is unset or later.
+func (e Event) end(horizon sim.Time) sim.Time {
+	if e.Until <= 0 || e.Until > horizon {
+		return horizon
+	}
+	return e.Until
+}
+
 // ticks expands a Checkpoint generator into its concrete periodic
 // CheckpointTick events: one every Every units of virtual time starting
 // at At+Every, up to (exclusive) Until or the horizon.
 func (e Event) ticks(horizon sim.Time) []Event {
-	until := e.Until
-	if until <= 0 || until > horizon {
-		until = horizon
-	}
+	until := e.end(horizon)
 	var out []Event
 	for at := e.At + e.Every; at < until; at += e.Every {
 		out = append(out, Event{At: at, Kind: CheckpointTick, Cost: e.Cost})
 	}
 	return out
+}
+
+// downHeap is a min-heap of the recovery instants of the PEs a chaos
+// generator holds down, one entry per such PE, so a strike learns the
+// live count in O(log P) instead of scanning every PE.
+type downHeap []float64
+
+// push records a PE down until t.
+func (h *downHeap) push(t float64) {
+	s := append(*h, t)
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if s[p] <= s[i] {
+			break
+		}
+		s[p], s[i] = s[i], s[p]
+		i = p
+	}
+	*h = s
+}
+
+// recoverBy drops every PE whose recovery instant is at or before t:
+// those are live again. What remains is exactly the PEs down at t.
+func (h *downHeap) recoverBy(t float64) {
+	s := *h
+	for len(s) > 0 && s[0] <= t {
+		n := len(s) - 1
+		s[0] = s[n]
+		s = s[:n]
+		for i := 0; ; {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && s[c+1] < s[c] {
+				c++
+			}
+			if s[i] <= s[c] {
+				break
+			}
+			s[i], s[c] = s[c], s[i]
+			i = c
+		}
+	}
+	*h = s
 }
 
 // generate draws one chaos event's concrete timeline: failure instants
@@ -79,15 +164,13 @@ func (e Event) generate(numPEs int, horizon sim.Time) []Event {
 		return e.generateDomains(numPEs, horizon)
 	}
 	rng := rand.New(rand.NewSource(e.Seed ^ chaosSeedSalt))
-	until := e.Until
-	if until <= 0 || until > horizon {
-		until = horizon
-	}
+	until := e.end(horizon)
 	failKind := FailPE
 	if e.Crash {
 		failKind = CrashPE
 	}
 	downUntil := make([]float64, numPEs)
+	var down downHeap
 	var out []Event
 	t := float64(e.At)
 	for {
@@ -104,17 +187,13 @@ func (e Event) generate(numPEs int, horizon sim.Time) []Event {
 		if downUntil[pe] > t {
 			continue // struck while already down: absorbed
 		}
-		live := 0
-		for _, du := range downUntil {
-			if du <= t {
-				live++
-			}
-		}
-		if live <= 1 {
+		down.recoverBy(t)
+		if numPEs-len(down) <= 1 {
 			continue // never take the last live PE down
 		}
 		rec := t + repair
 		downUntil[pe] = rec
+		down.push(rec)
 		out = append(out,
 			Event{At: at, Kind: failKind, PEs: []int{pe}},
 			Event{At: sim.Time(rec), Kind: RecoverPE, PEs: []int{pe}})
@@ -133,16 +212,14 @@ func (e Event) generate(numPEs int, horizon sim.Time) []Event {
 // aligned with the draw count, like the single-PE path.
 func (e Event) generateDomains(numPEs int, horizon sim.Time) []Event {
 	rng := rand.New(rand.NewSource(e.Seed ^ chaosSeedSalt))
-	until := e.Until
-	if until <= 0 || until > horizon {
-		until = horizon
-	}
+	until := e.end(horizon)
 	failKind := FailPE
 	if e.Crash {
 		failKind = CrashPE
 	}
 	numDomains := e.domainCount(numPEs)
 	downUntil := make([]float64, numPEs)
+	var down downHeap
 	var out []Event
 	t := float64(e.At)
 	for {
@@ -165,18 +242,14 @@ func (e Event) generateDomains(numPEs int, horizon sim.Time) []Event {
 		if len(strike) == 0 {
 			continue // domain already entirely down: absorbed
 		}
-		live := 0
-		for _, du := range downUntil {
-			if du <= t {
-				live++
-			}
-		}
-		if live <= len(strike) {
+		down.recoverBy(t)
+		if numPEs-len(down) <= len(strike) {
 			continue // never take the last live PEs down
 		}
 		rec := t + repair
 		for _, pe := range strike {
 			downUntil[pe] = rec
+			down.push(rec)
 		}
 		out = append(out,
 			Event{At: at, Kind: failKind, PEs: strike},

@@ -1,8 +1,13 @@
 package scenario
 
 import (
+	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
+
+	"cwnsim/internal/sim"
 )
 
 // TestChaosExpandDeterministic pins the generator's seed contract: the
@@ -141,4 +146,100 @@ func TestChaosParseErrors(t *testing.T) {
 	if err := MustParse("chaos:mtbf=3000:mttr=-1@seed=2").Validate(16); err == nil {
 		t.Fatal("negative mttr validated")
 	}
+}
+
+// TestCheckExpansionCaps pins the expansion bound at the default
+// horizon: a generator drawing past MaxGenerated strikes or ticks is
+// refused with an error naming the field; the tree's smallest mtbf,
+// periods at the cap and an until that shortens the span pass. An mtbf
+// under one time unit fails validation first.
+func TestCheckExpansionCaps(t *testing.T) {
+	const horizon = 2_000_000
+	if err := MustParse("chaos:mtbf=0.5:mttr=1@seed=1").Validate(16); err == nil || !strings.Contains(err.Error(), "mtbf 0.5 must be finite and at least one time unit") {
+		t.Errorf("mtbf 0.5 validated with error %v", err)
+	}
+	for _, c := range []struct{ script, want string }{
+		{"chaos:mtbf=1.5:mttr=1@seed=1", "event 0 (chaos): mtbf 1.5 expects 1333333 strikes by t=2000000"},
+		{"fail:pes=0@t=5,checkpoint:every=1:cost=1@t=0", "event 1 (checkpoint): every 1 makes 2000000 ticks by t=2000000"},
+		{"chaos:mtbf=9:mttr=9@seed=1", ""},
+		{"chaos:mtbf=2:mttr=1@seed=1,checkpoint:every=2:cost=1@t=0", ""},
+		{"chaos:mtbf=1:mttr=1:until=1000000@seed=1", ""},
+	} {
+		err := MustParse(c.script).CheckExpansion(horizon)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", c.script, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: error %v, want %q", c.script, err, c.want)
+		}
+	}
+}
+
+// TestChaosLiveCountMatchesScan holds the generators' incremental live
+// count to the rule it replaces: scanning every PE at each strike. The
+// machines are small and repairs slow, so the last-live guard binds
+// often, on single-PE and domain strikes alike.
+func TestChaosLiveCountMatchesScan(t *testing.T) {
+	for _, text := range []string{
+		"chaos:mtbf=5:mttr=200@seed=1",
+		"chaos:mtbf=3:mttr=500:crash@seed=2",
+		"chaos:mtbf=7:mttr=300:until=9000:domain=rack:2@seed=3",
+		"chaos:mtbf=4:mttr=400:crash:domain=block:2x2@seed=4",
+	} {
+		e := MustParse(text).Events[0]
+		for _, numPEs := range []int{2, 3, 5, 16} {
+			got, want := e.generate(numPEs, 20_000), scanTimeline(e, numPEs, 20_000)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s on %d PEs: %d events, the scan draws %d", text, numPEs, len(got), len(want))
+			}
+		}
+	}
+}
+
+// scanTimeline draws a chaos generator's timeline with the live count
+// taken by a scan of every PE per strike.
+func scanTimeline(e Event, numPEs int, horizon sim.Time) []Event {
+	rng := rand.New(rand.NewSource(e.Seed ^ chaosSeedSalt))
+	kind := FailPE
+	if e.Crash {
+		kind = CrashPE
+	}
+	downUntil := make([]float64, numPEs)
+	var out []Event
+	for t := float64(e.At); ; {
+		t += rng.ExpFloat64() * e.MTBF
+		if sim.Time(t) >= e.end(horizon) {
+			break
+		}
+		var members []int
+		if e.Domain == "" {
+			members = []int{rng.Intn(numPEs)}
+		} else {
+			members = e.domainMembers(rng.Intn(e.domainCount(numPEs)), numPEs)
+		}
+		repair := max(rng.ExpFloat64()*e.MTTR, 1)
+		var strike []int
+		for _, pe := range members {
+			if downUntil[pe] <= t {
+				strike = append(strike, pe)
+			}
+		}
+		live := 0
+		for _, du := range downUntil {
+			if du <= t {
+				live++
+			}
+		}
+		if len(strike) == 0 || live <= len(strike) {
+			continue
+		}
+		for _, pe := range strike {
+			downUntil[pe] = t + repair
+		}
+		out = append(out,
+			Event{At: sim.Time(t), Kind: kind, PEs: strike},
+			Event{At: sim.Time(t + repair), Kind: RecoverPE, PEs: strike})
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	return out
 }

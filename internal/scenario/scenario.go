@@ -301,8 +301,10 @@ func (s *Script) RestoreAt() sim.Time {
 // Validate checks the script against a machine of numPEs processors,
 // returning a descriptive error for events that could not apply: PE
 // indices out of range, fractions outside (0,1], non-finite or negative
-// factors, zero/negative speed multipliers, link endpoints equal, or
-// negative times. Link adjacency is checked by
+// factors, zero/negative speed multipliers, link endpoints equal,
+// negative times, or a chaos mtbf under one time unit. How many events
+// a generator expands to depends on the run's horizon, which
+// CheckExpansion takes. Link adjacency is checked by
 // machine.Config.ValidateLinks (the machine owns the topology).
 func (s *Script) Validate(numPEs int) error {
 	if s.Empty() {
@@ -365,8 +367,8 @@ func (s *Script) Validate(numPEs int) error {
 				return fmt.Errorf("scenario: event %d (shock): rate multiplier %g must be finite and > 0", i, e.Factor)
 			}
 		case Chaos:
-			if !finite(e.MTBF) || e.MTBF <= 0 {
-				return fmt.Errorf("scenario: event %d (chaos): mtbf %g must be finite and > 0", i, e.MTBF)
+			if !finite(e.MTBF) || e.MTBF < 1 {
+				return fmt.Errorf("scenario: event %d (chaos): mtbf %g must be finite and at least one time unit", i, e.MTBF)
 			}
 			if !finite(e.MTTR) || e.MTTR <= 0 {
 				return fmt.Errorf("scenario: event %d (chaos): mttr %g must be finite and > 0", i, e.MTTR)
