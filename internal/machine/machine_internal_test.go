@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"cwnsim/internal/scenario"
 	"cwnsim/internal/sim"
@@ -63,6 +64,16 @@ func TestSinglePESequentialRun(t *testing.T) {
 	}
 	if st.TotalMessages() != 0 {
 		t.Fatalf("TotalMessages = %d, want 0 on a single PE", st.TotalMessages())
+	}
+}
+
+// TestChanHotIs32Bytes pins the hot channel record's size: two records
+// share a 64-byte cache line, so a broadcast's channels cost as few
+// lines as possible. A field every send does not read belongs in
+// chanState.
+func TestChanHotIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(chanHot{}); n != 32 {
+		t.Fatalf("chanHot is %d bytes, want 32: two to a cache line", n)
 	}
 }
 
