@@ -116,8 +116,8 @@ func (n *acwnNode) tick() {
 	count := 0
 	rng := n.pe.Machine().Engine().Rng()
 	for _, nb := range n.pe.Neighbors() {
-		load, seen := n.pe.KnownLoad(nb)
-		if seen >= 0 && load == 0 {
+		load, heard := n.pe.KnownLoad(nb)
+		if heard && load == 0 {
 			count++
 			if rng.Intn(count) == 0 {
 				target = nb

@@ -66,8 +66,8 @@ func (n *diffusionNode) HandleEvent(ev machine.Event) {
 func (n *diffusionNode) tick() {
 	for _, nb := range n.pe.Neighbors() {
 		load := n.pe.Load()
-		nbLoad, seen := n.pe.KnownLoad(nb)
-		if seen < 0 {
+		nbLoad, heard := n.pe.KnownLoad(nb)
+		if !heard {
 			continue
 		}
 		diff := load - nbLoad

@@ -116,8 +116,8 @@ func (n *stealNode) pickVictim() int {
 	best, choice, count := 0, -1, 0
 	rng := n.pe.Machine().Engine().Rng()
 	for _, nb := range n.pe.Neighbors() {
-		load, seen := n.pe.KnownLoad(nb)
-		if seen < 0 || load <= 0 || load >= machine.FailedLoad {
+		load, _ := n.pe.KnownLoad(nb) // an unheard neighbor reads 0
+		if load <= 0 || load >= machine.FailedLoad {
 			continue
 		}
 		switch {

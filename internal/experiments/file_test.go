@@ -6,12 +6,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 
 	"cwnsim/internal/machine"
-	"cwnsim/internal/scenario"
 	"cwnsim/internal/workload"
 )
 
@@ -157,8 +155,9 @@ const fuzzHorizon = 4000
 // small tree builds its machine. A run of at most 64 PEs and a bounded
 // stream also runs to fuzzHorizon, keeping the invariants of
 // checkFuzzRun; it must equal a second run from a fresh build, and a
-// run of two or more shards must equal its serial replay. Chaos and
-// checkpoint scripts are skipped.
+// run of two or more shards must equal its serial replay. Every build
+// is held to fuzzHorizon, which bounds what chaos and checkpoint
+// generators expand to.
 func FuzzLoadSpecs(f *testing.F) {
 	for _, p := range specProbes {
 		f.Add([]byte(probeFile(p.fields)))
@@ -169,6 +168,15 @@ func FuzzLoadSpecs(f *testing.F) {
 	f.Add([]byte(`{"runs": [{"topo": {"kind": "torus", "rows": 6, "cols": 6}, "workload": {"kind": "fib", "m": 9},
 		"strategy": {"kind": "cwn", "radius": 4, "horizon": 1}, "shards": 4, "arrival": {"kind": "interval", "gap": 150, "jobs": 20},
 		"scenario": "droplink:a=14:b=20@t=300,restorelink:a=14:b=20@t=1500,fail:pes=3@t=400,recover@t=900"}]}`))
+	// The only job is abandoned at the second crash, so the run
+	// completes with no job done; and 4×4-block crash chaos with
+	// checkpoints and a retry backoff on two shards.
+	f.Add([]byte(`{"runs": [{"topo": {"kind": "grid", "rows": 4, "cols": 4}, "workload": {"kind": "fib", "m": 12},
+		"strategy": {"kind": "cwn", "radius": 5, "horizon": 2}, "shards": 2, "retryLimit": 1,
+		"scenario": "crash:pes=50%@t=30,recover@t=40,crash:pes=0+1+2+3+4+5+6+7@t=60,recover@t=70"}]}`))
+	f.Add([]byte(`{"runs": [{"topo": {"kind": "torus", "rows": 8, "cols": 8}, "workload": {"kind": "fib", "m": 9},
+		"strategy": {"kind": "cwn", "radius": 4, "horizon": 1}, "shards": 2, "arrival": {"kind": "interval", "gap": 200, "jobs": 12},
+		"scenario": "chaos:mtbf=300:mttr=150:crash:domain=block:4x4@seed=5,checkpoint:every=250:cost=2@t=0", "retryLimit": 2, "retryBackoff": 20}]}`))
 	// Two fails that together leave no PE live are refused; with a
 	// recover between them, the run goes ahead.
 	for _, script := range []string{"fail:pes=0@t=10,fail:pes=1@t=20", "fail:pes=0@t=10,recover@t=15,fail:pes=1@t=20"} {
@@ -190,9 +198,8 @@ func FuzzLoadSpecs(f *testing.F) {
 				continue
 			}
 			cfg := rs.Config()
-			if expands(cfg.Scenario) {
-				continue // its expansion grows with MaxTime
-			}
+			cfg.MaxTime = min(cfg.MaxTime, fuzzHorizon)
+			cfg.Warmup = min(cfg.Warmup, cfg.MaxTime-1)
 			topo, tree := rs.Topo.build(), rs.Workload.build()
 			build := func(cfg machine.Config) *machine.Machine {
 				return machine.NewStream(topo, rs.Arrival.Build(tree), rs.Strategy.Build(), cfg)
@@ -201,8 +208,6 @@ func FuzzLoadSpecs(f *testing.F) {
 				build(cfg)
 				continue
 			}
-			cfg.MaxTime = min(cfg.MaxTime, fuzzHorizon)
-			cfg.Warmup = min(cfg.Warmup, cfg.MaxTime-1)
 			cfg.ShardSerial = false
 			st := build(cfg).Run()
 			checkFuzzRun(t, rs, tree, st)
@@ -223,14 +228,16 @@ func smallStream(as ArrivalSpec) bool {
 }
 
 // checkFuzzRun checks the invariants perfbench's checkRun holds every
-// benchmark run to, plus no lost goal: a closed run that completed
+// benchmark run to, plus no lost goal: a closed run whose job was done
 // computed its tree's value over all its goals (a capped horizon may
-// stop one short of completion), every abort was retried or abandoned,
-// and no more jobs finished than were injected.
+// stop one short, and a crash past its retry limit abandons the job),
+// every abort was retried or abandoned, no more jobs left than were
+// injected and, in a completed run, every injected job left. The
+// makespan is never negative and the utilization lies in [0, 1].
 func checkFuzzRun(t *testing.T, rs RunSpec, tree *workload.Tree, st *machine.Stats) {
 	t.Helper()
 	if rs.Arrival.IsSingle() {
-		if st.Completed && st.Result != tree.Eval() {
+		if st.JobsDone == 1 && st.Result != tree.Eval() {
 			t.Fatalf("%s: result %d, tree evaluates to %d", rs.Name(), st.Result, tree.Eval())
 		}
 		if st.Goals != tree.Count() {
@@ -242,6 +249,12 @@ func checkFuzzRun(t *testing.T, rs RunSpec, tree *workload.Tree, st *machine.Sta
 	}
 	if st.JobsDone+st.JobsAbandoned > st.JobsInjected {
 		t.Fatalf("%s: done %d + abandoned %d > injected %d", rs.Name(), st.JobsDone, st.JobsAbandoned, st.JobsInjected)
+	}
+	if st.Completed && st.JobsDone+st.JobsAbandoned != st.JobsInjected {
+		t.Fatalf("%s: completed with done %d + abandoned %d != injected %d", rs.Name(), st.JobsDone, st.JobsAbandoned, st.JobsInjected)
+	}
+	if u := st.Utilization(); st.Makespan < 0 || u < 0 || u > 1 {
+		t.Fatalf("%s: makespan %d, utilization %g", rs.Name(), st.Makespan, u)
 	}
 	if st.Stalled {
 		t.Fatalf("%s: stalled with %d job(s) in flight and no work anywhere", rs.Name(), st.JobsInjected-st.JobsDone)
@@ -268,11 +281,4 @@ func checkSameRun(t *testing.T, rs RunSpec, aName, bName string, a, b *machine.S
 	if x, y := of(a), of(b); x != y {
 		t.Fatalf("%s: %s %+v, %s %+v", rs.Name(), aName, x, bName, y)
 	}
-}
-
-// expands reports whether sc holds a chaos or checkpoint generator.
-func expands(sc *scenario.Script) bool {
-	return !sc.Empty() && slices.ContainsFunc(sc.Events, func(e scenario.Event) bool {
-		return e.Kind == scenario.Chaos || e.Kind == scenario.Checkpoint
-	})
 }

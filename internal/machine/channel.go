@@ -146,12 +146,10 @@ func (k MsgKind) String() string {
 type wireKind uint8
 
 const (
-	// wireGoal is a single goal hop whose receiver's strategy handles
-	// arrival (SendGoal).
+	// wireGoal is one hop of a goal bound for PE dst: a neighbor hop
+	// (SendGoal) or one hop of a shortest-path route (RouteGoal); only
+	// dst's strategy sees the arrival.
 	wireGoal wireKind = iota
-	// wireGoalRoute is one hop of a shortest-path goal route; only the
-	// final PE's strategy sees the arrival (RouteGoal).
-	wireGoalRoute
 	// wireResp is one hop of a response travelling to its parent PE.
 	wireResp
 	// wireCtrl is a point-to-point strategy control payload.
@@ -188,7 +186,7 @@ type wireMsg struct {
 	payload  any
 	from     int // sending PE of this hop
 	to       int // receiving PE of this hop
-	dst      int // final destination (wireGoalRoute)
+	dst      int // final destination (wireGoal)
 	sentLoad int32
 }
 
@@ -226,35 +224,22 @@ func (w *wireMsg) Act() {
 	switch kind {
 	case wireGoal:
 		m.goalsInTransit--
-		rcv := m.pes[to]
 		m.recordLoad(m.hopSlot(ci, from, to), sentLoad)
 		if m.lossy && g.epoch != g.job.epoch {
 			m.stats.GoalsLost++ // its attempt died in a crash mid-flight
 			m.freeGoal(g)
 			return
 		}
+		if to != dst {
+			m.routeGoal(to, dst, g)
+			return
+		}
+		rcv := m.pes[to]
 		if m.peFailed[rcv.lx] {
 			m.requeueGoal(to, g)
 			return
 		}
 		rcv.node.HandleEvent(Event{Kind: GoalArrived, Goal: g, From: from})
-	case wireGoalRoute:
-		m.goalsInTransit--
-		m.recordLoad(m.hopSlot(ci, from, to), sentLoad)
-		if m.lossy && g.epoch != g.job.epoch {
-			m.stats.GoalsLost++
-			m.freeGoal(g)
-			return
-		}
-		if to == dst {
-			if m.peFailed[m.pes[to].lx] {
-				m.requeueGoal(to, g)
-				return
-			}
-			m.pes[to].node.HandleEvent(Event{Kind: GoalArrived, Goal: g, From: from})
-			return
-		}
-		m.routeGoal(to, dst, g)
 	case wireResp:
 		m.respsInTransit--
 		m.recordLoad(m.hopSlot(ci, from, to), sentLoad)
@@ -497,11 +482,9 @@ func (d *wordBatch) Act() {
 // slots from offset row of the slot table, skipping the -1 entries of
 // receivers another shard owns.
 func (m *Machine) recordRow(row, n, load int32) {
-	now := m.eng.Now()
 	for _, x := range m.slots[row:][:n] {
 		if x >= 0 {
 			m.nbrLoad[x] = load
-			m.nbrSeen[x] = now
 		}
 	}
 }
@@ -530,7 +513,6 @@ func (m *Machine) hopSlot(ci, from, to int) int32 {
 // recordLoad stores load as the latest word heard in receiver slot x.
 func (m *Machine) recordLoad(x int32, load int) {
 	m.nbrLoad[x] = int32(load)
-	m.nbrSeen[x] = m.eng.Now()
 }
 
 // transmit occupies the message's channel for dur units starting when
@@ -561,7 +543,7 @@ func (m *Machine) transmit(dur sim.Time, w *wireMsg) {
 // filter for that shard's members.
 func (m *Machine) crossShard(h *chanHot, lc int32, end sim.Time, w *wireMsg) bool {
 	switch w.kind {
-	case wireGoal, wireGoalRoute, wireResp, wireCtrl:
+	case wireGoal, wireResp, wireCtrl:
 		d := m.grp.part.Assign[w.to]
 		if d == m.shardID {
 			return false

@@ -249,13 +249,17 @@
 // boundary-crossing channel (always so for one shard) has unbounded
 // lookahead: its run is a single window to MaxTime, cut only at
 // scripted op instants, and only a single shard stops mid-window on
-// completion — it alone observes the last response exactly in virtual
-// time. Between windows the single-threaded coordinator drains the
-// per-shard-pair outboxes into the receiving engines in a fixed total
-// order (delivery time, then sending shard, then FIFO), fast-forwards
-// over windows no shard has events in, and checks completion; at
-// finalize the per-shard Stats merge into one (counters sum, per-PE
-// arrays concatenate, distributions merge exactly).
+// completion — it alone observes the last job leaving exactly in
+// virtual time. Between windows the single-threaded coordinator drains
+// the per-shard-pair outboxes into the receiving engines in a fixed
+// total order (delivery time, then sending shard, then FIFO),
+// fast-forwards over windows no shard has events in, and checks
+// completion: the source exhausted and no job in flight. One finish
+// rule serves every shard count: a completed run ends at the latest
+// instant any job left, whether it delivered its root response or was
+// abandoned past its retry limit. At finalize the per-shard Stats merge
+// into one (counters sum, per-PE arrays concatenate, distributions
+// merge exactly).
 //
 // R = min(K, GOMAXPROCS) runners execute the windows, and R = 1 under
 // Config.ShardSerial. Each runner owns a fixed set of shards for the

@@ -113,27 +113,13 @@ func (m *Machine) failPE(pe *PE) {
 	if m.peFailed[pe.lx] {
 		return
 	}
-	if m.grp.live <= 1 {
-		panic("machine: scenario would fail every PE")
-	}
-	now := m.eng.Now()
-	m.peFailed[pe.lx] = true
-	m.noteFailed(pe.id)
-	pe.failedAt = now
+	it, cut := m.takeDown(pe)
 
 	// The refuge is invariant across this evacuation (liveness only
 	// changes between events): resolve it once, not per goal.
 	refuge := m.nearestLive(pe.id)
 
-	if m.peBusy[pe.lx] {
-		it := pe.inService
-		pe.inService = item{}
-		remaining := m.peServiceEnd[pe.lx] - now
-		pe.svc.Stop()
-		m.peBusy[pe.lx] = false
-		if remaining > 0 {
-			m.peBusyTime[pe.lx] -= remaining // the cut-off tail never happens
-		}
+	if cut {
 		switch it.kind {
 		case itemGoal:
 			m.stats.ServiceAborts++
@@ -162,6 +148,32 @@ func (m *Machine) failPE(pe *PE) {
 	m.broadcastEnv(pe, PEFailed)
 }
 
+// takeDown marks live owned PE pe failed from now on and cuts off the
+// item in service, if any: the service timer stops and the unelapsed
+// tail leaves the busy time, because it never happens. It returns the
+// cut item, cut false when the PE was idle; failPE evacuates it and
+// crashPE destroys it.
+func (m *Machine) takeDown(pe *PE) (it item, cut bool) {
+	if m.grp.live <= 1 {
+		panic("machine: scenario would take down every PE")
+	}
+	now := m.eng.Now()
+	m.peFailed[pe.lx] = true
+	m.noteFailed(pe.id)
+	pe.failedAt = now
+	if !m.peBusy[pe.lx] {
+		return item{}, false
+	}
+	it = pe.inService
+	pe.inService = item{}
+	pe.svc.Stop()
+	m.peBusy[pe.lx] = false
+	if remaining := m.peServiceEnd[pe.lx] - now; remaining > 0 {
+		m.peBusyTime[pe.lx] -= remaining
+	}
+	return it, true
+}
+
 // crashPE is the state-loss variant of failPE: the PE's volatile state
 // — queued and in-flight goals, queued responses, pending tasks — is
 // destroyed, not evacuated. Every job that lost state here is aborted
@@ -174,13 +186,7 @@ func (m *Machine) crashPE(pe *PE) {
 	if m.peFailed[pe.lx] {
 		return
 	}
-	if m.grp.live <= 1 {
-		panic("machine: scenario would crash every PE")
-	}
-	now := m.eng.Now()
-	m.peFailed[pe.lx] = true
-	m.noteFailed(pe.id)
-	pe.failedAt = now
+	it, cut := m.takeDown(pe)
 
 	// Collect the jobs losing state here in deterministic encounter
 	// order; the aborting flag dedups a job that lost several goals. A
@@ -200,24 +206,14 @@ func (m *Machine) crashPE(pe *PE) {
 		}
 	}
 
-	if m.peBusy[pe.lx] {
-		it := pe.inService
-		pe.inService = item{}
-		remaining := m.peServiceEnd[pe.lx] - now
-		pe.svc.Stop()
-		m.peBusy[pe.lx] = false
-		if remaining > 0 {
-			m.peBusyTime[pe.lx] -= remaining // the cut-off tail never happens
-		}
-		if it.kind == itemGoal {
-			m.stats.ServiceAborts++
-			m.stats.GoalsLost++
-			collect(it.goal)
-			m.freeGoal(it.goal)
-		}
-		// An interrupted response integration is simply gone — its
-		// waiting task is about to be purged with the pending map.
+	if cut && it.kind == itemGoal {
+		m.stats.ServiceAborts++
+		m.stats.GoalsLost++
+		collect(it.goal)
+		m.freeGoal(it.goal)
 	}
+	// An interrupted response integration is simply gone — its waiting
+	// task is about to be purged with the pending map.
 	for pe.queueLen() > 0 {
 		it := pe.popReady()
 		if it.kind == itemGoal {
@@ -349,19 +345,14 @@ func (m *Machine) purgeJob(j *jobState) {
 // the system uncompleted — injected but never done, which is exactly
 // what Goodput reads. Its purged attempt is already gone; any goals
 // still in transit are stale (the epoch bumped) and discarded at
-// delivery.
+// delivery. Abandoning the last in-flight job ends the run exactly as
+// the last completion would.
 func (m *Machine) abandonJob(j *jobState) {
 	m.stats.JobsAbandoned++
+	m.lastLeft = m.eng.Now()
 	left := m.grp.inFlight.Add(-1)
 	m.freeJob(j)
-	// Abandoning the last in-flight job ends the run exactly as the
-	// last completion would (multi-shard groups detect it at the next
-	// window barrier instead).
-	if m.srcDone && left == 0 && m.grp.k == 1 {
-		m.completed = true
-		m.finishedAt = m.eng.Now()
-		m.eng.Stop()
-	}
+	m.stopIfIdle(left)
 }
 
 // homeMachine returns the shard owning RootPE — where the source,

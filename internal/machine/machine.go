@@ -73,19 +73,18 @@ type Machine struct {
 	fan    []fanEntry
 	fanOff []int32
 
-	// nbrLoad, nbrSeen and nbrDown are the flat backings of every owned
-	// PE's per-neighbor views: the load word last heard, when, and the
-	// availability last heard (environment broadcasts). PE.nbrLoad and
-	// PE.nbrSeen are subslices. slots is the receiver-slot table that
-	// addresses them: a channel of span s owns the s·(s-1) entries from
-	// its chanState's slot offset, one block of s-1 per sending member
-	// in member order, each entry the backing index of one receiving
-	// member's view of the sender (receivers in member order, the
-	// sender skipped), or -1 where this shard does not own the
-	// receiver. Every load word delivered on a channel writes its view
-	// by slot, without searching the receiver's neighbor list.
+	// nbrLoad and nbrDown are the flat backings of every owned PE's
+	// per-neighbor views: the load word last heard (-1 until the first,
+	// as loads are never negative) and the availability last heard
+	// (environment broadcasts). PE.nbrLoad is a subslice. slots is the
+	// receiver-slot table that addresses them: a channel of span s owns
+	// the s·(s-1) entries from its chanState's slot offset, one block of
+	// s-1 per sending member in member order, each entry the backing
+	// index of one receiving member's view of the sender (receivers in
+	// member order, the sender skipped), or -1 where this shard does not
+	// own the receiver. Every load word delivered on a channel writes its
+	// view by slot, without searching the receiver's neighbor list.
 	nbrLoad []int32
-	nbrSeen []sim.Time
 	nbrDown []bool
 	slots   []int32
 
@@ -123,8 +122,6 @@ type Machine struct {
 	obsRng     *rand.Rand //simlint:obsstream observer (sampling) phases; nil unless sampling
 	srcDone    bool       // the source has been exhausted
 	started    bool
-	completed  bool
-	finishedAt sim.Time
 	result     int64
 
 	nextTree *workload.Tree // the tree the armed arrival injects
@@ -202,15 +199,17 @@ type Machine struct {
 	// entries nil/zero, chans holds this shard's own copy of every
 	// channel it touches (occupancy accrues per side), and xout[d]
 	// queues wire messages addressed to shard d until the coordinator
-	// drains them at the next window barrier. lastDone tracks this
-	// shard's latest job completion for the group's deterministic finish
-	// rule.
+	// drains them at the next window barrier. lastDone is this shard's
+	// latest job completion and lastLeft its latest completion or
+	// abandonment, for the group's result and finish rules
+	// (shardGroup.finalize).
 	grp      *shardGroup
 	shardID  int
 	peLo     int
 	peHi     int
 	xout     [][]xmsg
 	lastDone sim.Time
+	lastLeft sim.Time
 
 	// Shard-local observability capture. The Sink contract is
 	// single-goroutine, so no shard calls Record live: each appends its
@@ -335,7 +334,7 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 	}
 
 	// CSR-flattened adjacency for the owned block: neighbor lists, the
-	// per-neighbor load/seen/down views and the fan-out table are
+	// per-neighbor load and down views and the fan-out table are
 	// subslices or ranges of flat arrays — a few allocations for the
 	// whole machine instead of several per PE, and the broadcast path
 	// reads its channels from the fan table instead of asking the
@@ -352,9 +351,8 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 		m.fanOff[i-m.peLo+1] = int32(len(chansFlat))
 	}
 	m.nbrLoad = make([]int32, len(nbrsFlat))
-	m.nbrSeen = make([]sim.Time, len(nbrsFlat))
-	for i := range m.nbrSeen {
-		m.nbrSeen[i] = -1
+	for i := range m.nbrLoad {
+		m.nbrLoad[i] = -1
 	}
 	m.nbrDown = make([]bool, len(nbrsFlat))
 
@@ -417,7 +415,6 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 			lx:      lx,
 			nbrs:    nbrsFlat[lo:hi:hi],
 			nbrLoad: m.nbrLoad[lo:hi:hi],
-			nbrSeen: m.nbrSeen[lo:hi:hi],
 		}
 		pe.svc.Init(m.eng, pe.serviceDone)
 		m.pes[i] = pe
@@ -574,13 +571,9 @@ func (m *Machine) PE(i int) *PE {
 	return m.grp.owner(i).pes[i]
 }
 
-// jobsInFlight returns the group's injected-but-uncompleted job count.
-func (m *Machine) jobsInFlight() int64 {
-	return m.grp.inFlight.Load()
-}
-
-// Completed reports whether the run completed: every injected job
-// delivered its root response and the source was exhausted.
+// Completed reports whether the run completed: the source was
+// exhausted and every injected job left, delivering its root response
+// or abandoned.
 func (m *Machine) Completed() bool { return m.grp.completed }
 
 // NewTicker registers fn as a periodic process belonging to the
@@ -825,13 +818,13 @@ func (m *Machine) respond(fromPE int, g *Goal, value int64) {
 }
 
 // completeJob records job j's root response: its sojourn time enters the
-// latency records, and the machine stops once the source is exhausted
-// and no jobs remain in flight. The jobState is recycled — every goal of
-// the job is necessarily dead once the root has responded.
+// latency records, and a one-shard run stops once the source is
+// exhausted and no jobs remain in flight. The jobState is recycled —
+// every goal of the job is necessarily dead once the root has responded.
 func (m *Machine) completeJob(j *jobState, value int64) {
 	now := m.eng.Now()
 	m.result = value
-	m.lastDone = now
+	m.lastDone, m.lastLeft = now, now
 	// The root response may be combined on any shard; only the sum
 	// matters mid-window (atomic adds commute), and the value is only
 	// branched on where it is deterministic — here under one shard, or at
@@ -875,14 +868,18 @@ func (m *Machine) completeJob(j *jobState, value int64) {
 		})
 	}
 	m.freeJob(j)
-	// Only a single shard observes completion exactly in virtual time, so
-	// only it stops mid-window. On several shards, which one would observe
-	// the zero depends on execution order; the coordinator detects
-	// completion at the next window barrier instead, where the count is
-	// stable (shardGroup.run).
-	if m.srcDone && left == 0 && m.grp.k == 1 {
-		m.completed = true
-		m.finishedAt = now
+	m.stopIfIdle(left)
+}
+
+// stopIfIdle stops a one-shard run at the instant its source is
+// exhausted with no job left in flight (left, the count after the
+// caller's change). Only a single shard observes that instant exactly in
+// virtual time, so only it stops mid-window. On several shards, which
+// one would observe the zero depends on execution order; the
+// coordinator detects completion at the next window barrier instead,
+// where the count is stable (shardGroup.runWindows).
+func (m *Machine) stopIfIdle(left int64) {
+	if m.grp.k == 1 && m.srcDone && left == 0 {
 		m.eng.Stop()
 	}
 }
@@ -947,12 +944,18 @@ func (m *Machine) chansBetween(a, b int) []int {
 // routeGoal advances the goal one shortest-path hop toward dst.
 func (m *Machine) routeGoal(cur, dst int, g *Goal) {
 	next := m.topo.NextHop(cur, dst)
-	ci := m.pickChannel(m.chansBetween(cur, next))
+	m.goalHop(cur, next, dst, m.pickChannel(m.chansBetween(cur, next)), g)
+}
+
+// goalHop sends goal g, bound for dst, one hop from owned PE cur to its
+// neighbor next on channel ci, counting the hop: the one sender behind
+// SendGoal's neighbor hops and routeGoal's routes.
+func (m *Machine) goalHop(cur, next, dst, ci int, g *Goal) {
 	g.Hops++
 	m.stats.MsgCounts[MsgGoal]++
 	m.emit(trace.GoalSent, cur, next, g.ID)
 	m.goalsInTransit++
-	w := m.newMsg(wireGoalRoute, ci, cur, m.pes[cur].Load())
+	w := m.newMsg(wireGoal, ci, cur, m.pes[cur].Load())
 	w.goal = g
 	w.to = next
 	w.dst = dst
@@ -1056,14 +1059,7 @@ func (m *Machine) pump() {
 		delay, tree, ok := m.source.Next(m.srcRng)
 		if !ok {
 			m.srcDone = true
-			// Multi-shard groups defer the exhausted-and-idle stop to the
-			// window barrier (a mid-window read of the shared in-flight
-			// count would depend on thread schedule, not virtual time).
-			if m.grp.k == 1 && m.jobsInFlight() == 0 && !m.completed {
-				m.completed = true
-				m.finishedAt = m.eng.Now()
-				m.eng.Stop()
-			}
+			m.stopIfIdle(m.grp.inFlight.Load())
 			return
 		}
 		if delay > 0 && m.rateMul != 1 {

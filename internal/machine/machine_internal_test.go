@@ -408,9 +408,9 @@ func TestBroadcastReachesAllBusMembers(t *testing.T) {
 		if other.id == 2 {
 			continue
 		}
-		load, seenAt := other.KnownLoad(2)
-		if load != 1 || seenAt < 0 {
-			t.Fatalf("PE %d heard load %d (seen %d), want 1 from the broadcast", other.id, load, seenAt)
+		load, heard := other.KnownLoad(2)
+		if load != 1 || !heard {
+			t.Fatalf("PE %d heard load %d (heard %v), want 1 from the broadcast", other.id, load, heard)
 		}
 	}
 	// One bus transaction, not four.

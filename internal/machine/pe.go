@@ -123,12 +123,11 @@ func (pe *PE) removeReady(i int) {
 // machine-level parallel slices indexed by lx (see the struct-of-arrays
 // fields on Machine), keeping the event loop's working set dense; a
 // load tick reads only those and the machine's flat fan table. The
-// adjacency slices (nbrs, nbrLoad, nbrSeen) are subslices of
-// machine-wide flat backings. Load words delivered on a channel write
-// the views through the machine's receiver-slot table (Machine.slots),
-// never searching nbrs. The binary search nbrIdx over the ascending
-// nbrs serves lookups by neighbor ID (KnownLoad) and the table's
-// construction.
+// adjacency slices (nbrs, nbrLoad) are subslices of machine-wide flat
+// backings. Load words delivered on a channel write the views through
+// the machine's receiver-slot table (Machine.slots), never searching
+// nbrs. The binary search nbrIdx over the ascending nbrs serves lookups
+// by neighbor ID (KnownLoad) and the table's construction.
 type PE struct {
 	m  *Machine
 	id int
@@ -139,9 +138,8 @@ type PE struct {
 	svc       sim.Timer   // reusable service-completion event, held by value
 	pending   pendingSlab // tasks awaiting child responses, by goal ID
 
-	nbrs    []int      // cached topology neighbors, ascending
-	nbrLoad []int32    // last known load per neighbor (assumed 0 initially)
-	nbrSeen []sim.Time // when that load was learned (-1 = never)
+	nbrs    []int   // cached topology neighbors, ascending
+	nbrLoad []int32 // last known load per neighbor (-1 until first heard)
 
 	node NodeStrategy // strategy state for this PE (set after construction)
 
@@ -261,20 +259,22 @@ func (pe *PE) PendingTasks() int { return int(pe.m.pePending[pe.lx]) }
 func (pe *PE) Neighbors() []int { return pe.nbrs }
 
 // KnownLoad returns the most recently learned load of neighbor nbrPE and
-// the time it was learned (-1 if never; loads are assumed 0 until first
-// heard, as the paper assumes for proximities).
-func (pe *PE) KnownLoad(nbrPE int) (load int, seenAt sim.Time) {
+// whether any load word from it has been heard yet (loads are assumed 0
+// until first heard, as the paper assumes for proximities).
+func (pe *PE) KnownLoad(nbrPE int) (load int, heard bool) {
 	i := pe.nbrIdx(nbrPE)
 	if i < 0 {
 		panic(fmt.Sprintf("machine: PE %d is not a neighbor of PE %d", nbrPE, pe.id))
 	}
-	return int(pe.nbrLoad[i]), pe.nbrSeen[i]
+	l := pe.nbrLoad[i]
+	return int(max(l, 0)), l >= 0
 }
 
-// LeastLoadedNeighbor returns the neighbor with the smallest known load.
-// Ties are broken uniformly at random from the run's seeded stream (so
-// repeated forwarding does not systematically favor low PE numbers).
-// Returns (-1, 0) when the PE has no neighbors.
+// LeastLoadedNeighbor returns the neighbor with the smallest known load,
+// an unheard neighbor's counting as 0. Ties are broken uniformly at
+// random from the run's seeded stream (so repeated forwarding does not
+// systematically favor low PE numbers). Returns (-1, 0) when the PE has
+// no neighbors.
 func (pe *PE) LeastLoadedNeighbor() (nbrPE, load int) {
 	if len(pe.nbrs) == 0 {
 		return -1, 0
@@ -283,7 +283,7 @@ func (pe *PE) LeastLoadedNeighbor() (nbrPE, load int) {
 	count := 0
 	choice := -1
 	for i, nb := range pe.nbrs {
-		l := pe.nbrLoad[i]
+		l := max(pe.nbrLoad[i], 0)
 		switch {
 		case l < best:
 			best, count, choice = l, 1, nb
@@ -297,8 +297,8 @@ func (pe *PE) LeastLoadedNeighbor() (nbrPE, load int) {
 	return choice, int(best)
 }
 
-// MinNeighborLoad returns the smallest known neighbor load, or 0 when
-// the PE has no neighbors.
+// MinNeighborLoad returns the smallest known neighbor load, an unheard
+// neighbor's counting as 0, or 0 when the PE has no neighbors.
 func (pe *PE) MinNeighborLoad() int {
 	if len(pe.nbrs) == 0 {
 		return 0
@@ -309,7 +309,7 @@ func (pe *PE) MinNeighborLoad() int {
 			best = l
 		}
 	}
-	return int(best)
+	return int(max(best, 0))
 }
 
 // Accept places the goal in this PE's ready queue. Under CWN acceptance
@@ -335,14 +335,7 @@ func (pe *PE) SendGoal(to int, g *Goal) {
 	if len(chs) == 0 {
 		panic(fmt.Sprintf("machine: SendGoal %d->%d: not neighbors", pe.id, to))
 	}
-	g.Hops++
-	m.stats.MsgCounts[MsgGoal]++
-	m.emit(trace.GoalSent, pe.id, to, g.ID)
-	m.goalsInTransit++
-	w := m.newMsg(wireGoal, m.pickChannel(chs), pe.id, pe.Load())
-	w.goal = g
-	w.to = to
-	m.transmit(m.cfg.GoalHopTime, w)
+	m.goalHop(pe.id, to, to, m.pickChannel(chs), g)
 }
 
 // RouteGoal ships the goal to an arbitrary destination PE along a

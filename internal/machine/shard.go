@@ -100,14 +100,13 @@ type shardGroup struct {
 
 	machines []*Machine
 
-	// Group outcome. Several shards never stop mid-window — which one
-	// would observe the in-flight count hit zero depends on thread
-	// schedule, not virtual time — so the coordinator decides at window
-	// barriers; a single shard stops itself at the exact instant and
-	// finalize adopts its outcome.
-	completed  bool
-	finishedAt sim.Time
-	result     int64
+	// completed is the group outcome, set by runWindows when a one-shard
+	// run stopped itself at the instant its last job left, or at a
+	// barrier that finds the source exhausted and no job in flight.
+	// Several shards never stop mid-window: which one would observe the
+	// in-flight count hit zero depends on thread schedule, not virtual
+	// time.
+	completed bool
 
 	// Runners (runWindow). nrun is R, and runners[r-1] parks runner r
 	// (none for one runner). release counts the windows released, and
@@ -342,9 +341,10 @@ func (g *shardGroup) runWindows() {
 		}
 		g.winEnd = end
 		g.runWindow()
-		if g.k == 1 && home.eng.Stopped() {
-			// A single shard observes completion exactly in virtual time:
-			// completeJob/pump/abandonJob stop its engine mid-window.
+		if home.eng.Stopped() {
+			// A single shard observes completion exactly in virtual time
+			// and stops its engine mid-window (stopIfIdle).
+			g.completed = true
 			break
 		}
 		if opAt >= 0 {
@@ -358,11 +358,12 @@ func (g *shardGroup) runWindows() {
 		}
 		g.drain()
 		g.mergeSamples()
-		if g.k > 1 && home.srcDone && g.inFlight.Load() == 0 {
+		if home.srcDone && g.inFlight.Load() == 0 {
 			// At a barrier every shard is quiescent, so the shared count
-			// is exact: all injected jobs responded and no arrivals
-			// remain. (In-flight control traffic may outlive completion,
-			// exactly as on one shard.)
+			// is exact: every injected job left and no arrivals remain.
+			// (In-flight control traffic may outlive completion, exactly
+			// as on one shard.) A one-shard run gets here only when an
+			// op at this barrier abandoned its last job.
 			g.completed = true
 			break
 		}
@@ -676,21 +677,18 @@ func (g *shardGroup) stalled() bool {
 // applies the group-level outcome.
 func (g *shardGroup) finalize() *Stats {
 	root := g.machines[0]
-	if g.k == 1 {
-		// The single shard decided its own outcome mid-window.
-		g.completed, g.finishedAt, g.result = root.completed, root.finishedAt, root.result
-	} else if g.completed {
-		// Deterministic finish rule: the last completion, ties resolved
-		// toward the higher shard (within one shard, engine order already
-		// picked the later completion's result).
-		fin := sim.Time(-1)
-		for _, m := range g.machines {
-			if m.stats.JobsDone > 0 && m.lastDone >= fin {
-				fin = m.lastDone
-				g.result = m.result
-			}
+	// Deterministic finish rule, one for every shard count: a completed
+	// run ends at the latest instant a job left, completed or abandoned.
+	// The result is the last completion's value, ties resolved toward the
+	// higher shard (within one shard, engine order already picked the
+	// later completion's); a K-shard run reports it only when completed.
+	var fin, lastDone sim.Time = 0, -1
+	var result int64
+	for _, m := range g.machines {
+		fin = max(fin, m.lastLeft)
+		if (g.completed || g.k == 1) && m.stats.JobsDone > 0 && m.lastDone >= lastDone {
+			lastDone, result = m.lastDone, m.result
 		}
-		g.finishedAt = fin
 	}
 	for _, m := range g.machines {
 		m.finalize()
@@ -710,10 +708,10 @@ func (g *shardGroup) finalize() *Stats {
 	g.mergeInjSoj(s)
 	g.replayTrace()
 	s.Completed = g.completed
-	s.Result = g.result
+	s.Result = result
 	s.Makespan = root.eng.Now()
 	if g.completed {
-		s.Makespan = g.finishedAt
+		s.Makespan = fin
 	}
 	s.Stalled = g.stalled()
 	if g.k > 1 {

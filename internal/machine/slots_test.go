@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"cwnsim/internal/sim"
 	"cwnsim/internal/topology"
 	"cwnsim/internal/workload"
 )
@@ -77,10 +78,11 @@ func checkSlots(t *testing.T, m *Machine) {
 				if x < 0 || i < 0 {
 					t.Fatalf("shard %d channel %d: %d->%d slot %d, neighbor index %d", m.shardID, ci, from, to, x, i)
 				}
-				m.nbrSeen[x] = 12345
-				seen := rcv.nbrSeen[i]
-				m.nbrSeen[x] = -1
-				if seen != 12345 {
+				old := m.nbrLoad[x]
+				m.nbrLoad[x] = 12345
+				mark := rcv.nbrLoad[i]
+				m.nbrLoad[x] = old
+				if mark != 12345 {
 					t.Fatalf("shard %d channel %d: %d->%d slot %d does not address PE %d's view of PE %d", m.shardID, ci, from, to, x, to, from)
 				}
 			}
@@ -165,34 +167,41 @@ func TestShardBusBroadcastUsesReceiverChannel(t *testing.T) {
 	}
 	src.sendWord(wd, cfg.CtrlHopTime)
 	g.drain()
-	for _, m := range g.machines {
-		m.eng.RunUntil(10 * cfg.CtrlHopTime)
-	}
 
-	heard := map[int]bool{}
+	receiver := map[int]bool{}
 	for _, pe := range topo.ChannelAt(ci).Members {
 		if pe != from {
-			heard[pe] = true
+			receiver[pe] = true
 		}
 	}
-	shards := map[int]bool{}
-	for id := 0; id < topo.Size(); id++ {
-		pe := g.owner(id).pes[id]
-		for _, nb := range pe.Neighbors() {
-			l, at := pe.KnownLoad(nb)
-			if heard[id] && nb == from {
-				shards[g.part.Assign[id]] = true
-				if l != load || at != cfg.CtrlHopTime {
-					t.Errorf("PE %d knows PE %d's load as %d at t=%d, want %d at t=%d", id, from, l, at, load, cfg.CtrlHopTime)
+	// check runs every shard to time t0 and walks every view: once the
+	// word is due, each receiver's view of the sender holds its load, and
+	// no other view was heard. It returns the shards the word reached.
+	check := func(t0 sim.Time, due bool) map[int]bool {
+		shards := map[int]bool{}
+		for _, m := range g.machines {
+			m.eng.RunUntil(t0)
+		}
+		for id := 0; id < topo.Size(); id++ {
+			pe := g.owner(id).pes[id]
+			for _, nb := range pe.Neighbors() {
+				l, heard := pe.KnownLoad(nb)
+				if due && receiver[id] && nb == from {
+					shards[g.part.Assign[id]] = true
+					if !heard || l != load {
+						t.Errorf("t=%d: PE %d knows PE %d's load as %d (heard %v), want %d", t0, id, from, l, heard, load)
+					}
+					continue
 				}
-				continue
-			}
-			if at != -1 {
-				t.Errorf("PE %d's view of PE %d changed (load %d at t=%d)", id, nb, l, at)
+				if heard {
+					t.Errorf("t=%d: PE %d heard PE %d's load as %d", t0, id, nb, l)
+				}
 			}
 		}
+		return shards
 	}
-	if len(shards) != 2 {
+	check(cfg.CtrlHopTime-1, false)
+	if shards := check(10*cfg.CtrlHopTime, true); len(shards) != 2 {
 		t.Fatalf("the broadcast reached receivers on %d shards, want 2", len(shards))
 	}
 }

@@ -30,9 +30,12 @@ type Stats struct {
 	P        int    //simlint:nomerge label: the full machine size, not a per-shard count
 	Goals    int
 
-	// Outcome. Completed means every injected job delivered its root
-	// response and the source was exhausted; Result is the last
-	// completed job's value (the program result for single-job runs).
+	// Outcome. Completed means the source was exhausted and every
+	// injected job left: it delivered its root response or was
+	// abandoned past Config.RetryLimit. Makespan is when a completed run
+	// ended, the latest instant a job left, and MaxTime for a run cut
+	// off incomplete. Result is the last completed job's value (the
+	// program result for single-job runs).
 	// Stalled flags an incomplete run where jobs remained in flight but
 	// nothing was queued, executing, or on a channel — a lost goal or
 	// deadlock, as opposed to honest saturation at MaxTime.

@@ -151,66 +151,15 @@ func (h *downHeap) recoverBy(t float64) {
 
 // generate draws one chaos event's concrete timeline: failure instants
 // arrive as a Poisson process (exponential gaps, mean MTBF) starting at
-// the event's At, each striking a uniformly chosen PE and holding it
-// down for an exponential repair time (mean MTTR, floor one unit). A PE
-// already down when struck absorbs the failure (the draw is still
-// consumed, keeping the stream aligned), and a strike that would take
-// the last live PE down is skipped — the machine refuses to lose its
-// final processor. With a Domain set, each strike targets a uniformly
-// chosen failure domain instead of a single PE (see generateDomains);
-// the domain-free path is bit-for-bit the pre-domain timeline.
+// the event's At, each striking a uniformly chosen failure domain (see
+// domainMembers; without a Domain, a domain of one PE) and taking down
+// every member of it that is currently up, all sharing one exponential
+// repair time (mean MTTR, floor one unit: the whole blast radius comes
+// back together). A strike whose domain is entirely down is absorbed,
+// and one that would leave no live PE is skipped — the machine refuses
+// to lose its final processor. Both consume their draws, keeping the
+// stream aligned with the draw count.
 func (e Event) generate(numPEs int, horizon sim.Time) []Event {
-	if e.Domain != "" {
-		return e.generateDomains(numPEs, horizon)
-	}
-	rng := rand.New(rand.NewSource(e.Seed ^ chaosSeedSalt))
-	until := e.end(horizon)
-	failKind := FailPE
-	if e.Crash {
-		failKind = CrashPE
-	}
-	downUntil := make([]float64, numPEs)
-	var down downHeap
-	var out []Event
-	t := float64(e.At)
-	for {
-		t += rng.ExpFloat64() * e.MTBF
-		at := sim.Time(t)
-		if at >= until {
-			break
-		}
-		pe := rng.Intn(numPEs)
-		repair := rng.ExpFloat64() * e.MTTR
-		if repair < 1 {
-			repair = 1
-		}
-		if downUntil[pe] > t {
-			continue // struck while already down: absorbed
-		}
-		down.recoverBy(t)
-		if numPEs-len(down) <= 1 {
-			continue // never take the last live PE down
-		}
-		rec := t + repair
-		downUntil[pe] = rec
-		down.push(rec)
-		out = append(out,
-			Event{At: at, Kind: failKind, PEs: []int{pe}},
-			Event{At: sim.Time(rec), Kind: RecoverPE, PEs: []int{pe}})
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
-}
-
-// generateDomains draws a correlated-failure timeline: the Poisson gap
-// and exponential repair processes are unchanged, but each strike picks
-// a uniformly chosen failure domain and takes down every member of it
-// that is currently up, all sharing one repair time (correlated
-// recovery — the whole blast radius comes back together). A strike
-// whose domain is entirely down is absorbed; one that would leave no
-// live PE is skipped. Both consume their draws, keeping the stream
-// aligned with the draw count, like the single-PE path.
-func (e Event) generateDomains(numPEs int, horizon sim.Time) []Event {
 	rng := rand.New(rand.NewSource(e.Seed ^ chaosSeedSalt))
 	until := e.end(horizon)
 	failKind := FailPE
@@ -260,8 +209,8 @@ func (e Event) generateDomains(numPEs int, horizon sim.Time) []Event {
 }
 
 // domainCount returns how many failure domains tile a machine of numPEs
-// processors under the event's Domain shape. Every PE belongs to
-// exactly one domain.
+// processors under the event's Domain shape, numPEs domains of one PE
+// when Domain is empty. Every PE belongs to exactly one domain.
 func (e Event) domainCount(numPEs int) int {
 	switch e.Domain {
 	case "rack":
@@ -272,12 +221,13 @@ func (e Event) domainCount(numPEs int) int {
 		bh := (side + e.DomB - 1) / e.DomB
 		return bw * bh
 	}
-	return numPEs // single-PE domains (unreachable: generate branches first)
+	return numPEs
 }
 
 // domainMembers returns domain d's PE indices in ascending order. Racks
 // are contiguous index runs of DomA PEs; blocks are DomA×DomB tiles of
-// the row-major gridSide×gridSide layout, clipped to the machine.
+// the row-major gridSide×gridSide layout, clipped to the machine;
+// without a Domain, domain d is PE d alone.
 func (e Event) domainMembers(d, numPEs int) []int {
 	switch e.Domain {
 	case "rack":

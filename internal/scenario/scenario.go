@@ -36,11 +36,12 @@ const (
 	CrashPE
 	// Chaos is a random-failure generator, not a concrete perturbation:
 	// at machine construction it expands (Script.Expand) into a
-	// deterministic timeline of single-PE failures and recoveries drawn
-	// from a salted stream of its Seed — exponential inter-failure gaps
-	// with mean MTBF and repair times with mean MTTR, over uniformly
-	// chosen PEs, crash-mode when Crash is set. Same seed, machine size
-	// and horizon give the identical timeline.
+	// deterministic timeline of failures and recoveries drawn from a
+	// salted stream of its Seed — exponential inter-failure gaps with
+	// mean MTBF and repair times with mean MTTR, over uniformly chosen
+	// failure domains (Domain; a domain of one PE by default),
+	// crash-mode when Crash is set. Same seed, machine size and horizon
+	// give the identical timeline.
 	Chaos
 	// DegradeLink multiplies the occupancy time of every channel between
 	// A and B by Factor; Factor 0 takes the link down entirely. The
@@ -135,8 +136,8 @@ type Event struct {
 	// Domain shapes chaos draws into correlated failure domains instead
 	// of single uniform PEs: "rack" strikes a contiguous block of DomA
 	// consecutive PE indices; "block" strikes a DomA×DomB axis-aligned
-	// tile of the row-major √P×√P grid. Empty means uncorrelated
-	// single-PE draws (the pre-domain behavior, bit-for-bit).
+	// tile of the row-major √P×√P grid. Empty means uncorrelated draws,
+	// each striking a domain of one PE.
 	Domain string `json:"domain,omitempty"`
 	DomA   int    `json:"doma,omitempty"`
 	DomB   int    `json:"domb,omitempty"`
