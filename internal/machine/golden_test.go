@@ -114,6 +114,25 @@ func goldenCases() []goldenCase {
 		{name: "dlm-2shard", topo: func() *topology.Topology { return topology.NewDLM(8, 8, 4) },
 			src: stream, strat: func() machine.Strategy { return core.NewCWN(5, 1) },
 			cfg: func(c *machine.Config) { c.Shards = 2 }},
+		// GM, which reads no load word, on the same 2-shard DLM: its
+		// words still cross the boundary through the outbox.
+		{name: "gm-2shard", topo: func() *topology.Topology { return topology.NewDLM(8, 8, 4) },
+			src: stream, strat: gm, cfg: func(c *machine.Config) { c.Shards = 2 }},
+		// A closed failure-aware GM run on two shards: a PE on each side
+		// of the boundary fails and recovers, so availability broadcasts
+		// reach GM nodes on both shards, and the run ends at a barrier.
+		{name: "gm-fa-2shard-closed", topo: func() *topology.Topology { return topology.NewGrid(6, 6) },
+			src:   func() machine.JobSource { return machine.NewSingleJob(fib(13)) },
+			strat: func() machine.Strategy { s := core.NewGradient(1, 2, 20); s.FailureAware = true; return s },
+			cfg: func(c *machine.Config) {
+				script("fail:pes=14+21@t=150,recover@t=500")(c)
+				c.Shards = 2
+			}},
+		// RoundRobin, another strategy reading no load word, under link
+		// outages: the words held at a downed link flush at its restore.
+		{name: "roundrobin-links", topo: func() *topology.Topology { return topology.NewGrid(5, 5) },
+			src: stream, strat: func() machine.Strategy { return core.NewRoundRobin() },
+			cfg: script("droplink:a=6:b=7@t=300,droplink:a=0:b=5@t=500,restorelink:a=6:b=7@t=1500,restorelink:a=0:b=5@t=2000")},
 	}
 }
 
@@ -218,7 +237,7 @@ func goldenDigest(t *testing.T, c goldenCase) map[string]string {
 }
 
 // TestGoldenDigests pins every observable of a feature matrix run on the
-// one-shard engine, and of one 2-shard run — statistics, sampled series, monitor frames,
+// one-shard engine, and of three 2-shard runs — statistics, sampled series, monitor frames,
 // the trace stream and its Perfetto export — against digests recorded
 // in testdata/golden_digests.json. Regenerate with -update-golden only
 // for an intended change in simulated behavior.
