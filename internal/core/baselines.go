@@ -18,6 +18,9 @@ func NewLocal() *Local { return &Local{} }
 // Name implements machine.Strategy.
 func (s *Local) Name() string { return "Local" }
 
+// LoadBlind implements machine.LoadBlind.
+func (s *Local) LoadBlind() string { return "every goal stays where it was created" }
+
 // NewNode implements machine.Strategy.
 func (s *Local) NewNode(pe *machine.PE) machine.NodeStrategy { return localNode{pe} }
 
@@ -49,6 +52,9 @@ func NewRandomWalk(steps int) *RandomWalk {
 
 // Name implements machine.Strategy.
 func (s *RandomWalk) Name() string { return fmt.Sprintf("RandomWalk(%d)", s.Steps) }
+
+// LoadBlind implements machine.LoadBlind.
+func (s *RandomWalk) LoadBlind() string { return "goals hop to uniformly drawn neighbors" }
 
 // NewNode implements machine.Strategy.
 func (s *RandomWalk) NewNode(pe *machine.PE) machine.NodeStrategy {
@@ -93,6 +99,9 @@ func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
 
 // Name implements machine.Strategy.
 func (s *RoundRobin) Name() string { return "RoundRobin" }
+
+// LoadBlind implements machine.LoadBlind.
+func (s *RoundRobin) LoadBlind() string { return "new goals rotate over the neighbors" }
 
 // NewNode implements machine.Strategy.
 func (s *RoundRobin) NewNode(pe *machine.PE) machine.NodeStrategy {

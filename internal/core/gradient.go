@@ -67,6 +67,13 @@ func (s *Gradient) Name() string {
 	return fmt.Sprintf("GM(l=%d,h=%d,i=%d)", s.LowWater, s.HighWater, s.Interval)
 }
 
+// LoadBlind implements machine.LoadBlind: GM moves goals by the
+// proximities its gradient process exchanges and never reads a
+// neighbor's load word.
+func (s *Gradient) LoadBlind() string {
+	return "goals move by the proximities the gradient process exchanges"
+}
+
 // proxUpdate is the control payload carrying a PE's new proximity.
 type proxUpdate int32
 

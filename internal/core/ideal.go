@@ -32,6 +32,10 @@ func (s *Ideal) SequentialOnly() string {
 	return "Ideal reads all PEs' true loads with zero latency"
 }
 
+// LoadBlind implements machine.LoadBlind: the oracle reads true loads,
+// never the neighbor views load words write.
+func (s *Ideal) LoadBlind() string { return "placement reads every PE's true load" }
+
 // NewNode implements machine.Strategy.
 func (s *Ideal) NewNode(pe *machine.PE) machine.NodeStrategy {
 	return &idealNode{pe: pe}

@@ -224,7 +224,7 @@ func (w *wireMsg) Act() {
 	switch kind {
 	case wireGoal:
 		m.goalsInTransit--
-		m.recordLoad(m.hopSlot(ci, from, to), sentLoad)
+		m.piggyback(ci, from, to, sentLoad)
 		if m.lossy && g.epoch != g.job.epoch {
 			m.stats.GoalsLost++ // its attempt died in a crash mid-flight
 			m.freeGoal(g)
@@ -242,11 +242,11 @@ func (w *wireMsg) Act() {
 		rcv.node.HandleEvent(Event{Kind: GoalArrived, Goal: g, From: from})
 	case wireResp:
 		m.respsInTransit--
-		m.recordLoad(m.hopSlot(ci, from, to), sentLoad)
+		m.piggyback(ci, from, to, sentLoad)
 		m.routeResponse(to, resp)
 	case wireCtrl:
 		rcv := m.pes[to]
-		m.recordLoad(m.hopSlot(ci, from, to), sentLoad)
+		m.piggyback(ci, from, to, sentLoad)
 		rcv.node.HandleEvent(Event{Kind: Control, From: from, Payload: payload})
 	// Broadcast deliveries walk the channel's full member list; on a
 	// sharded machine only this shard's members exist in m.pes and own
@@ -276,7 +276,9 @@ func (w *wireMsg) Act() {
 			if x < 0 {
 				continue
 			}
-			m.recordLoad(x, sentLoad)
+			if !m.blind {
+				m.nbrLoad[x] = int32(sentLoad)
+			}
 			// Broadcast deliveries must be idempotent (a double-lattice
 			// pair hears each transaction twice, once per shared bus):
 			// only availability TRANSITIONS raise the event, so a
@@ -350,10 +352,14 @@ const batchBits = 32
 // and the load. Nothing else is scheduled while a broadcast runs, so
 // one instant's words would sit back to back in its FIFO anyway, and
 // one event firing them in fan order (wordBatch) reproduces every
-// delivery.
+// delivery. A blind machine tallies the words instead (tallyLoad).
 func (m *Machine) broadcastLoad(lx int, lo, hi int32) {
 	m.stats.MsgCounts[MsgLoad] += int64(hi - lo)
 	from, load, dur := int32(m.peLo+lx), m.loadOf(lx), m.cfg.CtrlHopTime
+	if m.blind {
+		m.tallyLoad(from, load, dur, lo, hi)
+		return
+	}
 	for base := lo; base < hi; base += batchBits {
 		var pend, mask uint32
 		var at sim.Time
@@ -392,6 +398,36 @@ func (m *Machine) broadcastLoad(lx int, lo, hi int32) {
 				}
 			}
 		}
+	}
+}
+
+// tallyLoad is broadcastLoad on a blind machine: the same sends, with
+// each run of consecutive words due at one instant tallied where its
+// batch would sit. Nothing else is scheduled while it runs, so the
+// runs due at one instant sit back to back in its FIFO and count as
+// one batch would; on an idle machine a broadcast is one tally.
+func (m *Machine) tallyLoad(from, load int32, dur sim.Time, lo, hi int32) {
+	var at sim.Time
+	n := 0
+	for _, f := range m.fan[lo:hi] {
+		var end sim.Time
+		if h := &m.hot[f.lc]; !h.down && !h.cross {
+			end = m.occupy(h, f.lc, dur)
+		} else {
+			var ok bool
+			if end, ok = m.sendLoad(f, from, load, dur); !ok {
+				continue
+			}
+		}
+		if n > 0 && end != at {
+			m.eng.Tally(at, n)
+			n = 0
+		}
+		at = end
+		n++
+	}
+	if n > 0 {
+		m.eng.Tally(at, n)
 	}
 }
 
@@ -439,10 +475,16 @@ func (m *Machine) hold(lc int32, h heldMsg) {
 }
 
 // wordAt schedules one load word's delivery at time at: one payload
-// event carrying the receivers' slot row f and the load. Words flushed
-// from a held list or drained from another shard's outbox arrive one at
-// a time, and take this path.
+// event carrying the receivers' slot row f and the load, or on a blind
+// machine a tally of one event. Words flushed from a held list or
+// drained from another shard's outbox arrive one at a time, and take
+// this path; a drained word tallies on its receiving shard, where its
+// delivery would have fired.
 func (m *Machine) wordAt(at sim.Time, f fanEntry, load int32) {
+	if m.blind {
+		m.eng.Tally(at, 1)
+		return
+	}
 	m.eng.AtPayload(at, &m.words, uint64(f.row)<<32|uint64(f.n), uint64(uint32(load)))
 }
 
@@ -510,9 +552,13 @@ func (m *Machine) hopSlot(ci, from, to int) int32 {
 	return m.slots[int(ch.slot)+i*s+k]
 }
 
-// recordLoad stores load as the latest word heard in receiver slot x.
-func (m *Machine) recordLoad(x int32, load int) {
-	m.nbrLoad[x] = int32(load)
+// piggyback records the load a wire message carried on channel ci as
+// its receiver's (to) latest word from its sender (from); a blind
+// machine keeps no view.
+func (m *Machine) piggyback(ci, from, to, load int) {
+	if !m.blind {
+		m.nbrLoad[m.hopSlot(ci, from, to)] = int32(load)
+	}
 }
 
 // transmit occupies the message's channel for dur units starting when

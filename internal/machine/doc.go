@@ -54,7 +54,10 @@
 // FailureAware capability interface, resolved once per node at
 // construction: strategies that ignore it behave — and cost — exactly
 // as a sentinel-only implementation. Speed changes and link outages
-// reach strategies only through their effect on load words.
+// reach strategies only through their effect on load words. A strategy
+// whose nodes never read those words declares it through LoadBlind,
+// resolved once per machine, and its machine tallies the words instead
+// of delivering them (see Hot path).
 //
 // A PE's "load" is the number of messages waiting in its ready queue —
 // the paper's measure — optionally augmented with the count of tasks
@@ -120,18 +123,21 @@
 // Load traffic is most of the work: every PE broadcasts one load word
 // per attached channel every LoadInterval. On fault-shard (seed 1),
 // 12.3M of the 15.7M events Stats.Events counts are load-word
-// deliveries, and 7.9M of ctrl-gm's 12.2M. So delivering a word is an
-// index walk, not a search of the receiver's neighbor list. At
-// construction each shard builds one flat int32 receiver-slot table:
-// for every channel it holds and every ordered (sender, receiver) pair
-// of the channel's members, the index of the receiver's view of the
-// sender in the flat per-neighbor backings, or -1 where the shard does
-// not own the receiver — s·(s-1) entries for a channel of span s, 8
-// bytes per link, addressed from the chanState's slot offset, one row
-// of s-1 entries per sender. Next to it the machine keeps one flat
-// fan-out table: per owned PE, one entry per attached channel holding
-// the channel's local index and the PE's row (offset and length), the
-// PE's entries found by offset (fanOff).
+// deliveries, and 7.9M of ctrl-gm's 12.2M. Three figures describe the
+// work: the events Stats.Events counts, one per delivery; the
+// scheduler entries the engine fires; and the tallies that stand for
+// deliveries no strategy reads. So delivering a word is an index walk,
+// not a search of the receiver's neighbor list, and a word nobody reads
+// is not delivered at all. At construction each shard builds one flat
+// int32 receiver-slot table: for every channel it holds and every
+// ordered (sender, receiver) pair of the channel's members, the index
+// of the receiver's view of the sender in the flat per-neighbor
+// backings, or -1 where the shard does not own the receiver — s·(s-1)
+// entries for a channel of span s, 8 bytes per link, addressed from the
+// chanState's slot offset, one row of s-1 entries per sender. Next to
+// it the machine keeps one flat fan-out table: per owned PE, one entry
+// per attached channel holding the channel's local index and the PE's
+// row (offset and length), the PE's entries found by offset (fanOff).
 //
 // A periodic load word is therefore not a wire message, and one
 // broadcast's words are not one event each. Each owned PE's load
@@ -151,21 +157,39 @@
 // reproduces every delivery. It counts the words beyond its first
 // (batchExtra), and finalize adds them to Stats.Events, so Events still
 // counts every delivery and the pinned digests hold: fault-shard fires
-// 7.05M scheduler entries for its 15.7M events, ctrl-gm 6.55M for
-// 12.2M. Every other periodic process — a strategy's
-// (Machine.NewTicker) or the utilization sampler — is a payload event
-// of a second shared Action (procTick), carrying the callback's slot in
-// a per-machine table and the period; it runs the callback, then
-// re-arms, loadTick's order. Where a word waits it waits by value: in a
-// downed channel's held list until the link comes back, or in the
-// outbox to another shard, whose drain looks the row up on the
-// receiving shard's own table; those words deliver one event each
-// (wordSink). Environment and control broadcasts and point-to-point
-// hops stay wire messages: a wire message carries its channel's global
-// ID, which each shard resolves to its own channel copy (chanLocal), so
-// a message handed across shards reads the receiving shard's slots.
-// Environment broadcasts and piggybacked load words write by slot too,
-// after a member scan.
+// 7.05M scheduler entries for its 15.7M events. Every other periodic
+// process — a strategy's (Machine.NewTicker) or the utilization
+// sampler — is a payload event of a second shared Action (procTick),
+// carrying the callback's slot in a per-machine table and the period;
+// it runs the callback, then re-arms, loadTick's order. Where a word
+// waits it waits by value: in a downed channel's held list until the
+// link comes back, or in the outbox to another shard, whose drain
+// looks the row up on the receiving shard's own table; those words
+// deliver one event each (wordSink). Environment and control
+// broadcasts and point-to-point hops stay wire messages: a wire
+// message carries its channel's global ID, which each shard resolves
+// to its own channel copy (chanLocal), so a message handed across
+// shards reads the receiving shard's slots. Environment broadcasts and
+// piggybacked load words write by slot too, after a member scan.
+//
+// A strategy that never reads a neighbor's load word (GM, Local,
+// RandomWalk, RoundRobin, Ideal) declares it through LoadBlind. Its
+// machine keeps every send-side charge — each word occupies its
+// channel, counts as a MsgLoad message, holds at a downed link and
+// crosses to another shard's outbox — but keeps no load view (the
+// reads panic), so no delivery fires. broadcastLoad tallies each run of words due at one
+// instant (sim.Engine.Tally) where its batch would sit; a held word
+// flushed at a restore tallies one, and so does a word drained from
+// another shard's outbox, on the receiving engine, where its delivery
+// would have fired. Loads piggybacked on wire messages and environment
+// broadcasts write no view there either. A tally counts its words as
+// events in its FIFO place, so Events is what delivering them would
+// count, even where a run stops in the middle of an instant, and the
+// tallies due at one instant merge into one count while nothing else
+// is pushed there:
+// ctrl-gm (GM, seed 1) counts its 12.2M events as 4.27M fired entries
+// and 7.94M tallied words, from 2.37M Tally calls the engine meets as
+// 60K counts.
 //
 // # Memory layout
 //

@@ -14,12 +14,14 @@ import (
 // faultCase is one scripted-failure cell of the sharded-scenario
 // cross-check matrix: blackouts, correlated crash chaos, checkpointed
 // crash chaos, with bounded retries where state is lost, and link
-// outages on shard-boundary channels.
+// outages on shard-boundary channels, under a strategy that reads the
+// neighbor views (spread) and one that is LoadBlind (rotate).
 type faultCase struct {
 	name   string
 	script string
 	limit  int
 	backof sim.Time
+	strat  Strategy
 }
 
 // linkOutageScript drops, degrades and restores three vertical links of
@@ -34,10 +36,13 @@ const linkOutageScript = "droplink:a=14:b=20@t=300,degradelink:a=1:b=31:x=3@t=50
 
 func faultCases() []faultCase {
 	return []faultCase{
-		{"blackout", "fail:pes=25%@t=400,recover@t=1100", 0, 0},
-		{"crash-domains", "chaos:mtbf=700:mttr=350:until=6000:crash:domain=rack:4@seed=7", 3, 40},
-		{"crash-ckpt", "chaos:mtbf=800:mttr=400:until=6000:crash:domain=block:2x2@seed=11,checkpoint:every=1500:cost=2@t=0", 2, 60},
-		{"link-outage", linkOutageScript, 0, 0},
+		{"blackout", "fail:pes=25%@t=400,recover@t=1100", 0, 0, spread{}},
+		{"crash-domains", "chaos:mtbf=700:mttr=350:until=6000:crash:domain=rack:4@seed=7", 3, 40, spread{}},
+		{"crash-ckpt", "chaos:mtbf=800:mttr=400:until=6000:crash:domain=block:2x2@seed=11,checkpoint:every=1500:cost=2@t=0", 2, 60, spread{}},
+		{"link-outage", linkOutageScript, 0, 0, spread{}},
+		// The words held at the downed links are tallied, not
+		// delivered, when they flush into the other shard's outbox.
+		{"link-outage-blind", linkOutageScript, 0, 0, rotate{}},
 	}
 }
 
@@ -52,7 +57,7 @@ func (c faultCase) run(t *testing.T, topo *topology.Topology, shards int, serial
 	cfg.RetryBackoff = c.backof
 	cfg.Scenario = scenario.MustParse(c.script)
 	src := NewFixedInterval(workload.NewFib(9), 130, 40)
-	return NewStream(topo, src, spread{}, cfg).Run()
+	return NewStream(topo, src, c.strat, cfg).Run()
 }
 
 // TestShardScenarioOneBitForBitSequential extends the Shards 0 ≡ 1
@@ -118,7 +123,7 @@ func TestDomainChaosAcrossTopologies(t *testing.T) {
 		"torus6x6": func() *topology.Topology { return topology.NewTorus(6, 6) },
 		"ring24":   func() *topology.Topology { return topology.NewRing(24) },
 	}
-	c := faultCase{script: "chaos:mtbf=600:mttr=300:until=5000:crash:domain=rack:4@seed=13", limit: 2, backof: 30}
+	c := faultCase{script: "chaos:mtbf=600:mttr=300:until=5000:crash:domain=rack:4@seed=13", limit: 2, backof: 30, strat: spread{}}
 	for name, mk := range topos {
 		for _, k := range []int{1, 2, 4} {
 			t.Run(name, func(t *testing.T) {

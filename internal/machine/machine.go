@@ -75,8 +75,9 @@ type Machine struct {
 
 	// nbrLoad and nbrDown are the flat backings of every owned PE's
 	// per-neighbor views: the load word last heard (-1 until the first,
-	// as loads are never negative) and the availability last heard
-	// (environment broadcasts). PE.nbrLoad is a subslice. slots is the
+	// as loads are never negative; nil on a blind machine, which keeps
+	// no load view) and the availability last heard (environment
+	// broadcasts). PE.nbrLoad is a subslice. slots is the
 	// receiver-slot table that addresses them: a channel of span s owns
 	// the s·(s-1) entries from its chanState's slot offset, one block of
 	// s-1 per sending member in member order, each entry the backing
@@ -88,12 +89,16 @@ type Machine struct {
 	nbrDown []bool
 	slots   []int32
 
+	// blind is set when the strategy is LoadBlind: there is no load
+	// view to write or read, and every load-word delivery is a tally,
+	// not an event.
+	blind bool
 	// words and batches are the Actions of every load-word delivery on
-	// this machine (see broadcastLoad): one value each, each event's
-	// payload naming its row (words, one word) or its fan entries
-	// (batches, one broadcast's words due at one instant). batchExtra
-	// counts the words batched events delivered beyond their first, so
-	// Stats.Events counts every delivery (finalize).
+	// a machine that is not blind (see broadcastLoad): one value each,
+	// each event's payload naming its row (words, one word) or its fan
+	// entries (batches, one broadcast's words due at one instant).
+	// batchExtra counts the words batched events delivered beyond their
+	// first, so Stats.Events counts every delivery (finalize).
 	words      wordSink
 	batches    wordBatch
 	batchExtra uint64
@@ -297,6 +302,7 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 		// globally unique without synchronization.
 		nextGoalID: int64(shard) << 40,
 	}
+	_, m.blind = strat.(LoadBlind)
 	m.words.m = m
 	m.batches.m = m
 	m.ticks.m = m
@@ -350,9 +356,11 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 		chansFlat = topo.AppendChannelsOf(chansFlat, i)
 		m.fanOff[i-m.peLo+1] = int32(len(chansFlat))
 	}
-	m.nbrLoad = make([]int32, len(nbrsFlat))
-	for i := range m.nbrLoad {
-		m.nbrLoad[i] = -1
+	if !m.blind {
+		m.nbrLoad = make([]int32, len(nbrsFlat))
+		for i := range m.nbrLoad {
+			m.nbrLoad[i] = -1
+		}
 	}
 	m.nbrDown = make([]bool, len(nbrsFlat))
 
@@ -409,12 +417,9 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 		lx := i - m.peLo
 		pe := &m.peBlock[lx]
 		lo, hi := nbrOff[lx], nbrOff[lx+1]
-		*pe = PE{
-			m:       m,
-			id:      i,
-			lx:      lx,
-			nbrs:    nbrsFlat[lo:hi:hi],
-			nbrLoad: m.nbrLoad[lo:hi:hi],
+		*pe = PE{m: m, id: i, lx: lx, nbrs: nbrsFlat[lo:hi:hi]}
+		if !m.blind {
+			pe.nbrLoad = m.nbrLoad[lo:hi:hi]
 		}
 		pe.svc.Init(m.eng, pe.serviceDone)
 		m.pes[i] = pe

@@ -2,6 +2,7 @@ package machine_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"cwnsim/internal/core"
@@ -77,13 +78,14 @@ func TestBusSaturationStillCorrect(t *testing.T) {
 }
 
 // TestLoadInfoStaleness verifies a neighbor's load is heard through
-// periodic broadcasts.
+// periodic broadcasts. It runs CWN, which reads the views: a load-blind
+// strategy such as Local keeps none.
 func TestLoadInfoStaleness(t *testing.T) {
 	tree := workload.NewFib(10)
 	topo := topology.NewGrid(2, 2)
 	cfg := machine.DefaultConfig()
 	cfg.LoadInterval = 20
-	m := machine.New(topo, tree, core.NewLocal(), cfg)
+	m := machine.New(topo, tree, core.NewCWN(4, 1), cfg)
 	pe := m.PE(1)
 	m.Engine().Schedule(100, func() {
 		if _, heard := pe.KnownLoad(0); !heard {
@@ -91,6 +93,33 @@ func TestLoadInfoStaleness(t *testing.T) {
 		}
 	})
 	m.Run()
+}
+
+// TestLoadBlindReadPanics pins the LoadBlind declaration: a machine
+// running a load-blind strategy keeps no neighbor view, so each of the
+// three view reads panics, naming itself and the strategy.
+func TestLoadBlindReadPanics(t *testing.T) {
+	gm := core.NewGradient(1, 2, 20)
+	m := machine.New(topology.NewGrid(2, 2), workload.NewFib(5), gm, machine.DefaultConfig())
+	pe := m.PE(0)
+	for _, r := range []struct {
+		method string
+		read   func()
+	}{
+		{"KnownLoad", func() { pe.KnownLoad(1) }},
+		{"LeastLoadedNeighbor", func() { pe.LeastLoadedNeighbor() }},
+		{"MinNeighborLoad", func() { pe.MinNeighborLoad() }},
+	} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "PE."+r.method) || !strings.Contains(msg, gm.Name()) {
+					t.Errorf("%s on a GM machine: panic %q, want one naming the method and %s", r.method, msg, gm.Name())
+				}
+			}()
+			r.read()
+		}()
+	}
 }
 
 // TestPEAccessors covers the remaining PE accessors.

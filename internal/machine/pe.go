@@ -139,7 +139,7 @@ type PE struct {
 	pending   pendingSlab // tasks awaiting child responses, by goal ID
 
 	nbrs    []int   // cached topology neighbors, ascending
-	nbrLoad []int32 // last known load per neighbor (-1 until first heard)
+	nbrLoad []int32 // last known load per neighbor (-1 until first heard); nil on a LoadBlind machine
 
 	node NodeStrategy // strategy state for this PE (set after construction)
 
@@ -260,8 +260,13 @@ func (pe *PE) Neighbors() []int { return pe.nbrs }
 
 // KnownLoad returns the most recently learned load of neighbor nbrPE and
 // whether any load word from it has been heard yet (loads are assumed 0
-// until first heard, as the paper assumes for proximities).
+// until first heard, as the paper assumes for proximities). Like
+// LeastLoadedNeighbor and MinNeighborLoad, it panics on a machine whose
+// strategy is LoadBlind.
 func (pe *PE) KnownLoad(nbrPE int) (load int, heard bool) {
+	if pe.nbrLoad == nil {
+		pe.m.blindRead("KnownLoad")
+	}
 	i := pe.nbrIdx(nbrPE)
 	if i < 0 {
 		panic(fmt.Sprintf("machine: PE %d is not a neighbor of PE %d", nbrPE, pe.id))
@@ -276,6 +281,9 @@ func (pe *PE) KnownLoad(nbrPE int) (load int, heard bool) {
 // systematically favor low PE numbers). Returns (-1, 0) when the PE has
 // no neighbors.
 func (pe *PE) LeastLoadedNeighbor() (nbrPE, load int) {
+	if pe.nbrLoad == nil {
+		pe.m.blindRead("LeastLoadedNeighbor")
+	}
 	if len(pe.nbrs) == 0 {
 		return -1, 0
 	}
@@ -300,6 +308,9 @@ func (pe *PE) LeastLoadedNeighbor() (nbrPE, load int) {
 // MinNeighborLoad returns the smallest known neighbor load, an unheard
 // neighbor's counting as 0, or 0 when the PE has no neighbors.
 func (pe *PE) MinNeighborLoad() int {
+	if pe.nbrLoad == nil {
+		pe.m.blindRead("MinNeighborLoad")
+	}
 	if len(pe.nbrs) == 0 {
 		return 0
 	}
@@ -310,6 +321,14 @@ func (pe *PE) MinNeighborLoad() int {
 		}
 	}
 	return int(max(best, 0))
+}
+
+// blindRead panics on a read of a neighbor view through method on a
+// machine whose strategy declared itself LoadBlind, which keeps no load
+// view (PE.nbrLoad is nil there, and nowhere else).
+func (m *Machine) blindRead(method string) {
+	panic(fmt.Sprintf("machine: PE.%s on a machine running %s, which declares itself LoadBlind (%s)",
+		method, m.strat.Name(), m.strat.(LoadBlind).LoadBlind()))
 }
 
 // Accept places the goal in this PE's ready queue. Under CWN acceptance

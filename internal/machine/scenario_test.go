@@ -11,10 +11,12 @@ import (
 
 // pushRight is a test strategy that exports every goal created on PE 0
 // to its highest-numbered neighbor and keeps everything else local —
-// deterministic cross-link traffic for outage tests.
+// deterministic cross-link traffic for outage tests. It reads no view,
+// so it declares itself LoadBlind and its runs tally their load words.
 type pushRight struct{}
 
 func (pushRight) Name() string                { return "push-right" }
+func (pushRight) LoadBlind() string           { return "PE 0 pushes to its last neighbor" }
 func (pushRight) NewNode(pe *PE) NodeStrategy { return pushRightNode{pe} }
 
 type pushRightNode struct{ pe *PE }

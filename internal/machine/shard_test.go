@@ -39,6 +39,31 @@ func (n spreadNode) HandleEvent(ev Event) {
 	}
 }
 
+// rotate is a load-blind test strategy: each PE sends its new goals to
+// its neighbors in turn and keeps every goal that arrives, so work
+// spreads without any neighbor view.
+type rotate struct{}
+
+func (rotate) Name() string                { return "rotate" }
+func (rotate) LoadBlind() string           { return "new goals rotate over the neighbors" }
+func (rotate) NewNode(pe *PE) NodeStrategy { return &rotateNode{pe: pe} }
+
+type rotateNode struct {
+	pe   *PE
+	next int
+}
+
+func (n *rotateNode) HandleEvent(ev Event) {
+	switch ev.Kind {
+	case GoalCreated:
+		nbrs := n.pe.Neighbors()
+		n.next++
+		n.pe.SendGoal(nbrs[n.next%len(nbrs)], ev.Goal)
+	case GoalArrived:
+		n.pe.Accept(ev.Goal)
+	}
+}
+
 // shardCase is one (topology, strategy, source) cell of the shard
 // cross-check matrix.
 type shardCase struct {

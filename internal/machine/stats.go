@@ -35,19 +35,26 @@ type Stats struct {
 	// abandoned past Config.RetryLimit. Makespan is when a completed run
 	// ended, the latest instant a job left, and MaxTime for a run cut
 	// off incomplete. Result is the last completed job's value (the
-	// program result for single-job runs).
+	// program result for single-job runs) on a completed run and on an
+	// incomplete one-shard run; an incomplete run of two or more shards
+	// reports 0, whatever its jobs completed. The benchmark's pinned
+	// fault-shard digest holds that 0 (its 2-shard run ends incomplete),
+	// so the two rules stay apart until a change that re-pins it aligns
+	// them.
 	// Stalled flags an incomplete run where jobs remained in flight but
 	// nothing was queued, executing, or on a channel — a lost goal or
 	// deadlock, as opposed to honest saturation at MaxTime.
 	Completed bool     //simlint:nomerge outcome: a group-level decision the coordinator sets at a window barrier
 	Stalled   bool     //simlint:nomerge outcome: group-level, decided at window barriers
-	Result    int64    //simlint:nomerge outcome: the last completed job's value, chosen by the coordinator
+	Result    int64    //simlint:nomerge outcome: the last completed job's value (0 on an incomplete K >= 2 run), chosen by the coordinator
 	Makespan  sim.Time //simlint:nomerge outcome: group virtual time, not a per-shard sum
 	// Events counts the engine events fired across all shards: every
 	// scheduler entry fired, plus the words a batched load-word entry
-	// delivers beyond its first, so each load-word delivery counts as
-	// one event, as when every word was an entry of its own. A
-	// one-shard run also counts each applied scenario op as one.
+	// delivers beyond its first, plus the words a machine whose strategy
+	// is LoadBlind tallies instead of delivering (sim.Engine.Tally,
+	// counted when the run passes them), so each load-word delivery
+	// counts as one event, as when every word was an entry of its own.
+	// A one-shard run also counts each applied scenario op as one.
 	Events uint64
 
 	// Job stream accounting. JobsInjected counts arrivals; JobsDone

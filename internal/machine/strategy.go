@@ -82,6 +82,24 @@ type SequentialOnly interface {
 	SequentialOnly() string
 }
 
+// LoadBlind marks strategies whose nodes never read neighbor load
+// views — no PE.KnownLoad, LeastLoadedNeighbor or MinNeighborLoad —
+// and is resolved once at construction. On such a machine a load word
+// still occupies its channel, counts as a MsgLoad message and holds at
+// a downed link until it is restored, but its delivery would write a
+// view nobody reads, so the machine tallies it (sim.Engine.Tally)
+// instead of firing it: Stats.Events counts it as the one event its
+// delivery would be, and every outcome is what delivering it gives. The machine keeps no load view at
+// all, so loads piggybacked on wire messages and environment
+// broadcasts write none either, and the three view reads panic, naming
+// the strategy, so a wrong declaration fails loudly.
+type LoadBlind interface {
+	Strategy
+	// LoadBlind says what the strategy balances by instead of its
+	// neighbors' loads.
+	LoadBlind() string
+}
+
 // FailureAware is the opt-in for availability events: a node whose
 // WantsFailureEvents returns true receives PEFailed/PERecovered from
 // failing neighbors, with their sentinel-load broadcast. The bool lets

@@ -56,6 +56,23 @@
 // exact. Guards take the same path through RunUntil and Step as every
 // other entry: one type check on the head entry.
 //
+// Tally(t, n) schedules n events at t that run nothing: the stand-in
+// for events whose Actions nobody would observe (the machine tallies
+// the load words of a strategy that reads no neighbor's load). A tally
+// takes the FIFO place a push at t would take when it is made, and
+// Processed, Pending, NextEventAt and AdvanceTo count it exactly as n
+// entries: it is counted when the run passes its place, so a Stop
+// earlier in its instant leaves it pending and uncounted, as it leaves
+// entries. While nothing is pushed at t behind it, a tally costs no
+// entry: it waits as a count in the tail chunk's header, behind the
+// slot's last entry, and later tallies at t add to it. A push behind it
+// turns it into one entry carrying no Action and n in its payload; so
+// does a tally beyond the wheel, which enters the overflow as such an
+// entry, and a rewind evicting it. The fire path counts a tally where
+// it meets a nil Action, one branch beside the guard check; an engine
+// that never tallies holds and fires exactly the entries it would
+// without them.
+//
 // # Performance model
 //
 // A full comparison run of the paper's suite pops a few hundred million

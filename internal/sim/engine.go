@@ -73,12 +73,13 @@ func (e *Engine) Seed() int64 { return e.seed }
 // this stream so that a run is a pure function of its seed.
 func (e *Engine) Rng() *rand.Rand { return e.rng }
 
-// Processed returns the number of events fired so far.
+// Processed returns the number of events fired so far, tallied events
+// (see Tally) included.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of events currently scheduled. Stopped
-// timers are not counted, though the scheduler discards their guards
-// only when their time comes.
+// Pending returns the number of events currently scheduled, tallied
+// events included. Stopped timers are not counted, though the scheduler
+// discards their guards only when their time comes.
 func (e *Engine) Pending() int { return e.size() }
 
 // Schedule runs fn after delay units of virtual time. A negative delay
@@ -136,6 +137,26 @@ func (e *Engine) AtPayload(t Time, a Action, p0, p1 uint64) {
 	e.push(t, a, p0, p1)
 }
 
+// Tally schedules n events at absolute virtual time t (t must not
+// precede Now) that run nothing: the stand-in for n events whose
+// Actions nobody would observe. The tally takes the FIFO place a push
+// at t would take now, and Processed, Pending, NextEventAt and
+// AdvanceTo count it exactly as n such events, so a Stop earlier in
+// its instant leaves it pending and uncounted. It costs no entry while
+// nothing is pushed at t behind it: it waits as a count behind t's
+// last entry, and later tallies at t add to it. It becomes one entry
+// carrying no Action when an event is pushed at t behind it, or at
+// once when t lies beyond the wheel.
+func (e *Engine) Tally(t Time, n int) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: Tally(%d) before now=%d", t, e.now))
+	}
+	if n < 1 {
+		panic(fmt.Sprintf("sim: Tally of %d events", n))
+	}
+	e.tally(t, uint64(n))
+}
+
 // Payload returns the payload of the event firing now: the two words
 // it was scheduled with by AtPayload, or zero for an At, Schedule,
 // AtAction or ScheduleAction event. It is valid only while that
@@ -143,8 +164,9 @@ func (e *Engine) AtPayload(t Time, a Action, p0, p1 uint64) {
 // runs: a Timer rides a guard entry whose payload is internal.
 func (e *Engine) Payload() (uint64, uint64) { return e.arg[0], e.arg[1] }
 
-// Step fires the single next event. It returns false when no events
-// remain or the engine has been stopped.
+// Step fires the single next event, or counts the next tally (see
+// Tally) and fires nothing. It returns false when no events remain or
+// the engine has been stopped.
 func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
@@ -157,14 +179,19 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// next takes the earliest live entry due by deadline off the wheel and
-// returns its Action, with the clock, the payload and Processed already
-// moved to it; nil when no live entry is due, with the cursor then on
-// the earliest live entry, if any. Stale guards met on the way are
-// discarded. The entry is read in place and dropped before its Action
-// runs, so a handler that schedules at the same instant appends behind
-// it, possibly into the very chunk it came from. It is the fast path
-// of both Step and RunUntil.
+// tallied is what next returns for a tally it counted: an Action that
+// does nothing.
+var tallied Action = funcAction(func() {})
+
+// next takes the earliest live entry or tally due by deadline off the
+// wheel and returns its Action (tallied for a tally), with the clock,
+// the payload and Processed already moved to it; nil when nothing live
+// is due, with the cursor then on the earliest live entry or tally, if
+// any. Stale guards met on the way are discarded. The entry is read in
+// place and dropped before its Action runs, so a handler that
+// schedules at the same instant appends behind it, possibly into the
+// very chunk it came from. It is the fast path of both Step and
+// RunUntil.
 func (e *Engine) next(deadline Time) Action {
 	w := &e.wheelSched
 	for {
@@ -178,7 +205,7 @@ func (e *Engine) next(deadline Time) Action {
 		en := &c.e[c.r]
 		act := en.act
 		if g, ok := act.(*timerGuard); ok && g.gen != en.p0 {
-			w.stale--
+			w.excess--
 			w.advance(s, c)
 			continue
 		}
@@ -187,6 +214,11 @@ func (e *Engine) next(deadline Time) Action {
 		}
 		if w.base < e.now {
 			panic("sim: scheduler returned an event from the past")
+		}
+		if act == nil {
+			e.processed += w.untally(s, c)
+			e.now = w.base
+			return tallied
 		}
 		e.arg[0], e.arg[1] = en.p0, en.p1
 		w.advance(s, c)
@@ -247,10 +279,10 @@ func (e *Engine) AdvanceTo(t Time) {
 }
 
 // NextEventAt returns the timestamp of the earliest pending live event
-// (a stopped timer's guard is not one); ok is false when nothing is
-// pending or the engine is stopped. Windowed drivers (the machine's
-// conservative-lookahead loop) use it to fast-forward across windows
-// no shard has work in.
+// (a stopped timer's guard is not one; a tallied event is); ok is false
+// when nothing is pending or the engine is stopped. Windowed drivers
+// (the machine's conservative-lookahead loop) use it to fast-forward
+// across windows no shard has work in.
 func (e *Engine) NextEventAt() (t Time, ok bool) {
 	if e.stopped || !e.peek() {
 		return 0, false

@@ -73,7 +73,7 @@ func (t *Timer) Stop() bool {
 		return false
 	}
 	t.gen++
-	t.eng.stale++
+	t.eng.excess++
 	return true
 }
 

@@ -17,8 +17,9 @@ package sim
 // same timestamp appends behind the drained entries — so each slot's
 // FIFO is in push order and the two-tier structure reproduces the
 // heap's event order bit for bit (pinned by TestSchedulerEquivalence).
-// All entries of one instant sit in one tier: an instant enters the
-// wheel whole when the horizon passes it, and a rewind evicts it whole.
+// All entries and tallies of one instant sit in one tier: an instant
+// enters the wheel whole when the horizon passes it, and a rewind
+// evicts it whole.
 //
 // Where each tier wins: the wheel turns the O(log n) heap percolation
 // of every push/pop — dominated by load words, periodic processes,
@@ -52,20 +53,26 @@ type entry struct {
 // pays a chunk per instant — within its memory budget.
 const (
 	chunkBytes = 512
-	chunkHead  = 16 // next, r, n
+	chunkHead  = 24 // next, r, n, tally
 	chunkLen   = (chunkBytes - chunkHead) / 32
 )
 
-// chunk is one link of a slot's FIFO: entries r..n-1 are pending.
-// Emptied chunks park on the scheduler's spare list, so steady-state
-// scheduling allocates nothing.
+// chunk is one link of a slot's FIFO: entries r..n-1 are pending, and
+// on the slot's tail chunk, tally events wait behind entry n-1 (see
+// wheelSched.tally). A tail whose entries have all fired while a tally
+// still waits is kept for the tally with r and n reset to zero; its
+// entry 0 is then cleared, so the fire path meets a nil Action there,
+// as it does for a tally that is an entry of its own. Emptied chunks
+// park on the scheduler's spare list, so steady-state scheduling
+// allocates nothing.
 //
 //simlint:pooled
 type chunk struct {
-	e    [chunkLen]entry //simlint:keep each entry's Action is cleared as it is read or evicted
-	next *chunk
-	r, n int32
-	_    [chunkBytes - chunkHead - chunkLen*32]byte
+	e     [chunkLen]entry //simlint:keep each entry's Action is cleared as it is read or evicted
+	next  *chunk
+	r, n  int32
+	tally uint64
+	_     [chunkBytes - chunkHead - chunkLen*32]byte
 }
 
 // wheelSlot is one bucket: the chunk FIFO of entries sharing a
@@ -79,17 +86,21 @@ type wheelSlot struct {
 type wheelSched struct {
 	slots *[wheelSpan]wheelSlot
 	base  Time // time of the cursor slot; wheel entries lie in [base, base+wheelSpan)
-	count int  // entries in the wheel, stale guards included
-	// stale counts guards whose timer was stopped and that are not
-	// discarded yet, in either tier; size leaves them out.
-	stale int
-	seq   uint64 // the next overflow key
-	over  entryHeap
-	spare *chunk // emptied chunks, linked through next
+	// count is the events the wheel holds: one per entry, stale guards
+	// included, and n per tally of n events.
+	count int
+	// excess is how many more entries the two tiers hold than the events
+	// they stand for, which size takes away: one per guard of a stopped
+	// timer not discarded yet, in either tier, less n-1 per overflow
+	// entry tallying n events.
+	excess int
+	seq    uint64 // the next overflow key
+	over   entryHeap
+	spare  *chunk // emptied chunks, linked through next
 }
 
-// size is the number of live entries pending.
-func (w *wheelSched) size() int { return w.count + len(w.over) - w.stale }
+// size is the number of live events pending, tallied ones included.
+func (w *wheelSched) size() int { return w.count + len(w.over) - w.excess }
 
 // push schedules act with payload (p0, p1) at time at. It takes the
 // fields one by one: handing a whole entry down by value stalls the
@@ -109,16 +120,68 @@ func (w *wheelSched) push(at Time, act Action, p0, p1 uint64) {
 	w.append(&w.slots[int(at)&wheelMask], act, p0, p1)
 }
 
+// tally counts n events that run nothing at time at, in the FIFO place
+// a push at at would take now. In the window they wait as a count
+// behind the slot's last entry, where later tallies add to it; only an
+// entry appended behind them (append) turns them into an entry of their
+// own: a nil Action carrying n in p0. Past the window they are such an
+// entry at once, in the overflow.
+func (w *wheelSched) tally(at Time, n uint64) {
+	if uint64(at-w.base) >= uint64(wheelSpan) {
+		if at >= w.base {
+			w.over.push(at, w.seq, nil, n, 0)
+			w.seq++
+			w.excess -= int(n) - 1
+			return
+		}
+		w.rewind(at)
+	}
+	w.addTally(&w.slots[int(at)&wheelMask], n)
+}
+
+// addTally counts n events behind the last entry of slot s.
+func (w *wheelSched) addTally(s *wheelSlot, n uint64) {
+	c := s.tail
+	if c == nil {
+		c = w.grow(s)
+	}
+	c.tally += n
+	w.count += int(n)
+}
+
 // append adds an entry at the tail of slot s's FIFO.
 func (w *wheelSched) append(s *wheelSlot, act Action, p0, p1 uint64) {
 	c := s.tail
-	if c == nil || c.n == chunkLen {
+	switch {
+	case c == nil:
 		c = w.grow(s)
+	case c.n == chunkLen || c.tally != 0:
+		c = w.room(s)
 	}
 	en := &c.e[c.n]
 	en.act, en.p0, en.p1 = act, p0, p1
 	c.n++
 	w.count++
+}
+
+// room returns slot s's tail chunk with room for one more entry,
+// growing the FIFO as needed. A tally waiting behind the tail becomes
+// an entry of its own first, so the new entry fires after it.
+func (w *wheelSched) room(s *wheelSlot) *chunk {
+	c := s.tail
+	if c != nil && c.tally != 0 {
+		n := c.tally
+		c.tally = 0
+		if c.n == chunkLen {
+			c = w.grow(s)
+		}
+		c.e[c.n] = entry{p0: n}
+		c.n++
+	}
+	if c == nil || c.n == chunkLen {
+		c = w.grow(s)
+	}
+	return c
 }
 
 // grow links a chunk from the spare list, or a new one, behind s's
@@ -147,6 +210,12 @@ func (w *wheelSched) advance(s *wheelSlot, c *chunk) {
 	c.r++
 	w.count--
 	if c.r == c.n {
+		if c.tally != 0 {
+			// c is the tail, and a tally waits behind its last entry:
+			// keep c for the tally alone.
+			c.r, c.n = 0, 0
+			return
+		}
 		// A chunk short of full is the tail, so this empties the slot.
 		s.head = c.next
 		if s.head == nil {
@@ -154,6 +223,24 @@ func (w *wheelSched) advance(s *wheelSlot, c *chunk) {
 		}
 		w.release(c)
 	}
+}
+
+// untally drops the tally at the head of slot s, whose head chunk is c,
+// and returns how many events it counts: an entry of its own, or the
+// count waiting alone in c, which is then the slot's only chunk.
+func (w *wheelSched) untally(s *wheelSlot, c *chunk) uint64 {
+	if c.r < c.n {
+		n := c.e[c.r].p0
+		w.count -= int(n) - 1
+		w.advance(s, c)
+		return n
+	}
+	n := c.tally
+	c.tally = 0
+	w.count -= int(n)
+	s.head, s.tail = nil, nil
+	w.release(c)
+	return n
 }
 
 // release parks an emptied chunk on the spare list.
@@ -167,12 +254,19 @@ func (w *wheelSched) release(c *chunk) {
 
 // drain moves overflow entries that now fall inside the window onto
 // their slots. The heap yields them in (at, seq) order and their slots
-// are still empty of later pushes, so FIFO order stays push order.
+// are still empty of later pushes, so FIFO order stays push order. A
+// tally's entry becomes a waiting count again.
 func (w *wheelSched) drain() {
 	horizon := w.base + wheelSpan
 	for len(w.over) > 0 && w.over[0].at < horizon {
 		top := &w.over[0]
-		w.append(&w.slots[int(top.at)&wheelMask], top.act, top.p0, top.p1)
+		s := &w.slots[int(top.at)&wheelMask]
+		if top.act == nil {
+			w.addTally(s, top.p0)
+			w.excess += int(top.p0) - 1
+		} else {
+			w.append(s, top.act, top.p0, top.p1)
+		}
 		w.over.pop()
 	}
 }
@@ -202,11 +296,12 @@ func (w *wheelSched) seek() *wheelSlot {
 // rewind moves the window start back to t (t < base), evicting the
 // instants the narrower horizon no longer covers, [t+wheelSpan,
 // base+wheelSpan), to the overflow heap. Each instant is evicted whole
-// and in FIFO order under fresh keys, and no overflow entry shares its
-// time, so the heap drains it back in the same order. Only reachable
-// when the cursor ran ahead of the clock (a look-ahead stops on the
-// next live event's time) and a later push targets the gap — never on
-// the fire path — and it visits only the evicted instants' slots.
+// and in FIFO order under fresh keys, a waiting tally last as an entry
+// of its own, and no overflow entry shares its time, so the heap
+// drains it back in the same order. Only reachable when the cursor ran
+// ahead of the clock (a look-ahead stops on the next live event's
+// time) and a later push or tally targets the gap — never on the fire
+// path — and it visits only the evicted instants' slots.
 func (w *wheelSched) rewind(t Time) {
 	if w.count > 0 {
 		end := w.base + wheelSpan
@@ -215,10 +310,12 @@ func (w *wheelSched) rewind(t Time) {
 			for c := s.head; c != nil; {
 				for i := c.r; i < c.n; i++ {
 					en := &c.e[i]
-					w.over.push(at, w.seq, en.act, en.p0, en.p1)
-					w.seq++
+					w.evict(at, en.act, en.p0, en.p1)
 					en.act = nil
-					w.count--
+				}
+				if c.tally != 0 {
+					w.evict(at, nil, c.tally, 0)
+					c.tally = 0
 				}
 				next := c.next
 				w.release(c)
@@ -228,4 +325,16 @@ func (w *wheelSched) rewind(t Time) {
 		}
 	}
 	w.base = t
+}
+
+// evict moves one entry of instant at from the wheel to the overflow,
+// under a fresh key; a nil act is a tally of p0 events.
+func (w *wheelSched) evict(at Time, act Action, p0, p1 uint64) {
+	w.over.push(at, w.seq, act, p0, p1)
+	w.seq++
+	w.count--
+	if act == nil {
+		w.count -= int(p0) - 1
+		w.excess -= int(p0) - 1
+	}
 }

@@ -13,12 +13,17 @@ import (
 type cascadeSched interface {
 	at(t Time, fn func())
 	atPayload(t Time, a Action, p0, p1 uint64)
+	// tally schedules n events at t that run nothing.
+	tally(t Time, n int)
 	newTimer(fn func()) cascadeTimer
 	now() Time
 	payload() (uint64, uint64)
 	// window fires every event due by deadline, moves the clock to
-	// deadline and reports whether live events remain.
+	// deadline and reports whether live events remain; after stop it
+	// fires nothing more and leaves the clock where the stop was.
 	window(deadline Time) bool
+	// stop ends the run after the event firing now.
+	stop()
 	processed() uint64
 	pending() int
 }
@@ -34,15 +39,20 @@ type cascadeTimer interface {
 // bareSched fires the overflow heap by itself, the way the engine
 // fires its wheel: clock to the entry's time, its payload exposed while
 // its Action runs. Stopped timers' armings stay in the heap as dead
-// entries and are skipped when they surface; live counts the rest.
+// entries and are skipped when they surface; live counts the rest. A
+// tally of n events is n entries whose Action does nothing.
 type bareSched struct {
-	h     entryHeap
-	seq   uint64
-	t     Time
-	arg   [2]uint64
-	fired uint64
-	live  int
+	h       entryHeap
+	seq     uint64
+	t       Time
+	arg     [2]uint64
+	fired   uint64
+	live    int
+	stopped bool
 }
+
+// nop is the Action of the reference's tallied events.
+var nop = funcAction(func() {})
 
 func (b *bareSched) push(t Time, a Action, p0, p1 uint64) {
 	b.h.push(t, b.seq, a, p0, p1)
@@ -94,11 +104,18 @@ func (b *bareSched) atPayload(t Time, a Action, p0, p1 uint64) { b.push(t, a, p0
 func (b *bareSched) newTimer(fn func()) cascadeTimer           { return &bareTimer{b: b, fn: fn} }
 func (b *bareSched) now() Time                                 { return b.t }
 func (b *bareSched) payload() (uint64, uint64)                 { return b.arg[0], b.arg[1] }
+func (b *bareSched) stop()                                     { b.stopped = true }
 func (b *bareSched) processed() uint64                         { return b.fired }
 func (b *bareSched) pending() int                              { return b.live }
 
+func (b *bareSched) tally(t Time, n int) {
+	for ; n > 0; n-- {
+		b.push(t, nop, 0, 0)
+	}
+}
+
 func (b *bareSched) window(deadline Time) bool {
-	for len(b.h) > 0 && b.h[0].at <= deadline {
+	for !b.stopped && len(b.h) > 0 && b.h[0].at <= deadline {
 		top := b.h[0]
 		b.h.pop()
 		if a, ok := top.act.(*bareArming); ok && a.dead() {
@@ -110,7 +127,9 @@ func (b *bareSched) window(deadline Time) bool {
 		b.live--
 		top.act.Act()
 	}
-	b.t = max(b.t, deadline)
+	if !b.stopped {
+		b.t = max(b.t, deadline)
+	}
 	return b.live > 0
 }
 
@@ -118,8 +137,8 @@ func (b *bareSched) window(deadline Time) bool {
 // than the wheel, so the far events wait out windows in the overflow
 // and each window's look-ahead leaves the wheel's cursor ahead of the
 // clock. With step set it drives each window through NextEventAt, Step
-// and AdvanceTo instead of RunUntil. It counts the pushes that landed
-// behind the cursor (rewinds) and the entries they evicted.
+// and AdvanceTo instead of RunUntil. It counts the pushes and tallies
+// that landed behind the cursor (rewinds) and the entries they evicted.
 type engineSched struct {
 	e                *Engine
 	step             bool
@@ -134,7 +153,12 @@ func (s *engineSched) atPayload(t Time, a Action, p0, p1 uint64) {
 	s.watch(t, func() { s.e.AtPayload(t, a, p0, p1) })
 }
 
-// watch runs push, a push at t, counting a rewind and its evictions.
+func (s *engineSched) tally(t Time, n int) {
+	s.watch(t, func() { s.e.Tally(t, n) })
+}
+
+// watch runs push, a push or tally at t, counting a rewind and its
+// evictions.
 func (s *engineSched) watch(t Time, push func()) {
 	w := &s.e.wheelSched
 	if t >= w.base {
@@ -152,6 +176,7 @@ func (s *engineSched) newTimer(fn func()) cascadeTimer {
 }
 func (s *engineSched) now() Time                 { return s.e.Now() }
 func (s *engineSched) payload() (uint64, uint64) { return s.e.Payload() }
+func (s *engineSched) stop()                     { s.e.Stop() }
 func (s *engineSched) processed() uint64         { return s.e.Processed() }
 func (s *engineSched) pending() int              { return s.e.Pending() }
 
@@ -165,6 +190,9 @@ func (s *engineSched) window(deadline Time) bool {
 			break
 		}
 		s.e.Step()
+	}
+	if s.e.Stopped() {
+		return s.e.Pending() > 0
 	}
 	s.e.AdvanceTo(max(s.e.Now(), deadline))
 	_, more := s.e.NextEventAt()
@@ -197,17 +225,21 @@ type opMix struct {
 	payload uint8 // an event is a payload event
 	stop    uint8 // a closure event rides a one-shot timer, stopped at once or later
 	timer   uint8 // a firing stops, re-arms or arms one of the timers
-	gap     uint8 // a window ends with a push into the gap behind the cursor
+	gap     uint8 // a window ends with a push (and perhaps a tally) into the gap behind the cursor
+	tally   uint8 // a firing tallies events, at a drawn delay
+	// halt, when nonzero, stops the run at a firing drawn from the
+	// first 64·halt, if the cascade lasts that long.
+	halt uint8
 }
 
-var defaultMix = opMix{delay: [6]uint8{2, 1, 1, 1, 1, 1}, payload: 85, stop: 40, timer: 90, gap: 160}
+var defaultMix = opMix{delay: [6]uint8{2, 1, 1, 1, 1, 1}, payload: 85, stop: 40, timer: 90, gap: 160, tally: 100}
 
 // mixFrom decodes an opMix from fuzz bytes; missing bytes read as
 // zero, and all-zero delay weights as equal ones.
 func mixFrom(b []byte) opMix {
-	var raw [10]uint8
+	var raw [12]uint8
 	copy(raw[:], b)
-	m := opMix{payload: raw[6], stop: raw[7], timer: raw[8], gap: raw[9]}
+	m := opMix{payload: raw[6], stop: raw[7], timer: raw[8], gap: raw[9], tally: raw[10], halt: raw[11]}
 	copy(m.delay[:], raw[:6])
 	if m.delay == [6]uint8{} {
 		m.delay = [6]uint8{1, 1, 1, 1, 1, 1}
@@ -216,18 +248,21 @@ func mixFrom(b []byte) opMix {
 }
 
 // driveRandom runs a self-expanding random event cascade on s in
-// 97-unit windows and returns the log: every firing, and after every
-// window the clock, Processed and Pending. All randomness flows from
-// one seeded source whose draws happen in firing order, so two
-// schedulers produce identical logs if and only if they fire the same
-// events in the same order and agree on the counts — any divergence
-// derails the cascade at once. The cascade mixes closure events (some
-// riding one-shot timers that are stopped), payload events (one shared
-// Action, each event carrying its own ID, depth and due time, which the
-// Action checks against the clock), four timers that are stopped,
-// re-armed, and stopped then re-armed at the same instant, and pushes
-// into the gap each window's look-ahead leaves between the clock and
-// the wheel's cursor.
+// 97-unit windows and returns the log: every firing with the clock and
+// Processed, and after every window, and at a stop, the clock,
+// Processed and Pending. All randomness flows from one seeded source
+// whose draws happen in firing order, so two schedulers produce
+// identical logs if and only if they fire the same events in the same
+// order and agree on the counts — any divergence derails the cascade
+// at once. The cascade mixes closure events (some riding one-shot
+// timers that are stopped), payload events (one shared Action, each
+// event carrying its own ID, depth and due time, which the Action
+// checks against the clock), four timers that are stopped, re-armed,
+// and stopped then re-armed at the same instant, tallies at every
+// delay class, pushes and tallies into the gap each window's
+// look-ahead leaves between the clock and the wheel's cursor, and,
+// under a halt, a Stop at a drawn firing right after that firing
+// tallies events at its own instant, which must stay pending.
 func driveRandom(t *testing.T, s cascadeSched, seed int64, mix opMix) []string {
 	rng := rand.New(rand.NewSource(seed))
 	chance := func(c uint8) bool { return rng.Intn(256) < int(c) }
@@ -242,14 +277,30 @@ func driveRandom(t *testing.T, s cascadeSched, seed int64, mix opMix) []string {
 		timers  []cascadeTimer
 		tfired  int
 		spawn   func(depth int)
+		firings int
+		stopAt  int
+		stopped bool
 	)
+	if mix.halt > 0 {
+		stopAt = 1 + rng.Intn(64*int(mix.halt))
+	}
+	// fire logs a firing, and stops the run at the drawn one.
+	fire := func(label string) {
+		log = append(log, fmt.Sprintf("%s@%d#%d", label, s.now(), s.processed()))
+		if firings++; firings == stopAt {
+			s.tally(s.now(), 1+rng.Intn(3))
+			s.stop()
+			stopped = true
+			log = append(log, fmt.Sprintf("halt@%d", s.now()))
+		}
+	}
 	probe := funcAction(func() {
 		p0, p1 := s.payload()
 		myID, depth := p0>>8, int(p0&0xff)
 		if Time(p1) != s.now() {
 			t.Errorf("payload event %d fired at %d carrying due time %d", myID, s.now(), p1)
 		}
-		log = append(log, fmt.Sprintf("p%d@%d", myID, s.now()))
+		fire(fmt.Sprintf("p%d", myID))
 		spawn(depth + 1)
 	})
 	delay := func() Time {
@@ -282,7 +333,7 @@ func driveRandom(t *testing.T, s cascadeSched, seed int64, mix opMix) []string {
 			return
 		}
 		fn := func() {
-			log = append(log, fmt.Sprintf("%d@%d", myID, s.now()))
+			fire(fmt.Sprint(myID))
 			spawn(depth + 1)
 		}
 		// The root burst is never stopped so every cascade fires.
@@ -325,6 +376,9 @@ func driveRandom(t *testing.T, s cascadeSched, seed int64, mix opMix) []string {
 		}
 		for n := rng.Intn(3) + 1; n > 0; n-- {
 			schedule(s.now()+delay(), depth)
+			if chance(mix.tally) {
+				s.tally(s.now()+delay(), 1+rng.Intn(4))
+			}
 		}
 		if len(handles) > 0 && chance(mix.stop) {
 			handles[rng.Intn(len(handles))].Stop() // perhaps fired already
@@ -337,7 +391,7 @@ func driveRandom(t *testing.T, s cascadeSched, seed int64, mix opMix) []string {
 		var tm cascadeTimer
 		tm = s.newTimer(func() {
 			tfired++
-			log = append(log, fmt.Sprintf("T%d@%d", k, s.now()))
+			fire(fmt.Sprintf("T%d", k))
 			spawn(3)
 			if tfired < 200 && !tm.Armed() && rng.Intn(3) > 0 {
 				tm.At(s.now() + delay())
@@ -350,8 +404,14 @@ func driveRandom(t *testing.T, s cascadeSched, seed int64, mix opMix) []string {
 	for gaps, more := 0, true; more; {
 		more = s.window(s.now() + 97)
 		log = append(log, fmt.Sprintf("w@%d fired=%d pending=%d", s.now(), s.processed(), s.pending()))
+		if stopped {
+			break
+		}
 		if gaps < 100 && chance(mix.gap) {
 			gaps++
+			if chance(mix.tally) {
+				s.tally(s.now()+Time(rng.Intn(60)), 1+rng.Intn(4))
+			}
 			schedule(s.now()+Time(rng.Intn(60)), 3)
 			more = true
 		}
@@ -363,32 +423,40 @@ func driveRandom(t *testing.T, s cascadeSched, seed int64, mix opMix) []string {
 // its reference: the engine, whether driven by RunUntil or by
 // NextEventAt and Step, fires events in exactly the overflow heap's
 // (at, seq) order, across same-timestamp ties, chunk boundaries, wheel
-// wraps, overflow drains, stopped and re-armed timers, and rewinds that
-// evict whole instants back to the overflow; its Processed and Pending
-// match the reference's after every window; and every payload event
-// reads back its own payload.
+// wraps, overflow drains, stopped and re-armed timers, tallies, and
+// rewinds that evict whole instants back to the overflow; its
+// Processed matches the reference's at every firing, where a tally of
+// n events counts as n no-op entries, and its Processed and Pending
+// match after every window and at a stop; and every payload event
+// reads back its own payload. Each seed runs to the end once and once
+// more under a halt.
 func TestSchedulerEquivalence(t *testing.T) {
-	var rewinds, evicted int
+	var rewinds, evicted, halts int
 	for seed := int64(1); seed <= 8; seed++ {
-		heapLog := driveRandom(t, &bareSched{}, seed, defaultMix)
-		kinds := map[byte]int{}
-		for _, e := range heapLog {
-			kinds[e[0]]++
-		}
-		if kinds['p'] == 0 || kinds['T'] == 0 || len(heapLog) < 100 {
-			t.Fatalf("seed %d: %d log entries, %d payload and %d timer firings", seed, len(heapLog), kinds['p'], kinds['T'])
-		}
-		for _, step := range []bool{false, true} {
-			s := &engineSched{e: NewEngine(seed), step: step}
-			compareLogs(t, fmt.Sprintf("seed %d, step %v", seed, step), heapLog, driveRandom(t, s, seed, defaultMix))
-			rewinds += s.rewinds
-			evicted += s.evicted
+		for _, halt := range []uint8{0, 3} {
+			mix := defaultMix
+			mix.halt = halt
+			heapLog := driveRandom(t, &bareSched{}, seed, mix)
+			kinds := map[byte]int{}
+			for _, e := range heapLog {
+				kinds[e[0]]++
+			}
+			halts += kinds['h']
+			if halt == 0 && (kinds['p'] == 0 || kinds['T'] == 0 || len(heapLog) < 100) {
+				t.Fatalf("seed %d: %d log entries, %d payload and %d timer firings", seed, len(heapLog), kinds['p'], kinds['T'])
+			}
+			for _, step := range []bool{false, true} {
+				s := &engineSched{e: NewEngine(seed), step: step}
+				compareLogs(t, fmt.Sprintf("seed %d, halt %d, step %v", seed, halt, step), heapLog, driveRandom(t, s, seed, mix))
+				rewinds += s.rewinds
+				evicted += s.evicted
+			}
 		}
 	}
-	if rewinds == 0 || evicted == 0 {
-		t.Fatalf("the cascades rewound the wheel %d times, evicting %d entries; want both", rewinds, evicted)
+	if rewinds == 0 || evicted == 0 || halts == 0 {
+		t.Fatalf("the cascades rewound the wheel %d times, evicting %d entries, and halted %d times; want all three", rewinds, evicted, halts)
 	}
-	t.Logf("%d rewinds evicted %d entries", rewinds, evicted)
+	t.Logf("%d rewinds evicted %d entries; %d of 8 halted runs stopped mid-cascade", rewinds, evicted, halts)
 }
 
 // FuzzSchedulerEquivalence runs driveRandom's comparison on a seed and
@@ -397,6 +465,8 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 	f.Add(int64(1), []byte{2, 1, 1, 1, 1, 1, 85, 40, 90, 160})
 	f.Add(int64(2), []byte{0, 0, 0, 0, 0, 1, 0, 255, 255, 255})
 	f.Add(int64(3), []byte{9, 0, 0, 0, 0, 0, 128})
+	f.Add(int64(4), []byte{2, 1, 1, 1, 1, 1, 85, 40, 90, 160, 100, 3})
+	f.Add(int64(5), []byte{6, 1, 0, 1, 0, 1, 40, 0, 60, 255, 255, 1})
 	f.Fuzz(func(t *testing.T, seed int64, mixBytes []byte) {
 		mix := mixFrom(mixBytes)
 		want := driveRandom(t, &bareSched{}, seed, mix)
@@ -615,4 +685,86 @@ type payloadRecorder struct {
 func (r *payloadRecorder) Act() {
 	p0, _ := r.e.Payload()
 	*r.fired = append(*r.fired, fmt.Sprintf("A%d", p0))
+}
+
+// TestTallyKeepsItsPlace pins a tally's FIFO place and its count on
+// each path: waiting behind a slot's last entry, turned into an entry
+// by a push behind it, past the wheel in the overflow, evicted by a
+// rewind and drained back, and left pending by a Stop ahead of it.
+func TestTallyKeepsItsPlace(t *testing.T) {
+	e := NewEngine(1)
+	var fired []string
+	mark := func(name string) func() {
+		return func() { fired = append(fired, fmt.Sprintf("%s#%d", name, e.Processed())) }
+	}
+	e.At(5, mark("a"))
+	e.Tally(5, 2)
+	e.Tally(5, 1) // adds to the waiting count
+	e.At(5, mark("b"))
+	e.Tally(5, 3) // waits behind b until its instant ends
+	e.Tally(wheelSpan+40, 4)
+	if got := e.Pending(); got != 12 {
+		t.Fatalf("Pending = %d, want 12", got)
+	}
+	e.RunUntil(5)
+	if got, want := fmt.Sprint(fired), "[a#1 b#5]"; got != want {
+		t.Fatalf("fired %s, want %s", got, want)
+	}
+	if e.Processed() != 8 || e.Pending() != 4 {
+		t.Fatalf("after t=5: Processed %d, Pending %d; want 8 and 4", e.Processed(), e.Pending())
+	}
+	if at, ok := e.NextEventAt(); !ok || at != wheelSpan+40 {
+		t.Fatalf("NextEventAt = %d, %v; want the overflow tally's instant %d", at, ok, wheelSpan+40)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("AdvanceTo past a pending tally did not panic")
+			}
+		}()
+		e.AdvanceTo(wheelSpan + 41)
+	}()
+
+	// Park the cursor on a far instant holding an entry and a waiting
+	// tally, then push into the gap: the rewind evicts both, and both
+	// drain back ahead of an entry pushed at that instant later.
+	far := 4 * wheelSpan
+	e.At(far, mark("c"))
+	e.Tally(far, 5)
+	e.RunUntil(wheelSpan + 100)
+	if e.Processed() != 12 {
+		t.Fatalf("Processed = %d after the overflow tally's instant, want 12", e.Processed())
+	}
+	e.At(wheelSpan+200, func() {
+		mark("d")()
+		e.At(far, mark("f"))
+	})
+	e.Run()
+	if got, want := fmt.Sprint(fired), "[a#1 b#5 d#13 c#14 f#20]"; got != want {
+		t.Fatalf("fired %s, want %s", got, want)
+	}
+	if e.Pending() != 0 || e.Processed() != 20 {
+		t.Fatalf("after Run: Pending %d, Processed %d; want 0 and 20", e.Pending(), e.Processed())
+	}
+
+	// A Stop leaves the tallies behind the stopping event uncounted.
+	e = NewEngine(1)
+	e.Tally(7, 2)
+	e.At(7, e.Stop)
+	e.Tally(7, 3)
+	e.At(7, func() { t.Fatal("an event behind the Stop fired") })
+	if e.RunUntil(100) != true || e.Processed() != 3 || e.Pending() != 4 || e.Now() != 7 {
+		t.Fatalf("after the Stop: Processed %d, Pending %d, Now %d; want 3, 4 and 7", e.Processed(), e.Pending(), e.Now())
+	}
+
+	// Step counts a tally alone at its instant without firing anything.
+	e = NewEngine(1)
+	e.Tally(3, 2)
+	e.At(9, func() {})
+	if !e.Step() || e.Processed() != 2 || e.Now() != 3 {
+		t.Fatalf("Step over a lone tally: Processed %d, Now %d; want 2 and 3", e.Processed(), e.Now())
+	}
+	if !e.Step() || e.Processed() != 3 || e.Now() != 9 || e.Step() {
+		t.Fatalf("Step after the tally: Processed %d, Now %d; want 3 and 9, then no more", e.Processed(), e.Now())
+	}
 }
