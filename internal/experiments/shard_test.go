@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -52,8 +53,8 @@ type shardDigest struct {
 	totalBusy int64
 	jobsDone  int64
 	goalsExec int64
-	sojMean   float64
-	sojP99    float64
+	sojMean   uint64 // bits, so a run that completes no job (NaN) equals itself
+	sojP99    uint64
 	msgs      string
 	busyPerPE []int64
 	goalsPE   []int64
@@ -71,8 +72,8 @@ func shardDigestOf(st *machine.Stats) shardDigest {
 		totalBusy: int64(st.TotalBusy),
 		jobsDone:  st.JobsDone,
 		goalsExec: st.GoalsExecuted,
-		sojMean:   st.Sojourn.Mean(),
-		sojP99:    st.Sojourn.Percentile(0.99),
+		sojMean:   math.Float64bits(st.Sojourn.Mean()),
+		sojP99:    math.Float64bits(st.Sojourn.Percentile(0.99)),
 		msgs:      fmt.Sprint(st.MsgCounts),
 		busyPerPE: busy,
 		goalsPE:   st.GoalsPerPE,

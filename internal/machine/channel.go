@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"math/bits"
 
 	"cwnsim/internal/sim"
 )
@@ -338,97 +337,62 @@ type loadWord struct {
 	from, load int32
 }
 
-// batchBits is how many fan entries one batched delivery can name: the
-// width of its payload's mask (see wordBatch).
-const batchBits = 32
-
 // broadcastLoad sends owned PE lx's current load to all its neighbors:
 // one load word per attached channel, in fan order over the PE's fan
 // entries fan[lo:hi] (a single bus transaction reaches all bus-mates; a
 // neighbor sharing two buses hears it twice, harmlessly). The words
-// this shard delivers are batched: one payload event per distinct
-// delivery instant, in each batchBits-wide window of the fan, naming
-// the window's first fan entry, a mask of the entries delivering then
-// and the load. Nothing else is scheduled while a broadcast runs, so
-// one instant's words would sit back to back in its FIFO anyway, and
-// one event firing them in fan order (wordBatch) reproduces every
-// delivery. A blind machine tallies the words instead (tallyLoad).
+// this shard delivers go out in runs: a run is consecutive fan entries
+// due at one instant, and it also ends at a word this shard does not
+// deliver (held at a downed link, or with no receiver here). Each run
+// is one payload event naming its fan offset, its length and the load
+// (wordBatch), or on a blind machine one tally of its words. Nothing
+// else is scheduled while a broadcast runs, so one instant's runs sit
+// back to back in its FIFO, in fan order, as the words would one by
+// one, and firing each run in fan order reproduces every delivery.
 func (m *Machine) broadcastLoad(lx int, lo, hi int32) {
 	m.stats.MsgCounts[MsgLoad] += int64(hi - lo)
 	from, load, dur := int32(m.peLo+lx), m.loadOf(lx), m.cfg.CtrlHopTime
-	if m.blind {
-		m.tallyLoad(from, load, dur, lo, hi)
-		return
-	}
-	for base := lo; base < hi; base += batchBits {
-		var pend, mask uint32
-		var at sim.Time
-		for k, f := range m.fan[base:min(hi, base+batchBits)] {
-			// A word on a downed or crossing channel takes sendLoad's
-			// whole path; the rest only occupy their channel.
-			var end sim.Time
-			if h := &m.hot[f.lc]; !h.down && !h.cross {
-				end = m.occupy(h, f.lc, dur)
-			} else {
-				var ok bool
-				if end, ok = m.sendLoad(f, from, load, dur); !ok {
-					continue
-				}
-			}
-			if pend == 0 {
-				at = end
-			}
-			if end == at {
-				mask |= 1 << k
-			}
-			pend |= 1 << k
-		}
-		// Entries in mask are due at `at`. A word's delivery instant is
-		// its channel's busy-until: the broadcast sends one word per
-		// channel.
-		for pend != 0 {
-			m.eng.AtPayload(at, &m.batches, uint64(base)<<32|uint64(mask), uint64(uint32(load)))
-			if pend &^= mask; pend == 0 {
-				break
-			}
-			at, mask = m.hot[m.fan[base+int32(bits.TrailingZeros32(pend))].lc].busyUntil, 0
-			for rest := pend; rest != 0; rest &= rest - 1 {
-				if k := bits.TrailingZeros32(rest); m.hot[m.fan[base+int32(k)].lc].busyUntil == at {
-					mask |= 1 << k
-				}
-			}
-		}
-	}
-}
-
-// tallyLoad is broadcastLoad on a blind machine: the same sends, with
-// each run of consecutive words due at one instant tallied where its
-// batch would sit. Nothing else is scheduled while it runs, so the
-// runs due at one instant sit back to back in its FIFO and count as
-// one batch would; on an idle machine a broadcast is one tally.
-func (m *Machine) tallyLoad(from, load int32, dur sim.Time, lo, hi int32) {
 	var at sim.Time
-	n := 0
-	for _, f := range m.fan[lo:hi] {
+	run := lo // the current run is fan[run:k], due at `at`
+	for k := lo; k < hi; k++ {
+		// A word on a downed or crossing channel takes sendLoad's
+		// whole path; the rest only occupy their channel.
+		f := m.fan[k]
 		var end sim.Time
 		if h := &m.hot[f.lc]; !h.down && !h.cross {
 			end = m.occupy(h, f.lc, dur)
 		} else {
 			var ok bool
 			if end, ok = m.sendLoad(f, from, load, dur); !ok {
+				if k > run {
+					m.sendRun(at, run, k, load)
+				}
+				run = k + 1
 				continue
 			}
 		}
-		if n > 0 && end != at {
-			m.eng.Tally(at, n)
-			n = 0
+		// A word's delivery instant is its channel's busy-until: the
+		// broadcast sends one word per channel.
+		if k > run && end != at {
+			m.sendRun(at, run, k, load)
+			run = k
 		}
 		at = end
-		n++
 	}
-	if n > 0 {
-		m.eng.Tally(at, n)
+	if hi > run {
+		m.sendRun(at, run, hi, load)
 	}
+}
+
+// sendRun schedules the delivery at `at` of the words of fan entries
+// fan[lo:hi]: one payload event, or on a blind machine a tally of
+// hi-lo events.
+func (m *Machine) sendRun(at sim.Time, lo, hi, load int32) {
+	if m.blind {
+		m.eng.Tally(at, int(hi-lo))
+		return
+	}
+	m.eng.AtPayload(at, &m.batches, uint64(lo)<<32|uint64(hi-lo), uint64(uint32(load)))
 }
 
 // sendLoad transmits one load word on fan entry f's channel: it
@@ -500,22 +464,20 @@ func (d *wordSink) Act() {
 	m.recordRow(int32(rowN>>32), int32(uint32(rowN)), int32(load))
 }
 
-// wordBatch is the Action behind every batched load-word delivery on
-// its machine (see broadcastLoad): each event's payload is the offset
-// in the fan table of its window's first entry, the mask of the
-// window's entries delivering now, and the load.
+// wordBatch is the Action behind every run of load words delivered at
+// one instant on its machine (see broadcastLoad): each event's payload
+// is the run's offset in the fan table, its length, and the load.
 type wordBatch struct{ m *Machine }
 
-// Act delivers the masked entries' words in fan order. Each word
-// beyond the first counts as the event it would be on its own
+// Act delivers the run's words in fan order. Each word beyond the
+// first counts as the event it would be on its own
 // (Machine.batchExtra), so Stats.Events counts every delivery.
 func (d *wordBatch) Act() {
 	m := d.m
 	p0, load := m.eng.Payload()
-	fan, mask := m.fan[p0>>32:], uint32(p0)
-	m.batchExtra += uint64(bits.OnesCount32(mask) - 1)
-	for ; mask != 0; mask &= mask - 1 {
-		f := fan[bits.TrailingZeros32(mask)]
+	run := m.fan[p0>>32:][:uint32(p0)]
+	m.batchExtra += uint64(len(run) - 1)
+	for _, f := range run {
 		m.recordRow(f.row, f.n, int32(load))
 	}
 }

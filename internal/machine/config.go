@@ -370,7 +370,7 @@ func (c Config) ValidateLinks(topo func() *topology.Topology) error {
 		return nil
 	}
 	for i, e := range c.Scenario.Events {
-		if (e.Kind == scenario.DegradeLink || e.Kind == scenario.RestoreLink) && len(topo().ChannelsBetween(e.A, e.B)) == 0 {
+		if (e.Kind == scenario.DegradeLink || e.Kind == scenario.RestoreLink) && len(topo().AppendChannelsBetween(nil, e.A, e.B)) == 0 {
 			return fmt.Errorf("machine: scenario event %d (%s): PEs %d and %d share no channel", i, e.Kind, e.A, e.B)
 		}
 	}

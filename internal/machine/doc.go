@@ -145,24 +145,27 @@
 // block index and its range in the fan table, whose one shared Action
 // (loadTick) broadcasts and then re-arms the event LoadInterval later,
 // with no timer or closure per PE. broadcastLoad reads the PE's load
-// from the dense per-PE counts, occupies each attached channel in fan
-// order through the channel's hot record, and then pushes one payload
-// event per distinct delivery instant: the offset of the first fan
-// entry of its window, a mask of the window's entries due then (a fan
-// wider than 32 channels takes one event per 32-entry window) and the
-// load. Nothing else is scheduled while the broadcast runs, so the
-// words due at one instant would have sat back to back in that
-// instant's FIFO; the batch event (wordBatch) takes the first word's
-// (time, seq) position and writes the words' views in fan order, which
-// reproduces every delivery. It counts the words beyond its first
-// (batchExtra), and finalize adds them to Stats.Events, so Events still
-// counts every delivery and the pinned digests hold: fault-shard fires
-// 7.05M scheduler entries for its 15.7M events. Every other periodic
-// process — a strategy's (Machine.NewTicker) or the utilization
-// sampler — is a payload event of a second shared Action (procTick),
-// carrying the callback's slot in a per-machine table and the period;
-// it runs the callback, then re-arms, loadTick's order. Where a word
-// waits it waits by value: in a downed channel's held list until the
+// from the dense per-PE counts and occupies each attached channel in
+// fan order through the channel's hot record, and in the same loop it
+// groups the words into runs: consecutive fan entries due at one
+// instant, a run also ending at a word this shard does not deliver
+// (held at a downed link, or with no receiver here). Each run is one
+// payload event carrying its offset in the fan table, its length and
+// the load. Nothing else is scheduled while the broadcast runs, so one
+// instant's runs sit back to back in that instant's FIFO, in fan
+// order, where the words would have sat one by one; the run's event
+// (wordBatch) takes its first word's (time, seq) position and writes
+// the words' views in fan order, which reproduces every delivery. It
+// counts the words beyond its first (batchExtra), and finalize adds
+// them to Stats.Events, so Events still counts every delivery and the
+// pinned digests hold. At seed 1 fault-shard fires 7.20M scheduler
+// entries for its 15.7M events, stream-cwn 2.40M for 3.18M and the
+// paper sweep 7.54M for 15.0M. Every other periodic process — a
+// strategy's (Machine.NewTicker) or the utilization sampler — is a
+// payload event of a second shared Action (procTick), carrying the
+// callback's slot in a per-machine table and the period; it runs the
+// callback, then re-arms, loadTick's order. Where a word waits it
+// waits by value: in a downed channel's held list until the
 // link comes back, or in the outbox to another shard, whose drain
 // looks the row up on the receiving shard's own table; those words
 // deliver one event each (wordSink). Environment and control
@@ -177,19 +180,18 @@
 // machine keeps every send-side charge — each word occupies its
 // channel, counts as a MsgLoad message, holds at a downed link and
 // crosses to another shard's outbox — but keeps no load view (the
-// reads panic), so no delivery fires. broadcastLoad tallies each run of words due at one
-// instant (sim.Engine.Tally) where its batch would sit; a held word
-// flushed at a restore tallies one, and so does a word drained from
-// another shard's outbox, on the receiving engine, where its delivery
-// would have fired. Loads piggybacked on wire messages and environment
+// reads panic), so no delivery fires. broadcastLoad tallies each run
+// (sim.Engine.Tally) where its event would sit; a held word flushed at
+// a restore tallies one, and so does a word drained from another
+// shard's outbox, on the receiving engine, where its delivery would
+// have fired. Loads piggybacked on wire messages and environment
 // broadcasts write no view there either. A tally counts its words as
 // events in its FIFO place, so Events is what delivering them would
-// count, even where a run stops in the middle of an instant, and the
-// tallies due at one instant merge into one count while nothing else
-// is pushed there:
-// ctrl-gm (GM, seed 1) counts its 12.2M events as 4.27M fired entries
-// and 7.94M tallied words, from 2.37M Tally calls the engine meets as
-// 60K counts.
+// count, even where the simulation stops in the middle of an instant,
+// and the tallies due at one instant merge into one count while
+// nothing else is pushed there: ctrl-gm (GM, seed 1) counts its 12.2M
+// events as 4.27M fired entries and 7.94M tallied words, from 2.37M
+// Tally calls the engine meets as 60K counts.
 //
 // # Memory layout
 //

@@ -432,7 +432,7 @@ func (m *Machine) nearestLive(from int) int {
 // applies the mutation itself (a bus channel's members can span shards
 // beyond the named endpoints).
 func (m *Machine) setLinkState(a, b int, factor float64, down bool) {
-	for _, ci := range m.topo.ChannelsBetween(a, b) {
+	for _, ci := range m.topo.AppendChannelsBetween(nil, a, b) {
 		lc := m.chanLocal(ci)
 		if lc < 0 {
 			continue // no owned PE attaches to this channel

@@ -97,7 +97,7 @@ func TestFailureEventsReachNeighbors(t *testing.T) {
 // word.
 func TestFailureEventsIdempotentOnDualChannels(t *testing.T) {
 	topo := topology.NewDLM(4, 4, 4) // PEs 0 and 1 share two buses
-	if n := len(topo.ChannelsBetween(0, 1)); n != 2 {
+	if n := len(topo.AppendChannelsBetween(nil, 0, 1)); n != 2 {
 		t.Fatalf("test premise broken: PEs 0-1 share %d channels, want 2", n)
 	}
 	rec := newRecorder(true)
@@ -118,7 +118,7 @@ func TestFailureEventsIdempotentOnDualChannels(t *testing.T) {
 		}
 		if fails != 1 || recovers != 1 {
 			t.Errorf("neighbor %d heard %d PEFailed / %d PERecovered, want exactly 1/1 (%d shared channels)",
-				nb, fails, recovers, len(topo.ChannelsBetween(nb, 1)))
+				nb, fails, recovers, len(topo.AppendChannelsBetween(nil, nb, 1)))
 		}
 	}
 }

@@ -105,8 +105,9 @@ func goldenCases() []goldenCase {
 		{name: "dlm-buses", topo: func() *topology.Topology { return topology.NewDLM(8, 8, 4) },
 			src: stream, strat: func() machine.Strategy { return core.NewCWN(5, 1) },
 			cfg: func(c *machine.Config) { c.SampleInterval = 100 }},
-		// A hub with 39 channels: one broadcast's same-instant words span
-		// more fan entries than a 32-bit mask holds.
+		// A hub with 39 channels: one broadcast's words run across 39
+		// fan entries, and its runs end wherever two consecutive
+		// channels' backlogs differ.
 		{name: "star-wide-fan", topo: func() *topology.Topology { return topology.NewStar(40) },
 			src: stream, strat: cwn, cfg: func(*machine.Config) {}},
 		// Buses crossing the boundary of a 2-shard machine: one broadcast

@@ -95,10 +95,11 @@ type Machine struct {
 	blind bool
 	// words and batches are the Actions of every load-word delivery on
 	// a machine that is not blind (see broadcastLoad): one value each,
-	// each event's payload naming its row (words, one word) or its fan
-	// entries (batches, one broadcast's words due at one instant).
-	// batchExtra counts the words batched events delivered beyond their
-	// first, so Stats.Events counts every delivery (finalize).
+	// each event's payload naming its row (words, one word) or its run
+	// of fan entries (batches, consecutive words of one broadcast due
+	// at one instant). batchExtra counts the words batched events
+	// delivered beyond their first, so Stats.Events counts every
+	// delivery (finalize).
 	words      wordSink
 	batches    wordBatch
 	batchExtra uint64

@@ -132,7 +132,7 @@ func TestTransmitAfterIdleStartsImmediately(t *testing.T) {
 func TestPickChannelPrefersLeastBacklogged(t *testing.T) {
 	topo := topology.NewDLM(5, 5, 5) // PE pairs share two parallel buses
 	m := New(topo, workload.NewFib(2), keepLocal{}, DefaultConfig())
-	chs := topo.ChannelsBetween(0, 1)
+	chs := topo.AppendChannelsBetween(nil, 0, 1)
 	if len(chs) < 2 {
 		t.Fatalf("expected parallel buses between 0 and 1, got %v", chs)
 	}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"testing"
 
 	"cwnsim/internal/scenario"
@@ -37,14 +38,16 @@ func (n pushRightNode) HandleEvent(ev Event) {
 
 // fingerprint captures everything a bit-for-bit comparison of two runs
 // needs: the event sequence (makespan+events), the computed result, and
-// the accounting that any divergence would disturb.
+// the accounting that any divergence would disturb. The sojourn mean is
+// held as its bits, so two runs that complete no job, whose mean is
+// NaN, compare equal.
 type fingerprint struct {
 	makespan  sim.Time
 	events    uint64
 	result    int64
 	totalBusy sim.Time
 	msgs      [numMsgKinds]int64
-	sojMean   float64
+	sojMean   uint64
 	jobsDone  int64
 }
 
@@ -55,7 +58,7 @@ func fp(st *Stats) fingerprint {
 		result:    st.Result,
 		totalBusy: st.TotalBusy,
 		msgs:      st.MsgCounts,
-		sojMean:   st.Sojourn.Mean(),
+		sojMean:   math.Float64bits(st.Sojourn.Mean()),
 		jobsDone:  st.JobsDone,
 	}
 }

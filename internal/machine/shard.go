@@ -226,12 +226,12 @@ func newShardGroup(topo *topology.Topology, source JobSource, strat Strategy, cf
 		k:    k,
 		home: part.Assign[cfg.RootPE],
 	}
-	// Every channel can carry every message kind, so each channel's
-	// guaranteed latency is the minimum hop time; the partition reduces
-	// that over the boundary-crossing channels. With none (always so for
-	// one shard) the lookahead stays 0: unbounded.
-	if la, ok := part.MinCrossLatency(func(topology.Channel) int64 { return int64(minHop) }); ok {
-		g.lookahead = sim.Time(la)
+	// Every channel can carry every message kind, so each
+	// boundary-crossing channel's guaranteed latency is the minimum hop
+	// time. With no such channel (always so for one shard) the lookahead
+	// stays 0: unbounded.
+	if len(part.Cross) > 0 {
+		g.lookahead = minHop
 	}
 	// Expand the scenario once for the whole group; every shard shares
 	// the result. Pre-sort the op timeline and allocate the global

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"sort"
@@ -100,14 +101,15 @@ func (c shardCase) run(t *testing.T, shards int, serial bool) *Stats {
 }
 
 // shardFP extends the event-level fingerprint with every per-PE and
-// per-job detail a divergence could disturb.
+// per-job detail a divergence could disturb; p99 is the bits of the
+// sojourn p99, like the fingerprint's mean.
 type shardFP struct {
 	fingerprint
 	goalsPerPE []int64
 	busyPerPE  []sim.Time
 	chanMsgs   []int64
 	records    []JobRecord
-	p99        float64
+	p99        uint64
 }
 
 func shardFPOf(st *Stats) shardFP {
@@ -117,7 +119,7 @@ func shardFPOf(st *Stats) shardFP {
 		busyPerPE:   st.BusyPerPE,
 		chanMsgs:    st.ChannelMsgs,
 		records:     st.JobRecords,
-		p99:         st.SojournP99(),
+		p99:         math.Float64bits(st.SojournP99()),
 	}
 }
 

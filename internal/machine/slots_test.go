@@ -137,7 +137,7 @@ func TestShardBusBroadcastUsesReceiverChannel(t *testing.T) {
 	ci := -1
 	var from int
 	for _, c := range g.part.Cross {
-		members := topo.ChannelAt(c).Members
+		members := topo.AppendChannelMembers(nil, c)
 		// A sender with a bus-mate on its own shard keeps the original
 		// message as well as handing off a clone.
 		local := 0
@@ -169,7 +169,7 @@ func TestShardBusBroadcastUsesReceiverChannel(t *testing.T) {
 	g.drain()
 
 	receiver := map[int]bool{}
-	for _, pe := range topo.ChannelAt(ci).Members {
+	for _, pe := range topo.AppendChannelMembers(nil, ci) {
 		if pe != from {
 			receiver[pe] = true
 		}

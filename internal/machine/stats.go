@@ -49,11 +49,12 @@ type Stats struct {
 	Result    int64    //simlint:nomerge outcome: the last completed job's value (0 on an incomplete K >= 2 run), chosen by the coordinator
 	Makespan  sim.Time //simlint:nomerge outcome: group virtual time, not a per-shard sum
 	// Events counts the engine events fired across all shards: every
-	// scheduler entry fired, plus the words a batched load-word entry
+	// scheduler entry fired, plus the words a load-word run's entry
 	// delivers beyond its first, plus the words a machine whose strategy
-	// is LoadBlind tallies instead of delivering (sim.Engine.Tally,
-	// counted when the run passes them), so each load-word delivery
-	// counts as one event, as when every word was an entry of its own.
+	// is LoadBlind tallies instead of delivering (sim.Engine.Tally, one
+	// tally per run, counted when the run passes it), so each load-word
+	// delivery counts as one event, as when every word was an entry of
+	// its own.
 	// A one-shard run also counts each applied scenario op as one.
 	Events uint64
 

@@ -33,19 +33,23 @@
 // seq, entry) for events beyond the window; it drains into the wheel
 // as the window advances, in (time, seq) order, into slots that are
 // necessarily still empty — which is what preserves exact
-// heap-equivalent ordering across the tier boundary. All entries of
-// one instant sit in one tier, so when a push behind the cursor
-// rewinds the window, the instants it evicts return to the heap whole,
-// in FIFO order. TestSchedulerEquivalence and FuzzSchedulerEquivalence
-// fire random cascades through the engine and through the heap under a
-// bare loop and demand identical logs. The wheel wins wherever events
-// are dense in time relative to the window — load words, periodic
-// processes re-arming, service completions and control-heavy machines
-// with thousands of resident events: it measured 1.8-3.7x a standing
-// binary heap's events/sec on every perf-ledger case, so the heap was
-// retired as a selectable scheduler and survives only as the overflow
-// tier. Its costs are 32KB of standing slot memory per engine, a chunk
-// per occupied slot, and one nil check per empty slot stepped over.
+// heap-equivalent ordering across the tier boundary. The wheel's cursor
+// never passes the clock: firing moves it only onto the instant that
+// fires, or up to RunUntil's deadline, where the clock then lands, and
+// NextEventAt and AdvanceTo look ahead without moving it. Every push
+// targets now or later, so it lands at or after the cursor, and the
+// window never moves back. TestSchedulerEquivalence and
+// FuzzSchedulerEquivalence fire random cascades through the engine and
+// through the heap under a bare loop, pushing into the gap after
+// windows, and demand identical logs and that no push lands behind the
+// cursor. The wheel wins wherever events are dense in time relative to
+// the window — load words, periodic processes re-arming, service
+// completions and control-heavy machines with thousands of resident
+// events: it measured 1.8-3.7x a standing binary heap's events/sec on
+// every perf-ledger case, so the heap was retired as a selectable
+// scheduler and survives only as the overflow tier. Its costs are 32KB
+// of standing slot memory per engine, a chunk per occupied slot, and
+// one nil check per empty slot stepped over.
 //
 // Every event but a Timer's is its entry and nothing more, and cannot
 // be taken back. A Timer's arming is pushed as a guard entry naming
@@ -68,10 +72,9 @@
 // slot's last entry, and later tallies at t add to it. A push behind it
 // turns it into one entry carrying no Action and n in its payload; so
 // does a tally beyond the wheel, which enters the overflow as such an
-// entry, and a rewind evicting it. The fire path counts a tally where
-// it meets a nil Action, one branch beside the guard check; an engine
-// that never tallies holds and fires exactly the entries it would
-// without them.
+// entry. The fire path counts a tally where it meets a nil Action, one
+// branch beside the guard check; an engine that never tallies holds
+// and fires exactly the entries it would without them.
 //
 // # Performance model
 //
@@ -113,13 +116,13 @@
 // And every machine is a group of K >= 1 engines
 // (machine.Config.Shards), each owning a slice of the machine and
 // advancing in lockstep through bounded windows via RunUntil(deadline)
-// — fire everything due by the deadline, report whether live events
-// remain — with NextEventAt letting the coordinator fast-forward over
-// windows no engine has events in, and AdvanceTo parking every engine
-// on a scripted scenario op's instant. Windowed stepping is exact: any
-// partition of a run into RunUntil calls fires the same events in the
-// same order as one call, so the window protocol adds synchronization
-// points, never reordering. Cross-engine sends are injected between
-// windows via AtAction by the coordinating goroutine while the engines
-// are quiescent; the engine itself stays lock-free.
+// — fire everything due by the deadline — with NextEventAt letting the
+// coordinator fast-forward over windows no engine has events in, and
+// AdvanceTo parking every engine on a scripted scenario op's instant.
+// Windowed stepping is exact: any partition of a run into RunUntil
+// calls fires the same events in the same order as one call, so the
+// window protocol adds synchronization points, never reordering.
+// Cross-engine sends are injected between windows via AtAction by the
+// coordinating goroutine while the engines are quiescent; the engine
+// itself stays lock-free.
 package sim

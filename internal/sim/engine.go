@@ -186,8 +186,8 @@ var tallied Action = funcAction(func() {})
 // next takes the earliest live entry or tally due by deadline off the
 // wheel and returns its Action (tallied for a tally), with the clock,
 // the payload and Processed already moved to it; nil when nothing live
-// is due, with the cursor then on the earliest live entry or tally, if
-// any. Stale guards met on the way are discarded. The entry is read in
+// is due, with the cursor then at the deadline at most (see seek).
+// Stale guards met on the way are discarded. The entry is read in
 // place and dropped before its Action runs, so a handler that
 // schedules at the same instant appends behind it, possibly into the
 // very chunk it came from. It is the fast path of both Step and
@@ -197,14 +197,14 @@ func (e *Engine) next(deadline Time) Action {
 	for {
 		s := &w.slots[int(w.base)&wheelMask]
 		if s.head == nil {
-			if s = w.seek(); s == nil {
+			if s = w.seek(deadline); s == nil {
 				return nil
 			}
 		}
 		c := s.head
 		en := &c.e[c.r]
 		act := en.act
-		if g, ok := act.(*timerGuard); ok && g.gen != en.p0 {
+		if stale(act, en.p0) {
 			w.excess--
 			w.advance(s, c)
 			continue
@@ -235,31 +235,20 @@ func (e *Engine) Run() {
 }
 
 // RunUntil fires events with timestamps <= deadline, then sets the clock
-// to deadline (if it has not passed it already). It returns true if live
-// events remain pending afterwards — whether they lie beyond the
-// deadline or Stop froze the run with work outstanding; use Stopped to
-// distinguish. When Stop fires mid-run the clock stays at the
-// stopping event's time rather than jumping to the deadline.
-func (e *Engine) RunUntil(deadline Time) bool {
+// to deadline (if it has not passed it already). When Stop fires
+// mid-run the clock stays at the stopping event's time rather than
+// jumping to the deadline. NextEventAt says what remains.
+func (e *Engine) RunUntil(deadline Time) {
 	for !e.stopped {
 		act := e.next(deadline)
 		if act == nil {
 			if e.now < deadline {
 				e.now = deadline
 			}
-			return e.peek()
+			return
 		}
 		act.Act()
 	}
-	return e.peek()
-}
-
-// peek reports whether a live event is pending, discarding the stale
-// guards ahead of it; when one is, the cursor is on it, so base is its
-// time.
-func (e *Engine) peek() bool {
-	e.next(math.MinInt64) // due by no deadline: fires nothing
-	return e.slots[int(e.base)&wheelMask].head != nil
 }
 
 // AdvanceTo moves the clock forward to t without firing anything. It
@@ -272,7 +261,7 @@ func (e *Engine) AdvanceTo(t Time) {
 	if t < e.now {
 		panic("sim: AdvanceTo would rewind the clock")
 	}
-	if e.peek() && e.base < t {
+	if at, ok := e.nextAt(); ok && at < t {
 		panic("sim: AdvanceTo would skip a pending event")
 	}
 	e.now = t
@@ -282,12 +271,14 @@ func (e *Engine) AdvanceTo(t Time) {
 // (a stopped timer's guard is not one; a tallied event is); ok is false
 // when nothing is pending or the engine is stopped. Windowed drivers
 // (the machine's conservative-lookahead loop) use it to fast-forward
-// across windows no shard has work in.
+// across windows no shard has work in. It looks ahead without moving
+// the scheduler's cursor, so a push between it and the next firing
+// still lands at or after the cursor.
 func (e *Engine) NextEventAt() (t Time, ok bool) {
-	if e.stopped || !e.peek() {
+	if e.stopped {
 		return 0, false
 	}
-	return e.base, true
+	return e.nextAt()
 }
 
 // Stop halts Run/RunUntil after the current event. Further Step calls

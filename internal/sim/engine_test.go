@@ -108,9 +108,9 @@ func TestRunUntil(t *testing.T) {
 		d := d
 		e.Schedule(d, func() { fired = append(fired, d) })
 	}
-	more := e.RunUntil(12)
-	if !more {
-		t.Fatal("RunUntil(12) = false, want true (events pending)")
+	e.RunUntil(12)
+	if at, ok := e.NextEventAt(); !ok || at != 15 {
+		t.Fatalf("NextEventAt after RunUntil(12) = %d, %v; want 15, true", at, ok)
 	}
 	if len(fired) != 2 || fired[0] != 5 || fired[1] != 10 {
 		t.Fatalf("fired = %v, want [5 10]", fired)
@@ -118,9 +118,9 @@ func TestRunUntil(t *testing.T) {
 	if e.Now() != 12 {
 		t.Fatalf("Now = %d, want 12 after RunUntil(12)", e.Now())
 	}
-	more = e.RunUntil(100)
-	if more {
-		t.Fatal("RunUntil(100) = true, want false (drained)")
+	e.RunUntil(100)
+	if _, ok := e.NextEventAt(); ok {
+		t.Fatal("NextEventAt after RunUntil(100) = true, want false (drained)")
 	}
 	if len(fired) != 4 {
 		t.Fatalf("fired %d events total, want 4", len(fired))

@@ -18,8 +18,14 @@ package sim
 // FIFO is in push order and the two-tier structure reproduces the
 // heap's event order bit for bit (pinned by TestSchedulerEquivalence).
 // All entries and tallies of one instant sit in one tier: an instant
-// enters the wheel whole when the horizon passes it, and a rewind
-// evicts it whole.
+// enters the wheel whole when the horizon passes it.
+//
+// The cursor never passes the clock. The fire path moves it only onto
+// the instant it fires, or up to RunUntil's deadline where the clock
+// then lands, and NextEventAt and AdvanceTo look ahead without moving
+// it. Every push and tally targets now or later, so it lands at or
+// after the cursor: in the window, or past it in the overflow, and the
+// window never has to move back.
 //
 // Where each tier wins: the wheel turns the O(log n) heap percolation
 // of every push/pop — dominated by load words, periodic processes,
@@ -68,7 +74,7 @@ const (
 //
 //simlint:pooled
 type chunk struct {
-	e     [chunkLen]entry //simlint:keep each entry's Action is cleared as it is read or evicted
+	e     [chunkLen]entry //simlint:keep each entry's Action is cleared as it is read
 	next  *chunk
 	r, n  int32
 	tally uint64
@@ -102,20 +108,15 @@ type wheelSched struct {
 // size is the number of live events pending, tallied ones included.
 func (w *wheelSched) size() int { return w.count + len(w.over) - w.excess }
 
-// push schedules act with payload (p0, p1) at time at. It takes the
+// push schedules act with payload (p0, p1) at time at, which lies at
+// or after the cursor (base never passes the clock). It takes the
 // fields one by one: handing a whole entry down by value stalls the
 // store into the chunk on store forwarding.
 func (w *wheelSched) push(at Time, act Action, p0, p1 uint64) {
-	if uint64(at-w.base) >= uint64(wheelSpan) {
-		if at >= w.base {
-			w.over.push(at, w.seq, act, p0, p1)
-			w.seq++
-			return
-		}
-		// Cold path: the cursor settled on a later event's time and a
-		// fresh push targets the gap (possible after RunUntil stops the
-		// clock short of the next event). Rewind the window.
-		w.rewind(at)
+	if at-w.base >= wheelSpan {
+		w.over.push(at, w.seq, act, p0, p1)
+		w.seq++
+		return
 	}
 	w.append(&w.slots[int(at)&wheelMask], act, p0, p1)
 }
@@ -127,14 +128,11 @@ func (w *wheelSched) push(at Time, act Action, p0, p1 uint64) {
 // own: a nil Action carrying n in p0. Past the window they are such an
 // entry at once, in the overflow.
 func (w *wheelSched) tally(at Time, n uint64) {
-	if uint64(at-w.base) >= uint64(wheelSpan) {
-		if at >= w.base {
-			w.over.push(at, w.seq, nil, n, 0)
-			w.seq++
-			w.excess -= int(n) - 1
-			return
-		}
-		w.rewind(at)
+	if at-w.base >= wheelSpan {
+		w.over.push(at, w.seq, nil, n, 0)
+		w.seq++
+		w.excess -= int(n) - 1
+		return
 	}
 	w.addTally(&w.slots[int(at)&wheelMask], n)
 }
@@ -273,68 +271,63 @@ func (w *wheelSched) drain() {
 
 // seek moves the cursor from an empty slot to the earliest non-empty
 // one, advancing the window (and draining the overflow) across empty
-// slots, and returns that slot — nil when nothing is pending. When the
-// wheel is empty the window jumps straight to the overflow's earliest
-// timestamp instead of stepping.
-func (w *wheelSched) seek() *wheelSlot {
+// slots, and returns that slot — nil when none lies at or before
+// deadline, with the cursor then at deadline or, when nothing at all
+// is pending, where it was. So the cursor never passes the deadline,
+// and a push or tally after the caller moves the clock there lands at
+// or after it. When the wheel is empty the window jumps straight to
+// the overflow's earliest timestamp, or to the deadline if that comes
+// first, instead of stepping.
+func (w *wheelSched) seek(deadline Time) *wheelSlot {
 	if w.count == 0 {
 		if len(w.over) == 0 {
 			return nil
 		}
-		w.base = w.over[0].at
+		w.base = max(w.base, min(w.over[0].at, deadline))
 		w.drain()
 	}
 	for {
 		if s := &w.slots[int(w.base)&wheelMask]; s.head != nil {
 			return s
 		}
+		if w.base >= deadline {
+			return nil
+		}
 		w.base++
 		w.drain()
 	}
 }
 
-// rewind moves the window start back to t (t < base), evicting the
-// instants the narrower horizon no longer covers, [t+wheelSpan,
-// base+wheelSpan), to the overflow heap. Each instant is evicted whole
-// and in FIFO order under fresh keys, a waiting tally last as an entry
-// of its own, and no overflow entry shares its time, so the heap
-// drains it back in the same order. Only reachable when the cursor ran
-// ahead of the clock (a look-ahead stops on the next live event's
-// time) and a later push or tally targets the gap — never on the fire
-// path — and it visits only the evicted instants' slots.
-func (w *wheelSched) rewind(t Time) {
-	if w.count > 0 {
-		end := w.base + wheelSpan
-		for at := max(t+wheelSpan, w.base); at < end; at++ {
-			s := &w.slots[int(at)&wheelMask]
-			for c := s.head; c != nil; {
-				for i := c.r; i < c.n; i++ {
-					en := &c.e[i]
-					w.evict(at, en.act, en.p0, en.p1)
-					en.act = nil
-				}
-				if c.tally != 0 {
-					w.evict(at, nil, c.tally, 0)
-					c.tally = 0
-				}
-				next := c.next
-				w.release(c)
-				c = next
+// nextAt returns the time of the earliest live entry or tally without
+// moving the cursor, discarding the stale guards ahead of it in either
+// tier; ok is false when nothing live is pending. It scans the window
+// from the cursor, then reads the overflow, whose entries all lie past
+// the window.
+func (w *wheelSched) nextAt() (at Time, ok bool) {
+	for at = w.base; w.count > 0; at++ {
+		s := &w.slots[int(at)&wheelMask]
+		for s.head != nil {
+			c := s.head
+			if en := &c.e[c.r]; !stale(en.act, en.p0) {
+				return at, true
 			}
-			s.head, s.tail = nil, nil
+			w.excess--
+			w.advance(s, c)
 		}
 	}
-	w.base = t
+	for len(w.over) > 0 {
+		if top := &w.over[0]; !stale(top.act, top.p0) {
+			return top.at, true
+		}
+		w.excess--
+		w.over.pop()
+	}
+	return 0, false
 }
 
-// evict moves one entry of instant at from the wheel to the overflow,
-// under a fresh key; a nil act is a tally of p0 events.
-func (w *wheelSched) evict(at Time, act Action, p0, p1 uint64) {
-	w.over.push(at, w.seq, act, p0, p1)
-	w.seq++
-	w.count--
-	if act == nil {
-		w.count -= int(p0) - 1
-		w.excess -= int(p0) - 1
-	}
+// stale reports whether an entry holding act and first payload word p0
+// is the guard of a stopped timer's arming.
+func stale(act Action, p0 uint64) bool {
+	g, ok := act.(*timerGuard)
+	return ok && g.gen != p0
 }

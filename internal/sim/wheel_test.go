@@ -134,15 +134,15 @@ func (b *bareSched) window(deadline Time) bool {
 }
 
 // engineSched runs the cascade on a real Engine, in windows narrower
-// than the wheel, so the far events wait out windows in the overflow
-// and each window's look-ahead leaves the wheel's cursor ahead of the
-// clock. With step set it drives each window through NextEventAt, Step
-// and AdvanceTo instead of RunUntil. It counts the pushes and tallies
-// that landed behind the cursor (rewinds) and the entries they evicted.
+// than the wheel, so the far events wait out windows in the overflow.
+// With step set it drives each window through NextEventAt, Step and
+// AdvanceTo instead of RunUntil. It fails the cascade when a push or
+// tally lands behind the wheel's cursor: the cursor never passes the
+// clock, so every push lands at or after it.
 type engineSched struct {
-	e                *Engine
-	step             bool
-	rewinds, evicted int
+	t    *testing.T
+	e    *Engine
+	step bool
 }
 
 func (s *engineSched) at(t Time, fn func()) {
@@ -157,18 +157,13 @@ func (s *engineSched) tally(t Time, n int) {
 	s.watch(t, func() { s.e.Tally(t, n) })
 }
 
-// watch runs push, a push or tally at t, counting a rewind and its
-// evictions.
+// watch runs push, a push or tally at t, after checking that t lies at
+// or after the cursor.
 func (s *engineSched) watch(t Time, push func()) {
-	w := &s.e.wheelSched
-	if t >= w.base {
-		push()
-		return
+	if base := s.e.base; t < base {
+		s.t.Fatalf("a push at %d lands behind the cursor at %d (clock %d)", t, base, s.e.Now())
 	}
-	before := len(w.over)
 	push()
-	s.rewinds++
-	s.evicted += len(w.over) - before
 }
 
 func (s *engineSched) newTimer(fn func()) cascadeTimer {
@@ -182,7 +177,8 @@ func (s *engineSched) pending() int              { return s.e.Pending() }
 
 func (s *engineSched) window(deadline Time) bool {
 	if !s.step {
-		return s.e.RunUntil(deadline)
+		s.e.RunUntil(deadline)
+		return s.e.Pending() > 0
 	}
 	for {
 		t, ok := s.e.NextEventAt()
@@ -200,7 +196,7 @@ func (s *engineSched) window(deadline Time) bool {
 }
 
 // engineTimer is a Timer seen through cascadeTimer: it keeps its
-// arming's time, and counts an arming behind the cursor like any push.
+// arming's time, and checks an arming against the cursor like any push.
 type engineTimer struct {
 	*Timer
 	s    *engineSched
@@ -225,7 +221,7 @@ type opMix struct {
 	payload uint8 // an event is a payload event
 	stop    uint8 // a closure event rides a one-shot timer, stopped at once or later
 	timer   uint8 // a firing stops, re-arms or arms one of the timers
-	gap     uint8 // a window ends with a push (and perhaps a tally) into the gap behind the cursor
+	gap     uint8 // a window ends with a push (and perhaps a tally) into the gap after it, at or after the cursor
 	tally   uint8 // a firing tallies events, at a drawn delay
 	// halt, when nonzero, stops the run at a firing drawn from the
 	// first 64·halt, if the cascade lasts that long.
@@ -259,9 +255,8 @@ func mixFrom(b []byte) opMix {
 // event carrying its own ID, depth and due time, which the Action
 // checks against the clock), four timers that are stopped, re-armed,
 // and stopped then re-armed at the same instant, tallies at every
-// delay class, pushes and tallies into the gap each window's
-// look-ahead leaves between the clock and the wheel's cursor, and,
-// under a halt, a Stop at a drawn firing right after that firing
+// delay class, pushes and tallies into the gap just after each window
+// ends, before the next event due, and, under a halt, a Stop at a drawn firing right after that firing
 // tallies events at its own instant, which must stay pending.
 func driveRandom(t *testing.T, s cascadeSched, seed int64, mix opMix) []string {
 	rng := rand.New(rand.NewSource(seed))
@@ -424,14 +419,14 @@ func driveRandom(t *testing.T, s cascadeSched, seed int64, mix opMix) []string {
 // NextEventAt and Step, fires events in exactly the overflow heap's
 // (at, seq) order, across same-timestamp ties, chunk boundaries, wheel
 // wraps, overflow drains, stopped and re-armed timers, tallies, and
-// rewinds that evict whole instants back to the overflow; its
-// Processed matches the reference's at every firing, where a tally of
+// pushes into the gap after a window, which land at or after the
+// wheel's cursor (engineSched.watch); its Processed matches the reference's at every firing, where a tally of
 // n events counts as n no-op entries, and its Processed and Pending
 // match after every window and at a stop; and every payload event
 // reads back its own payload. Each seed runs to the end once and once
 // more under a halt.
 func TestSchedulerEquivalence(t *testing.T) {
-	var rewinds, evicted, halts int
+	var halts int
 	for seed := int64(1); seed <= 8; seed++ {
 		for _, halt := range []uint8{0, 3} {
 			mix := defaultMix
@@ -446,17 +441,15 @@ func TestSchedulerEquivalence(t *testing.T) {
 				t.Fatalf("seed %d: %d log entries, %d payload and %d timer firings", seed, len(heapLog), kinds['p'], kinds['T'])
 			}
 			for _, step := range []bool{false, true} {
-				s := &engineSched{e: NewEngine(seed), step: step}
+				s := &engineSched{t: t, e: NewEngine(seed), step: step}
 				compareLogs(t, fmt.Sprintf("seed %d, halt %d, step %v", seed, halt, step), heapLog, driveRandom(t, s, seed, mix))
-				rewinds += s.rewinds
-				evicted += s.evicted
 			}
 		}
 	}
-	if rewinds == 0 || evicted == 0 || halts == 0 {
-		t.Fatalf("the cascades rewound the wheel %d times, evicting %d entries, and halted %d times; want all three", rewinds, evicted, halts)
+	if halts == 0 {
+		t.Fatal("no halted cascade stopped mid-cascade")
 	}
-	t.Logf("%d rewinds evicted %d entries; %d of 8 halted runs stopped mid-cascade", rewinds, evicted, halts)
+	t.Logf("%d of 8 halted runs stopped mid-cascade", halts)
 }
 
 // FuzzSchedulerEquivalence runs driveRandom's comparison on a seed and
@@ -471,7 +464,7 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 		mix := mixFrom(mixBytes)
 		want := driveRandom(t, &bareSched{}, seed, mix)
 		for _, step := range []bool{false, true} {
-			s := &engineSched{e: NewEngine(seed), step: step}
+			s := &engineSched{t: t, e: NewEngine(seed), step: step}
 			compareLogs(t, fmt.Sprintf("step %v", step), want, driveRandom(t, s, seed, mix))
 		}
 	})
@@ -580,21 +573,24 @@ func TestWheelTimerStopRecycle(t *testing.T) {
 }
 
 // TestWheelRunUntilTruthful mirrors the engine contract tests on the
-// wheel: RunUntil reports whether live events remain pending, and the
-// clock lands on the deadline when it stops short of them.
+// wheel: after RunUntil, NextEventAt reports the earliest live event
+// left, and the clock lands on the deadline when RunUntil stops short
+// of it.
 func TestWheelRunUntilTruthful(t *testing.T) {
 	e := NewEngine(1)
 	var fired int
 	e.At(10, func() { fired++ })
 	e.At(3*wheelSpan, func() { fired++ })
-	if !e.RunUntil(100) {
-		t.Fatal("RunUntil(100) = false with an overflow event pending")
+	e.RunUntil(100)
+	if at, ok := e.NextEventAt(); !ok || at != 3*wheelSpan {
+		t.Fatalf("NextEventAt after RunUntil(100) = %d, %v; want the overflow event at %d", at, ok, 3*wheelSpan)
 	}
 	if fired != 1 || e.Now() != 100 {
 		t.Fatalf("after RunUntil(100): fired=%d now=%d, want 1 fired at now=100", fired, e.Now())
 	}
-	if e.RunUntil(4 * wheelSpan) {
-		t.Fatal("RunUntil past the last event = true")
+	e.RunUntil(4 * wheelSpan)
+	if _, ok := e.NextEventAt(); ok {
+		t.Fatal("NextEventAt after RunUntil past the last event = true")
 	}
 	if fired != 2 || e.Now() != 4*wheelSpan {
 		t.Fatalf("after final RunUntil: fired=%d now=%d", fired, e.Now())
@@ -603,17 +599,18 @@ func TestWheelRunUntilTruthful(t *testing.T) {
 	tm := NewTimer(e, func() { fired++ })
 	tm.Schedule(4 * wheelSpan)
 	tm.Stop()
-	if e.RunUntil(5 * wheelSpan) {
-		t.Fatal("RunUntil = true with only a stopped timer pending")
+	e.RunUntil(5 * wheelSpan)
+	if _, ok := e.NextEventAt(); ok {
+		t.Fatal("NextEventAt = true with only a stopped timer pending")
 	}
 }
 
-// TestWheelRewindAfterRunUntil covers the cold push-behind-the-cursor
-// path: RunUntil leaves the wheel's cursor parked on a far-future
-// event's timestamp; scheduling into the gap must rewind the window
-// (evicting the instants the narrower horizon cannot cover, each whole
-// and in FIFO order) and preserve global ordering.
-func TestWheelRewindAfterRunUntil(t *testing.T) {
+// TestWheelPushIntoGapAfterRunUntil pushes into the gap RunUntil leaves
+// between its deadline and a far-future instant holding many entries:
+// the cursor stops at the deadline, so the push lands in the window
+// ahead of that instant, which drains from the overflow whole and in
+// FIFO order, ahead of a later push at its time.
+func TestWheelPushIntoGapAfterRunUntil(t *testing.T) {
 	e := NewEngine(1)
 	var fired []string
 	// A lands beyond the initial window (overflow), B even further; A's
@@ -629,15 +626,14 @@ func TestWheelRewindAfterRunUntil(t *testing.T) {
 		e.At(3000, func() { fired = append(fired, fmt.Sprintf("A%d", i)) })
 	}
 	e.At(3000+wheelSpan-1, func() { fired = append(fired, "B") })
-	// The look-ahead inside RunUntil advances the cursor to t=3000 and
-	// drains every event into the wheel.
-	if !e.RunUntil(10) {
-		t.Fatal("RunUntil(10) = false with events pending")
+	// RunUntil stops the cursor at its deadline, with A's instant and B
+	// still waiting in the overflow.
+	e.RunUntil(10)
+	if base := e.base; base != 10 {
+		t.Fatalf("cursor at %d after RunUntil(10), want 10", base)
 	}
-	// Pushing at t=100 < cursor rewinds the window to [100, 100+span);
-	// A's instant and B now lie beyond it and must be evicted back to
-	// the overflow, then drain again in order as time advances, ahead
-	// of a later push at A's instant.
+	// The push at t=100 lands in the window; A's instant and B drain
+	// in order as time advances, ahead of a later push at A's instant.
 	e.At(100, func() {
 		fired = append(fired, "C")
 		e.At(3000, func() { fired = append(fired, "D") })
@@ -689,8 +685,9 @@ func (r *payloadRecorder) Act() {
 
 // TestTallyKeepsItsPlace pins a tally's FIFO place and its count on
 // each path: waiting behind a slot's last entry, turned into an entry
-// by a push behind it, past the wheel in the overflow, evicted by a
-// rewind and drained back, and left pending by a Stop ahead of it.
+// by a push behind it, past the wheel in the overflow and drained back
+// behind an entry of its instant, and left pending by a Stop ahead of
+// it.
 func TestTallyKeepsItsPlace(t *testing.T) {
 	e := NewEngine(1)
 	var fired []string
@@ -725,9 +722,9 @@ func TestTallyKeepsItsPlace(t *testing.T) {
 		e.AdvanceTo(wheelSpan + 41)
 	}()
 
-	// Park the cursor on a far instant holding an entry and a waiting
-	// tally, then push into the gap: the rewind evicts both, and both
-	// drain back ahead of an entry pushed at that instant later.
+	// A far instant holds an entry and a tally in the overflow; a push
+	// into the gap after RunUntil fires first, and both drain back
+	// ahead of an entry pushed at that instant later.
 	far := 4 * wheelSpan
 	e.At(far, mark("c"))
 	e.Tally(far, 5)
@@ -753,7 +750,8 @@ func TestTallyKeepsItsPlace(t *testing.T) {
 	e.At(7, e.Stop)
 	e.Tally(7, 3)
 	e.At(7, func() { t.Fatal("an event behind the Stop fired") })
-	if e.RunUntil(100) != true || e.Processed() != 3 || e.Pending() != 4 || e.Now() != 7 {
+	e.RunUntil(100)
+	if e.Processed() != 3 || e.Pending() != 4 || e.Now() != 7 {
 		t.Fatalf("after the Stop: Processed %d, Pending %d, Now %d; want 3, 4 and 7", e.Processed(), e.Pending(), e.Now())
 	}
 

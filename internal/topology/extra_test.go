@@ -55,7 +55,7 @@ func TestChordalRingDegenerateChord(t *testing.T) {
 	// chord == n/2 links i and i+n/2 once (not twice); no duplicates.
 	topo := NewChordalRing(8, 4)
 	want := 8 + 4 // 8 ring links, 4 distinct diameter chords
-	if got := len(topo.Channels()); got != want {
+	if got := topo.NumChannels(); got != want {
 		t.Errorf("channels = %d, want %d", got, want)
 	}
 }

@@ -505,29 +505,6 @@ func torusDimDiameter(s int) int {
 	return s - 1
 }
 
-// implDimDegree is one dimension's contribution to a PE's degree.
-func gridDimDegree(pos, size int) int {
-	switch {
-	case size == 1:
-		return 0
-	case pos == 0 || pos == size-1:
-		return 1
-	default:
-		return 2
-	}
-}
-
-func torusDimDegree(size int) int {
-	switch {
-	case size == 1:
-		return 0
-	case size == 2:
-		return 1
-	default:
-		return 2
-	}
-}
-
 func absInt(x int) int {
 	if x < 0 {
 		return -x

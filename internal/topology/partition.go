@@ -11,8 +11,6 @@ import "fmt"
 // blocks cut few channels and the cross-shard traffic the conservative
 // synchronization protocol must queue stays small.
 type Partition struct {
-	topo *Topology
-
 	// Shards is the block count (1 <= Shards <= Size).
 	Shards int
 	// Assign maps each PE to its owning shard, non-decreasing.
@@ -32,7 +30,6 @@ func (t *Topology) Partition(shards int) Partition {
 		panic(fmt.Sprintf("topology %s: Partition(%d) outside [1,%d]", t.name, shards, t.n))
 	}
 	p := Partition{
-		topo:   t,
 		Shards: shards,
 		Assign: make([]int, t.n),
 		Starts: make([]int, shards+1),
@@ -74,33 +71,4 @@ func (t *Topology) Partition(shards int) Partition {
 		}
 	}
 	return p
-}
-
-// Owner returns the shard owning PE pe.
-func (p *Partition) Owner(pe int) int { return p.Assign[pe] }
-
-// Size returns the number of PEs shard s owns.
-func (p *Partition) Size(s int) int { return p.Starts[s+1] - p.Starts[s] }
-
-// MinCrossLatency returns the smallest wire latency over the cross-shard
-// channels, with lat giving each channel's latency (the minimum over
-// message kinds the simulation can put on it). This is the conservative
-// lookahead bound: a message sent on a cross-shard channel at time t
-// cannot be delivered before t + MinCrossLatency, so shards simulated
-// in lockstep windows of at most this width never receive a message
-// for their own past. ok is false when no channel crosses a shard
-// boundary (single-shard partitions) — lookahead is then unbounded.
-func (p *Partition) MinCrossLatency(lat func(Channel) int64) (min int64, ok bool) {
-	for _, ci := range p.Cross {
-		// ChannelAt works on both forms; the Cross set is small, so the
-		// implicit form's per-call Members allocation is fine here.
-		l := lat(p.topo.ChannelAt(ci))
-		if l <= 0 {
-			panic(fmt.Sprintf("topology %s: channel %d has non-positive latency %d", p.topo.name, ci, l))
-		}
-		if !ok || l < min {
-			min, ok = l, true
-		}
-	}
-	return min, ok
 }

@@ -45,11 +45,10 @@ type Channel struct {
 // and hypercubes (package experiments) always take the implicit form,
 // so only DLM and irregular graphs build routing tables; NewGrid,
 // NewTorus and NewHypercube stay materialized as the reference the
-// implicit forms are pinned against. The allocation-free
-// Append*/Degree/NumChannels/ChannelAt accessors work on both forms;
-// the slice-returning accessors (Channels, Neighbors, ChannelsOf,
-// ChannelsBetween) also work on both but allocate per call on implicit
-// topologies, so hot paths should prefer the Append* family.
+// implicit forms are pinned against. The accessors are one family,
+// NumChannels and the allocation-free Append* forms, which work on
+// both; Neighbors, which benchmarks call, works on both too but
+// allocates per call on implicit topologies.
 type Topology struct {
 	name     string
 	n        int
@@ -134,20 +133,6 @@ func (t *Topology) Name() string { return t.name }
 // Size returns the number of PEs.
 func (t *Topology) Size() int { return t.n }
 
-// Channels returns all communication channels. On an implicit topology
-// this materializes a fresh list on every call — cold paths only; use
-// NumChannels/ChannelAt/AppendChannelMembers to stay allocation-free.
-func (t *Topology) Channels() []Channel {
-	if t.impl == implNone {
-		return t.channels
-	}
-	chans := make([]Channel, t.NumChannels())
-	for ci := range chans {
-		chans[ci] = Channel{ID: ci, Members: t.appendImplChanMembers(nil, ci)}
-	}
-	return chans
-}
-
 // NumChannels returns the number of communication channels.
 func (t *Topology) NumChannels() int {
 	switch t.impl {
@@ -172,16 +157,6 @@ func (t *Topology) NumChannels() int {
 	}
 }
 
-// ChannelAt returns channel ci. On a materialized topology the Members
-// slice is shared (read-only); on an implicit one it is freshly
-// allocated — use AppendChannelMembers to reuse a buffer.
-func (t *Topology) ChannelAt(ci int) Channel {
-	if t.impl == implNone {
-		return t.channels[ci]
-	}
-	return Channel{ID: ci, Members: t.appendImplChanMembers(nil, ci)}
-}
-
 // AppendChannelMembers appends channel ci's member PEs to dst and
 // returns it, in the channel's stored member order. Allocation-free on
 // both forms when dst has capacity.
@@ -190,15 +165,6 @@ func (t *Topology) AppendChannelMembers(dst []int, ci int) []int {
 		return append(dst, t.channels[ci].Members...)
 	}
 	return t.appendImplChanMembers(dst, ci)
-}
-
-// ChannelsOf returns the IDs of channels PE pe is attached to,
-// ascending. Allocates per call on implicit topologies.
-func (t *Topology) ChannelsOf(pe int) []int {
-	if t.impl == implNone {
-		return t.chansOf[pe]
-	}
-	return t.appendImplChansOf(nil, pe)
 }
 
 // AppendChannelsOf appends the IDs of pe's channels to dst and returns
@@ -226,33 +192,6 @@ func (t *Topology) AppendNeighbors(dst []int, pe int) []int {
 		return append(dst, t.nbrs[pe]...)
 	}
 	return t.appendImplNeighbors(dst, pe)
-}
-
-// Degree returns pe's neighbor count without materializing the list.
-func (t *Topology) Degree(pe int) int {
-	switch t.impl {
-	case implNone:
-		return len(t.nbrs[pe])
-	case implGrid:
-		return gridDimDegree(pe/t.cols, t.rows) + gridDimDegree(pe%t.cols, t.cols)
-	case implTorus:
-		return torusDimDegree(t.rows) + torusDimDegree(t.cols)
-	default: // implHypercube
-		return t.dim
-	}
-}
-
-// ChannelsBetween returns the channels directly connecting a and b
-// (nil if they are not neighbors). Bus topologies may offer several.
-// Allocates per call on implicit topologies.
-func (t *Topology) ChannelsBetween(a, b int) []int {
-	if t.impl == implNone {
-		return t.between[pairKey{a, b}]
-	}
-	if ci, ok := t.implLinkBetween(a, b); ok {
-		return []int{ci}
-	}
-	return nil
 }
 
 // AppendChannelsBetween appends the IDs of the channels directly
@@ -360,41 +299,6 @@ func (t *Topology) Diameter() int {
 	}
 	t.ensureRouting()
 	return t.diameter
-}
-
-// MaxDegree returns the largest neighbor count of any PE.
-func (t *Topology) MaxDegree() int {
-	switch t.impl {
-	case implNone:
-		max := 0
-		for _, nb := range t.nbrs {
-			if len(nb) > max {
-				max = len(nb)
-			}
-		}
-		return max
-	case implGrid, implTorus:
-		// The per-dimension maxima coincide for both families, and a PE
-		// attaining both always exists (interior of each dimension, or
-		// any PE once the dimension wraps).
-		return torusDimDegree(t.rows) + torusDimDegree(t.cols)
-	default: // implHypercube
-		return t.dim
-	}
-}
-
-// AvgDegree returns the mean neighbor count.
-func (t *Topology) AvgDegree() float64 {
-	if t.impl != implNone {
-		// Implicit families are point-to-point: every channel
-		// contributes two neighbor list entries.
-		return 2 * float64(t.NumChannels()) / float64(t.n)
-	}
-	total := 0
-	for _, nb := range t.nbrs {
-		total += len(nb)
-	}
-	return float64(total) / float64(t.n)
 }
 
 // String implements fmt.Stringer.

@@ -163,18 +163,18 @@ func TestDLMStructure(t *testing.T) {
 	topo := NewDLM(10, 10, 5)
 	// Every PE sits on exactly 4 buses: two horizontal, two vertical.
 	for pe := 0; pe < topo.Size(); pe++ {
-		if got := len(topo.ChannelsOf(pe)); got != 4 {
+		if got := len(topo.AppendChannelsOf(nil, pe)); got != 4 {
 			t.Fatalf("PE %d on %d buses, want 4", pe, got)
 		}
 	}
 	// Every bus has span members.
-	for _, ch := range topo.Channels() {
-		if len(ch.Members) != 5 {
-			t.Fatalf("bus %d has %d members, want 5", ch.ID, len(ch.Members))
+	for ci := 0; ci < topo.NumChannels(); ci++ {
+		if got := len(topo.AppendChannelMembers(nil, ci)); got != 5 {
+			t.Fatalf("bus %d has %d members, want 5", ci, got)
 		}
 	}
 	// Bus count: 2 lattices × (10 rows × 2 buses + 10 cols × 2 buses).
-	if got := len(topo.Channels()); got != 80 {
+	if got := topo.NumChannels(); got != 80 {
 		t.Fatalf("bus count = %d, want 80", got)
 	}
 	// Neighbor count bounded by 4·(span-1).
@@ -198,19 +198,19 @@ func TestNeighborSymmetryAndChannels(t *testing.T) {
 				if !found {
 					t.Fatalf("%s: %d->%d neighbor not symmetric", topo.Name(), a, b)
 				}
-				chs := topo.ChannelsBetween(a, b)
+				chs := topo.AppendChannelsBetween(nil, a, b)
 				if len(chs) == 0 {
 					t.Fatalf("%s: neighbors %d,%d share no channel", topo.Name(), a, b)
 				}
 				for _, ci := range chs {
-					ch := topo.Channels()[ci]
+					members := topo.AppendChannelMembers(nil, ci)
 					hasA, hasB := false, false
-					for _, m := range ch.Members {
+					for _, m := range members {
 						hasA = hasA || m == a
 						hasB = hasB || m == b
 					}
 					if !hasA || !hasB {
-						t.Fatalf("%s: channel %d claimed between %d,%d but members %v", topo.Name(), ci, a, b, ch.Members)
+						t.Fatalf("%s: channel %d claimed between %d,%d but members %v", topo.Name(), ci, a, b, members)
 					}
 				}
 			}
@@ -311,17 +311,23 @@ func abs(x int) int {
 	return x
 }
 
+// TestDegreeStats checks neighbor counts read through AppendNeighbors:
+// a 3x3 grid's largest and total degree, and a complete graph's.
 func TestDegreeStats(t *testing.T) {
-	g := NewGrid(3, 3)
-	if g.MaxDegree() != 4 {
-		t.Errorf("grid MaxDegree = %d, want 4", g.MaxDegree())
+	degrees := func(topo *Topology) (most, total int) {
+		var buf []int
+		for pe := 0; pe < topo.Size(); pe++ {
+			buf = topo.AppendNeighbors(buf[:0], pe)
+			most = max(most, len(buf))
+			total += len(buf)
+		}
+		return most, total
 	}
-	if avg := g.AvgDegree(); avg < 2.6 || avg > 2.7 {
-		t.Errorf("grid AvgDegree = %f, want 24/9", avg)
+	if most, total := degrees(NewGrid(3, 3)); most != 4 || total != 24 {
+		t.Errorf("grid degrees: max %d, total %d; want 4 and 24", most, total)
 	}
-	c := NewComplete(5)
-	if c.MaxDegree() != 4 {
-		t.Errorf("complete MaxDegree = %d, want 4", c.MaxDegree())
+	if most, total := degrees(NewComplete(5)); most != 4 || total != 20 {
+		t.Errorf("complete degrees: max %d, total %d; want 4 and 20", most, total)
 	}
 }
 
