@@ -134,6 +134,19 @@ func goldenCases() []goldenCase {
 		{name: "roundrobin-links", topo: func() *topology.Topology { return topology.NewGrid(5, 5) },
 			src: stream, strat: func() machine.Strategy { return core.NewRoundRobin() },
 			cfg: script("droplink:a=6:b=7@t=300,droplink:a=0:b=5@t=500,restorelink:a=6:b=7@t=1500,restorelink:a=0:b=5@t=2000")},
+		// A sampled, scripted Poisson stream on two shards whose
+		// injection series outgrows its bound: every completion, on
+		// either shard, is bucketed at the stride the run's latest
+		// injections need.
+		{name: "inj-bound-2shard", topo: func() *topology.Topology { return topology.NewGrid(8, 8) },
+			src: func() machine.JobSource { return machine.NewPoisson(fib(9), 45, 250) }, strat: cwn,
+			cfg: func(c *machine.Config) {
+				script("slow:pes=50%:x=0.5@t=1000,restore@t=9000")(c)
+				c.SampleInterval = 37
+				c.SeriesBound = 4
+				c.MaxTime = 20000
+				c.Shards = 2
+			}},
 	}
 }
 
@@ -180,16 +193,21 @@ func goldenDigest(t *testing.T, c goldenCase) map[string]string {
 	st := machine.NewStream(c.topo(), c.src(), c.strat(), cfg).Run()
 
 	out := map[string]string{}
-	// The run digest: the fields the benchmark's digest hashes, plus the
-	// per-PE and per-job accounting.
+	// The run's outcome: every field the benchmark's digest hashes except
+	// the event count, which the work part digests alone, so a diff says
+	// whether the simulated run moved or only the work it counted.
 	var d digester
-	d.u(st.Events, uint64(st.Makespan), uint64(st.Result), uint64(st.JobsDone),
+	d.u(uint64(st.Makespan), uint64(st.Result), uint64(st.JobsDone),
 		uint64(st.JobsAborted), uint64(st.JobsRetried), uint64(st.JobsAbandoned))
 	for _, n := range st.MsgCounts {
 		d.u(uint64(n))
 	}
 	d.f(st.SteadySojourn.Percentile(0.50), st.SteadySojourn.Percentile(0.99))
-	out["stats"] = d.sum()
+	out["outcome"] = d.sum()
+
+	d = digester{}
+	d.u(st.Events)
+	out["work"] = d.sum()
 
 	d = digester{}
 	for i := range st.GoalsPerPE {
@@ -238,10 +256,11 @@ func goldenDigest(t *testing.T, c goldenCase) map[string]string {
 }
 
 // TestGoldenDigests pins every observable of a feature matrix run on the
-// one-shard engine, and of three 2-shard runs — statistics, sampled series, monitor frames,
-// the trace stream and its Perfetto export — against digests recorded
-// in testdata/golden_digests.json. Regenerate with -update-golden only
-// for an intended change in simulated behavior.
+// one-shard engine, and of four 2-shard runs — outcome, work (the event
+// count), accounting, sampled series, monitor frames, the trace stream
+// and its Perfetto export — against digests recorded in
+// testdata/golden_digests.json. Regenerate with -update-golden only for
+// an intended change in simulated behavior.
 func TestGoldenDigests(t *testing.T) {
 	got := map[string]map[string]string{}
 	for _, c := range goldenCases() {

@@ -369,47 +369,78 @@ func TestShardConfigRejections(t *testing.T) {
 	}
 }
 
-// TestInjSojournBucketsBounded pins the SeriesBound residual fix: the
-// raw injection-window buckets behind InjSojournWindows stop growing
-// past the cap — they merge pairwise and double their stride — while
-// conserving every observation.
+// TestInjSojournBucketsBounded derives InjSojournWindows from the
+// run's JobRecords, which hold every completion when SojournBound is 0:
+// bucket them by InjectedAt at the least power-of-two multiple of
+// SampleInterval that leaves fewer than SeriesBound windows (every
+// window when unbounded), drop the windows ending inside the warm-up,
+// and each point must be its bucket's nearest-rank p99 at the bucket's
+// end, bit for bit. It checks Shards 1, 2 and 4, where completions of
+// one window land on several shards, and the bounded cases must thin.
 func TestInjSojournBucketsBounded(t *testing.T) {
-	run := func(bound int) (*Machine, *Stats) {
-		cfg := DefaultConfig()
-		cfg.SampleInterval = 5
-		cfg.SeriesBound = bound
-		// The injection-window buckets exist only on scenario runs (they
-		// feed recovery analysis); a brief mid-run slowdown makes one.
-		cfg.Scenario = scenario.MustParse("slow:pes=0:x=0.5@t=200,restore@t=400")
-		m := NewStream(topology.NewGrid(3, 3), NewFixedInterval(workload.NewFib(8), 40, 40), spread{}, cfg)
-		return m, m.Run()
-	}
-	exact, est := run(0)
-	boundM, bst := run(4)
-	if est.JobsDone != bst.JobsDone || est.JobsDone == 0 {
-		t.Fatalf("jobs done diverged: %d vs %d", est.JobsDone, bst.JobsDone)
-	}
-	if len(boundM.injSoj) > 4 {
-		t.Fatalf("bounded run retains %d injection buckets, cap 4", len(boundM.injSoj))
-	}
-	if len(exact.injSoj) <= 4 {
-		t.Fatalf("exact run kept only %d buckets — the case does not exercise thinning", len(exact.injSoj))
-	}
-	if boundM.injStride < 2 || boundM.injStride&(boundM.injStride-1) != 0 {
-		t.Fatalf("bounded stride %d: want a power of two >= 2", boundM.injStride)
-	}
-	flat := func(m *Machine) []float64 {
-		var all []float64
-		for _, b := range m.injSoj {
-			all = append(all, b...)
+	for _, shards := range []int{1, 2, 4} {
+		for _, c := range []struct {
+			bound  int
+			warmup sim.Time
+		}{{0, 0}, {4, 0}, {4, 300}} {
+			cfg := DefaultConfig()
+			cfg.SampleInterval = 5
+			cfg.SeriesBound = c.bound
+			cfg.Warmup = c.warmup
+			cfg.Shards = shards
+			// The series exists only on scripted runs (it feeds recovery
+			// analysis); a brief mid-run slowdown makes one.
+			cfg.Scenario = scenario.MustParse("slow:pes=0:x=0.5@t=200,restore@t=400")
+			src := NewFixedInterval(workload.NewFib(8), 40, 40)
+			st := NewStream(topology.NewGrid(3, 3), src, spread{}, cfg).Run()
+			if st.JobsDone != 40 || len(st.JobRecords) != 40 {
+				t.Fatalf("K=%d %+v: %d jobs done, %d records, want 40", shards, c, st.JobsDone, len(st.JobRecords))
+			}
+			var last sim.Time
+			for _, r := range st.JobRecords {
+				last = max(last, r.InjectedAt)
+			}
+			stride := sim.Time(1)
+			for c.bound > 0 && last/(cfg.SampleInterval*stride) >= sim.Time(c.bound) {
+				stride *= 2
+			}
+			if c.bound > 0 && stride < 2 {
+				t.Fatalf("K=%d %+v: stride 1 — the case does not thin", shards, c)
+			}
+			width := cfg.SampleInterval * stride
+			buckets := map[sim.Time][]float64{}
+			for _, r := range st.JobRecords {
+				w := r.InjectedAt / width
+				buckets[w] = append(buckets[w], float64(r.Sojourn()))
+			}
+			var want []float64
+			for w := sim.Time(0); w <= last/width; w++ {
+				xs, end := buckets[w], (w+1)*width
+				if len(xs) == 0 || end <= c.warmup {
+					continue
+				}
+				sort.Float64s(xs)
+				want = append(want, float64(end), xs[int(math.Ceil(0.99*float64(len(xs))))-1])
+			}
+			var got []float64
+			for _, p := range st.InjSojournWindows.Points {
+				got = append(got, p.T, p.V)
+			}
+			if c.bound == 0 && len(got) <= 2*4 {
+				t.Fatalf("K=%d: unbounded run has %d points — the case does not outgrow the bound", shards, len(got)/2)
+			}
+			if !reflect.DeepEqual(bitsOf(got), bitsOf(want)) {
+				t.Errorf("K=%d %+v: InjSojournWindows (t, p99 pairs)\n got %v\nwant %v", shards, c, got, want)
+			}
 		}
-		sort.Float64s(all)
-		return all
 	}
-	if !reflect.DeepEqual(flat(exact), flat(boundM)) {
-		t.Fatal("thinning lost or altered sojourn observations")
+}
+
+// bitsOf returns xs as float bits, so a comparison of two NaNs matches.
+func bitsOf(xs []float64) []uint64 {
+	b := make([]uint64, len(xs))
+	for i, x := range xs {
+		b[i] = math.Float64bits(x)
 	}
-	if got := bst.InjSojournWindows.Len(); got > 4 {
-		t.Fatalf("finalized InjSojournWindows has %d points, cap 4", got)
-	}
+	return b
 }
