@@ -22,18 +22,35 @@ type Claim struct {
 	Check     func(quick bool, workers int) (bool, string)
 }
 
-// Claims returns the paper's testable findings in order.
+// Claims returns the paper's testable findings in order. C1 and C2 judge
+// one run of the Table 2 suite: the first of them checked runs it, and
+// the other reuses its summary when checked in the same mode, so the
+// checks of one Claims value belong to one goroutine.
 func Claims() []Claim {
+	var table2 struct {
+		ran, quick bool
+		sum        SpeedupSummary
+		err        error
+	}
+	suite := func(quick bool, workers int) (SpeedupSummary, error) {
+		if !table2.ran || table2.quick != quick {
+			rs, err := RunAll(SpeedupSuite(quick), workers)
+			table2.ran, table2.quick, table2.err = true, quick, err
+			if err == nil {
+				table2.sum = Summarize(rs)
+			}
+		}
+		return table2.sum, table2.err
+	}
 	return []Claim{
 		{
 			ID:        "C1-cwn-wins",
 			Statement: "CWN yields larger speedups than GM in the vast majority of pairings (paper: 118/120)",
 			Check: func(quick bool, workers int) (bool, string) {
-				rs, err := RunAll(SpeedupSuite(quick), workers)
+				s, err := suite(quick, workers)
 				if err != nil {
 					return false, err.Error()
 				}
-				s := Summarize(rs)
 				frac := float64(s.CWNWins) / float64(s.Pairs)
 				return frac >= 0.75, s.String()
 			},
@@ -42,11 +59,10 @@ func Claims() []Claim {
 			ID:        "C2-grid-margins",
 			Statement: "margins are larger on grids (diameter 8-38) than on DLMs (diameter 4-5)",
 			Check: func(quick bool, workers int) (bool, string) {
-				rs, err := RunAll(SpeedupSuite(quick), workers)
+				s, err := suite(quick, workers)
 				if err != nil {
 					return false, err.Error()
 				}
-				s := Summarize(rs)
 				return s.GridMean > 1 && s.GridMean >= s.DLMMean*0.9,
 					fmt.Sprintf("gridMean=%.2f dlmMean=%.2f", s.GridMean, s.DLMMean)
 			},

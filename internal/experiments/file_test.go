@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"cwnsim/internal/machine"
+	"cwnsim/internal/metrics"
 	"cwnsim/internal/workload"
 )
 
@@ -177,6 +180,11 @@ func FuzzLoadSpecs(f *testing.F) {
 	f.Add([]byte(`{"runs": [{"topo": {"kind": "torus", "rows": 8, "cols": 8}, "workload": {"kind": "fib", "m": 9},
 		"strategy": {"kind": "cwn", "radius": 4, "horizon": 1}, "shards": 2, "arrival": {"kind": "interval", "gap": 200, "jobs": 12},
 		"scenario": "chaos:mtbf=300:mttr=150:crash:domain=block:4x4@seed=5,checkpoint:every=250:cost=2@t=0", "retryLimit": 2, "retryBackoff": 20}]}`))
+	// A scripted, sampled Poisson stream on two shards whose windowed
+	// sojourn series thin past SeriesBound.
+	f.Add([]byte(`{"runs": [{"topo": {"kind": "grid", "rows": 6, "cols": 6}, "workload": {"kind": "fib", "m": 8},
+		"strategy": {"kind": "cwn", "radius": 4, "horizon": 1}, "shards": 2, "sampleInterval": 20, "seriesBound": 4, "warmup": 300,
+		"arrival": {"kind": "poisson", "mean": 40, "jobs": 80}, "scenario": "slow:pes=50%:x=0.5@t=500,restore@t=2000"}]}`))
 	// Two fails that together leave no PE live are refused; with a
 	// recover between them, the run goes ahead.
 	for _, script := range []string{"fail:pes=0@t=10,fail:pes=1@t=20", "fail:pes=0@t=10,recover@t=15,fail:pes=1@t=20"} {
@@ -262,10 +270,10 @@ func checkFuzzRun(t *testing.T, rs RunSpec, tree *workload.Tree, st *machine.Sta
 }
 
 // checkSameRun checks that two runs of rs did the same work to the same
-// end: events, makespan, result, message counts and the job counters.
-// FuzzLoadSpecs holds a run to its rerun from a fresh build (equal
-// seeds give equal runs) and a sharded run on its parallel runners to
-// its single-goroutine replay.
+// end: events, makespan, result, message counts, the job counters and
+// both windowed sojourn series. FuzzLoadSpecs holds a run to its rerun
+// from a fresh build (equal seeds give equal runs) and a sharded run on
+// its parallel runners to its single-goroutine replay.
 func checkSameRun(t *testing.T, rs RunSpec, aName, bName string, a, b *machine.Stats) {
 	t.Helper()
 	type outcome struct {
@@ -273,12 +281,28 @@ func checkSameRun(t *testing.T, rs RunSpec, aName, bName string, a, b *machine.S
 		Makespan, Result int64
 		MsgCounts        [4]int64
 		Jobs             [5]int64 // injected, done, aborted, retried, abandoned
+		Windows          string   // SojournWindows and InjSojournWindows
 	}
 	of := func(st *machine.Stats) outcome {
 		return outcome{st.Events, int64(st.Makespan), st.Result, st.MsgCounts,
-			[5]int64{st.JobsInjected, st.JobsDone, st.JobsAborted, st.JobsRetried, st.JobsAbandoned}}
+			[5]int64{st.JobsInjected, st.JobsDone, st.JobsAborted, st.JobsRetried, st.JobsAbandoned},
+			windowBits(st)}
 	}
 	if x, y := of(a), of(b); x != y {
 		t.Fatalf("%s: %s %+v, %s %+v", rs.Name(), aName, x, bName, y)
 	}
+}
+
+// windowBits renders both windowed sojourn series as each one's length
+// and its points' float bits, so two equal series match even where a
+// value is NaN.
+func windowBits(st *machine.Stats) string {
+	var bits []uint64
+	for _, s := range []metrics.Series{st.SojournWindows, st.InjSojournWindows} {
+		bits = append(bits, uint64(len(s.Points)))
+		for _, p := range s.Points {
+			bits = append(bits, math.Float64bits(p.T), math.Float64bits(p.V))
+		}
+	}
+	return fmt.Sprint(bits)
 }

@@ -73,14 +73,23 @@ func TestLargeGridPoissonSmoke(t *testing.T) {
 	if st.JobsDone != 2000 {
 		t.Fatalf("JobsDone = %d, want 2000", st.JobsDone)
 	}
-	if !st.Sojourn.Bounded() {
-		t.Fatal("sojourn sample did not collapse under SojournBound")
+	if !st.SteadySojourn.Bounded() {
+		t.Fatal("steady sojourn sample did not collapse under SojournBound")
 	}
 	if len(st.JobRecords) != 500 {
 		t.Fatalf("JobRecords holds %d records under SojournBound=500 — run memory is not bounded", len(st.JobRecords))
 	}
-	if st.Sojourn.N() != 2000 {
-		t.Fatalf("bounded Sojourn sample n = %d, want all 2000 completions", st.Sojourn.N())
+	// The collapsed sample still counts every job injected after the
+	// warm-up: all 2000 completed, and those injected before it complete
+	// among the first 500, so the records count them.
+	early := 0
+	for _, rec := range st.JobRecords {
+		if int64(rec.InjectedAt) < spec.Warmup {
+			early++
+		}
+	}
+	if n := st.SteadySojourn.N(); n != 2000-early {
+		t.Fatalf("bounded SteadySojourn sample n = %d, want %d (2000 completions, %d injected in the warm-up)", n, 2000-early, early)
 	}
 	if n := st.Timeline.Len(); n == 0 || n > 64 {
 		t.Fatalf("bounded Timeline holds %d points under SeriesBound=64", n)

@@ -72,8 +72,8 @@ func shardDigestOf(st *machine.Stats) shardDigest {
 		totalBusy: int64(st.TotalBusy),
 		jobsDone:  st.JobsDone,
 		goalsExec: st.GoalsExecuted,
-		sojMean:   math.Float64bits(st.Sojourn.Mean()),
-		sojP99:    math.Float64bits(st.Sojourn.Percentile(0.99)),
+		sojMean:   math.Float64bits(st.SteadySojourn.Mean()),
+		sojP99:    math.Float64bits(st.SteadySojourn.Percentile(0.99)),
 		msgs:      fmt.Sprint(st.MsgCounts),
 		busyPerPE: busy,
 		goalsPE:   st.GoalsPerPE,
@@ -131,7 +131,7 @@ func shardCrossCheck(spec RunSpec, k int) error {
 		{"respIntegrated", par.RespIntegrated, one.RespIntegrated},
 		{"jobsInjected", par.JobsInjected, one.JobsInjected},
 		{"jobsDone", par.JobsDone, one.JobsDone},
-		{"sojournN", int64(par.Sojourn.N()), int64(one.Sojourn.N())},
+		{"sojournN", int64(par.SteadySojourn.N()), int64(one.SteadySojourn.N())},
 	}
 	for _, c := range conserved {
 		if c.a != c.b {

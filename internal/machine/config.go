@@ -111,13 +111,16 @@ type Config struct {
 	// events to the run.
 	Warmup sim.Time
 
-	// SojournBound caps the run's per-job memory. Beyond the cap the
-	// sojourn samples collapse into a bounded-memory streaming
+	// SojournBound caps the run's per-job statistics. Beyond the cap the
+	// sojourn sample collapses into a bounded-memory streaming
 	// histogram (mean/min/max/count stay exact, percentiles become
 	// approximate with ~3% relative error) and Stats.JobRecords stops
 	// growing — only the first SojournBound records are retained. 0
 	// (the default) keeps every observation and record: exact
-	// percentiles, memory linear in completed jobs.
+	// percentiles, memory linear in completed jobs. It does not bound a
+	// scripted, sampled run (a Scenario with SampleInterval > 0): that
+	// run logs every completion, 16 bytes each, for its windowed sojourn
+	// series, whatever the bound.
 	SojournBound int
 
 	// SeriesBound caps every sampled time series (Timeline, QueueLen,
@@ -134,11 +137,13 @@ type Config struct {
 	// are short and exact plots are the point. 4096 points cover a
 	// month of virtual time at SampleInterval=100 with two halvings and
 	// ~64KB per series — the recommended setting for long-horizon
-	// sweeps (decision record: ROADMAP perf section). The raw
-	// injection-window buckets behind InjSojournWindows are bounded the
-	// same way: past the cap, adjacent buckets merge pairwise and the
-	// window width doubles, so the finalized series reads a coarser
-	// injection grid with exact per-window percentiles.
+	// sweeps (decision record: ROADMAP perf section). InjSojournWindows
+	// is bucketed once at finalize, on the least power-of-two multiple
+	// of SampleInterval that leaves at most SeriesBound windows, so it
+	// reads a coarser injection grid with exact per-window percentiles.
+	// The bound caps the points, not the completion log both sojourn
+	// series are computed from, which a scripted, sampled run keeps
+	// whole (see SojournBound).
 	SeriesBound int
 
 	// PESpeeds optionally makes the machine heterogeneous: PE i's

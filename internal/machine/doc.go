@@ -8,20 +8,31 @@
 // # Job-stream lifecycle
 //
 // Work enters the machine as jobs: root goals injected by a JobSource
-// over virtual time. The paper's closed-system experiment — one tree
-// injected at time zero, machine drains, makespan measured — is the
-// trivial SingleJob source (machine.New builds it directly). Open-system
-// runs use NewStream with a fixed-interval, Poisson or bursty source:
-// arrivals are pulled lazily, each job's root goal is accepted at
-// Config.RootPE, and the run completes when the source is exhausted and
-// every job has delivered its root response. An overloaded stream that
-// reaches Config.MaxTime with jobs still in flight is the saturation
-// regime, reported via Stats rather than treated as a failure.
+// over virtual time. Every deterministic source is one schedule of
+// rounds of simultaneous jobs a fixed gap apart: the paper's
+// closed-system experiment — one tree injected at time zero, machine
+// drains, makespan measured — is one round of one job (NewSingleJob,
+// which machine.New builds directly), NewFixedInterval is rounds of one
+// job and NewBurst rounds of several. NewPoisson draws its gaps instead.
+// Open-system runs use NewStream: arrivals are pulled lazily, each
+// job's root goal is accepted at Config.RootPE, and the run completes
+// when the source is exhausted and every job has left. An overloaded
+// stream that reaches Config.MaxTime with jobs still in flight is the
+// saturation regime, reported via Stats rather than treated as a
+// failure.
 //
 // Per job, the machine records a JobRecord — injection time, completion
-// time, result — from which Stats derives sojourn-time distributions
-// (mean/p50/p99 via metrics.Sample), throughput, and steady-state
-// utilization with the ramp-up before Config.Warmup excluded.
+// time, result — and adds the job's sojourn to the run's one sojourn
+// sample, Stats.SteadySojourn (mean/p50/p99 via metrics.Sample), when
+// it was injected at or after Config.Warmup: with no warm-up, every
+// job. Stats also derives throughput, and steady-state utilization with
+// the ramp-up before Config.Warmup excluded. A scripted, sampled run (a
+// Config.Scenario with SampleInterval > 0) also logs every completion
+// as its injection time and sojourn, one log per shard, and both
+// windowed sojourn series read that log: SojournWindows pools each
+// sampling window's completions, and InjSojournWindows buckets the
+// whole log by injection window at finalize.
+//
 // Determinism is preserved: arrival randomness draws from a dedicated
 // stream derived from the run seed, disjoint from the engine's
 // tie-breaking stream, so single-job runs reproduce the paper's event
@@ -315,7 +326,8 @@
 // cannot leak into results; it orders same-timestamp cross-shard events
 // differently than one shard and draws per-shard RNG streams, so
 // against the one-shard run only conservation holds: completion, the
-// computed result, goal/response/job totals and the sojourn count.
+// computed result, goal/response/job totals and the steady sojourn
+// count.
 // Crash scripts narrow that last clause further: which goals a crash
 // destroys depends on placement, so at K >= 2 even the execution totals
 // legitimately differ from one shard and the scenario cross-check
@@ -330,11 +342,13 @@
 // Every shard's sampler draws its phase from the plain run
 // seed, so sample instants are globally synchronized; each shard
 // records raw partials for its own PE block (busy-time deltas,
-// queue-length sums and sums of squares, monitor frames, the window's
-// sojourns) and mergeSamples folds each instant into the merged Stats
-// as soon as every shard has reached it — at once on one shard, at the
-// next barrier on several — recomputing Jain's imbalance index from the
-// pooled raw sums because it does not merge from per-shard indices.
+// queue-length sums and sums of squares, monitor frames, the length of
+// its completion log) and mergeSamples folds each instant into the
+// merged Stats as soon as every shard has reached it — at once on one
+// shard, at the next barrier on several — pooling each shard's
+// completions since its previous sample, and recomputing Jain's
+// imbalance index from the pooled raw sums because it does not merge
+// from per-shard indices.
 // Trace events buffer per shard and replay into the configured sink on
 // the coordinator after the runners exit, merged by (time, shard,
 // emission order), preserving the Sink single-goroutine contract.
@@ -353,7 +367,9 @@
 // from the coordinator, which is single-threaded between windows, so no
 // locks are involved. Recovery accounting (windowed p99 series,
 // abort/retry/abandon counters, down-PE time) records per shard and
-// folds through the same merge discipline as the observer state above.
+// folds through the same merge discipline as the observer state above;
+// the injection-keyed series is bucketed from every shard's completion
+// log at finalize.
 //
 // Strategies whose correctness needs a single global timeline declare
 // it via SequentialOnly (core's ORACLE/ideal baseline does): they run on

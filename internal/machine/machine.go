@@ -25,7 +25,6 @@ type Machine struct {
 	cfg    Config
 	strat  Strategy
 	source JobSource
-	tree   *workload.Tree // the single-job tree; nil for stream machines
 
 	// pes[i] points at PE i (nil for PEs owned by other shards). The PE
 	// structs themselves live contiguously in peBlock — one slab per
@@ -160,18 +159,18 @@ type Machine struct {
 	// backoff gap for a lost-goal deadlock.
 	retryPending int64
 
-	// winSoj collects the sojourns completing inside the current
-	// sampling window; non-nil only for scenario runs with sampling
-	// enabled, where each window's p99 feeds Stats.SojournWindows — the
-	// series recovery analysis reads.
-	winSoj []float64
-	// injSoj buckets sojourns by the window their job was INJECTED in
-	// (index = injectedAt/SampleInterval); shardGroup.mergeInjSoj turns
-	// each pooled bucket into one Stats.InjSojournWindows p99 point. The injection keying
-	// isolates what newly arriving jobs experienced, where winSoj lets
-	// blackout stragglers echo into post-restore windows. Same gate as
-	// winSoj.
-	injSoj [][]float64
+	// sojLog is the shard's completion log: each job completing here, in
+	// completion order, as its injection time and sojourn. Only a
+	// scripted, sampled run (a Scenario and SampleInterval > 0) keeps it;
+	// it is nil on every other. Both windowed sojourn series, which
+	// recovery analysis reads, come from it: each sample records the
+	// log's length, and shardGroup.mergeSamples pools the entries since
+	// the previous sample (sojPooled up to that length) into a
+	// Stats.SojournWindows point; at finalize shardGroup.mergeInjSoj
+	// buckets the whole log by injection window into
+	// Stats.InjSojournWindows.
+	sojLog    []completion
+	sojPooled int
 
 	// The hot path recycles wire messages, goals, pending tasks and job
 	// states through these pools instead of allocating per message or
@@ -193,12 +192,6 @@ type Machine struct {
 	// saturation (work still queued or moving).
 	goalsInTransit int64
 	respsInTransit int64
-
-	// injStride is the current injection-window width of injSoj in
-	// multiples of SampleInterval: 1 until a SeriesBound forces adjacent
-	// buckets to merge pairwise (doubling the stride), the bucket-level
-	// analogue of Series.thin.
-	injStride int
 
 	// Sharding. Shard shardID of grp owns the PE index block
 	// [peLo, peHi): pes and stats keep full-length arrays with remote
@@ -253,9 +246,7 @@ func (m *Machine) emit(kind trace.Kind, pe, other int, goal int64) {
 // be fresh per run if it carries mutable global state (the core package
 // strategies are stateless templates and safe to reuse).
 func New(topo *topology.Topology, tree *workload.Tree, strat Strategy, cfg Config) *Machine {
-	m := NewStream(topo, NewSingleJob(tree), strat, cfg)
-	m.tree = tree
-	return m
+	return NewStream(topo, NewSingleJob(tree), strat, cfg)
 }
 
 // NewStream constructs an open-system machine: source injects root
@@ -315,7 +306,6 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 	}
 	m.stats = newStats(topo, source.Name(), strat.Name())
 	if cfg.SojournBound > 0 {
-		m.stats.Sojourn.Bound(cfg.SojournBound)
 		m.stats.SteadySojourn.Bound(cfg.SojournBound)
 	}
 	if cfg.SeriesBound > 0 {
@@ -498,9 +488,7 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 			}
 		}
 		if cfg.SampleInterval > 0 {
-			m.winSoj = make([]float64, 0, 64)
-			m.injSoj = make([][]float64, 0, 64)
-			m.injStride = 1
+			m.sojLog = make([]completion, 0, 64)
 		}
 	}
 	return m
@@ -558,10 +546,6 @@ func (m *Machine) Topology() *topology.Topology { return m.topo }
 
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
-
-// Tree returns the workload of a single-job machine built with New;
-// stream machines return nil (each job carries its own tree).
-func (m *Machine) Tree() *workload.Tree { return m.tree }
 
 // NumPEs returns the machine size.
 func (m *Machine) NumPEs() int { return len(m.pes) }
@@ -837,30 +821,14 @@ func (m *Machine) completeJob(j *jobState, value int64) {
 	// a window barrier.
 	left := m.grp.inFlight.Add(-1)
 	m.stats.JobsDone++
-	// Latency statistics accrue here, streamingly — not from JobRecords
-	// at finalize — so a bounded run's memory really is bounded.
-	soj := float64(now - j.injectedAt)
-	m.stats.Sojourn.Add(soj)
-	if m.winSoj != nil {
-		m.winSoj = append(m.winSoj, soj)
-	}
-	if m.injSoj != nil {
-		// Scenario runs with sampling only. Each shard buckets its own
-		// completions; shardGroup.mergeInjSoj re-buckets the shards to a
-		// common stride and pools them at finalize.
-		w := int(j.injectedAt / (m.cfg.SampleInterval * sim.Time(m.injStride)))
-		for len(m.injSoj) <= w {
-			m.injSoj = append(m.injSoj, nil)
-		}
-		m.injSoj[w] = append(m.injSoj[w], soj)
-		if b := m.cfg.SeriesBound; b > 0 {
-			for len(m.injSoj) > b {
-				m.thinInjSoj()
-			}
-		}
+	// The steady sample accrues here, streamingly — not from JobRecords
+	// at finalize — so SojournBound bounds its memory.
+	soj := now - j.injectedAt
+	if m.sojLog != nil {
+		m.sojLog = append(m.sojLog, completion{j.injectedAt, soj})
 	}
 	if j.injectedAt >= m.cfg.Warmup {
-		m.stats.SteadySojourn.Add(soj)
+		m.stats.SteadySojourn.Add(float64(soj))
 	}
 	if now >= m.cfg.Warmup {
 		m.stats.SteadyJobsDone++
@@ -888,33 +856,6 @@ func (m *Machine) stopIfIdle(left int64) {
 	if m.grp.k == 1 && m.srcDone && left == 0 {
 		m.eng.Stop()
 	}
-}
-
-// thinInjSoj merges the raw injection-window buckets pairwise and
-// doubles the bucket stride — Series.thin for the not-yet-finalized
-// sojourn buckets, so a SeriesBound-ed run holds one bucket header per
-// retained window instead of one per elapsed window. Re-bucketing only
-// concatenates: each surviving bucket holds exactly the sojourns of
-// jobs injected in its (now twice as wide) window, so the finalized
-// per-window percentiles stay exact on the coarser grid.
-func (m *Machine) thinInjSoj() {
-	m.injSoj = halveBuckets(m.injSoj)
-	m.injStride *= 2
-}
-
-// halveBuckets merges adjacent sojourn buckets pairwise, in place, and
-// returns the (len+1)/2 merged buckets; the caller doubles its stride.
-func halveBuckets(b [][]float64) [][]float64 {
-	half := (len(b) + 1) / 2
-	for i := 0; i < half; i++ {
-		merged := b[2*i]
-		if 2*i+1 < len(b) {
-			merged = append(merged, b[2*i+1]...)
-		}
-		b[i] = merged
-	}
-	clear(b[half:])
-	return b[:half]
 }
 
 // routeResponse moves a response one shortest-path hop at a time toward
@@ -971,14 +912,15 @@ func (m *Machine) goalHop(cur, next, dst, ci int, g *Goal) {
 // sample records one sampling instant's raw partials over the shard's
 // own PE block: the busy time accrued in the window just ended, the
 // queue-length sum and sum of squares, the per-PE utilization frame and
-// the window's completed sojourns. Every shard samples at the same
-// globally synchronized instants, and shardGroup.mergeSamples folds the
-// instant's partials into full-machine series points — utilization as a
-// percentage (the paper's plots 11-16), mean queue length, Jain's
-// fairness index (not mergeable from per-shard indices, which is why the
-// raw sums are kept) and the windowed sojourn p99. The window divisor is
-// the actual elapsed time since the previous sample — the staggered
-// first window is shorter than SampleInterval.
+// the completion log's length, which closes the window's completions.
+// Every shard samples at the same globally synchronized instants, and
+// shardGroup.mergeSamples folds the instant's partials into
+// full-machine series points — utilization as a percentage (the paper's
+// plots 11-16), mean queue length, Jain's fairness index (not mergeable
+// from per-shard indices, which is why the raw sums are kept) and the
+// windowed sojourn p99. The window divisor is the actual elapsed time
+// since the previous sample — the staggered first window is shorter
+// than SampleInterval.
 func (m *Machine) sample() {
 	now := m.eng.Now()
 	window := now - m.prevSampleAt
@@ -1009,8 +951,8 @@ func (m *Machine) sample() {
 		qsq += q * q
 	}
 
-	// Entries are reused once folded: the frame and sojourn slices keep
-	// their backing arrays, so steady-state sampling allocates nothing.
+	// Entries are reused once folded: the frame slices keep their
+	// backing arrays, so steady-state sampling allocates nothing.
 	n := len(m.shardSamples)
 	if n < cap(m.shardSamples) {
 		m.shardSamples = m.shardSamples[:n+1]
@@ -1020,8 +962,7 @@ func (m *Machine) sample() {
 	sp := &m.shardSamples[n]
 	sp.at, sp.window, sp.busyDelta, sp.qsum, sp.qsq = now, window, busyDelta, qsum, qsq
 	sp.frame = append(sp.frame[:0], m.frameBuf...)
-	sp.soj = append(sp.soj[:0], m.winSoj...)
-	m.winSoj = m.winSoj[:0]
+	sp.sojEnd = len(m.sojLog)
 	m.prevSampleAt = now
 	if m.grp.k == 1 {
 		// A single shard has every partial of the instant already.

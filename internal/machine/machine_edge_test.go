@@ -142,9 +142,6 @@ func TestPEAccessors(t *testing.T) {
 	if pe.Node() == nil {
 		t.Error("Node nil")
 	}
-	if m.Tree() != tree {
-		t.Error("Tree")
-	}
 	if m.Config().GrainTime != 10 {
 		t.Error("Config")
 	}

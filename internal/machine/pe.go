@@ -159,9 +159,7 @@ type PE struct {
 	ckptDebt sim.Time
 
 	// accounting
-	goalsExecuted  int64
-	goalsAccepted  int64
-	respIntegrated int64
+	goalsExecuted int64
 }
 
 // nbrIdx returns the index of nbrPE in pe.nbrs, or -1 when nbrPE is not
@@ -338,7 +336,6 @@ func (m *Machine) blindRead(method string) {
 // statistics are recorded when the goal finally executes, not here.
 func (pe *PE) Accept(g *Goal) {
 	g.AcceptedAt = pe.m.eng.Now()
-	pe.goalsAccepted++
 	pe.m.emit(trace.GoalAccepted, pe.id, -1, g.ID)
 	pe.enqueue(item{kind: itemGoal, goal: g})
 }
@@ -540,7 +537,6 @@ func (pe *PE) finish(it item) {
 			}
 			panic(fmt.Sprintf("machine: PE %d got response for unknown goal %d", pe.id, r.goalID))
 		}
-		pe.respIntegrated++
 		pe.m.stats.RespIntegrated++
 		p.vals = append(p.vals, r.value)
 		p.remaining--

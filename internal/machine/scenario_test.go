@@ -38,9 +38,9 @@ func (n pushRightNode) HandleEvent(ev Event) {
 
 // fingerprint captures everything a bit-for-bit comparison of two runs
 // needs: the event sequence (makespan+events), the computed result, and
-// the accounting that any divergence would disturb. The sojourn mean is
-// held as its bits, so two runs that complete no job, whose mean is
-// NaN, compare equal.
+// the accounting that any divergence would disturb. The steady sojourn
+// mean is held as its bits, so two runs that complete no job, whose
+// mean is NaN, compare equal.
 type fingerprint struct {
 	makespan  sim.Time
 	events    uint64
@@ -58,7 +58,7 @@ func fp(st *Stats) fingerprint {
 		result:    st.Result,
 		totalBusy: st.TotalBusy,
 		msgs:      st.MsgCounts,
-		sojMean:   math.Float64bits(st.Sojourn.Mean()),
+		sojMean:   math.Float64bits(st.SteadySojourn.Mean()),
 		jobsDone:  st.JobsDone,
 	}
 }

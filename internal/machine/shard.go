@@ -47,7 +47,7 @@ type shardSample struct {
 	busyDelta  sim.Time  // block busy time accrued inside the window
 	qsum, qsq  float64   // block queue-length sum and sum of squares
 	frame      []float64 // block per-PE utilization; empty unless MonitorPE
-	soj        []float64 // window's raw sojourns; scenario runs only
+	sojEnd     int       // the completion log's length; 0 unless it is kept
 }
 
 // shardGroup coordinates the machines of one run: K >= 1 contiguous PE
@@ -140,9 +140,6 @@ type shardGroup struct {
 	opIx   int
 	failed []bool
 	live   int
-	// opsApplied counts the ops applyOps has applied; a one-shard run
-	// reports each as one event in Stats.Events (see finalize).
-	opsApplied uint64
 }
 
 // spinPolls is how many times a waiting side of the window barrier
@@ -540,7 +537,6 @@ func (g *shardGroup) applyOps(end sim.Time) {
 	for g.opIx < len(g.ops) && g.ops[g.opIx].At <= end {
 		g.applyOp(g.ops[g.opIx])
 		g.opIx++
-		g.opsApplied++
 	}
 }
 
@@ -697,13 +693,6 @@ func (g *shardGroup) finalize() *Stats {
 	for _, m := range g.machines[1:] {
 		s.merge(m.stats)
 	}
-	if g.k == 1 {
-		// One-shard Events count each applied scenario op as an event,
-		// as when ops were engine events; multi-shard counts never did.
-		// Both figures are pinned (the machine golden digests and the
-		// benchmark's fault-shard digests), so they stay as they are.
-		s.Events += g.opsApplied
-	}
 	g.mergeSamples()
 	g.mergeInjSoj(s)
 	g.replayTrace()
@@ -765,7 +754,10 @@ func (g *shardGroup) mergeSamples() {
 			if g.frame != nil {
 				copy(g.frame[m.peLo:m.peHi], sp.frame)
 			}
-			g.sojs = append(g.sojs, sp.soj...)
+			for _, c := range m.sojLog[m.sojPooled:sp.sojEnd] {
+				g.sojs = append(g.sojs, float64(c.sojourn))
+			}
+			m.sojPooled = sp.sojEnd
 		}
 		s.Timeline.Add(float64(r.at), 100*float64(busyDelta)/(float64(r.window)*p))
 		if g.frame != nil {
@@ -797,49 +789,38 @@ func p99(xs []float64) float64 {
 	return xs[max(int(math.Ceil(0.99*float64(len(xs))))-1, 0)]
 }
 
-// mergeInjSoj folds the shards' injection-keyed raw sojourn buckets
-// into the merged InjSojournWindows series. Shards thin their buckets
-// independently (SeriesBound), so strides can differ; every stride is a
-// power of two, so re-bucketing to the widest one only concatenates —
-// each pooled bucket holds exactly the sojourns of jobs injected in its
-// window, and the finalized percentiles stay exact on the common grid.
+// mergeInjSoj buckets every shard's completion log by injection window
+// into the merged InjSojournWindows series: one point per window that
+// injected a job which completed, the p99 of those jobs' sojourns,
+// recorded at the window's end. The windows are SampleInterval wide, or
+// under a SeriesBound the least power-of-two multiple of it that leaves
+// fewer than SeriesBound windows up to the latest injection, so the
+// series holds at most SeriesBound points, each exact over its window.
 func (g *shardGroup) mergeInjSoj(s *Stats) {
-	if g.cfg.SampleInterval <= 0 || g.machines[0].injSoj == nil {
+	if g.machines[0].sojLog == nil {
 		return
 	}
-	stride := 1
+	var last sim.Time
 	for _, m := range g.machines {
-		if m.injStride > stride {
-			stride = m.injStride
+		for _, c := range m.sojLog {
+			last = max(last, c.injectedAt)
 		}
 	}
-	var pooled [][]float64
+	width := g.cfg.SampleInterval
+	for b := sim.Time(g.cfg.SeriesBound); b > 0 && last/width >= b; {
+		width *= 2
+	}
+	buckets := make([][]float64, last/width+1)
 	for _, m := range g.machines {
-		f := stride / m.injStride
-		for w, sojs := range m.injSoj {
-			if len(sojs) == 0 {
-				continue
-			}
-			cw := w / f
-			for len(pooled) <= cw {
-				pooled = append(pooled, nil)
-			}
-			pooled[cw] = append(pooled[cw], sojs...)
+		for _, c := range m.sojLog {
+			w := c.injectedAt / width
+			buckets[w] = append(buckets[w], float64(c.sojourn))
 		}
 	}
-	if b := g.cfg.SeriesBound; b > 0 {
-		for len(pooled) > b {
-			pooled = halveBuckets(pooled)
-			stride *= 2
-		}
-	}
-	for w, sojs := range pooled {
-		if len(sojs) == 0 {
-			continue
-		}
-		end := sim.Time(w+1) * g.cfg.SampleInterval * sim.Time(stride)
-		if end <= g.cfg.Warmup {
-			continue // the window holds only pre-warm-up injections
+	for w, sojs := range buckets {
+		end := sim.Time(w+1) * width
+		if len(sojs) == 0 || end <= g.cfg.Warmup {
+			continue // no completed job, or only pre-warm-up injections
 		}
 		s.InjSojournWindows.Add(float64(end), p99(sojs))
 	}

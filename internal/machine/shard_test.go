@@ -204,7 +204,7 @@ func TestShardConservationVsSequential(t *testing.T) {
 					"respIntegrated": {st.RespIntegrated, seq.RespIntegrated},
 					"jobsInjected":   {st.JobsInjected, seq.JobsInjected},
 					"jobsDone":       {st.JobsDone, seq.JobsDone},
-					"sojournN":       {int64(st.Sojourn.N()), int64(seq.Sojourn.N())},
+					"sojournN":       {int64(st.SteadySojourn.N()), int64(seq.SteadySojourn.N())},
 				} {
 					if pair[0] != pair[1] {
 						t.Errorf("K=%d: %s = %d, sequential %d", k, name, pair[0], pair[1])

@@ -50,33 +50,24 @@ func newObserverRng(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed ^ obsSeedSalt))
 }
 
-// singleJob emits one job at time zero: the paper's closed-system
-// experiment expressed as the trivial stream.
-type singleJob struct {
+// schedule emits rounds of size simultaneous jobs, rounds gap units
+// apart, the first at time zero: one round of one job is the paper's
+// closed-system experiment, rounds of one job a fixed-interval stream,
+// and larger rounds the flash-crowd pattern that stresses a balancer's
+// rise time.
+type schedule struct {
 	tree    *workload.Tree
-	emitted bool
+	name    string
+	size    int
+	gap     sim.Time
+	rounds  int
+	emitted int
 }
 
 // NewSingleJob returns the one-shot source the paper experiments use.
 // Its name is the tree's name, so single-job stats keep their labels.
-func NewSingleJob(tree *workload.Tree) JobSource { return &singleJob{tree: tree} }
-
-func (s *singleJob) Name() string { return s.tree.Name }
-
-func (s *singleJob) Next(*rand.Rand) (sim.Time, *workload.Tree, bool) {
-	if s.emitted {
-		return 0, nil, false
-	}
-	s.emitted = true
-	return 0, s.tree, true
-}
-
-// fixedInterval emits jobs a constant gap apart, the first at time zero.
-type fixedInterval struct {
-	tree    *workload.Tree
-	gap     sim.Time
-	jobs    int
-	emitted int
+func NewSingleJob(tree *workload.Tree) JobSource {
+	return &schedule{tree: tree, name: tree.Name, size: 1, rounds: 1}
 }
 
 // NewFixedInterval returns a source emitting jobs copies of tree, one
@@ -89,19 +80,31 @@ func NewFixedInterval(tree *workload.Tree, gap sim.Time, jobs int) JobSource {
 	if jobs < 1 {
 		panic("machine: NewFixedInterval needs jobs >= 1")
 	}
-	return &fixedInterval{tree: tree, gap: gap, jobs: jobs}
+	name := fmt.Sprintf("%s@interval(gap=%d,n=%d)", tree.Name, gap, jobs)
+	return &schedule{tree: tree, name: name, size: 1, gap: gap, rounds: jobs}
 }
 
-func (s *fixedInterval) Name() string {
-	return fmt.Sprintf("%s@interval(gap=%d,n=%d)", s.tree.Name, s.gap, s.jobs)
+// NewBurst returns a bursty source: bursts rounds of size simultaneous
+// jobs, rounds gap units apart, the first at time zero.
+func NewBurst(tree *workload.Tree, size int, gap sim.Time, bursts int) JobSource {
+	if size < 1 || bursts < 1 {
+		panic("machine: NewBurst needs size >= 1 and bursts >= 1")
+	}
+	if gap <= 0 {
+		panic("machine: NewBurst needs gap > 0")
+	}
+	name := fmt.Sprintf("%s@burst(size=%d,gap=%d,n=%d)", tree.Name, size, gap, bursts)
+	return &schedule{tree: tree, name: name, size: size, gap: gap, rounds: bursts}
 }
 
-func (s *fixedInterval) Next(*rand.Rand) (sim.Time, *workload.Tree, bool) {
-	if s.emitted >= s.jobs {
+func (s *schedule) Name() string { return s.name }
+
+func (s *schedule) Next(*rand.Rand) (sim.Time, *workload.Tree, bool) {
+	if s.emitted >= s.size*s.rounds {
 		return 0, nil, false
 	}
 	s.emitted++
-	if s.emitted == 1 {
+	if s.emitted == 1 || (s.emitted-1)%s.size != 0 {
 		return 0, s.tree, true
 	}
 	return s.gap, s.tree, true
@@ -142,43 +145,6 @@ func (s *poisson) Next(rng *rand.Rand) (sim.Time, *workload.Tree, bool) {
 	}
 	s.emitted++
 	return scaledUnits(rng.ExpFloat64() * s.meanGap), s.tree, true
-}
-
-// burst emits rounds of simultaneous jobs separated by a fixed gap —
-// the flash-crowd pattern that stresses a balancer's rise time.
-type burst struct {
-	tree    *workload.Tree
-	size    int
-	gap     sim.Time
-	bursts  int
-	emitted int
-}
-
-// NewBurst returns a bursty source: bursts rounds of size simultaneous
-// jobs, rounds gap units apart, the first at time zero.
-func NewBurst(tree *workload.Tree, size int, gap sim.Time, bursts int) JobSource {
-	if size < 1 || bursts < 1 {
-		panic("machine: NewBurst needs size >= 1 and bursts >= 1")
-	}
-	if gap <= 0 {
-		panic("machine: NewBurst needs gap > 0")
-	}
-	return &burst{tree: tree, size: size, gap: gap, bursts: bursts}
-}
-
-func (s *burst) Name() string {
-	return fmt.Sprintf("%s@burst(size=%d,gap=%d,n=%d)", s.tree.Name, s.size, s.gap, s.bursts)
-}
-
-func (s *burst) Next(*rand.Rand) (sim.Time, *workload.Tree, bool) {
-	if s.emitted >= s.size*s.bursts {
-		return 0, nil, false
-	}
-	s.emitted++
-	if s.emitted == 1 || (s.emitted-1)%s.size != 0 {
-		return 0, s.tree, true
-	}
-	return s.gap, s.tree, true
 }
 
 // jobState is the machine's record of one injected job: the root goal's
@@ -242,3 +208,7 @@ type JobRecord struct {
 
 // Sojourn returns the job's time in system: injection to root response.
 func (r JobRecord) Sojourn() sim.Time { return r.DoneAt - r.InjectedAt }
+
+// completion is one entry of a shard's completion log (Machine.sojLog):
+// a completed job's injection time and its sojourn.
+type completion struct{ injectedAt, sojourn sim.Time }

@@ -54,8 +54,8 @@ type Stats struct {
 	// is LoadBlind tallies instead of delivering (sim.Engine.Tally, one
 	// tally per run, counted when the run passes it), so each load-word
 	// delivery counts as one event, as when every word was an entry of
-	// its own.
-	// A one-shard run also counts each applied scenario op as one.
+	// its own. Scenario ops apply at window barriers, not as events, so
+	// no run counts them, whatever its shard count.
 	Events uint64
 
 	// Job stream accounting. JobsInjected counts arrivals; JobsDone
@@ -63,10 +63,12 @@ type Stats struct {
 	// overloaded stream hits MaxTime). JobRecords holds one latency
 	// record per completed job in completion order — capped at
 	// Config.SojournBound records when a bound is set, so long streams
-	// stay in bounded memory. Sojourn aggregates every completion and
-	// SteadySojourn only jobs injected at or after Warmup, so ramp-up
-	// transients do not pollute tail percentiles; both accrue
-	// streamingly and are complete even when JobRecords is capped.
+	// stay in bounded memory. SteadySojourn is the run's one sojourn
+	// sample: the jobs injected at or after Warmup, so ramp-up
+	// transients do not pollute tail percentiles, and every completed
+	// job when Warmup is 0. It accrues streamingly and is complete even
+	// when JobRecords is capped (past SojournBound it collapses into a
+	// histogram, see Config.SojournBound).
 	// SteadyJobsDone counts root responses delivered at or after Warmup
 	// — the completion count SteadyThroughput divides by, so throughput
 	// and sojourn percentiles describe the same post-warm-up window.
@@ -74,7 +76,6 @@ type Stats struct {
 	JobsDone       int64
 	SteadyJobsDone int64
 	JobRecords     []JobRecord
-	Sojourn        metrics.Sample
 	SteadySojourn  metrics.Sample
 	Warmup         sim.Time //simlint:nomerge config echo: identical on every shard by construction
 	WarmupBusy     sim.Time
@@ -126,14 +127,15 @@ type Stats struct {
 	// redirected away on arrival; ServiceAborts the executions cut off
 	// mid-service (their partial work was lost); RootRedirects the
 	// injections diverted off a failed root PE. DownPETime integrates
-	// PE-blackout time over the run, and SojournWindows records each
-	// sampling window's p99 sojourn (scenario runs with sampling on) —
-	// the series recovery analysis reads.
+	// PE-blackout time over the run, and SojournWindows records the p99
+	// sojourn of the jobs completing in each sampling window (scripted
+	// runs with sampling on; windows ending inside the warm-up dropped)
+	// — the series recovery analysis reads.
 	GoalsRequeued  int64
 	ServiceAborts  int64
 	RootRedirects  int64
 	DownPETime     sim.Time
-	SojournWindows metrics.Series //simlint:nomerge scenario series: shards defer each window's raw sojourns in shardSamples and shardGroup.mergeSamples pools them into one machine-wide p99 series, bypassing merge
+	SojournWindows metrics.Series //simlint:nomerge scenario series: each shard sample records its completion log's length and shardGroup.mergeSamples pools every shard's completions since its previous sample into one machine-wide p99 point, bypassing merge
 
 	// Crash-with-state-loss accounting (the `crash:` scenario op; all
 	// zero under blackout-only scripts). GoalsLost counts goals whose
@@ -155,13 +157,16 @@ type Stats struct {
 	JobsAbandoned int64
 
 	// InjSojournWindows is the injection-time-keyed companion of
-	// SojournWindows: each point is the p99 sojourn of the jobs
-	// INJECTED in that sampling window (recorded at the window's end),
-	// isolating what newly arriving jobs experienced. Completion keying
-	// lets blackout stragglers echo into post-restore windows; this
-	// keying does not. Computed at finalize; same scenario+sampling
-	// gate as SojournWindows.
-	InjSojournWindows metrics.Series //simlint:nomerge scenario series: shardGroup.mergeInjSoj re-buckets the shards' raw injection-window buckets to a common stride and computes the pooled percentiles directly, bypassing merge
+	// SojournWindows: each point is the p99 sojourn of the completed
+	// jobs INJECTED in that sampling window (recorded at the window's
+	// end), isolating what newly arriving jobs experienced. Completion
+	// keying lets blackout stragglers echo into post-restore windows;
+	// this keying does not. Under a SeriesBound the windows widen to the
+	// least power-of-two multiple of SampleInterval that leaves at most
+	// SeriesBound of them up to the latest injection. Computed at
+	// finalize from the completion logs; same scenario+sampling gate as
+	// SojournWindows.
+	InjSojournWindows metrics.Series //simlint:nomerge scenario series: shardGroup.mergeInjSoj buckets every shard's completion log by injection window at finalize and computes the pooled percentiles directly, bypassing merge
 }
 
 func newStats(topo *topology.Topology, workloadName, stratName string) *Stats {
@@ -193,7 +198,6 @@ func (s *Stats) merge(o *Stats) {
 	s.JobsDone += o.JobsDone
 	s.SteadyJobsDone += o.SteadyJobsDone
 	s.JobRecords = append(s.JobRecords, o.JobRecords...)
-	s.Sojourn.Merge(&o.Sojourn)
 	s.SteadySojourn.Merge(&o.SteadySojourn)
 	s.WarmupBusy += o.WarmupBusy
 	s.TotalBusy += o.TotalBusy
@@ -219,10 +223,10 @@ func (s *Stats) merge(o *Stats) {
 	}
 	s.QueueDelay.Merge(&o.QueueDelay)
 	// The sampling series/monitor — and, on scenario runs, the windowed
-	// sojourn series — are folded from per-shard partials straight into
-	// shard 0's Stats by shardGroup.mergeSamples / mergeInjSoj (the other
-	// shards' Stats hold no series points); the crash/scenario counters
-	// merge here.
+	// sojourn series — are folded from per-shard partials and completion
+	// logs straight into shard 0's Stats by shardGroup.mergeSamples /
+	// mergeInjSoj (the other shards' Stats hold no series points); the
+	// crash/scenario counters merge here.
 	s.GoalsRequeued += o.GoalsRequeued
 	s.ServiceAborts += o.ServiceAborts
 	s.RootRedirects += o.RootRedirects

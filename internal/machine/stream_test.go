@@ -113,10 +113,10 @@ func TestFixedIntervalSojournAccounting(t *testing.T) {
 			t.Errorf("job %d result = %d, want %d", i, r.Result, workload.FibValue(5))
 		}
 	}
-	if st.Sojourn.N() != jobs {
-		t.Fatalf("Sojourn sample n = %d, want %d", st.Sojourn.N(), jobs)
+	if st.SteadySojourn.N() != jobs {
+		t.Fatalf("SteadySojourn sample n = %d, want %d (no warm-up)", st.SteadySojourn.N(), jobs)
 	}
-	if got, want := st.Sojourn.Mean(), float64(soloTime); got != want {
+	if got, want := st.SteadySojourn.Mean(), float64(soloTime); got != want {
 		t.Errorf("mean sojourn = %f, want %f", got, want)
 	}
 	if got := st.SojournP99(); got != float64(soloTime) {
@@ -161,8 +161,8 @@ func TestWarmupExcludesEarlyJobs(t *testing.T) {
 	if !st.Completed {
 		t.Fatal("stream did not drain")
 	}
-	if st.Sojourn.N() != jobs {
-		t.Fatalf("Sojourn n = %d, want %d (all jobs)", st.Sojourn.N(), jobs)
+	if st.JobsDone != jobs {
+		t.Fatalf("JobsDone = %d, want %d (all jobs)", st.JobsDone, jobs)
 	}
 	if st.SteadySojourn.N() != jobs-3 {
 		t.Fatalf("SteadySojourn n = %d, want %d (warm-up excluded)", st.SteadySojourn.N(), jobs-3)
