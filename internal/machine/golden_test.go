@@ -68,6 +68,13 @@ func goldenCases() []goldenCase {
 				c.RetryLimit = 2
 				c.RetryBackoff = 60
 			}, trace: true},
+		// The root PE crashes while the root tasks of six jobs wait on
+		// it, and no other state of theirs is there: the crash sweeps
+		// its pending tasks in goal-ID order, which decides the order
+		// the six jobs abort and re-inject.
+		{name: "crash-sweep-order", topo: func() *topology.Topology { return topology.NewTorus(6, 6) },
+			src: func() machine.JobSource { return machine.NewFixedInterval(fib(9), 60, 40) }, strat: cwn,
+			cfg: script("crash:pes=0@t=1500,recover@t=1800")},
 		{name: "link-degrade-down", topo: func() *topology.Topology { return topology.NewGrid(5, 5) },
 			src: stream, strat: gm,
 			cfg: script("degradelink:a=0:b=1:x=3@t=300,droplink:a=6:b=7@t=700,droplink:a=0:b=5@t=900,restorelink:a=6:b=7@t=2000,restorelink:a=0:b=1@t=2500")},
