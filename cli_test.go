@@ -87,6 +87,7 @@ var cliContract = [][]string{
 	{"lbsim", "-hoptime", "-5"},
 	{"lbsim", "-hoptime", "9223372036854775000"},
 	{"sweep", "-retry-limit", "-1"},
+	{"sweep", "-retry-backoff", "9223372036854775807"},
 	{"serve", "-retry-limit", "-1"},
 	{"serve", "-scenario", "garbage"},
 	{"sweep", "-repeats", "0"},

@@ -61,10 +61,11 @@
 // The hot path allocates nothing in steady state: the scheduler holds
 // every event by value in reused chunks and dispatches it through a
 // typed action instead of a closure (internal/sim); wire messages,
-// goals, pending tasks and job states are recycled through free lists,
-// each PE's ready queue is a ring buffer, and the load-word path —
-// most of a run's events — batches one broadcast's same-instant words
-// into one entry and reads dense per-PE and per-channel arrays
+// goals, pending tasks and job states are recycled through free lists;
+// a response carries its parent task's pending record, so no goal ID is
+// looked up; each PE's ready queue is a ring buffer; and the load-word
+// path — most of a run's events — batches one broadcast's same-instant
+// words into one entry and reads dense per-PE and per-channel arrays
 // (internal/machine). For unbounded job streams, Config.SojournBound
 // collapses latency samples into a fixed-memory streaming histogram.
 // The repository benchmark is perfbench (`bash perfbench/run.sh`): four

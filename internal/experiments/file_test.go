@@ -33,6 +33,7 @@ var specProbes = []struct {
 	{"negative goal hop", `"goalHopTime": -3`, "goalHopTime must be non-negative"},
 	{"negative response hop", `"respHopTime": -3`, "respHopTime must be non-negative"},
 	{"hop time past the clock", `"goalHopTime": 9223372036854775000`, "GoalHopTime 9223372036854775000 exceeds"},
+	{"retry backoff past the clock", `"retryBackoff": 68719476737`, "RetryBackoff 68719476737 exceeds"},
 	{"series bound of one", `"seriesBound": 1`, "SeriesBound must be 0"},
 	{"negative sojourn bound", `"sojournBound": -1`, "SojournBound must be non-negative"},
 	{"negative retry limit", `"retryLimit": -1`, "RetryLimit must be non-negative"},
@@ -217,8 +218,9 @@ func FuzzLoadSpecs(f *testing.F) {
 				continue
 			}
 			cfg.ShardSerial = false
-			st := build(cfg).Run()
-			checkFuzzRun(t, rs, tree, st)
+			m := build(cfg)
+			st := m.Run()
+			checkFuzzRun(t, rs, tree, m, st)
 			checkSameRun(t, rs, "run", "rerun from a fresh build", st, build(cfg).Run())
 			if cfg.Shards >= 2 {
 				cfg.ShardSerial = true
@@ -240,9 +242,10 @@ func smallStream(as ArrivalSpec) bool {
 // computed its tree's value over all its goals (a capped horizon may
 // stop one short, and a crash past its retry limit abandons the job),
 // every abort was retried or abandoned, no more jobs left than were
-// injected and, in a completed run, every injected job left. The
-// makespan is never negative and the utilization lies in [0, 1].
-func checkFuzzRun(t *testing.T, rs RunSpec, tree *workload.Tree, st *machine.Stats) {
+// injected and, in a completed run, every injected job left and no PE
+// of m holds a pending task. The makespan is never negative and the
+// utilization lies in [0, 1].
+func checkFuzzRun(t *testing.T, rs RunSpec, tree *workload.Tree, m *machine.Machine, st *machine.Stats) {
 	t.Helper()
 	if rs.Arrival.IsSingle() {
 		if st.JobsDone == 1 && st.Result != tree.Eval() {
@@ -260,6 +263,15 @@ func checkFuzzRun(t *testing.T, rs RunSpec, tree *workload.Tree, st *machine.Sta
 	}
 	if st.Completed && st.JobsDone+st.JobsAbandoned != st.JobsInjected {
 		t.Fatalf("%s: completed with done %d + abandoned %d != injected %d", rs.Name(), st.JobsDone, st.JobsAbandoned, st.JobsInjected)
+	}
+	if st.Completed {
+		pending := 0
+		for i := 0; i < m.NumPEs(); i++ {
+			pending += m.PE(i).PendingTasks()
+		}
+		if pending != 0 {
+			t.Fatalf("%s: completed with %d pending task(s) left", rs.Name(), pending)
+		}
 	}
 	if u := st.Utilization(); st.Makespan < 0 || u < 0 || u > 1 {
 		t.Fatalf("%s: makespan %d, utilization %g", rs.Name(), st.Makespan, u)

@@ -114,12 +114,12 @@ func TestLargeGridPoissonSmoke(t *testing.T) {
 // TestConstructionBudget holds machine construction to its per-PE
 // memory budget on a 262,144-PE torus (built, like every spec torus, in
 // implicit form). The struct-of-arrays layout with its receiver-slot
-// table measures ~930 B/PE and 2.07 allocations/PE (the serviceDone
+// table measures 789 B/PE and 2.067 allocations/PE (the serviceDone
 // method value, the strategy's per-PE node, and one 512-byte scheduler
-// chunk per 15 PEs' first load ticks); the budgets carry ~50% headroom
-// so noise cannot trip them but one accidental per-PE allocation — a
-// map, a closure, a slice that escaped the flat backings — does.
-// Guarded by -short like TestLargeGridPoissonSmoke.
+// chunk per 15 PEs' first load ticks); the budgets carry 45–75%
+// headroom so noise cannot trip them but one accidental per-PE
+// allocation — a map, a closure, a slice that escaped the flat
+// backings — does. Guarded by -short like TestLargeGridPoissonSmoke.
 func TestConstructionBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping 262,144-PE construction in -short mode")

@@ -251,14 +251,20 @@ func (c Config) Validate(numPEs int) error {
 	case c.PESpeeds != nil && len(c.PESpeeds) != numPEs:
 		return fmt.Errorf("machine: PESpeeds has %d entries for %d PEs", len(c.PESpeeds), numPEs)
 	}
-	// A hop time is added to the clock and to a channel's busy-until on
-	// every message, so it is capped where a scaled duration is.
+	// Each of these durations is added to the clock: a hop time also to
+	// a channel's busy-until on every message, the grain time times a
+	// task's work, the backoff times the attempt number. So each is
+	// capped where a scaled duration is.
 	for _, h := range [...]struct {
 		name string
 		t    sim.Time
-	}{{"GoalHopTime", c.GoalHopTime}, {"RespHopTime", c.RespHopTime}, {"CtrlHopTime", c.CtrlHopTime}} {
+	}{
+		{"GrainTime", c.GrainTime}, {"CombineTime", c.CombineTime},
+		{"GoalHopTime", c.GoalHopTime}, {"RespHopTime", c.RespHopTime}, {"CtrlHopTime", c.CtrlHopTime},
+		{"RetryBackoff", c.RetryBackoff},
+	} {
 		if h.t > maxScaled {
-			return fmt.Errorf("machine: %s %d exceeds the longest channel occupancy, %d units", h.name, h.t, maxScaled)
+			return fmt.Errorf("machine: %s %d exceeds the longest duration, %d units", h.name, h.t, maxScaled)
 		}
 	}
 	for i, s := range c.PESpeeds {

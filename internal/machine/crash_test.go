@@ -183,3 +183,42 @@ func TestCrashChaosScenarioRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestCompletedRunLeavesNoPendingTask: once every job has left, no PE
+// holds a pending task. A combined task unlinks its record, and a crash
+// or a purge unlinks every record of the attempt it kills, on whichever
+// shard holds it. Checked at Shards 1, 2 and 4 under crashes with
+// retries, checkpointed crash chaos, a blackout and an abandon (a job
+// struck again inside its one retry).
+func TestCompletedRunLeavesNoPendingTask(t *testing.T) {
+	for _, c := range []struct {
+		name, script     string
+		limit            int
+		aborts, abandons bool
+	}{
+		{"crash-retry", "crash:pes=25%@t=400,recover@t=900", 0, true, false},
+		{"crash-chaos-ckpt", "chaos:mtbf=800:mttr=400:until=6000:crash:domain=block:2x2@seed=11,checkpoint:every=700:cost=2@t=0", 2, true, false},
+		{"blackout", "fail:pes=25%@t=400,recover@t=1100", 0, false, false},
+		{"abandon", "crash:pes=97%@t=300,recover@t=310,crash:pes=97%@t=340,recover@t=350", 1, true, true},
+	} {
+		for _, k := range []int{1, 2, 4} {
+			cfg := DefaultConfig()
+			cfg.Shards = k
+			cfg.MaxTime = 40000
+			cfg.RetryLimit = c.limit
+			cfg.Scenario = scenario.MustParse(c.script)
+			m := NewStream(topology.NewTorus(6, 6), NewFixedInterval(workload.NewFib(9), 130, 40), spread{}, cfg)
+			st := m.Run()
+			if !st.Completed || (st.JobsAborted > 0) != c.aborts || (st.JobsAbandoned > 0) != c.abandons {
+				t.Fatalf("%s K=%d: completed %v with %d aborted and %d abandoned of %d jobs", c.name, k, st.Completed, st.JobsAborted, st.JobsAbandoned, st.JobsInjected)
+			}
+			pending := 0
+			for i := 0; i < m.NumPEs(); i++ {
+				pending += m.PE(i).PendingTasks()
+			}
+			if pending != 0 {
+				t.Errorf("%s K=%d: %d pending task(s) left after the run completed", c.name, k, pending)
+			}
+		}
+	}
+}

@@ -117,16 +117,17 @@
 //
 // # Hot path
 //
-// The per-goal path is hash-free end to end: a PE indexes its pending
-// tasks in an open-addressed slab keyed by goal ID (pendingslab.go —
-// sequential IDs make the low bits a perfect hash), ready queues are
-// ring buffers, and every transient object (wire messages, goals,
-// pending tasks, job states) recycles through slice-stack free lists
-// that live and die with the run's machine. The engine underneath runs
-// the two-tier wheel scheduler (internal/sim), which holds every event
-// by value in reused chunks. The free-list discipline —
-// pointer fields zeroed on free, no touching an object after its
-// free-list put — is machine-checked: pooled types carry
+// The per-goal path looks nothing up: a child goal holds its parent
+// task's pending record, and its response carries the record back to
+// the parent's PE, which checks that the record still belongs to the
+// parent goal it names (a crash may have purged and reused it). Ready
+// queues are ring buffers, and every transient object (wire messages,
+// goals, pending tasks, job states) recycles through slice-stack free
+// lists that live and die with the run's machine. The engine
+// underneath runs the two-tier wheel scheduler (internal/sim), which
+// holds every event by value in reused chunks. The free-list
+// discipline — pointer fields zeroed on free, no touching an object
+// after its free-list put — is machine-checked: pooled types carry
 // //simlint:pooled and free functions //simlint:free, and the poolsafe
 // analyzer (internal/analysis, run by CI as cmd/simlint) enforces both
 // rules at vet time.
@@ -219,11 +220,13 @@
 // event touching a thousand PEs walks flat arrays instead of
 // dereferencing a thousand structs; the speed slice is nil for
 // homogeneous machines. The two counts are owned there, not by the
-// ready ring and the pending slab, so a PE's advertised load (loadOf)
-// reads two dense arrays, and a load tick touches no PE struct. The PE
-// struct keeps the cold and per-PE-shaped state (ready ring, pending
-// slab, neighbor views), and the structs themselves sit in one
-// contiguous block (peBlock), not a million singleton allocations.
+// ready ring and the pending list, so a PE's advertised load (loadOf)
+// reads two dense arrays, and a load tick touches no PE struct. The
+// failed flags are each shard's window of the group's one failure map.
+// The PE struct keeps the cold and per-PE-shaped state (ready ring,
+// the head of its pending-task list, neighbor views), and the structs
+// themselves sit in one contiguous block (peBlock), not a million
+// singleton allocations.
 //
 // Flat adjacency. Neighbor lists, per-neighbor load views, the fan-out
 // table and channel membership are capacity-capped subslices or ranges

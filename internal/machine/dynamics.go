@@ -42,26 +42,6 @@ func (m *Machine) checkpointTick(cost sim.Time) {
 	}
 }
 
-// peDown reports whether PE id (anywhere on the machine) is currently
-// failed, from the group's failure map (nil on unscripted runs, where no
-// PE ever fails). The map is written only at window barriers, so
-// mid-window reads are race-free.
-func (m *Machine) peDown(id int) bool {
-	return m.grp.failed != nil && m.grp.failed[id]
-}
-
-// noteFailed/noteRecovered keep the group's global failure map and live
-// count in step with this shard's transitions.
-func (m *Machine) noteFailed(id int) {
-	m.grp.failed[id] = true
-	m.grp.live--
-}
-
-func (m *Machine) noteRecovered(id int) {
-	m.grp.failed[id] = false
-	m.grp.live++
-}
-
 // nominalSpeed is the PE's configured base speed: PESpeeds[i] on a
 // heterogeneous machine, 1 otherwise.
 func (pe *PE) nominalSpeed() float64 {
@@ -159,7 +139,7 @@ func (m *Machine) takeDown(pe *PE) (it item, cut bool) {
 	}
 	now := m.eng.Now()
 	m.peFailed[pe.lx] = true
-	m.noteFailed(pe.id)
+	m.grp.live--
 	pe.failedAt = now
 	if !m.peBusy[pe.lx] {
 		return item{}, false
@@ -223,20 +203,19 @@ func (m *Machine) crashPE(pe *PE) {
 		}
 		// Queued responses target local pending tasks; both vanish.
 	}
-	// Sweep the pending slab in goal-ID order, NOT slot order: the
-	// victim sequence decides abort/reinject order and therefore goal
-	// IDs and queue positions — slot order shifts as the table grows,
-	// which would make identically-seeded crash runs diverge. (IDs are
-	// collected first for a second reason: del back-shifts entries, so
-	// deleting while iterating slots would skip some.)
-	ids := make([]int64, 0, pe.PendingTasks())
-	pe.pending.forEach(func(id int64, _ *pendingTask) { ids = append(ids, id) })
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		p := pe.pending.get(id)
+	// Sweep the pending tasks in goal-ID order, not list order: the
+	// victim sequence decides abort and re-injection order, and with it
+	// goal IDs and queue positions (the crash-sweep-order golden case
+	// pins it).
+	ps := make([]*pendingTask, 0, pe.PendingTasks())
+	for p := pe.pend; p != nil; p = p.next {
+		ps = append(ps, p)
+	}
+	sort.Slice(ps, func(i, j int) bool { return ps[i].goal.ID < ps[j].goal.ID })
+	for _, p := range ps {
 		m.stats.GoalsLost++ // the executed parent's spawn state is lost
 		collect(p.goal)
-		pe.delPending(id)
+		pe.delPending(p)
 		m.freeGoal(p.goal)
 		m.freePending(p)
 	}
@@ -311,7 +290,6 @@ func (m *Machine) abortJob(j *jobState) {
 // this machine's owned PE block, in PE order. Loss accounting accrues
 // to the purging shard's stats.
 func (m *Machine) purgeJob(j *jobState) {
-	var stale []int64
 	for lx := range m.peBlock {
 		pe := &m.peBlock[lx]
 		for i := 0; i < pe.queueLen(); {
@@ -324,19 +302,16 @@ func (m *Machine) purgeJob(j *jobState) {
 				i++
 			}
 		}
-		// Collect first, delete after: del back-shifts slab entries, so
-		// deleting mid-iteration would skip entries behind the cursor.
-		stale = stale[:0]
-		pe.pending.forEach(func(id int64, p *pendingTask) {
+		// The list's order decides only which pooled objects later
+		// gets return; no simulated value depends on it.
+		for p := pe.pend; p != nil; {
+			next := p.next
 			if p.goal.job == j && p.goal.epoch != j.epoch {
-				stale = append(stale, id)
+				pe.delPending(p)
+				m.freeGoal(p.goal)
+				m.freePending(p)
 			}
-		})
-		for _, id := range stale {
-			p := pe.pending.get(id)
-			pe.delPending(id)
-			m.freeGoal(p.goal)
-			m.freePending(p)
+			p = next
 		}
 	}
 }
@@ -369,7 +344,7 @@ func (m *Machine) recoverPE(pe *PE) {
 		return
 	}
 	m.peFailed[pe.lx] = false
-	m.noteRecovered(pe.id)
+	m.grp.live++
 	pe.downTime += m.eng.Now() - pe.failedAt
 	if !m.peBusy[pe.lx] && pe.queueLen() > 0 {
 		pe.startNext()

@@ -36,6 +36,10 @@ type Goal struct {
 	ParentPE int
 	// ParentID is the parent goal's ID (-1 for the root).
 	ParentID int64
+	// parent is the parent task's pending record on ParentPE (nil for
+	// the root); the response carries it there, so nothing is looked
+	// up by ID.
+	parent *pendingTask
 	// Hops counts link/bus traversals so far — the paper's "count field
 	// that says how many hops the message has travelled from the
 	// source". For CWN it includes backtracking, so it can exceed the
@@ -55,11 +59,15 @@ type Goal struct {
 }
 
 // response carries a completed goal's value back to its parent task.
+// task is the parent's pending record, valid only while task.goal is
+// still the goal goalID names: a crash may have purged the record and
+// the pool handed it to another task.
 type response struct {
-	dstPE  int   // the parent's PE
+	dstPE  int32 // the parent's PE
+	hops   int32
 	goalID int64 // the *parent* goal awaiting this value
 	value  int64
-	hops   int
+	task   *pendingTask
 }
 
 // itemKind discriminates ready-queue entries.
@@ -79,13 +87,15 @@ type item struct {
 }
 
 // pendingTask is a task that has spawned children and awaits their
-// responses. It never migrates (Section 2 of the paper). Pending tasks
-// are pooled alongside goals; vals keeps its backing array across
-// reuses.
+// responses. It never migrates (Section 2 of the paper). Its PE links
+// it into a list (PE.pend) through prev and next, which only a crash
+// or a purge walks. Pending tasks are pooled alongside goals; vals
+// keeps its backing array across reuses.
 //
 //simlint:pooled
 type pendingTask struct {
-	goal      *Goal
-	remaining int
-	vals      []int64
+	goal       *Goal
+	remaining  int
+	vals       []int64
+	prev, next *pendingTask
 }

@@ -40,9 +40,11 @@ type Machine struct {
 	// struct, so the event loop's working set is a few dense arrays.
 	// peQueue and pePending are the ready-queue length and the count of
 	// tasks awaiting responses — the two inputs of the advertised load
-	// (loadOf) — owned here, not by the ring and the slab. peSpeed stays
-	// nil while every PE runs at nominal speed — the unscripted
-	// homogeneous fast path allocates and reads nothing.
+	// (loadOf) — owned here, not by the ring and the pending list.
+	// peFailed is the owned block's window of the group's failure map
+	// (shardGroup.failed). peSpeed stays nil while every PE runs at
+	// nominal speed — the unscripted homogeneous fast path allocates and
+	// reads nothing.
 	peBusy       []bool
 	peFailed     []bool
 	peQueue      []int32
@@ -132,9 +134,6 @@ type Machine struct {
 	nextTree *workload.Tree // the tree the armed arrival injects
 	rateMul  float64        // scenario LoadShock multiplier on the offered rate (1 = nominal)
 
-	// scn is the expanded scenario script actually scheduled (chaos
-	// generators resolved into concrete events); nil when unscripted.
-	scn *scenario.Script
 	// lossy is set when the scenario contains crash (state-loss)
 	// events: it arms the epoch staleness checks and tolerates orphaned
 	// responses. Never set otherwise, so blackout-only and unscripted
@@ -320,7 +319,7 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 	block := m.peHi - m.peLo
 	m.peBlock = make([]PE, block)
 	m.peBusy = make([]bool, block)
-	m.peFailed = make([]bool, block)
+	m.peFailed = grp.failed[m.peLo:m.peHi]
 	m.peQueue = make([]int32, block)
 	m.pePending = make([]int32, block)
 	m.peServiceEnd = make([]sim.Time, block)
@@ -477,9 +476,8 @@ func newMachine(topo *topology.Topology, source JobSource, strat Strategy, cfg C
 	// applies its ops at window barriers (shardGroup.run, applyOps). An
 	// empty scenario arms nothing — the run stays bit-for-bit identical
 	// to an unscripted one (pinned by regression test).
-	if !cfg.Scenario.Empty() {
-		m.scn = grp.scn
-		for _, ev := range m.scn.Events {
+	if grp.scn != nil {
+		for _, ev := range grp.scn.Events {
 			switch ev.Kind {
 			case scenario.CrashPE:
 				m.lossy = true
@@ -531,11 +529,12 @@ func (m *Machine) buildSlots(nbrOff, chansFlat []int) {
 	}
 }
 
-// ScenarioScript returns the expanded scenario timeline this machine
-// replays — chaos generators resolved into their concrete events — or
-// nil for unscripted runs. Recovery analysis reads disruption/restore
-// times from this script, not the unexpanded one.
-func (m *Machine) ScenarioScript() *scenario.Script { return m.scn }
+// ScenarioScript returns the expanded scenario timeline the machine's
+// shard group replays — chaos generators resolved into their concrete
+// events, expanded once for every shard — or nil for unscripted runs.
+// Recovery analysis reads disruption/restore times from this script,
+// not the unexpanded one.
+func (m *Machine) ScenarioScript() *scenario.Script { return m.grp.scn }
 
 // Engine exposes the discrete-event engine (e.g. for Now or the seeded
 // random stream).
@@ -721,6 +720,7 @@ func (m *Machine) newGoal(task *workload.Task, j *jobState, parentPE int, parent
 func (m *Machine) freeGoal(g *Goal) {
 	g.Task = nil
 	g.job = nil
+	g.parent = nil
 	m.goals.put(g)
 }
 
@@ -744,6 +744,7 @@ func (m *Machine) newPending(g *Goal, kids int) *pendingTask {
 func (m *Machine) freePending(p *pendingTask) {
 	p.goal = nil
 	p.vals = p.vals[:0]
+	p.prev, p.next = nil, nil
 	m.pends.put(p)
 }
 
@@ -804,7 +805,7 @@ func (m *Machine) respond(fromPE int, g *Goal, value int64) {
 		return
 	}
 	m.emit(trace.RespSent, fromPE, g.ParentPE, g.ID)
-	m.routeResponse(fromPE, response{dstPE: g.ParentPE, goalID: g.ParentID, value: value})
+	m.routeResponse(fromPE, response{dstPE: int32(g.ParentPE), goalID: g.ParentID, value: value, task: g.parent})
 }
 
 // completeJob records job j's root response: its sojourn time enters the
@@ -862,13 +863,13 @@ func (m *Machine) stopIfIdle(left int64) {
 // its destination PE, charging each channel. Forwarding happens on the
 // co-processor: no PE compute time.
 func (m *Machine) routeResponse(cur int, r response) {
-	if cur == r.dstPE {
-		m.stats.RespHops.Add(r.hops)
+	if cur == int(r.dstPE) {
+		m.stats.RespHops.Add(int(r.hops))
 		m.emit(trace.RespDelivered, cur, -1, r.goalID)
 		m.pes[cur].enqueue(item{kind: itemResponse, resp: r})
 		return
 	}
-	next := m.topo.NextHop(cur, r.dstPE)
+	next := m.topo.NextHop(cur, int(r.dstPE))
 	ci := m.pickChannel(m.chansBetween(cur, next))
 	m.stats.MsgCounts[MsgResponse]++
 	r.hops++
@@ -1071,7 +1072,7 @@ func (m *Machine) inject(tree *workload.Tree) {
 // within the conservative-lookahead contract.
 func (m *Machine) injectRoot(j *jobState) {
 	rootPE := m.cfg.RootPE
-	if m.peDown(rootPE) {
+	if m.grp.failed[rootPE] {
 		rootPE = m.nearestLive(rootPE)
 		m.stats.RootRedirects++
 	}

@@ -221,7 +221,7 @@ func TestLoadMetrics(t *testing.T) {
 	cfg.LoadMetric = LoadQueuePlusPending
 	m := New(topo, tree, keepLocal{}, cfg)
 	pe := m.pes[0]
-	pe.putPending(99, &pendingTask{})
+	pe.putPending(&pendingTask{})
 	g := m.newGoal(tree.Root, &jobState{tree: tree}, 0, -1)
 	m.eng.Schedule(0, func() {
 		pe.Accept(g) // goes straight into service: queue stays empty
@@ -284,6 +284,10 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.GrainTime = 0 },
 		func(c *Config) { c.CombineTime = -1 },
 		func(c *Config) { c.GoalHopTime = 0 },
+		// Past 2^36 units a duration could wrap the clock: a grain time of
+		// 2^62 times a three-unit task does.
+		func(c *Config) { c.GrainTime = 1 << 62 },
+		func(c *Config) { c.CombineTime = maxScaled + 1 },
 		func(c *Config) { c.RootPE = 5 },
 		func(c *Config) { c.MaxTime = 0 },
 	}

@@ -121,22 +121,26 @@ func (pe *PE) removeReady(i int) {
 // the per-event hot scalars — busy, serviceEnd, busyTime, failed,
 // speed, the ready-queue length and the pending-task count — live in
 // machine-level parallel slices indexed by lx (see the struct-of-arrays
-// fields on Machine), keeping the event loop's working set dense; a
+// fields on Machine; the failed flags are the block's window of the
+// group's failure map), keeping the event loop's working set dense; a
 // load tick reads only those and the machine's flat fan table. The
-// adjacency slices (nbrs, nbrLoad) are subslices of machine-wide flat
-// backings. Load words delivered on a channel write the views through
-// the machine's receiver-slot table (Machine.slots), never searching
-// nbrs. The binary search nbrIdx over the ascending nbrs serves lookups
-// by neighbor ID (KnownLoad) and the table's construction.
+// PE's pending tasks are linked through their own records from pend;
+// a response reaches its record by reference, so only a crash or a
+// purge walks the list. The adjacency slices (nbrs, nbrLoad) are
+// subslices of machine-wide flat backings. Load words delivered on a
+// channel write the views through the machine's receiver-slot table
+// (Machine.slots), never searching nbrs. The binary search nbrIdx over
+// the ascending nbrs serves lookups by neighbor ID (KnownLoad) and the
+// table's construction.
 type PE struct {
 	m  *Machine
 	id int
 	lx int // index into the machine's block-local parallel slices (id - peLo)
 
-	ready     itemRing    // FIFO ready queue of waiting messages
-	inService item        // the message in service (valid while busy)
-	svc       sim.Timer   // reusable service-completion event, held by value
-	pending   pendingSlab // tasks awaiting child responses, by goal ID
+	ready     itemRing     // FIFO ready queue of waiting messages
+	inService item         // the message in service (valid while busy)
+	svc       sim.Timer    // reusable service-completion event, held by value
+	pend      *pendingTask // head of the list of tasks awaiting child responses
 
 	nbrs    []int   // cached topology neighbors, ascending
 	nbrLoad []int32 // last known load per neighbor (-1 until first heard); nil on a LoadBlind machine
@@ -251,6 +255,29 @@ func (pe *PE) QueuedGoals() int {
 // PendingTasks returns the number of local tasks awaiting responses —
 // the "future commitments" component of the refined load metric.
 func (pe *PE) PendingTasks() int { return int(pe.m.pePending[pe.lx]) }
+
+// putPending links pending task p into the PE's list and counts it.
+func (pe *PE) putPending(p *pendingTask) {
+	p.next = pe.pend
+	if p.next != nil {
+		p.next.prev = p
+	}
+	pe.pend = p
+	pe.m.pePending[pe.lx]++
+}
+
+// delPending unlinks the PE's pending task p and uncounts it.
+func (pe *PE) delPending(p *pendingTask) {
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		pe.pend = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	}
+	pe.m.pePending[pe.lx]--
+}
 
 // Neighbors returns the PE's neighbors in ascending order. Callers must
 // not modify the slice.
@@ -520,19 +547,21 @@ func (pe *PE) finish(it item) {
 			pe.m.freeGoal(g)
 			return
 		}
-		pe.putPending(g.ID, pe.m.newPending(g, len(task.Kids)))
+		p := pe.m.newPending(g, len(task.Kids))
+		pe.putPending(p)
 		for _, kid := range task.Kids {
 			child := pe.m.newGoal(kid, g.job, pe.id, g.ID)
+			child.parent = p
 			pe.node.HandleEvent(Event{Kind: GoalCreated, Goal: child})
 		}
 	case itemResponse:
 		r := it.resp
-		p := pe.pending.get(r.goalID)
-		if p == nil {
+		p := r.task
+		if p.goal == nil || p.goal.ID != r.goalID {
 			if pe.m.lossy {
 				// The awaiting task died in a crash (its pending record
-				// was purged with the aborted attempt); the value has
-				// nowhere to land.
+				// was purged with the aborted attempt, and perhaps reused
+				// since); the value has nowhere to land.
 				return
 			}
 			panic(fmt.Sprintf("machine: PE %d got response for unknown goal %d", pe.id, r.goalID))
@@ -541,7 +570,7 @@ func (pe *PE) finish(it item) {
 		p.vals = append(p.vals, r.value)
 		p.remaining--
 		if p.remaining == 0 {
-			pe.delPending(r.goalID)
+			pe.delPending(p)
 			val := p.goal.job.tree.Combine(p.vals)
 			pe.m.respond(pe.id, p.goal, val)
 			pe.m.freeGoal(p.goal)

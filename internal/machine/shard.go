@@ -131,10 +131,11 @@ type shardGroup struct {
 	// and shared by every shard; ops is its firing-order timeline,
 	// applied by the coordinator at window barriers landed exactly on
 	// each op's scripted time (run clamps window ends to the op cursor)
-	// — opIx cursors it. failed/live mirror the shards' per-block
-	// failure state machine-wide (nil/0 on unscripted runs); written only
-	// at barriers, so mid-window reads (refuge selection, root
-	// redirects) are race-free.
+	// — opIx cursors it. failed is the one machine-wide failure map,
+	// each shard's peFailed its own block's window of it, and live
+	// counts the PEs not failed. Only scenario ops write them, at
+	// barriers, so mid-window reads (refuge selection, root redirects)
+	// are race-free.
 	scn    *scenario.Script
 	ops    []scenario.Event
 	opIx   int
@@ -231,14 +232,13 @@ func newShardGroup(topo *topology.Topology, source JobSource, strat Strategy, cf
 		g.lookahead = minHop
 	}
 	// Expand the scenario once for the whole group; every shard shares
-	// the result. Pre-sort the op timeline and allocate the global
-	// failure map the shards consult mid-window.
+	// the result. Pre-sort the op timeline.
 	if !cfg.Scenario.Empty() {
 		g.scn = cfg.Scenario.Expand(topo.Size(), cfg.MaxTime)
 		g.ops = g.scn.Sorted()
-		g.failed = make([]bool, topo.Size())
-		g.live = topo.Size()
 	}
+	g.failed = make([]bool, topo.Size())
+	g.live = topo.Size()
 	if cfg.MonitorPE {
 		g.frame = make([]float64, topo.Size())
 	}
